@@ -55,6 +55,27 @@ def _parse_radii(text: str | None):
     return radii
 
 
+def _charts(cfg: LoadedConfig) -> list:
+    return [cfg.chart] if cfg.chart is not None else [e.chart for e in cfg.system.ends]
+
+
+def _check_flags(args, cfg: LoadedConfig) -> None:
+    """Reject flag values the config cannot honour, before any computation."""
+    if getattr(args, "points", 1) < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
+    radii = _parse_radii(getattr(args, "radii", None))
+    if radii is None:
+        return
+    floor = max(2.0 * chart.r_min for chart in _charts(cfg))
+    if min(radii) < floor:
+        raise ConfigError(f"--radii: {min(radii)!r} is below 2 r_min = {floor!r}")
+    r = sorted(radii)
+    for lo, hi in zip(r, r[1:]):
+        if hi / lo < 1.5:
+            raise ConfigError(f"--radii: successive radii {lo!r}, {hi!r} "
+                              "have a ratio below 1.5")
+
+
 def _base_report(command: str, args, cfg: LoadedConfig) -> dict:
     flags = {}
     for key in ("radii", "points", "seed", "jet_order", "measure", "normalize"):
@@ -125,11 +146,9 @@ def _cmd_check(args, cfg: LoadedConfig) -> dict:
     from .chart import decay_scan
 
     report = _base_report("check", args, cfg)
-    charts = [cfg.chart] if cfg.chart is not None else \
-        [e.chart for e in cfg.system.ends]
     scans = []
     ok = True
-    for chart in charts:
+    for chart in _charts(cfg):
         scan = decay_scan(chart)
         scans.append({
             "chart": chart.name,
@@ -147,10 +166,8 @@ def _cmd_check(args, cfg: LoadedConfig) -> dict:
 
 def _cmd_curvature(args, cfg: LoadedConfig) -> dict:
     report = _base_report("curvature", args, cfg)
-    charts = [cfg.chart] if cfg.chart is not None else \
-        [e.chart for e in cfg.system.ends]
     report["results"] = {"batteries": []}
-    for chart in charts:
+    for chart in _charts(cfg):
         battery = suites.curvature_battery(chart, points=args.points,
                                            seed=args.seed,
                                            jet_order=args.jet_order)
@@ -201,10 +218,8 @@ def _cmd_weyl_mass(args, cfg: LoadedConfig) -> dict:
 
 def _cmd_identities(args, cfg: LoadedConfig) -> dict:
     report = _base_report("identities", args, cfg)
-    charts = [cfg.chart] if cfg.chart is not None else \
-        [e.chart for e in cfg.system.ends]
     report["results"] = {"batteries": []}
-    for chart in charts:
+    for chart in _charts(cfg):
         battery = suites.identity_battery(chart, points=args.points,
                                           seed=args.seed,
                                           jet_order=args.jet_order)
@@ -307,6 +322,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
+        _check_flags(args, cfg)
         report = _COMMANDS[args.command](args, cfg)
     except ConfigError as e:
         print(f"confmass: {e}", file=sys.stderr)

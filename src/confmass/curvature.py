@@ -40,10 +40,6 @@ __all__ = [
 ]
 
 
-def _trunc(j: Jet, order: int) -> Jet:
-    return j if j.space.order == order else j.truncate(order)
-
-
 def _zero_like(j: Jet) -> Jet:
     return Jet(j.space, np.zeros_like(j.c))
 
@@ -88,7 +84,7 @@ def christoffels(md: MetricData) -> ConnectionData:
             d = [md.g[i][j].derive(v) for v in range(n)]
             dg[i][j] = d
             dg[j][i] = d
-    ginv = [[_trunc(md.ginv[k][l], K - 1) for l in range(n)] for k in range(n)]
+    ginv = [[md.ginv[k][l].truncate(K - 1) for l in range(n)] for k in range(n)]
 
     gam = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -124,7 +120,7 @@ def curvature(cd: ConnectionData) -> CurvatureData:
                 d = [gam[l][a][b].derive(v) for v in range(n)]
                 dgam[l][a][b] = d
                 dgam[l][b][a] = d
-    g2 = [[[_trunc(gam[l][a][b], tgt) for b in range(n)] for a in range(n)]
+    g2 = [[[gam[l][a][b].truncate(tgt) for b in range(n)] for a in range(n)]
           for l in range(n)]
 
     zero = _zero_like(dgam[0][0][0][0])
@@ -148,7 +144,7 @@ def curvature(cd: ConnectionData) -> CurvatureData:
                 acc = acc + riem[l][j][l][i]
             ric[i][j] = acc
 
-    ginv = [[_trunc(md.ginv[i][j], tgt) for j in range(n)] for i in range(n)]
+    ginv = [[md.ginv[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
     scal = None
     for i in range(n):
         for j in range(n):
@@ -166,13 +162,13 @@ def covd_oneform(cd: ConnectionData, theta: list) -> list:
     n = cd.md.chart.n
     q = theta[0].space.order
     tgt = min(q - 1, cd.order)
-    th = [_trunc(t, tgt) for t in theta]
+    th = [t.truncate(tgt) for t in theta]
     out = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            acc = _trunc(theta[j].derive(i), tgt)
+            acc = theta[j].derive(i).truncate(tgt)
             for k in range(n):
-                acc = acc - _trunc(cd.christoffel[k][i][j], tgt) * th[k]
+                acc = acc - cd.christoffel[k][i][j].truncate(tgt) * th[k]
             out[i][j] = acc
     return out
 
@@ -182,7 +178,7 @@ def trace_covd_oneform(cd: ConnectionData, theta: list) -> Jet:
     n = cd.md.chart.n
     nab = covd_oneform(cd, theta)
     tgt = nab[0][0].space.order
-    ginv = [[_trunc(cd.md.ginv[i][j], tgt) for j in range(n)] for i in range(n)]
+    ginv = [[cd.md.ginv[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
     acc = None
     for i in range(n):
         for j in range(n):
@@ -197,8 +193,8 @@ def codiff_oneform(md: MetricData, theta: list) -> Jet:
     q = theta[0].space.order
     if q < 1:
         raise ValueError("codiff needs jet order >= 1")
-    w = _trunc(md.sqrt_det, q)
-    ginv = [[_trunc(md.ginv[i][j], q) for j in range(n)] for i in range(n)]
+    w = md.sqrt_det.truncate(q)
+    ginv = [[md.ginv[i][j].truncate(q) for j in range(n)] for i in range(n)]
     acc = None
     for i in range(n):
         vi = ginv[i][0] * theta[0]
@@ -206,7 +202,7 @@ def codiff_oneform(md: MetricData, theta: list) -> Jet:
             vi = vi + ginv[i][j] * theta[j]
         term = (w * vi).derive(i)
         acc = term if acc is None else acc + term
-    return -(acc / _trunc(md.sqrt_det, q - 1))
+    return -(acc / md.sqrt_det.truncate(q - 1))
 
 
 def laplacian(md: MetricData, f: Jet) -> Jet:
@@ -221,7 +217,7 @@ def gradient_vector(md: MetricData, f: Jet) -> list:
     n = md.chart.n
     df = [f.derive(j) for j in range(n)]
     tgt = df[0].space.order
-    ginv = [[_trunc(md.ginv[i][j], tgt) for j in range(n)] for i in range(n)]
+    ginv = [[md.ginv[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
     out = []
     for i in range(n):
         acc = ginv[i][0] * df[0]

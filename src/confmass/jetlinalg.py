@@ -1,11 +1,32 @@
-"""Dense linear algebra over the jet ring for small (n <= 8) matrices.
+"""Linear algebra over the jet ring for small (n <= 8) matrices.
 
-Matrices are plain nested lists of Jet sharing one JetSpace.  Everything
-here assumes symmetric positive definite value parts (metric tensors), so
-Gaussian elimination runs without pivoting and the Denman--Beavers square
-root iteration converges.  No BLAS is involved: results are bitwise
-reproducible and independent of batch composition, which the report
-determinism guarantees rely on.
+Matrices are nested lists of Jet sharing one JetSpace.  ``mat_inv`` and
+``spd_sqrt`` stack their argument into one coefficient array of shape
+(m, B, n, n) and solve it in a single pass over the Taylor grades
+(Higham, *Functions of Matrices*, SIAM 2008, sec. 6.1):
+
+* the value part (grade 0) is factored once with LAPACK: ``inv`` for
+  the inverse, ``eigh`` for the square root;
+* each higher grade gamma then follows in closed form from the lower
+  ones, the pairs alpha + beta = gamma coming from the JetSpace
+  multiplication table:
+
+      inverse:  X_g = -A_0^-1 sum_{a+b=g, a!=0} A_a X_b
+      sqrt:     S_0 S_g + S_g S_0 = A_g - sum_{a+b=g, a,b!=0} S_a S_b,
+
+  the latter a division by sqrt(l_i) + sqrt(l_j) in the eigenbasis of
+  A_0.
+
+There is no iteration and no convergence branch.  ``spd_sqrt`` needs a
+symmetric positive definite value part (metric tensors); ``mat_inv``
+and ``mat_det`` need pivots that do not vanish, which SPD value parts
+guarantee.
+
+Batch independence: LAPACK runs once per matrix on its own copy, and
+the n x n products are written as n elementwise multiply-adds over the
+batch rather than handed to BLAS, so each column's result is bitwise
+the same whatever batch it is computed in (the tests check this).
+Across LAPACK builds the results may differ in the last bits.
 """
 
 from __future__ import annotations
@@ -14,47 +35,7 @@ import numpy as np
 
 from .jets import Jet, JetSpace
 
-__all__ = ["mat_identity", "mat_mul", "mat_vec", "mat_add", "mat_scale",
-           "mat_inv", "mat_det", "spd_sqrt", "values"]
-
-
-def mat_identity(space: JetSpace, n: int, like: Jet) -> list[list[Jet]]:
-    one = np.ones_like(like.c[0])
-    zero = np.zeros_like(like.c[0])
-    return [[Jet.constant(space, one if i == j else zero) for j in range(n)]
-            for i in range(n)]
-
-
-def mat_mul(A, B) -> list[list[Jet]]:
-    n, p, q = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(q):
-            s = A[i][0] * B[0][j]
-            for l in range(1, p):
-                s = s + A[i][l] * B[l][j]
-            row.append(s)
-        out.append(row)
-    return out
-
-
-def mat_vec(A, v) -> list[Jet]:
-    out = []
-    for i in range(len(A)):
-        s = A[i][0] * v[0]
-        for l in range(1, len(v)):
-            s = s + A[i][l] * v[l]
-        out.append(s)
-    return out
-
-
-def mat_add(A, B, sa=1.0, sb=1.0) -> list[list[Jet]]:
-    return [[A[i][j] * sa + B[i][j] * sb for j in range(len(A[0]))] for i in range(len(A))]
-
-
-def mat_scale(A, s) -> list[list[Jet]]:
-    return [[A[i][j] * s for j in range(len(A[0]))] for i in range(len(A))]
+__all__ = ["mat_inv", "mat_det", "spd_sqrt", "values", "stack", "unstack"]
 
 
 def values(A) -> np.ndarray:
@@ -62,25 +43,114 @@ def values(A) -> np.ndarray:
     return np.array([[A[i][j].value for j in range(len(A[0]))] for i in range(len(A))])
 
 
+def _coeffs(M):
+    return M.c if isinstance(M, Jet) else [_coeffs(x) for x in M]
+
+
+def _first(M) -> Jet:
+    while not isinstance(M, Jet):
+        M = M[0]
+    return M
+
+
+def stack(M) -> np.ndarray:
+    """Coefficients of a nested list of jets as one (m, B, *index) array.
+
+    Unbatched jets (coefficients of shape (m,)) get a batch axis of 1.
+    """
+    C = np.array(_coeffs(M))
+    if _first(M).c.ndim == 1:
+        C = C[..., None]
+    k = C.ndim - 2
+    return np.moveaxis(C, (k, k + 1), (0, 1))
+
+
+def unstack(space: JetSpace, C: np.ndarray, batched: bool = True):
+    """Inverse of :func:`stack`: a nested list of jets, one per index."""
+    C = np.ascontiguousarray(np.moveaxis(C, (0, 1), (-2, -1)))
+    if not batched:
+        C = C[..., 0]
+
+    def build(block):
+        if block.ndim == (2 if batched else 1):
+            return Jet(space, block)
+        return [build(b) for b in block]
+
+    return build(C)
+
+
+def _mm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y over the last two axes as n multiply-adds (no BLAS)."""
+    acc = X[..., :, :1] * Y[..., :1, :]
+    for l in range(1, X.shape[-1]):
+        acc = acc + X[..., :, l:l + 1] * Y[..., l:l + 1, :]
+    return acc
+
+
+def _grade_pairs(space: JetSpace, k: int, nonzero_right: bool):
+    """Multiplication-table pairs (i, j) feeding the grade-k targets,
+    with alpha_i != 0 (and alpha_j != 0 if asked), plus reduceat starts."""
+    lo, hi = space.grade_count[k - 1], space.grade_count[k]
+    t, i, j = space._mul_t, space._mul_i, space._mul_j
+    keep = (t >= lo) & (t < hi) & (i != 0)
+    if nonzero_right:
+        keep &= j != 0
+    starts = np.searchsorted(t[keep], np.arange(lo, hi))
+    return i[keep], j[keep], starts
+
+
+def _graded(C: np.ndarray, space: JetSpace, X0: np.ndarray, solve,
+            nonzero_right: bool) -> np.ndarray:
+    """The grade recursion on a stacked (m, B, n, n) array: X_0 = X0, then
+    X_g = solve(A_g, conv_g) grade by grade, where conv_g sums A_a X_b
+    (or X_a X_b with ``nonzero_right``) over the pairs a + b = g, a != 0."""
+    X = np.empty_like(C)
+    X[0] = X0
+    for k in range(1, space.order + 1):
+        lo, hi = space.grade_count[k - 1], space.grade_count[k]
+        i, j, starts = _grade_pairs(space, k, nonzero_right)
+        conv = None
+        if len(i):
+            left = X[i] if nonzero_right else C[i]
+            conv = np.add.reduceat(_mm(left, X[j]), starts, axis=0)
+        X[lo:hi] = solve(C[lo:hi], conv)
+    return X
+
+
 def mat_inv(A) -> list[list[Jet]]:
-    """Gauss-Jordan inverse without pivoting (SPD value part assumed)."""
-    n = len(A)
-    space = A[0][0].space
-    M = [[A[i][j] for j in range(n)] for i in range(n)]
-    I = mat_identity(space, n, A[0][0])
-    for col in range(n):
-        piv = M[col][col]
-        for j in range(n):
-            M[col][j] = M[col][j] / piv
-            I[col][j] = I[col][j] / piv
-        for row in range(n):
-            if row == col:
-                continue
-            f = M[row][col]
-            for j in range(n):
-                M[row][j] = M[row][j] - f * M[col][j]
-                I[row][j] = I[row][j] - f * I[col][j]
-    return I
+    """Jet inverse X of A, A X = I: LAPACK on the value part, then
+    X_g = -A_0^-1 sum_{a+b=g, a!=0} A_a X_b grade by grade."""
+    head = _first(A)
+    C = stack(A)
+    inv0 = np.linalg.inv(C[0])
+    X = _graded(C, head.space, inv0, lambda Ag, conv: -_mm(inv0, conv),
+                nonzero_right=False)
+    return unstack(head.space, X, head.c.ndim == 2)
+
+
+def spd_sqrt(A) -> list[list[Jet]]:
+    """Jet principal square root S of an SPD jet matrix, S S = A.
+
+    ``eigh`` of the value part gives S_0 = Q diag(sqrt l) Q^T; each grade
+    then solves S_0 S_g + S_g S_0 = A_g - sum_{a+b=g, a,b!=0} S_a S_b,
+    which in the eigenbasis is a division by sqrt(l_i) + sqrt(l_j).
+    """
+    head = _first(A)
+    C = stack(A)
+    lam, Q = np.linalg.eigh(C[0])
+    if not np.all(lam > 0.0):
+        raise ArithmeticError("matrix square root needs a positive definite value part")
+    root = np.sqrt(lam)
+    QT = np.swapaxes(Q, -1, -2)
+    denom = root[..., :, None] + root[..., None, :]
+
+    def solve(Ag, conv):
+        rhs = Ag if conv is None else Ag - conv
+        return _mm(_mm(Q, _mm(_mm(QT, rhs), Q) / denom), QT)
+
+    S = _graded(C, head.space, _mm(Q * root[..., None, :], QT), solve,
+                nonzero_right=True)
+    return unstack(head.space, S, head.c.ndim == 2)
 
 
 def mat_det(A) -> Jet:
@@ -96,59 +166,3 @@ def mat_det(A) -> Jet:
             for j in range(col + 1, n):
                 M[row][j] = M[row][j] - f * M[col][j]
     return det
-
-
-def spd_sqrt(A, tol: float = 1e-14, maxiter: int = 60) -> list[list[Jet]]:
-    """Jet-level principal square root S of an SPD jet matrix, S*S = A.
-
-    Denman--Beavers iteration Y <- (Y + Z^-1)/2, Z <- (Z + Y^-1)/2 with
-    Y0 = A, Z0 = I, run in full jet arithmetic.  Convergence is measured
-    on the value parts (Frobenius norm of Y*Y - A against tol*||A||_F)
-    per batch element, and converged elements are frozen with np.where so
-    each point's trajectory is independent of its batch neighbours.
-    """
-    n = len(A)
-    space = A[0][0].space
-    batched = A[0][0].c.ndim == 2
-
-    Av = values(A)  # (n, n) or (n, n, B)
-    anorm = np.sqrt(np.sum(Av * Av, axis=(0, 1)))
-    thresh = tol * np.maximum(anorm, 1.0)
-
-    Y = [[A[i][j] for j in range(n)] for i in range(n)]
-    Z = mat_identity(space, n, A[0][0])
-    done = np.zeros_like(anorm, dtype=bool)
-
-    def resid(Ymat) -> np.ndarray:
-        Yv = values(Ymat)
-        if batched:
-            YY = np.einsum("ijb,jkb->ikb", Yv, Yv)
-        else:
-            YY = Yv @ Yv
-        d = YY - Av
-        return np.sqrt(np.sum(d * d, axis=(0, 1)))
-
-    def freeze(new, old):
-        # keep old coefficients where already converged
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                c = np.where(done, old[i][j].c, new[i][j].c)
-                out[i][j] = Jet(space, c)
-        return out
-
-    for _ in range(maxiter):
-        done = done | (resid(Y) <= thresh)
-        if np.all(done):
-            break
-        Zi = mat_inv(Z)
-        Yi = mat_inv(Y)
-        Yn = mat_add(Y, Zi, 0.5, 0.5)
-        Zn = mat_add(Z, Yi, 0.5, 0.5)
-        Y = freeze(Yn, Y)
-        Z = freeze(Zn, Z)
-
-    if not np.all(done | (resid(Y) <= thresh)):
-        bad = np.where(~(done | (resid(Y) <= thresh)))
-        raise ArithmeticError(f"matrix square root did not converge (batch indices {bad})")
-    return Y

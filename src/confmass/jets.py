@@ -8,7 +8,9 @@ functions are lifted by Horner composition of the univariate Taylor
 polynomial with the value-free part of the argument.
 
 Coefficients are numpy arrays of shape (m,) for a single point or (m, B)
-for a batch of B points, where m = C(nvars + order, order).  All batched
+for a batch of B points, where m = C(nvars + order, order); further
+trailing axes (a whole tensor stacked into one array) pass through the
+ring operations, ``derive`` and ``tensor_mul`` unchanged.  All batched
 kernels are plain vectorized numpy with fixed iteration order (the
 multiplication uses a precomputed pair table and np.add.reduceat), so
 results are bitwise reproducible and independent of threading.
@@ -41,7 +43,7 @@ from .exprdsl import (BinOp, Call, COORD_RE, EvalError, ExprAst, Neg, Num,
 __all__ = [
     "JetSpace", "Jet", "seed_point", "seed_constant", "partial",
     "jet_sqrt", "jet_exp", "jet_log", "jet_sin", "jet_cos", "jet_atan",
-    "jet_powc", "evaluate_jet",
+    "jet_powc", "evaluate_jet", "tensor_mul",
 ]
 
 MAX_ORDER = 3
@@ -171,7 +173,7 @@ class Jet:
             raise ValueError("cannot derive an order-0 jet")
         src, fac = self.space._derive[v]
         sp = self.space.lower(self.space.order - 1)
-        c = self.c[src] * (fac if self.c.ndim == 1 else fac[:, None])
+        c = self.c[src] * fac.reshape((-1,) + (1,) * (self.c.ndim - 1))
         return Jet(sp, c)
 
     def copy(self) -> "Jet":
@@ -253,6 +255,21 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(order={self.space.order}, nvars={self.space.nvars}, value={self.value!r})"
+
+
+def tensor_mul(space: JetSpace, subscripts: str, x: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
+    """Jet product of two stacked coefficient arrays (jet axis first).
+
+    The non-jet axes combine by ``np.einsum`` ``subscripts`` such as
+    "bij,bjk->bik"; the einsum runs over the multiplication-table pairs
+    and np.add.reduceat sums each target coefficient, as in
+    ``Jet.__mul__``.
+    """
+    xs, rest = subscripts.split(",")
+    ys, out = rest.split("->")
+    conv = np.einsum(f"z{xs},z{ys}->z{out}", x[space._mul_i], y[space._mul_j])
+    return np.add.reduceat(conv, space._mul_starts, axis=0)
 
 
 # ---------------------------------------------------------------------------

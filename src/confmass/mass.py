@@ -21,14 +21,15 @@ accordingly) agree, and the spinor boundary flux converges to
 (1/4) m(D) |psi_0|^2 for asymptotically constant psi_0.  Both facts are
 enforced by the acceptance tests.
 
-Determinism: quadrature nodes are evaluated in fixed 32-node chunks and
-reduced with a fixed pairwise tree (see util), so every flux is
-byte-identical no matter the worker count.
+Determinism: quadrature nodes are evaluated in fixed ``util.CHUNK``-node
+chunks and reduced with a fixed pairwise tree (see util), so every flux
+is byte-identical no matter the worker count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,8 +220,9 @@ def _flux(chart: MetricChart, r: float, integrand, measure: str,
         vals = integrand(Xc, nu)
         return np.asarray(vals, dtype=dtype) * fac * w[a:b]
 
+    # integrands may return (S, B): S fluxes over one shared sample
     parts = util.chunked_map(chunk, rule.count)
-    return util.pairwise_sum(np.concatenate(parts))
+    return util.pairwise_sum(np.concatenate(parts, axis=-1).T)
 
 
 def adm_flux(chart: MetricChart, r: float, measure: str = "euclidean",
@@ -291,16 +293,25 @@ def weyl_flux(chart: MetricChart, r: float, measure: str = "euclidean",
         - 2.0 * (n - 1) * lee_flux(chart, r, measure, orders)
 
 
-def witten_flux(chart: MetricChart, spec: SpinorFieldSpec, r: float,
-                measure: str = "euclidean", orders: int | None = None) -> complex:
+def witten_flux(chart: MetricChart, spec: SpinorFieldSpec | Sequence[SpinorFieldSpec],
+                r: float, measure: str = "euclidean",
+                orders: int | None = None) -> complex | list[complex]:
     """Integral over S_r of omega_psi(nu), with
     omega_psi(X) = h(psi, X^flat . Dirac psi + D_X psi) at weight (2-n)/2.
+
+    ``spec`` is one SpinorFieldSpec (the result is one complex) or a
+    sequence of them (the result is a list with one complex per spec).
+    All specs share one sample per chunk: the metric jets, the Lee jets
+    and the spin frame are built once, and each flux is bitwise equal to
+    the one a separate call returns.
 
     The imaginary part is a diagnostic: it must vanish in the limit.
     """
     n = chart.n
     k = 0.5 * (2.0 - n)
     has_theta = not all(_is_zero(t) for t in chart.lee)
+    single = isinstance(spec, SpinorFieldSpec)
+    specs = [spec] if single else list(spec)
 
     def integrand(Xc, nu):
         B = Xc.shape[1]
@@ -310,23 +321,26 @@ def witten_flux(chart: MetricChart, spec: SpinorFieldSpec, r: float,
         if has_theta:
             theta = [evaluate_jet(t, coords, chart.params) for t in chart.lee]
         calc = spinor_calc_light(md, theta)
-        psi = spinor_jets(spec, coords, chart.params)
-        Dc = covd_coord(calc, psi, k, riemannian=(theta is None))
-        F = covd_frame(calc, psi, k, riemannian=(theta is None), coord_fields=Dc)
-        dpsi = None
-        for a in range(n):
-            t = mat_apply(calc.rep.gamma[a], F[a])
-            dpsi = t if dpsi is None else s_add(dpsi, t)
-        psi0 = s_truncate(psi, 0)
-        out = np.zeros(B, dtype=np.complex128)
-        for j in range(n):
-            xflat = [calc.frame.S[j][a].truncate(0) for a in range(n)]
-            cl = cliff_vector_jets(calc.rep, xflat, dpsi)
-            omega_j = h_jet(psi0, s_add(cl, Dc[j])).value
-            out = out + omega_j * nu[j]
+        xflat = [[calc.frame.S[j][a].truncate(0) for a in range(n)] for j in range(n)]
+        out = np.zeros((len(specs), B), dtype=np.complex128)
+        for s, sp in enumerate(specs):
+            psi = spinor_jets(sp, coords, chart.params)
+            Dc = covd_coord(calc, psi, k, riemannian=(theta is None))
+            F = covd_frame(calc, psi, k, riemannian=(theta is None), coord_fields=Dc)
+            dpsi = None
+            for a in range(n):
+                t = mat_apply(calc.rep.gamma[a], F[a])
+                dpsi = t if dpsi is None else s_add(dpsi, t)
+            psi0 = s_truncate(psi, 0)
+            for j in range(n):
+                cl = cliff_vector_jets(calc.rep, xflat[j], dpsi)
+                omega_j = h_jet(psi0, s_add(cl, Dc[j])).value
+                out[s] = out[s] + omega_j * nu[j]
         return out
 
-    return complex(_flux(chart, r, integrand, measure, orders, dtype=np.complex128))
+    flux = _flux(chart, r, integrand, measure, orders, dtype=np.complex128)
+    fluxes = [complex(f) for f in flux]
+    return fluxes[0] if single else fluxes
 
 
 def _is_zero(ast) -> bool:
@@ -469,6 +483,38 @@ def _normalizer(n: int, normalize: str) -> float:
     raise ValueError(f"unknown normalization {normalize!r} (raw | adm)")
 
 
+FALLBACK_WARNING = "extrapolation fell back to the declared decay rate"
+DIVERGENCE_WARNING = ("flux series does not converge: its increments per unit "
+                      "log-radius stop shrinking")
+
+
+def _diverges(radii, flux) -> bool:
+    """True when the flux series stops settling as the radius grows.
+
+    The increment between successive radii, divided by the log-ratio of
+    the radii, is the mean slope in ln r; for any series that tends to a
+    limit as a power law these slopes shrink outward, so a slope that
+    does not shrink (beyond a 1e-9 relative rounding floor) means the
+    series has no limit to extrapolate to.
+    """
+    order = np.argsort(radii)
+    r = np.asarray(radii, dtype=np.float64)[order]
+    f = np.asarray(flux, dtype=np.float64)[order]
+    step = np.abs(np.diff(f))
+    slope = step / np.log(r[1:] / r[:-1])
+    floor = 1e-9 * max(1.0, float(np.max(np.abs(f))))
+    return bool(np.any((slope[1:] >= slope[:-1]) & (step[1:] > floor)))
+
+
+def _series_warnings(radii, flux, *fits) -> tuple:
+    warn = []
+    if any(e.fallback for e in fits):
+        warn.append(FALLBACK_WARNING)
+    if _diverges(radii, flux):
+        warn.append(DIVERGENCE_WARNING)
+    return tuple(warn)
+
+
 def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
                     normalize: str = "raw", orders: int | None = None) -> MassReport:
     """Extrapolated ADM-type flux of the chart metric."""
@@ -480,7 +526,7 @@ def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
     ext = extrapolate(list(zip(radii, flux)), p_bounds=(0.3, 2.0 * n),
                       fallback_p=chart.tau)
     norm = _normalizer(n, normalize)
-    warnings = ("extrapolation fell back to the declared decay rate",) if ext.fallback else ()
+    warnings = _series_warnings(radii, flux, ext)
     return MassReport(kind="riemannian", radii=radii,
                       flux=tuple(f * norm for f in flux),
                       limit=ext.limit * norm, error=ext.error * norm,
@@ -505,10 +551,7 @@ def _end_mass(chart: MetricChart, radii, measure, orders):
     riem = ea.limit
     leepart = -2.0 * (n - 1) * el.limit
     err = ea.error + 2.0 * (n - 1) * el.error
-    warn = []
-    if ea.fallback or el.fallback:
-        warn.append("extrapolation fell back to the declared decay rate")
-    return radii, series, riem, leepart, err, tuple(warn)
+    return radii, series, riem, leepart, err, _series_warnings(radii, series, ea, el)
 
 
 def weyl_mass(system, radii=None, measure: str = "euclidean",

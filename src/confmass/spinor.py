@@ -38,7 +38,7 @@ from . import jetlinalg
 from . import weyl as weylmod
 from .chart import MetricChart, MetricData
 from .curvature import ConnectionData, christoffels, codiff_oneform, curvature
-from .jets import Jet, evaluate_jet, seed_point
+from .jets import Jet, evaluate_jet, tensor_mul
 
 __all__ = [
     "CJet",
@@ -266,44 +266,30 @@ class SpinFrame:
         return self.omega[0][0][0].space.order
 
 
-def _trunc(j: Jet, order: int) -> Jet:
-    return j if j.space.order == order else j.truncate(order)
-
-
 def frame_spin_connection(md: MetricData, cd: ConnectionData | None = None) -> SpinFrame:
-    """Orthonormal frame and spin-connection coefficient jets."""
+    """Orthonormal frame and spin-connection coefficient jets.
+
+    omega_iab = g_jk (nabla_i E_a)^j E_kb with
+    (nabla_i E_a)^j = d_i E_ja + Gamma^j_im E_ma, at one order below the
+    metric, as whole-array jet products over the stacked coefficients.
+    """
     n = md.chart.n
-    K = md.space.order
-    if K < 1:
+    if md.space.order < 1:
         raise ValueError("frame_spin_connection needs jet order >= 1")
     if cd is None:
         cd = christoffels(md)
-    A = [[md.g[i][j] for j in range(n)] for i in range(n)]
-    S = jetlinalg.spd_sqrt(A)
+    S = jetlinalg.spd_sqrt(md.g)
     E = jetlinalg.mat_inv(S)
 
-    t = K - 1
-    g1 = [[_trunc(md.g[i][j], t) for j in range(n)] for i in range(n)]
-    E1 = [[_trunc(E[i][a], t) for a in range(n)] for i in range(n)]
-    omega = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        # (nabla_i E_a)^j = d_i E_ja + Gamma^j_im E_ma
-        nab = [[None] * n for _ in range(n)]  # [j][a]
-        for j in range(n):
-            for a in range(n):
-                acc = E[j][a].derive(i)
-                for m in range(n):
-                    acc = acc + _trunc(cd.christoffel[j][i][m], t) * E1[m][a]
-                nab[j][a] = acc
-        for a in range(n):
-            for b in range(n):
-                acc = None
-                for j in range(n):
-                    for kk in range(n):
-                        term = g1[j][kk] * nab[j][a] * E1[kk][b]
-                        acc = term if acc is None else acc + term
-                omega[i][a][b] = acc
-    return SpinFrame(md=md, cd=cd, E=E, S=S, omega=omega)
+    sp = cd.christoffel[0][0][0].space
+    Ec = jetlinalg.stack(E)  # [z, b, j, a]
+    Et = Ec[:sp.m]
+    dE = np.stack([Jet(md.space, Ec).derive(i).c for i in range(n)], axis=2)
+    nab = dE + tensor_mul(sp, "bjim,bma->bija", jetlinalg.stack(cd.christoffel), Et)
+    gnab = tensor_mul(sp, "bjk,bija->bika", jetlinalg.stack(md.g)[:sp.m], nab)
+    omega = tensor_mul(sp, "bika,bkc->biac", gnab, Et)
+    return SpinFrame(md=md, cd=cd, E=E, S=S,
+                     omega=jetlinalg.unstack(sp, omega, md.points.ndim == 2))
 
 
 # ---------------------------------------------------------------------------
@@ -335,30 +321,37 @@ class SpinorCalc:
         return self.frame.md
 
 
+def _make_calc(cd: ConnectionData, theta: list | None, weyl_gamma: list,
+               scal_weyl: Jet | None) -> SpinorCalc:
+    """Frame, Clifford module and frame components theta(E_b) of the Lee form."""
+    md = cd.md
+    n = md.chart.n
+    frame = frame_spin_connection(md, cd)
+    tf = None
+    if theta is not None:
+        tK = theta[0].space.order
+        tf = []
+        for b in range(n):
+            acc = None
+            for j in range(n):
+                term = theta[j] * frame.E[j][b].truncate(tK)
+                acc = term if acc is None else acc + term
+            tf.append(acc)
+    return SpinorCalc(frame=frame, rep=clifford.build_rep(n), theta=theta,
+                      theta_frame=tf, weyl_gamma=weyl_gamma, scal_weyl=scal_weyl)
+
+
 def spinor_calc(md: MetricData, theta: list | None = None,
                 check_two_path: bool = True) -> SpinorCalc:
     """Build the frame, connections, and curvature for spinor work."""
-    n = md.chart.n
     if md.space.order < 2:
         raise ValueError("spinor calculus needs metric jets of order >= 2")
     cd = christoffels(md)
     cv = curvature(cd)
-    frame = frame_spin_connection(md, cd)
-    rep = clifford.build_rep(n)
     if theta is None:
-        return SpinorCalc(frame=frame, rep=rep, theta=None, theta_frame=None,
-                          weyl_gamma=cd.christoffel, scal_weyl=cv.scal)
+        return _make_calc(cd, None, cd.christoffel, cv.scal)
     wd = weylmod.weyl_scalar(cv, theta, check_two_path=check_two_path)
-    tf = []
-    tK = theta[0].space.order
-    for b in range(n):
-        acc = None
-        for j in range(n):
-            term = _trunc(theta[j], tK) * _trunc(frame.E[j][b], tK)
-            acc = term if acc is None else acc + term
-        tf.append(acc)
-    return SpinorCalc(frame=frame, rep=rep, theta=theta, theta_frame=tf,
-                      weyl_gamma=wd.gamma, scal_weyl=wd.scal)
+    return _make_calc(cd, theta, wd.gamma, wd.scal)
 
 
 def spinor_calc_light(md: MetricData, theta: list | None = None) -> SpinorCalc:
@@ -368,30 +361,8 @@ def spinor_calc_light(md: MetricData, theta: list | None = None) -> SpinorCalc:
     metric jets, as used by boundary-flux integrands; ``scal_weyl`` is
     None and ``conf_trace_second`` must not be called on it.
     """
-    n = md.chart.n
     cd = christoffels(md)
-    frame = frame_spin_connection(md, cd)
-    rep = clifford.build_rep(n)
-    if theta is None:
-        return SpinorCalc(frame=frame, rep=rep, theta=None, theta_frame=None,
-                          weyl_gamma=cd.christoffel, scal_weyl=None)
-    tf = []
-    tK = theta[0].space.order
-    for b in range(n):
-        acc = None
-        for j in range(n):
-            term = _trunc(theta[j], tK) * _trunc(frame.E[j][b], tK)
-            acc = term if acc is None else acc + term
-        tf.append(acc)
-    return SpinorCalc(frame=frame, rep=rep, theta=theta, theta_frame=tf,
-                      weyl_gamma=cd.christoffel, scal_weyl=None)
-
-
-def _pair_matrix(n: int, a: int, b: int) -> np.ndarray:
-    """gamma_a gamma_b for a != b (0-based)."""
-    if a < b:
-        return clifford.gamma_product(n, (a, b))
-    return -clifford.gamma_product(n, (b, a))
+    return _make_calc(cd, theta, cd.christoffel, None)
 
 
 def covd_coord(calc: SpinorCalc, psi: list, weight: float | None = None,
@@ -421,20 +392,19 @@ def covd_coord(calc: SpinorCalc, psi: list, weight: float | None = None,
             pair[(a, b)] = mat_apply(clifford.gamma_product(n, (a, b)), psi_t)
 
     if use_theta:
-        th_f = [_trunc(x, t) for x in calc.theta_frame]
-        th_c = [_trunc(x, t) for x in calc.theta]
+        th_f = [x.truncate(t) for x in calc.theta_frame]
+        th_c = [x.truncate(t) for x in calc.theta]
         chi = cliff_vector_jets(rep, th_f, psi_t)  # theta . psi
 
     out = []
     for i in range(n):
-        acc = [c.derive(i).truncate(t) if c.derive(i).space.order != t else c.derive(i)
-               for c in psi]
+        acc = [c.derive(i).truncate(t) for c in psi]
         for a in range(n):
             for b in range(a + 1, n):
-                w = 0.25 * (_trunc(fr.omega[i][a][b], t) - _trunc(fr.omega[i][b][a], t))
+                w = 0.25 * (fr.omega[i][a][b].truncate(t) - fr.omega[i][b][a].truncate(t))
                 acc = s_add(acc, s_mul_jet(pair[(a, b)], w))
         if use_theta:
-            xflat = [_trunc(fr.S[i][a], t) for a in range(n)]
+            xflat = [fr.S[i][a].truncate(t) for a in range(n)]
             acc = s_add(acc, s_scale(cliff_vector_jets(rep, xflat, chi), -0.5))
             acc = s_add(acc, s_mul_jet(psi_t, (weight - 0.5) * th_c[i]))
         out.append(acc)
@@ -454,7 +424,7 @@ def covd_frame(calc: SpinorCalc, psi: list, weight: float | None = None,
     for a in range(n):
         acc = None
         for i in range(n):
-            term = s_mul_jet(coord_fields[i], _trunc(E[i][a], t))
+            term = s_mul_jet(coord_fields[i], E[i][a].truncate(t))
             acc = term if acc is None else s_add(acc, term)
         out.append(acc)
     return out
@@ -524,11 +494,10 @@ def conf_trace_second(calc: SpinorCalc, psi: list, weight: float | None = None,
         for m in range(n):
             acc = None
             for j in range(n):
-                inner = cols[m][a].derive(j)
-                inner = _trunc(inner, tg)
+                inner = cols[m][a].derive(j).truncate(tg)
                 for l in range(n):
-                    inner = inner + _trunc(gam[m][j][l], tg) * _trunc(cols[l][a], tg)
-                term = _trunc(cols[j][a], tg) * inner
+                    inner = inner + gam[m][j][l].truncate(tg) * cols[l][a].truncate(tg)
+                term = cols[j][a].truncate(tg) * inner
                 acc = term if acc is None else acc + term
             W[a][m] = acc
 
@@ -539,7 +508,7 @@ def conf_trace_second(calc: SpinorCalc, psi: list, weight: float | None = None,
         Ga_fields = covd_coord(calc, F[a], weight, riemannian=riem)
         Ga = None
         for i in range(n):
-            term = s_mul_jet(Ga_fields[i], _trunc(cols[i][a], t2))
+            term = s_mul_jet(Ga_fields[i], cols[i][a].truncate(t2))
             Ga = term if Ga is None else s_add(Ga, term)
         Ha = None
         for m in range(n):
@@ -593,17 +562,17 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: list, weight: float) -> list:
                 for j in range(n):
                     if i == j:
                         continue
-                    t = _trunc(fr.E[i][a], t2) * _trunc(fr.E[j][b], t2) \
-                        * _trunc(dth_c[i][j], t2)
+                    t = fr.E[i][a].truncate(t2) * fr.E[j][b].truncate(t2) \
+                        * dth_c[i][j].truncate(t2)
                     coef = t if coef is None else coef + t
             part = s_mul_jet(mat_apply(clifford.gamma_product(n, (a, b)), psi2), coef)
             term_dth = part if term_dth is None else s_add(term_dth, part)
     if term_dth is None:
         term_dth = [_czero(psi2[0]) for _ in psi2]
 
-    delth = _trunc(codiff_oneform(md, calc.theta), t2)
+    delth = codiff_oneform(md, calc.theta).truncate(t2)
     dg1 = s_truncate(dirac(calc, psi, None), t2)
-    th_f2 = [_trunc(x, t2) for x in calc.theta_frame]
+    th_f2 = [x.truncate(t2) for x in calc.theta_frame]
     term_thdg = cliff_vector_jets(calc.rep, th_f2, dg1)
 
     # nabla_{theta sharp} psi (Riemannian), theta^sharp^i = g^{ij} theta_j
@@ -612,7 +581,7 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: list, weight: float) -> list:
     for i in range(n):
         acc = None
         for j in range(n):
-            t = _trunc(md.ginv[i][j], t2) * _trunc(calc.theta[j], t2)
+            t = md.ginv[i][j].truncate(t2) * calc.theta[j].truncate(t2)
             acc = t if acc is None else acc + t
         sharp.append(acc)
     term_nab = None
@@ -620,7 +589,7 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: list, weight: float) -> list:
         t = s_mul_jet(s_truncate(nab[i], t2), sharp[i])
         term_nab = t if term_nab is None else s_add(term_nab, t)
 
-    nrm = _trunc(weylmod.theta_norm2(md, calc.theta), t2)
+    nrm = weylmod.theta_norm2(md, calc.theta).truncate(t2)
 
     out = s_add(dg2, s_scale(term_dth, c1))
     out = s_add(out, s_mul_jet(psi2, c1 * delth))
@@ -645,7 +614,7 @@ def lichnerowicz_I_residual(calc: SpinorCalc, psi: list):
     d2 = spinor_values(dirac_composed(calc, psi, k))
     tr = spinor_values(conf_trace_second(calc, psi, k))
     t2 = 0
-    sc = _trunc(calc.scal_weyl, min(t2, calc.scal_weyl.space.order))
+    sc = calc.scal_weyl.truncate(min(t2, calc.scal_weyl.space.order))
     quarter = 0.25 * sc.value * spinor_values(s_truncate(psi, 0))
     res = d2 - tr - quarter
     scale = max(np.max(np.abs(d2)), np.max(np.abs(tr)), np.max(np.abs(quarter)))
@@ -701,7 +670,7 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: list, phi: list) -> dict:
     hdd_v = h_jet(d_psi, d_phi).value
 
     psi1 = s_truncate(psi, t1)
-    sc = _trunc(calc.scal_weyl, 0)
+    sc = calc.scal_weyl.truncate(0)
     hpp_v = h_jet(s_truncate(psi, 0), s_truncate(phi, 0)).value
     quarter_v = 0.25 * sc.value * hpp_v
 
@@ -710,7 +679,7 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: list, phi: list) -> dict:
     alpha = []
     beta = []
     for j in range(n):
-        xflat = [_trunc(fr.S[j][a], t1) for a in range(n)]
+        xflat = [fr.S[j][a].truncate(t1) for a in range(n)]
         cl = cliff_vector_jets(calc.rep, xflat, d_phi)
         beta_j = h_jet(psi1, cl)
         alpha_j = h_jet(psi1, Dc_phi[j])

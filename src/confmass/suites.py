@@ -435,7 +435,7 @@ def witten_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean") ->
     mrep = mass.weyl_mass(chart, radii=radii, measure=measure)
     specs = list(cfg.spinors)
     if not specs:
-        N = clifford.rep_dim(chart.n)
+        N = clifford.build_rep(chart.n).N
         zero = ("0", "0")
         base = [[zero] * N for _ in range(3)]
         base[0][0] = ("1", "0")
@@ -446,12 +446,15 @@ def witten_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean") ->
         specs = [(f"const{i}", make_spinor_spec(rows, k))
                  for i, rows in enumerate(base)]
 
+    # one shared sample per radius for every field
+    per_radius = [mass.witten_flux(chart, [spec for _, spec in specs], r,
+                                   measure=measure) for r in radii]
     checks = []
     fields = []
-    for name, spec in specs:
+    for s, (name, spec) in enumerate(specs):
         psi0 = _asymptotic_value(spec, chart)
         nrm2 = float(np.sum(np.abs(psi0) ** 2))
-        series = [mass.witten_flux(chart, spec, r, measure=measure) for r in radii]
+        series = [fluxes[s] for fluxes in per_radius]
         real_series = [v.real for v in series]
         imag_max = max(abs(v.imag) for v in series)
         ext = mass.extrapolate(list(zip(radii, real_series)),

@@ -48,10 +48,6 @@ class TwoPathError(ArithmeticError):
     """Raised when redundant evaluations of one quantity disagree."""
 
 
-def _trunc(j: Jet, order: int) -> Jet:
-    return j if j.space.order == order else j.truncate(order)
-
-
 @dataclass
 class WeylData:
     """Weyl-connection sample built over a metric connection sample."""
@@ -69,9 +65,9 @@ def weyl_connection(cd: ConnectionData, theta: list) -> list:
     md = cd.md
     n = md.chart.n
     tgt = min(cd.order, theta[0].space.order)
-    th = [_trunc(t, tgt) for t in theta]
-    g = [[_trunc(md.g[i][j], tgt) for j in range(n)] for i in range(n)]
-    ginv = [[_trunc(md.ginv[i][j], tgt) for j in range(n)] for i in range(n)]
+    th = [t.truncate(tgt) for t in theta]
+    g = [[md.g[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
+    ginv = [[md.ginv[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
     thup = []
     for k in range(n):
         acc = ginv[k][0] * th[0]
@@ -83,7 +79,7 @@ def weyl_connection(cd: ConnectionData, theta: list) -> list:
     for k in range(n):
         for i in range(n):
             for j in range(i, n):
-                acc = _trunc(cd.christoffel[k][i][j], tgt) - g[i][j] * thup[k]
+                acc = cd.christoffel[k][i][j].truncate(tgt) - g[i][j] * thup[k]
                 if k == j:
                     acc = acc + th[i]
                 if k == i:
@@ -97,8 +93,8 @@ def theta_norm2(md: MetricData, theta: list, order: int | None = None) -> Jet:
     """|theta|^2_g = g^{ij} theta_i theta_j."""
     n = md.chart.n
     tgt = theta[0].space.order if order is None else order
-    th = [_trunc(t, tgt) for t in theta]
-    ginv = [[_trunc(md.ginv[i][j], tgt) for j in range(n)] for i in range(n)]
+    th = [t.truncate(tgt) for t in theta]
+    ginv = [[md.ginv[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
     acc = None
     for i in range(n):
         for j in range(n):
@@ -130,8 +126,8 @@ def weyl_scalar(cv: CurvatureData, theta: list,
             raise TwoPathError(
                 f"divergence paths disagree: |diff|={err:.3e} at scale {scale:.3e}")
 
-    tr = _trunc(tr, tgt)
-    nrm = _trunc(theta_norm2(md, theta), tgt)
+    tr = tr.truncate(tgt)
+    nrm = theta_norm2(md, theta).truncate(tgt)
     scal = cv.scal - (2.0 * (n - 1)) * tr - float((n - 1) * (n - 2)) * nrm
     gam = weyl_connection(cd, theta)
     return WeylData(cd=cd, theta=theta, gamma=gam, trace_nabla_theta=tr,

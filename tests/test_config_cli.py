@@ -226,6 +226,24 @@ class TestCli:
         assert code == 2
         assert "confmass:" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("mass", "schwarzschild", "--radii", "1,2,4,8"),  # below 2 r_min
+        ("mass", "schwarzschild", "--radii", "20,25,30,35"),  # ratio < 1.5
+        ("identities", "flat", "--points", "0"),
+    ])
+    def test_unusable_flags_exit_two_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("confmass:") and err.count("\n") == 1
+
+    def test_witten_without_named_spinors(self, capsys):
+        code, out, _ = run_cli(capsys, "witten", "twoends")
+        assert code == 0
+        checks = json.loads(out)["results"]["checks"]
+        assert len(checks) == 6
+        assert all(c["pass"] for c in checks)
+
     def test_missing_config_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "mass", "nonexistent.chart")
         assert code == 2

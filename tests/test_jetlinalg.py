@@ -1,0 +1,75 @@
+"""Tests for the one-pass jet linear algebra: the square root and the
+inverse of SPD jet matrices, checked in jet arithmetic and for batch
+independence."""
+
+import numpy as np
+import pytest
+
+from confmass import jetlinalg
+from confmass.jets import Jet, JetSpace
+
+CASES = [(n, order) for n in range(2, 7) for order in (1, 2, 3)]
+
+
+def random_spd(n, order, batch, seed):
+    """Symmetric jet matrix: SPD value part, random higher grades."""
+    rng = np.random.default_rng(seed)
+    sp = JetSpace.get(n, order)
+    R = rng.normal(size=(sp.m, batch, n, n))
+    C = 0.5 * (R + np.swapaxes(R, -1, -2))
+    C[0] = R[0] @ np.swapaxes(R[0], -1, -2) + n * np.eye(n)
+    return jetlinalg.unstack(sp, C)
+
+
+def jet_matmul(A, B):
+    n = len(A)
+    out = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            acc = A[i][0] * B[0][j]
+            for l in range(1, n):
+                acc = acc + A[i][l] * B[l][j]
+            out[i][j] = acc
+    return out
+
+
+def column(A, b, batched):
+    c = slice(b, b + 1) if batched else b
+    return [[Jet(x.space, x.c[:, c]) for x in row] for row in A]
+
+
+@pytest.mark.parametrize("n,order", CASES)
+def test_square_root_squares_back_in_jet_arithmetic(n, order):
+    A = random_spd(n, order, 16, seed=10 * n + order)
+    S = jetlinalg.spd_sqrt(A)
+    a = jetlinalg.stack(A)
+    gap = np.max(np.abs(jetlinalg.stack(jet_matmul(S, S)) - a))
+    assert gap <= 1e-13 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize("n,order", CASES)
+def test_inverse_is_a_two_sided_jet_inverse(n, order):
+    A = random_spd(n, order, 16, seed=10 * n + order)
+    X = jetlinalg.mat_inv(A)
+    eye = np.zeros_like(jetlinalg.stack(A))
+    eye[0] = np.eye(n)
+    for P in (jet_matmul(A, X), jet_matmul(X, A)):
+        assert np.max(np.abs(jetlinalg.stack(P) - eye)) <= 1e-13
+
+
+@pytest.mark.parametrize("fn", [jetlinalg.spd_sqrt, jetlinalg.mat_inv])
+@pytest.mark.parametrize("n,order", CASES)
+def test_whole_batch_equals_single_columns_bitwise(fn, n, order):
+    A = random_spd(n, order, 7, seed=n + 100 * order)
+    whole = jetlinalg.stack(fn(A))
+    for b in range(7):
+        for batched in (True, False):
+            one = jetlinalg.stack(fn(column(A, b, batched)))
+            assert np.array_equal(one[:, 0], whole[:, b])
+
+
+def test_square_root_rejects_an_indefinite_value_part():
+    A = random_spd(3, 1, 4, seed=1)
+    A[0][0].c[0, 2] = -5.0
+    with pytest.raises(ArithmeticError):
+        jetlinalg.spd_sqrt(A)

@@ -10,6 +10,7 @@ from confmass import exprdsl
 from confmass.chart import End, EndSystem, make_chart
 from confmass.mass import (
     DEFAULT_ORDERS,
+    DIVERGENCE_WARNING,
     MassReport,
     adm_flux,
     default_radii,
@@ -175,6 +176,20 @@ class TestFluxes:
             assert abs(w.imag) <= 1e-12
 
 
+    def test_witten_flux_of_several_specs_matches_single_calls_bitwise(self):
+        c = lee_chart()
+        specs = [
+            make_spinor_spec([("1", "0"), ("0", "0")], weight=-0.5),
+            make_spinor_spec([("0.6", "0"), ("0", "0.8")], weight=-0.5),
+            make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")], weight=-0.5),
+        ]
+        # 16 Gauss nodes give 512 sphere nodes: two chunks
+        together = witten_flux(c, specs, 20.0, orders=16)
+        alone = [witten_flux(c, s, 20.0, orders=16) for s in specs]
+        assert isinstance(together, list) and isinstance(alone[0], complex)
+        assert [(w.real, w.imag) for w in together] == [(w.real, w.imag) for w in alone]
+
+
 class TestExtrapolate:
     def test_exact_power_law_recovered(self):
         radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
@@ -227,6 +242,18 @@ class TestMassFunctionals:
         assert rep.limit == pytest.approx(16 * math.pi, rel=1e-3)
         assert abs(rep.limit - 16 * math.pi) <= rep.error  # honest bar
         assert rep.kind == "riemannian"
+
+    def test_converging_series_carries_no_warning(self):
+        assert riemannian_mass(iso_chart()).warnings == ()
+        assert weyl_mass(lee_chart()).warnings == ()
+
+    def test_growing_flux_series_is_flagged(self):
+        # g = (1 + r^-0.75) delta: the ADM flux grows like r^0.25
+        g = "1 + pow(r, -0.75)"
+        c = make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": g, "22": g, "33": g})
+        for rep in (riemannian_mass(c), weyl_mass(c)):
+            assert np.all(np.diff(rep.flux) > 0)
+            assert DIVERGENCE_WARNING in rep.warnings
 
     def test_isotropic_mass_normalized(self):
         rep = riemannian_mass(iso_chart(), normalize="adm")
