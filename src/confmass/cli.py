@@ -8,7 +8,7 @@ report to stdout, and exits 0 when every enabled assertion passed,
 stderr).
 
 Reports are deterministic: identical (config, seed, flags) yield
-byte-identical output at any worker count (``CONFMASS_THREADS``).
+byte-identical output.
 Every tolerance used by a command is echoed under ``"tolerances"``.
 
 Commands:

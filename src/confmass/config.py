@@ -100,10 +100,6 @@ class LoadedConfig:
     def n(self) -> int:
         return self.chart.n if self.chart is not None else self.system.n
 
-    def any_chart(self) -> MetricChart:
-        """The chart itself, or the first end's chart."""
-        return self.chart if self.chart is not None else self.system.ends[0].chart
-
 
 def _parse_spinors(doc: dict, where: str) -> tuple:
     out = []

@@ -23,7 +23,7 @@ enforced by the acceptance tests.
 
 Determinism: quadrature nodes are evaluated in fixed ``util.CHUNK``-node
 chunks and reduced with a fixed pairwise tree (see util), so every flux
-is byte-identical no matter the worker count.
+is byte-identical from run to run.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.optimize import minimize_scalar
 
 from . import exprdsl, util
 from .chart import End, EndSystem, MetricChart, conformal_rescale, metric_jets
@@ -378,13 +377,72 @@ def _power_fit_refined(r: np.ndarray, v: np.ndarray, p: float) -> float:
     return float(sol[0])
 
 
+def _fit_residuals(r: np.ndarray, vc: np.ndarray, ps) -> np.ndarray:
+    """RMS residuals of the fits v = m + c r^-p, one per entry of ``ps``.
+
+    ``vc`` is v minus its mean.  Projecting out the constant column leaves
+    a one-column regression of vc on centred r^-p, so every p is fitted in
+    one array pass.
+    """
+    k = r.size
+    b = r ** -np.reshape(ps, (-1, 1))
+    b -= np.add.reduce(b, axis=1, keepdims=True) / k
+    c = (b @ vc) / np.einsum("ij,ij->i", b, b)
+    e = vc - c[:, None] * b
+    return np.sqrt(np.einsum("ij,ij->i", e, e) / k)
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# width at which the golden-section search for p stops
+P_XTOL = 1e-10
+
+
+def _golden_min(f, a: float, b: float, xtol: float = P_XTOL) -> float:
+    """Golden-section search (Kiefer 1953) for a minimum of f on [a, b].
+
+    The bracket shrinks by the golden ratio per evaluation until it is at
+    most ``xtol`` wide, so the evaluation count is set by (b - a) / xtol
+    alone; the midpoint of the last bracket is returned.
+    """
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _best_exponent(resid, lo: float, hi: float) -> float:
+    """The p in [lo, hi] that minimises ``resid`` (vectorised over p).
+
+    A 64-point grid picks the best cell, and golden-section search refines
+    p within one grid step of it; the grid point stands when the refined p
+    is not finite or fits no better.
+    """
+    grid = np.linspace(lo, hi, 64)
+    rg = resid(grid)
+    best = int(np.argmin(rg))
+    span = grid[1] - grid[0]
+    p = _golden_min(lambda q: float(resid(q)[0]),
+                    max(lo, grid[best] - span), min(hi, grid[best] + span))
+    if np.isfinite(p) and float(resid(p)[0]) < rg[best]:
+        return float(p)
+    return float(grid[best])
+
+
 def extrapolate(samples, p_bounds: tuple = (0.3, 8.0),
                 fallback_p: float | None = None) -> ExtrapolationResult:
     """Fit value(r) = limit + c r^{-p} and estimate the limit.
 
     Needs >= 4 samples at increasing radii with successive ratios
     >= 1.5.  p is optimized inside ``p_bounds`` (coarse grid plus a
-    bounded scalar minimization).  The error estimate is twice the
+    golden-section search).  The error estimate is twice the
     largest of four probes: the fit residual, the limit shift when the
     smallest radius is dropped (p kept, and p re-optimized), and the
     limit shift under a two-term fit with an r^-(p+1) correction; the
@@ -409,20 +467,8 @@ def extrapolate(samples, p_bounds: tuple = (0.3, 8.0),
     lo, hi = p_bounds
 
     def best_p(rr: np.ndarray, vv: np.ndarray) -> float:
-        def resid_of(p: float) -> float:
-            return _power_fit(rr, vv, p)[2]
-
-        grid = np.linspace(lo, hi, 64)
-        rg = [resid_of(p) for p in grid]
-        best = int(np.argmin(rg))
-        try:
-            span = grid[1] - grid[0]
-            blo = max(lo, grid[best] - span)
-            bhi = min(hi, grid[best] + span)
-            opt = minimize_scalar(resid_of, bounds=(blo, bhi), method="bounded")
-            return float(opt.x) if np.isfinite(opt.x) else float(grid[best])
-        except Exception:
-            return float(grid[best])
+        vc = vv - vv.mean()
+        return _best_exponent(lambda ps: _fit_residuals(rr, vc, ps), lo, hi)
 
     fallback = False
     p = best_p(r, v)
@@ -506,27 +552,41 @@ def _diverges(radii, flux) -> bool:
     return bool(np.any((slope[1:] >= slope[:-1]) & (step[1:] > floor)))
 
 
-def _series_warnings(radii, flux, *fits) -> tuple:
+def _series_warnings(radii, flux, fell_back: bool) -> tuple:
     warn = []
-    if any(e.fallback for e in fits):
+    if fell_back:
         warn.append(FALLBACK_WARNING)
     if _diverges(radii, flux):
         warn.append(DIVERGENCE_WARNING)
     return tuple(warn)
 
 
+def _radii(chart: MetricChart, radii) -> tuple:
+    return tuple(float(r) for r in (default_radii(chart) if radii is None else radii))
+
+
+def _metric_mass(chart: MetricChart, radii: tuple, measure: str, orders,
+                 reuse: MassReport | None) -> MassReport:
+    """The raw metric mass of ``chart``: ``reuse`` when the caller has it."""
+    if reuse is None:
+        return riemannian_mass(chart, radii, measure, "raw", orders)
+    if (reuse.kind, reuse.normalize, reuse.measure, reuse.radii) != (
+            "riemannian", "raw", measure, radii):
+        raise ValueError("a reused metric mass must be a raw riemannian_mass "
+                         "report at the same radii and measure")
+    return reuse
+
+
 def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
                     normalize: str = "raw", orders: int | None = None) -> MassReport:
     """Extrapolated ADM-type flux of the chart metric."""
     n = chart.n
-    if radii is None:
-        radii = default_radii(chart)
-    radii = tuple(float(r) for r in radii)
+    radii = _radii(chart, radii)
     flux = tuple(adm_flux(chart, r, measure, orders) for r in radii)
     ext = extrapolate(list(zip(radii, flux)), p_bounds=(0.3, 2.0 * n),
                       fallback_p=chart.tau)
     norm = _normalizer(n, normalize)
-    warnings = _series_warnings(radii, flux, ext)
+    warnings = _series_warnings(radii, flux, ext.fallback)
     return MassReport(kind="riemannian", radii=radii,
                       flux=tuple(f * norm for f in flux),
                       limit=ext.limit * norm, error=ext.error * norm,
@@ -536,32 +596,35 @@ def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
                       warnings=warnings)
 
 
-def _end_mass(chart: MetricChart, radii, measure, orders):
+def _end_mass(chart: MetricChart, radii, measure, orders, riem=None):
     n = chart.n
-    if radii is None:
-        radii = default_radii(chart)
-    radii = tuple(float(r) for r in radii)
-    adm = [adm_flux(chart, r, measure, orders) for r in radii]
+    radii = _radii(chart, radii)
+    riem = _metric_mass(chart, radii, measure, orders, riem)
     lee = [lee_flux(chart, r, measure, orders) for r in radii]
-    series = tuple(a - 2.0 * (n - 1) * l for a, l in zip(adm, lee))
-    ea = extrapolate(list(zip(radii, adm)), p_bounds=(0.3, 2.0 * n),
-                     fallback_p=chart.tau)
+    series = tuple(a - 2.0 * (n - 1) * l for a, l in zip(riem.flux, lee))
     el = extrapolate(list(zip(radii, lee)), p_bounds=(0.3, 2.0 * n),
                      fallback_p=chart.tau + 1.0)
-    riem = ea.limit
     leepart = -2.0 * (n - 1) * el.limit
-    err = ea.error + 2.0 * (n - 1) * el.error
-    return radii, series, riem, leepart, err, _series_warnings(radii, series, ea, el)
+    err = riem.error + 2.0 * (n - 1) * el.error
+    fell_back = FALLBACK_WARNING in riem.warnings or el.fallback
+    return (radii, series, riem.limit, leepart, err,
+            _series_warnings(radii, series, fell_back))
 
 
 def weyl_mass(system, radii=None, measure: str = "euclidean",
-              normalize: str = "raw", orders: int | None = None) -> MassReport:
+              normalize: str = "raw", orders: int | None = None,
+              riemannian: MassReport | None = None) -> MassReport:
     """Mass of an asymptotically flat Weyl structure.
 
     Accepts a chart, an End, or an EndSystem; per end,
     m_l = m(g0) - 2(n-1) lim lee_flux, and the total weighs each end by
-    a_l^{(n-2)/2}.
+    a_l^{(n-2)/2}.  For a chart, ``riemannian`` may hand in its raw
+    ``riemannian_mass`` at the same radii, measure and quadrature orders,
+    which then stands for m(g0) instead of a second computation of the
+    same ADM series.
     """
+    if riemannian is not None and not isinstance(system, MetricChart):
+        raise ValueError("a metric mass can be reused for a single chart only")
     if isinstance(system, MetricChart):
         system = EndSystem(ends=(End(chart=system),), name=system.name)
     elif isinstance(system, End):
@@ -575,7 +638,7 @@ def weyl_mass(system, radii=None, measure: str = "euclidean",
     err = 0.0
     for endobj in system.ends:
         radii_l, series, riem, leepart, e, warn = _end_mass(
-            endobj.chart, radii, measure, orders)
+            endobj.chart, radii, measure, orders, riemannian)
         w = endobj.a ** (0.5 * (n - 2))
         parts.append({"a": endobj.a, "radii": radii_l,
                       "flux": tuple(f * norm for f in series),
@@ -601,24 +664,36 @@ def weyl_mass(system, radii=None, measure: str = "euclidean",
 
 
 def two_path_mass_delta(chart: MetricChart, f, radii=None, measure: str = "euclidean",
-                   orders: int | None = None) -> dict:
+                        orders: int | None = None,
+                        base: MassReport | None = None) -> dict | list[dict]:
     """Two-path check of the conformal mass-change law.
 
     Path A is the mass of the rescaled chart (f g); path B adds
     (n-1) times the negative limit of the df(nu) flux to the mass of g.
     The companion record compares the limits of (df/f)(nu) and df(nu)
     fluxes, which must agree.
+
+    ``f`` is one factor (the result is one record) or a sequence of them
+    (the result is a list with one record per factor).  The mass of g is
+    computed once for all factors, or taken from ``base``, a raw
+    ``riemannian_mass`` of the chart at the same radii, measure and
+    quadrature orders.
     """
+    single = not isinstance(f, (list, tuple))
+    radii = _radii(chart, radii)
+    base = _metric_mass(chart, radii, measure, orders, base)
+    records = [_two_path_record(chart, fk, radii, measure, orders, base)
+               for fk in ([f] if single else f)]
+    return records[0] if single else records
+
+
+def _two_path_record(chart: MetricChart, f, radii: tuple, measure: str,
+                     orders: int | None, base: MassReport) -> dict:
     n = chart.n
     ast = exprdsl.parse(f) if isinstance(f, str) else f
-    if radii is None:
-        radii = default_radii(chart)
-    radii = tuple(float(r) for r in radii)
-
     resc = conformal_rescale(chart, ast)
     path_a = riemannian_mass(resc, radii, measure, "raw", orders)
 
-    base = riemannian_mass(chart, radii, measure, "raw", orders)
     df_series = [gradient_flux(chart, ast, r, measure, orders) for r in radii]
     dff_series = [gradient_flux(chart, ast, r, measure, orders, over_f=True)
                   for r in radii]

@@ -339,8 +339,10 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
         system = cfg.system
         n = system.n
         rep = mass.weyl_mass(system, radii=radii, measure=measure)
-        singles = [mass.weyl_mass(e.chart, radii=radii, measure=measure).limit
-                   for e in system.ends]
+        # each end's own mass, as weyl_mass of that end's chart returns it
+        parts = rep.components.get("ends")
+        singles = ([p["total"] for p in parts] if parts else
+                   [rep.components["riemannian"] + rep.components["lee"]])
         combined = sum(e.a ** (0.5 * (n - 2)) * m
                        for e, m in zip(system.ends, singles))
         scale = max(1.0, abs(combined))
@@ -361,11 +363,13 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     chart = cfg.chart
     n = chart.n
 
-    # two-path conformal change of the metric mass, two factors
+    # two-path conformal change of the metric mass, two factors; the
+    # metric mass of the chart is computed once for every law below
     factors = ("1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)")
-    change_records = []
-    for f in factors:
-        rec = mass.two_path_mass_delta(chart, f, radii=radii, measure=measure)
+    riem = mass.riemannian_mass(chart, radii=radii, measure=measure)
+    change_records = mass.two_path_mass_delta(chart, list(factors), radii=radii,
+                                              measure=measure, base=riem)
+    for f, rec in zip(factors, change_records):
         scale = max(1.0, abs(rec["path_a"]), abs(rec["path_b"]))
         checks.append(_check(f"mass-conformal-change[{f}]",
                              abs(rec["path_a"] - rec["path_b"]) / scale,
@@ -374,11 +378,10 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
         checks.append(_check(f"gradient-flux-agreement[{f}]",
                              rec["flux_equality"]["diff"], err_budget,
                              budget=err_budget, absolute=True))
-        change_records.append(rec)
     details["conformal_change"] = change_records
 
     # conformal invariance of the Weyl-structure mass
-    base = mass.weyl_mass(chart, radii=radii, measure=measure)
+    base = mass.weyl_mass(chart, radii=radii, measure=measure, riemannian=riem)
     resc = conformal_rescale(chart, factors[1])
     moved = mass.weyl_mass(resc, radii=radii, measure=measure)
     scale = max(1.0, abs(base.limit))
@@ -392,11 +395,10 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     a = 4.0
     s = a ** (0.5 * (n - 2))
     scaled = scale_coordinates(chart, a)
-    rr = radii if radii is not None else mass.default_radii(chart)
     worst = 0.0
     pairs = []
-    for r in rr:
-        f0 = mass.weyl_flux(chart, float(r), measure=measure)
+    # base.flux holds weyl_flux(chart, r) at each radius, bit for bit
+    for r, f0 in zip(base.radii, base.flux):
         fs = mass.weyl_flux(scaled, math.sqrt(a) * float(r), measure=measure)
         mismatch = abs(fs - s * f0) / max(1.0, abs(f0), abs(fs))
         worst = max(worst, mismatch)
@@ -424,28 +426,29 @@ def _asymptotic_value(spec: SpinorFieldSpec, chart: MetricChart) -> np.ndarray:
     return spinor_values(psi)[:, 0]
 
 
-def witten_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean") -> dict:
-    """Spinor boundary flux against one quarter mass times |psi_0|^2."""
-    chart = cfg.any_chart()
+def _default_spinors(n: int) -> list:
+    """Three constant spinors of weight (2-n)/2 for configs that name none."""
+    N = clifford.build_rep(n).N
+    zero = ("0", "0")
+    base = [[zero] * N for _ in range(3)]
+    base[0][0] = ("1", "0")
+    base[1][min(1, N - 1)] = ("1", "0")
+    base[2][0] = ("0.6", "0")
+    base[2][min(1, N - 1)] = ("0", "0.8")
+    k = 0.5 * (2.0 - n)
+    return [(f"const{i}", make_spinor_spec(rows, k)) for i, rows in enumerate(base)]
+
+
+def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
+                label: str) -> tuple:
+    """Checks and field records of the spinor fluxes on one chart.
+
+    Every limit is compared with this chart's own Weyl mass; ``label``
+    prefixes the check names.
+    """
     tol = TOLERANCES
-    if radii is None:
-        radii = mass.default_radii(chart)
-    radii = tuple(float(r) for r in radii)
-
     mrep = mass.weyl_mass(chart, radii=radii, measure=measure)
-    specs = list(cfg.spinors)
-    if not specs:
-        N = clifford.build_rep(chart.n).N
-        zero = ("0", "0")
-        base = [[zero] * N for _ in range(3)]
-        base[0][0] = ("1", "0")
-        base[1][min(1, N - 1)] = ("1", "0")
-        base[2][0] = ("0.6", "0")
-        base[2][min(1, N - 1)] = ("0", "0.8")
-        k = 0.5 * (2.0 - chart.n)
-        specs = [(f"const{i}", make_spinor_spec(rows, k))
-                 for i, rows in enumerate(base)]
-
+    radii = mrep.radii
     # one shared sample per radius for every field
     per_radius = [mass.witten_flux(chart, [spec for _, spec in specs], r,
                                    measure=measure) for r in radii]
@@ -462,18 +465,37 @@ def witten_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean") ->
                                fallback_p=chart.tau)
         expect = 0.25 * mrep.limit * nrm2
         scale = max(1.0, abs(expect))
-        checks.append(_check(f"witten-limit[{name}]",
+        checks.append(_check(f"witten-limit[{label}{name}]",
                              abs(ext.limit - expect) / scale,
                              tol["witten_rel"]))
-        checks.append(_check(f"witten-imag[{name}]", imag_max,
+        checks.append(_check(f"witten-imag[{label}{name}]", imag_max,
                              tol["witten_imag"], absolute=True))
         fields.append({"name": name, "norm2": nrm2, "series": real_series,
                        "limit": ext.limit, "expected": expect,
                        "imag_max": imag_max})
+    return checks, {"mass": mrep.limit, "radii": list(radii), "fields": fields}
 
-    used = {k: tol[k] for k in ("witten_rel", "witten_imag")}
+
+def witten_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean") -> dict:
+    """Spinor boundary flux against one quarter mass times |psi_0|^2.
+
+    On an end system every end is checked against its own Weyl mass: the
+    check names carry the end (``witten-limit[end1/const0]``) and the
+    per-end masses, radii and fields are listed under ``ends``.
+    """
+    specs = list(cfg.spinors) or _default_spinors(cfg.n)
+    used = {k: TOLERANCES[k] for k in ("witten_rel", "witten_imag")}
+    if cfg.chart is not None:
+        checks, end = _witten_end(cfg.chart, specs, radii, measure, "")
+        out = _finish("witten", checks, used, config=cfg.name, measure=measure)
+        out.update(end)
+        return out
+    checks = []
+    ends = []
+    for k, e in enumerate(cfg.system.ends):
+        c, end = _witten_end(e.chart, specs, radii, measure, f"end{k}/")
+        checks.extend(c)
+        ends.append({"end": k, "chart": e.chart.name, "a": e.a, **end})
     out = _finish("witten", checks, used, config=cfg.name, measure=measure)
-    out["mass"] = mrep.limit
-    out["radii"] = list(radii)
-    out["fields"] = fields
+    out["ends"] = ends
     return out

@@ -1,31 +1,18 @@
-"""Deterministic parallel evaluation and reduction helpers.
+"""Deterministic chunked evaluation and reduction helpers.
 
-Numerical results must be byte-identical no matter how many workers
-run: work is split into fixed-size chunks keyed by index (the chunking
-never depends on the worker count), each chunk's result lands in a
-preallocated slot, and sums are taken with a fixed pairwise binary
-tree instead of a left fold.
+Numerical results must not depend on how the work is split: work is
+cut into fixed-size chunks keyed by index (the chunking depends on the
+item count alone), each chunk's result keeps its place, and sums are
+taken with a fixed pairwise binary tree instead of a left fold.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-__all__ = ["CHUNK", "thread_count", "pairwise_sum", "chunked_map"]
+__all__ = ["CHUNK", "pairwise_sum", "chunked_map"]
 
 CHUNK = 256
-
-
-def thread_count() -> int:
-    """Worker count from CONFMASS_THREADS (default 1, floor 1)."""
-    raw = os.environ.get("CONFMASS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def pairwise_sum(values: np.ndarray):
@@ -45,21 +32,10 @@ def pairwise_sum(values: np.ndarray):
     return values[0]
 
 
-def chunked_map(fn, count: int, workers: int | None = None) -> list:
+def chunked_map(fn, count: int) -> list:
     """Evaluate fn(start, stop) over fixed ``CHUNK``-wide index chunks.
 
     Results are returned in chunk order; the chunk boundaries are a
-    function of ``count`` alone, so any worker count produces the same
-    per-chunk outputs.
+    function of ``count`` alone.
     """
-    if workers is None:
-        workers = thread_count()
-    spans = [(s, min(s + CHUNK, count)) for s in range(0, count, CHUNK)]
-    if workers <= 1 or len(spans) <= 1:
-        return [fn(a, b) for a, b in spans]
-    out = [None] * len(spans)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(fn, a, b): idx for idx, (a, b) in enumerate(spans)}
-        for fut, idx in futures.items():
-            out[idx] = fut.result()
-    return out
+    return [fn(a, min(a + CHUNK, count)) for a in range(0, count, CHUNK)]

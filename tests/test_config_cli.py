@@ -1,13 +1,18 @@
 """Tests for configuration parsing, bundled documents, report serialization,
 and the command-line interface."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import confmass
 from confmass.cli import main
 from confmass.config import (
     ConfigError,
@@ -181,6 +186,15 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+@pytest.fixture(scope="module")
+def witten_twoends():
+    """Exit code and stdout of ``witten twoends``, run once for the module."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["witten", "twoends"])
+    return code, buf.getvalue()
+
+
 class TestCli:
     def test_check_command(self, capsys):
         code, out, err = run_cli(capsys, "check", "flat.chart")
@@ -237,12 +251,27 @@ class TestCli:
         assert out == ""
         assert err.startswith("confmass:") and err.count("\n") == 1
 
-    def test_witten_without_named_spinors(self, capsys):
-        code, out, _ = run_cli(capsys, "witten", "twoends")
+    def test_witten_without_named_spinors(self, witten_twoends):
+        code, out = witten_twoends
         assert code == 0
         checks = json.loads(out)["results"]["checks"]
-        assert len(checks) == 6
+        assert len(checks) == 12  # two checks per spinor, three spinors, two ends
         assert all(c["pass"] for c in checks)
+
+    def test_witten_checks_every_end_against_its_own_mass(self, witten_twoends):
+        code, out = witten_twoends
+        assert code == 0
+        res = json.loads(out)["results"]
+        ends = res["ends"]
+        assert [(e["end"], e["chart"], e["a"]) for e in ends] == [
+            (0, "schwarzschild", 1.0), (1, "schwarzschild-far", 4.0)]
+        names = [c["name"] for c in res["checks"]]
+        for k, end in enumerate(ends):
+            assert end["mass"] == pytest.approx(16 * math.pi, rel=1e-3)
+            for f in end["fields"]:
+                assert f["expected"] == 0.25 * end["mass"] * f["norm2"]
+                assert f"witten-limit[end{k}/{f['name']}]" in names
+                assert f"witten-imag[end{k}/{f['name']}]" in names
 
     def test_missing_config_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "mass", "nonexistent.chart")
@@ -301,6 +330,19 @@ class TestCli:
         with pytest.raises(SystemExit) as e:
             main(["frobnicate", "flat.chart"])
         assert e.value.code == 2
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        # scipy's import was most of every command's start-up time; the
+        # search for the decay power needs none of it
+        root = os.path.dirname(os.path.dirname(os.path.abspath(confmass.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [root, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]))
+        code = ("import sys, confmass.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_reports_are_deterministic_across_workers(self, capsys, monkeypatch):
         outs = []

@@ -25,6 +25,7 @@ from confmass.mass import (
     weyl_mass,
     witten_flux,
 )
+from confmass.mass import _best_exponent, _golden_min
 from confmass.spinor import make_spinor_spec
 
 ISO = "(1 + 1/(2*r))^4"
@@ -230,6 +231,53 @@ class TestExtrapolate:
         assert out.fallback or out.error > 0.0
 
 
+class TestGoldenSection:
+    def test_minimum_inside_the_bracket(self):
+        p = _golden_min(lambda q: (q - 1.2345) ** 2, 1.0, 1.5)
+        assert p == pytest.approx(1.2345, abs=1e-9)
+        best = _best_exponent(lambda ps: (np.reshape(ps, -1) - 1.2345) ** 2, 0.3, 8.0)
+        assert best == pytest.approx(1.2345, abs=1e-9)
+
+    def test_stops_at_the_bracket_width(self):
+        calls = []
+
+        def f(q):
+            calls.append(q)
+            return abs(q - 0.4)
+
+        p = _golden_min(f, 0.0, 1.0, xtol=1e-6)
+        assert p == pytest.approx(0.4, abs=1e-6)
+        assert all(0.0 <= q <= 1.0 for q in calls)
+        # 1/phi per evaluation: ln(1e6) / ln(phi) = 28.7 steps plus the two seeds
+        assert len(calls) == 31
+
+    @pytest.mark.parametrize("slope, edge", [(1.0, 0.3), (-1.0, 8.0)])
+    def test_minimum_at_a_bracket_edge_returns_the_edge(self, slope, edge):
+        # a monotone residual: no interior point fits better than the edge
+        best = _best_exponent(lambda ps: slope * np.reshape(ps, -1), 0.3, 8.0)
+        assert best == edge
+
+    def test_non_finite_residuals_fall_back_to_the_grid(self):
+        grid = np.linspace(0.3, 8.0, 64)
+
+        def grid_only(ps):
+            ps = np.reshape(ps, -1)
+            finite = np.isin(ps, grid)
+            return np.where(finite, (ps - 2.0) ** 2, np.nan)
+
+        best = _best_exponent(grid_only, 0.3, 8.0)
+        assert best == grid[np.argmin((grid - 2.0) ** 2)]
+        assert _best_exponent(lambda ps: np.full(np.size(ps), np.nan), 0.3, 8.0) == 0.3
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        radii = [20.0, 40.0, 80.0, 160.0]
+        vals = [50.27 + 77.0 / r + 30.0 / r ** 2 for r in radii]
+        a = extrapolate(list(zip(radii, vals)), p_bounds=(0.3, 6.0), fallback_p=0.99)
+        b = extrapolate(list(zip(radii, vals)), p_bounds=(0.3, 6.0), fallback_p=0.99)
+        assert a == b
+        assert type(a.p) is float
+
+
 class TestMassFunctionals:
     def test_flat_mass_is_exactly_zero(self):
         rep = riemannian_mass(flat_chart())
@@ -320,3 +368,40 @@ class TestTwoPathMassAgreement:
         f = exprdsl.parse("1 + 0.3/sqrt(r^2 + 1)")
         out = two_path_mass_delta(chart, f)
         assert out["rel_delta"] <= 5e-3
+
+    def test_factor_sequence_matches_single_calls(self):
+        # the mass of g is computed once for every factor, with equal bits
+        chart = lee_chart()
+        fs = ["1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)"]
+        together = two_path_mass_delta(chart, fs, orders=8)
+        assert together == [two_path_mass_delta(chart, f, orders=8) for f in fs]
+        riem = riemannian_mass(chart, orders=8)
+        assert two_path_mass_delta(chart, fs, orders=8, base=riem) == together
+
+
+class TestReusedMetricMass:
+    def test_weyl_mass_from_a_reused_metric_mass_is_bitwise_equal(self):
+        chart = lee_chart()
+        riem = riemannian_mass(chart, orders=8)
+        assert weyl_mass(chart, orders=8, riemannian=riem) == weyl_mass(chart, orders=8)
+
+    @pytest.mark.parametrize("kw", [
+        {"radii": (30.0, 60.0, 120.0, 240.0)},
+        {"measure": "g"},
+    ])
+    def test_mismatched_metric_mass_is_rejected(self, kw):
+        chart = lee_chart()
+        riem = riemannian_mass(chart, orders=8)
+        with pytest.raises(ValueError):
+            weyl_mass(chart, orders=8, riemannian=riem, **kw)
+        with pytest.raises(ValueError):
+            two_path_mass_delta(chart, "1 + 1/sqrt(r^2 + 1)", orders=8, base=riem, **kw)
+
+    def test_normalized_or_end_system_reuse_is_rejected(self):
+        chart = lee_chart()
+        with pytest.raises(ValueError):
+            weyl_mass(chart, orders=8,
+                      riemannian=riemannian_mass(chart, orders=8, normalize="adm"))
+        system = EndSystem(ends=(End(chart=chart),), name="one")
+        with pytest.raises(ValueError):
+            weyl_mass(system, orders=8, riemannian=riemannian_mass(chart, orders=8))
