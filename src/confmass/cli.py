@@ -93,6 +93,13 @@ def _base_report(command: str, args, cfg: LoadedConfig) -> dict:
     }
 
 
+def _quadrature_report(command: str, args, cfg: LoadedConfig) -> dict:
+    """A base report for a command that integrates fluxes over spheres."""
+    report = _base_report(command, args, cfg)
+    report["tolerances"].update(quad_rtol=mass.QUAD_RTOL, quad_atol=mass.QUAD_ATOL)
+    return report
+
+
 def _expected_entry(args) -> dict | None:
     """Frozen values for a bundled config, when run at default flags."""
     try:
@@ -188,7 +195,7 @@ def _cmd_mass(args, cfg: LoadedConfig) -> dict:
     if cfg.chart is None:
         raise ConfigError("the mass command needs a chart config "
                           "(use weyl-mass for end systems)")
-    report = _base_report("mass", args, cfg)
+    report = _quadrature_report("mass", args, cfg)
     rep = mass.riemannian_mass(cfg.chart, radii=_parse_radii(args.radii),
                                measure=args.measure, normalize=args.normalize)
     report["results"] = _mass_result(rep)
@@ -202,7 +209,7 @@ def _cmd_mass(args, cfg: LoadedConfig) -> dict:
 
 
 def _cmd_weyl_mass(args, cfg: LoadedConfig) -> dict:
-    report = _base_report("weyl-mass", args, cfg)
+    report = _quadrature_report("weyl-mass", args, cfg)
     target = cfg.chart if cfg.chart is not None else cfg.system
     rep = mass.weyl_mass(target, radii=_parse_radii(args.radii),
                          measure=args.measure, normalize=args.normalize)
@@ -230,7 +237,7 @@ def _cmd_identities(args, cfg: LoadedConfig) -> dict:
 
 
 def _cmd_witten(args, cfg: LoadedConfig) -> dict:
-    report = _base_report("witten", args, cfg)
+    report = _quadrature_report("witten", args, cfg)
     battery = suites.witten_battery(cfg, radii=_parse_radii(args.radii),
                                     measure=args.measure)
     report["results"] = battery
@@ -240,7 +247,7 @@ def _cmd_witten(args, cfg: LoadedConfig) -> dict:
 
 
 def _cmd_laws(args, cfg: LoadedConfig) -> dict:
-    report = _base_report("laws", args, cfg)
+    report = _quadrature_report("laws", args, cfg)
     expected_total = None
     entry = _expected_entry(args)
     if entry and cfg.kind == "end_system":

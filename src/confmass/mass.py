@@ -21,6 +21,15 @@ accordingly) agree, and the spinor boundary flux converges to
 (1/4) m(D) |psi_0|^2 for asymptotically constant psi_0.  Both facts are
 enforced by the acceptance tests.
 
+Quadrature: every flux is first evaluated on an embedded pair of product
+rules, Gauss-Legendre orders ``COARSE_ORDERS`` = (6, 12).  When the two
+agree within ``QUAD_RTOL`` times the sum of the absolute node terms plus
+``QUAD_ATOL`` (the floor that lets integrands vanishing node by node,
+such as a rotational Lee form, pass), the order-12 value is returned.
+Otherwise the top order, ``DEFAULT_ORDERS[n]`` (48/24/12/12 for
+n = 3/4/5/6) or the caller's ``orders``, runs and its value is returned;
+a top order of 12 or less runs alone.  The CLI echoes both tolerances.
+
 Determinism: quadrature nodes are evaluated in fixed ``util.CHUNK``-node
 chunks and reduced with a fixed pairwise tree (see util), so every flux
 is byte-identical from run to run.
@@ -28,6 +37,7 @@ is byte-identical from run to run.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -59,7 +69,12 @@ __all__ = [
     "sphere_area",
 ]
 
+# top Gauss-Legendre order per dimension; the coarse pair and its
+# tolerances are described in the module docstring
 DEFAULT_ORDERS = {3: 48, 4: 24, 5: 12, 6: 12}
+COARSE_ORDERS = (6, 12)
+QUAD_RTOL = 1e-12
+QUAD_ATOL = 1e-15
 
 
 def sphere_area(n: int, r: float = 1.0) -> float:
@@ -87,7 +102,12 @@ def sphere_rule(n: int, r: float, orders: int | None = None) -> SphereRule:
     iterates Gauss-Legendre rules over the polar angles with their
     sin-power Jacobians, again with a uniform (trigonometrically exact)
     azimuth.  ``orders`` is the Gauss-Legendre node count (azimuth gets
-    twice that).
+    twice that), ``DEFAULT_ORDERS[n]`` when None.  The unit-sphere rule
+    is built once per (n, orders) and scaled by r on every call.
+
+    Fluxes do not always run this order: ``_flux`` first compares the
+    rules of orders ``COARSE_ORDERS`` and runs the given (top) order
+    only when they disagree beyond ``QUAD_RTOL``/``QUAD_ATOL``.
     """
     if not 3 <= n <= 6:
         raise ValueError(f"sphere_rule supports 3 <= n <= 6, got {n}")
@@ -96,6 +116,13 @@ def sphere_rule(n: int, r: float, orders: int | None = None) -> SphereRule:
     N = int(orders) if orders is not None else DEFAULT_ORDERS[n]
     if N < 2:
         raise ValueError("quadrature order must be >= 2")
+    x, w = _unit_rule(n, N)
+    return SphereRule(r=float(r), nodes=r * x, weights=(r ** (n - 1)) * w)
+
+
+@functools.lru_cache(maxsize=32)
+def _unit_rule(n: int, N: int) -> tuple:
+    """Read-only nodes (n, M) and weights (M,) of the rule on the unit sphere."""
     M = 2 * N
     phi = 2.0 * math.pi * np.arange(M) / M
     wphi = np.full(M, 2.0 * math.pi / M)
@@ -109,32 +136,32 @@ def sphere_rule(n: int, r: float, orders: int | None = None) -> SphereRule:
         x[1] = (st[:, None] * sinphi[None, :]).ravel()
         x[2] = np.broadcast_to(t[:, None], (N, M)).ravel()
         w = (wt[:, None] * wphi[None, :]).ravel()
-        return SphereRule(r=float(r), nodes=r * x, weights=(r ** 2) * w)
-
-    # polar angles theta_1..theta_{n-2} in (0, pi), azimuth phi
-    xi, wxi = leggauss(N)
-    theta = 0.5 * math.pi * (xi + 1.0)
-    wtheta = 0.5 * math.pi * wxi
-    grids = [theta] * (n - 2) + [phi]
-    wlist = []
-    for k in range(n - 2):
-        wlist.append(wtheta * np.sin(theta) ** (n - 2 - k))
-    wlist.append(wphi)
-    mesh = np.meshgrid(*grids, indexing="ij")
-    wmesh = np.meshgrid(*wlist, indexing="ij")
-    w = np.ones_like(wmesh[0])
-    for wm in wmesh:
-        w = w * wm
-    x = np.empty((n,) + mesh[0].shape)
-    sin_prod = np.ones_like(mesh[0])
-    for k in range(n - 2):
-        x[k] = sin_prod * np.cos(mesh[k])
-        sin_prod = sin_prod * np.sin(mesh[k])
-    x[n - 2] = sin_prod * np.cos(mesh[n - 2])
-    x[n - 1] = sin_prod * np.sin(mesh[n - 2])
-    nodes = r * x.reshape(n, -1)
-    weights = (r ** (n - 1)) * w.ravel()
-    return SphereRule(r=float(r), nodes=nodes, weights=weights)
+    else:
+        # polar angles theta_1..theta_{n-2} in (0, pi), azimuth phi
+        xi, wxi = leggauss(N)
+        theta = 0.5 * math.pi * (xi + 1.0)
+        wtheta = 0.5 * math.pi * wxi
+        grids = [theta] * (n - 2) + [phi]
+        wlist = []
+        for k in range(n - 2):
+            wlist.append(wtheta * np.sin(theta) ** (n - 2 - k))
+        wlist.append(wphi)
+        mesh = np.meshgrid(*grids, indexing="ij")
+        wmesh = np.meshgrid(*wlist, indexing="ij")
+        w = np.ones_like(wmesh[0])
+        for wm in wmesh:
+            w = w * wm
+        x = np.empty((n,) + mesh[0].shape)
+        sin_prod = np.ones_like(mesh[0])
+        for k in range(n - 2):
+            x[k] = sin_prod * np.cos(mesh[k])
+            sin_prod = sin_prod * np.sin(mesh[k])
+        x[n - 2] = sin_prod * np.cos(mesh[n - 2])
+        x[n - 1] = sin_prod * np.sin(mesh[n - 2])
+        x, w = x.reshape(n, -1), w.ravel()
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +235,24 @@ def _measure_factors(chart: MetricChart, X: np.ndarray, measure: str):
 
 def _flux(chart: MetricChart, r: float, integrand, measure: str,
           orders: int | None, dtype=np.float64):
+    """Flux of ``integrand`` over S_r: the finer rule of the coarse pair
+    when the pair agrees in every column (integrands may return (S, B)),
+    else the top order alone (see the module docstring)."""
     if r < 2.0 * chart.r_min:
         raise ValueError(f"flux radius {r} below validity (need >= {2.0 * chart.r_min})")
+    top = int(orders) if orders is not None else DEFAULT_ORDERS.get(chart.n, 0)
+    if top > COARSE_ORDERS[-1]:
+        (lo, _), (hi, terms) = (_rule_flux(chart, r, integrand, measure, N, dtype)
+                                for N in COARSE_ORDERS)
+        scale = util.pairwise_sum(np.abs(terms))
+        if np.all(np.abs(hi - lo) <= QUAD_RTOL * scale + QUAD_ATOL):
+            return hi
+    return _rule_flux(chart, r, integrand, measure, orders, dtype)[0]
+
+
+def _rule_flux(chart: MetricChart, r: float, integrand, measure: str,
+               orders: int | None, dtype):
+    """The flux on one sphere rule and its weighted node terms (M, ...)."""
     rule = sphere_rule(chart.n, r, orders)
     X, w = rule.nodes, rule.weights
 
@@ -221,7 +264,8 @@ def _flux(chart: MetricChart, r: float, integrand, measure: str,
 
     # integrands may return (S, B): S fluxes over one shared sample
     parts = util.chunked_map(chunk, rule.count)
-    return util.pairwise_sum(np.concatenate(parts, axis=-1).T)
+    terms = np.concatenate(parts, axis=-1).T
+    return util.pairwise_sum(terms), terms
 
 
 def adm_flux(chart: MetricChart, r: float, measure: str = "euclidean",
@@ -665,7 +709,8 @@ def weyl_mass(system, radii=None, measure: str = "euclidean",
 
 def two_path_mass_delta(chart: MetricChart, f, radii=None, measure: str = "euclidean",
                         orders: int | None = None,
-                        base: MassReport | None = None) -> dict | list[dict]:
+                        base: MassReport | None = None,
+                        rescaled=None) -> dict | list[dict]:
     """Two-path check of the conformal mass-change law.
 
     Path A is the mass of the rescaled chart (f g); path B adds
@@ -677,22 +722,29 @@ def two_path_mass_delta(chart: MetricChart, f, radii=None, measure: str = "eucli
     (the result is a list with one record per factor).  The mass of g is
     computed once for all factors, or taken from ``base``, a raw
     ``riemannian_mass`` of the chart at the same radii, measure and
-    quadrature orders.
+    quadrature orders.  ``rescaled`` likewise hands in path A: one such
+    report of the rescaled chart for a single factor, or a sequence with
+    one report or None per factor.
     """
     single = not isinstance(f, (list, tuple))
+    factors = [f] if single else list(f)
+    reuse = [rescaled] if single else list(rescaled or [None] * len(factors))
+    if len(reuse) != len(factors):
+        raise ValueError("rescaled needs one entry per factor")
     radii = _radii(chart, radii)
     base = _metric_mass(chart, radii, measure, orders, base)
-    records = [_two_path_record(chart, fk, radii, measure, orders, base)
-               for fk in ([f] if single else f)]
+    records = [_two_path_record(chart, fk, radii, measure, orders, base, rk)
+               for fk, rk in zip(factors, reuse)]
     return records[0] if single else records
 
 
 def _two_path_record(chart: MetricChart, f, radii: tuple, measure: str,
-                     orders: int | None, base: MassReport) -> dict:
+                     orders: int | None, base: MassReport,
+                     rescaled: MassReport | None) -> dict:
     n = chart.n
     ast = exprdsl.parse(f) if isinstance(f, str) else f
-    resc = conformal_rescale(chart, ast)
-    path_a = riemannian_mass(resc, radii, measure, "raw", orders)
+    path_a = _metric_mass(conformal_rescale(chart, ast), radii, measure, orders,
+                          rescaled)
 
     df_series = [gradient_flux(chart, ast, r, measure, orders) for r in radii]
     dff_series = [gradient_flux(chart, ast, r, measure, orders, over_f=True)

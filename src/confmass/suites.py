@@ -364,11 +364,16 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     n = chart.n
 
     # two-path conformal change of the metric mass, two factors; the
-    # metric mass of the chart is computed once for every law below
+    # metric masses of the chart and of its rescaling by the second factor
+    # (path A there, and the conformal-invariance law below) are computed
+    # once
     factors = ("1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)")
     riem = mass.riemannian_mass(chart, radii=radii, measure=measure)
+    resc = conformal_rescale(chart, factors[1])
+    resc_riem = mass.riemannian_mass(resc, radii=radii, measure=measure)
     change_records = mass.two_path_mass_delta(chart, list(factors), radii=radii,
-                                              measure=measure, base=riem)
+                                              measure=measure, base=riem,
+                                              rescaled=[None, resc_riem])
     for f, rec in zip(factors, change_records):
         scale = max(1.0, abs(rec["path_a"]), abs(rec["path_b"]))
         checks.append(_check(f"mass-conformal-change[{f}]",
@@ -382,8 +387,7 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
 
     # conformal invariance of the Weyl-structure mass
     base = mass.weyl_mass(chart, radii=radii, measure=measure, riemannian=riem)
-    resc = conformal_rescale(chart, factors[1])
-    moved = mass.weyl_mass(resc, radii=radii, measure=measure)
+    moved = mass.weyl_mass(resc, radii=radii, measure=measure, riemannian=resc_riem)
     scale = max(1.0, abs(base.limit))
     checks.append(_check("weyl-mass-conformal-invariance",
                          abs(base.limit - moved.limit) / scale,
@@ -443,8 +447,9 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
                 label: str) -> tuple:
     """Checks and field records of the spinor fluxes on one chart.
 
-    Every limit is compared with this chart's own Weyl mass; ``label``
-    prefixes the check names.
+    Every limit is compared with this chart's own Weyl mass, whose
+    warnings (a diverging or fallback series) the record carries;
+    ``label`` prefixes the check names.
     """
     tol = TOLERANCES
     mrep = mass.weyl_mass(chart, radii=radii, measure=measure)
@@ -473,7 +478,8 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
         fields.append({"name": name, "norm2": nrm2, "series": real_series,
                        "limit": ext.limit, "expected": expect,
                        "imag_max": imag_max})
-    return checks, {"mass": mrep.limit, "radii": list(radii), "fields": fields}
+    return checks, {"mass": mrep.limit, "radii": list(radii), "fields": fields,
+                    "warnings": list(mrep.warnings)}
 
 
 def witten_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean") -> dict:
@@ -481,7 +487,8 @@ def witten_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean") ->
 
     On an end system every end is checked against its own Weyl mass: the
     check names carry the end (``witten-limit[end1/const0]``) and the
-    per-end masses, radii and fields are listed under ``ends``.
+    per-end masses, radii, fields and mass warnings are listed under
+    ``ends``.
     """
     specs = list(cfg.spinors) or _default_spinors(cfg.n)
     used = {k: TOLERANCES[k] for k in ("witten_rel", "witten_imag")}

@@ -23,6 +23,7 @@ from confmass.config import (
     load_expected,
     parse_config,
 )
+from confmass.mass import DIVERGENCE_WARNING, QUAD_ATOL, QUAD_RTOL
 
 CHART_DOC = {
     "schema_version": 1,
@@ -268,10 +269,48 @@ class TestCli:
         names = [c["name"] for c in res["checks"]]
         for k, end in enumerate(ends):
             assert end["mass"] == pytest.approx(16 * math.pi, rel=1e-3)
+            assert end["warnings"] == []
             for f in end["fields"]:
                 assert f["expected"] == 0.25 * end["mass"] * f["norm2"]
                 assert f"witten-limit[end{k}/{f['name']}]" in names
                 assert f"witten-imag[end{k}/{f['name']}]" in names
+
+    @pytest.mark.parametrize("command", ["mass", "weyl-mass", "laws", "witten", "check"])
+    def test_flux_commands_echo_the_quadrature_tolerances(self, capsys, command):
+        code, out, _ = run_cli(capsys, command, "flat")
+        assert code == 0
+        tol = json.loads(out)["tolerances"]
+        if command == "check":
+            assert "quad_rtol" not in tol and "quad_atol" not in tol
+        else:
+            assert (tol["quad_rtol"], tol["quad_atol"]) == (QUAD_RTOL, QUAD_ATOL)
+
+    def test_witten_reports_carry_the_mass_warnings(self, capsys, tmp_path):
+        # g = (1 + r^-0.75) delta: the mass series diverges, and the witten
+        # report says so for the chart and for that end of an end system
+        g = "1 + pow(r, -0.75)"
+        diverging = {"name": "diverging", "n": 3, "tau": 0.75, "r_min": 1.0,
+                     "metric": {"11": g, "22": g, "33": g}}
+        iso = {k: v for k, v in CHART_DOC.items() if k not in ("schema_version", "kind")}
+        docs = {
+            "diverging.chart": {"schema_version": 1, "kind": "chart", **diverging},
+            "mixed.ends": {"schema_version": 1, "kind": "end_system", "name": "mixed",
+                           "ends": [{"chart": diverging}, {"a": 4.0, "chart": iso}]},
+        }
+        reports = {}
+        for name, doc in docs.items():
+            p = tmp_path / name
+            p.write_text(json.dumps(doc))
+            code, out, _ = run_cli(capsys, "witten", str(p))
+            rep = json.loads(out)
+            # warnings inform; the exit code still follows the checks alone
+            assert rep["pass"] is all(c["pass"] for c in rep["results"]["checks"])
+            assert code == (0 if rep["pass"] else 1)
+            reports[name] = rep["results"]
+        assert DIVERGENCE_WARNING in reports["diverging.chart"]["warnings"]
+        ends = reports["mixed.ends"]["ends"]
+        assert DIVERGENCE_WARNING in ends[0]["warnings"]
+        assert ends[1]["warnings"] == []
 
     def test_missing_config_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "mass", "nonexistent.chart")

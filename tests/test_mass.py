@@ -6,11 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from confmass import exprdsl
-from confmass.chart import End, EndSystem, make_chart
+from confmass import exprdsl, mass, util
+from confmass.chart import End, EndSystem, conformal_rescale, make_chart
+from confmass.config import bundled_names, load_config
 from confmass.mass import (
     DEFAULT_ORDERS,
     DIVERGENCE_WARNING,
+    QUAD_ATOL,
+    QUAD_RTOL,
     MassReport,
     adm_flux,
     default_radii,
@@ -25,7 +28,7 @@ from confmass.mass import (
     weyl_mass,
     witten_flux,
 )
-from confmass.mass import _best_exponent, _golden_min
+from confmass.mass import _best_exponent, _golden_min, _unit_rule
 from confmass.spinor import make_spinor_spec
 
 ISO = "(1 + 1/(2*r))^4"
@@ -41,6 +44,38 @@ def iso_chart():
     return make_chart(n=3, tau=0.99, r_min=1.0, metric={"11": ISO, "22": ISO, "33": ISO})
 
 
+def stress_chart():
+    """A non-axisymmetric n = 3 chart with high multipole content.
+
+    At r = 20 its order-12 fluxes are off by up to 6e-4 relative (2e-3
+    absolute), so the coarse pair of rules must disagree and the top
+    order must run.
+    """
+    e = 0.1
+    return make_chart(
+        n=3,
+        tau=0.99,
+        r_min=1.0,
+        metric={
+            "11": f"1 + {e}*exp(4*x1/r)*cos(6*x2/r)/r",
+            "22": f"1 + {e}*sin(5*x3/r)*cos(4*x1/r)/r",
+            "33": "1",
+            "12": f"{e}*exp(3*x3/r)*x1*x2/r^3",
+        },
+        lee=["exp(2*x1/r)*cos(5*x2/r)/r^2", "sin(4*x3/r)*x1/r^3", "x3/r^3"],
+    )
+
+
+def rot_lee_chart():
+    return make_chart(
+        n=3,
+        tau=0.99,
+        r_min=1.0,
+        metric={"11": ISO, "22": ISO, "33": ISO},
+        lee=["-0.3*x2/r^3", "0.3*x1/r^3", "0"],
+    )
+
+
 def lee_chart(b=0.25):
     return make_chart(
         n=3,
@@ -49,6 +84,71 @@ def lee_chart(b=0.25):
         metric={"11": ISO, "22": ISO, "33": ISO},
         lee=[f"-{b}*x{i}/r^3" for i in (1, 2, 3)],
     )
+
+
+def reference_unit_rule(n, N):
+    """Unit-sphere nodes and weights built from scratch, without the cache."""
+    M = 2 * N
+    phi = 2.0 * math.pi * np.arange(M) / M
+    wphi = np.full(M, 2.0 * math.pi / M)
+    if n == 3:
+        t, wt = np.polynomial.legendre.leggauss(N)
+        st = np.sqrt(1.0 - t ** 2)
+        x = np.empty((3, N * M))
+        x[0] = (st[:, None] * np.cos(phi)[None, :]).ravel()
+        x[1] = (st[:, None] * np.sin(phi)[None, :]).ravel()
+        x[2] = np.broadcast_to(t[:, None], (N, M)).ravel()
+        return x, (wt[:, None] * wphi[None, :]).ravel()
+    xi, wxi = np.polynomial.legendre.leggauss(N)
+    theta = 0.5 * math.pi * (xi + 1.0)
+    wtheta = 0.5 * math.pi * wxi
+    mesh = np.meshgrid(*([theta] * (n - 2) + [phi]), indexing="ij")
+    wlist = [wtheta * np.sin(theta) ** (n - 2 - k) for k in range(n - 2)] + [wphi]
+    w = np.ones_like(mesh[0])
+    for wm in np.meshgrid(*wlist, indexing="ij"):
+        w = w * wm
+    x = np.empty((n,) + mesh[0].shape)
+    sin_prod = np.ones_like(mesh[0])
+    for k in range(n - 2):
+        x[k] = sin_prod * np.cos(mesh[k])
+        sin_prod = sin_prod * np.sin(mesh[k])
+    x[n - 2] = sin_prod * np.cos(mesh[n - 2])
+    x[n - 1] = sin_prod * np.sin(mesh[n - 2])
+    return x.reshape(n, -1), w.ravel()
+
+
+# (n, N) pairs of at most half a million nodes, which keeps every default
+# order; n = 5 at N = 48 and n = 6 at N >= 24 would need gigabytes
+RULE_SIZES = [(n, N) for n in range(3, 7) for N in (2, 3, 6, 7, 12, 24, 48)
+              if N ** (n - 2) * 2 * N <= 5 * 10 ** 5]
+
+
+def top_order_only(monkeypatch):
+    """Run every flux at its top order alone, with no coarse pair first."""
+    monkeypatch.setattr(mass, "COARSE_ORDERS", (math.inf,))
+
+
+def record_rules(monkeypatch):
+    """List of (orders, flux, node terms) for every sphere rule a flux runs."""
+    runs = []
+    inner = mass._rule_flux
+
+    def spy(chart, r, integrand, measure, orders, dtype):
+        out = inner(chart, r, integrand, measure, orders, dtype)
+        runs.append((orders,) + out)
+        return out
+
+    monkeypatch.setattr(mass, "_rule_flux", spy)
+    return runs
+
+
+def bundled_charts_n3():
+    charts = []
+    for name in bundled_names():
+        cfg = load_config(name)
+        charts += [cfg.chart] if cfg.chart is not None else [
+            e.chart for e in cfg.system.ends]
+    return [c for c in charts if c.n == 3]
 
 
 class TestSphereRule:
@@ -99,6 +199,17 @@ class TestSphereRule:
         with pytest.raises(ValueError):
             sphere_rule(3, 1.0, orders=1)
 
+    @pytest.mark.parametrize("n,N", RULE_SIZES)
+    def test_cached_rule_is_bitwise_the_rule_built_from_scratch(self, n, N):
+        x, w = reference_unit_rule(n, N)
+        for r in (1.0, 2.5, 20.0, 37.7, 160.0):
+            rule = sphere_rule(n, r, orders=N)
+            assert rule.r == r
+            assert np.array_equal(rule.nodes, r * x)
+            assert np.array_equal(rule.weights, (r ** (n - 1)) * w)
+        x, w = _unit_rule(n, N)
+        assert not x.flags.writeable and not w.flags.writeable
+
 
 class TestFluxes:
     def test_flat_fluxes_vanish_identically(self):
@@ -123,14 +234,7 @@ class TestFluxes:
         assert got == pytest.approx(-4 * math.pi * b, rel=1e-12)
 
     def test_rotational_lee_flux_vanishes(self):
-        c = make_chart(
-            n=3,
-            tau=0.99,
-            r_min=1.0,
-            metric={"11": ISO, "22": ISO, "33": ISO},
-            lee=["-0.3*x2/r^3", "0.3*x1/r^3", "0"],
-        )
-        assert lee_flux(c, 25.0) == pytest.approx(0.0, abs=1e-14)
+        assert lee_flux(rot_lee_chart(), 25.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_weyl_flux_combines_both_terms(self):
         c = lee_chart(0.25)
@@ -189,6 +293,110 @@ class TestFluxes:
         alone = [witten_flux(c, s, 20.0, orders=16) for s in specs]
         assert isinstance(together, list) and isinstance(alone[0], complex)
         assert [(w.real, w.imag) for w in together] == [(w.real, w.imag) for w in alone]
+
+
+class TestCoarsePair:
+    def test_stress_chart_runs_the_top_order_bitwise(self, monkeypatch):
+        c = stress_chart()
+        got = {}
+        with monkeypatch.context() as m:
+            runs = record_rules(m)
+            for measure in ("euclidean", "g"):
+                for fn in (adm_flux, lee_flux):
+                    del runs[:]
+                    got[fn, measure] = fn(c, 20.0, measure)
+                    assert [o for o, *_ in runs] == [6, 12, None]
+                    coarse = runs[1][1]
+                    assert abs(coarse - got[fn, measure]) > QUAD_RTOL * abs(got[fn, measure])
+        top_order_only(monkeypatch)
+        for (fn, measure), value in got.items():
+            assert value == fn(c, 20.0, measure)
+
+    def test_one_failing_column_sends_every_spinor_to_the_top_order(self, monkeypatch):
+        # the zero spinor's flux agrees at the coarse pair; the constant
+        # one's does not, and the whole shared sample runs at the top order
+        c = stress_chart()
+        specs = [make_spinor_spec([("0", "0"), ("0", "0")], weight=-0.5),
+                 make_spinor_spec([("1", "0"), ("0", "0")], weight=-0.5)]
+        with monkeypatch.context() as m:
+            runs = record_rules(m)
+            got = witten_flux(c, specs, 20.0, orders=24)
+            assert [o for o, *_ in runs] == [6, 12, 24]
+        top_order_only(monkeypatch)
+        assert got == witten_flux(c, specs, 20.0, orders=24)
+
+    @pytest.mark.parametrize("measure", ["euclidean", "g"])
+    def test_bundled_charts_pass_within_the_stated_tolerance(self, monkeypatch, measure):
+        charts = bundled_charts_n3()
+        got = []
+        with monkeypatch.context() as m:
+            runs = record_rules(m)
+            for c in charts:
+                r = default_radii(c)[0]
+                for fn in (adm_flux, lee_flux):
+                    del runs[:]
+                    value = fn(c, r, measure)
+                    assert [o for o, *_ in runs] == [6, 12]
+                    got.append((value, float(np.sum(np.abs(runs[1][2])))))
+        top_order_only(monkeypatch)
+        want = [fn(c, default_radii(c)[0], measure, orders=48)
+                for c in charts for fn in (adm_flux, lee_flux)]
+        for (value, scale), top in zip(got, want):
+            assert abs(value - top) <= QUAD_RTOL * scale + QUAD_ATOL
+
+    def test_bundled_witten_fluxes_pass_within_the_stated_tolerance(self, monkeypatch):
+        cfg = load_config("schwarzschild-lee")
+        specs = [spec for _, spec in cfg.spinors]
+        with monkeypatch.context() as m:
+            runs = record_rules(m)
+            got = witten_flux(cfg.chart, specs, 20.0)
+            assert [o for o, *_ in runs] == [6, 12]
+            scale = np.sum(np.abs(runs[1][2]), axis=0)
+        top_order_only(monkeypatch)
+        want = witten_flux(cfg.chart, specs, 20.0)
+        for value, top, sc in zip(got, want, scale):
+            assert abs(value - top) <= QUAD_RTOL * sc + QUAD_ATOL
+
+    def test_vanishing_integrand_passes_on_the_absolute_floor(self, monkeypatch):
+        # theta(nu) is zero at every node up to rounding, so no relative
+        # test can pass; the absolute floor accepts the pair
+        runs = record_rules(monkeypatch)
+        value = lee_flux(rot_lee_chart(), 20.0)
+        assert [o for o, *_ in runs] == [6, 12]
+        (_, lo, _), (_, hi, terms) = runs
+        assert abs(hi - lo) > QUAD_RTOL * float(np.sum(np.abs(terms)))
+        assert abs(value) <= QUAD_ATOL
+
+    @pytest.mark.parametrize("orders", [2, 6, 9, 12])
+    def test_orders_up_to_the_pair_run_alone(self, monkeypatch, orders):
+        c = stress_chart()
+        with monkeypatch.context() as m:
+            runs = record_rules(m)
+            got = adm_flux(c, 20.0, "g", orders=orders)
+            assert [o for o, *_ in runs] == [orders]
+        top_order_only(monkeypatch)
+        assert got == adm_flux(c, 20.0, "g", orders=orders)
+
+    def test_top_order_at_or_below_the_pair_runs_alone(self, monkeypatch):
+        # n = 5 and 6 default to order 12
+        c = flat_chart(n=5, lee=[f"-x{i}/r^5" for i in range(1, 6)])
+        runs = record_rules(monkeypatch)
+        lee_flux(c, 20.0)
+        assert [o for o, *_ in runs] == [None]
+
+    @pytest.mark.parametrize("width", [32, 4096])
+    def test_flux_bits_do_not_depend_on_the_chunk_width(self, monkeypatch, width):
+        stress, lee = stress_chart(), lee_chart()
+        spec = make_spinor_spec([("0.6", "0"), ("0", "0.8")], weight=-0.5)
+
+        def fluxes():
+            return [adm_flux(stress, 20.0, "g", orders=24), lee_flux(stress, 20.0, orders=24),
+                    adm_flux(lee, 20.0, "g"), lee_flux(lee, 20.0),
+                    witten_flux(lee, spec, 20.0)]
+
+        want = fluxes()
+        monkeypatch.setattr(util, "CHUNK", width)
+        assert fluxes() == want
 
 
 class TestExtrapolate:
@@ -377,6 +585,19 @@ class TestTwoPathMassAgreement:
         assert together == [two_path_mass_delta(chart, f, orders=8) for f in fs]
         riem = riemannian_mass(chart, orders=8)
         assert two_path_mass_delta(chart, fs, orders=8, base=riem) == together
+
+    def test_reused_rescaled_mass_is_bitwise_path_a(self):
+        chart = lee_chart()
+        fs = ["1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)"]
+        resc = riemannian_mass(conformal_rescale(chart, fs[1]), orders=8)
+        assert two_path_mass_delta(chart, fs, orders=8, rescaled=[None, resc]) \
+            == two_path_mass_delta(chart, fs, orders=8)
+        assert two_path_mass_delta(chart, fs[1], orders=8, rescaled=resc) \
+            == two_path_mass_delta(chart, fs[1], orders=8)
+        with pytest.raises(ValueError):
+            two_path_mass_delta(chart, fs, orders=8, rescaled=[resc])
+        with pytest.raises(ValueError):
+            two_path_mass_delta(chart, fs[1], orders=8, measure="g", rescaled=resc)
 
 
 class TestReusedMetricMass:

@@ -1,0 +1,127 @@
+"""Compare every command on every bundled config between two source trees.
+
+    python tools/sweep.py PARENT_TREE [--tree TREE]
+
+Runs ``python -m confmass <command> <config>`` for the 7 commands and the
+bundled configs of TREE (default: the checkout this script sits in), once
+with TREE/src and once with PARENT_TREE/src on PYTHONPATH, one process at
+a time.  For each pair it prints both exit codes, every ``pass`` verdict
+that changed, report keys added or removed, and the largest relative
+drift of any float leaf with its JSON path; at the end, the largest drift
+per leaf name (``limit``, ``error``, ``value``, ...) over all pairs.  It
+sets no bounds and always exits 0 once both sweeps have run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+
+COMMANDS = ("check", "curvature", "identities", "mass", "weyl-mass", "laws", "witten")
+
+
+def bundled_configs(tree: str) -> list:
+    data = os.path.join(tree, "src", "confmass", "data")
+    return sorted(os.path.splitext(f)[0] for f in os.listdir(data)
+                  if f.endswith((".chart", ".ends")))
+
+
+def run(tree: str, command: str, config: str) -> tuple:
+    """Exit code and parsed JSON report (None when stdout is not one)."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "confmass", command, config],
+                          capture_output=True, text=True, env=env)
+    try:
+        report = json.loads(proc.stdout)
+    except json.JSONDecodeError:
+        report = None
+    return proc.returncode, report
+
+
+def leaves(node, path: str = "") -> dict:
+    """Leaf values keyed by JSON path; list items with a name go by name.
+
+    An empty list or object is a leaf, so a key added with no content
+    still shows.
+    """
+    out = {}
+    if isinstance(node, (dict, list)) and not node:
+        out[path] = node
+    elif isinstance(node, dict):
+        for k, v in node.items():
+            out.update(leaves(v, f"{path}.{k}" if path else k))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            key = v["name"] if isinstance(v, dict) and "name" in v else i
+            out.update(leaves(v, f"{path}[{key}]"))
+    else:
+        out[path] = node
+    return out
+
+
+def rel_drift(a: float, b: float) -> float:
+    scale = max(abs(a), abs(b))
+    return 0.0 if scale == 0.0 else abs(a - b) / scale
+
+
+def leaf_name(path: str) -> str:
+    return path.rsplit(".", 1)[-1].split("[", 1)[0]
+
+
+def compare(old: dict, new: dict, worst_by_name: dict, label: str) -> list:
+    """Lines describing the differences between two reports."""
+    a, b = leaves(old), leaves(new)
+    lines = [f"  removed: {p}" for p in sorted(a.keys() - b.keys())]
+    lines += [f"  added: {p}" for p in sorted(b.keys() - a.keys())]
+    worst = (0.0, None, None, None)
+    for p in sorted(a.keys() & b.keys()):
+        x, y = a[p], b[p]
+        if isinstance(x, bool) or isinstance(y, bool):
+            if x != y and leaf_name(p) == "pass":
+                lines.append(f"  verdict {p}: {x} -> {y}")
+            continue
+        if isinstance(x, float) and isinstance(y, float):
+            d = rel_drift(x, y)
+            if d > worst[0]:
+                worst = (d, p, x, y)
+            name = leaf_name(p)
+            if d > worst_by_name.get(name, (0.0,))[0]:
+                worst_by_name[name] = (d, f"{label} {p}: {x!r} -> {y!r}")
+    if worst[1] is not None:
+        d, p, x, y = worst
+        lines.append(f"  largest drift {d:.3g} at {p} ({x!r} -> {y!r})")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", help="source tree to compare against")
+    ap.add_argument("--tree", default=os.path.join(os.path.dirname(__file__), ".."),
+                    help="source tree under test (default: this checkout)")
+    args = ap.parse_args(argv)
+    worst_by_name: dict = {}
+    for config in bundled_configs(args.tree):
+        for command in COMMANDS:
+            label = f"{command} {config}"
+            code_old, old = run(args.parent, command, config)
+            code_new, new = run(args.tree, command, config)
+            print(f"{label}: exit {code_old} -> {code_new}")
+            if old is None or new is None:
+                print(f"  report: {'none' if old is None else 'json'} -> "
+                      f"{'none' if new is None else 'json'}")
+                continue
+            for line in compare(old, new, worst_by_name, label):
+                print(line)
+            sys.stdout.flush()
+    print("largest drift per leaf name:")
+    for name, (d, where) in sorted(worst_by_name.items(), key=lambda kv: -kv[1][0]):
+        print(f"  {name}: {d:.3g} ({where})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
