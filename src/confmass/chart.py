@@ -8,8 +8,8 @@ EndSystem, each carrying a normalization weight a_l > 0.
 
 The jet front end lives here too: ``metric_jets`` evaluates g, its
 inverse and sqrt(det g) as jets at a point or point batch, checking
-positive definiteness of the value part, and ``lee_jets`` does the same
-for theta.  ``decay_scan`` estimates actual decay exponents along rays
+positive definiteness of the value part (``metric_entry_jets`` gives g
+alone, unchecked), and ``lee_jets`` does the same for theta.  ``decay_scan`` estimates actual decay exponents along rays
 as a sanity check against the declared tau.
 """
 
@@ -27,14 +27,11 @@ from .jets import Jet, JetSpace
 
 __all__ = [
     "ChartError", "MetricChart", "End", "EndSystem", "MetricData",
-    "make_chart", "metric_jets", "lee_jets", "spd_sqrt", "decay_scan",
+    "make_chart", "metric_entry_jets", "metric_jets", "lee_jets", "decay_scan",
     "DecayReport", "conformal_rescale", "scale_coordinates",
 ]
 
 MAX_DIM = 8
-
-# re-exported: the jet-level SPD square root is part of this module's API
-spd_sqrt = jetlinalg.spd_sqrt
 
 
 class ChartError(ValueError):
@@ -224,11 +221,15 @@ class MetricData:
     def order(self) -> int:
         return self.space.order
 
-    def g_values(self) -> np.ndarray:
-        return jetlinalg.values(self.g)
 
-    def ginv_values(self) -> np.ndarray:
-        return jetlinalg.values(self.ginv)
+def metric_entry_jets(chart: MetricChart, coords: list[Jet]) -> list[list[Jet]]:
+    """g_ij as jets over the coordinate jets ``coords``; each entry of the
+    upper triangle is evaluated once and shared with its mirror."""
+    g: list[list[Jet]] = [[None] * chart.n for _ in range(chart.n)]
+    for i in range(chart.n):
+        for j in range(i, chart.n):
+            g[i][j] = g[j][i] = jets.evaluate_jet(chart.metric[i][j], coords, chart.params)
+    return g
 
 
 def metric_jets(chart: MetricChart, points, order: int = 2,
@@ -238,13 +239,7 @@ def metric_jets(chart: MetricChart, points, order: int = 2,
     if points.shape[0] != chart.n:
         raise ChartError(f"points have {points.shape[0]} coordinates, chart has n={chart.n}")
     space, coords = jets.seed_point(points, order)
-
-    g: list[list[Jet]] = [[None] * chart.n for _ in range(chart.n)]
-    for i in range(chart.n):
-        for j in range(i, chart.n):
-            jet = jets.evaluate_jet(chart.metric[i][j], coords, chart.params)
-            g[i][j] = jet
-            g[j][i] = jet
+    g = metric_entry_jets(chart, coords)
 
     if check_spd:
         gv = jetlinalg.values(g)

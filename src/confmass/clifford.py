@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -57,11 +57,17 @@ def _chain(factors) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CliffordRep:
-    """Generators gamma_1..gamma_n on C^N with gamma^2 = -1."""
+    """Generators gamma_1..gamma_n on C^N with gamma^2 = -1.
+
+    ``gamma`` stacks the generators as one (n, N, N) array and ``pairs``
+    the products gamma_a gamma_b for a < b, in ``np.triu_indices(n, 1)``
+    order, as one (n(n-1)/2, N, N) array.
+    """
 
     n: int
     N: int
-    gamma: tuple  # n complex (N, N) arrays
+    gamma: np.ndarray
+    pairs: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -77,10 +83,12 @@ def build_rep(n: int) -> CliffordRep:
         hermitian.append(_chain(head + [_P2] + tail))
     if n % 2 == 1:
         hermitian.append(_chain([_P3] * m))
-    gammas = tuple(1.0j * h for h in hermitian)
-    for g in gammas:
+    gamma = 1.0j * np.array(hermitian)
+    a, b = np.triu_indices(n, 1)
+    pairs = gamma[a] @ gamma[b]
+    for g in (gamma, pairs):
         g.setflags(write=False)
-    return CliffordRep(n=n, N=2 ** m, gamma=gammas)
+    return CliffordRep(n=n, N=2 ** m, gamma=gamma, pairs=pairs)
 
 
 @lru_cache(maxsize=None)
@@ -193,12 +201,15 @@ def contract(x, omega, p: int):
 
 def _fill_antisym(arr: np.ndarray, idx: tuple, val: float) -> None:
     """Write val over all permutations of idx with alternating signs."""
-    from itertools import permutations
+    perms, signs = _signed_permutations(len(idx))
+    arr[tuple(np.asarray(idx)[perms].T)] = signs * val
 
-    base = list(idx)
-    for perm in permutations(range(len(idx))):
-        sign = _perm_sign(perm)
-        arr[tuple(base[k] for k in perm)] = sign * val
+
+@lru_cache(maxsize=None)
+def _signed_permutations(p: int) -> tuple:
+    """All permutations of range(p) as a (p!, p) array, and their signs."""
+    perms = np.array(list(permutations(range(p))))
+    return perms, np.array([_perm_sign(q) for q in perms])
 
 
 def _perm_sign(perm) -> float:

@@ -10,7 +10,10 @@ polynomial with the value-free part of the argument.
 Coefficients are numpy arrays of shape (m,) for a single point or (m, B)
 for a batch of B points, where m = C(nvars + order, order); further
 trailing axes (a whole tensor stacked into one array) pass through the
-ring operations, ``derive`` and ``tensor_mul`` unchanged.  All batched
+ring operations, ``derive`` and ``tensor_mul`` unchanged.  Coefficients
+may be complex: a spinor field is one jet of shape (m, B, N) with the
+spinor axis trailing, and ``tensor_mul`` pairs it with real tensor jets
+or with another spinor (see ``spinor``).  All batched
 kernels are plain vectorized numpy with fixed iteration order (the
 multiplication uses a precomputed pair table and np.add.reduceat), so
 results are bitwise reproducible and independent of threading.

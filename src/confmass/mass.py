@@ -46,11 +46,11 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import exprdsl, util
-from .chart import End, EndSystem, MetricChart, conformal_rescale, metric_jets
+from .chart import (End, EndSystem, MetricChart, conformal_rescale, metric_entry_jets,
+                    metric_jets)
 from .jets import evaluate_jet, seed_point
-from .spinor import (SpinorFieldSpec, cliff_vector_jets, covd_coord, covd_frame,
-                     h_jet, mat_apply, s_add, s_truncate, spinor_calc_light,
-                     spinor_jets)
+from .spinor import (SpinorFieldSpec, coframe_action, covd_coord, dirac,
+                     spinor_calc_light, spinor_jets)
 
 __all__ = [
     "SphereRule",
@@ -274,8 +274,8 @@ def adm_flux(chart: MetricChart, r: float, measure: str = "euclidean",
     n = chart.n
 
     def integrand(Xc, nu):
-        md = metric_jets(chart, Xc, order=1, check_spd=False)
-        dg = [[[md.g[i][j].derive(k).value for k in range(n)]
+        g = metric_entry_jets(chart, seed_point(Xc, 1)[1])
+        dg = [[[g[i][j].derive(k).value for k in range(n)]
                for j in range(n)] for i in range(n)]
         acc = np.zeros(Xc.shape[1])
         for j in range(n):
@@ -364,21 +364,14 @@ def witten_flux(chart: MetricChart, spec: SpinorFieldSpec | Sequence[SpinorField
         if has_theta:
             theta = [evaluate_jet(t, coords, chart.params) for t in chart.lee]
         calc = spinor_calc_light(md, theta)
-        xflat = [[calc.frame.S[j][a].truncate(0) for a in range(n)] for j in range(n)]
         out = np.zeros((len(specs), B), dtype=np.complex128)
         for s, sp in enumerate(specs):
             psi = spinor_jets(sp, coords, chart.params)
-            Dc = covd_coord(calc, psi, k, riemannian=(theta is None))
-            F = covd_frame(calc, psi, k, riemannian=(theta is None), coord_fields=Dc)
-            dpsi = None
-            for a in range(n):
-                t = mat_apply(calc.rep.gamma[a], F[a])
-                dpsi = t if dpsi is None else s_add(dpsi, t)
-            psi0 = s_truncate(psi, 0)
+            Dc = covd_coord(calc, psi, k)
+            cl = coframe_action(calc, dirac(calc, psi, k, coord_fields=Dc))
+            omega = np.einsum("bs,bjs->bj", np.conj(psi.value), cl.value + Dc.value)
             for j in range(n):
-                cl = cliff_vector_jets(calc.rep, xflat[j], dpsi)
-                omega_j = h_jet(psi0, s_add(cl, Dc[j])).value
-                out[s] = out[s] + omega_j * nu[j]
+                out[s] = out[s] + omega[:, j] * nu[j]
         return out
 
     flux = _flux(chart, r, integrand, measure, orders, dtype=np.complex128)

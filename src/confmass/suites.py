@@ -203,7 +203,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
     direction = rng.normal(size=n)
     direction /= math.sqrt(float(np.sum(direction * direction)))
     nres = norm_identity_residual(calc, psi, direction)
-    nscale = max(1.0, float(np.max(np.abs(h_jet(psi, psi).re.value))))
+    nscale = max(1.0, float(np.max(np.abs(h_jet(psi, psi).value.real))))
     checks.append(_check("norm-identity",
                          float(np.max(np.abs(nres))) / nscale,
                          tol["norm_identity_rel"]))

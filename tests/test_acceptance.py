@@ -238,15 +238,15 @@ def _subprocess_pythonpath() -> str:
     return os.pathsep.join([root, *inherited])
 
 
-def test_reports_byte_identical_across_worker_counts(tmp_path):
+def test_reports_byte_identical_across_hash_seeds(tmp_path):
     commands = (
         ("mass", "schwarzschild.chart", "--radii", "20,40,80,160"),
         ("identities", "schwarzschild-lee.chart", "--points", "50", "--seed", "11"),
     )
     for cmd in commands:
         outputs = []
-        for workers in ("1", "4", "16"):
-            env = dict(os.environ, CONFMASS_THREADS=workers,
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                        PYTHONPATH=_subprocess_pythonpath())
             proc = subprocess.run(
                 [sys.executable, "-m", "confmass", *cmd],
@@ -256,4 +256,4 @@ def test_reports_byte_identical_across_worker_counts(tmp_path):
             )
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1] == outputs[2]
+        assert outputs[0] == outputs[1]

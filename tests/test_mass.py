@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from confmass import exprdsl, mass, util
+from confmass import exprdsl, jetlinalg, mass, util
 from confmass.chart import End, EndSystem, conformal_rescale, make_chart
 from confmass.config import bundled_names, load_config
 from confmass.mass import (
@@ -251,6 +251,18 @@ class TestFluxes:
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError):
             adm_flux(iso_chart(), 20.0, measure="spherical")
+
+    def test_adm_flux_reads_only_the_metric_derivatives(self, monkeypatch):
+        # the integrand needs d_k g_ij alone: no jet inverse or determinant
+        c = iso_chart()
+        want = adm_flux(c, 20.0, measure="g")
+
+        def forbidden(*args):
+            raise AssertionError("adm_flux built a jet inverse or determinant")
+
+        monkeypatch.setattr(jetlinalg, "mat_inv", forbidden)
+        monkeypatch.setattr(jetlinalg, "mat_det", forbidden)
+        assert adm_flux(c, 20.0, measure="g") == want
 
     def test_radius_below_validity_rejected(self):
         c = flat_chart(r_min=4.0)

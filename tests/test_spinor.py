@@ -4,7 +4,7 @@ derivatives, the Dirac operator, and the two Lichnerowicz-type residuals."""
 import numpy as np
 import pytest
 
-from confmass import exprdsl
+from confmass import exprdsl, jetlinalg
 from confmass.chart import lee_jets, make_chart, metric_jets
 from confmass.spinor import (
     covd_coord,
@@ -19,7 +19,6 @@ from confmass.spinor import (
     norm_identity_residual,
     spinor_calc,
     spinor_jets,
-    spinor_max_abs,
     spinor_values,
 )
 
@@ -71,7 +70,7 @@ class TestSpinFrame:
             for i in range(3):
                 want = 1 / u2 if a == i else np.zeros_like(u2)
                 np.testing.assert_allclose(
-                    np.atleast_1d(fr.E[a][i].value), want, rtol=1e-13, atol=1e-15
+                    np.atleast_1d(fr.E.value[:, a, i]), want, rtol=1e-13, atol=1e-15
                 )
 
     def test_frame_is_orthonormal(self):
@@ -80,12 +79,13 @@ class TestSpinFrame:
         X = sample_points(3, 6)
         md = metric_jets(chart, X, order=2)
         fr = frame_spin_connection(md)
+        E = jetlinalg.unstack(fr.E.space, fr.E.c)
         for a in range(3):
             for b in range(3):
                 acc = None
                 for i in range(3):
                     for j in range(3):
-                        t = md.g[i][j] * fr.E[a][i] * fr.E[b][j]
+                        t = md.g[i][j] * E[a][i] * E[b][j]
                         acc = t if acc is None else acc + t
                 want = 1.0 if a == b else 0.0
                 np.testing.assert_allclose(
@@ -106,7 +106,7 @@ class TestSpinFrame:
                 for b in range(3):
                     want = 2 * (du[a] * (i == b) - du[b] * (i == a)) / u
                     np.testing.assert_allclose(
-                        np.atleast_1d(fr.omega[i][a][b].value),
+                        np.atleast_1d(fr.omega.value[:, i, a, b]),
                         want,
                         rtol=1e-12,
                         atol=1e-14,
@@ -116,7 +116,7 @@ class TestSpinFrame:
         md = metric_jets(flat_chart(), sample_points(3, 5), order=2)
         fr = frame_spin_connection(md)
         worst = max(
-            float(np.max(np.abs(np.atleast_1d(fr.omega[i][a][b].value))))
+            float(np.max(np.abs(np.atleast_1d(fr.omega.value[:, i, a, b]))))
             for i in range(3)
             for a in range(3)
             for b in range(3)
@@ -132,7 +132,7 @@ class TestCovariantDerivative:
         calc = spinor_calc(md, None)
         psi = spinor_jets(make_spinor_spec([("1", "0"), ("0", "1")], weight=-0.5), md.coords)
         D = covd_coord(calc, psi, riemannian=True)
-        assert max(spinor_max_abs(D[i]) for i in range(3)) == 0.0
+        assert max(np.max(np.abs(D.value[:, i])) for i in range(3)) == 0.0
 
     def test_weight_enters_linearly_through_the_lee_form(self):
         # the derivative at two weights differs by (k1 - k2) theta_i psi;
@@ -158,7 +158,7 @@ class TestCovariantDerivative:
         r = np.linalg.norm(X, axis=0)
         pv = spinor_values(psi)[:, :]  # (N, batch) value slots
         for i in range(3):
-            diff = spinor_values(D1[i]) - spinor_values(D2[i])
+            diff = D1.value[:, i].T - D2.value[:, i].T
             want = (k1 - k2) * (0.1 * X[i] / r**3) * pv
             np.testing.assert_allclose(diff, want, rtol=1e-12, atol=1e-15)
 
@@ -182,11 +182,11 @@ class TestCovariantDerivative:
         )
         psi = spinor_jets(spec, md.coords)
         D = covd_coord(calc, psi, -0.5)
-        worst = max(spinor_max_abs(D[i]) for i in range(3))
+        worst = max(np.max(np.abs(D.value[:, i])) for i in range(3))
         assert worst <= 1e-15
         # and its squared norm is r^-2 on the nose
         np.testing.assert_allclose(
-            np.atleast_1d(h_jet(psi, psi).re.value),
+            np.atleast_1d(h_jet(psi, psi).value.real),
             1 / np.sum(X * X, axis=0),
             rtol=1e-14,
         )
@@ -282,5 +282,52 @@ class TestPairing:
         md = metric_jets(chart, X, order=2)
         psi = spinor_jets(make_spinor_spec([("1", "x1/r"), ("x2/r", "0")], weight=-0.5), md.coords)
         d = h_jet(psi, psi)
-        assert np.all(np.atleast_1d(d.re.value) > 0)
-        np.testing.assert_allclose(np.atleast_1d(d.im.value), 0.0, atol=1e-16)
+        assert np.all(np.atleast_1d(d.value.real) > 0)
+        np.testing.assert_allclose(np.atleast_1d(d.value.imag), 0.0, atol=1e-16)
+
+
+class TestBatchIndependence:
+    """One column computed alone equals, bitwise, the same column inside a
+    batch, as tests/test_jetlinalg.py checks for the jet matrices."""
+
+    def chart4(self):
+        return make_chart(
+            n=4,
+            tau=1.5,
+            r_min=1.0,
+            metric={"11": "1 + 1/r^2", "22": "1 + 1/r^2", "33": "1 + 0.5/r^2",
+                    "44": "1 + 1/r^2", "12": "0.3*x1*x2/r^4"},
+            lee=["-0.2*x1/r^4", "0.1*x3/r^4", "-0.1*x2/r^4", "0.2*x4/r^4"],
+        )
+
+    def evaluate(self, chart, X):
+        calc = calc_for(chart, X)
+        coords = calc.frame.md.coords
+        psi = spinor_jets(
+            make_spinor_spec([("1 + x1/r^2", "x2/r^2"), ("x3/r^2", "0.5"),
+                              ("0.2", "x4/r^2"), ("x1*x2/r^4", "1")], weight=-1.0),
+            coords,
+        )
+        phi = spinor_jets(
+            make_spinor_spec([("x4/r^2", "1"), ("0.5", "x1/r^2"),
+                              ("1", "0"), ("x2/r^2", "x3/r^2")], weight=-1.0),
+            coords,
+        )
+        pairing = lichnerowicz_II_residual(calc, psi, phi)
+        return {
+            "covd_coord": covd_coord(calc, psi, -1.0).c,
+            "dirac": dirac(calc, psi, -1.0).c,
+            "pairing": h_jet(psi, phi).c,
+            **{f"lichnerowicz_II.{k}": pairing[k] for k in ("main", "first", "second")},
+        }
+
+    def test_single_column_matches_the_batch_bitwise(self):
+        chart = self.chart4()
+        X = sample_points(4, 5)
+        whole = self.evaluate(chart, X)
+        for b in (0, 3):
+            one = self.evaluate(chart, X[:, b:b + 1])
+            for name, arr in whole.items():
+                got = one[name][:, 0] if arr.ndim > 1 else one[name][0]
+                want = arr[:, b] if arr.ndim > 1 else arr[b]
+                assert np.array_equal(got, want), name
