@@ -10,21 +10,26 @@ Pauli matrices, and gamma_a = i G_a then satisfies
 acting on C^N with N = 2^(n // 2).  Every entry is exactly one of
 0, +-1, +-i, so products of generators are exact in float arithmetic.
 
-Forms are passed as dense numpy arrays with one axis per slot
-(antisymmetric; only strictly increasing index tuples are read), and
-``mul_form`` implements their Clifford action.  ``wedge`` / ``contract``
-give the vector-times-form decomposition
+A p-form is its array of coefficients on the strictly increasing index
+tuples, shape (C(n, p), *batch) with rows in ``itertools.combinations``
+order; a spinor is (N, *batch) and a vector (n, *batch), so every
+operation acts column by column on a trailing batch.  ``mul_form`` is
+the Clifford action of a form, and ``wedge`` / ``contract`` give the
+vector-times-form decomposition
 
     x . (w . s) = (x ^ w) . s - (x _| w) . s    for 1-forms x,
 
-which the test-suite checks on random data.
+which the identity battery checks on random data.  Sums over tuples and
+slots run in a fixed ascending order, so a column's result does not
+depend on the batch it is computed in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -120,44 +125,31 @@ def mul_vector(rep: CliffordRep, v, psi):
     return acc
 
 
-def mul_form(rep: CliffordRep, p: int, comps, psi):
-    """Clifford action of a p-form: sum over increasing index tuples.
+@lru_cache(maxsize=None)
+def _form_gammas(n: int, p: int) -> np.ndarray:
+    """gamma_I for every increasing p-tuple I, stacked (C(n, p), N, N)."""
+    out = np.array([gamma_product(n, idx) for idx in combinations(range(n), p)])
+    out.setflags(write=False)
+    return out
 
-    ``comps`` is a dense array with p axes of length n (a scalar for
-    p = 0), or a mapping from strictly increasing index tuples to
-    coefficients.  Dense arrays of degree 1 or 2 are validated for
-    antisymmetry; for higher degree only strictly increasing tuples are
-    read.
+
+def mul_form(rep: CliffordRep, p: int, c, psi):
+    """Clifford action sum_I c_I gamma_I psi of a p-form.
+
+    ``c`` holds the coefficients on the increasing p-tuples I,
+    (C(n, p), *batch); ``psi`` is (N, *batch).  Every gamma_I has one
+    entry 1, -1, i or -i per row, so gamma_I psi is exact and only the
+    sum over I, taken in ascending row order, rounds.
     """
+    c = _check_form(rep.n, p, np.asarray(c))
     psi = np.asarray(psi)
     if psi.shape[0] != rep.N:
         raise ValueError(f"spinor has {psi.shape[0]} components, need {rep.N}")
-    if p == 0:
-        return np.asarray(comps) * psi
-    if isinstance(comps, dict):
-        items = []
-        for idx, c in comps.items():
-            idx = tuple(int(a) for a in idx)
-            if len(idx) != p or any(x >= y for x, y in zip(idx, idx[1:])):
-                raise ValueError(f"index tuple {idx} is not strictly increasing of length {p}")
-            if not all(0 <= a < rep.n for a in idx):
-                raise ValueError(f"index tuple {idx} out of range for n={rep.n}")
-            items.append((idx, c))
-    else:
-        comps = np.asarray(comps)
-        if comps.shape != (rep.n,) * p:
-            raise ValueError(f"degree-{p} form needs shape {(rep.n,) * p}, got {comps.shape}")
-        if p == 2 and not np.array_equal(comps, -comps.T):
-            raise ValueError("degree-2 coefficient array is not antisymmetric")
-        items = [(idx, comps[idx]) for idx in combinations(range(rep.n), p)]
-    acc = None
-    for idx, c in items:
-        if c == 0.0:
-            continue
-        t = c * (gamma_product(rep.n, idx) @ psi)
-        acc = t if acc is None else acc + t
-    if acc is None:
-        acc = np.zeros_like(psi, dtype=np.complex128)
+    G = _form_gammas(rep.n, p)
+    g_psi = (G @ psi.reshape(rep.N, -1)).reshape(G.shape[:2] + psi.shape[1:])
+    acc = c[0] * g_psi[0]
+    for k in range(1, c.shape[0]):
+        acc = acc + c[k] * g_psi[k]
     return acc
 
 
@@ -170,60 +162,76 @@ def inner(rep: CliffordRep, psi, phi):
     return np.sum(np.conjugate(psi) * phi, axis=0)
 
 
-def wedge(x, omega, p: int) -> np.ndarray:
-    """(x ^ omega) for a 1-form x and dense antisymmetric p-form omega."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if p == 0:
-        return x * float(omega)
-    omega = np.asarray(omega, dtype=np.float64)
-    out = np.zeros((n,) * (p + 1))
-    for idx in combinations(range(n), p + 1):
-        val = 0.0
-        for k in range(p + 1):
-            rest = idx[:k] + idx[k + 1:]
-            val += (-1.0) ** k * x[idx[k]] * omega[rest]
-        _fill_antisym(out, idx, val)
+def _check_form(n: int, p: int, c: np.ndarray) -> np.ndarray:
+    if not 0 <= p <= n:
+        raise ValueError(f"form degree {p} out of range for n={n}")
+    if c.shape[0] != comb(n, p):
+        raise ValueError(f"degree-{p} form needs {comb(n, p)} coefficient rows, "
+                         f"got {c.shape[0]}")
+    return c
+
+
+def _rows(n: int, p: int) -> dict:
+    """Row of each increasing p-tuple in ``combinations`` order."""
+    return {idx: r for r, idx in enumerate(combinations(range(n), p))}
+
+
+def _table(entries: list, width: int) -> tuple:
+    """Rows of (sign, vector slot, form row) triples as three read-only
+    (rows, width) arrays."""
+    t = np.array(entries, dtype=np.float64).reshape(-1, width, 3)
+    out = (t[..., 0], t[..., 1].astype(np.intp), t[..., 2].astype(np.intp))
+    for a in out:
+        a.setflags(write=False)
     return out
 
 
-def contract(x, omega, p: int):
-    """(x _| omega): contraction of a 1-form's dual vector into slot one."""
-    x = np.asarray(x, dtype=np.float64)
-    omega = np.asarray(omega, dtype=np.float64)
-    if p == 0:
-        raise ValueError("cannot contract into a 0-form")
-    res = np.tensordot(x, omega, axes=(0, 0))
-    if p == 1:
-        return float(res)
-    return res
-
-
-def _fill_antisym(arr: np.ndarray, idx: tuple, val: float) -> None:
-    """Write val over all permutations of idx with alternating signs."""
-    perms, signs = _signed_permutations(len(idx))
-    arr[tuple(np.asarray(idx)[perms].T)] = signs * val
+@lru_cache(maxsize=None)
+def _wedge_table(n: int, p: int) -> tuple:
+    """(x ^ w)_J = sum_k (-1)^k x_{J_k} w_{J without J_k} over increasing
+    (p+1)-tuples J, as a signed gather table."""
+    rows = _rows(n, p)
+    return _table([[((-1.0) ** k, J[k], rows[J[:k] + J[k + 1:]]) for k in range(p + 1)]
+                   for J in combinations(range(n), p + 1)], p + 1)
 
 
 @lru_cache(maxsize=None)
-def _signed_permutations(p: int) -> tuple:
-    """All permutations of range(p) as a (p!, p) array, and their signs."""
-    perms = np.array(list(permutations(range(p))))
-    return perms, np.array([_perm_sign(q) for q in perms])
+def _contract_table(n: int, p: int) -> tuple:
+    """(x _| w)_I = sum_{a not in I} x_a w_{a I} over increasing
+    (p-1)-tuples I, with w_{a I} = (-1)^#{b in I: b < a} w_{sorted(a u I)}."""
+    rows = _rows(n, p)
+    return _table([[((-1.0) ** sum(b < a for b in I), a, rows[tuple(sorted(I + (a,)))])
+                    for a in range(n) if a not in I]
+                   for I in combinations(range(n), p - 1)], n - p + 1)
 
 
-def _perm_sign(perm) -> float:
-    sign = 1.0
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        clen = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+def _signed_gather(table: tuple, x, c) -> np.ndarray:
+    """sum_k sign[:, k] x[slot[:, k]] c[row[:, k]], k ascending."""
+    sign, slot, row = table
+    sign = sign.reshape(sign.shape + (1,) * (c.ndim - 1))
+    acc = np.zeros((sign.shape[0],) + c.shape[1:])
+    for k in range(sign.shape[1]):
+        acc = acc + sign[:, k] * x[slot[:, k]] * c[row[:, k]]
+    return acc
+
+
+def _form_args(x, c, p: int) -> tuple:
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    return x, _check_form(n, p, np.asarray(c, dtype=np.float64)), n
+
+
+def wedge(x, c, p: int) -> np.ndarray:
+    """Coefficients (C(n, p+1), *batch) of x ^ w for a 1-form x (n, *batch)
+    and a p-form w with coefficients c (C(n, p), *batch)."""
+    x, c, n = _form_args(x, c, p)
+    return _signed_gather(_wedge_table(n, p), x, c)
+
+
+def contract(x, c, p: int) -> np.ndarray:
+    """Coefficients (C(n, p-1), *batch) of x _| w, the contraction of the
+    dual vector of x into the first slot of the p-form w."""
+    x, c, n = _form_args(x, c, p)
+    if p == 0:
+        raise ValueError("cannot contract into a 0-form")
+    return _signed_gather(_contract_table(n, p), x, c)

@@ -48,7 +48,8 @@ from . import exprdsl
 from . import jetlinalg
 from . import weyl as weylmod
 from .chart import MetricData
-from .curvature import ConnectionData, christoffels, codiff_oneform, curvature
+from .curvature import (ConnectionData, CurvatureData, christoffels, codiff_oneform,
+                        curvature)
 from .jets import Jet, evaluate_jet, tensor_mul
 
 __all__ = [
@@ -203,7 +204,9 @@ class SpinorCalc:
     ``weyl_gamma`` holds the vector-field connection used for the frame
     correction in the second-derivative trace: the Weyl connection when
     a Lee form is present, the Levi-Civita connection otherwise.
-    ``scal_weyl`` is the scalar curvature of that connection.
+    ``scal_weyl`` is the scalar curvature of that connection, and
+    ``curv`` the Levi-Civita curvature it was built from (both None on a
+    first-derivative-only calculator).
     """
 
     frame: SpinFrame
@@ -213,6 +216,7 @@ class SpinorCalc:
     theta_frame: Jet | None
     weyl_gamma: list
     scal_weyl: Jet | None
+    curv: CurvatureData | None
 
     @property
     def n(self) -> int:
@@ -224,7 +228,7 @@ class SpinorCalc:
 
 
 def _make_calc(cd: ConnectionData, theta: list | None, weyl_gamma: list,
-               scal_weyl: Jet | None) -> SpinorCalc:
+               scal_weyl: Jet | None, curv: CurvatureData | None) -> SpinorCalc:
     """Frame, Clifford module and frame components theta(E_b) of the Lee form."""
     md = cd.md
     if md.points.ndim != 2:
@@ -237,7 +241,7 @@ def _make_calc(cd: ConnectionData, theta: list | None, weyl_gamma: list,
         tf = Jet(sp, tensor_mul(sp, "bj,bja->ba", tc.c, frame.E.truncate(sp.order).c))
     return SpinorCalc(frame=frame, rep=clifford.build_rep(md.chart.n), theta=theta,
                       theta_c=tc, theta_frame=tf, weyl_gamma=weyl_gamma,
-                      scal_weyl=scal_weyl)
+                      scal_weyl=scal_weyl, curv=curv)
 
 
 def spinor_calc(md: MetricData, theta: list | None = None,
@@ -248,9 +252,9 @@ def spinor_calc(md: MetricData, theta: list | None = None,
     cd = christoffels(md)
     cv = curvature(cd)
     if theta is None:
-        return _make_calc(cd, None, cd.christoffel, cv.scal)
+        return _make_calc(cd, None, cd.christoffel, cv.scal, cv)
     wd = weylmod.weyl_scalar(cv, theta, check_two_path=check_two_path)
-    return _make_calc(cd, theta, wd.gamma, wd.scal)
+    return _make_calc(cd, theta, wd.gamma, wd.scal, cv)
 
 
 def spinor_calc_light(md: MetricData, theta: list | None = None) -> SpinorCalc:
@@ -261,7 +265,7 @@ def spinor_calc_light(md: MetricData, theta: list | None = None) -> SpinorCalc:
     None and ``conf_trace_second`` must not be called on it.
     """
     cd = christoffels(md)
-    return _make_calc(cd, theta, cd.christoffel, None)
+    return _make_calc(cd, theta, cd.christoffel, None, None)
 
 
 def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None = None,
@@ -335,15 +339,17 @@ def coframe_action(calc: SpinorCalc, chi: Jet) -> Jet:
                               _act(calc.rep.gamma, chi.c)))
 
 
-def conf_trace_second(calc: SpinorCalc, psi: Jet, weight: float | None = None) -> Jet:
+def conf_trace_second(calc: SpinorCalc, psi: Jet, weight: float | None = None,
+                      coord_fields: Jet | None = None) -> Jet:
     """-(D_{E_a}(D_{E_a} psi) - D_{W_a} psi) summed over a.
 
     W_a is the Weyl-connection derivative of the frame field E_a along
     itself; both spinor derivative applications use the same weight.
+    ``coord_fields``, when given, is ``covd_coord(calc, psi, weight)``.
     """
     n = calc.n
     E = calc.frame.E
-    Dc = covd_coord(calc, psi, weight)
+    Dc = covd_coord(calc, psi, weight) if coord_fields is None else coord_fields
     t2 = Dc.space.order - 1
     if t2 < 0:
         raise ValueError("conf_trace_second needs spinor jets of order >= 2")
@@ -364,9 +370,14 @@ def conf_trace_second(calc: SpinorCalc, psi: Jet, weight: float | None = None) -
     return Jet(sp, H - G)
 
 
-def dirac_composed(calc: SpinorCalc, psi: Jet, weight: float | None = None) -> Jet:
-    """Dirac^{(k-1)} Dirac^{(k)} psi (outer weight dropped by one)."""
-    first = dirac(calc, psi, weight)
+def dirac_composed(calc: SpinorCalc, psi: Jet, weight: float | None = None,
+                   coord_fields: Jet | None = None) -> Jet:
+    """Dirac^{(k-1)} Dirac^{(k)} psi (outer weight dropped by one).
+
+    ``coord_fields``, when given, is the inner derivative
+    ``covd_coord(calc, psi, weight)`` (Riemannian when ``weight`` is None).
+    """
+    first = dirac(calc, psi, weight, coord_fields=coord_fields)
     return dirac(calc, first, None if weight is None else weight - 1.0)
 
 
@@ -391,7 +402,10 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
     E = calc.frame.E
     th = calc.theta_c
 
-    dg2 = dirac_composed(calc, psi, None)  # Riemannian square
+    # Riemannian derivative, Dirac operator and square of psi
+    nab_full = covd_coord(calc, psi, riemannian=True)
+    dg1_full = dirac(calc, psi, None, coord_fields=nab_full)
+    dg2 = dirac(calc, dg1_full, None)
     sp = dg2.space
     psi2 = psi.c[:sp.m]
 
@@ -404,12 +418,11 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
     term_dth = tensor_mul(sp, "bp,bps->bs", dth_f[..., a, b], _act(rep.pairs, psi2))
 
     delth = codiff_oneform(md, calc.theta).c[:sp.m]
-    dg1 = dirac(calc, psi, None).c[:sp.m]
     term_thdg = tensor_mul(sp, "ba,bas->bs", calc.theta_frame.c[:sp.m],
-                           _act(rep.gamma, dg1))
+                           _act(rep.gamma, dg1_full.c[:sp.m]))
 
     # nabla_{theta sharp} psi (Riemannian), theta^sharp^i = g^{ij} theta_j
-    nab = covd_coord(calc, psi, riemannian=True).c[:sp.m]
+    nab = nab_full.c[:sp.m]
     sharp = tensor_mul(sp, "bij,bj->bi", jetlinalg.stack(md.ginv)[:sp.m], th.c[:sp.m])
     term_nab = tensor_mul(sp, "bi,bis->bs", sharp, nab)
 
@@ -425,24 +438,28 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
 # ---------------------------------------------------------------------------
 # identity residuals
 
-def lichnerowicz_I_residual(calc: SpinorCalc, psi: Jet):
+def lichnerowicz_I_residual(calc: SpinorCalc, psi: Jet, coord_fields: Jet | None = None):
     """Dirac-square minus trace-second minus quarter-Scal, at the
     distinguished weight (2 - n)/2.
 
     Returns (residual (N, batch) complex array, scale) with scale the
-    largest constituent term, for relative comparison.
+    largest constituent term, for relative comparison.  ``coord_fields``,
+    when given, is ``covd_coord(calc, psi, (2 - n)/2)``.
     """
     n = calc.n
     k = 0.5 * (2.0 - n)
-    d2 = spinor_values(dirac_composed(calc, psi, k))
-    tr = spinor_values(conf_trace_second(calc, psi, k))
+    if coord_fields is None:
+        coord_fields = covd_coord(calc, psi, k)
+    d2 = spinor_values(dirac_composed(calc, psi, k, coord_fields))
+    tr = spinor_values(conf_trace_second(calc, psi, k, coord_fields))
     quarter = 0.25 * calc.scal_weyl.value * spinor_values(psi)
     res = d2 - tr - quarter
     scale = max(np.max(np.abs(d2)), np.max(np.abs(tr)), np.max(np.abs(quarter)))
     return res, float(scale)
 
 
-def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet) -> dict:
+def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet,
+                             coord_fields: tuple | None = None) -> dict:
     """Pairing form of the identity, with its two sub-residuals.
 
     main:    h(D psi, D phi) + (1/4) Scal^D h(psi, phi)
@@ -456,17 +473,19 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet) -> dict:
     The divergences are taken with the background metric codifferential
     (the weight of the pairing makes the Weyl and metric
     codifferentials coincide there).  Returns per-point complex
-    residuals plus the scale of the largest term.
+    residuals plus the scale of the largest term.  ``coord_fields``, when
+    given, is the pair ``covd_coord`` of psi and of phi at weight (2 - n)/2.
     """
     n = calc.n
     md = calc.md
     k = 0.5 * (2.0 - n)
+    if coord_fields is None:
+        coord_fields = (covd_coord(calc, psi, k), covd_coord(calc, phi, k))
+    Dc_psi, Dc_phi = coord_fields
     psi0 = psi.value
-    h_tr = _h_values(psi0, conf_trace_second(calc, phi, k).value)
-    h_d2 = _h_values(psi0, dirac_composed(calc, phi, k).value)
+    h_tr = _h_values(psi0, conf_trace_second(calc, phi, k, Dc_phi).value)
+    h_d2 = _h_values(psi0, dirac_composed(calc, phi, k, Dc_phi).value)
 
-    Dc_psi = covd_coord(calc, psi, k)
-    Dc_phi = covd_coord(calc, phi, k)
     sp = Dc_psi.space
     F_psi = covd_frame(calc, psi, k, coord_fields=Dc_psi)
     F_phi = covd_frame(calc, phi, k, coord_fields=Dc_phi)
@@ -502,11 +521,13 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet) -> dict:
     }
 
 
-def norm_identity_residual(calc: SpinorCalc, psi: Jet, direction) -> np.ndarray:
+def norm_identity_residual(calc: SpinorCalc, psi: Jet, direction,
+                           coord_fields: Jet | None = None) -> np.ndarray:
     """d|psi|^2(X) - 2 Re h(D_X psi, psi) - (n-2) theta(X) |psi|^2.
 
     ``direction`` is a constant coordinate coefficient vector; the
-    weight is the distinguished (2-n)/2.
+    weight is the distinguished (2-n)/2, and ``coord_fields``, when
+    given, is ``covd_coord(calc, psi, (2 - n)/2)``.
     """
     n = calc.n
     k = 0.5 * (2.0 - n)
@@ -514,7 +535,7 @@ def norm_identity_residual(calc: SpinorCalc, psi: Jet, direction) -> np.ndarray:
     nrm = h_jet(psi, psi)  # |psi|^2, real up to an exactly zero imaginary part
     lhs = sum(X[i] * nrm.derive(i).value.real for i in range(n))
 
-    Dc = covd_coord(calc, psi, k)
+    Dc = covd_coord(calc, psi, k) if coord_fields is None else coord_fields
     DX = np.einsum("i,bis->bs", X, Dc.value)
     rhs1 = 2.0 * np.real(_h_values(DX, psi.value))
 

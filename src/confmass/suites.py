@@ -28,10 +28,11 @@ from .config import LoadedConfig
 from .curvature import christoffels, codiff_oneform, curvature
 from .exprdsl import Call, Num, Var, eadd, emul
 from .jets import evaluate_jet, seed_point
-from .spinor import (SpinorFieldSpec, dirac_composed, dirac_squared_expansion,
-                     h_jet, lichnerowicz_I_residual, lichnerowicz_II_residual,
-                     make_spinor_spec, norm_identity_residual, spinor_calc,
-                     spinor_jets, spinor_values)
+from .spinor import (SpinorFieldSpec, covd_coord, dirac_composed,
+                     dirac_squared_expansion, h_jet, lichnerowicz_I_residual,
+                     lichnerowicz_II_residual, make_spinor_spec,
+                     norm_identity_residual, spinor_calc, spinor_jets,
+                     spinor_values)
 from .weyl import weyl_scalar
 
 __all__ = [
@@ -142,7 +143,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
     checks = []
     tol = TOLERANCES
 
-    cv = curvature(christoffels(md))
+    cv = calc.curv
     if theta is not None:
         wd = weyl_scalar(cv, theta, check_two_path=False)
         scal_weyl = wd.scal.value
@@ -174,13 +175,16 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
     spec_phi = random_spinor_spec(n, rng, k)
     psi = spinor_jets(spec_psi, coords, chart.params)
     phi = spinor_jets(spec_phi, coords, chart.params)
+    # D_i psi and D_i phi at weight k, shared by every residual below
+    Dpsi = covd_coord(calc, psi, k)
+    Dphi = covd_coord(calc, phi, k)
 
-    res, scale = lichnerowicz_I_residual(calc, psi)
+    res, scale = lichnerowicz_I_residual(calc, psi, Dpsi)
     checks.append(_check("lichnerowicz-first",
                          float(np.max(np.abs(res))) / scale,
                          tol["lichnerowicz_rel"]))
 
-    pairing = lichnerowicz_II_residual(calc, psi, phi)
+    pairing = lichnerowicz_II_residual(calc, psi, phi, (Dpsi, Dphi))
     sc = pairing["scale"]
     checks.append(_check("lichnerowicz-pairing",
                          float(np.max(np.abs(pairing["main"]))) / sc,
@@ -193,7 +197,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
                          tol["lichnerowicz_rel"]))
 
     if theta is not None:
-        d2 = spinor_values(dirac_composed(calc, psi, k))
+        d2 = spinor_values(dirac_composed(calc, psi, k, Dpsi))
         ex = spinor_values(dirac_squared_expansion(calc, psi, k))
         scale = max(1.0, float(np.max(np.abs(d2))))
         checks.append(_check("dirac-square-expansion",
@@ -202,7 +206,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
 
     direction = rng.normal(size=n)
     direction /= math.sqrt(float(np.sum(direction * direction)))
-    nres = norm_identity_residual(calc, psi, direction)
+    nres = norm_identity_residual(calc, psi, direction, Dpsi)
     nscale = max(1.0, float(np.max(np.abs(h_jet(psi, psi).value.real))))
     checks.append(_check("norm-identity",
                          float(np.max(np.abs(nres))) / nscale,
@@ -239,35 +243,42 @@ def clifford_battery(n: int, trials: int = 1000, seed: int = 42) -> dict:
                 for g in rep.gamma)
     checks.append(_check("clifford-anti-hermitian", worst, tol["clifford_exact"]))
 
-    # metric compatibility: h(x.psi, phi) + h(psi, x.phi) = 0
-    worst_c = 0.0
-    worst_w = 0.0
-    for _ in range(trials):
-        x = rng.normal(size=n)
-        x /= math.sqrt(float(np.sum(x * x)))
-        psi = rng.normal(size=rep.N) + 1j * rng.normal(size=rep.N)
-        psi /= math.sqrt(float(np.sum(np.abs(psi) ** 2)))
-        phi = rng.normal(size=rep.N) + 1j * rng.normal(size=rep.N)
-        phi /= math.sqrt(float(np.sum(np.abs(phi) ** 2)))
-        xpsi = clifford.mul_vector(rep, x, psi)
-        xphi = clifford.mul_vector(rep, x, phi)
-        worst_c = max(worst_c, abs(clifford.inner(rep, xpsi, phi)
-                                   + clifford.inner(rep, psi, xphi)))
+    def unit(a):
+        return a / np.sqrt(np.sum(np.abs(a) ** 2, axis=0))
 
-        # x . (omega . psi) = (x wedge omega) . psi - (x contract omega) . psi
-        p = int(rng.integers(1, n + 1))
-        omega = np.zeros((n,) * p)
-        for _k in range(3):
-            idxs = tuple(sorted(rng.choice(n, size=p, replace=False).tolist()))
-            clifford._fill_antisym(omega, idxs, float(rng.normal()))
-        nrm = math.sqrt(float(np.sum(omega * omega)))
-        if nrm > 0.0:
-            omega = omega / nrm
-        om_psi = clifford.mul_form(rep, p, omega, psi)
-        lhs = clifford.mul_vector(rep, x, om_psi)
-        rhs = -clifford.mul_form(rep, p - 1, clifford.contract(x, omega, p), psi)
-        if p + 1 <= n:
-            rhs = rhs + clifford.mul_form(rep, p + 1, clifford.wedge(x, omega, p), psi)
+    # every trial at once, one column each: unit x, psi, phi and a degree p
+    x = unit(rng.normal(size=(n, trials)))
+    psi = unit(rng.normal(size=(rep.N, trials)) + 1j * rng.normal(size=(rep.N, trials)))
+    phi = unit(rng.normal(size=(rep.N, trials)) + 1j * rng.normal(size=(rep.N, trials)))
+    degree = rng.integers(1, n + 1, size=trials)
+    # omega: three random increasing p-tuples (a repeated one overwrites)
+    # with normal coefficients, scaled to unit dense Frobenius norm
+    counts = np.array([math.comb(n, p) for p in range(n + 1)])
+    rows = rng.integers(0, counts[degree], size=(3, trials))
+    coefs = rng.normal(size=(3, trials))
+
+    # metric compatibility: h(x.psi, phi) + h(psi, x.phi) = 0
+    xpsi = clifford.mul_vector(rep, x, psi)
+    xphi = clifford.mul_vector(rep, x, phi)
+    worst_c = float(np.max(np.abs(clifford.inner(rep, xpsi, phi)
+                                  + clifford.inner(rep, psi, xphi))))
+
+    # x . (omega . psi) = (x wedge omega) . psi - (x contract omega) . psi,
+    # one batch per degree
+    worst_w = 0.0
+    for p in range(1, n + 1):
+        cols = np.flatnonzero(degree == p)
+        if not cols.size:
+            continue
+        omega = np.zeros((counts[p], cols.size))
+        for k in range(3):
+            omega[rows[k, cols], np.arange(cols.size)] = coefs[k, cols]
+        omega /= math.sqrt(math.factorial(p)) * np.sqrt(np.sum(omega * omega, axis=0))
+        xp, psip = x[:, cols], psi[:, cols]
+        lhs = clifford.mul_vector(rep, xp, clifford.mul_form(rep, p, omega, psip))
+        rhs = -clifford.mul_form(rep, p - 1, clifford.contract(xp, omega, p), psip)
+        if p < n:
+            rhs = rhs + clifford.mul_form(rep, p + 1, clifford.wedge(xp, omega, p), psip)
         worst_w = max(worst_w, float(np.max(np.abs(lhs - rhs))))
     checks.append(_check("clifford-pairing-compatibility", worst_c,
                          tol["clifford_identity"]))

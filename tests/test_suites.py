@@ -1,0 +1,81 @@
+"""Tests for what the identity battery computes once and shares: the base
+curvature, the order-2 spinor derivatives, and the Clifford trials."""
+
+import importlib
+import sys
+
+import numpy as np
+import pytest
+
+from confmass import clifford, spinor, suites
+from confmass.chart import make_chart
+
+# the package exports the function ``curvature`` under the module's name
+curvature = importlib.import_module("confmass.curvature")
+
+
+def spy(monkeypatch, module, name):
+    """Wrap ``module.name`` and every alias a confmass module bound to it;
+    returns the list of (args, kwargs) of the calls made."""
+    fn = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fn(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "confmass" or key.startswith("confmass."):
+            for alias, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, alias, wrapper)
+    return calls
+
+
+def flat_chart(n):
+    return make_chart(n=n, tau=0.5 * (n - 2) + 0.25, r_min=1.0, metric={})
+
+
+@pytest.mark.parametrize("cfg", ["lee_cfg", "p4_cfg", "flat_cfg"])
+def test_base_curvature_built_once(monkeypatch, request, cfg):
+    # once for the base sample (inside spinor_calc), once for the
+    # conformally rescaled chart
+    chart = request.getfixturevalue(cfg).chart
+    chr_calls = spy(monkeypatch, curvature, "christoffels")
+    cur_calls = spy(monkeypatch, curvature, "curvature")
+    assert suites.identity_battery(chart, points=4)["pass"]
+    assert len(chr_calls) == 2
+    assert len(cur_calls) == 2
+
+
+def test_order_two_derivatives_computed_once(monkeypatch, p4_cfg):
+    # n = 4 with a Lee form: 2 shared fields, 5 in each Lichnerowicz
+    # residual (the outer Dirac step and the n trace-second fields), 1 in
+    # the weighted Dirac square and 2 in its Riemannian expansion
+    calls = spy(monkeypatch, spinor, "covd_coord")
+    assert suites.identity_battery(p4_cfg.chart, points=4)["pass"]
+    keys = []
+    for args, kwargs in calls:
+        bound = dict(zip(("calc", "psi", "weight", "riemannian"), args), **kwargs)
+        keys.append((id(bound["psi"]), bound.get("weight"), bound.get("riemannian", False)))
+    assert len(set(keys)) == len(keys)  # the fields stay alive in ``calls``
+    assert len(calls) == 15
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_identity_report_clifford_checks_run_1000_trials(monkeypatch, n):
+    widths = []
+    mul_vector = clifford.mul_vector
+
+    def counting(rep, v, psi):
+        widths.append(np.shape(v)[1])
+        return mul_vector(rep, v, psi)
+
+    monkeypatch.setattr(clifford, "mul_vector", counting)
+    out = suites.identity_battery(flat_chart(n), points=2)
+    names = [c["name"] for c in out["checks"]]
+    assert "clifford-pairing-compatibility" in names
+    assert "clifford-wedge-contract" in names
+    # x.psi and x.phi on every trial, then x.(omega.psi) once per degree
+    assert widths[:2] == [1000, 1000]
+    assert sum(widths[2:]) == 1000 and len(widths[2:]) <= n

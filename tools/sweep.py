@@ -5,11 +5,14 @@
 Runs ``python -m confmass <command> <config>`` for the 7 commands and the
 bundled configs of TREE (default: the checkout this script sits in), once
 with TREE/src and once with PARENT_TREE/src on PYTHONPATH, one process at
-a time.  For each pair it prints both exit codes, every ``pass`` verdict
-that changed, report keys added or removed, and the largest relative
-drift of any float leaf with its JSON path; at the end, the largest drift
-per leaf name (``limit``, ``error``, ``value``, ...) over all pairs.  It
-sets no bounds and always exits 0 once both sweeps have run.
+a time.  For each pair it prints both exit codes, ``stdout identical``
+when the two outputs match byte for byte, and otherwise every ``pass``
+verdict that changed, report keys added or removed, and the largest
+relative drift of any float leaf with its JSON path; at the end, the
+largest drift per leaf name (``limit``, ``error``, ...) over all pairs,
+where a leaf of a named list item goes by that name as well
+(``clifford-wedge-contract.value``).  It sets no bounds and always exits
+0 once both sweeps have run.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ def bundled_configs(tree: str) -> list:
 
 
 def run(tree: str, command: str, config: str) -> tuple:
-    """Exit code and parsed JSON report (None when stdout is not one)."""
+    """Exit code, stdout and parsed JSON report (None when stdout is not one)."""
     src = os.path.join(os.path.abspath(tree), "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "confmass", command, config],
@@ -39,7 +42,7 @@ def run(tree: str, command: str, config: str) -> tuple:
         report = json.loads(proc.stdout)
     except json.JSONDecodeError:
         report = None
-    return proc.returncode, report
+    return proc.returncode, proc.stdout, report
 
 
 def leaves(node, path: str = "") -> dict:
@@ -72,6 +75,21 @@ def leaf_name(path: str) -> str:
     return path.rsplit(".", 1)[-1].split("[", 1)[0]
 
 
+def summary_name(path: str) -> str:
+    """Leaf name, prefixed with the name of the list item holding it."""
+    head, _, _ = path.rpartition(".")
+    if head.endswith("]"):
+        depth = 0
+        for i in range(len(head) - 1, -1, -1):
+            depth += {"]": 1, "[": -1}.get(head[i], 0)
+            if depth == 0:
+                item = head[i + 1:-1]
+                if not item.isdigit():
+                    return f"{item}.{leaf_name(path)}"
+                break
+    return leaf_name(path)
+
+
 def compare(old: dict, new: dict, worst_by_name: dict, label: str) -> list:
     """Lines describing the differences between two reports."""
     a, b = leaves(old), leaves(new)
@@ -88,7 +106,7 @@ def compare(old: dict, new: dict, worst_by_name: dict, label: str) -> list:
             d = rel_drift(x, y)
             if d > worst[0]:
                 worst = (d, p, x, y)
-            name = leaf_name(p)
+            name = summary_name(p)
             if d > worst_by_name.get(name, (0.0,))[0]:
                 worst_by_name[name] = (d, f"{label} {p}: {x!r} -> {y!r}")
     if worst[1] is not None:
@@ -107,9 +125,12 @@ def main(argv=None) -> int:
     for config in bundled_configs(args.tree):
         for command in COMMANDS:
             label = f"{command} {config}"
-            code_old, old = run(args.parent, command, config)
-            code_new, new = run(args.tree, command, config)
+            code_old, out_old, old = run(args.parent, command, config)
+            code_new, out_new, new = run(args.tree, command, config)
             print(f"{label}: exit {code_old} -> {code_new}")
+            if out_old == out_new:
+                print("  stdout identical")
+                continue
             if old is None or new is None:
                 print(f"  report: {'none' if old is None else 'json'} -> "
                       f"{'none' if new is None else 'json'}")
