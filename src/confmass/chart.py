@@ -9,8 +9,10 @@ EndSystem, each carrying a normalization weight a_l > 0.
 The jet front end lives here too: ``metric_jets`` evaluates g, its
 inverse and sqrt(det g) as jets at a point or point batch, checking
 positive definiteness of the value part (``metric_entry_jets`` gives g
-alone, unchecked), and ``lee_jets`` does the same for theta.  ``decay_scan`` estimates actual decay exponents along rays
-as a sanity check against the declared tau.
+alone, unchecked), and ``lee_jets`` does the same for theta.  Each
+tensor is one batched Jet (m, B, *index); a single point (n,) is a batch
+of one.  ``decay_scan`` estimates actual decay exponents along rays as a
+sanity check against the declared tau.
 """
 
 from __future__ import annotations
@@ -54,6 +56,11 @@ class MetricChart:
 
     def lee_source(self) -> list[str]:
         return [to_source(t) for t in self.lee]
+
+    @property
+    def has_lee(self) -> bool:
+        """False when every Lee component is the literal 0."""
+        return not all(isinstance(t, Num) and t.value == 0.0 for t in self.lee)
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,7 @@ def _validate_chart(chart: MetricChart):
     # positive definiteness probe on the sphere r = 8 r_min
     pts = 8.0 * chart.r_min * _probe_directions(chart.n)
     md = metric_jets(chart, pts, order=1, check_spd=False)
-    gv = np.moveaxis(jetlinalg.values(md.g), -1, 0)  # (16, n, n)
+    gv = md.g.value  # (16, n, n)
     if not np.all(np.isfinite(gv)):
         raise ChartError("metric evaluates to a non-finite value at an SPD probe point")
     for q in range(gv.shape[0]):
@@ -203,13 +210,18 @@ def samples_valid(chart: MetricChart, points: np.ndarray) -> bool:
 
 @dataclass
 class MetricData:
-    """Metric jets at one point (n,) or batch (n, B)."""
+    """Metric jets at a batch of B points ``points`` (n, B).
+
+    ``coords`` are the n coordinate jets (m, B) the entries were
+    evaluated on; ``g`` and ``ginv`` are (m, B, i, j), ``det`` and
+    ``sqrt_det`` are (m, B).
+    """
     chart: MetricChart
     space: JetSpace
     points: np.ndarray
     coords: list[Jet]
-    g: list[list[Jet]]
-    ginv: list[list[Jet]]
+    g: Jet
+    ginv: Jet
     det: Jet
     sqrt_det: Jet
 
@@ -222,28 +234,35 @@ class MetricData:
         return self.space.order
 
 
-def metric_entry_jets(chart: MetricChart, coords: list[Jet]) -> list[list[Jet]]:
-    """g_ij as jets over the coordinate jets ``coords``; each entry of the
-    upper triangle is evaluated once and shared with its mirror."""
-    g: list[list[Jet]] = [[None] * chart.n for _ in range(chart.n)]
-    for i in range(chart.n):
-        for j in range(i, chart.n):
-            g[i][j] = g[j][i] = jets.evaluate_jet(chart.metric[i][j], coords, chart.params)
-    return g
+def _batch(points) -> np.ndarray:
+    """Points as an (n, B) array; a single point (n,) is a batch of one."""
+    points = np.asarray(points, dtype=np.float64)
+    return points[:, None] if points.ndim == 1 else points
+
+
+def metric_entry_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
+    """g as one jet (m, B, i, j) over the coordinate jets ``coords``;
+    each entry of the upper triangle is evaluated once and mirrored."""
+    n = chart.n
+    g = np.empty(coords[0].c.shape + (n, n))
+    for i in range(n):
+        for j in range(i, n):
+            g[..., i, j] = g[..., j, i] = jets.evaluate_jet(
+                chart.metric[i][j], coords, chart.params).c
+    return Jet(coords[0].space, g)
 
 
 def metric_jets(chart: MetricChart, points, order: int = 2,
                 check_spd: bool = True) -> MetricData:
     """Evaluate g, g^{-1}, det g and sqrt(det g) as jets at ``points``."""
-    points = np.asarray(points, dtype=np.float64)
+    points = _batch(points)
     if points.shape[0] != chart.n:
         raise ChartError(f"points have {points.shape[0]} coordinates, chart has n={chart.n}")
     space, coords = jets.seed_point(points, order)
     g = metric_entry_jets(chart, coords)
 
     if check_spd:
-        gv = jetlinalg.values(g)
-        gm = np.moveaxis(gv, -1, 0) if gv.ndim == 3 else gv[None]
+        gm = g.value
         if not np.all(np.isfinite(gm)):
             raise ChartError("metric evaluates to a non-finite value")
         try:
@@ -253,9 +272,8 @@ def metric_jets(chart: MetricChart, points, order: int = 2,
                 try:
                     np.linalg.cholesky(gm[q])
                 except np.linalg.LinAlgError:
-                    pt = points[:, q] if points.ndim == 2 else points
                     raise ChartError(
-                        f"metric is not positive definite at {np.asarray(pt).tolist()}") from None
+                        f"metric is not positive definite at {points[:, q].tolist()}") from None
 
     ginv = jetlinalg.mat_inv(g)
     det = jetlinalg.mat_det(g)
@@ -265,12 +283,13 @@ def metric_jets(chart: MetricChart, points, order: int = 2,
 
 
 def lee_jets(chart: MetricChart, points, order: int = 2,
-             coords: list[Jet] | None = None) -> list[Jet]:
-    """Lee-form component jets at ``points`` (reuses coordinate jets if given)."""
+             coords: list[Jet] | None = None) -> Jet:
+    """The Lee form as one jet (m, B, i) at ``points`` (reuses the
+    coordinate jets ``coords`` if given)."""
     if coords is None:
-        points = np.asarray(points, dtype=np.float64)
-        _, coords = jets.seed_point(points, order)
-    return [jets.evaluate_jet(t, coords, chart.params) for t in chart.lee]
+        _, coords = jets.seed_point(_batch(points), order)
+    return Jet(coords[0].space, np.stack(
+        [jets.evaluate_jet(t, coords, chart.params).c for t in chart.lee], axis=-1))
 
 
 # ---------------------------------------------------------------------------

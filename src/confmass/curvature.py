@@ -7,15 +7,25 @@ one, and mixed-order products are truncated to the lower order first.
 
 Index conventions
 -----------------
-* ``christoffel[k][i][j]``  is Gamma^k_ij (symmetric in i, j).
-* ``riemann[l][k][i][j]``   is the dx^l component of R(e_i, e_j) e_k.
-* ``ricci[i][j]``           contracts riemann over l paired with i.
-* ``scal``                  is g^{ij} ricci[i][j]; positive on round
-  spheres (and on conformally flat g = u^4 delta in three dimensions it
-  equals +8 u^{-5} laplacian(u) with the sign convention below, which
-  the tests pin numerically).
+Each tensor is one Jet whose coefficient array is (m, B, *index): the
+jet axis, the batch of B points, then the tensor indices in the order
+named here.  ``Jet.grad`` puts a new derivative index d_v right after
+the batch axis.
+
+* ``christoffel`` (m, B, k, i, j) is Gamma^k_ij (symmetric in i, j).
+* ``riemann`` (m, B, l, k, i, j) is the dx^l component of R(e_i, e_j) e_k.
+* ``ricci`` (m, B, i, j) contracts riemann over l paired with i.
+* ``scal`` (m, B) is g^{ij} ricci_ij; positive on round spheres (and on
+  conformally flat g = u^4 delta in three dimensions it equals
+  +8 u^{-5} laplacian(u) with the sign convention below, which the
+  tests pin numerically).
+* a one-form theta is (m, B, i).
 * ``codiff_oneform`` is the negative divergence, so ``laplacian`` is
   codiff after d and takes x1^2 to -2 on the flat metric.
+
+Every sum over an index adds one value at a time in index order
+(``jets.tensor_dot`` or an explicit fold), so each point's result is
+bitwise the same whatever batch it is computed in.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import MetricData
-from .jets import Jet
+from .jets import Jet, tensor_dot, tensor_mul
 
 __all__ = [
     "ConnectionData",
@@ -36,12 +46,7 @@ __all__ = [
     "trace_covd_oneform",
     "codiff_oneform",
     "laplacian",
-    "gradient_vector",
 ]
-
-
-def _zero_like(j: Jet) -> Jet:
-    return Jet(j.space, np.zeros_like(j.c))
 
 
 @dataclass
@@ -49,11 +54,11 @@ class ConnectionData:
     """Christoffel symbols of a metric sample, one jet order below it."""
 
     md: MetricData
-    christoffel: list  # [k][i][j] -> Jet of order K-1
+    christoffel: Jet  # (m, B, k, i, j)
 
     @property
     def order(self) -> int:
-        return self.christoffel[0][0][0].space.order
+        return self.christoffel.space.order
 
 
 @dataclass
@@ -61,9 +66,9 @@ class CurvatureData:
     """Riemann/Ricci/scalar curvature jets, two orders below the metric."""
 
     cd: ConnectionData
-    riemann: list  # [l][k][i][j] -> Jet of order K-2
-    ricci: list  # [i][j] -> Jet
-    scal: Jet
+    riemann: Jet  # (m, B, l, k, i, j)
+    ricci: Jet  # (m, B, i, j)
+    scal: Jet  # (m, B)
 
     @property
     def order(self) -> int:
@@ -72,156 +77,84 @@ class CurvatureData:
 
 def christoffels(md: MetricData) -> ConnectionData:
     """Gamma^k_ij = g^{kl} (d_i g_jl + d_j g_il - d_l g_ij) / 2."""
-    n = md.chart.n
     K = md.space.order
     if K < 1:
         raise ValueError("christoffels needs jet order >= 1")
-    # dg[i][j][v] = d_v g_ij at order K-1; g is stored with shared
-    # mirror objects, so only the upper triangle is differentiated.
-    dg = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            d = [md.g[i][j].derive(v) for v in range(n)]
-            dg[i][j] = d
-            dg[j][i] = d
-    ginv = [[md.ginv[k][l].truncate(K - 1) for l in range(n)] for k in range(n)]
-
-    gam = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            low = [0.5 * (dg[j][l][i] + dg[i][l][j] - dg[i][j][l]) for l in range(n)]
-            for k in range(n):
-                acc = ginv[k][0] * low[0]
-                for l in range(1, n):
-                    acc = acc + ginv[k][l] * low[l]
-                gam[k][i][j] = acc
-                gam[k][j][i] = acc
-    return ConnectionData(md=md, christoffel=gam)
+    dg = md.g.grad()  # [v, i, j] = d_v g_ij
+    sp = dg.space
+    D = dg.c
+    low = 0.5 * (np.einsum("zbijl->zblij", D) + np.einsum("zbjil->zblij", D) - D)
+    ginv = md.ginv.c[:sp.m]
+    # one k at a time, so each jet product is (P, B, i, j)
+    gam = np.empty_like(low)
+    for k in range(md.n):
+        gam[:, :, k] = tensor_dot(sp, "bl,blij->bij", ginv[:, :, k], low)
+    return ConnectionData(md=md, christoffel=Jet(sp, gam))
 
 
 def curvature(cd: ConnectionData) -> CurvatureData:
     """Riemann, Ricci, and scalar curvature from the Christoffel jets.
 
-    riemann[l][k][i][j] = d_i G^l_jk - d_j G^l_ik
-                          + G^l_im G^m_jk - G^l_jm G^m_ik
+    riemann^l_kij = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
     """
-    md = cd.md
-    n = md.chart.n
-    gam = cd.christoffel
-    Kc = cd.order
-    if Kc < 1:
+    n = cd.md.n
+    if cd.order < 1:
         raise ValueError("curvature needs metric jet order >= 2")
-    tgt = Kc - 1
+    sp = cd.christoffel.space.lower(cd.order - 1)
+    G = cd.christoffel.c[:sp.m]
 
-    dgam = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for l in range(n):
-        for a in range(n):
-            for b in range(a, n):
-                d = [gam[l][a][b].derive(v) for v in range(n)]
-                dgam[l][a][b] = d
-                dgam[l][b][a] = d
-    g2 = [[[gam[l][a][b].truncate(tgt) for b in range(n)] for a in range(n)]
-          for l in range(n)]
+    # d_i G^l_jk at [l, k, i, j], then the quadratic terms one m at a time
+    T = np.einsum("zbiljk->zblkij", cd.christoffel.grad().c)
+    riem = T - np.swapaxes(T, -1, -2)
+    for m in range(n):
+        Q = tensor_mul(sp, "bli,bjk->blkij", G[:, :, :, :, m], G[:, :, m])
+        riem = riem + (Q - np.swapaxes(Q, -1, -2))
 
-    zero = _zero_like(dgam[0][0][0][0])
-    riem = [[[[zero] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    acc = dgam[l][j][k][i] - dgam[l][i][k][j]
-                    for m in range(n):
-                        acc = acc + (g2[l][i][m] * g2[m][j][k]
-                                     - g2[l][j][m] * g2[m][i][k])
-                    riem[l][k][i][j] = acc
-                    riem[l][k][j][i] = -acc
-
-    ric = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = riem[0][j][0][i]
-            for l in range(1, n):
-                acc = acc + riem[l][j][l][i]
-            ric[i][j] = acc
-
-    ginv = [[md.ginv[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
-    scal = None
-    for i in range(n):
-        for j in range(n):
-            t = ginv[i][j] * ric[i][j]
-            scal = t if scal is None else scal + t
-    return CurvatureData(cd=cd, riemann=riem, ricci=ric, scal=scal)
+    ric = riem[:, :, 0, :, 0, :]
+    for l in range(1, n):
+        ric = ric + riem[:, :, l, :, l, :]
+    ric = np.swapaxes(ric, -1, -2)
+    scal = tensor_dot(sp, "bij,bij->b", cd.md.ginv.c[:sp.m], ric)
+    return CurvatureData(cd=cd, riemann=Jet(sp, riem), ricci=Jet(sp, ric),
+                         scal=Jet(sp, scal))
 
 
-def covd_oneform(cd: ConnectionData, theta: list) -> list:
-    """nabla_i theta_j = d_i theta_j - Gamma^k_ij theta_k.
+def covd_oneform(cd: ConnectionData, theta: Jet) -> Jet:
+    """nabla_i theta_j = d_i theta_j - Gamma^k_ij theta_k, as (m, B, i, j).
 
     Returned at one order below ``theta`` (bounded by the Christoffel
     order).
     """
-    n = cd.md.chart.n
-    q = theta[0].space.order
-    tgt = min(q - 1, cd.order)
-    th = [t.truncate(tgt) for t in theta]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = theta[j].derive(i).truncate(tgt)
-            for k in range(n):
-                acc = acc - cd.christoffel[k][i][j].truncate(tgt) * th[k]
-            out[i][j] = acc
-    return out
+    sp = theta.space.lower(min(theta.space.order - 1, cd.order))
+    th = theta.c[:sp.m]
+    G = cd.christoffel.c[:sp.m]
+    out = theta.grad().c[:sp.m]
+    for k in range(cd.md.n):
+        out = out - tensor_mul(sp, "bij,b->bij", G[:, :, k], th[:, :, k])
+    return Jet(sp, out)
 
 
-def trace_covd_oneform(cd: ConnectionData, theta: list) -> Jet:
+def trace_covd_oneform(cd: ConnectionData, theta: Jet) -> Jet:
     """g^{ij} nabla_i theta_j; equals -codiff_oneform on the same data."""
-    n = cd.md.chart.n
     nab = covd_oneform(cd, theta)
-    tgt = nab[0][0].space.order
-    ginv = [[cd.md.ginv[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            t = ginv[i][j] * nab[i][j]
-            acc = t if acc is None else acc + t
-    return acc
+    sp = nab.space
+    return Jet(sp, tensor_dot(sp, "bij,bij->b", cd.md.ginv.c[:sp.m], nab.c))
 
 
-def codiff_oneform(md: MetricData, theta: list) -> Jet:
+def codiff_oneform(md: MetricData, theta: Jet) -> Jet:
     """delta theta = -(det g)^{-1/2} d_i ((det g)^{1/2} g^{ij} theta_j)."""
-    n = md.chart.n
-    q = theta[0].space.order
+    sp = theta.space
+    q = sp.order
     if q < 1:
         raise ValueError("codiff needs jet order >= 1")
-    w = md.sqrt_det.truncate(q)
-    ginv = [[md.ginv[i][j].truncate(q) for j in range(n)] for i in range(n)]
-    acc = None
-    for i in range(n):
-        vi = ginv[i][0] * theta[0]
-        for j in range(1, n):
-            vi = vi + ginv[i][j] * theta[j]
-        term = (w * vi).derive(i)
-        acc = term if acc is None else acc + term
-    return -(acc / md.sqrt_det.truncate(q - 1))
+    v = tensor_dot(sp, "bij,bj->bi", md.ginv.c[:sp.m], theta.c)
+    dv = Jet(sp, tensor_mul(sp, "b,bi->bi", md.sqrt_det.c[:sp.m], v)).grad()
+    div = dv.c[:, :, 0, 0]
+    for i in range(1, md.n):
+        div = div + dv.c[:, :, i, i]
+    return -(Jet(dv.space, div) / md.sqrt_det.truncate(q - 1))
 
 
 def laplacian(md: MetricData, f: Jet) -> Jet:
     """Lap f = codiff(df); equals -div grad, so Lap(x1^2) = -2 when flat."""
-    n = md.chart.n
-    df = [f.derive(j) for j in range(n)]
-    return codiff_oneform(md, df)
-
-
-def gradient_vector(md: MetricData, f: Jet) -> list:
-    """(grad f)^i = g^{ij} d_j f at one order below f."""
-    n = md.chart.n
-    df = [f.derive(j) for j in range(n)]
-    tgt = df[0].space.order
-    ginv = [[md.ginv[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
-    out = []
-    for i in range(n):
-        acc = ginv[i][0] * df[0]
-        for j in range(1, n):
-            acc = acc + ginv[i][j] * df[j]
-        out.append(acc)
-    return out
+    return codiff_oneform(md, f.grad())

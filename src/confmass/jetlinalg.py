@@ -1,9 +1,9 @@
 """Linear algebra over the jet ring for small (n <= 8) matrices.
 
-Matrices are nested lists of Jet sharing one JetSpace.  ``mat_inv`` and
-``spd_sqrt`` stack their argument into one coefficient array of shape
-(m, B, n, n) and solve it in a single pass over the Taylor grades
-(Higham, *Functions of Matrices*, SIAM 2008, sec. 6.1):
+A matrix is one batched Jet whose coefficient array is (m, B, n, n): the
+jet axis, the batch of B points, then row and column.  ``mat_inv`` and
+``spd_sqrt`` return the same layout and solve in a single pass over the
+Taylor grades (Higham, *Functions of Matrices*, SIAM 2008, sec. 6.1):
 
 * the value part (grade 0) is factored once with LAPACK: ``inv`` for
   the inverse, ``eigh`` for the square root;
@@ -33,50 +33,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, JetSpace
+from .jets import Jet, JetSpace, tensor_mul
 
-__all__ = ["mat_inv", "mat_det", "spd_sqrt", "values", "stack", "unstack"]
-
-
-def values(A) -> np.ndarray:
-    """Value parts as an ndarray of shape (n, n) or (n, n, B)."""
-    return np.array([[A[i][j].value for j in range(len(A[0]))] for i in range(len(A))])
-
-
-def _coeffs(M):
-    return M.c if isinstance(M, Jet) else [_coeffs(x) for x in M]
-
-
-def _first(M) -> Jet:
-    while not isinstance(M, Jet):
-        M = M[0]
-    return M
-
-
-def stack(M) -> np.ndarray:
-    """Coefficients of a nested list of jets as one (m, B, *index) array.
-
-    Unbatched jets (coefficients of shape (m,)) get a batch axis of 1.
-    """
-    C = np.array(_coeffs(M))
-    if _first(M).c.ndim == 1:
-        C = C[..., None]
-    k = C.ndim - 2
-    return np.moveaxis(C, (k, k + 1), (0, 1))
-
-
-def unstack(space: JetSpace, C: np.ndarray, batched: bool = True):
-    """Inverse of :func:`stack`: a nested list of jets, one per index."""
-    C = np.ascontiguousarray(np.moveaxis(C, (0, 1), (-2, -1)))
-    if not batched:
-        C = C[..., 0]
-
-    def build(block):
-        if block.ndim == (2 if batched else 1):
-            return Jet(space, block)
-        return [build(b) for b in block]
-
-    return build(C)
+__all__ = ["mat_inv", "mat_det", "spd_sqrt"]
 
 
 def _mm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -117,27 +76,22 @@ def _graded(C: np.ndarray, space: JetSpace, X0: np.ndarray, solve,
     return X
 
 
-def mat_inv(A) -> list[list[Jet]]:
+def mat_inv(A: Jet) -> Jet:
     """Jet inverse X of A, A X = I: LAPACK on the value part, then
     X_g = -A_0^-1 sum_{a+b=g, a!=0} A_a X_b grade by grade."""
-    head = _first(A)
-    C = stack(A)
-    inv0 = np.linalg.inv(C[0])
-    X = _graded(C, head.space, inv0, lambda Ag, conv: -_mm(inv0, conv),
-                nonzero_right=False)
-    return unstack(head.space, X, head.c.ndim == 2)
+    inv0 = np.linalg.inv(A.value)
+    return Jet(A.space, _graded(A.c, A.space, inv0, lambda Ag, conv: -_mm(inv0, conv),
+                                nonzero_right=False))
 
 
-def spd_sqrt(A) -> list[list[Jet]]:
+def spd_sqrt(A: Jet) -> Jet:
     """Jet principal square root S of an SPD jet matrix, S S = A.
 
     ``eigh`` of the value part gives S_0 = Q diag(sqrt l) Q^T; each grade
     then solves S_0 S_g + S_g S_0 = A_g - sum_{a+b=g, a,b!=0} S_a S_b,
     which in the eigenbasis is a division by sqrt(l_i) + sqrt(l_j).
     """
-    head = _first(A)
-    C = stack(A)
-    lam, Q = np.linalg.eigh(C[0])
+    lam, Q = np.linalg.eigh(A.value)
     if not np.all(lam > 0.0):
         raise ArithmeticError("matrix square root needs a positive definite value part")
     root = np.sqrt(lam)
@@ -148,21 +102,18 @@ def spd_sqrt(A) -> list[list[Jet]]:
         rhs = Ag if conv is None else Ag - conv
         return _mm(_mm(Q, _mm(_mm(QT, rhs), Q) / denom), QT)
 
-    S = _graded(C, head.space, _mm(Q * root[..., None, :], QT), solve,
-                nonzero_right=True)
-    return unstack(head.space, S, head.c.ndim == 2)
+    return Jet(A.space, _graded(A.c, A.space, _mm(Q * root[..., None, :], QT), solve,
+                                nonzero_right=True))
 
 
-def mat_det(A) -> Jet:
-    """Determinant by elimination (product of pivots; no pivoting)."""
-    n = len(A)
-    M = [[A[i][j] for j in range(n)] for i in range(n)]
-    det = None
-    for col in range(n):
-        piv = M[col][col]
-        det = piv if det is None else det * piv
-        for row in range(col + 1, n):
-            f = M[row][col] / piv
-            for j in range(col + 1, n):
-                M[row][j] = M[row][j] - f * M[col][j]
+def mat_det(A: Jet) -> Jet:
+    """Determinant by elimination (product of pivots; no pivoting); each
+    step eliminates a whole column below its pivot at once."""
+    sp = A.space
+    M = A.c.copy()
+    det = Jet(sp, M[:, :, 0, 0])
+    for col in range(M.shape[-1] - 1):
+        f = Jet(sp, M[:, :, col + 1:, col]) / Jet(sp, M[:, :, col, col, None])
+        M[:, :, col + 1:, col + 1:] -= tensor_mul(sp, "br,bc->brc", f.c, M[:, :, col, col + 1:])
+        det = det * Jet(sp, M[:, :, col + 1, col + 1])
     return det

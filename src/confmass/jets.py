@@ -9,14 +9,15 @@ polynomial with the value-free part of the argument.
 
 Coefficients are numpy arrays of shape (m,) for a single point or (m, B)
 for a batch of B points, where m = C(nvars + order, order); further
-trailing axes (a whole tensor stacked into one array) pass through the
-ring operations, ``derive`` and ``tensor_mul`` unchanged.  Coefficients
-may be complex: a spinor field is one jet of shape (m, B, N) with the
-spinor axis trailing, and ``tensor_mul`` pairs it with real tensor jets
-or with another spinor (see ``spinor``).  All batched
-kernels are plain vectorized numpy with fixed iteration order (the
-multiplication uses a precomputed pair table and np.add.reduceat), so
-results are bitwise reproducible and independent of threading.
+trailing axes (a whole tensor stacked into one array, (m, B, *index))
+pass through the ring operations, ``derive``, ``grad``, ``tensor_mul``
+and ``tensor_dot`` unchanged.  Coefficients may be complex: a spinor
+field is one jet of shape (m, B, N) with the spinor axis trailing, and
+``tensor_mul`` pairs it with real tensor jets or with another spinor
+(see ``spinor``).  All batched kernels are plain vectorized numpy with
+fixed iteration order (the multiplication uses a precomputed pair table
+and np.add.reduceat), so results are bitwise reproducible and
+independent of threading.
 
 Two invariants worth spelling out:
 
@@ -46,7 +47,7 @@ from .exprdsl import (BinOp, Call, COORD_RE, EvalError, ExprAst, Neg, Num,
 __all__ = [
     "JetSpace", "Jet", "seed_point", "seed_constant", "partial",
     "jet_sqrt", "jet_exp", "jet_log", "jet_sin", "jet_cos", "jet_atan",
-    "jet_powc", "evaluate_jet", "tensor_mul",
+    "jet_powc", "evaluate_jet", "tensor_mul", "tensor_dot",
 ]
 
 MAX_ORDER = 3
@@ -179,6 +180,12 @@ class Jet:
         c = self.c[src] * fac.reshape((-1,) + (1,) * (self.c.ndim - 1))
         return Jet(sp, c)
 
+    def grad(self) -> "Jet":
+        """Jet of every first partial d f / d x_v, one order lower, on a
+        batched jet (m, B, *index): the result is (m', B, v, *index)."""
+        parts = [self.derive(v).c for v in range(self.space.nvars)]
+        return Jet(self.space.lower(self.space.order - 1), np.stack(parts, axis=2))
+
     def copy(self) -> "Jet":
         return Jet(self.space, self.c.copy())
 
@@ -273,6 +280,31 @@ def tensor_mul(space: JetSpace, subscripts: str, x: np.ndarray,
     ys, out = rest.split("->")
     conv = np.einsum(f"z{xs},z{ys}->z{out}", x[space._mul_i], y[space._mul_j])
     return np.add.reduceat(conv, space._mul_starts, axis=0)
+
+
+def tensor_dot(space: JetSpace, subscripts: str, x: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
+    """``tensor_mul`` with the summed indices added in a fixed order.
+
+    Every index of the inputs that the output leaves out is summed by a
+    loop over its values (the last such index fastest), one elementwise
+    jet product per value.  Each output entry is then the same sequence
+    of roundings whatever the batch, where a reduction inside
+    ``np.einsum`` may regroup with the shape of its operands.
+    """
+    xs, rest = subscripts.split(",")
+    ys, out = rest.split("->")
+    summed = [c for c in dict.fromkeys(xs + ys) if c not in out]
+    size = dict(zip(xs + ys, x.shape[1:] + y.shape[1:]))
+    kx, ky = ("".join(c for c in s if c not in summed) for s in (xs, ys))
+    acc = None
+    for at in itertools.product(*(range(size[c]) for c in summed)):
+        pick = dict(zip(summed, at))
+        xv = x[(slice(None),) + tuple(pick.get(c, slice(None)) for c in xs)]
+        yv = y[(slice(None),) + tuple(pick.get(c, slice(None)) for c in ys)]
+        term = tensor_mul(space, f"{kx},{ky}->{out}", xv, yv)
+        acc = term if acc is None else acc + term
+    return acc
 
 
 # ---------------------------------------------------------------------------

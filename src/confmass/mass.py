@@ -46,9 +46,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import exprdsl, util
-from .chart import (End, EndSystem, MetricChart, conformal_rescale, metric_entry_jets,
-                    metric_jets)
-from .jets import evaluate_jet, seed_point
+from .chart import (End, EndSystem, MetricChart, conformal_rescale, lee_jets,
+                    metric_entry_jets, metric_jets)
+from .jets import seed_point
 from .spinor import (SpinorFieldSpec, coframe_action, covd_coord, dirac,
                      spinor_calc_light, spinor_jets)
 
@@ -274,15 +274,14 @@ def adm_flux(chart: MetricChart, r: float, measure: str = "euclidean",
     n = chart.n
 
     def integrand(Xc, nu):
-        g = metric_entry_jets(chart, seed_point(Xc, 1)[1])
-        dg = [[[g[i][j].derive(k).value for k in range(n)]
-               for j in range(n)] for i in range(n)]
-        acc = np.zeros(Xc.shape[1])
+        B = Xc.shape[1]
+        dg = metric_entry_jets(chart, seed_point(Xc, 1)[1]).grad().value  # [b, k, i, j]
+        s = np.zeros((B, n))  # s_j = sum_i d_i g_ij - d_j g_ii
+        for i in range(n):
+            s = s + dg[:, i, i, :] - dg[:, :, i, i]
+        acc = np.zeros(B)
         for j in range(n):
-            sj = np.zeros(Xc.shape[1])
-            for i in range(n):
-                sj = sj + dg[i][j][i] - dg[i][i][j]
-            acc = acc + sj * nu[j]
+            acc = acc + s[:, j] * nu[j]
         return acc
 
     return float(_flux(chart, r, integrand, measure, orders))
@@ -352,21 +351,17 @@ def witten_flux(chart: MetricChart, spec: SpinorFieldSpec | Sequence[SpinorField
     """
     n = chart.n
     k = 0.5 * (2.0 - n)
-    has_theta = not all(_is_zero(t) for t in chart.lee)
     single = isinstance(spec, SpinorFieldSpec)
     specs = [spec] if single else list(spec)
 
     def integrand(Xc, nu):
         B = Xc.shape[1]
         md = metric_jets(chart, Xc, order=1, check_spd=False)
-        _, coords = seed_point(Xc, 1)
-        theta = None
-        if has_theta:
-            theta = [evaluate_jet(t, coords, chart.params) for t in chart.lee]
+        theta = lee_jets(chart, Xc, coords=md.coords) if chart.has_lee else None
         calc = spinor_calc_light(md, theta)
         out = np.zeros((len(specs), B), dtype=np.complex128)
         for s, sp in enumerate(specs):
-            psi = spinor_jets(sp, coords, chart.params)
+            psi = spinor_jets(sp, md.coords, chart.params)
             Dc = covd_coord(calc, psi, k)
             cl = coframe_action(calc, dirac(calc, psi, k, coord_fields=Dc))
             omega = np.einsum("bs,bjs->bj", np.conj(psi.value), cl.value + Dc.value)
@@ -377,10 +372,6 @@ def witten_flux(chart: MetricChart, spec: SpinorFieldSpec | Sequence[SpinorField
     flux = _flux(chart, r, integrand, measure, orders, dtype=np.complex128)
     fluxes = [complex(f) for f in flux]
     return fluxes[0] if single else fluxes
-
-
-def _is_zero(ast) -> bool:
-    return isinstance(ast, exprdsl.Num) and ast.value == 0.0
 
 
 # ---------------------------------------------------------------------------

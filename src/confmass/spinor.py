@@ -10,15 +10,17 @@ trivialization.  The frame is E_a = columns of A^{-1/2} where A is the
 metric coefficient matrix, so "constant spinor" is meaningful and
 asymptotically constant data is literally constant.  Spinor-valued
 tensors put their tensor axes before the spinor axis: ``covd_coord``
-returns (m, B, n, N), the coordinate direction third.
+takes (m, B, ..., N) and returns (m, B, n, ..., N), the coordinate
+direction third.
 
 The frame data are real jets stacked the same way: ``E`` and ``S`` are
-(m, B, i, a), ``omega`` is (m, B, i, a, b).  Constant Clifford actions
-(gamma_a, gamma_a gamma_b) are ``np.einsum`` with the stacked matrices
-of :class:`clifford.CliffordRep`; every row of those matrices holds one
-entry 1, -1, i or -i, so they act exactly.  Products with real jets
-(omega, S, E, theta) and the hermitian pairing go through
-``jets.tensor_mul``.
+(m, B, i, a), ``omega`` is (m, B, i, a, b), as are the metric,
+connection and Lee-form jets of ``chart``, ``curvature`` and ``weyl``.
+Constant Clifford actions (gamma_a, gamma_a gamma_b) are ``np.einsum``
+with the stacked matrices of :class:`clifford.CliffordRep`; every row of
+those matrices holds one entry 1, -1, i or -i, so they act exactly.
+Products with real jets (omega, S, E, theta) and the hermitian pairing
+go through ``jets.tensor_mul``.
 
 Weighted derivative
 -------------------
@@ -173,22 +175,19 @@ def frame_spin_connection(md: MetricData, cd: ConnectionData | None = None) -> S
     (nabla_i E_a)^j = d_i E_ja + Gamma^j_im E_ma, at one order below the
     metric, as whole-array jet products over the stacked coefficients.
     """
-    n = md.chart.n
     if md.space.order < 1:
         raise ValueError("frame_spin_connection needs jet order >= 1")
     if cd is None:
         cd = christoffels(md)
     S = jetlinalg.spd_sqrt(md.g)
-    E = Jet(md.space, jetlinalg.stack(jetlinalg.mat_inv(S)))  # [z, b, j, a]
+    E = jetlinalg.mat_inv(S)  # [z, b, j, a]
 
-    sp = cd.christoffel[0][0][0].space
+    sp = cd.christoffel.space
     Et = E.c[:sp.m]
-    dE = np.stack([E.derive(i).c for i in range(n)], axis=2)
-    nab = dE + tensor_mul(sp, "bjim,bma->bija", jetlinalg.stack(cd.christoffel), Et)
-    gnab = tensor_mul(sp, "bjk,bija->bika", jetlinalg.stack(md.g)[:sp.m], nab)
+    nab = E.grad().c + tensor_mul(sp, "bjim,bma->bija", cd.christoffel.c, Et)
+    gnab = tensor_mul(sp, "bjk,bija->bika", md.g.c[:sp.m], nab)
     omega = tensor_mul(sp, "bika,bkc->biac", gnab, Et)
-    return SpinFrame(md=md, cd=cd, E=E, S=Jet(md.space, jetlinalg.stack(S)),
-                     omega=Jet(sp, omega))
+    return SpinFrame(md=md, cd=cd, E=E, S=S, omega=Jet(sp, omega))
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +197,19 @@ def frame_spin_connection(md: MetricData, cd: ConnectionData | None = None) -> S
 class SpinorCalc:
     """Everything needed to differentiate spinor fields on one sample.
 
-    ``theta`` is the Lee form as a list of jets (for the curvature and
-    Weyl helpers), ``theta_c`` the same stacked (m, B, i) and
-    ``theta_frame`` its frame components theta(E_b) (m, B, b).
-    ``weyl_gamma`` holds the vector-field connection used for the frame
-    correction in the second-derivative trace: the Weyl connection when
-    a Lee form is present, the Levi-Civita connection otherwise.
-    ``scal_weyl`` is the scalar curvature of that connection, and
-    ``curv`` the Levi-Civita curvature it was built from (both None on a
-    first-derivative-only calculator).
+    ``theta`` is the Lee form (m, B, i) and ``theta_frame`` its frame
+    components theta(E_b) (m, B, b), both None without a Lee form.
+    ``curv`` is the Levi-Civita curvature and ``weyl`` the Weyl data
+    built on it (None without a Lee form); both are None on a
+    first-derivative-only calculator.
     """
 
     frame: SpinFrame
     rep: clifford.CliffordRep
-    theta: list | None
-    theta_c: Jet | None
+    theta: Jet | None
     theta_frame: Jet | None
-    weyl_gamma: list
-    scal_weyl: Jet | None
     curv: CurvatureData | None
+    weyl: weylmod.WeylData | None
 
     @property
     def n(self) -> int:
@@ -226,52 +219,57 @@ class SpinorCalc:
     def md(self) -> MetricData:
         return self.frame.md
 
+    @property
+    def connection(self) -> Jet:
+        """The vector-field connection used for the frame correction in
+        the second-derivative trace: Weyl with a Lee form, else Levi-Civita."""
+        return self.frame.cd.christoffel if self.weyl is None else self.weyl.gamma
 
-def _make_calc(cd: ConnectionData, theta: list | None, weyl_gamma: list,
-               scal_weyl: Jet | None, curv: CurvatureData | None) -> SpinorCalc:
+    @property
+    def scal(self) -> Jet:
+        """Scalar curvature of ``connection`` (needs a full calculator)."""
+        return self.curv.scal if self.weyl is None else self.weyl.scal
+
+
+def _make_calc(cd: ConnectionData, theta: Jet | None, curv: CurvatureData | None,
+               weyl: weylmod.WeylData | None) -> SpinorCalc:
     """Frame, Clifford module and frame components theta(E_b) of the Lee form."""
-    md = cd.md
-    if md.points.ndim != 2:
-        raise ValueError("spinor calculus needs a batch of points (n, B)")
-    frame = frame_spin_connection(md, cd)
-    tc = tf = None
+    frame = frame_spin_connection(cd.md, cd)
+    tf = None
     if theta is not None:
-        sp = theta[0].space
-        tc = Jet(sp, jetlinalg.stack(theta))
-        tf = Jet(sp, tensor_mul(sp, "bj,bja->ba", tc.c, frame.E.truncate(sp.order).c))
-    return SpinorCalc(frame=frame, rep=clifford.build_rep(md.chart.n), theta=theta,
-                      theta_c=tc, theta_frame=tf, weyl_gamma=weyl_gamma,
-                      scal_weyl=scal_weyl, curv=curv)
+        sp = theta.space
+        tf = Jet(sp, tensor_mul(sp, "bj,bja->ba", theta.c, frame.E.truncate(sp.order).c))
+    return SpinorCalc(frame=frame, rep=clifford.build_rep(cd.md.n), theta=theta,
+                      theta_frame=tf, curv=curv, weyl=weyl)
 
 
-def spinor_calc(md: MetricData, theta: list | None = None,
+def spinor_calc(md: MetricData, theta: Jet | None = None,
                 check_two_path: bool = True) -> SpinorCalc:
     """Build the frame, connections, and curvature for spinor work."""
     if md.space.order < 2:
         raise ValueError("spinor calculus needs metric jets of order >= 2")
     cd = christoffels(md)
     cv = curvature(cd)
-    if theta is None:
-        return _make_calc(cd, None, cd.christoffel, cv.scal, cv)
-    wd = weylmod.weyl_scalar(cv, theta, check_two_path=check_two_path)
-    return _make_calc(cd, theta, wd.gamma, wd.scal, cv)
+    wd = None
+    if theta is not None:
+        wd = weylmod.weyl_scalar(cv, theta, check_two_path=check_two_path)
+    return _make_calc(cd, theta, cv, wd)
 
 
-def spinor_calc_light(md: MetricData, theta: list | None = None) -> SpinorCalc:
+def spinor_calc_light(md: MetricData, theta: Jet | None = None) -> SpinorCalc:
     """First-derivative-only calculator (no curvature, no Weyl scalar).
 
     Enough for ``covd_coord`` / ``covd_frame`` / ``dirac`` on order-1
-    metric jets, as used by boundary-flux integrands; ``scal_weyl`` is
-    None and ``conf_trace_second`` must not be called on it.
+    metric jets, as used by boundary-flux integrands; ``scal`` is not
+    available and ``conf_trace_second`` must not be called on it.
     """
-    cd = christoffels(md)
-    return _make_calc(cd, theta, cd.christoffel, None, None)
+    return _make_calc(christoffels(md), theta, None, None)
 
 
 def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None = None,
                riemannian: bool = False) -> Jet:
-    """D_i psi for every coordinate direction i, one jet order down,
-    as one jet (m, B, i, N).
+    """D_i psi for every coordinate direction i, one jet order down: a
+    field (m, B, ..., N) gives one jet (m, B, i, ..., N).
 
     With ``riemannian`` (or when the calculator has no Lee form) this is
     the metric spin-connection derivative; otherwise the weighted Weyl
@@ -284,9 +282,9 @@ def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None = None,
 
     with theta_b the frame components and the theta terms dropped in the
     Riemannian case.  The connection matrix C_i . gamma gamma + k theta_i
-    is built and applied one direction i at a time, which keeps the
-    gathered jet-product operands at (P, B, N, N) for the P pairs of the
-    multiplication table.
+    is built once per direction i and applied to every field the extra
+    axes hold, which keeps the gathered jet-product operands at
+    (P, B, ..., N) for the P pairs of the multiplication table.
     """
     n = calc.n
     fr = calc.frame
@@ -302,7 +300,8 @@ def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None = None,
     om = fr.omega.c[:sp.m]
     a, b = np.triu_indices(n, 1)
     diag = np.arange(psi_t.shape[-1])
-    out = np.empty(psi_t.shape[:2] + (n,) + psi_t.shape[2:], dtype=psi_t.dtype)
+    dpsi = psi.grad().c[:sp.m]
+    out = np.empty(dpsi.shape, dtype=dpsi.dtype)
     for i in range(n):
         C = 0.25 * (om[:, :, i, a, b] - om[:, :, i, b, a])
         if use_theta:
@@ -310,8 +309,8 @@ def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None = None,
             C = C - 0.5 * (X[..., a, b] - X[..., b, a])
         A = np.einsum("zbp,pst->zbst", C, calc.rep.pairs)
         if use_theta:
-            A[..., diag, diag] += weight * calc.theta_c.c[:sp.m, :, i, None]
-        out[:, :, i] = psi.derive(i).c[:sp.m] + tensor_mul(sp, "bst,bt->bs", A, psi_t)
+            A[..., diag, diag] += weight * calc.theta.c[:sp.m, :, i, None]
+        out[:, :, i] = dpsi[:, :, i] + tensor_mul(sp, "bst,b...t->b...s", A, psi_t)
     return Jet(sp, out)
 
 
@@ -347,7 +346,6 @@ def conf_trace_second(calc: SpinorCalc, psi: Jet, weight: float | None = None,
     itself; both spinor derivative applications use the same weight.
     ``coord_fields``, when given, is ``covd_coord(calc, psi, weight)``.
     """
-    n = calc.n
     E = calc.frame.E
     Dc = covd_coord(calc, psi, weight) if coord_fields is None else coord_fields
     t2 = Dc.space.order - 1
@@ -357,15 +355,13 @@ def conf_trace_second(calc: SpinorCalc, psi: Jet, weight: float | None = None,
 
     # W_a^m = E_ja (d_j E_ma + G~^m_jl E_la)
     Et = E.c[:sp.m]
-    gam = jetlinalg.stack(calc.weyl_gamma)[:sp.m]  # [z, b, m, j, l]
-    dE = np.stack([E.derive(j).c[:sp.m] for j in range(n)], axis=3)  # [z, b, m, j, a]
-    nab = dE + tensor_mul(sp, "bmjl,bla->bmja", gam, Et)
-    W = tensor_mul(sp, "bja,bmja->bam", Et, nab)
+    nab = E.grad().c[:sp.m] + tensor_mul(sp, "bmjl,bla->bjma",
+                                         calc.connection.c[:sp.m], Et)
+    W = tensor_mul(sp, "bja,bjma->bam", Et, nab)
 
     F = covd_frame(calc, psi, weight, coord_fields=Dc)
-    DF = np.stack([covd_coord(calc, Jet(F.space, F.c[:, :, a]), weight).c
-                   for a in range(n)], axis=2)  # [z, b, a, i, s]
-    G = tensor_mul(sp, "bia,bais->bs", Et, DF)
+    DF = covd_coord(calc, F, weight).c  # [z, b, i, a, s]
+    G = tensor_mul(sp, "bia,bias->bs", Et, DF)
     H = tensor_mul(sp, "bam,bms->bs", W, Dc.c[:sp.m])
     return Jet(sp, H - G)
 
@@ -400,7 +396,7 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
     md = calc.md
     rep = calc.rep
     E = calc.frame.E
-    th = calc.theta_c
+    th = calc.theta
 
     # Riemannian derivative, Dirac operator and square of psi
     nab_full = covd_coord(calc, psi, riemannian=True)
@@ -410,7 +406,7 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
     psi2 = psi.c[:sp.m]
 
     # dtheta in frame components E_ia E_jb (d_i theta_j - d_j theta_i), a < b
-    dth = np.stack([th.derive(i).c[:sp.m] for i in range(n)], axis=2)  # [z, b, i, j]
+    dth = th.grad().c[:sp.m]  # [z, b, i, j]
     curl = dth - np.swapaxes(dth, 2, 3)
     Et = E.c[:sp.m]
     dth_f = tensor_mul(sp, "bia,bic->bac", Et, tensor_mul(sp, "bij,bjc->bic", curl, Et))
@@ -423,10 +419,10 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
 
     # nabla_{theta sharp} psi (Riemannian), theta^sharp^i = g^{ij} theta_j
     nab = nab_full.c[:sp.m]
-    sharp = tensor_mul(sp, "bij,bj->bi", jetlinalg.stack(md.ginv)[:sp.m], th.c[:sp.m])
+    sharp = tensor_mul(sp, "bij,bj->bi", md.ginv.c[:sp.m], th.c[:sp.m])
     term_nab = tensor_mul(sp, "bi,bis->bs", sharp, nab)
 
-    nrm = weylmod.theta_norm2(md, calc.theta).c[:sp.m]
+    nrm = weylmod.theta_norm2(md, th.truncate(sp.order)).c
 
     out = dg2.c + c1 * term_dth
     out = out + tensor_mul(sp, "b,bs->bs", c1 * delth, psi2)
@@ -452,7 +448,7 @@ def lichnerowicz_I_residual(calc: SpinorCalc, psi: Jet, coord_fields: Jet | None
         coord_fields = covd_coord(calc, psi, k)
     d2 = spinor_values(dirac_composed(calc, psi, k, coord_fields))
     tr = spinor_values(conf_trace_second(calc, psi, k, coord_fields))
-    quarter = 0.25 * calc.scal_weyl.value * spinor_values(psi)
+    quarter = 0.25 * calc.scal.value * spinor_values(psi)
     res = d2 - tr - quarter
     scale = max(np.max(np.abs(d2)), np.max(np.abs(tr)), np.max(np.abs(quarter)))
     return res, float(scale)
@@ -493,7 +489,7 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet,
 
     hDD_v = _h_values(F_psi.value, F_phi.value)
     hdd_v = _h_values(_slash(calc.rep, F_psi).value, d_phi.value)
-    quarter_v = 0.25 * calc.scal_weyl.value * _h_values(psi0, phi.value)
+    quarter_v = 0.25 * calc.scal.value * _h_values(psi0, phi.value)
 
     # beta_j = h(psi, dx_j^flat . Dirac phi), alpha_j = h(psi, D_j phi)
     cpsi = np.conj(psi.c[:sp.m])
@@ -501,7 +497,7 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet,
     alpha = tensor_mul(sp, "bs,bjs->bj", cpsi, Dc_phi.c)
 
     def codiff(w):
-        return codiff_oneform(md, [Jet(sp, w[:, :, j]) for j in range(n)]).value
+        return codiff_oneform(md, Jet(sp, w)).value
 
     d_omega = codiff(beta + alpha)
     d_alpha = codiff(alpha)
@@ -539,7 +535,7 @@ def norm_identity_residual(calc: SpinorCalc, psi: Jet, direction,
     DX = np.einsum("i,bis->bs", X, Dc.value)
     rhs1 = 2.0 * np.real(_h_values(DX, psi.value))
 
-    thX = 0.0 if calc.theta is None else sum(X[i] * calc.theta_c.value[:, i]
+    thX = 0.0 if calc.theta is None else sum(X[i] * calc.theta.value[:, i]
                                              for i in range(n))
     rhs2 = (n - 2.0) * thX * nrm.value.real
     return lhs - rhs1 - rhs2

@@ -23,11 +23,11 @@ import math
 import numpy as np
 
 from . import clifford, exprdsl, mass
-from .chart import MetricChart, conformal_rescale, metric_jets, scale_coordinates
+from .chart import MetricChart, conformal_rescale, lee_jets, metric_jets, scale_coordinates
 from .config import LoadedConfig
 from .curvature import christoffels, codiff_oneform, curvature
 from .exprdsl import Call, Num, Var, eadd, emul
-from .jets import evaluate_jet, seed_point
+from .jets import seed_point
 from .spinor import (SpinorFieldSpec, covd_coord, dirac_composed,
                      dirac_squared_expansion, h_jet, lichnerowicz_I_residual,
                      lichnerowicz_II_residual, make_spinor_spec,
@@ -101,12 +101,6 @@ def random_spinor_spec(n: int, rng: np.random.Generator,
     return make_spinor_spec(comps, weight)
 
 
-def _chart_theta(chart: MetricChart):
-    """None when the chart's Lee form is identically zero."""
-    trivial = all(isinstance(t, Num) and t.value == 0.0 for t in chart.lee)
-    return None if trivial else chart.lee
-
-
 def _check(name: str, value: float, tolerance: float, **extra) -> dict:
     entry = {"name": name, "value": float(value), "tolerance": float(tolerance),
              "pass": bool(value <= tolerance)}
@@ -124,47 +118,43 @@ def _finish(battery: str, checks: list, tolerances: dict, **extra) -> dict:
 # ---------------------------------------------------------------------------
 # identities
 
+def _weyl_scal_values(chart: MetricChart, pts: np.ndarray, jet_order: int) -> np.ndarray:
+    """Values of the Weyl scalar curvature of ``chart`` at ``pts`` (no
+    two-path check); the jets behind them are freed on return."""
+    md = metric_jets(chart, pts, order=jet_order)
+    theta = lee_jets(chart, pts, coords=md.coords)
+    return weyl_scalar(curvature(christoffels(md)), theta, check_two_path=False).scal.value
+
+
 def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
                      jet_order: int = 2, clifford_trials: int = 1000) -> dict:
     """All pointwise identities on one chart at seeded random points."""
     rng = rng_for(seed)
     n = chart.n
     pts = sample_points(chart, points, rng)
-    theta_src = _chart_theta(chart)
 
     md = metric_jets(chart, pts, order=jet_order)
-    _, coords = seed_point(pts, jet_order)
-    theta = None
-    if theta_src is not None:
-        theta = [evaluate_jet(t, coords, chart.params) for t in theta_src]
+    theta = lee_jets(chart, pts, coords=md.coords) if chart.has_lee else None
     calc = spinor_calc(md, theta)
     k = 0.5 * (2.0 - n)
 
     checks = []
     tol = TOLERANCES
 
-    cv = calc.curv
+    scal_weyl = calc.scal.value
     if theta is not None:
-        wd = weyl_scalar(cv, theta, check_two_path=False)
-        scal_weyl = wd.scal.value
         # divergence two-path (trace of nabla theta vs -codifferential)
-        a = wd.trace_nabla_theta.value
+        a = calc.weyl.trace_nabla_theta.value
         b = -codiff_oneform(md, theta).value
         scale = max(1.0, float(np.max(np.abs(a))))
         checks.append(_check("weyl-scalar-two-path",
                              float(np.max(np.abs(a - b))) / scale,
                              tol["two_path_rel"]))
-    else:
-        scal_weyl = cv.scal.value
 
     # conformal covariance: f Scal(fg, theta - df/2f) = Scal(g, theta)
     f_src = "1 + 0.3/sqrt(r^2 + 1)"
-    resc = conformal_rescale(chart, f_src)
-    md2 = metric_jets(resc, pts, order=jet_order)
-    th2 = [evaluate_jet(t, coords, resc.params) for t in resc.lee]
-    wd2 = weyl_scalar(curvature(christoffels(md2)), th2, check_two_path=False)
     fv = exprdsl.evaluate(exprdsl.parse(f_src), pts, chart.params)
-    lhs = fv * wd2.scal.value
+    lhs = fv * _weyl_scal_values(conformal_rescale(chart, f_src), pts, jet_order)
     scale = max(1.0, float(np.max(np.abs(scal_weyl))))
     checks.append(_check("weyl-scalar-conformal-covariance",
                          float(np.max(np.abs(lhs - scal_weyl))) / scale,
@@ -173,8 +163,8 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
     # spinor identities on two independent random fields
     spec_psi = random_spinor_spec(n, rng, k)
     spec_phi = random_spinor_spec(n, rng, k)
-    psi = spinor_jets(spec_psi, coords, chart.params)
-    phi = spinor_jets(spec_phi, coords, chart.params)
+    psi = spinor_jets(spec_psi, md.coords, chart.params)
+    phi = spinor_jets(spec_phi, md.coords, chart.params)
     # D_i psi and D_i phi at weight k, shared by every residual below
     Dpsi = covd_coord(calc, psi, k)
     Dphi = covd_coord(calc, phi, k)
@@ -301,25 +291,13 @@ def curvature_battery(chart: MetricChart, points: int = 50, seed: int = 42,
     md = metric_jets(chart, pts, order=jet_order)
     cd = christoffels(md)
     cv = curvature(cd)
-    n = chart.n
 
-    stats = {
-        "max_abs_christoffel": float(max(np.max(np.abs(cd.christoffel[k][i][j].value))
-                                         for k in range(n) for i in range(n)
-                                         for j in range(n))),
-        "max_abs_riemann": float(max(np.max(np.abs(cv.riemann[l][k][i][j].value))
-                                     for l in range(n) for k in range(n)
-                                     for i in range(n) for j in range(n))),
-        "max_abs_ricci": float(max(np.max(np.abs(cv.ricci[i][j].value))
-                                   for i in range(n) for j in range(n))),
-        "max_abs_scal": float(np.max(np.abs(cv.scal.value))),
-    }
+    stats = {f"max_abs_{name}": float(np.max(np.abs(t.value))) for name, t in
+             (("christoffel", cd.christoffel), ("riemann", cv.riemann),
+              ("ricci", cv.ricci), ("scal", cv.scal))}
     checks = []
-    theta_src = _chart_theta(chart)
-    if theta_src is not None:
-        _, coords = seed_point(pts, jet_order)
-        theta = [evaluate_jet(t, coords, chart.params) for t in theta_src]
-        from .curvature import codiff_oneform
+    if chart.has_lee:
+        theta = lee_jets(chart, pts, coords=md.coords)
         wd = weyl_scalar(cv, theta, check_two_path=False)
         a = wd.trace_nabla_theta.value
         b = -codiff_oneform(md, theta).value

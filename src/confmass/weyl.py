@@ -19,6 +19,10 @@ along the way; ``weyl_scalar_via_curvature`` instead contracts the
 curvature tensor of G~ directly and serves as an independent oracle for
 the reduction (no symmetrization is applied: the antisymmetric part of
 the Ricci-type contraction drops under the g^{ij} trace).
+
+The Lee form is one jet (m, B, i) and the connection coefficients
+``gamma`` are (m, B, k, i, j), laid out as ``curvature``'s Christoffel
+symbols; contractions sum in index order as there.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from .chart import MetricData
 from .curvature import (ConnectionData, CurvatureData, christoffels,
                         codiff_oneform, curvature, trace_covd_oneform)
-from .jets import Jet
+from .jets import Jet, tensor_dot, tensor_mul
 
 __all__ = [
     "WeylData",
@@ -53,57 +57,38 @@ class WeylData:
     """Weyl-connection sample built over a metric connection sample."""
 
     cd: ConnectionData
-    theta: list  # Lee form component jets
-    gamma: list  # [k][i][j] Weyl connection coefficients
+    theta: Jet  # Lee form (m, B, i)
+    gamma: Jet  # Weyl connection coefficients (m, B, k, i, j)
     trace_nabla_theta: Jet
     norm2_theta: Jet
     scal: Jet  # scalar curvature of the Weyl connection
 
 
-def weyl_connection(cd: ConnectionData, theta: list) -> list:
+def weyl_connection(cd: ConnectionData, theta: Jet) -> Jet:
     """Connection coefficients of the Weyl connection for Lee form theta."""
     md = cd.md
-    n = md.chart.n
-    tgt = min(cd.order, theta[0].space.order)
-    th = [t.truncate(tgt) for t in theta]
-    g = [[md.g[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
-    ginv = [[md.ginv[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
-    thup = []
-    for k in range(n):
-        acc = ginv[k][0] * th[0]
-        for l in range(1, n):
-            acc = acc + ginv[k][l] * th[l]
-        thup.append(acc)
-
-    gam = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for k in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                acc = cd.christoffel[k][i][j].truncate(tgt) - g[i][j] * thup[k]
-                if k == j:
-                    acc = acc + th[i]
-                if k == i:
-                    acc = acc + th[j]
-                gam[k][i][j] = acc
-                gam[k][j][i] = acc
-    return gam
+    sp = theta.space.lower(min(cd.order, theta.space.order))
+    th = theta.c[:sp.m]
+    thup = tensor_dot(sp, "bkl,bl->bk", md.ginv.c[:sp.m], th)
+    g = md.g.c[:sp.m]
+    gam = cd.christoffel.c[:sp.m].copy()
+    for k in range(md.n):
+        gam[:, :, k] -= tensor_mul(sp, "bij,b->bij", g, thup[:, :, k])
+    for k in range(md.n):
+        gam[:, :, k, :, k] += th  # delta^k_j theta_i
+    for k in range(md.n):
+        gam[:, :, k, k, :] += th  # delta^k_i theta_j
+    return Jet(sp, gam)
 
 
-def theta_norm2(md: MetricData, theta: list, order: int | None = None) -> Jet:
+def theta_norm2(md: MetricData, theta: Jet) -> Jet:
     """|theta|^2_g = g^{ij} theta_i theta_j."""
-    n = md.chart.n
-    tgt = theta[0].space.order if order is None else order
-    th = [t.truncate(tgt) for t in theta]
-    ginv = [[md.ginv[i][j].truncate(tgt) for j in range(n)] for i in range(n)]
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            t = ginv[i][j] * th[i] * th[j]
-            acc = t if acc is None else acc + t
-    return acc
+    sp = theta.space
+    t = tensor_mul(sp, "bij,bi->bij", md.ginv.c[:sp.m], theta.c)
+    return Jet(sp, tensor_dot(sp, "bij,bj->b", t, theta.c))
 
 
-def weyl_scalar(cv: CurvatureData, theta: list,
+def weyl_scalar(cv: CurvatureData, theta: Jet,
                 check_two_path: bool = True) -> WeylData:
     """Scalar curvature of the Weyl connection with Lee form theta.
 
@@ -127,14 +112,14 @@ def weyl_scalar(cv: CurvatureData, theta: list,
                 f"divergence paths disagree: |diff|={err:.3e} at scale {scale:.3e}")
 
     tr = tr.truncate(tgt)
-    nrm = theta_norm2(md, theta).truncate(tgt)
+    nrm = theta_norm2(md, theta.truncate(tgt))
     scal = cv.scal - (2.0 * (n - 1)) * tr - float((n - 1) * (n - 2)) * nrm
     gam = weyl_connection(cd, theta)
     return WeylData(cd=cd, theta=theta, gamma=gam, trace_nabla_theta=tr,
                     norm2_theta=nrm, scal=scal)
 
 
-def weyl_scalar_via_curvature(cd: ConnectionData, theta: list) -> Jet:
+def weyl_scalar_via_curvature(cd: ConnectionData, theta: Jet) -> Jet:
     """Scal^D by contracting the Weyl connection's curvature tensor.
 
     Independent of :func:`weyl_scalar`: the coefficients G~ are formed
@@ -145,7 +130,7 @@ def weyl_scalar_via_curvature(cd: ConnectionData, theta: list) -> Jet:
     return curvature(fake).scal
 
 
-def weyl_data(md: MetricData, theta: list, check_two_path: bool = True) -> WeylData:
+def weyl_data(md: MetricData, theta: Jet, check_two_path: bool = True) -> WeylData:
     """One-call pipeline: connection, curvature, and Weyl scalar."""
     cv = curvature(christoffels(md))
     return weyl_scalar(cv, theta, check_two_path=check_two_path)

@@ -165,9 +165,9 @@ class TestMetricJets:
         fr = metric_jets(c, X, order=1)
         u4 = (1 + 1 / (2 * np.linalg.norm(X, axis=0))) ** 4
         for i in range(3):
-            np.testing.assert_allclose(fr.g[i][i].value, u4, rtol=1e-15)
+            np.testing.assert_allclose(fr.g.value[:, i, i], u4, rtol=1e-15)
             for j in range(i + 1, 3):
-                np.testing.assert_array_equal(fr.g[i][j].value, np.zeros(2))
+                np.testing.assert_array_equal(fr.g.value[:, i, j], np.zeros(2))
 
 
 class TestTransformations:

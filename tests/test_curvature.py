@@ -12,15 +12,15 @@ from confmass.curvature import (
     christoffels,
     codiff_oneform,
     curvature,
-    gradient_vector,
     laplacian,
     trace_covd_oneform,
 )
-from confmass.jets import evaluate_jet
+from confmass.jets import Jet, evaluate_jet
 from confmass.weyl import (
     TwoPathError,
     theta_norm2,
     weyl_data,
+    weyl_scalar,
     weyl_scalar_via_curvature,
 )
 
@@ -131,7 +131,7 @@ class TestOneFormCalculus:
         chart = iso_chart()
         md = metric_jets(chart, sample_points(3, 10), order=2)
         f = evaluate_jet(exprdsl.parse("1/r"), md.coords)
-        df = [f.derive(i) for i in range(3)]
+        df = f.grad()
         lhs = codiff_oneform(md, df)
         rhs = laplacian(md, f)
         np.testing.assert_allclose(
@@ -143,26 +143,15 @@ class TestOneFormCalculus:
         # through different formulas; use a covector with nonzero divergence
         chart = iso_chart()
         md = metric_jets(chart, sample_points(3, 10), order=2)
-        theta = [
-            evaluate_jet(exprdsl.parse(s), md.coords)
+        theta = Jet(md.space, np.stack([
+            evaluate_jet(exprdsl.parse(s), md.coords).c
             for s in ("x1/r^2", "x2/r^2", "x3/r^2")
-        ]
+        ], axis=-1))
         cd = christoffels(md)
         tr = np.atleast_1d(trace_covd_oneform(cd, theta).value)
         co = np.atleast_1d(codiff_oneform(md, theta).value)
         assert np.min(np.abs(tr)) > 1e-4  # the probe really is non-degenerate
         np.testing.assert_allclose(tr, -co, rtol=1e-12)
-
-    def test_gradient_vector_raises_indices(self):
-        chart = iso_chart()
-        X = sample_points(3, 8)
-        md = metric_jets(chart, X, order=2)
-        f = evaluate_jet(exprdsl.parse("x1"), md.coords)
-        grad = gradient_vector(md, f)
-        # grad^i = g^{i1}; for the isotropic metric that is u^-4 delta^{i1}
-        u4 = (1 + 1 / (2 * np.linalg.norm(X, axis=0))) ** 4
-        np.testing.assert_allclose(np.atleast_1d(grad[0].value), 1 / u4, rtol=1e-13)
-        np.testing.assert_allclose(np.atleast_1d(grad[1].value), 0.0, atol=1e-15)
 
 
 class TestWeylScalar:
@@ -224,3 +213,42 @@ class TestWeylScalar:
         u4 = (1 + 1 / (2 * r)) ** 4
         want = 0.25**2 / (r**4 * u4)  # |theta|_g^2 = g^{ij} t_i t_j
         np.testing.assert_allclose(np.atleast_1d(n2.value), want, rtol=1e-12)
+
+
+class TestBatchIndependence:
+    """One column computed alone equals, bitwise, the same column inside a
+    batch of 7, as tests/test_spinor.py checks for the spinor layer."""
+
+    def chart(self, n):
+        metric = {f"{i}{i}": f"1 + {0.5 + 0.1 * i}/r^2" for i in range(1, n + 1)}
+        metric["12"] = "0.3*x1*x2/r^4"
+        metric[f"2{n}"] = f"0.1*sin(x2)*x{n}/r^4"
+        lee = [f"{(-1) ** i * 0.1 * i}*x{n + 1 - i}/r^{n}" for i in range(1, n + 1)]
+        return make_chart(n=n, tau=0.5 * (n - 2) + 0.25, r_min=1.0,
+                          metric=metric, lee=lee)
+
+    def evaluate(self, chart, X, order):
+        md = metric_jets(chart, X, order=order)
+        theta = lee_jets(chart, None, coords=md.coords)
+        cd = christoffels(md)
+        out = {"christoffel": cd.christoffel.c,
+               "codiff": codiff_oneform(md, theta).c}
+        if order >= 2:
+            cv = curvature(cd)
+            wd = weyl_scalar(cv, theta)
+            out.update(riemann=cv.riemann.c, ricci=cv.ricci.c, scal=cv.scal.c,
+                       weyl_scal=wd.scal.c, weyl_gamma=wd.gamma.c,
+                       trace_nabla_theta=wd.trace_nabla_theta.c,
+                       norm2_theta=wd.norm2_theta.c)
+        return out
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_single_column_matches_the_batch_bitwise(self, n, order):
+        chart = self.chart(n)
+        X = sample_points(n, 7)
+        whole = self.evaluate(chart, X, order)
+        for b in (0, 4):
+            one = self.evaluate(chart, X[:, b:b + 1], order)
+            for name, arr in whole.items():
+                assert np.array_equal(one[name][:, 0], arr[:, b]), name

@@ -18,10 +18,22 @@ def random_spd(n, order, batch, seed):
     R = rng.normal(size=(sp.m, batch, n, n))
     C = 0.5 * (R + np.swapaxes(R, -1, -2))
     C[0] = R[0] @ np.swapaxes(R[0], -1, -2) + n * np.eye(n)
-    return jetlinalg.unstack(sp, C)
+    return Jet(sp, C)
+
+
+def entries(A):
+    """A stacked (m, B, n, n) jet matrix as a nested list of scalar jets."""
+    n = A.c.shape[-1]
+    return [[Jet(A.space, A.c[:, :, i, j]) for j in range(n)] for i in range(n)]
+
+
+def stack(M):
+    """Coefficients of a nested list of scalar jets as one (m, B, n, n) array."""
+    return np.stack([np.stack([x.c for x in row], axis=-1) for row in M], axis=-2)
 
 
 def jet_matmul(A, B):
+    A, B = entries(A), entries(B)
     n = len(A)
     out = [[None] * n for _ in range(n)]
     for i in range(n):
@@ -33,17 +45,16 @@ def jet_matmul(A, B):
     return out
 
 
-def column(A, b, batched):
-    c = slice(b, b + 1) if batched else b
-    return [[Jet(x.space, x.c[:, c]) for x in row] for row in A]
+def column(A, b):
+    return Jet(A.space, A.c[:, b:b + 1])
 
 
 @pytest.mark.parametrize("n,order", CASES)
 def test_square_root_squares_back_in_jet_arithmetic(n, order):
     A = random_spd(n, order, 16, seed=10 * n + order)
     S = jetlinalg.spd_sqrt(A)
-    a = jetlinalg.stack(A)
-    gap = np.max(np.abs(jetlinalg.stack(jet_matmul(S, S)) - a))
+    a = A.c
+    gap = np.max(np.abs(stack(jet_matmul(S, S)) - a))
     assert gap <= 1e-13 * np.max(np.abs(a))
 
 
@@ -51,25 +62,24 @@ def test_square_root_squares_back_in_jet_arithmetic(n, order):
 def test_inverse_is_a_two_sided_jet_inverse(n, order):
     A = random_spd(n, order, 16, seed=10 * n + order)
     X = jetlinalg.mat_inv(A)
-    eye = np.zeros_like(jetlinalg.stack(A))
+    eye = np.zeros_like(A.c)
     eye[0] = np.eye(n)
     for P in (jet_matmul(A, X), jet_matmul(X, A)):
-        assert np.max(np.abs(jetlinalg.stack(P) - eye)) <= 1e-13
+        assert np.max(np.abs(stack(P) - eye)) <= 1e-13
 
 
 @pytest.mark.parametrize("fn", [jetlinalg.spd_sqrt, jetlinalg.mat_inv])
 @pytest.mark.parametrize("n,order", CASES)
 def test_whole_batch_equals_single_columns_bitwise(fn, n, order):
     A = random_spd(n, order, 7, seed=n + 100 * order)
-    whole = jetlinalg.stack(fn(A))
+    whole = fn(A).c
     for b in range(7):
-        for batched in (True, False):
-            one = jetlinalg.stack(fn(column(A, b, batched)))
-            assert np.array_equal(one[:, 0], whole[:, b])
+        one = fn(column(A, b)).c
+        assert np.array_equal(one[:, 0], whole[:, b])
 
 
 def test_square_root_rejects_an_indefinite_value_part():
     A = random_spd(3, 1, 4, seed=1)
-    A[0][0].c[0, 2] = -5.0
+    A.c[0, 2, 0, 0] = -5.0
     with pytest.raises(ArithmeticError):
         jetlinalg.spd_sqrt(A)
