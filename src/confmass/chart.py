@@ -242,13 +242,14 @@ def _batch(points) -> np.ndarray:
 
 def metric_entry_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
     """g as one jet (m, B, i, j) over the coordinate jets ``coords``;
-    each entry of the upper triangle is evaluated once and mirrored."""
+    the upper triangle is evaluated as one program and mirrored."""
     n = chart.n
+    iu, ju = np.triu_indices(n)
+    upper = jets.evaluate_jet([chart.metric[i][j] for i, j in zip(iu, ju)],
+                              coords, chart.params).c
     g = np.empty(coords[0].c.shape + (n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[..., i, j] = g[..., j, i] = jets.evaluate_jet(
-                chart.metric[i][j], coords, chart.params).c
+    g[..., iu, ju] = upper
+    g[..., ju, iu] = upper
     return Jet(coords[0].space, g)
 
 
@@ -288,8 +289,7 @@ def lee_jets(chart: MetricChart, points, order: int = 2,
     coordinate jets ``coords`` if given)."""
     if coords is None:
         _, coords = jets.seed_point(_batch(points), order)
-    return Jet(coords[0].space, np.stack(
-        [jets.evaluate_jet(t, coords, chart.params).c for t in chart.lee], axis=-1))
+    return jets.evaluate_jet(chart.lee, coords, chart.params)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,6 @@ def decay_scan(chart: MetricChart, rays: int = 8,
 
     def fit(name: str, vals: np.ndarray, required: float, kind: str):
         nonlocal passed
-        vals = np.broadcast_to(np.asarray(vals, dtype=np.float64), (pts.shape[1],))
         mags = np.abs(vals).reshape(rays, len(radii)).mean(axis=0)
         if np.all(mags < FLAT_FLOOR):
             slots[name] = {"kind": kind, "exactly_flat": True, "passed": True}
@@ -350,15 +349,16 @@ def decay_scan(chart: MetricChart, rays: int = 8,
                        "required": required, "passed": ok}
         return est
 
+    iu, ju = np.triu_indices(n)
+    metric = exprdsl.evaluate([chart.metric[i][j] for i, j in zip(iu, ju)], pts, chart.params)
+    for t, (i, j) in enumerate(zip(iu, ju)):
+        est = fit(f"g{i + 1}{j + 1}", metric[:, t] - (1.0 if i == j else 0.0),
+                  chart.tau, "metric")
+        if est is not None:
+            tau_fits.append(est)
+    lee = exprdsl.evaluate(chart.lee, pts, chart.params)
     for i in range(n):
-        for j in range(i, n):
-            vals = exprdsl.evaluate(chart.metric[i][j], pts, chart.params) - (1.0 if i == j else 0.0)
-            est = fit(f"g{i + 1}{j + 1}", np.asarray(vals, dtype=np.float64), chart.tau, "metric")
-            if est is not None:
-                tau_fits.append(est)
-    for i in range(n):
-        vals = exprdsl.evaluate(chart.lee[i], pts, chart.params)
-        fit(f"theta{i + 1}", np.asarray(vals, dtype=np.float64), chart.tau + 1.0, "lee")
+        fit(f"theta{i + 1}", lee[:, i], chart.tau + 1.0, "lee")
 
     exactly_flat = all(s.get("exactly_flat") for s in slots.values())
     tau_hat = min(tau_fits) if tau_fits else None

@@ -30,20 +30,35 @@ coordinate (so it is constant along the chart) and exp(s*log(u))
 otherwise.
 
 Parse errors carry the 0-based byte offset of the offending token.
+
+Evaluation goes through one straight-line program.  ``lower`` turns a
+sequence of trees, with n and the parameters bound, into a ``Program``:
+a list of instructions (op, literal, operand slots) in which equal
+instructions share one slot, so a subexpression such as ``r`` or
+``sqrt(r)`` is computed once however often the trees use it.  ``r``
+lowers to the left-fold sum of squares under ``sqrt``; ``x^e`` to the
+left-fold product, with ``1/acc`` after it for e < 0 and the constant 1
+for e = 0 (its base is still lowered, so unbound names still raise);
+``pow`` with a coordinate-free exponent to ``powc`` with that exponent
+evaluated once as its literal, any other ``pow`` to exp(s*log(u)).
+``evaluate`` runs the program with a numpy op table and
+``jets.evaluate_jet`` runs the same program with a jet op table.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "ExprAst", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
     "ParseError", "EvalError",
-    "parse", "evaluate", "to_source", "identifiers", "is_coordinate_free",
+    "Program", "RING_OPS", "parse", "lower", "evaluate", "to_source",
+    "identifiers", "is_coordinate_free",
     "substitute", "derivative", "eadd", "esub", "emul", "ediv",
     "FUNCTIONS", "MAX_INT_EXPONENT", "COORD_RE",
 ]
@@ -265,34 +280,7 @@ def parse(src: str) -> ExprAst:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
-
-def _radius(coords: np.ndarray) -> np.ndarray:
-    # shared with the jet evaluator: identical summation order keeps the
-    # plain value and the jet value part bitwise equal
-    s = coords[0] * coords[0]
-    for i in range(1, coords.shape[0]):
-        s = s + coords[i] * coords[i]
-    return np.sqrt(s)
-
-
-def _ipow(value, e: int):
-    """x^e by left-fold repeated multiplication (same order as the jet path)."""
-    if e == 0:
-        return np.ones_like(value * 1.0)
-    acc = value
-    for _ in range(abs(e) - 1):
-        acc = acc * value
-    if e < 0:
-        acc = np.divide(1.0, acc)
-    return acc
-
-
-_NP_FN: dict[str, Callable] = {
-    "sqrt": np.sqrt, "exp": np.exp, "log": np.log,
-    "sin": np.sin, "cos": np.cos, "atan": np.arctan,
-}
-
+# evaluation: trees lowered to one straight-line program
 
 def identifiers(ast: ExprAst) -> set[str]:
     """All identifier names appearing in the tree."""
@@ -318,71 +306,135 @@ def is_coordinate_free(ast: ExprAst) -> bool:
 
     Used to decide the ``pow`` lowering: a coordinate-free exponent is
     constant along the chart, so ``pow(u, s)`` can take the direct power
-    branch; otherwise it becomes exp(s*log(u)).  The same structural rule
-    is applied by the jet evaluator so both agree bitwise.
+    branch; otherwise it becomes exp(s*log(u)).
     """
     return not any(name == "r" or COORD_RE.match(name) for name in identifiers(ast))
 
 
-def evaluate(ast: ExprAst, coords, params: Mapping[str, float] | None = None):
+#: the ring operations, shared by the numpy and the jet op tables
+RING_OPS: dict[str, Callable] = {
+    "neg": operator.neg, "+": operator.add, "-": operator.sub,
+    "*": operator.mul, "/": operator.truediv,
+}
+
+_NUMPY_OPS: dict[str, Callable] = dict(
+    RING_OPS, const=np.float64, sqrt=np.sqrt, exp=np.exp, log=np.log,
+    sin=np.sin, cos=np.cos, atan=np.arctan, powc=np.power)
+
+
+class Program(NamedTuple):
+    """Straight-line code for a sequence of trees, n and params bound.
+
+    ``code[k]`` is the instruction ``(op, literal, operand slots)`` that
+    fills slot k; operands name earlier slots, and ``literal`` is None
+    except for ``const`` (the value), ``coord`` (the coordinate index)
+    and ``powc`` (the exponent).  ``outputs`` holds each tree's slot.
+    """
+    code: tuple[tuple[str, object, tuple[int, ...]], ...]
+    outputs: tuple[int, ...]
+
+    def run(self, ops: Mapping[str, Callable]) -> list:
+        """The output values, computing slot k as ``ops[op](*operands)``,
+        or ``ops[op](*operands, literal)`` when it has a literal."""
+        slots: list = []
+        for op, lit, args in self.code:
+            vals = [slots[a] for a in args]
+            slots.append(ops[op](*vals) if lit is None else ops[op](*vals, lit))
+        return [slots[k] for k in self.outputs]
+
+
+def lower(trees: Sequence[ExprAst], n: int,
+          params: Mapping[str, float] | None = None) -> Program:
+    """Lower ``trees`` over n coordinates to one program.
+
+    Equal instructions share one slot; constants are keyed by their bit
+    pattern, so 0.0 and -0.0 stay apart.  Slots are numbered in lowering
+    order.  Unbound identifiers and coordinates beyond n raise EvalError.
+    """
+    params = params or {}
+    code: list = []
+    slot_of: dict = {}
+    radius: list = []  # r's slot, lowered on first use
+
+    def emit(op: str, lit=None, *args: int) -> int:
+        key = (op, lit.hex() if isinstance(lit, float) else lit, args)
+        k = slot_of.get(key)
+        if k is None:
+            k = slot_of[key] = len(code)
+            code.append((op, lit, args))
+        return k
+
+    def go(node: ExprAst) -> int:
+        if isinstance(node, Num):
+            return emit("const", float(node.value))
+        if isinstance(node, Var):
+            name = node.name
+            if name == "r":
+                if not radius:
+                    acc = None
+                    for i in range(n):
+                        x = emit("coord", i)
+                        sq = emit("*", None, x, x)
+                        acc = sq if acc is None else emit("+", None, acc, sq)
+                    radius.append(emit("sqrt", None, acc))
+                return radius[0]
+            if COORD_RE.match(name):
+                idx = int(name[1:]) - 1
+                if not 0 <= idx < n:
+                    raise EvalError(f"coordinate {name} out of range for n={n}")
+                return emit("coord", idx)
+            if name in params:
+                return emit("const", float(params[name]))
+            raise EvalError(f"unbound identifier {name!r}")
+        if isinstance(node, Neg):
+            return emit("neg", None, go(node.arg))
+        if isinstance(node, BinOp):
+            return emit(node.op, None, go(node.left), go(node.right))
+        if isinstance(node, Pow):
+            base = go(node.base)
+            if node.exponent == 0:
+                return emit("const", 1.0)
+            acc = base
+            for _ in range(abs(node.exponent) - 1):
+                acc = emit("*", None, acc, base)
+            return acc if node.exponent > 0 else emit("/", None, emit("const", 1.0), acc)
+        if isinstance(node, Call):
+            base = go(node.args[0])
+            if node.fn != "pow":
+                return emit(node.fn, None, base)
+            ex = node.args[1]
+            if is_coordinate_free(ex):
+                return emit("powc", float(evaluate(ex, np.zeros(n), params)), base)
+            return emit("exp", None, emit("*", None, go(ex), emit("log", None, base)))
+        raise EvalError(f"unknown node {node!r}")
+
+    outputs = tuple(go(t) for t in trees)
+    return Program(code=tuple(code), outputs=outputs)
+
+
+def evaluate(ast: ExprAst | Sequence[ExprAst], coords,
+             params: Mapping[str, float] | None = None):
     """Evaluate at a point (shape (n,)) or batch of points (shape (n, B)).
 
-    Returns a numpy float64 scalar / array.  Unbound identifiers raise
+    One tree gives a numpy float64 scalar or array (a coordinate-free tree
+    gives a scalar); a sequence of trees gives their values broadcast to
+    the batch and stacked on a last axis.  Unbound identifiers raise
     EvalError; domain violations (log of a negative number, ...) follow
     IEEE semantics and propagate NaN.
     """
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim not in (1, 2):
         raise EvalError(f"coords must have shape (n,) or (n, B), got {coords.shape}")
-    params = params or {}
-    n = coords.shape[0]
-    r_cache: list = [None]
-
-    def go(node: ExprAst):
-        if isinstance(node, Num):
-            return np.float64(node.value)
-        if isinstance(node, Var):
-            name = node.name
-            if name == "r":
-                if r_cache[0] is None:
-                    r_cache[0] = _radius(coords)
-                return r_cache[0]
-            m = COORD_RE.match(name)
-            if m:
-                idx = int(name[1:]) - 1
-                if not 0 <= idx < n:
-                    raise EvalError(f"coordinate {name} out of range for n={n}")
-                return coords[idx]
-            if name in params:
-                return np.float64(params[name])
-            raise EvalError(f"unbound identifier {name!r}")
-        if isinstance(node, Neg):
-            return -go(node.arg)
-        if isinstance(node, BinOp):
-            a, b = go(node.left), go(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            return np.divide(a, b)
-        if isinstance(node, Pow):
-            return _ipow(go(node.base), node.exponent)
-        if isinstance(node, Call):
-            if node.fn == "pow":
-                base = go(node.args[0])
-                ex = go(node.args[1])
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    if is_coordinate_free(node.args[1]):
-                        return np.power(base, ex)
-                    return np.exp(ex * np.log(base))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return _NP_FN[node.fn](go(node.args[0]))
-        raise EvalError(f"unknown node {node!r}")
-
+    single = isinstance(ast, ExprAst)
+    prog = lower([ast] if single else ast, coords.shape[0], params)
     with np.errstate(invalid="ignore", divide="ignore"):
-        return go(ast)
+        out = prog.run(dict(_NUMPY_OPS, coord=coords.__getitem__))
+    if single:
+        return out[0]
+    stacked = np.empty(coords.shape[1:] + (len(out),))
+    for k, v in enumerate(out):
+        stacked[..., k] = v
+    return stacked
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ independent of threading.
 Two invariants worth spelling out:
 
 * the value part of any jet computation equals the plain float64
-  evaluation of the same expression bitwise.  Division keeps this by a
-  fixed-point recurrence whose value slot is computed as a0/b0 directly;
-  integer powers use the same left-fold multiplication order as the
-  scalar evaluator; elementary functions compute their value slot with
-  the same numpy call.
+  evaluation of the same expression bitwise.  ``evaluate_jet`` and
+  ``exprdsl.evaluate`` run the same ``exprdsl.Program``, so both take
+  the same operations in the same order, and the two op tables agree op
+  by op on the value slot: division by a fixed-point recurrence whose
+  value slot is a0/b0 directly, the ring operations and the elementary
+  functions by the same numpy arithmetic and calls.
 * jets combined by arithmetic must live in the same (nvars, order)
   space; mixing orders is a programming error and raises.  Use
   ``Jet.truncate`` to lower the order explicitly.
@@ -41,8 +42,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import exprdsl
-from .exprdsl import (BinOp, Call, COORD_RE, EvalError, ExprAst, Neg, Num,
-                      Pow, Var, is_coordinate_free)
+from .exprdsl import ExprAst
 
 __all__ = [
     "JetSpace", "Jet", "seed_point", "seed_constant", "partial",
@@ -252,17 +252,6 @@ class Jet:
         return Jet.constant(self.space, np.broadcast_to(
             np.asarray(other, dtype=np.float64), np.shape(self.c[0]))).__truediv__(self)
 
-    def ipow(self, e: int) -> "Jet":
-        """Integer power by left-fold multiplication (matches the scalar path)."""
-        if e == 0:
-            return Jet.constant(self.space, np.ones_like(self.c[0]))
-        acc = self
-        for _ in range(abs(e) - 1):
-            acc = acc * self
-        if e < 0:
-            acc = Jet.constant(self.space, np.ones_like(self.c[0])) / acc
-        return acc
-
     def __repr__(self):
         return f"Jet(order={self.space.order}, nvars={self.space.nvars}, value={self.value!r})"
 
@@ -373,10 +362,6 @@ def jet_powc(u: Jet, s) -> Jet:
     return _compose(u, d[:u.space.order + 1])
 
 
-_JET_FN = {"sqrt": jet_sqrt, "exp": jet_exp, "log": jet_log,
-           "sin": jet_sin, "cos": jet_cos, "atan": jet_atan}
-
-
 # ---------------------------------------------------------------------------
 # seeding and expression evaluation
 
@@ -401,65 +386,22 @@ def partial(j: Jet, alpha: Sequence[int]):
     return j.partial(alpha)
 
 
-def _radius_jet(coords: list[Jet]) -> Jet:
-    s = coords[0] * coords[0]
-    for x in coords[1:]:
-        s = s + x * x
-    return jet_sqrt(s)
-
-
-def evaluate_jet(ast: ExprAst, coords: list[Jet],
+def evaluate_jet(ast: ExprAst | Sequence[ExprAst], coords: list[Jet],
                  params: Mapping[str, float] | None = None) -> Jet:
-    """Evaluate an expression tree in jet arithmetic.
+    """Evaluate an expression tree, or a sequence of trees, in jet arithmetic.
 
-    ``coords`` are the coordinate jets from :func:`seed_point`.  The value
-    slot of the result is bitwise equal to ``exprdsl.evaluate`` at the
+    ``coords`` are the coordinate jets from :func:`seed_point`.  The trees
+    are lowered by ``exprdsl.lower`` and the program runs with the jet op
+    table; a sequence gives one jet with the values stacked on a last
+    axis.  Value slots are bitwise equal to ``exprdsl.evaluate`` at the
     same point.
     """
-    params = params or {}
-    space = coords[0].space
-    n = len(coords)
-    r_cache: list[Jet | None] = [None]
-
-    def go(node: ExprAst) -> Jet:
-        if isinstance(node, Num):
-            return Jet.constant(space, np.full_like(coords[0].c[0], node.value))
-        if isinstance(node, Var):
-            name = node.name
-            if name == "r":
-                if r_cache[0] is None:
-                    r_cache[0] = _radius_jet(coords)
-                return r_cache[0]
-            if COORD_RE.match(name):
-                idx = int(name[1:]) - 1
-                if not 0 <= idx < n:
-                    raise EvalError(f"coordinate {name} out of range for n={n}")
-                return coords[idx]
-            if name in params:
-                return Jet.constant(space, np.full_like(coords[0].c[0], params[name]))
-            raise EvalError(f"unbound identifier {name!r}")
-        if isinstance(node, Neg):
-            return -go(node.arg)
-        if isinstance(node, BinOp):
-            a, b = go(node.left), go(node.right)
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            return a / b
-        if isinstance(node, Pow):
-            return go(node.base).ipow(node.exponent)
-        if isinstance(node, Call):
-            if node.fn == "pow":
-                base = go(node.args[0])
-                if is_coordinate_free(node.args[1]):
-                    s = exprdsl.evaluate(node.args[1], np.zeros(n), params)
-                    return jet_powc(base, s)
-                ex = go(node.args[1])
-                return jet_exp(ex * jet_log(base))
-            return _JET_FN[node.fn](go(node.args[0]))
-        raise EvalError(f"unknown node {node!r}")
-
-    return go(ast)
+    space, c0 = coords[0].space, coords[0].c[0]
+    single = isinstance(ast, ExprAst)
+    prog = exprdsl.lower([ast] if single else ast, len(coords), params)
+    out = prog.run(dict(
+        exprdsl.RING_OPS, coord=coords.__getitem__,
+        const=lambda v: Jet.constant(space, np.full_like(c0, v)),
+        sqrt=jet_sqrt, exp=jet_exp, log=jet_log, sin=jet_sin, cos=jet_cos,
+        atan=jet_atan, powc=jet_powc))
+    return out[0] if single else Jet(space, np.stack([j.c for j in out], axis=-1))

@@ -187,15 +187,11 @@ def _small_det(A: np.ndarray) -> np.ndarray:
 def _metric_values(chart: MetricChart, X: np.ndarray) -> np.ndarray:
     """g_ij values at columns of X as an (B, n, n) array."""
     n = chart.n
-    B = X.shape[1]
-    G = np.empty((B, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = np.broadcast_to(np.asarray(
-                exprdsl.evaluate(chart.metric[i][j], X, chart.params),
-                dtype=np.float64), (B,))
-            G[:, i, j] = v
-            G[:, j, i] = v
+    iu, ju = np.triu_indices(n)
+    upper = exprdsl.evaluate([chart.metric[i][j] for i, j in zip(iu, ju)], X, chart.params)
+    G = np.empty((X.shape[1], n, n))
+    G[:, iu, ju] = upper
+    G[:, ju, iu] = upper
     return G
 
 
@@ -293,12 +289,10 @@ def lee_flux(chart: MetricChart, r: float, measure: str = "euclidean",
     n = chart.n
 
     def integrand(Xc, nu):
+        th = exprdsl.evaluate(chart.lee, Xc, chart.params)
         acc = np.zeros(Xc.shape[1])
         for j in range(n):
-            tj = np.broadcast_to(np.asarray(
-                exprdsl.evaluate(chart.lee[j], Xc, chart.params),
-                dtype=np.float64), (Xc.shape[1],))
-            acc = acc + tj * nu[j]
+            acc = acc + th[:, j] * nu[j]
         return acc
 
     return float(_flux(chart, r, integrand, measure, orders))
@@ -312,17 +306,11 @@ def gradient_flux(chart: MetricChart, f, r: float, measure: str = "euclidean",
     dfs = [exprdsl.derivative(ast, f"x{i + 1}") for i in range(n)]
 
     def integrand(Xc, nu):
-        B = Xc.shape[1]
-        acc = np.zeros(B)
+        vals = exprdsl.evaluate(dfs + [ast] if over_f else dfs, Xc, chart.params)
+        acc = np.zeros(Xc.shape[1])
         for j in range(n):
-            vj = np.broadcast_to(np.asarray(
-                exprdsl.evaluate(dfs[j], Xc, chart.params), dtype=np.float64), (B,))
-            acc = acc + vj * nu[j]
-        if over_f:
-            fv = np.broadcast_to(np.asarray(
-                exprdsl.evaluate(ast, Xc, chart.params), dtype=np.float64), (B,))
-            acc = acc / fv
-        return acc
+            acc = acc + vals[:, j] * nu[j]
+        return acc / vals[:, n] if over_f else acc
 
     return float(_flux(chart, r, integrand, measure, orders))
 

@@ -140,10 +140,9 @@ def make_spinor_spec(sources, weight: float) -> SpinorFieldSpec:
 
 def spinor_jets(spec: SpinorFieldSpec, coords: list, params=None) -> Jet:
     """Evaluate a field spec to one complex jet of shape (m, B, N)."""
-    re = np.stack([evaluate_jet(r, coords, params).c for r, _ in spec.components], axis=-1)
-    im = np.stack([evaluate_jet(i, coords, params).c for _, i in spec.components], axis=-1)
-    c = re.astype(np.complex128)
-    c.imag = im
+    v = evaluate_jet([t for pair in spec.components for t in pair], coords, params).c
+    c = v[..., 0::2].astype(np.complex128)
+    c.imag = v[..., 1::2]
     return Jet(coords[0].space, c)
 
 

@@ -28,6 +28,7 @@ symbols; contractions sum in index order as there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,10 +59,14 @@ class WeylData:
 
     cd: ConnectionData
     theta: Jet  # Lee form (m, B, i)
-    gamma: Jet  # Weyl connection coefficients (m, B, k, i, j)
     trace_nabla_theta: Jet
     norm2_theta: Jet
     scal: Jet  # scalar curvature of the Weyl connection
+
+    @cached_property
+    def gamma(self) -> Jet:
+        """Weyl connection coefficients (m, B, k, i, j), built on first read."""
+        return weyl_connection(self.cd, self.theta)
 
 
 def weyl_connection(cd: ConnectionData, theta: Jet) -> Jet:
@@ -114,9 +119,7 @@ def weyl_scalar(cv: CurvatureData, theta: Jet,
     tr = tr.truncate(tgt)
     nrm = theta_norm2(md, theta.truncate(tgt))
     scal = cv.scal - (2.0 * (n - 1)) * tr - float((n - 1) * (n - 2)) * nrm
-    gam = weyl_connection(cd, theta)
-    return WeylData(cd=cd, theta=theta, gamma=gam, trace_nabla_theta=tr,
-                    norm2_theta=nrm, scal=scal)
+    return WeylData(cd=cd, theta=theta, trace_nabla_theta=tr, norm2_theta=nrm, scal=scal)
 
 
 def weyl_scalar_via_curvature(cd: ConnectionData, theta: Jet) -> Jet:

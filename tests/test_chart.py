@@ -4,7 +4,7 @@ chart-level transformations (conformal rescaling and coordinate scaling)."""
 import numpy as np
 import pytest
 
-from confmass import exprdsl
+from confmass import exprdsl, jets
 from confmass.chart import (
     ChartError,
     End,
@@ -12,7 +12,9 @@ from confmass.chart import (
     MetricChart,
     conformal_rescale,
     decay_scan,
+    lee_jets,
     make_chart,
+    metric_entry_jets,
     metric_jets,
     samples_valid,
     scale_coordinates,
@@ -168,6 +170,21 @@ class TestMetricJets:
             np.testing.assert_allclose(fr.g.value[:, i, i], u4, rtol=1e-15)
             for j in range(i + 1, 3):
                 np.testing.assert_array_equal(fr.g.value[:, i, j], np.zeros(2))
+
+
+    def test_one_call_shares_the_radius(self, monkeypatch, p4_cfg):
+        # every perturbed4 entry with r needs sqrt(r): r's own square root
+        # and sqrt(r), each taken once per call
+        taken = []
+        jet_sqrt = jets.jet_sqrt
+        monkeypatch.setattr(jets, "jet_sqrt", lambda u: taken.append(u) or jet_sqrt(u))
+        X = np.array([[2.0, -1.5], [1.0, 3.0], [0.5, 0.2], [-1.0, 2.5]])
+        _, coords = jets.seed_point(X, 2)
+        metric_entry_jets(p4_cfg.chart, coords)
+        assert len(taken) == 2
+        taken.clear()
+        lee_jets(p4_cfg.chart, None, coords=coords)
+        assert len(taken) == 2
 
 
 class TestTransformations:

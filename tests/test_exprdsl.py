@@ -5,15 +5,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from confmass import exprdsl
+from confmass import exprdsl, jets
 from confmass.exprdsl import (
+    COORD_RE,
+    BinOp,
     Call,
     EvalError,
+    Neg,
     Num,
     ParseError,
+    Pow,
     Var,
     derivative,
     eadd,
@@ -21,11 +25,117 @@ from confmass.exprdsl import (
     evaluate,
     identifiers,
     is_coordinate_free,
+    lower,
     parse,
     substitute,
     to_source,
 )
-from confmass.jets import evaluate_jet, seed_point
+from confmass.jets import Jet, evaluate_jet, seed_point
+
+# ---------------------------------------------------------------------------
+# reference: recursive tree walkers, one per arithmetic, that evaluate each
+# node in the order the program must reproduce bit for bit
+
+
+def tree_evaluate(ast, coords, params=None):
+    """Float evaluation by walking the tree; r is summed left to right,
+    x^e is a left-fold product and pow(u, s) is a direct power only for a
+    coordinate-free s."""
+    coords = np.asarray(coords, dtype=np.float64)
+    params = params or {}
+    n = coords.shape[0]
+    fns = {"sqrt": np.sqrt, "exp": np.exp, "log": np.log,
+           "sin": np.sin, "cos": np.cos, "atan": np.arctan}
+
+    def go(node):
+        if isinstance(node, Num):
+            return np.float64(node.value)
+        if isinstance(node, Var):
+            if node.name == "r":
+                s = coords[0] * coords[0]
+                for i in range(1, n):
+                    s = s + coords[i] * coords[i]
+                return np.sqrt(s)
+            if COORD_RE.match(node.name):
+                idx = int(node.name[1:]) - 1
+                if not 0 <= idx < n:
+                    raise EvalError(f"coordinate {node.name} out of range for n={n}")
+                return coords[idx]
+            if node.name in params:
+                return np.float64(params[node.name])
+            raise EvalError(f"unbound identifier {node.name!r}")
+        if isinstance(node, Neg):
+            return -go(node.arg)
+        if isinstance(node, BinOp):
+            a, b = go(node.left), go(node.right)
+            return {"+": np.add, "-": np.subtract, "*": np.multiply,
+                    "/": np.divide}[node.op](a, b)
+        if isinstance(node, Pow):
+            value = go(node.base)
+            if node.exponent == 0:
+                return np.ones_like(value * 1.0)
+            acc = value
+            for _ in range(abs(node.exponent) - 1):
+                acc = acc * value
+            return np.divide(1.0, acc) if node.exponent < 0 else acc
+        if node.fn == "pow":
+            base, ex = go(node.args[0]), go(node.args[1])
+            if is_coordinate_free(node.args[1]):
+                return np.power(base, ex)
+            return np.exp(ex * np.log(base))
+        return fns[node.fn](go(node.args[0]))
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return go(ast)
+
+
+def tree_evaluate_jet(ast, coords, params=None):
+    """Jet evaluation by walking the tree, in the order of ``tree_evaluate``."""
+    params = params or {}
+    space = coords[0].space
+    n = len(coords)
+    fns = {"sqrt": jets.jet_sqrt, "exp": jets.jet_exp, "log": jets.jet_log,
+           "sin": jets.jet_sin, "cos": jets.jet_cos, "atan": jets.jet_atan}
+
+    def const(v):
+        return Jet.constant(space, np.full_like(coords[0].c[0], v))
+
+    def go(node):
+        if isinstance(node, Num):
+            return const(node.value)
+        if isinstance(node, Var):
+            if node.name == "r":
+                s = coords[0] * coords[0]
+                for x in coords[1:]:
+                    s = s + x * x
+                return jets.jet_sqrt(s)
+            if COORD_RE.match(node.name):
+                return coords[int(node.name[1:]) - 1]
+            if node.name in params:
+                return const(params[node.name])
+            raise EvalError(f"unbound identifier {node.name!r}")
+        if isinstance(node, Neg):
+            return -go(node.arg)
+        if isinstance(node, BinOp):
+            a, b = go(node.left), go(node.right)
+            return {"+": a.__add__, "-": a.__sub__, "*": a.__mul__,
+                    "/": a.__truediv__}[node.op](b)
+        if isinstance(node, Pow):
+            value = go(node.base)
+            if node.exponent == 0:
+                return const(1.0)
+            acc = value
+            for _ in range(abs(node.exponent) - 1):
+                acc = acc * value
+            return const(1.0) / acc if node.exponent < 0 else acc
+        if node.fn == "pow":
+            base = go(node.args[0])
+            if is_coordinate_free(node.args[1]):
+                return jets.jet_powc(base, tree_evaluate(node.args[1], np.zeros(n), params))
+            return jets.jet_exp(go(node.args[1]) * jets.jet_log(base))
+        return fns[node.fn](go(node.args[0]))
+
+    return go(ast)
 
 
 def ev1(ast, pt, params=None):
@@ -137,22 +247,131 @@ class TestAstUtilities:
         assert ev1(ast, np.array([[3.0], [0.0], [0.0]])) == pytest.approx(6.0)
 
 
-# A strategy for well-formed expression ASTs of bounded depth.
-def _ast_strategy():
+# A strategy for well-formed expression ASTs of bounded depth.  Without
+# ``extended`` it keeps to +, *, sin and exp over x1..x3 and m.
+def _ast_strategy(extended=True):
+    names = ["x1", "x2", "x3", "m", "r"] if extended else ["x1", "x2", "x3", "m"]
     leaves = st.one_of(
         st.floats(min_value=0.125, max_value=8.0).map(lambda v: Num(round(v, 3))),
-        st.sampled_from(["x1", "x2", "x3", "m"]).map(Var),
+        st.sampled_from(names).map(Var),
     )
+    # a pow exponent that is constant along the chart
+    coord_free = st.sampled_from(
+        [Num(0.5), Num(4.0 / 3.0), Var("m"), BinOp("/", Var("m"), Num(3.0))])
 
     def extend(children):
-        return st.one_of(
-            st.tuples(children, children).map(lambda ab: eadd(*ab)),
-            st.tuples(children, children).map(lambda ab: emul(*ab)),
+        pairs = st.tuples(children, children)
+        core = [
+            pairs.map(lambda ab: eadd(*ab)),
+            pairs.map(lambda ab: emul(*ab)),
             children.map(lambda a: Call("sin", (a,))),
             children.map(lambda a: Call("exp", (a,))),
+        ]
+        if not extended:
+            return st.one_of(*core)
+        return st.one_of(
+            *core,
+            pairs.map(lambda ab: BinOp("-", *ab)),
+            pairs.map(lambda ab: BinOp("/", *ab)),
+            children.map(Neg),
+            st.tuples(children, st.integers(-3, 4)).map(lambda ae: Pow(*ae)),
+            st.tuples(st.sampled_from(["sqrt", "log", "atan"]), children)
+            .map(lambda fa: Call(fa[0], (fa[1],))),
+            st.tuples(children, coord_free).map(lambda ab: Call("pow", ab)),
+            # an exponent that depends on the coordinates
+            pairs.map(lambda ab: Call("pow", (ab[0], eadd(ab[1], Var("x2"))))),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
+
+
+# lists of trees that share subtrees, one of them twice
+_shared_trees = st.tuples(_ast_strategy(), _ast_strategy()).map(
+    lambda ab: [ab[0], BinOp("*", *ab), Call("sqrt", (BinOp("+", *ab),)), ab[1], ab[0]])
+
+
+# eight points, n = 3: a wider batch shows more last-bit differences
+PTS = np.random.Generator(np.random.PCG64(5)).uniform(-2.0, 2.0, (3, 8)).round(3)
+PARAMS = {"m": 1.5}
+
+
+def assert_bitwise(got, want):
+    # assert_array_equal counts NaN equal to NaN but 0.0 equal to -0.0
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def jet_or_error(fn, *args):
+    """fn(*args), or the ZeroDivisionError a jet division by zero raises."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError as e:
+        return e
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestProgramAgainstTreeWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(_ast_strategy())
+    def test_float_single_tree(self, ast):
+        assert_bitwise(evaluate(ast, PTS, PARAMS), tree_evaluate(ast, PTS, PARAMS))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_shared_trees)
+    def test_float_shared_trees(self, trees):
+        want = np.stack([np.broadcast_to(tree_evaluate(t, PTS, PARAMS), (8,))
+                         for t in trees], axis=-1)
+        assert_bitwise(evaluate(trees, PTS, PARAMS), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_ast_strategy(), st.integers(1, 3))
+    # operand order shows in the last bits of order-3 jets of these
+    @example(parse("(sin(x1*x2) + x3)^3"), 3)
+    @example(parse("pow(2 + sin(x1*x2), cos(x3*x1))"), 3)
+    @example(parse("sin(r)*r"), 3)
+    def test_jet_single_tree(self, ast, order):
+        _, coords = seed_point(PTS, order)
+        want = jet_or_error(tree_evaluate_jet, ast, coords, PARAMS)
+        if isinstance(want, ZeroDivisionError):
+            with pytest.raises(ZeroDivisionError):
+                evaluate_jet(ast, coords, PARAMS)
+        else:
+            assert_bitwise(evaluate_jet(ast, coords, PARAMS).c, want.c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_shared_trees, st.integers(1, 3))
+    def test_jet_shared_trees(self, trees, order):
+        _, coords = seed_point(PTS, order)
+        want = [jet_or_error(tree_evaluate_jet, t, coords, PARAMS) for t in trees]
+        if any(isinstance(w, ZeroDivisionError) for w in want):
+            with pytest.raises(ZeroDivisionError):
+                evaluate_jet(trees, coords, PARAMS)
+        else:
+            assert_bitwise(evaluate_jet(trees, coords, PARAMS).c,
+                           np.stack([w.c for w in want], axis=-1))
+
+
+class TestLowering:
+    def test_signed_zero_constants_stay_apart(self):
+        out = evaluate((Num(0.0), Num(-0.0)), np.zeros((3, 2)))
+        assert out.shape == (2, 2)
+        assert np.signbit(out).tolist() == [[False, True], [False, True]]
+
+    def test_zero_power_still_lowers_its_base(self):
+        with pytest.raises(EvalError, match="unbound identifier 'y'"):
+            evaluate(parse("y^0"), np.zeros((3, 2)))
+        with pytest.raises(EvalError, match="unbound identifier 'y'"):
+            evaluate_jet(parse("y^0"), seed_point(np.zeros((3, 2)), 1)[1])
+
+    def test_slots_follow_lowering_order(self):
+        prog = lower([parse("sin(x2) + r*x1"), parse("x1*x1")], 2)
+        assert prog.code == (
+            ("coord", 1, ()), ("sin", None, (0,)),
+            ("coord", 0, ()), ("*", None, (2, 2)), ("*", None, (0, 0)),
+            ("+", None, (3, 4)), ("sqrt", None, (5,)),
+            ("*", None, (6, 2)), ("+", None, (1, 7)),
+        )
+        assert prog.outputs == (8, 3)  # x1*x1 is the square inside r
 
 
 class TestRoundTrip:
@@ -173,12 +392,14 @@ class TestRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(
         st.sampled_from(["x1", "x2", "x3"]),
-        _ast_strategy(),
+        _ast_strategy(extended=False),
     )
     def test_derivative_matches_forward_mode(self, coord, ast):
         # the oracle is the order-1 jet coefficient, an independent
         # forward-mode derivative; a central difference is no oracle here,
-        # its truncation error reaches 6e-4 relative on sin(exp(exp(5*x1)))
+        # its truncation error reaches 6e-4 relative on sin(exp(exp(5*x1)));
+        # the extended trees reach sqrt(u) and pow(u, s) at u = 0, where
+        # the symbolic rule folds du = 0 to 0 and forward mode gives NaN
         pt = np.array([[0.4], [-0.6], [0.9]])
         idx = int(coord[1]) - 1
         base = ev1(ast, pt, params={"m": 1.5})

@@ -60,6 +60,18 @@ def test_weyl_scalar_built_once_per_sample(monkeypatch, request, cfg, count):
     assert len(calls) == count
 
 
+@pytest.mark.parametrize("cfg", ["lee_cfg", "p4_cfg"])
+def test_weyl_connection_built_only_where_read(monkeypatch, request, cfg):
+    # the Weyl scalar needs no connection coefficients; only the spinor
+    # calculator reads them
+    chart = request.getfixturevalue(cfg).chart
+    calls = spy(monkeypatch, weyl, "weyl_connection")
+    pts = suites.sample_points(chart, 4, suites.rng_for(42))
+    assert np.all(np.isfinite(suites._weyl_scal_values(chart, pts, 2)))
+    assert suites.curvature_battery(chart, points=4)["pass"]
+    assert len(calls) == 0
+
+
 def test_order_two_derivatives_computed_once(monkeypatch, p4_cfg):
     # n = 4 with a Lee form: 2 shared fields, 2 in each Lichnerowicz
     # residual (the outer Dirac step and the n trace-second fields in one

@@ -1,9 +1,10 @@
 """Compare every command on every bundled config between two source trees.
 
-    python tools/sweep.py PARENT_TREE [--tree TREE]
+    python tools/sweep.py PARENT_TREE [--tree TREE] [--config PATH ...]
 
 Runs ``python -m confmass <command> <config>`` for the 7 commands and the
-bundled configs of TREE (default: the checkout this script sits in), once
+bundled configs of TREE (default: the checkout this script sits in), plus
+each config file given by a repeated ``--config``, once
 with TREE/src and once with PARENT_TREE/src on PYTHONPATH, one process at
 a time.  For each pair it prints both exit codes, ``stdout identical``
 when the two outputs match byte for byte, and otherwise every ``pass``
@@ -120,9 +121,11 @@ def main(argv=None) -> int:
     ap.add_argument("parent", help="source tree to compare against")
     ap.add_argument("--tree", default=os.path.join(os.path.dirname(__file__), ".."),
                     help="source tree under test (default: this checkout)")
+    ap.add_argument("--config", action="append", default=[], metavar="PATH",
+                    help="config file to sweep as well as the bundled ones (repeatable)")
     args = ap.parse_args(argv)
     worst_by_name: dict = {}
-    for config in bundled_configs(args.tree):
+    for config in bundled_configs(args.tree) + args.config:
         for command in COMMANDS:
             label = f"{command} {config}"
             code_old, out_old, old = run(args.parent, command, config)
