@@ -308,6 +308,13 @@ def _compose(u: Jet, dcoef: list[np.ndarray]) -> Jet:
     acc = Jet.constant(u.space, dcoef[order])
     for j in range(order - 1, -1, -1):
         acc = acc * p + dcoef[j]
+    bad = ~np.all([np.isfinite(d) for d in dcoef[1:]], axis=0)
+    if np.any(bad):
+        # a constant argument composes to f(u0) with zero derivatives even
+        # where f' is infinite (sqrt at 0), not to the NaN of inf * 0
+        bad &= ~np.any(nil, axis=0)
+        acc = Jet(u.space, np.where(bad, 0.0, acc.c))
+        acc.c[0] = np.where(bad, dcoef[0], acc.c[0])
     return acc
 
 

@@ -21,14 +21,14 @@ accordingly) agree, and the spinor boundary flux converges to
 (1/4) m(D) |psi_0|^2 for asymptotically constant psi_0.  Both facts are
 enforced by the acceptance tests.
 
-Quadrature: every flux is first evaluated on an embedded pair of product
-rules, Gauss-Legendre orders ``COARSE_ORDERS`` = (6, 12).  When the two
-agree within ``QUAD_RTOL`` times the sum of the absolute node terms plus
-``QUAD_ATOL`` (the floor that lets integrands vanishing node by node,
-such as a rotational Lee form, pass), the order-12 value is returned.
-Otherwise the top order, ``DEFAULT_ORDERS[n]`` (48/24/12/12 for
-n = 3/4/5/6) or the caller's ``orders``, runs and its value is returned;
-a top order of 12 or less runs alone.  The CLI echoes both tolerances.
+Quadrature: a flux climbs the order ladder ``QUAD_ORDERS`` of exact
+sphere rules (see ``sphere_rule``), skipping rungs of more than
+``QUAD_MAX_NODES`` nodes, and returns the finer value of the first
+adjacent pair that agrees within ``QUAD_RTOL`` times the sum of the
+absolute node terms plus ``QUAD_ATOL`` (the floor that lets integrands
+vanishing node by node, such as a rotational Lee form, pass), else the
+last rung's value.  The caller's ``orders`` runs that one rule alone.
+The CLI echoes both tolerances.
 
 Determinism: quadrature nodes are evaluated in fixed ``util.CHUNK``-node
 chunks and reduced with a fixed pairwise tree (see util), so every flux
@@ -69,10 +69,10 @@ __all__ = [
     "sphere_area",
 ]
 
-# top Gauss-Legendre order per dimension; the coarse pair and its
-# tolerances are described in the module docstring
-DEFAULT_ORDERS = {3: 48, 4: 24, 5: 12, 6: 12}
-COARSE_ORDERS = (6, 12)
+# the order ladder, its node budget and tolerances (see the module
+# docstring); the budget tops the ladder at 48/48/24/12 for n = 3/4/5/6
+QUAD_ORDERS = (6, 12, 16, 24, 32, 48)
+QUAD_MAX_NODES = 700_000
 QUAD_RTOL = 1e-12
 QUAD_ATOL = 1e-15
 
@@ -95,70 +95,58 @@ class SphereRule:
         return self.nodes.shape[1]
 
 
-def sphere_rule(n: int, r: float, orders: int | None = None) -> SphereRule:
-    """Product quadrature on the coordinate sphere of radius r.
-
-    n=3 uses Gauss-Legendre in cos(polar) x uniform azimuth; n in 4..6
-    iterates Gauss-Legendre rules over the polar angles with their
-    sin-power Jacobians, again with a uniform (trigonometrically exact)
-    azimuth.  ``orders`` is the Gauss-Legendre node count (azimuth gets
-    twice that), ``DEFAULT_ORDERS[n]`` when None.  The unit-sphere rule
-    is built once per (n, orders) and scaled by r on every call.
-
-    Fluxes do not always run this order: ``_flux`` first compares the
-    rules of orders ``COARSE_ORDERS`` and runs the given (top) order
-    only when they disagree beyond ``QUAD_RTOL``/``QUAD_ATOL``.
-    """
+def sphere_rule(n: int, r: float, orders: int) -> SphereRule:
+    """Product rule of order N = ``orders`` on the sphere of radius r: for
+    each polar angle theta_k (k = 1..n-2) N Gauss-Jacobi nodes in
+    cos(theta_k) for the weight (1 - t^2)^((n-2-k)/2) of the surface
+    element, and 2N uniform azimuth nodes.  Its 2 N^(n-1) nodes are exact
+    on polynomials of degree up to 2N - 1.  The unit-sphere rule is built
+    once per (n, N) and scaled by r on every call."""
     if not 3 <= n <= 6:
         raise ValueError(f"sphere_rule supports 3 <= n <= 6, got {n}")
     if r <= 0:
         raise ValueError("radius must be positive")
-    N = int(orders) if orders is not None else DEFAULT_ORDERS[n]
+    N = int(orders)
     if N < 2:
         raise ValueError("quadrature order must be >= 2")
     x, w = _unit_rule(n, N)
     return SphereRule(r=float(r), nodes=r * x, weights=(r ** (n - 1)) * w)
 
 
+def _polar_rule(N: int, a: float) -> tuple:
+    """N-node Gauss rule in t on (-1, 1) for the weight (1 - t^2)^a: for
+    a > 0 the eigenvalues of the Jacobi matrix of the Jacobi polynomials
+    P^(a,a), weighted mu_0 v_0^2 (Golub & Welsch, Math. Comp. 23, 1969)."""
+    if a == 0:
+        return leggauss(N)
+    j = np.arange(1.0, N)
+    b = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
+    t, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+    mu0 = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5)
+    return t, mu0 * v[0] ** 2
+
+
 @functools.lru_cache(maxsize=32)
 def _unit_rule(n: int, N: int) -> tuple:
-    """Read-only nodes (n, M) and weights (M,) of the rule on the unit sphere."""
+    """Read-only nodes (n, M) and weights (M,) of the rule on the unit sphere:
+    x[n-1] = t_1, x[n-2] = s_1 t_2, ..., x[0] = S cos(phi), x[1] = S sin(phi)
+    with s_k = sqrt(1 - t_k^2), S = prod s_k, t_1 slowest and phi fastest."""
     M = 2 * N
     phi = 2.0 * math.pi * np.arange(M) / M
-    wphi = np.full(M, 2.0 * math.pi / M)
-
-    if n == 3:
-        t, wt = leggauss(N)
-        st = np.sqrt(1.0 - t ** 2)
-        x = np.empty((3, N * M))
-        cosphi, sinphi = np.cos(phi), np.sin(phi)
-        x[0] = (st[:, None] * cosphi[None, :]).ravel()
-        x[1] = (st[:, None] * sinphi[None, :]).ravel()
-        x[2] = np.broadcast_to(t[:, None], (N, M)).ravel()
-        w = (wt[:, None] * wphi[None, :]).ravel()
-    else:
-        # polar angles theta_1..theta_{n-2} in (0, pi), azimuth phi
-        xi, wxi = leggauss(N)
-        theta = 0.5 * math.pi * (xi + 1.0)
-        wtheta = 0.5 * math.pi * wxi
-        grids = [theta] * (n - 2) + [phi]
-        wlist = []
-        for k in range(n - 2):
-            wlist.append(wtheta * np.sin(theta) ** (n - 2 - k))
-        wlist.append(wphi)
-        mesh = np.meshgrid(*grids, indexing="ij")
-        wmesh = np.meshgrid(*wlist, indexing="ij")
-        w = np.ones_like(wmesh[0])
-        for wm in wmesh:
-            w = w * wm
-        x = np.empty((n,) + mesh[0].shape)
-        sin_prod = np.ones_like(mesh[0])
-        for k in range(n - 2):
-            x[k] = sin_prod * np.cos(mesh[k])
-            sin_prod = sin_prod * np.sin(mesh[k])
-        x[n - 2] = sin_prod * np.cos(mesh[n - 2])
-        x[n - 1] = sin_prod * np.sin(mesh[n - 2])
-        x, w = x.reshape(n, -1), w.ravel()
+    shape = (N,) * (n - 2) + (M,)
+    x = np.empty((n,) + shape)
+    w = np.ones(shape)
+    S = np.ones(shape)
+    for k in range(1, n - 1):
+        t, wt = _polar_rule(N, 0.5 * (n - 2 - k))
+        axis = (N,) + (1,) * (n - 1 - k)
+        x[n - k] = S * t.reshape(axis)
+        S = S * np.sqrt(1.0 - t ** 2).reshape(axis)
+        w = w * wt.reshape(axis)
+    x[0] = S * np.cos(phi)
+    x[1] = S * np.sin(phi)
+    w = w * np.full(M, 2.0 * math.pi / M)
+    x, w = x.reshape(n, -1), w.ravel()
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
@@ -231,23 +219,26 @@ def _measure_factors(chart: MetricChart, X: np.ndarray, measure: str):
 
 def _flux(chart: MetricChart, r: float, integrand, measure: str,
           orders: int | None, dtype=np.float64):
-    """Flux of ``integrand`` over S_r: the finer rule of the coarse pair
-    when the pair agrees in every column (integrands may return (S, B)),
-    else the top order alone (see the module docstring)."""
+    """Flux of ``integrand`` over S_r by the order ladder, every column
+    agreeing (integrands may return (S, B)); see the module docstring."""
     if r < 2.0 * chart.r_min:
         raise ValueError(f"flux radius {r} below validity (need >= {2.0 * chart.r_min})")
-    top = int(orders) if orders is not None else DEFAULT_ORDERS.get(chart.n, 0)
-    if top > COARSE_ORDERS[-1]:
-        (lo, _), (hi, terms) = (_rule_flux(chart, r, integrand, measure, N, dtype)
-                                for N in COARSE_ORDERS)
-        scale = util.pairwise_sum(np.abs(terms))
-        if np.all(np.abs(hi - lo) <= QUAD_RTOL * scale + QUAD_ATOL):
-            return hi
-    return _rule_flux(chart, r, integrand, measure, orders, dtype)[0]
+    if orders is not None:
+        return _rule_flux(chart, r, integrand, measure, orders, dtype)[0]
+    lo = None
+    for N in QUAD_ORDERS:
+        if 2 * N ** (chart.n - 1) > QUAD_MAX_NODES:
+            break
+        hi, terms = _rule_flux(chart, r, integrand, measure, N, dtype)
+        if lo is not None and np.all(np.abs(hi - lo) <= QUAD_RTOL * util.pairwise_sum(
+                np.abs(terms)) + QUAD_ATOL):
+            break
+        lo = hi
+    return hi
 
 
 def _rule_flux(chart: MetricChart, r: float, integrand, measure: str,
-               orders: int | None, dtype):
+               orders: int, dtype):
     """The flux on one sphere rule and its weighted node terms (M, ...)."""
     rule = sphere_rule(chart.n, r, orders)
     X, w = rule.nodes, rule.weights

@@ -135,7 +135,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
 
     md = metric_jets(chart, pts, order=jet_order)
     theta = lee_jets(chart, pts, coords=md.coords) if chart.has_lee else None
-    calc = spinor_calc(md, theta)
+    calc = spinor_calc(md, theta, check_two_path=False)  # a check below
     k = 0.5 * (2.0 - n)
 
     checks = []

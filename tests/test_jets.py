@@ -69,6 +69,31 @@ class TestExactness:
         plain = float(np.atleast_1d(exprdsl.evaluate(ast, pt.reshape(-1, 1)))[0])
         assert j.value == plain  # bitwise
 
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("src", ["sqrt(x1 - x1)", "pow(0, 0.5)", "pow(x1 - x1, 0.5)"])
+    def test_constant_argument_at_an_infinite_derivative(self, src, order):
+        # f'(0) is infinite but the argument is constant: the jet is f(0)
+        # with zero derivatives, not inf * 0 = NaN
+        pts = np.array([[1.3, 0.0, -2.0], [-0.7, 0.5, 1.0], [2.9, 0.0, 0.25]])
+        ast = exprdsl.parse(src)
+        _, xs = seed_point(pts, order)
+        with np.errstate(invalid="ignore"):
+            j = evaluate_jet(ast, xs)
+        plain = np.broadcast_to(exprdsl.evaluate(ast, pts), (3,))
+        assert np.array_equal(j.c[0], plain)
+        assert np.array_equal(j.c[1:], np.zeros_like(j.c[1:]))
+
+    def test_finite_columns_keep_their_bits_beside_a_constant_one(self):
+        # at order 1, x1*x2 has a zero nilpotent part at the origin only;
+        # the other column is what it is when evaluated alone
+        ast = exprdsl.parse("sqrt(x1*x2)")
+        _, xs = seed_point(np.array([[0.0, 1.3], [0.0, 2.9]]), 1)
+        with np.errstate(invalid="ignore"):
+            both = evaluate_jet(ast, xs).c
+        alone = jet_of("sqrt(x1*x2)", [1.3, 2.9], 1).c
+        assert np.array_equal(both[:, 0], [0.0, 0.0, 0.0])
+        assert np.array_equal(both[:, 1], alone)
+
 
 class TestArithmetic:
     def test_seed_constant(self):

@@ -1,6 +1,7 @@
 """Tests for sphere quadrature, boundary fluxes, tail extrapolation, and the
 mass functionals."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +11,10 @@ from confmass import exprdsl, jetlinalg, mass, util
 from confmass.chart import End, EndSystem, conformal_rescale, make_chart
 from confmass.config import bundled_names, load_config
 from confmass.mass import (
-    DEFAULT_ORDERS,
     DIVERGENCE_WARNING,
     QUAD_ATOL,
+    QUAD_MAX_NODES,
+    QUAD_ORDERS,
     QUAD_RTOL,
     MassReport,
     adm_flux,
@@ -28,7 +30,7 @@ from confmass.mass import (
     weyl_mass,
     witten_flux,
 )
-from confmass.mass import _best_exponent, _golden_min, _unit_rule
+from confmass.mass import _best_exponent, _flux, _golden_min, _polar_rule, _unit_rule
 from confmass.spinor import make_spinor_spec
 
 ISO = "(1 + 1/(2*r))^4"
@@ -48,8 +50,8 @@ def stress_chart():
     """A non-axisymmetric n = 3 chart with high multipole content.
 
     At r = 20 its order-12 fluxes are off by up to 6e-4 relative (2e-3
-    absolute), so the coarse pair of rules must disagree and the top
-    order must run.
+    absolute), so the first pair of the order ladder must disagree and
+    the ladder must climb.
     """
     e = 0.1
     return make_chart(
@@ -87,25 +89,53 @@ def lee_chart(b=0.25):
 
 
 def reference_unit_rule(n, N):
-    """Unit-sphere nodes and weights built from scratch, without the cache."""
+    """Unit-sphere nodes and weights built from scratch, without the cache:
+    Gauss-Jacobi in t_k = cos(theta_k) (Golub-Welsch; Gauss-Legendre for
+    the last polar angle) times 2N uniform azimuth nodes."""
     M = 2 * N
     phi = 2.0 * math.pi * np.arange(M) / M
-    wphi = np.full(M, 2.0 * math.pi / M)
-    if n == 3:
-        t, wt = np.polynomial.legendre.leggauss(N)
-        st = np.sqrt(1.0 - t ** 2)
-        x = np.empty((3, N * M))
-        x[0] = (st[:, None] * np.cos(phi)[None, :]).ravel()
-        x[1] = (st[:, None] * np.sin(phi)[None, :]).ravel()
-        x[2] = np.broadcast_to(t[:, None], (N, M)).ravel()
-        return x, (wt[:, None] * wphi[None, :]).ravel()
+    ts, ws = [], []
+    for k in range(1, n - 1):
+        a = 0.5 * (n - 2 - k)
+        if a == 0:
+            t, wt = np.polynomial.legendre.leggauss(N)
+        else:
+            j = np.arange(1.0, N)
+            b = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
+            jac = np.zeros((N, N))
+            jac[j.astype(int) - 1, j.astype(int)] = b
+            jac[j.astype(int), j.astype(int) - 1] = b
+            t, v = np.linalg.eigh(jac)
+            wt = math.sqrt(math.pi) * math.gamma(a + 1.0) / math.gamma(a + 1.5) * v[0] ** 2
+        ts.append(t)
+        ws.append(wt)
+    mesh = np.meshgrid(*(ts + [phi]), indexing="ij")
+    w = np.ones_like(mesh[0])
+    for wm in np.meshgrid(*(ws + [np.full(M, 2.0 * math.pi / M)]), indexing="ij"):
+        w = w * wm
+    x = np.empty((n,) + mesh[0].shape)
+    sin_prod = np.ones_like(mesh[0])
+    for k in range(1, n - 1):
+        x[n - k] = sin_prod * mesh[k - 1]
+        sin_prod = sin_prod * np.sqrt(1.0 - mesh[k - 1] ** 2)
+    x[0] = sin_prod * np.cos(mesh[n - 2])
+    x[1] = sin_prod * np.sin(mesh[n - 2])
+    return x.reshape(n, -1), w.ravel()
+
+
+def theta_unit_rule(n, N):
+    """The earlier n >= 4 rule, kept as a mutation: Gauss-Legendre nodes in
+    the polar angles theta_k with sin^(n-1-k) theta_k folded into the
+    weights.  It is not matched to the measure, so it is not exact."""
+    M = 2 * N
+    phi = 2.0 * math.pi * np.arange(M) / M
     xi, wxi = np.polynomial.legendre.leggauss(N)
     theta = 0.5 * math.pi * (xi + 1.0)
     wtheta = 0.5 * math.pi * wxi
     mesh = np.meshgrid(*([theta] * (n - 2) + [phi]), indexing="ij")
-    wlist = [wtheta * np.sin(theta) ** (n - 2 - k) for k in range(n - 2)] + [wphi]
+    wlist = [wtheta * np.sin(theta) ** (n - 2 - k) for k in range(n - 2)]
     w = np.ones_like(mesh[0])
-    for wm in np.meshgrid(*wlist, indexing="ij"):
+    for wm in np.meshgrid(*(wlist + [np.full(M, 2.0 * math.pi / M)]), indexing="ij"):
         w = w * wm
     x = np.empty((n,) + mesh[0].shape)
     sin_prod = np.ones_like(mesh[0])
@@ -117,15 +147,46 @@ def reference_unit_rule(n, N):
     return x.reshape(n, -1), w.ravel()
 
 
-# (n, N) pairs of at most half a million nodes, which keeps every default
-# order; n = 5 at N = 48 and n = 6 at N >= 24 would need gigabytes
+def moment_error(x, w, degree):
+    """Largest error of the rule (x, w) on the unit sphere S^(n-1) over every
+    monomial x^alpha of degree <= ``degree``, against the closed form
+
+        integral of x^alpha = 2 prod Gamma((alpha_i + 1)/2) / Gamma((|alpha| + n)/2)
+
+    for even alpha, and 0 otherwise.  The monomials split into a head in
+    the first three coordinates and a tail in the rest, so every moment
+    comes out of one weighted product of the two power tables."""
+    n = x.shape[0]
+    powers = x[:, None, :] ** np.arange(degree + 1)[:, None]
+
+    def table(coords):
+        alphas = [a for a in itertools.product(range(degree + 1), repeat=len(coords))
+                  if sum(a) <= degree]
+        alphas = np.array(alphas, dtype=int).reshape(len(alphas), len(coords))
+        rows = np.ones((len(alphas), x.shape[1]))
+        for c, e in zip(coords, alphas.T):
+            rows = rows * powers[c, e]
+        return alphas, rows
+
+    (head, U), (tail, V) = table(range(3)), table(range(3, n))
+    got = (U * w) @ V.T
+    shape = (len(head), len(tail))
+    alpha = np.concatenate([np.broadcast_to(head[:, None, :], shape + head.shape[1:]),
+                            np.broadcast_to(tail[None, :, :], shape + tail.shape[1:])], axis=2)
+    g = np.array([math.gamma(0.5 * (e + 1)) for e in range(degree + 1)])
+    G = np.array([math.gamma(0.5 * (d + n)) for d in range(n * degree + 1)])
+    want = np.where(np.all(alpha % 2 == 0, axis=2),
+                    2.0 * np.prod(g[alpha], axis=2) / G[alpha.sum(axis=2)], 0.0)
+    return float(np.max(np.abs(got - want)[alpha.sum(axis=2) <= degree]))
+
+
+# (n, N) pairs of at most half a million nodes
 RULE_SIZES = [(n, N) for n in range(3, 7) for N in (2, 3, 6, 7, 12, 24, 48)
               if N ** (n - 2) * 2 * N <= 5 * 10 ** 5]
 
-
-def top_order_only(monkeypatch):
-    """Run every flux at its top order alone, with no coarse pair first."""
-    monkeypatch.setattr(mass, "COARSE_ORDERS", (math.inf,))
+# the top rung of the order ladder in each dimension
+TOP = {n: max(N for N in QUAD_ORDERS if 2 * N ** (n - 1) <= QUAD_MAX_NODES)
+       for n in range(3, 7)}
 
 
 def record_rules(monkeypatch):
@@ -162,14 +223,14 @@ class TestSphereRule:
         ],
     )
     def test_unit_sphere_areas(self, n, area):
-        rule = sphere_rule(n, 1.0)
+        rule = sphere_rule(n, 1.0, TOP[n])
         assert float(np.sum(rule.weights)) == pytest.approx(area, rel=1e-12)
         assert sphere_area(n, 1.0) == pytest.approx(area, rel=1e-15)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_scaling_with_radius(self, n):
         r = 7.5
-        rule = sphere_rule(n, r)
+        rule = sphere_rule(n, r, TOP[n])
         assert float(np.sum(rule.weights)) == pytest.approx(
             sphere_area(n, r), rel=1e-12
         )
@@ -179,7 +240,7 @@ class TestSphereRule:
     def test_polynomial_moments(self, n):
         # odd moments vanish, quadratic moments are area * r^2 / n
         r = 2.0
-        rule = sphere_rule(n, r)
+        rule = sphere_rule(n, r, TOP[n])
         area = sphere_area(n, r)
         for i in range(n):
             assert float(np.sum(rule.weights * rule.nodes[i])) == pytest.approx(
@@ -190,9 +251,35 @@ class TestSphereRule:
         got = float(np.sum(rule.weights * rule.nodes[0] * rule.nodes[-1]))
         assert got == pytest.approx(0.0, abs=1e-12 * area)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("N", [2, 3, 6])
+    def test_order_N_is_exact_through_degree_2N_minus_1(self, n, N):
+        rule = sphere_rule(n, 1.0, N)
+        assert moment_error(rule.nodes, rule.weights, 2 * N - 1) <= 1e-13 * sphere_area(n)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_theta_legendre_rule_fails_the_moment_oracle(self, monkeypatch, n):
+        # mutation: the earlier rule in the polar angles themselves
+        monkeypatch.setattr(mass, "_unit_rule", theta_unit_rule)
+        rule = sphere_rule(n, 1.0, 6)
+        assert moment_error(rule.nodes, rule.weights, 11) > 1e-3
+
+    @pytest.mark.parametrize("N", [2, 3, 6, 7, 12, 24, 48])
+    def test_n3_rule_is_gauss_legendre_in_cos_theta_bitwise(self, N):
+        M = 2 * N
+        phi = 2.0 * math.pi * np.arange(M) / M
+        t, wt = np.polynomial.legendre.leggauss(N)
+        st = np.sqrt(1.0 - t ** 2)
+        x, w = _unit_rule(3, N)
+        assert np.array_equal(x[0], (st[:, None] * np.cos(phi)[None, :]).ravel())
+        assert np.array_equal(x[1], (st[:, None] * np.sin(phi)[None, :]).ravel())
+        assert np.array_equal(x[2], np.repeat(t, M))
+        assert np.array_equal(w, (wt[:, None] * np.full(M, 2.0 * math.pi / M)[None, :]).ravel())
+        assert all(np.array_equal(a, b) for a, b in zip(_polar_rule(N, 0.0), (t, wt)))
+
     def test_refinement_changes_count(self):
-        a = sphere_rule(3, 1.0)
-        b = sphere_rule(3, 1.0, orders=2 * DEFAULT_ORDERS[3])
+        a = sphere_rule(3, 1.0, TOP[3])
+        b = sphere_rule(3, 1.0, orders=2 * TOP[3])
         assert b.count > a.count
 
     def test_minimum_order(self):
@@ -308,34 +395,41 @@ class TestFluxes:
 
 
 class TestCoarsePair:
+    """The first pair of the order ladder, (6, 12), and what follows it."""
+
     def test_stress_chart_runs_the_top_order_bitwise(self, monkeypatch):
+        # the first pair fails; the euclidean fluxes climb to the first pair
+        # that agrees, (16, 24), and the g fluxes to the top rung, 48, where
+        # no pair agrees; each returns the value of its last rule bitwise
         c = stress_chart()
         got = {}
         with monkeypatch.context() as m:
             runs = record_rules(m)
-            for measure in ("euclidean", "g"):
+            for measure, last in (("euclidean", 24), ("g", 48)):
                 for fn in (adm_flux, lee_flux):
                     del runs[:]
-                    got[fn, measure] = fn(c, 20.0, measure)
-                    assert [o for o, *_ in runs] == [6, 12, None]
-                    coarse = runs[1][1]
-                    assert abs(coarse - got[fn, measure]) > QUAD_RTOL * abs(got[fn, measure])
-        top_order_only(monkeypatch)
-        for (fn, measure), value in got.items():
-            assert value == fn(c, 20.0, measure)
+                    got[fn, measure, last] = value = fn(c, 20.0, measure)
+                    assert [o for o, *_ in runs] == \
+                        list(QUAD_ORDERS[:QUAD_ORDERS.index(last) + 1])
+                    assert abs(runs[1][1] - value) > QUAD_RTOL * abs(value)
+        for (fn, measure, last), value in got.items():
+            assert value == fn(c, 20.0, measure, orders=last)
 
     def test_one_failing_column_sends_every_spinor_to_the_top_order(self, monkeypatch):
-        # the zero spinor's flux agrees at the coarse pair; the constant
-        # one's does not, and the whole shared sample runs at the top order
+        # the zero spinor's flux agrees at the first pair; the constant
+        # one's does not, and the whole shared sample climbs the ladder
         c = stress_chart()
         specs = [make_spinor_spec([("0", "0"), ("0", "0")], weight=-0.5),
                  make_spinor_spec([("1", "0"), ("0", "0")], weight=-0.5)]
         with monkeypatch.context() as m:
             runs = record_rules(m)
-            got = witten_flux(c, specs, 20.0, orders=24)
-            assert [o for o, *_ in runs] == [6, 12, 24]
-        top_order_only(monkeypatch)
-        assert got == witten_flux(c, specs, 20.0, orders=24)
+            witten_flux(c, specs[0], 20.0)
+            assert [o for o, *_ in runs] == [6, 12]
+            del runs[:]
+            got = witten_flux(c, specs, 20.0)
+            orders = [o for o, *_ in runs]
+            assert orders == list(QUAD_ORDERS[:len(orders)]) and len(orders) > 2
+        assert got == witten_flux(c, specs, 20.0, orders=orders[-1])
 
     @pytest.mark.parametrize("measure", ["euclidean", "g"])
     def test_bundled_charts_pass_within_the_stated_tolerance(self, monkeypatch, measure):
@@ -350,7 +444,6 @@ class TestCoarsePair:
                     value = fn(c, r, measure)
                     assert [o for o, *_ in runs] == [6, 12]
                     got.append((value, float(np.sum(np.abs(runs[1][2])))))
-        top_order_only(monkeypatch)
         want = [fn(c, default_radii(c)[0], measure, orders=48)
                 for c in charts for fn in (adm_flux, lee_flux)]
         for (value, scale), top in zip(got, want):
@@ -364,8 +457,7 @@ class TestCoarsePair:
             got = witten_flux(cfg.chart, specs, 20.0)
             assert [o for o, *_ in runs] == [6, 12]
             scale = np.sum(np.abs(runs[1][2]), axis=0)
-        top_order_only(monkeypatch)
-        want = witten_flux(cfg.chart, specs, 20.0)
+        want = witten_flux(cfg.chart, specs, 20.0, orders=48)
         for value, top, sc in zip(got, want, scale):
             assert abs(value - top) <= QUAD_RTOL * sc + QUAD_ATOL
 
@@ -382,19 +474,28 @@ class TestCoarsePair:
     @pytest.mark.parametrize("orders", [2, 6, 9, 12])
     def test_orders_up_to_the_pair_run_alone(self, monkeypatch, orders):
         c = stress_chart()
-        with monkeypatch.context() as m:
-            runs = record_rules(m)
-            got = adm_flux(c, 20.0, "g", orders=orders)
-            assert [o for o, *_ in runs] == [orders]
-        top_order_only(monkeypatch)
-        assert got == adm_flux(c, 20.0, "g", orders=orders)
-
-    def test_top_order_at_or_below_the_pair_runs_alone(self, monkeypatch):
-        # n = 5 and 6 default to order 12
-        c = flat_chart(n=5, lee=[f"-x{i}/r^5" for i in range(1, 6)])
         runs = record_rules(monkeypatch)
-        lee_flux(c, 20.0)
-        assert [o for o, *_ in runs] == [None]
+        got = adm_flux(c, 20.0, "g", orders=orders)
+        assert [o for o, *_ in runs] == [orders]
+        assert got == runs[0][1]
+
+    @pytest.mark.parametrize("orders", [16, 48])
+    def test_orders_above_the_pair_run_alone(self, monkeypatch, orders):
+        c = stress_chart()
+        runs = record_rules(monkeypatch)
+        got = lee_flux(c, 20.0, "g", orders=orders)
+        assert [o for o, *_ in runs] == [orders]
+        assert got == runs[0][1]
+
+    def test_n5_and_n6_fluxes_check_the_coarse_pair(self, monkeypatch):
+        # n = 5 and 6 once ran order 12 alone; the radial Lee flux, a
+        # constant on the sphere, now stops at the agreeing first pair
+        runs = record_rules(monkeypatch)
+        for n in (5, 6):
+            del runs[:]
+            c = flat_chart(n=n, lee=[f"-x{i}/r^{n}" for i in range(1, n + 1)])
+            assert lee_flux(c, 20.0) == pytest.approx(-sphere_area(n), rel=1e-14)
+            assert [o for o, *_ in runs] == [6, 12]
 
     @pytest.mark.parametrize("width", [32, 4096])
     def test_flux_bits_do_not_depend_on_the_chunk_width(self, monkeypatch, width):
@@ -409,6 +510,38 @@ class TestCoarsePair:
         want = fluxes()
         monkeypatch.setattr(util, "CHUNK", width)
         assert fluxes() == want
+
+
+class TestLadder:
+    def test_the_node_budget_sets_the_top_rung(self):
+        assert TOP == {3: 48, 4: 48, 5: 24, 6: 12}
+
+    def test_n5_climbs_past_the_second_pair(self, monkeypatch):
+        # a degree-30 monomial is exact from order 16 on: the pairs (6, 12)
+        # and (12, 16) disagree, (16, 24) agrees, and order 24 is returned
+        c = flat_chart(n=5)
+        alpha = (10, 0, 10, 0, 10)
+
+        def integrand(Xc, nu):
+            return np.prod(nu ** np.array(alpha)[:, None], axis=0)
+
+        runs = record_rules(monkeypatch)
+        got = _flux(c, 2.0, integrand, "euclidean", None)
+        assert [o for o, *_ in runs] == [6, 12, 16, 24]
+        (_, v12, _), (_, v16, terms) = runs[1:3]
+        assert abs(v16 - v12) > QUAD_RTOL * float(np.sum(np.abs(terms))) + QUAD_ATOL
+        assert got == runs[-1][1]
+        want = 2.0 ** 4 * 2.0 * math.gamma(5.5) ** 3 * math.gamma(0.5) ** 2 / math.gamma(17.5)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_no_agreeing_pair_returns_the_top_rung(self, monkeypatch, n):
+        # |x_n| has a kink on the equator, so no pair agrees
+        c = flat_chart(n=n)
+        runs = record_rules(monkeypatch)
+        got = _flux(c, 2.0, lambda Xc, nu: np.abs(nu[n - 1]), "euclidean", None)
+        assert [o for o, *_ in runs] == [N for N in QUAD_ORDERS if N <= TOP[n]]
+        assert got == runs[-1][1]
 
 
 class TestExtrapolate:

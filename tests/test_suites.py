@@ -60,6 +60,38 @@ def test_weyl_scalar_built_once_per_sample(monkeypatch, request, cfg, count):
     assert len(calls) == count
 
 
+def test_two_path_codifferential_computed_once(monkeypatch, lee_cfg):
+    # the divergence -delta(theta) of the two-path check is evaluated by
+    # the report's check alone, not a second time inside the Weyl scalar
+    calls = {weyl: [], suites: []}
+    for mod, seen in calls.items():
+        def counting(*args, fn=mod.codiff_oneform, seen=seen):
+            seen.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(mod, "codiff_oneform", counting)
+    assert suites.identity_battery(lee_cfg.chart, points=4)["pass"]
+    assert (len(calls[weyl]), len(calls[suites])) == (0, 1)
+
+
+def test_two_path_gap_fails_the_reported_check(monkeypatch, lee_cfg):
+    # a divergence gap of 1e-9 relative, above weyl.TWO_PATH_TOL and the
+    # report's two_path_rel alike, shows as a failing check, not an error
+    codiff = curvature.codiff_oneform
+
+    def shifted(md, theta):
+        out = codiff(md, theta)
+        return out + 1e-9 * max(1.0, float(np.max(np.abs(out.value))))
+
+    for mod in (curvature, weyl, suites):
+        monkeypatch.setattr(mod, "codiff_oneform", shifted)
+    out = suites.identity_battery(lee_cfg.chart, points=4)
+    (check,) = [c for c in out["checks"] if c["name"] == "weyl-scalar-two-path"]
+    assert check["value"] > check["tolerance"] and not check["pass"]
+    assert not out["pass"]
+    assert all(c["pass"] for c in out["checks"] if c is not check)
+
+
 @pytest.mark.parametrize("cfg", ["lee_cfg", "p4_cfg"])
 def test_weyl_connection_built_only_where_read(monkeypatch, request, cfg):
     # the Weyl scalar needs no connection coefficients; only the spinor

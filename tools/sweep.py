@@ -6,8 +6,8 @@ Runs ``python -m confmass <command> <config>`` for the 7 commands and the
 bundled configs of TREE (default: the checkout this script sits in), plus
 each config file given by a repeated ``--config``, once
 with TREE/src and once with PARENT_TREE/src on PYTHONPATH, one process at
-a time.  For each pair it prints both exit codes, ``stdout identical``
-when the two outputs match byte for byte, and otherwise every ``pass``
+a time.  For each pair it prints both exit codes and both wall times,
+``stdout identical`` when the two outputs match byte for byte, and otherwise every ``pass``
 verdict that changed, report keys added or removed, and the largest
 relative drift of any float leaf with its JSON path; at the end, the
 largest drift per leaf name (``limit``, ``error``, ...) over all pairs,
@@ -23,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 COMMANDS = ("check", "curvature", "identities", "mass", "weyl-mass", "laws", "witten")
 
@@ -34,16 +35,19 @@ def bundled_configs(tree: str) -> list:
 
 
 def run(tree: str, command: str, config: str) -> tuple:
-    """Exit code, stdout and parsed JSON report (None when stdout is not one)."""
+    """Exit code, stdout, parsed JSON report (None when stdout is not one)
+    and wall time in seconds."""
     src = os.path.join(os.path.abspath(tree), "src")
     env = dict(os.environ, PYTHONPATH=src)
+    t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "confmass", command, config],
                           capture_output=True, text=True, env=env)
+    wall = time.perf_counter() - t0
     try:
         report = json.loads(proc.stdout)
     except json.JSONDecodeError:
         report = None
-    return proc.returncode, proc.stdout, report
+    return proc.returncode, proc.stdout, report, wall
 
 
 def leaves(node, path: str = "") -> dict:
@@ -128,9 +132,9 @@ def main(argv=None) -> int:
     for config in bundled_configs(args.tree) + args.config:
         for command in COMMANDS:
             label = f"{command} {config}"
-            code_old, out_old, old = run(args.parent, command, config)
-            code_new, out_new, new = run(args.tree, command, config)
-            print(f"{label}: exit {code_old} -> {code_new}")
+            code_old, out_old, old, t_old = run(args.parent, command, config)
+            code_new, out_new, new, t_new = run(args.tree, command, config)
+            print(f"{label}: exit {code_old} -> {code_new}, {t_old:.2f} s -> {t_new:.2f} s")
             if out_old == out_new:
                 print("  stdout identical")
                 continue
