@@ -37,7 +37,7 @@ from .mass import (ExtrapolationResult, MassReport, SphereRule, adm_flux,
 from .spinor import (SpinorFieldSpec, lichnerowicz_I_residual,
                      lichnerowicz_II_residual, make_spinor_spec, spinor_calc,
                      spinor_jets)
-from .weyl import TwoPathError, weyl_data, weyl_scalar
+from .weyl import weyl_data, weyl_scalar
 
 __version__ = "0.1.0"
 
@@ -51,7 +51,7 @@ __all__ = [
     "dump_report", "load_config", "load_expected", "parse_config",
     # curvature / weyl
     "christoffels", "codiff_oneform", "curvature", "laplacian",
-    "TwoPathError", "weyl_data", "weyl_scalar",
+    "weyl_data", "weyl_scalar",
     # exprdsl / jets
     "ParseError", "evaluate", "parse", "to_source",
     "Jet", "JetSpace", "evaluate_jet", "seed_point",

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import exprdsl, jetlinalg, jets
-from .exprdsl import COORD_RE, ExprAst, Num, parse, to_source
+from .exprdsl import COORD_RE, ExprAst, Num, as_expr, to_source
 from .jets import Jet, JetSpace
 
 __all__ = [
@@ -54,9 +54,6 @@ class MetricChart:
         return {f"{i + 1}{j + 1}": to_source(self.metric[i][j])
                 for i in range(self.n) for j in range(i, self.n)}
 
-    def lee_source(self) -> list[str]:
-        return [to_source(t) for t in self.lee]
-
     @property
     def has_lee(self) -> bool:
         """False when every Lee component is the literal 0."""
@@ -77,12 +74,6 @@ class EndSystem:
     @property
     def n(self) -> int:
         return self.ends[0].chart.n
-
-
-def _as_expr(e) -> ExprAst:
-    if isinstance(e, str):
-        return parse(e)
-    return e
 
 
 def _probe_directions(n: int, count: int = 16) -> np.ndarray:
@@ -143,7 +134,7 @@ def make_chart(n: int, tau: float, r_min: float,
         ij = norm_key(key)
         if ij in upper:
             raise ChartError(f"metric entry {key!r} given twice (symmetry)")
-        upper[ij] = _as_expr(src)
+        upper[ij] = as_expr(src)
     rows = []
     for i in range(n):
         row = []
@@ -160,12 +151,12 @@ def make_chart(n: int, tau: float, r_min: float,
                 i = int(key)
                 if not 1 <= i <= n:
                     raise ChartError(f"lee index {key!r} out of range for n={n}")
-                lee_list[i - 1] = _as_expr(src)
+                lee_list[i - 1] = as_expr(src)
         else:
             lee_seq = list(lee)
             if len(lee_seq) != n:
                 raise ChartError(f"lee form needs {n} components, got {len(lee_seq)}")
-            lee_list = [_as_expr(e) for e in lee_seq]
+            lee_list = [as_expr(e) for e in lee_seq]
 
     chart = MetricChart(n=n, tau=float(tau), r_min=float(r_min),
                         metric=metric_t, lee=tuple(lee_list),
@@ -378,7 +369,7 @@ def conformal_rescale(chart: MetricChart, factor,
     rescaling the metric inside the conformal class shifts the Lee form by
     -d(log f)/2, which keeps the associated torsion-free connection fixed.
     """
-    f = _as_expr(factor)
+    f = as_expr(factor)
     params = dict(chart.params)
     params.update(extra_params or {})
     metric = {(i + 1, j + 1): exprdsl.emul(f, chart.metric[i][j])

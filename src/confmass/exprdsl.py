@@ -57,7 +57,7 @@ import numpy as np
 __all__ = [
     "ExprAst", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
     "ParseError", "EvalError",
-    "Program", "RING_OPS", "parse", "lower", "evaluate", "to_source",
+    "Program", "RING_OPS", "parse", "as_expr", "lower", "evaluate", "to_source",
     "identifiers", "is_coordinate_free",
     "substitute", "derivative", "eadd", "esub", "emul", "ediv",
     "FUNCTIONS", "MAX_INT_EXPONENT", "COORD_RE",
@@ -277,6 +277,11 @@ def parse(src: str) -> ExprAst:
         ParseError: on any syntax problem, with a 0-based byte offset.
     """
     return _Parser(src).parse()
+
+
+def as_expr(e: str | ExprAst) -> ExprAst:
+    """``e`` parsed when it is source text, else the tree itself."""
+    return parse(e) if isinstance(e, str) else e
 
 
 # ---------------------------------------------------------------------------

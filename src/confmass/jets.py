@@ -45,7 +45,7 @@ from . import exprdsl
 from .exprdsl import ExprAst
 
 __all__ = [
-    "JetSpace", "Jet", "seed_point", "seed_constant", "partial",
+    "JetSpace", "Jet", "seed_point",
     "jet_sqrt", "jet_exp", "jet_log", "jet_sin", "jet_cos", "jet_atan",
     "jet_powc", "evaluate_jet", "tensor_mul", "tensor_dot",
 ]
@@ -185,9 +185,6 @@ class Jet:
         batched jet (m, B, *index): the result is (m', B, v, *index)."""
         parts = [self.derive(v).c for v in range(self.space.nvars)]
         return Jet(self.space.lower(self.space.order - 1), np.stack(parts, axis=2))
-
-    def copy(self) -> "Jet":
-        return Jet(self.space, self.c.copy())
 
     # -- ring operations ----------------------------------------------
     def _check(self, other: "Jet"):
@@ -382,15 +379,6 @@ def seed_point(point, order: int) -> tuple[JetSpace, list[Jet]]:
     n = point.shape[0]
     space = JetSpace.get(n, order)
     return space, [Jet.variable(space, i, point[i]) for i in range(n)]
-
-
-def seed_constant(space: JetSpace, value) -> Jet:
-    return Jet.constant(space, value)
-
-
-def partial(j: Jet, alpha: Sequence[int]):
-    """Partial derivative d^alpha of the jetted quantity at the point."""
-    return j.partial(alpha)
 
 
 def evaluate_jet(ast: ExprAst | Sequence[ExprAst], coords: list[Jet],

@@ -50,7 +50,7 @@ from .chart import (End, EndSystem, MetricChart, conformal_rescale, lee_jets,
                     metric_entry_jets, metric_jets)
 from .jets import seed_point
 from .spinor import (SpinorFieldSpec, coframe_action, covd_coord, dirac,
-                     spinor_calc_light, spinor_jets)
+                     spinor_calc, spinor_jets)
 
 __all__ = [
     "SphereRule",
@@ -255,6 +255,15 @@ def _rule_flux(chart: MetricChart, r: float, integrand, measure: str,
     return util.pairwise_sum(terms), terms
 
 
+def _normal_part(v: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """sum_j v[:, j] nu[j] for a covector field v (B, n), summed from zero
+    in j order."""
+    acc = np.zeros(v.shape[0], dtype=v.dtype)
+    for j in range(v.shape[1]):
+        acc = acc + v[:, j] * nu[j]
+    return acc
+
+
 def adm_flux(chart: MetricChart, r: float, measure: str = "euclidean",
              orders: int | None = None) -> float:
     """Integral over S_r of (d_i g_ij - d_j g_ii) nu_j."""
@@ -266,10 +275,7 @@ def adm_flux(chart: MetricChart, r: float, measure: str = "euclidean",
         s = np.zeros((B, n))  # s_j = sum_i d_i g_ij - d_j g_ii
         for i in range(n):
             s = s + dg[:, i, i, :] - dg[:, :, i, i]
-        acc = np.zeros(B)
-        for j in range(n):
-            acc = acc + s[:, j] * nu[j]
-        return acc
+        return _normal_part(s, nu)
 
     return float(_flux(chart, r, integrand, measure, orders))
 
@@ -277,14 +283,8 @@ def adm_flux(chart: MetricChart, r: float, measure: str = "euclidean",
 def lee_flux(chart: MetricChart, r: float, measure: str = "euclidean",
              orders: int | None = None) -> float:
     """Integral over S_r of theta(nu)."""
-    n = chart.n
-
     def integrand(Xc, nu):
-        th = exprdsl.evaluate(chart.lee, Xc, chart.params)
-        acc = np.zeros(Xc.shape[1])
-        for j in range(n):
-            acc = acc + th[:, j] * nu[j]
-        return acc
+        return _normal_part(exprdsl.evaluate(chart.lee, Xc, chart.params), nu)
 
     return float(_flux(chart, r, integrand, measure, orders))
 
@@ -293,14 +293,12 @@ def gradient_flux(chart: MetricChart, f, r: float, measure: str = "euclidean",
                   orders: int | None = None, over_f: bool = False) -> float:
     """Integral over S_r of df(nu), or of (df/f)(nu) with ``over_f``."""
     n = chart.n
-    ast = exprdsl.parse(f) if isinstance(f, str) else f
+    ast = exprdsl.as_expr(f)
     dfs = [exprdsl.derivative(ast, f"x{i + 1}") for i in range(n)]
 
     def integrand(Xc, nu):
         vals = exprdsl.evaluate(dfs + [ast] if over_f else dfs, Xc, chart.params)
-        acc = np.zeros(Xc.shape[1])
-        for j in range(n):
-            acc = acc + vals[:, j] * nu[j]
+        acc = _normal_part(vals[:, :n], nu)
         return acc / vals[:, n] if over_f else acc
 
     return float(_flux(chart, r, integrand, measure, orders))
@@ -337,15 +335,14 @@ def witten_flux(chart: MetricChart, spec: SpinorFieldSpec | Sequence[SpinorField
         B = Xc.shape[1]
         md = metric_jets(chart, Xc, order=1, check_spd=False)
         theta = lee_jets(chart, Xc, coords=md.coords) if chart.has_lee else None
-        calc = spinor_calc_light(md, theta)
+        calc = spinor_calc(md, theta)
         out = np.zeros((len(specs), B), dtype=np.complex128)
         for s, sp in enumerate(specs):
             psi = spinor_jets(sp, md.coords, chart.params)
             Dc = covd_coord(calc, psi, k)
-            cl = coframe_action(calc, dirac(calc, psi, k, coord_fields=Dc))
+            cl = coframe_action(calc, dirac(calc, Dc))
             omega = np.einsum("bs,bjs->bj", np.conj(psi.value), cl.value + Dc.value)
-            for j in range(n):
-                out[s] = out[s] + omega[:, j] * nu[j]
+            out[s] = _normal_part(omega, nu)
         return out
 
     flux = _flux(chart, r, integrand, measure, orders, dtype=np.complex128)
@@ -705,7 +702,7 @@ def _two_path_record(chart: MetricChart, f, radii: tuple, measure: str,
                      orders: int | None, base: MassReport,
                      rescaled: MassReport | None) -> dict:
     n = chart.n
-    ast = exprdsl.parse(f) if isinstance(f, str) else f
+    ast = exprdsl.as_expr(f)
     path_a = _metric_mass(conformal_rescale(chart, ast), radii, measure, orders,
                           rescaled)
 

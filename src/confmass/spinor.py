@@ -34,6 +34,17 @@ gamma_b and ``.`` the Clifford action; X^flat has frame components
 Dirac^{(k)} = gamma_a D_{E_a}; its square is taken as the composition
 with the outer application at weight k-1.
 
+Calculator and calling convention
+---------------------------------
+``spinor_calc(md, theta)`` builds the spin frame, the Clifford module
+and theta(E_b); the curvature and the Weyl scalar are built on the
+first read of ``scal`` (metric jets of order >= 2), so boundary-flux
+integrands on order-1 jets use the same calculator and never pay for
+them.  Operators on a field take its derivative
+``Dc = covd_coord(calc, psi, weight)``, with weight None for the
+Riemannian derivative, so each first derivative is computed once by
+the caller and shared by every operator that reads it.
+
 All operators evaluate on a batch of points (n, B); every derivative
 drops the jet order by one and mixed-order products truncate to the
 lower order.
@@ -42,6 +53,7 @@ lower order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +74,6 @@ __all__ = [
     "spinor_jets",
     "frame_spin_connection",
     "spinor_calc",
-    "spinor_calc_light",
     "covd_coord",
     "covd_frame",
     "dirac",
@@ -119,19 +130,10 @@ class SpinorFieldSpec:
     components: tuple  # N pairs of ExprAst
     weight: float
 
-    @property
-    def n_components(self) -> int:
-        return len(self.components)
-
 
 def make_spinor_spec(sources, weight: float) -> SpinorFieldSpec:
     """Parse N (real, imaginary) source pairs into a field spec."""
-    comps = []
-    for pair in sources:
-        re_src, im_src = pair
-        re_ast = exprdsl.parse(re_src) if isinstance(re_src, str) else re_src
-        im_ast = exprdsl.parse(im_src) if isinstance(im_src, str) else im_src
-        comps.append((re_ast, im_ast))
+    comps = [(exprdsl.as_expr(re), exprdsl.as_expr(im)) for re, im in sources]
     k = int(np.log2(len(comps)))
     if 2 ** k != len(comps):
         raise ValueError(f"component count {len(comps)} is not a power of two")
@@ -167,7 +169,7 @@ class SpinFrame:
     omega: Jet
 
 
-def frame_spin_connection(md: MetricData, cd: ConnectionData | None = None) -> SpinFrame:
+def frame_spin_connection(md: MetricData) -> SpinFrame:
     """Orthonormal frame and spin-connection coefficient jets.
 
     omega_iab = g_jk (nabla_i E_a)^j E_kb with
@@ -176,8 +178,7 @@ def frame_spin_connection(md: MetricData, cd: ConnectionData | None = None) -> S
     """
     if md.space.order < 1:
         raise ValueError("frame_spin_connection needs jet order >= 1")
-    if cd is None:
-        cd = christoffels(md)
+    cd = christoffels(md)
     S = jetlinalg.spd_sqrt(md.g)
     E = jetlinalg.mat_inv(S)  # [z, b, j, a]
 
@@ -197,18 +198,17 @@ class SpinorCalc:
     """Everything needed to differentiate spinor fields on one sample.
 
     ``theta`` is the Lee form (m, B, i) and ``theta_frame`` its frame
-    components theta(E_b) (m, B, b), both None without a Lee form.
-    ``curv`` is the Levi-Civita curvature and ``weyl`` the Weyl data
-    built on it (None without a Lee form); both are None on a
-    first-derivative-only calculator.
+    components theta(E_b) (m, B, b), both None without a Lee form.  The
+    Levi-Civita curvature ``curv`` and the Weyl data ``weyl`` built on it
+    (None without a Lee form) are computed on first read and need metric
+    jets of order >= 2; the first-derivative operators (``covd_coord``,
+    ``covd_frame``, ``dirac``) never read them.
     """
 
     frame: SpinFrame
     rep: clifford.CliffordRep
     theta: Jet | None
     theta_frame: Jet | None
-    curv: CurvatureData | None
-    weyl: weylmod.WeylData | None
 
     @property
     def n(self) -> int:
@@ -218,61 +218,45 @@ class SpinorCalc:
     def md(self) -> MetricData:
         return self.frame.md
 
+    @cached_property
+    def curv(self) -> CurvatureData:
+        return curvature(self.frame.cd)
+
+    @cached_property
+    def weyl(self) -> weylmod.WeylData | None:
+        return None if self.theta is None else weylmod.weyl_scalar(self.curv, self.theta)
+
     @property
     def connection(self) -> Jet:
         """The vector-field connection used for the frame correction in
         the second-derivative trace: Weyl with a Lee form, else Levi-Civita."""
-        return self.frame.cd.christoffel if self.weyl is None else self.weyl.gamma
+        return self.frame.cd.christoffel if self.theta is None else self.weyl.gamma
 
     @property
     def scal(self) -> Jet:
-        """Scalar curvature of ``connection`` (needs a full calculator)."""
-        return self.curv.scal if self.weyl is None else self.weyl.scal
+        """Scalar curvature of ``connection``."""
+        return self.curv.scal if self.theta is None else self.weyl.scal
 
 
-def _make_calc(cd: ConnectionData, theta: Jet | None, curv: CurvatureData | None,
-               weyl: weylmod.WeylData | None) -> SpinorCalc:
-    """Frame, Clifford module and frame components theta(E_b) of the Lee form."""
-    frame = frame_spin_connection(cd.md, cd)
+def spinor_calc(md: MetricData, theta: Jet | None = None) -> SpinorCalc:
+    """Frame, Clifford module and frame components theta(E_b) of the Lee
+    form; the curvature waits until it is read."""
+    frame = frame_spin_connection(md)
     tf = None
     if theta is not None:
         sp = theta.space
         tf = Jet(sp, tensor_mul(sp, "bj,bja->ba", theta.c, frame.E.truncate(sp.order).c))
-    return SpinorCalc(frame=frame, rep=clifford.build_rep(cd.md.n), theta=theta,
-                      theta_frame=tf, curv=curv, weyl=weyl)
+    return SpinorCalc(frame=frame, rep=clifford.build_rep(md.n), theta=theta,
+                      theta_frame=tf)
 
 
-def spinor_calc(md: MetricData, theta: Jet | None = None,
-                check_two_path: bool = True) -> SpinorCalc:
-    """Build the frame, connections, and curvature for spinor work."""
-    if md.space.order < 2:
-        raise ValueError("spinor calculus needs metric jets of order >= 2")
-    cd = christoffels(md)
-    cv = curvature(cd)
-    wd = None
-    if theta is not None:
-        wd = weylmod.weyl_scalar(cv, theta, check_two_path=check_two_path)
-    return _make_calc(cd, theta, cv, wd)
-
-
-def spinor_calc_light(md: MetricData, theta: Jet | None = None) -> SpinorCalc:
-    """First-derivative-only calculator (no curvature, no Weyl scalar).
-
-    Enough for ``covd_coord`` / ``covd_frame`` / ``dirac`` on order-1
-    metric jets, as used by boundary-flux integrands; ``scal`` is not
-    available and ``conf_trace_second`` must not be called on it.
-    """
-    return _make_calc(christoffels(md), theta, None, None)
-
-
-def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None = None,
-               riemannian: bool = False) -> Jet:
+def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None) -> Jet:
     """D_i psi for every coordinate direction i, one jet order down: a
     field (m, B, ..., N) gives one jet (m, B, i, ..., N).
 
-    With ``riemannian`` (or when the calculator has no Lee form) this is
+    With ``weight`` None (or when the calculator has no Lee form) this is
     the metric spin-connection derivative; otherwise the weighted Weyl
-    derivative at the given weight.  Since gamma_a gamma_b = -gamma_b
+    derivative at that weight.  Since gamma_a gamma_b = -gamma_b
     gamma_a for a != b and gamma_a^2 = -1, and sum_a S_ia theta(E_a) =
     theta_i, both are
 
@@ -290,9 +274,7 @@ def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None = None,
     t = min(psi.space.order - 1, fr.omega.space.order)
     if t < 0:
         raise ValueError("spinor jets exhausted: need order >= 1")
-    use_theta = (calc.theta is not None) and not riemannian
-    if use_theta and weight is None:
-        raise ValueError("weighted derivative needs a weight")
+    use_theta = calc.theta is not None and weight is not None
 
     sp = psi.space.lower(t)
     psi_t = psi.c[:sp.m]
@@ -313,21 +295,16 @@ def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None = None,
     return Jet(sp, out)
 
 
-def covd_frame(calc: SpinorCalc, psi: Jet, weight: float | None = None,
-               riemannian: bool = False, coord_fields: Jet | None = None) -> Jet:
-    """D_{E_a} psi for every frame index a (contraction of covd_coord),
-    as one jet (m, B, a, N)."""
-    if coord_fields is None:
-        coord_fields = covd_coord(calc, psi, weight, riemannian)
-    sp = coord_fields.space
-    return Jet(sp, tensor_mul(sp, "bia,bis->bas", calc.frame.E.c[:sp.m], coord_fields.c))
+def covd_frame(calc: SpinorCalc, Dc: Jet) -> Jet:
+    """D_{E_a} psi for every frame index a, as one jet (m, B, a, N), from
+    ``Dc = covd_coord(calc, psi, weight)``."""
+    sp = Dc.space
+    return Jet(sp, tensor_mul(sp, "bia,bis->bas", calc.frame.E.c[:sp.m], Dc.c))
 
 
-def dirac(calc: SpinorCalc, psi: Jet, weight: float | None = None,
-          coord_fields: Jet | None = None) -> Jet:
-    """gamma_a D_{E_a} psi; Riemannian when ``weight`` is None."""
-    return _slash(calc.rep, covd_frame(calc, psi, weight, riemannian=weight is None,
-                                       coord_fields=coord_fields))
+def dirac(calc: SpinorCalc, Dc: Jet) -> Jet:
+    """gamma_a D_{E_a} psi from ``Dc = covd_coord(calc, psi, weight)``."""
+    return _slash(calc.rep, covd_frame(calc, Dc))
 
 
 def coframe_action(calc: SpinorCalc, chi: Jet) -> Jet:
@@ -337,16 +314,14 @@ def coframe_action(calc: SpinorCalc, chi: Jet) -> Jet:
                               _act(calc.rep.gamma, chi.c)))
 
 
-def conf_trace_second(calc: SpinorCalc, psi: Jet, weight: float | None = None,
-                      coord_fields: Jet | None = None) -> Jet:
-    """-(D_{E_a}(D_{E_a} psi) - D_{W_a} psi) summed over a.
+def conf_trace_second(calc: SpinorCalc, Dc: Jet, weight: float | None) -> Jet:
+    """-(D_{E_a}(D_{E_a} psi) - D_{W_a} psi) summed over a, from
+    ``Dc = covd_coord(calc, psi, weight)``.
 
     W_a is the Weyl-connection derivative of the frame field E_a along
     itself; both spinor derivative applications use the same weight.
-    ``coord_fields``, when given, is ``covd_coord(calc, psi, weight)``.
     """
     E = calc.frame.E
-    Dc = covd_coord(calc, psi, weight) if coord_fields is None else coord_fields
     t2 = Dc.space.order - 1
     if t2 < 0:
         raise ValueError("conf_trace_second needs spinor jets of order >= 2")
@@ -358,22 +333,18 @@ def conf_trace_second(calc: SpinorCalc, psi: Jet, weight: float | None = None,
                                          calc.connection.c[:sp.m], Et)
     W = tensor_mul(sp, "bja,bjma->bam", Et, nab)
 
-    F = covd_frame(calc, psi, weight, coord_fields=Dc)
+    F = covd_frame(calc, Dc)
     DF = covd_coord(calc, F, weight).c  # [z, b, i, a, s]
     G = tensor_mul(sp, "bia,bias->bs", Et, DF)
     H = tensor_mul(sp, "bam,bms->bs", W, Dc.c[:sp.m])
     return Jet(sp, H - G)
 
 
-def dirac_composed(calc: SpinorCalc, psi: Jet, weight: float | None = None,
-                   coord_fields: Jet | None = None) -> Jet:
-    """Dirac^{(k-1)} Dirac^{(k)} psi (outer weight dropped by one).
-
-    ``coord_fields``, when given, is the inner derivative
-    ``covd_coord(calc, psi, weight)`` (Riemannian when ``weight`` is None).
-    """
-    first = dirac(calc, psi, weight, coord_fields=coord_fields)
-    return dirac(calc, first, None if weight is None else weight - 1.0)
+def dirac_composed(calc: SpinorCalc, Dc: Jet, weight: float | None) -> Jet:
+    """Dirac^{(k-1)} Dirac^{(k)} psi from ``Dc = covd_coord(calc, psi, k)``:
+    the outer derivative is taken at weight k - 1 (Riemannian for None)."""
+    first = dirac(calc, Dc)
+    return dirac(calc, covd_coord(calc, first, None if weight is None else weight - 1.0))
 
 
 def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
@@ -385,8 +356,9 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
 
     Independent of :func:`dirac_composed`; the two must agree.
     """
+    nab_full = covd_coord(calc, psi, None)
     if calc.theta is None:
-        return dirac_composed(calc, psi, None)
+        return dirac_composed(calc, nab_full, None)
     n = calc.n
     k = float(weight)
     c1 = k + 0.5 * (n - 1)
@@ -397,10 +369,9 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
     E = calc.frame.E
     th = calc.theta
 
-    # Riemannian derivative, Dirac operator and square of psi
-    nab_full = covd_coord(calc, psi, riemannian=True)
-    dg1_full = dirac(calc, psi, None, coord_fields=nab_full)
-    dg2 = dirac(calc, dg1_full, None)
+    # Riemannian Dirac operator and square of psi
+    dg1_full = dirac(calc, nab_full)
+    dg2 = dirac(calc, covd_coord(calc, dg1_full, None))
     sp = dg2.space
     psi2 = psi.c[:sp.m]
 
@@ -412,7 +383,7 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
     a, b = np.triu_indices(n, 1)
     term_dth = tensor_mul(sp, "bp,bps->bs", dth_f[..., a, b], _act(rep.pairs, psi2))
 
-    delth = codiff_oneform(md, calc.theta).c[:sp.m]
+    delth = calc.weyl.codiff.c[:sp.m]
     term_thdg = tensor_mul(sp, "ba,bas->bs", calc.theta_frame.c[:sp.m],
                            _act(rep.gamma, dg1_full.c[:sp.m]))
 
@@ -433,20 +404,16 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
 # ---------------------------------------------------------------------------
 # identity residuals
 
-def lichnerowicz_I_residual(calc: SpinorCalc, psi: Jet, coord_fields: Jet | None = None):
+def lichnerowicz_I_residual(calc: SpinorCalc, psi: Jet, Dc: Jet):
     """Dirac-square minus trace-second minus quarter-Scal, at the
-    distinguished weight (2 - n)/2.
+    distinguished weight k = (2 - n)/2, with ``Dc = covd_coord(calc, psi, k)``.
 
     Returns (residual (N, batch) complex array, scale) with scale the
-    largest constituent term, for relative comparison.  ``coord_fields``,
-    when given, is ``covd_coord(calc, psi, (2 - n)/2)``.
+    largest constituent term, for relative comparison.
     """
-    n = calc.n
-    k = 0.5 * (2.0 - n)
-    if coord_fields is None:
-        coord_fields = covd_coord(calc, psi, k)
-    d2 = spinor_values(dirac_composed(calc, psi, k, coord_fields))
-    tr = spinor_values(conf_trace_second(calc, psi, k, coord_fields))
+    k = 0.5 * (2.0 - calc.n)
+    d2 = spinor_values(dirac_composed(calc, Dc, k))
+    tr = spinor_values(conf_trace_second(calc, Dc, k))
     quarter = 0.25 * calc.scal.value * spinor_values(psi)
     res = d2 - tr - quarter
     scale = max(np.max(np.abs(d2)), np.max(np.abs(tr)), np.max(np.abs(quarter)))
@@ -454,7 +421,7 @@ def lichnerowicz_I_residual(calc: SpinorCalc, psi: Jet, coord_fields: Jet | None
 
 
 def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet,
-                             coord_fields: tuple | None = None) -> dict:
+                             Dc_psi: Jet, Dc_phi: Jet) -> dict:
     """Pairing form of the identity, with its two sub-residuals.
 
     main:    h(D psi, D phi) + (1/4) Scal^D h(psi, phi)
@@ -468,22 +435,18 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet,
     The divergences are taken with the background metric codifferential
     (the weight of the pairing makes the Weyl and metric
     codifferentials coincide there).  Returns per-point complex
-    residuals plus the scale of the largest term.  ``coord_fields``, when
-    given, is the pair ``covd_coord`` of psi and of phi at weight (2 - n)/2.
+    residuals plus the scale of the largest term.  ``Dc_psi`` and
+    ``Dc_phi`` are ``covd_coord`` of psi and of phi at weight (2 - n)/2.
     """
-    n = calc.n
     md = calc.md
-    k = 0.5 * (2.0 - n)
-    if coord_fields is None:
-        coord_fields = (covd_coord(calc, psi, k), covd_coord(calc, phi, k))
-    Dc_psi, Dc_phi = coord_fields
+    k = 0.5 * (2.0 - calc.n)
     psi0 = psi.value
-    h_tr = _h_values(psi0, conf_trace_second(calc, phi, k, Dc_phi).value)
-    h_d2 = _h_values(psi0, dirac_composed(calc, phi, k, Dc_phi).value)
+    h_tr = _h_values(psi0, conf_trace_second(calc, Dc_phi, k).value)
+    h_d2 = _h_values(psi0, dirac_composed(calc, Dc_phi, k).value)
 
     sp = Dc_psi.space
-    F_psi = covd_frame(calc, psi, k, coord_fields=Dc_psi)
-    F_phi = covd_frame(calc, phi, k, coord_fields=Dc_phi)
+    F_psi = covd_frame(calc, Dc_psi)
+    F_phi = covd_frame(calc, Dc_phi)
     d_phi = _slash(calc.rep, F_phi)
 
     hDD_v = _h_values(F_psi.value, F_phi.value)
@@ -516,21 +479,17 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet,
     }
 
 
-def norm_identity_residual(calc: SpinorCalc, psi: Jet, direction,
-                           coord_fields: Jet | None = None) -> np.ndarray:
+def norm_identity_residual(calc: SpinorCalc, psi: Jet, direction, Dc: Jet) -> np.ndarray:
     """d|psi|^2(X) - 2 Re h(D_X psi, psi) - (n-2) theta(X) |psi|^2.
 
-    ``direction`` is a constant coordinate coefficient vector; the
-    weight is the distinguished (2-n)/2, and ``coord_fields``, when
-    given, is ``covd_coord(calc, psi, (2 - n)/2)``.
+    ``direction`` is a constant coordinate coefficient vector and ``Dc``
+    is ``covd_coord(calc, psi, (2 - n)/2)``, at the distinguished weight.
     """
     n = calc.n
-    k = 0.5 * (2.0 - n)
     X = np.asarray(direction, dtype=np.float64)
     nrm = h_jet(psi, psi)  # |psi|^2, real up to an exactly zero imaginary part
     lhs = sum(X[i] * nrm.derive(i).value.real for i in range(n))
 
-    Dc = covd_coord(calc, psi, k) if coord_fields is None else coord_fields
     DX = np.einsum("i,bis->bs", X, Dc.value)
     rhs1 = 2.0 * np.real(_h_values(DX, psi.value))
 

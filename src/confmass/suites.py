@@ -25,7 +25,7 @@ import numpy as np
 from . import clifford, exprdsl, mass
 from .chart import MetricChart, conformal_rescale, lee_jets, metric_jets, scale_coordinates
 from .config import LoadedConfig
-from .curvature import christoffels, codiff_oneform, curvature
+from .curvature import christoffels, curvature
 from .exprdsl import Call, Num, Var, eadd, emul
 from .jets import seed_point
 from .spinor import (SpinorFieldSpec, covd_coord, dirac_composed,
@@ -119,11 +119,11 @@ def _finish(battery: str, checks: list, tolerances: dict, **extra) -> dict:
 # identities
 
 def _weyl_scal_values(chart: MetricChart, pts: np.ndarray, jet_order: int) -> np.ndarray:
-    """Values of the Weyl scalar curvature of ``chart`` at ``pts`` (no
-    two-path check); the jets behind them are freed on return."""
+    """Values of the Weyl scalar curvature of ``chart`` at ``pts``; the
+    jets behind them are freed on return."""
     md = metric_jets(chart, pts, order=jet_order)
     theta = lee_jets(chart, pts, coords=md.coords)
-    return weyl_scalar(curvature(christoffels(md)), theta, check_two_path=False).scal.value
+    return weyl_scalar(curvature(christoffels(md)), theta).scal.value
 
 
 def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
@@ -135,7 +135,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
 
     md = metric_jets(chart, pts, order=jet_order)
     theta = lee_jets(chart, pts, coords=md.coords) if chart.has_lee else None
-    calc = spinor_calc(md, theta, check_two_path=False)  # a check below
+    calc = spinor_calc(md, theta)
     k = 0.5 * (2.0 - n)
 
     checks = []
@@ -144,11 +144,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
     scal_weyl = calc.scal.value
     if theta is not None:
         # divergence two-path (trace of nabla theta vs -codifferential)
-        a = calc.weyl.trace_nabla_theta.value
-        b = -codiff_oneform(md, theta).value
-        scale = max(1.0, float(np.max(np.abs(a))))
-        checks.append(_check("weyl-scalar-two-path",
-                             float(np.max(np.abs(a - b))) / scale,
+        checks.append(_check("weyl-scalar-two-path", calc.weyl.divergence_gap,
                              tol["two_path_rel"]))
 
     # conformal covariance: f Scal(fg, theta - df/2f) = Scal(g, theta)
@@ -174,7 +170,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
                          float(np.max(np.abs(res))) / scale,
                          tol["lichnerowicz_rel"]))
 
-    pairing = lichnerowicz_II_residual(calc, psi, phi, (Dpsi, Dphi))
+    pairing = lichnerowicz_II_residual(calc, psi, phi, Dpsi, Dphi)
     sc = pairing["scale"]
     checks.append(_check("lichnerowicz-pairing",
                          float(np.max(np.abs(pairing["main"]))) / sc,
@@ -187,7 +183,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
                          tol["lichnerowicz_rel"]))
 
     if theta is not None:
-        d2 = spinor_values(dirac_composed(calc, psi, k, Dpsi))
+        d2 = spinor_values(dirac_composed(calc, Dpsi, k))
         ex = spinor_values(dirac_squared_expansion(calc, psi, k))
         scale = max(1.0, float(np.max(np.abs(d2))))
         checks.append(_check("dirac-square-expansion",
@@ -298,12 +294,8 @@ def curvature_battery(chart: MetricChart, points: int = 50, seed: int = 42,
     checks = []
     if chart.has_lee:
         theta = lee_jets(chart, pts, coords=md.coords)
-        wd = weyl_scalar(cv, theta, check_two_path=False)
-        a = wd.trace_nabla_theta.value
-        b = -codiff_oneform(md, theta).value
-        scale = max(1.0, float(np.max(np.abs(a))))
-        checks.append(_check("weyl-scalar-two-path",
-                             float(np.max(np.abs(a - b))) / scale,
+        wd = weyl_scalar(cv, theta)
+        checks.append(_check("weyl-scalar-two-path", wd.divergence_gap,
                              TOLERANCES["two_path_rel"]))
         stats["max_abs_weyl_scal"] = float(np.max(np.abs(wd.scal.value)))
 

@@ -14,8 +14,10 @@ quantity picks up f^{w/2}).
 
     Scal^D = Scal^g - 2 (n-1) tr_g(nabla theta) - (n-1)(n-2) |theta|^2_g
 
-and cross-checks tr_g(nabla theta) against the negative codifferential
-along the way; ``weyl_scalar_via_curvature`` instead contracts the
+and its ``WeylData`` measures, on first read, how far tr_g(nabla theta)
+is from the negative codifferential -delta(theta) computed through the
+volume density (``divergence_gap``); nothing raises on a gap, the
+batteries report it.  ``weyl_scalar_via_curvature`` instead contracts the
 curvature tensor of G~ directly and serves as an independent oracle for
 the reduction (no symmetrization is applied: the antisymmetric part of
 the Ricci-type contraction drops under the g^{ij} trace).
@@ -39,19 +41,11 @@ from .jets import Jet, tensor_dot, tensor_mul
 
 __all__ = [
     "WeylData",
-    "TwoPathError",
     "weyl_connection",
     "theta_norm2",
     "weyl_scalar",
     "weyl_scalar_via_curvature",
 ]
-
-TWO_PATH_TOL = 1e-11
-
-
-class TwoPathError(ArithmeticError):
-    """Raised when redundant evaluations of one quantity disagree."""
-
 
 @dataclass
 class WeylData:
@@ -67,6 +61,19 @@ class WeylData:
     def gamma(self) -> Jet:
         """Weyl connection coefficients (m, B, k, i, j), built on first read."""
         return weyl_connection(self.cd, self.theta)
+
+    @cached_property
+    def codiff(self) -> Jet:
+        """The codifferential delta(theta) through the volume density."""
+        return codiff_oneform(self.cd.md, self.theta)
+
+    @cached_property
+    def divergence_gap(self) -> float:
+        """max|tr_g(nabla theta) + delta(theta)| / max(1, max|tr_g(nabla theta)|):
+        the two divergence paths, which agree on consistent metric data."""
+        a = self.trace_nabla_theta.value
+        scale = max(1.0, float(np.max(np.abs(a))))
+        return float(np.max(np.abs(a + self.codiff.value))) / scale
 
 
 def weyl_connection(cd: ConnectionData, theta: Jet) -> Jet:
@@ -93,30 +100,15 @@ def theta_norm2(md: MetricData, theta: Jet) -> Jet:
     return Jet(sp, tensor_dot(sp, "bij,bj->b", t, theta.c))
 
 
-def weyl_scalar(cv: CurvatureData, theta: Jet,
-                check_two_path: bool = True) -> WeylData:
-    """Scalar curvature of the Weyl connection with Lee form theta.
-
-    The divergence term is computed both as g^{ij} nabla_i theta_j and as
-    -delta(theta); with ``check_two_path`` the two evaluations must agree
-    to TWO_PATH_TOL (relative to scale) or TwoPathError is raised.
-    """
+def weyl_scalar(cv: CurvatureData, theta: Jet) -> WeylData:
+    """Scalar curvature of the Weyl connection with Lee form theta, with
+    the divergence term taken as g^{ij} nabla_i theta_j."""
     cd = cv.cd
     md = cd.md
     n = md.chart.n
     tgt = cv.order
 
-    tr = trace_covd_oneform(cd, theta)
-    if check_two_path:
-        other = -codiff_oneform(md, theta)
-        a, b = tr.value, other.value
-        err = float(np.max(np.abs(a - b)))
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if err > TWO_PATH_TOL * scale:
-            raise TwoPathError(
-                f"divergence paths disagree: |diff|={err:.3e} at scale {scale:.3e}")
-
-    tr = tr.truncate(tgt)
+    tr = trace_covd_oneform(cd, theta).truncate(tgt)
     nrm = theta_norm2(md, theta.truncate(tgt))
     scal = cv.scal - (2.0 * (n - 1)) * tr - float((n - 1) * (n - 2)) * nrm
     return WeylData(cd=cd, theta=theta, trace_nabla_theta=tr, norm2_theta=nrm, scal=scal)
@@ -133,7 +125,6 @@ def weyl_scalar_via_curvature(cd: ConnectionData, theta: Jet) -> Jet:
     return curvature(fake).scal
 
 
-def weyl_data(md: MetricData, theta: Jet, check_two_path: bool = True) -> WeylData:
+def weyl_data(md: MetricData, theta: Jet) -> WeylData:
     """One-call pipeline: connection, curvature, and Weyl scalar."""
-    cv = curvature(christoffels(md))
-    return weyl_scalar(cv, theta, check_two_path=check_two_path)
+    return weyl_scalar(curvature(christoffels(md)), theta)

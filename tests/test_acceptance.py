@@ -32,6 +32,7 @@ from confmass.mass import (
     witten_flux,
 )
 from confmass.spinor import (
+    covd_coord,
     lichnerowicz_I_residual,
     lichnerowicz_II_residual,
     spinor_calc,
@@ -122,7 +123,8 @@ def test_dirac_laplacian_formula_residual_across_chart_matrix(
     start = time.monotonic()
     for cfg in (iso_cfg, lee_cfg, rot_cfg, p4_cfg):
         calc, psi, _ = _spinor_setup(cfg, points=100, seed=101)
-        res, scale = lichnerowicz_I_residual(calc, psi)
+        k = 0.5 * (2.0 - calc.n)
+        res, scale = lichnerowicz_I_residual(calc, psi, covd_coord(calc, psi, k))
         rel = float(np.max(np.abs(res))) / scale
         assert rel <= 1e-8, f"{cfg.name}: relative residual {rel:.3e}"
     assert time.monotonic() - start < 30.0
@@ -133,7 +135,9 @@ def test_pairing_formula_residuals_across_chart_matrix(
 ):
     for cfg in (iso_cfg, lee_cfg, rot_cfg, p4_cfg):
         calc, psi, phi = _spinor_setup(cfg, points=100, seed=202)
-        out = lichnerowicz_II_residual(calc, psi, phi)
+        k = 0.5 * (2.0 - calc.n)
+        out = lichnerowicz_II_residual(calc, psi, phi, covd_coord(calc, psi, k),
+                                       covd_coord(calc, phi, k))
         for part in ("main", "first", "second"):
             rel = float(np.max(np.abs(out[part]))) / out["scale"]
             assert rel <= 1e-8, f"{cfg.name}/{part}: relative residual {rel:.3e}"
@@ -147,12 +151,12 @@ def test_weighted_scalar_curvature_is_conformally_covariant(lee_cfg, rot_cfg):
 
         md = metric_jets(chart, pts, order=2)
         theta = lee_jets(chart, pts, order=2, coords=md.coords)
-        base = weyl_data(md, theta, check_two_path=False).scal.value
+        base = weyl_data(md, theta).scal.value
 
         resc = conformal_rescale(chart, f_src)
         md2 = metric_jets(resc, pts, order=2)
         th2 = lee_jets(resc, pts, order=2, coords=md2.coords)
-        moved = weyl_data(md2, th2, check_two_path=False).scal.value
+        moved = weyl_data(md2, th2).scal.value
 
         fv = evaluate(parse(f_src), pts, chart.params)
         gap = float(np.max(np.abs(fv * moved - base)))

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confmass import exprdsl, jets
-from confmass.jets import Jet, evaluate_jet, seed_constant, seed_point
+from confmass.jets import Jet, evaluate_jet, seed_point
 
 
 def jet_of(src, point, order, params=None):
@@ -98,7 +98,7 @@ class TestExactness:
 class TestArithmetic:
     def test_seed_constant(self):
         space, xs = seed_point([1.0, 2.0], 2)
-        c = seed_constant(space, 7.5)
+        c = Jet.constant(space, 7.5)
         assert c.value == 7.5
         assert c.partial((1, 0)) == 0.0
 

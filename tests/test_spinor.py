@@ -6,6 +6,7 @@ import pytest
 
 from confmass import exprdsl
 from confmass.chart import lee_jets, make_chart, metric_jets
+from confmass.curvature import christoffels
 from confmass.jets import Jet
 from confmass.spinor import (
     covd_coord,
@@ -22,6 +23,7 @@ from confmass.spinor import (
     spinor_jets,
     spinor_values,
 )
+from confmass.weyl import weyl_connection
 
 RNG = np.random.Generator(np.random.PCG64(13))
 
@@ -127,6 +129,23 @@ class TestSpinFrame:
         assert worst == 0.0
 
 
+class TestCalculator:
+    def test_first_order_calculator_has_no_scalar_curvature(self):
+        md = metric_jets(lee_chart(), sample_points(3, 4), order=1)
+        calc = spinor_calc(md, lee_jets(lee_chart(), None, coords=md.coords))
+        with pytest.raises(ValueError):
+            calc.scal
+
+    def test_connection_with_lee_form_is_the_weyl_connection(self):
+        chart = lee_chart()
+        md = metric_jets(chart, sample_points(3, 5), order=2)
+        theta = lee_jets(chart, None, coords=md.coords)
+        calc = spinor_calc(md, theta)
+        want = weyl_connection(christoffels(md), theta)
+        assert calc.connection.space is want.space
+        assert np.array_equal(calc.connection.c, want.c)
+
+
 class TestCovariantDerivative:
     def test_constant_spinor_flat_chart_is_parallel(self):
         chart = flat_chart()
@@ -134,7 +153,7 @@ class TestCovariantDerivative:
         md = metric_jets(chart, X, order=2)
         calc = spinor_calc(md, None)
         psi = spinor_jets(make_spinor_spec([("1", "0"), ("0", "1")], weight=-0.5), md.coords)
-        D = covd_coord(calc, psi, riemannian=True)
+        D = covd_coord(calc, psi, None)
         assert max(np.max(np.abs(D.value[:, i])) for i in range(3)) == 0.0
 
     def test_weight_enters_linearly_through_the_lee_form(self):
@@ -204,7 +223,7 @@ class TestDirac:
         md = metric_jets(chart, X, order=2)
         calc = spinor_calc(md, None)
         psi = spinor_jets(make_spinor_spec([("x1", "0"), ("0", "0")], weight=-0.5), md.coords)
-        vals = spinor_values(dirac(calc, psi))
+        vals = spinor_values(dirac(calc, covd_coord(calc, psi, None)))
         np.testing.assert_allclose(vals[0], 0.0, atol=1e-15)
         np.testing.assert_allclose(vals[1], 1j * np.ones(4), atol=1e-15)
 
@@ -217,7 +236,7 @@ class TestDirac:
             calc.frame.md.coords,
         )
         # the expanded form must reproduce the composed square
-        d2 = spinor_values(dirac_composed(calc, psi, -0.5))
+        d2 = spinor_values(dirac_composed(calc, covd_coord(calc, psi, -0.5), -0.5))
         ex = spinor_values(dirac_squared_expansion(calc, psi, -0.5))
         scale = max(1.0, float(np.max(np.abs(d2))))
         assert np.max(np.abs(d2 - ex)) <= 1e-10 * scale
@@ -239,7 +258,7 @@ class TestResiduals:
         X = sample_points(3, 12)
         calc = calc_for(chart, X)
         psi = self.make_psi(calc.frame.md.coords)
-        res, scale = lichnerowicz_I_residual(calc, psi)
+        res, scale = lichnerowicz_I_residual(calc, psi, covd_coord(calc, psi, -0.5))
         assert np.max(np.abs(res)) <= 1e-8 * max(1.0, scale)
 
     @pytest.mark.parametrize("chartf", [iso_chart, lee_chart])
@@ -252,7 +271,8 @@ class TestResiduals:
             make_spinor_spec([("x3/r^2", "1"), ("0.5", "x1/r^2")], weight=-0.5),
             calc.frame.md.coords,
         )
-        out = lichnerowicz_II_residual(calc, psi, phi)
+        out = lichnerowicz_II_residual(calc, psi, phi, covd_coord(calc, psi, -0.5),
+                                       covd_coord(calc, phi, -0.5))
         bound = 1e-8 * max(1.0, out["scale"])
         # the identity itself plus both sub-identities it splits into
         assert np.max(np.abs(out["main"])) <= bound
@@ -264,7 +284,8 @@ class TestResiduals:
         X = sample_points(3, 12)
         calc = calc_for(chart, X)
         psi = self.make_psi(calc.frame.md.coords)
-        res = norm_identity_residual(calc, psi, [0.6, -0.8, 0.0])
+        res = norm_identity_residual(calc, psi, [0.6, -0.8, 0.0],
+                                     covd_coord(calc, psi, -0.5))
         assert np.max(np.abs(res)) <= 1e-10
 
 
@@ -316,10 +337,11 @@ class TestBatchIndependence:
                               ("1", "0"), ("x2/r^2", "x3/r^2")], weight=-1.0),
             coords,
         )
-        pairing = lichnerowicz_II_residual(calc, psi, phi)
+        Dpsi = covd_coord(calc, psi, -1.0)
+        pairing = lichnerowicz_II_residual(calc, psi, phi, Dpsi, covd_coord(calc, phi, -1.0))
         return {
-            "covd_coord": covd_coord(calc, psi, -1.0).c,
-            "dirac": dirac(calc, psi, -1.0).c,
+            "covd_coord": Dpsi.c,
+            "dirac": dirac(calc, Dpsi).c,
             "pairing": h_jet(psi, phi).c,
             **{f"lichnerowicz_II.{k}": pairing[k] for k in ("main", "first", "second")},
         }

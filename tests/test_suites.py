@@ -3,13 +3,17 @@ curvature, the order-2 spinor derivatives, and the Clifford trials."""
 
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from confmass import clifford, spinor, suites, weyl
+import confmass
+from confmass import clifford, mass, spinor, suites, weyl
 from confmass.chart import make_chart
 
 # the package exports the function ``curvature`` under the module's name
@@ -60,36 +64,46 @@ def test_weyl_scalar_built_once_per_sample(monkeypatch, request, cfg, count):
     assert len(calls) == count
 
 
-def test_two_path_codifferential_computed_once(monkeypatch, lee_cfg):
-    # the divergence -delta(theta) of the two-path check is evaluated by
-    # the report's check alone, not a second time inside the Weyl scalar
-    calls = {weyl: [], suites: []}
-    for mod, seen in calls.items():
-        def counting(*args, fn=mod.codiff_oneform, seen=seen):
-            seen.append(args)
-            return fn(*args)
-
-        monkeypatch.setattr(mod, "codiff_oneform", counting)
-    assert suites.identity_battery(lee_cfg.chart, points=4)["pass"]
-    assert (len(calls[weyl]), len(calls[suites])) == (0, 1)
+def test_two_path_codifferential_computed_once(monkeypatch, lee_cfg, p4_cfg):
+    # delta(theta) of the base sample is computed once, by the Weyl data,
+    # and read by both the two-path check and the Dirac-square expansion;
+    # the other three are the divergences of the pairing identity
+    for cfg in (lee_cfg, p4_cfg):
+        with monkeypatch.context() as m:
+            calls = spy(m, curvature, "codiff_oneform")
+            assert suites.identity_battery(cfg.chart, points=4)["pass"]
+        assert len(calls) == 4, cfg.name
 
 
 def test_two_path_gap_fails_the_reported_check(monkeypatch, lee_cfg):
-    # a divergence gap of 1e-9 relative, above weyl.TWO_PATH_TOL and the
-    # report's two_path_rel alike, shows as a failing check, not an error
+    # a divergence gap of 1e-9 relative, above the report's two_path_rel,
+    # shows as a failing check, not an error; the Dirac-square expansion
+    # reads the same delta(theta) and fails with it, every other check passes
     codiff = curvature.codiff_oneform
 
     def shifted(md, theta):
         out = codiff(md, theta)
         return out + 1e-9 * max(1.0, float(np.max(np.abs(out.value))))
 
-    for mod in (curvature, weyl, suites):
+    for mod in (curvature, weyl):
         monkeypatch.setattr(mod, "codiff_oneform", shifted)
     out = suites.identity_battery(lee_cfg.chart, points=4)
     (check,) = [c for c in out["checks"] if c["name"] == "weyl-scalar-two-path"]
     assert check["value"] > check["tolerance"] and not check["pass"]
     assert not out["pass"]
-    assert all(c["pass"] for c in out["checks"] if c is not check)
+    failed = [c["name"] for c in out["checks"] if not c["pass"]]
+    assert failed == ["weyl-scalar-two-path", "dirac-square-expansion"]
+
+
+def test_witten_flux_builds_no_curvature(monkeypatch, lee_cfg):
+    # the spinor flux needs first derivatives only: the calculator it
+    # builds never reads its curvature or Weyl scalar
+    cur_calls = spy(monkeypatch, curvature, "curvature")
+    weyl_calls = spy(monkeypatch, weyl, "weyl_scalar")
+    spec = suites._default_spinors(3)[0][1]
+    flux = mass.witten_flux(lee_cfg.chart, spec, 20.0, orders=6)
+    assert np.isfinite(flux.real)
+    assert (len(cur_calls), len(weyl_calls)) == (0, 0)
 
 
 @pytest.mark.parametrize("cfg", ["lee_cfg", "p4_cfg"])
@@ -113,8 +127,8 @@ def test_order_two_derivatives_computed_once(monkeypatch, p4_cfg):
     assert suites.identity_battery(p4_cfg.chart, points=4)["pass"]
     keys = []
     for args, kwargs in calls:
-        bound = dict(zip(("calc", "psi", "weight", "riemannian"), args), **kwargs)
-        keys.append((id(bound["psi"]), bound.get("weight"), bound.get("riemannian", False)))
+        bound = dict(zip(("calc", "psi", "weight"), args), **kwargs)
+        keys.append((id(bound["psi"]), bound["weight"]))
     assert len(set(keys)) == len(keys)  # the fields stay alive in ``calls``
     assert len(calls) == 9
 
@@ -152,3 +166,32 @@ def test_benchmark_trace_targets_exist():
         if not callable(getattr(module, attr, None)):
             missing.append(target)
     assert missing == []
+
+
+RESIDUAL_TARGETS = ("spinor.lichnerowicz_I_residual", "spinor.lichnerowicz_II_residual",
+                    "spinor.norm_identity_residual", "spinor.dirac_squared_expansion")
+
+
+@pytest.mark.parametrize("argv,targets", [
+    (("identities", "schwarzschild-lee", "--points", "4"), RESIDUAL_TARGETS),
+    (("witten", "flat"), ()),
+])
+def test_benchmark_tracer_runs_the_command_unchanged(tmp_path, argv, targets):
+    # the tracer binds the arguments of some wrapped functions; a call it
+    # cannot bind must fail here, and the traced report must be the plain one
+    root = pathlib.Path(__file__).resolve().parents[1]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(confmass.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]))
+    spans = tmp_path / "spans.json"
+    plain = subprocess.run([sys.executable, "-m", "confmass", *argv],
+                           capture_output=True, env=env, cwd=str(tmp_path))
+    traced = subprocess.run([sys.executable, str(root / "benchmark" / "tracer.py"),
+                             str(spans), "--", *argv],
+                            capture_output=True, env=env, cwd=str(tmp_path))
+    assert plain.returncode == 0, plain.stderr.decode()
+    assert traced.returncode == plain.returncode, traced.stderr.decode()
+    assert traced.stdout == plain.stdout
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    for target in ("spinor.covd_coord", "spinor.covd_frame", *targets):
+        assert target in names, target
