@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import exprdsl, jetlinalg, jets
-from .exprdsl import COORD_RE, ExprAst, Num, as_expr, to_source
+from .exprdsl import COORD_RE, ExprAst, Num, as_expr
 from .jets import Jet, JetSpace
 
 __all__ = [
@@ -49,10 +49,6 @@ class MetricChart:
     lee: tuple[ExprAst, ...]
     params: Mapping[str, float] = field(default_factory=dict)
     name: str = ""
-
-    def metric_source(self) -> dict[str, str]:
-        return {f"{i + 1}{j + 1}": to_source(self.metric[i][j])
-                for i in range(self.n) for j in range(i, self.n)}
 
     @property
     def has_lee(self) -> bool:
@@ -93,15 +89,15 @@ def _probe_directions(n: int, count: int = 16) -> np.ndarray:
 
 def make_chart(n: int, tau: float, r_min: float,
                metric: Mapping | None = None,
-               lee: Mapping | Sequence | None = None,
+               lee: Sequence | None = None,
                params: Mapping[str, float] | None = None,
                name: str = "", validate: bool = True) -> MetricChart:
     """Build and validate a chart.
 
     ``metric`` maps "ij" strings (or (i, j) 1-based tuples) to expression
     sources for i <= j; missing diagonal entries default to 1 and missing
-    off-diagonal entries to 0.  ``lee`` is a sequence of n sources or a
-    mapping from "i" / i to sources; missing components default to 0.
+    off-diagonal entries to 0.  ``lee`` is a sequence of n sources, zero
+    when omitted.
     """
     if not 3 <= n <= MAX_DIM:
         raise ChartError(f"dimension must satisfy 3 <= n <= {MAX_DIM}, got {n}")
@@ -146,17 +142,10 @@ def make_chart(n: int, tau: float, r_min: float,
 
     lee_list: list[ExprAst] = [Num(0.0)] * n
     if lee is not None:
-        if isinstance(lee, Mapping):
-            for key, src in lee.items():
-                i = int(key)
-                if not 1 <= i <= n:
-                    raise ChartError(f"lee index {key!r} out of range for n={n}")
-                lee_list[i - 1] = as_expr(src)
-        else:
-            lee_seq = list(lee)
-            if len(lee_seq) != n:
-                raise ChartError(f"lee form needs {n} components, got {len(lee_seq)}")
-            lee_list = [as_expr(e) for e in lee_seq]
+        lee = list(lee)
+        if len(lee) != n:
+            raise ChartError(f"lee form needs {n} components, got {len(lee)}")
+        lee_list = [as_expr(e) for e in lee]
 
     chart = MetricChart(n=n, tau=float(tau), r_min=float(r_min),
                         metric=metric_t, lee=tuple(lee_list),
@@ -192,20 +181,13 @@ def _validate_chart(chart: MetricChart):
                 f"metric is not positive definite at probe point {pts[:, q].tolist()}") from None
 
 
-def samples_valid(chart: MetricChart, points: np.ndarray) -> bool:
-    """True if all points lie outside the chart's inner radius."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    r = np.sqrt(np.sum(points * points, axis=0))
-    return bool(np.all(r >= chart.r_min))
-
-
 @dataclass
 class MetricData:
     """Metric jets at a batch of B points ``points`` (n, B).
 
     ``coords`` are the n coordinate jets (m, B) the entries were
-    evaluated on; ``g`` and ``ginv`` are (m, B, i, j), ``det`` and
-    ``sqrt_det`` are (m, B).
+    evaluated on; ``g`` and ``ginv`` are (m, B, i, j), ``sqrt_det`` is
+    (m, B).
     """
     chart: MetricChart
     space: JetSpace
@@ -213,7 +195,6 @@ class MetricData:
     coords: list[Jet]
     g: Jet
     ginv: Jet
-    det: Jet
     sqrt_det: Jet
 
     @property
@@ -246,7 +227,7 @@ def metric_entry_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
 
 def metric_jets(chart: MetricChart, points, order: int = 2,
                 check_spd: bool = True) -> MetricData:
-    """Evaluate g, g^{-1}, det g and sqrt(det g) as jets at ``points``."""
+    """Evaluate g, g^{-1} and sqrt(det g) as jets at ``points``."""
     points = _batch(points)
     if points.shape[0] != chart.n:
         raise ChartError(f"points have {points.shape[0]} coordinates, chart has n={chart.n}")
@@ -267,11 +248,9 @@ def metric_jets(chart: MetricChart, points, order: int = 2,
                     raise ChartError(
                         f"metric is not positive definite at {points[:, q].tolist()}") from None
 
-    ginv = jetlinalg.mat_inv(g)
-    det = jetlinalg.mat_det(g)
-    sqrt_det = jets.jet_sqrt(det)
     return MetricData(chart=chart, space=space, points=points, coords=coords,
-                      g=g, ginv=ginv, det=det, sqrt_det=sqrt_det)
+                      g=g, ginv=jetlinalg.mat_inv(g),
+                      sqrt_det=jets.jet_sqrt(jetlinalg.mat_det(g)))
 
 
 def lee_jets(chart: MetricChart, points, order: int = 2,
@@ -360,9 +339,7 @@ def decay_scan(chart: MetricChart, rays: int = 8,
 # ---------------------------------------------------------------------------
 # chart transforms
 
-def conformal_rescale(chart: MetricChart, factor,
-                      extra_params: Mapping[str, float] | None = None,
-                      validate: bool = True) -> MetricChart:
+def conformal_rescale(chart: MetricChart, factor) -> MetricChart:
     """The chart of (f g, theta - df/(2f)) for a positive conformal factor f.
 
     This is the closed-form counterpart of the jet-level Lee transform:
@@ -370,8 +347,6 @@ def conformal_rescale(chart: MetricChart, factor,
     -d(log f)/2, which keeps the associated torsion-free connection fixed.
     """
     f = as_expr(factor)
-    params = dict(chart.params)
-    params.update(extra_params or {})
     metric = {(i + 1, j + 1): exprdsl.emul(f, chart.metric[i][j])
               for i in range(chart.n) for j in range(i, chart.n)}
     lee = []
@@ -380,11 +355,11 @@ def conformal_rescale(chart: MetricChart, factor,
         shift = exprdsl.ediv(df, exprdsl.emul(Num(2.0), f))
         lee.append(exprdsl.esub(chart.lee[i], shift))
     return make_chart(chart.n, chart.tau, chart.r_min, metric=metric, lee=lee,
-                      params=params, name=(chart.name + "~rescaled") if chart.name else "rescaled",
-                      validate=validate)
+                      params=dict(chart.params),
+                      name=(chart.name + "~rescaled") if chart.name else "rescaled")
 
 
-def scale_coordinates(chart: MetricChart, a: float, validate: bool = True) -> MetricChart:
+def scale_coordinates(chart: MetricChart, a: float) -> MetricChart:
     """The chart in scaled coordinates z~ = sqrt(a) z.
 
     Components transform as pullbacks: g~_ij(z~) = g_ij(z~/sqrt(a)) and
@@ -402,5 +377,4 @@ def scale_coordinates(chart: MetricChart, a: float, validate: bool = True) -> Me
     lee = [exprdsl.emul(Num(s), exprdsl.substitute(t, mapping)) for t in chart.lee]
     return make_chart(chart.n, chart.tau, math.sqrt(a) * chart.r_min,
                       metric=metric, lee=lee, params=dict(chart.params),
-                      name=(chart.name + "~scaled") if chart.name else "scaled",
-                      validate=validate)
+                      name=(chart.name + "~scaled") if chart.name else "scaled")

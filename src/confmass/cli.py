@@ -2,10 +2,19 @@
 
 ``confmass <command> <config> [flags]`` loads a JSON configuration
 (filesystem path or bundled name), runs one battery, prints a JSON
-report to stdout, and exits 0 when every enabled assertion passed,
-1 when a numeric assertion failed (the report carries the details with
-``"pass": false``), or 2 on configuration/usage errors (diagnostic on
-stderr).
+report to stdout, and exits
+
+* 0 when every enabled assertion passed;
+* 1 when a numeric assertion failed (the report carries the details
+  with ``"pass": false``);
+* 2 with one ``confmass: ...`` line on stderr and nothing on stdout
+  when the config or the flags are unusable, and also when the chart
+  breaks down while a command runs: a ``ChartError`` (say, a metric
+  that is not positive definite at a sample point) or an
+  ``ArithmeticError`` (say, a jet square root of an indefinite matrix,
+  or a jet division by zero).  Flux commands on a chart of dimension
+  above ``mass.FLUX_MAX_DIM`` are refused the same way, before any
+  computation.
 
 Reports are deterministic: identical (config, seed, flags) yield
 byte-identical output.
@@ -30,6 +39,7 @@ import argparse
 import sys
 
 from . import mass, suites
+from .chart import ChartError
 from .config import (SCHEMA_VERSION, ConfigError, LoadedConfig, dump_report,
                      load_config, load_expected)
 
@@ -41,6 +51,8 @@ EXPECTED_ABS = 1e-10
 # the extrapolation error estimate must stay below this fraction of the
 # mass scale for the series to count as converged
 CONVERGENCE_REL = 0.05
+# the commands that integrate fluxes over spheres
+_FLUX_COMMANDS = ("mass", "weyl-mass", "witten", "laws")
 
 
 def _parse_radii(text: str | None):
@@ -61,6 +73,9 @@ def _charts(cfg: LoadedConfig) -> list:
 
 def _check_flags(args, cfg: LoadedConfig) -> None:
     """Reject flag values the config cannot honour, before any computation."""
+    if args.command in _FLUX_COMMANDS and cfg.n > mass.FLUX_MAX_DIM:
+        raise ConfigError(f"{args.command} integrates over spheres, which needs "
+                          f"n <= {mass.FLUX_MAX_DIM}; the config has n = {cfg.n}")
     if getattr(args, "points", 1) < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
     radii = _parse_radii(getattr(args, "radii", None))
@@ -331,7 +346,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         _check_flags(args, cfg)
         report = _COMMANDS[args.command](args, cfg)
-    except ConfigError as e:
+    except (ConfigError, ChartError, ArithmeticError) as e:
         print(f"confmass: {e}", file=sys.stderr)
         return 2
     text = dump_report(report)

@@ -13,7 +13,11 @@ factor), with ``normalize="adm"`` dividing by that constant.
 The mass of a Weyl structure combines the metric mass with the Lee-form
 flux as
 
-    m(D) = m(g0) - 2 (n-1) lim_r  integral_{S_r} theta_0(nu) dA.
+    m(D) = m(g0) - 2 (n-1) lim_r  integral_{S_r} theta_0(nu) dA,
+
+and its report keeps the metric mass m(g0) of each end (``MassReport.metric``)
+for callers that need it again.  Every flux series becomes a limit
+through ``series_limit``.
 
 The sign of the Lee term is fixed by conformal invariance: with it,
 m(D) computed against g0 and against f g0 (rescaling the Lee form
@@ -27,7 +31,9 @@ sphere rules (see ``sphere_rule``), skipping rungs of more than
 adjacent pair that agrees within ``QUAD_RTOL`` times the sum of the
 absolute node terms plus ``QUAD_ATOL`` (the floor that lets integrands
 vanishing node by node, such as a rotational Lee form, pass), else the
-last rung's value.  The caller's ``orders`` runs that one rule alone.
+last rung's value.  A flux function's ``orders`` runs that one rule
+alone (the tests' reference path; the masses always climb the ladder).
+Sphere rules, and so fluxes, exist for 3 <= n <= ``FLUX_MAX_DIM``.
 The CLI echoes both tolerances.
 
 Determinism: quadrature nodes are evaluated in fixed ``util.CHUNK``-node
@@ -40,14 +46,14 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import exprdsl, util
-from .chart import (End, EndSystem, MetricChart, conformal_rescale, lee_jets,
-                    metric_entry_jets, metric_jets)
+from .chart import (End, EndSystem, MetricChart, lee_jets, metric_entry_jets,
+                    metric_jets)
 from .jets import seed_point
 from .spinor import (SpinorFieldSpec, coframe_action, covd_coord, dirac,
                      spinor_calc, spinor_jets)
@@ -63,6 +69,7 @@ __all__ = [
     "weyl_flux",
     "witten_flux",
     "extrapolate",
+    "series_limit",
     "riemannian_mass",
     "weyl_mass",
     "two_path_mass_delta",
@@ -75,6 +82,8 @@ QUAD_ORDERS = (6, 12, 16, 24, 32, 48)
 QUAD_MAX_NODES = 700_000
 QUAD_RTOL = 1e-12
 QUAD_ATOL = 1e-15
+# the largest dimension with a sphere rule, so with fluxes and masses
+FLUX_MAX_DIM = 6
 
 
 def sphere_area(n: int, r: float = 1.0) -> float:
@@ -102,8 +111,8 @@ def sphere_rule(n: int, r: float, orders: int) -> SphereRule:
     element, and 2N uniform azimuth nodes.  Its 2 N^(n-1) nodes are exact
     on polynomials of degree up to 2N - 1.  The unit-sphere rule is built
     once per (n, N) and scaled by r on every call."""
-    if not 3 <= n <= 6:
-        raise ValueError(f"sphere_rule supports 3 <= n <= 6, got {n}")
+    if not 3 <= n <= FLUX_MAX_DIM:
+        raise ValueError(f"sphere_rule supports 3 <= n <= {FLUX_MAX_DIM}, got {n}")
     if r <= 0:
         raise ValueError("radius must be positive")
     N = int(orders)
@@ -506,6 +515,8 @@ class MassReport:
     normalize: str
     components: dict
     warnings: tuple = ()
+    # the raw riemannian_mass of each end a Weyl mass was built on
+    metric: tuple = ()
 
     def csv_rows(self):
         """(r, flux, cumulative extrapolation) rows; the cumulative
@@ -569,26 +580,20 @@ def _radii(chart: MetricChart, radii) -> tuple:
     return tuple(float(r) for r in (default_radii(chart) if radii is None else radii))
 
 
-def _metric_mass(chart: MetricChart, radii: tuple, measure: str, orders,
-                 reuse: MassReport | None) -> MassReport:
-    """The raw metric mass of ``chart``: ``reuse`` when the caller has it."""
-    if reuse is None:
-        return riemannian_mass(chart, radii, measure, "raw", orders)
-    if (reuse.kind, reuse.normalize, reuse.measure, reuse.radii) != (
-            "riemannian", "raw", measure, radii):
-        raise ValueError("a reused metric mass must be a raw riemannian_mass "
-                         "report at the same radii and measure")
-    return reuse
+def series_limit(chart: MetricChart, radii, series, decay: float) -> ExtrapolationResult:
+    """The extrapolated limit of a flux ``series`` of ``chart`` at ``radii``:
+    the power is fitted in (0.3, 2n), with ``decay`` as its fallback."""
+    return extrapolate(list(zip(radii, series)), p_bounds=(0.3, 2.0 * chart.n),
+                       fallback_p=decay)
 
 
 def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
-                    normalize: str = "raw", orders: int | None = None) -> MassReport:
+                    normalize: str = "raw") -> MassReport:
     """Extrapolated ADM-type flux of the chart metric."""
     n = chart.n
     radii = _radii(chart, radii)
-    flux = tuple(adm_flux(chart, r, measure, orders) for r in radii)
-    ext = extrapolate(list(zip(radii, flux)), p_bounds=(0.3, 2.0 * n),
-                      fallback_p=chart.tau)
+    flux = tuple(adm_flux(chart, r, measure) for r in radii)
+    ext = series_limit(chart, radii, flux, chart.tau)
     norm = _normalizer(n, normalize)
     warnings = _series_warnings(radii, flux, ext.fallback)
     return MassReport(kind="riemannian", radii=radii,
@@ -600,35 +605,30 @@ def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
                       warnings=warnings)
 
 
-def _end_mass(chart: MetricChart, radii, measure, orders, riem=None):
+def _end_mass(chart: MetricChart, radii, measure: str):
+    """The raw metric mass of one end, its Weyl flux series, the Lee part
+    of its mass, the error and the warnings of that series."""
     n = chart.n
-    radii = _radii(chart, radii)
-    riem = _metric_mass(chart, radii, measure, orders, riem)
-    lee = [lee_flux(chart, r, measure, orders) for r in radii]
+    riem = riemannian_mass(chart, radii, measure)
+    radii = riem.radii
+    lee = [lee_flux(chart, r, measure) for r in radii]
     series = tuple(a - 2.0 * (n - 1) * l for a, l in zip(riem.flux, lee))
-    el = extrapolate(list(zip(radii, lee)), p_bounds=(0.3, 2.0 * n),
-                     fallback_p=chart.tau + 1.0)
+    el = series_limit(chart, radii, lee, chart.tau + 1.0)
     leepart = -2.0 * (n - 1) * el.limit
     err = riem.error + 2.0 * (n - 1) * el.error
     fell_back = FALLBACK_WARNING in riem.warnings or el.fallback
-    return (radii, series, riem.limit, leepart, err,
-            _series_warnings(radii, series, fell_back))
+    return riem, series, leepart, err, _series_warnings(radii, series, fell_back)
 
 
 def weyl_mass(system, radii=None, measure: str = "euclidean",
-              normalize: str = "raw", orders: int | None = None,
-              riemannian: MassReport | None = None) -> MassReport:
+              normalize: str = "raw") -> MassReport:
     """Mass of an asymptotically flat Weyl structure.
 
     Accepts a chart, an End, or an EndSystem; per end,
     m_l = m(g0) - 2(n-1) lim lee_flux, and the total weighs each end by
-    a_l^{(n-2)/2}.  For a chart, ``riemannian`` may hand in its raw
-    ``riemannian_mass`` at the same radii, measure and quadrature orders,
-    which then stands for m(g0) instead of a second computation of the
-    same ADM series.
+    a_l^{(n-2)/2}.  The report's ``metric`` holds the raw
+    ``riemannian_mass`` report m(g0) of each end, in end order.
     """
-    if riemannian is not None and not isinstance(system, MetricChart):
-        raise ValueError("a metric mass can be reused for a single chart only")
     if isinstance(system, MetricChart):
         system = EndSystem(ends=(End(chart=system),), name=system.name)
     elif isinstance(system, End):
@@ -637,19 +637,20 @@ def weyl_mass(system, radii=None, measure: str = "euclidean",
     norm = _normalizer(n, normalize)
 
     parts = []
+    metric = []
     warnings: list = []
     total = 0.0
     err = 0.0
     for endobj in system.ends:
-        radii_l, series, riem, leepart, e, warn = _end_mass(
-            endobj.chart, radii, measure, orders, riemannian)
+        riem, series, leepart, e, warn = _end_mass(endobj.chart, radii, measure)
+        metric.append(riem)
         w = endobj.a ** (0.5 * (n - 2))
-        parts.append({"a": endobj.a, "radii": radii_l,
+        parts.append({"a": endobj.a, "radii": riem.radii,
                       "flux": tuple(f * norm for f in series),
-                      "riemannian": riem * norm, "lee": leepart * norm,
-                      "total": (riem + leepart) * norm})
+                      "riemannian": riem.limit * norm, "lee": leepart * norm,
+                      "total": (riem.limit + leepart) * norm})
         warnings.extend(warn)
-        total += w * (riem + leepart)
+        total += w * (riem.limit + leepart)
         err += w * e
 
     first = parts[0]
@@ -664,55 +665,29 @@ def weyl_mass(system, radii=None, measure: str = "euclidean",
     return MassReport(kind="weyl", radii=first["radii"], flux=first["flux"],
                       limit=total * norm, error=err * norm, measure=measure,
                       normalize=normalize, components=components,
-                      warnings=tuple(dict.fromkeys(warnings)))
+                      warnings=tuple(dict.fromkeys(warnings)), metric=tuple(metric))
 
 
-def two_path_mass_delta(chart: MetricChart, f, radii=None, measure: str = "euclidean",
-                        orders: int | None = None,
-                        base: MassReport | None = None,
-                        rescaled=None) -> dict | list[dict]:
+def two_path_mass_delta(chart: MetricChart, f, base: MassReport,
+                        path_a: MassReport) -> dict:
     """Two-path check of the conformal mass-change law.
 
-    Path A is the mass of the rescaled chart (f g); path B adds
-    (n-1) times the negative limit of the df(nu) flux to the mass of g.
-    The companion record compares the limits of (df/f)(nu) and df(nu)
-    fluxes, which must agree.
-
-    ``f`` is one factor (the result is one record) or a sequence of them
-    (the result is a list with one record per factor).  The mass of g is
-    computed once for all factors, or taken from ``base``, a raw
-    ``riemannian_mass`` of the chart at the same radii, measure and
-    quadrature orders.  ``rescaled`` likewise hands in path A: one such
-    report of the rescaled chart for a single factor, or a sequence with
-    one report or None per factor.
+    ``base`` is the raw ``riemannian_mass`` of ``chart`` and ``path_a``
+    that of the rescaled chart (f g); the df(nu) fluxes are taken at the
+    radii and with the measure of ``base``, which ``path_a`` must share.
+    Path B adds (n-1) times the negative limit of the df(nu) flux to the
+    mass of g.  The companion record compares the limits of (df/f)(nu)
+    and df(nu) fluxes, which must agree.
     """
-    single = not isinstance(f, (list, tuple))
-    factors = [f] if single else list(f)
-    reuse = [rescaled] if single else list(rescaled or [None] * len(factors))
-    if len(reuse) != len(factors):
-        raise ValueError("rescaled needs one entry per factor")
-    radii = _radii(chart, radii)
-    base = _metric_mass(chart, radii, measure, orders, base)
-    records = [_two_path_record(chart, fk, radii, measure, orders, base, rk)
-               for fk, rk in zip(factors, reuse)]
-    return records[0] if single else records
-
-
-def _two_path_record(chart: MetricChart, f, radii: tuple, measure: str,
-                     orders: int | None, base: MassReport,
-                     rescaled: MassReport | None) -> dict:
+    if (path_a.radii, path_a.measure) != (base.radii, base.measure):
+        raise ValueError("path_a must be taken at the radii and measure of base")
     n = chart.n
+    radii, measure = base.radii, base.measure
     ast = exprdsl.as_expr(f)
-    path_a = _metric_mass(conformal_rescale(chart, ast), radii, measure, orders,
-                          rescaled)
-
-    df_series = [gradient_flux(chart, ast, r, measure, orders) for r in radii]
-    dff_series = [gradient_flux(chart, ast, r, measure, orders, over_f=True)
-                  for r in radii]
-    e_df = extrapolate(list(zip(radii, df_series)), p_bounds=(0.3, 2.0 * n),
-                       fallback_p=chart.tau + 1.0)
-    e_dff = extrapolate(list(zip(radii, dff_series)), p_bounds=(0.3, 2.0 * n),
-                        fallback_p=chart.tau + 1.0)
+    df_series = [gradient_flux(chart, ast, r, measure) for r in radii]
+    dff_series = [gradient_flux(chart, ast, r, measure, over_f=True) for r in radii]
+    e_df = series_limit(chart, radii, df_series, chart.tau + 1.0)
+    e_dff = series_limit(chart, radii, dff_series, chart.tau + 1.0)
     path_b = base.limit + (n - 1.0) * (-e_df.limit)
 
     scale = max(abs(path_a.limit), abs(path_b), 1e-300)

@@ -392,7 +392,7 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
     sharp = tensor_mul(sp, "bij,bj->bi", md.ginv.c[:sp.m], th.c[:sp.m])
     term_nab = tensor_mul(sp, "bi,bis->bs", sharp, nab)
 
-    nrm = weylmod.theta_norm2(md, th.truncate(sp.order)).c
+    nrm = calc.weyl.norm2_theta.c[:sp.m]
 
     out = dg2.c + c1 * term_dth
     out = out + tensor_mul(sp, "b,bs->bs", c1 * delth, psi2)

@@ -127,7 +127,7 @@ def _weyl_scal_values(chart: MetricChart, pts: np.ndarray, jet_order: int) -> np
 
 
 def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
-                     jet_order: int = 2, clifford_trials: int = 1000) -> dict:
+                     jet_order: int = 2) -> dict:
     """All pointwise identities on one chart at seeded random points."""
     rng = rng_for(seed)
     n = chart.n
@@ -198,7 +198,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
                          float(np.max(np.abs(nres))) / nscale,
                          tol["norm_identity_rel"]))
 
-    cliff = clifford_battery(n, trials=clifford_trials, seed=seed)
+    cliff = clifford_battery(n, seed=seed)
     checks.extend(cliff["checks"])
 
     used = {key: tol[key] for key in
@@ -344,17 +344,20 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     chart = cfg.chart
     n = chart.n
 
-    # two-path conformal change of the metric mass, two factors; the
-    # metric masses of the chart and of its rescaling by the second factor
-    # (path A there, and the conformal-invariance law below) are computed
-    # once
+    # conformal invariance of the Weyl-structure mass; the two Weyl masses
+    # carry the metric masses of the chart and of its rescaling by the
+    # second factor, which the two-path checks below read again
     factors = ("1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)")
-    riem = mass.riemannian_mass(chart, radii=radii, measure=measure)
-    resc = conformal_rescale(chart, factors[1])
-    resc_riem = mass.riemannian_mass(resc, radii=radii, measure=measure)
-    change_records = mass.two_path_mass_delta(chart, list(factors), radii=radii,
-                                              measure=measure, base=riem,
-                                              rescaled=[None, resc_riem])
+    base = mass.weyl_mass(chart, radii=radii, measure=measure)
+    moved = mass.weyl_mass(conformal_rescale(chart, factors[1]), radii=radii,
+                           measure=measure)
+    riem = base.metric[0]
+
+    # two-path conformal change of the metric mass, two factors
+    paths_a = (mass.riemannian_mass(conformal_rescale(chart, factors[0]),
+                                    riem.radii, measure), moved.metric[0])
+    change_records = [mass.two_path_mass_delta(chart, f, riem, path_a)
+                      for f, path_a in zip(factors, paths_a)]
     for f, rec in zip(factors, change_records):
         scale = max(1.0, abs(rec["path_a"]), abs(rec["path_b"]))
         checks.append(_check(f"mass-conformal-change[{f}]",
@@ -366,9 +369,6 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
                              budget=err_budget, absolute=True))
     details["conformal_change"] = change_records
 
-    # conformal invariance of the Weyl-structure mass
-    base = mass.weyl_mass(chart, radii=radii, measure=measure, riemannian=riem)
-    moved = mass.weyl_mass(resc, radii=radii, measure=measure, riemannian=resc_riem)
     scale = max(1.0, abs(base.limit))
     checks.append(_check("weyl-mass-conformal-invariance",
                          abs(base.limit - moved.limit) / scale,
@@ -446,9 +446,7 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
         series = [fluxes[s] for fluxes in per_radius]
         real_series = [v.real for v in series]
         imag_max = max(abs(v.imag) for v in series)
-        ext = mass.extrapolate(list(zip(radii, real_series)),
-                               p_bounds=(0.3, 2.0 * chart.n),
-                               fallback_p=chart.tau)
+        ext = mass.series_limit(chart, radii, real_series, chart.tau)
         expect = 0.25 * mrep.limit * nrm2
         scale = max(1.0, abs(expect))
         checks.append(_check(f"witten-limit[{label}{name}]",

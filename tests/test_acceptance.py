@@ -169,7 +169,9 @@ def test_mass_change_under_conformal_rescaling_agrees_two_ways(flat_cfg, iso_cfg
         (iso_cfg.chart, "1 + 1/sqrt(r^2 + 1)"),
     )
     for chart, f in pairs:
-        out = two_path_mass_delta(chart, f, radii=RADII)
+        base = riemannian_mass(chart, radii=RADII)
+        path_a = riemannian_mass(conformal_rescale(chart, f), radii=RADII)
+        out = two_path_mass_delta(chart, f, base, path_a)
         assert out["rel_delta"] <= 5e-3, f"{chart.name}: {out['rel_delta']:.3e}"
         fe = out["flux_equality"]
         assert fe["diff"] <= fe["budget"]

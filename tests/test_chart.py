@@ -16,7 +16,6 @@ from confmass.chart import (
     make_chart,
     metric_entry_jets,
     metric_jets,
-    samples_valid,
     scale_coordinates,
 )
 
@@ -34,7 +33,7 @@ class TestMakeChart:
         c = make_iso()
         assert c.n == 3
         assert c.tau == 0.99
-        assert c.metric_source()["11"] == "(1.0 + 1.0/(2.0*r))^4"
+        assert exprdsl.to_source(c.metric[0][0]) == "(1.0 + 1.0/(2.0*r))^4"
 
     def test_off_diagonal_symmetrized(self):
         c = make_chart(
@@ -63,8 +62,8 @@ class TestMakeChart:
 
     def test_missing_entries_default_to_flat(self):
         c = make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "1 + 1/r"})
-        assert c.metric_source()["22"] == "1.0"
-        assert c.metric_source()["12"] == "0.0"
+        assert exprdsl.to_source(c.metric[1][1]) == "1.0"
+        assert exprdsl.to_source(c.metric[0][1]) == "0.0"
 
     def test_duplicate_symmetric_entry_rejected(self):
         with pytest.raises(ChartError):
@@ -150,11 +149,6 @@ class TestMetricJets:
         X = np.array([[5.0], [0.0], [0.0]])
         with pytest.raises(ChartError):
             metric_jets(c, X, order=1)
-
-    def test_samples_valid_respects_r_min(self):
-        c = make_iso(r_min=2.0)
-        assert samples_valid(c, np.array([[3.0], [0.0], [0.0]]))
-        assert not samples_valid(c, np.array([[1.0], [0.0], [0.0]]))
 
     def test_wrong_coordinate_count_rejected(self):
         c = make_iso()

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import confmass
+from confmass import mass
 from confmass.cli import main
 from confmass.config import (
     ConfigError,
@@ -251,6 +252,53 @@ class TestCli:
         assert code == 2
         assert out == ""
         assert err.startswith("confmass:") and err.count("\n") == 1
+
+    @staticmethod
+    def chart_file(tmp_path, name, n, tau, metric):
+        doc = {"schema_version": 1, "kind": "chart", "name": name, "n": n,
+               "tau": tau, "r_min": 1.0, "metric": metric}
+        p = tmp_path / f"{name}.chart"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    def wide_chart(self, tmp_path):
+        """A chart one dimension above the largest with a sphere rule."""
+        n = mass.FLUX_MAX_DIM + 1
+        return self.chart_file(tmp_path, f"n{n}", n, 3.0,
+                               {f"{i}{i}": "1 + 1/r^3" for i in range(1, n + 1)})
+
+    @pytest.mark.parametrize("command", ["identities", "curvature", "witten"])
+    def test_chart_breaking_down_mid_run_exits_two_with_one_line(
+            self, capsys, tmp_path, command):
+        # the SPD probe at r = 8 passes, but g11 = 1 - r/10 turns negative
+        # beyond r = 10: a ChartError at a sample point (identities,
+        # curvature) or an ArithmeticError in the spin frame's square root
+        # (witten)
+        path = self.chart_file(tmp_path, "indefinite", 3, 0.75, {"11": "1 - r/10"})
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("confmass:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["mass", "weyl-mass", "laws", "witten"])
+    def test_flux_commands_refuse_dimensions_without_a_sphere_rule(
+            self, capsys, tmp_path, monkeypatch, command):
+        path = self.wide_chart(tmp_path)
+
+        def no_rule(*args, **kwargs):
+            raise AssertionError("a sphere rule was requested")
+
+        monkeypatch.setattr(mass, "sphere_rule", no_rule)
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("confmass:") and err.count("\n") == 1
+        assert str(mass.FLUX_MAX_DIM) in err
+
+    def test_check_still_runs_on_dimensions_without_a_sphere_rule(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "check", self.wide_chart(tmp_path))
+        assert code == 0
+        assert json.loads(out)["results"]["n"] == mass.FLUX_MAX_DIM + 1
 
     def test_witten_without_named_spinors(self, witten_twoends):
         code, out = witten_twoends

@@ -706,12 +706,18 @@ class TestMassFunctionals:
 
 
 class TestTwoPathMassAgreement:
+    @staticmethod
+    def masses(chart, f, **kw):
+        """The raw metric masses of ``chart`` and of its rescaling by f."""
+        return (riemannian_mass(chart, **kw),
+                riemannian_mass(conformal_rescale(chart, f), **kw))
+
     def test_conformal_change_moves_mass_by_gradient_flux(self):
         # path A: mass of the rescaled chart; path B: base mass plus the
         # first-order correction through the gradient flux limit
         chart = iso_chart()
         f = exprdsl.parse("1 + 1/sqrt(r^2 + 1)")
-        out = two_path_mass_delta(chart, f)
+        out = two_path_mass_delta(chart, f, *self.masses(chart, f))
         assert out["rel_delta"] <= 5e-3
         fe = out["flux_equality"]
         assert abs(fe["diff"]) <= fe["budget"]
@@ -719,55 +725,33 @@ class TestTwoPathMassAgreement:
     def test_flat_chart_rescaling(self):
         chart = flat_chart()
         f = exprdsl.parse("1 + 0.3/sqrt(r^2 + 1)")
-        out = two_path_mass_delta(chart, f)
+        out = two_path_mass_delta(chart, f, *self.masses(chart, f))
         assert out["rel_delta"] <= 5e-3
-
-    def test_factor_sequence_matches_single_calls(self):
-        # the mass of g is computed once for every factor, with equal bits
-        chart = lee_chart()
-        fs = ["1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)"]
-        together = two_path_mass_delta(chart, fs, orders=8)
-        assert together == [two_path_mass_delta(chart, f, orders=8) for f in fs]
-        riem = riemannian_mass(chart, orders=8)
-        assert two_path_mass_delta(chart, fs, orders=8, base=riem) == together
-
-    def test_reused_rescaled_mass_is_bitwise_path_a(self):
-        chart = lee_chart()
-        fs = ["1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)"]
-        resc = riemannian_mass(conformal_rescale(chart, fs[1]), orders=8)
-        assert two_path_mass_delta(chart, fs, orders=8, rescaled=[None, resc]) \
-            == two_path_mass_delta(chart, fs, orders=8)
-        assert two_path_mass_delta(chart, fs[1], orders=8, rescaled=resc) \
-            == two_path_mass_delta(chart, fs[1], orders=8)
-        with pytest.raises(ValueError):
-            two_path_mass_delta(chart, fs, orders=8, rescaled=[resc])
-        with pytest.raises(ValueError):
-            two_path_mass_delta(chart, fs[1], orders=8, measure="g", rescaled=resc)
-
-
-class TestReusedMetricMass:
-    def test_weyl_mass_from_a_reused_metric_mass_is_bitwise_equal(self):
-        chart = lee_chart()
-        riem = riemannian_mass(chart, orders=8)
-        assert weyl_mass(chart, orders=8, riemannian=riem) == weyl_mass(chart, orders=8)
 
     @pytest.mark.parametrize("kw", [
         {"radii": (30.0, 60.0, 120.0, 240.0)},
         {"measure": "g"},
     ])
-    def test_mismatched_metric_mass_is_rejected(self, kw):
-        chart = lee_chart()
-        riem = riemannian_mass(chart, orders=8)
+    def test_path_a_off_the_radii_or_measure_of_base_is_rejected(self, kw):
+        chart = flat_chart()
+        f = "1 + 0.3/sqrt(r^2 + 1)"
+        base = riemannian_mass(chart)
+        path_a = riemannian_mass(conformal_rescale(chart, f), **kw)
         with pytest.raises(ValueError):
-            weyl_mass(chart, orders=8, riemannian=riem, **kw)
-        with pytest.raises(ValueError):
-            two_path_mass_delta(chart, "1 + 1/sqrt(r^2 + 1)", orders=8, base=riem, **kw)
+            two_path_mass_delta(chart, f, base, path_a)
 
-    def test_normalized_or_end_system_reuse_is_rejected(self):
+
+class TestMetricMassOfWeylMass:
+    def test_chart_report_carries_its_metric_mass_bitwise(self):
         chart = lee_chart()
-        with pytest.raises(ValueError):
-            weyl_mass(chart, orders=8,
-                      riemannian=riemannian_mass(chart, orders=8, normalize="adm"))
-        system = EndSystem(ends=(End(chart=chart),), name="one")
-        with pytest.raises(ValueError):
-            weyl_mass(system, orders=8, riemannian=riemannian_mass(chart, orders=8))
+        rep = weyl_mass(chart, radii=(20.0, 40.0, 80.0, 160.0), measure="g")
+        assert rep.metric == (riemannian_mass(chart, radii=(20.0, 40.0, 80.0, 160.0),
+                                              measure="g"),)
+
+    def test_end_system_report_carries_one_metric_mass_per_end(self):
+        system = load_config("twoends").system
+        rep = weyl_mass(system, normalize="adm")
+        assert len(rep.metric) == len(system.ends) == 2
+        for k, end in enumerate(system.ends):
+            assert rep.metric[k] == riemannian_mass(end.chart)
+            assert rep.metric[k].normalize == "raw"

@@ -1,8 +1,10 @@
-"""Tests for what the identity battery computes once and shares: the base
-curvature, the order-2 spinor derivatives, and the Clifford trials."""
+"""Tests for what the batteries compute once and share: the base curvature,
+the order-2 spinor derivatives and the Clifford trials of the identity
+battery, and the fluxes of the laws battery."""
 
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -150,6 +152,29 @@ def test_identity_report_clifford_checks_run_1000_trials(monkeypatch, n):
     # x.psi and x.phi on every trial, then x.(omega.psi) once per degree
     assert widths[:2] == [1000, 1000]
     assert sum(widths[2:]) == 1000 and len(widths[2:]) <= n
+
+
+def test_laws_computes_each_flux_once(monkeypatch, rot_cfg):
+    # the metric masses of the chart and of its rescaling reach the
+    # two-path checks through the Weyl mass reports, not a second series
+    keys = []
+    for kind in ("adm_flux", "lee_flux", "gradient_flux", "witten_flux"):
+        sig = inspect.signature(getattr(mass, kind))
+        calls = spy(monkeypatch, mass, kind)
+        keys.append((kind, sig, calls))
+    out = suites.laws_battery(rot_cfg)
+    assert out["pass"]
+    seen = []
+    for kind, sig, calls in keys:
+        for args, kwargs in calls:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            a = dict(bound.arguments)
+            c = a.pop("chart")
+            seen.append((kind, repr((c.n, c.r_min, c.metric, c.lee, sorted(c.params.items()))),
+                         repr(sorted(a.items()))))
+    assert len(seen) == 44
+    assert len(set(seen)) == len(seen)
 
 
 def test_benchmark_trace_targets_exist():
