@@ -728,17 +728,24 @@ class TestTwoPathMassAgreement:
         out = two_path_mass_delta(chart, f, *self.masses(chart, f))
         assert out["rel_delta"] <= 5e-3
 
+
+class TestReusedMetricMass:
     @pytest.mark.parametrize("kw", [
         {"radii": (30.0, 60.0, 120.0, 240.0)},
         {"measure": "g"},
     ])
-    def test_path_a_off_the_radii_or_measure_of_base_is_rejected(self, kw):
+    def test_mismatched_metric_mass_is_rejected(self, kw):
+        # two_path_mass_delta reuses the metric masses it is handed; one
+        # taken off the radii or measure of the other is refused
         chart = flat_chart()
         f = "1 + 0.3/sqrt(r^2 + 1)"
         base = riemannian_mass(chart)
         path_a = riemannian_mass(conformal_rescale(chart, f), **kw)
         with pytest.raises(ValueError):
             two_path_mass_delta(chart, f, base, path_a)
+        with pytest.raises(ValueError):
+            two_path_mass_delta(chart, f, riemannian_mass(chart, **kw),
+                                riemannian_mass(conformal_rescale(chart, f)))
 
 
 class TestMetricMassOfWeylMass:
