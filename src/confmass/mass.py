@@ -25,25 +25,34 @@ accordingly) agree, and the spinor boundary flux converges to
 (1/4) m(D) |psi_0|^2 for asymptotically constant psi_0.  Both facts are
 enforced by the acceptance tests.
 
-Quadrature: a flux climbs the order ladder ``QUAD_ORDERS`` of exact
-sphere rules (see ``sphere_rule``), skipping rungs of more than
-``QUAD_MAX_NODES`` nodes, and returns the finer value of the first
-adjacent pair that agrees within ``QUAD_RTOL`` times the sum of the
-absolute node terms plus ``QUAD_ATOL`` (the floor that lets integrands
-vanishing node by node, such as a rotational Lee form, pass), else the
-last rung's value.  A flux function's ``orders`` runs that one rule
-alone (the tests' reference path; the masses always climb the ladder).
-Sphere rules, and so fluxes, exist for 3 <= n <= ``FLUX_MAX_DIM``.
-The CLI echoes both tolerances.
+Quadrature: every flux function takes the radii of its series and
+returns one flux per radius.  Each radius climbs the order ladder
+``QUAD_ORDERS`` of exact sphere rules (see ``sphere_rule``), skipping
+rungs of more than ``QUAD_MAX_NODES`` nodes, and gets the finer value of
+the first adjacent pair that agrees within ``QUAD_RTOL`` times the sum
+of the absolute node terms plus ``QUAD_ATOL`` (the floor that lets
+integrands vanishing node by node, such as a rotational Lee form, pass),
+else the last rung's value.  A series runs one sample per rung: the
+first holds the first pair at every radius, each later one the next rung
+at the radii that have not yet agreed.  A flux function's ``orders``
+runs that one rule alone at every radius (the tests' reference path;
+the masses always climb the ladder).  Sphere rules, and so fluxes, exist
+for 3 <= n <= ``FLUX_MAX_DIM``.  The CLI echoes both tolerances.
 
-Determinism: quadrature nodes are evaluated in fixed ``util.CHUNK``-node
-chunks and reduced with a fixed pairwise tree (see util), so every flux
-is byte-identical from run to run.
+Determinism: a sample lays its rules' nodes end to end and evaluates
+them in fixed ``util.CHUNK``-node chunks cut across the whole sample,
+each built from the cached unit rule scaled by its radius.  Integrands
+are column-independent bit for bit, and each rule's node terms are
+reduced with a fixed pairwise tree (see util) as soon as its last node
+is in, then released; so every flux is byte-identical from run to run,
+and equal to the flux a single-radius call returns.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -111,15 +120,21 @@ def sphere_rule(n: int, r: float, orders: int) -> SphereRule:
     element, and 2N uniform azimuth nodes.  Its 2 N^(n-1) nodes are exact
     on polynomials of degree up to 2N - 1.  The unit-sphere rule is built
     once per (n, N) and scaled by r on every call."""
-    if not 3 <= n <= FLUX_MAX_DIM:
-        raise ValueError(f"sphere_rule supports 3 <= n <= {FLUX_MAX_DIM}, got {n}")
+    N = _rule_order(n, orders)
     if r <= 0:
         raise ValueError("radius must be positive")
+    x, w = _unit_rule(n, N)
+    return SphereRule(r=float(r), nodes=r * x, weights=(r ** (n - 1)) * w)
+
+
+def _rule_order(n: int, orders: int) -> int:
+    """The order N of a sphere rule in dimension n, checked."""
+    if not 3 <= n <= FLUX_MAX_DIM:
+        raise ValueError(f"sphere_rule supports 3 <= n <= {FLUX_MAX_DIM}, got {n}")
     N = int(orders)
     if N < 2:
         raise ValueError("quadrature order must be >= 2")
-    x, w = _unit_rule(n, N)
-    return SphereRule(r=float(r), nodes=r * x, weights=(r ** (n - 1)) * w)
+    return N
 
 
 def _polar_rule(N: int, a: float) -> tuple:
@@ -226,56 +241,92 @@ def _measure_factors(chart: MetricChart, X: np.ndarray, measure: str):
 # ---------------------------------------------------------------------------
 # fluxes
 
-def _flux(chart: MetricChart, r: float, integrand, measure: str,
-          orders: int | None, dtype=np.float64):
-    """Flux of ``integrand`` over S_r by the order ladder, every column
-    agreeing (integrands may return (S, B)); see the module docstring."""
-    if r < 2.0 * chart.r_min:
-        raise ValueError(f"flux radius {r} below validity (need >= {2.0 * chart.r_min})")
-    if orders is not None:
-        return _rule_flux(chart, r, integrand, measure, orders, dtype)[0]
-    lo = None
-    for N in QUAD_ORDERS:
-        if 2 * N ** (chart.n - 1) > QUAD_MAX_NODES:
+def _flux(chart: MetricChart, r: Sequence[float], integrand, measure: str,
+          orders: int | None, dtype=np.float64) -> np.ndarray:
+    """Fluxes of ``integrand`` over S_r for each radius of the series ``r``,
+    as an (R,) array, or (R, S) when the integrand returns (S, B); each
+    climbs the order ladder until every column agrees (see the module
+    docstring), or runs the one rule ``orders``.  The first sample holds
+    the first two rungs at every radius, each later one the next rung at
+    the radii still open."""
+    radii = tuple(float(x) for x in r)
+    for x in radii:
+        if x < 2.0 * chart.r_min:
+            raise ValueError(f"flux radius {x} below validity (need >= {2.0 * chart.r_min})")
+    if orders is None:
+        ladder = [N for N in QUAD_ORDERS if 2 * N ** (chart.n - 1) <= QUAD_MAX_NODES]
+    else:
+        ladder = [orders]
+    rungs, ladder = ladder[:2], ladder[2:]
+    lo = [None] * len(radii)
+    out = [None] * len(radii)
+    todo = list(range(len(radii)))
+    while todo:
+        rules = [(k, N) for k in todo for N in rungs]
+        sums = _sample(chart, [(radii[k], N) for k, N in rules], integrand, measure, dtype)
+        for (k, _), (hi, scale) in zip(rules, sums):
+            if lo[k] is not None and np.all(np.abs(hi - lo[k]) <= QUAD_RTOL * scale + QUAD_ATOL):
+                out[k] = hi
+            lo[k] = hi
+        todo = [k for k in todo if out[k] is None]
+        if not ladder:
+            for k in todo:
+                out[k] = lo[k]
             break
-        hi, terms = _rule_flux(chart, r, integrand, measure, N, dtype)
-        if lo is not None and np.all(np.abs(hi - lo) <= QUAD_RTOL * util.pairwise_sum(
-                np.abs(terms)) + QUAD_ATOL):
-            break
-        lo = hi
-    return hi
+        rungs, ladder = ladder[:1], ladder[1:]
+    return np.array(out)
 
 
-def _rule_flux(chart: MetricChart, r: float, integrand, measure: str,
-               orders: int, dtype):
-    """The flux on one sphere rule and its weighted node terms (M, ...)."""
-    rule = sphere_rule(chart.n, r, orders)
-    X, w = rule.nodes, rule.weights
+def _sample(chart: MetricChart, rules, integrand, measure: str, dtype) -> list:
+    """The flux and the pairwise sum of the absolute node terms of every
+    (radius, order) rule of one sample.
 
-    def chunk(a: int, b: int) -> np.ndarray:
-        Xc = X[:, a:b]
+    The rules' nodes are laid end to end and evaluated in ``util.CHUNK``
+    chunks cut across the whole sample, each built from the cached unit
+    rule scaled by its radius; a rule's weighted node terms (M, ...) are
+    reduced as soon as its last node is in, then released.
+    """
+    n = chart.n
+    units = [_unit_rule(n, _rule_order(n, N)) for _, N in rules]
+    ends = list(itertools.accumulate(w.size for _, w in units))
+    starts = [0] + ends[:-1]
+    parts = [[] for _ in rules]
+    sums = [None] * len(rules)
+
+    def chunk(a: int, b: int) -> None:
+        # (rule, its first and end node in this chunk, in its own numbering)
+        cut = [(k, max(a, starts[k]) - starts[k], min(b, ends[k]) - starts[k])
+               for k in range(bisect.bisect_right(ends, a), bisect.bisect_left(ends, b) + 1)]
+        Xc = np.concatenate([rules[k][0] * units[k][0][:, i:j] for k, i, j in cut], axis=1)
+        w = np.concatenate([(rules[k][0] ** (n - 1)) * units[k][1][i:j] for k, i, j in cut])
         nu, fac = _measure_factors(chart, Xc, measure)
-        vals = integrand(Xc, nu)
-        return np.asarray(vals, dtype=dtype) * fac * w[a:b]
+        terms = np.asarray(integrand(Xc, nu), dtype=dtype) * fac * w
+        at = 0
+        for k, i, j in cut:
+            parts[k].append(terms[..., at:at + j - i])
+            at += j - i
+            if starts[k] + j == ends[k]:
+                t = np.concatenate(parts[k], axis=-1).T
+                parts[k] = None
+                sums[k] = (util.pairwise_sum(t), util.pairwise_sum(np.abs(t)))
 
     # integrands may return (S, B): S fluxes over one shared sample
-    parts = util.chunked_map(chunk, rule.count)
-    terms = np.concatenate(parts, axis=-1).T
-    return util.pairwise_sum(terms), terms
+    util.chunked_map(chunk, ends[-1] if ends else 0)
+    return sums
 
 
 def _normal_part(v: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """sum_j v[:, j] nu[j] for a covector field v (B, n), summed from zero
-    in j order."""
-    acc = np.zeros(v.shape[0], dtype=v.dtype)
-    for j in range(v.shape[1]):
-        acc = acc + v[:, j] * nu[j]
+    """sum_j v[..., j] nu[j] for a covector field v (..., B, n), summed
+    from zero in j order."""
+    acc = np.zeros(v.shape[:-1], dtype=v.dtype)
+    for j in range(v.shape[-1]):
+        acc = acc + v[..., j] * nu[j]
     return acc
 
 
-def adm_flux(chart: MetricChart, r: float, measure: str = "euclidean",
-             orders: int | None = None) -> float:
-    """Integral over S_r of (d_i g_ij - d_j g_ii) nu_j."""
+def adm_flux(chart: MetricChart, radii: Sequence[float], measure: str = "euclidean",
+             orders: int | None = None) -> tuple:
+    """Integral over S_r of (d_i g_ij - d_j g_ii) nu_j, one per radius."""
     n = chart.n
 
     def integrand(Xc, nu):
@@ -286,21 +337,22 @@ def adm_flux(chart: MetricChart, r: float, measure: str = "euclidean",
             s = s + dg[:, i, i, :] - dg[:, :, i, i]
         return _normal_part(s, nu)
 
-    return float(_flux(chart, r, integrand, measure, orders))
+    return tuple(_flux(chart, radii, integrand, measure, orders).tolist())
 
 
-def lee_flux(chart: MetricChart, r: float, measure: str = "euclidean",
-             orders: int | None = None) -> float:
-    """Integral over S_r of theta(nu)."""
+def lee_flux(chart: MetricChart, radii: Sequence[float], measure: str = "euclidean",
+             orders: int | None = None) -> tuple:
+    """Integral over S_r of theta(nu), one per radius."""
     def integrand(Xc, nu):
         return _normal_part(exprdsl.evaluate(chart.lee, Xc, chart.params), nu)
 
-    return float(_flux(chart, r, integrand, measure, orders))
+    return tuple(_flux(chart, radii, integrand, measure, orders).tolist())
 
 
-def gradient_flux(chart: MetricChart, f, r: float, measure: str = "euclidean",
-                  orders: int | None = None, over_f: bool = False) -> float:
-    """Integral over S_r of df(nu), or of (df/f)(nu) with ``over_f``."""
+def gradient_flux(chart: MetricChart, f, radii: Sequence[float], measure: str = "euclidean",
+                  orders: int | None = None, over_f: bool = False) -> tuple:
+    """Integral over S_r of df(nu), or of (df/f)(nu) with ``over_f``, one
+    per radius."""
     n = chart.n
     ast = exprdsl.as_expr(f)
     dfs = [exprdsl.derivative(ast, f"x{i + 1}") for i in range(n)]
@@ -310,53 +362,46 @@ def gradient_flux(chart: MetricChart, f, r: float, measure: str = "euclidean",
         acc = _normal_part(vals[:, :n], nu)
         return acc / vals[:, n] if over_f else acc
 
-    return float(_flux(chart, r, integrand, measure, orders))
+    return tuple(_flux(chart, radii, integrand, measure, orders).tolist())
 
 
-def weyl_flux(chart: MetricChart, r: float, measure: str = "euclidean",
-              orders: int | None = None) -> float:
-    """ADM flux minus 2(n-1) times the Lee flux (per-radius mass series)."""
+def weyl_flux(chart: MetricChart, radii: Sequence[float], measure: str = "euclidean",
+              orders: int | None = None) -> tuple:
+    """ADM flux minus 2(n-1) times the Lee flux (the mass series), one per
+    radius."""
     n = chart.n
-    return adm_flux(chart, r, measure, orders) \
-        - 2.0 * (n - 1) * lee_flux(chart, r, measure, orders)
+    return tuple(a - 2.0 * (n - 1) * l for a, l in zip(
+        adm_flux(chart, radii, measure, orders), lee_flux(chart, radii, measure, orders)))
 
 
-def witten_flux(chart: MetricChart, spec: SpinorFieldSpec | Sequence[SpinorFieldSpec],
-                r: float, measure: str = "euclidean",
-                orders: int | None = None) -> complex | list[complex]:
+def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
+                radii: Sequence[float], measure: str = "euclidean",
+                orders: int | None = None) -> np.ndarray:
     """Integral over S_r of omega_psi(nu), with
-    omega_psi(X) = h(psi, X^flat . Dirac psi + D_X psi) at weight (2-n)/2.
+    omega_psi(X) = h(psi, X^flat . Dirac psi + D_X psi) at weight (2-n)/2,
+    as a complex (R, S) array: one row per radius, one column per spec.
 
-    ``spec`` is one SpinorFieldSpec (the result is one complex) or a
-    sequence of them (the result is a list with one complex per spec).
-    All specs share one sample per chunk: the metric jets, the Lee jets
-    and the spin frame are built once, and each flux is bitwise equal to
-    the one a separate call returns.
+    The specs are one stacked field (m, B, S, N) on one sample per chunk:
+    the metric jets, the Lee jets and the spin frame are built once, and
+    each flux is bitwise equal to the one a call with that spec alone
+    returns.  The metric is checked positive definite at every node.
 
     The imaginary part is a diagnostic: it must vanish in the limit.
     """
-    n = chart.n
-    k = 0.5 * (2.0 - n)
-    single = isinstance(spec, SpinorFieldSpec)
-    specs = [spec] if single else list(spec)
+    k = 0.5 * (2.0 - chart.n)
+    specs = list(specs)
 
     def integrand(Xc, nu):
-        B = Xc.shape[1]
-        md = metric_jets(chart, Xc, order=1, check_spd=False)
+        md = metric_jets(chart, Xc, order=1)
         theta = lee_jets(chart, Xc, coords=md.coords) if chart.has_lee else None
         calc = spinor_calc(md, theta)
-        out = np.zeros((len(specs), B), dtype=np.complex128)
-        for s, sp in enumerate(specs):
-            psi = spinor_jets(sp, md.coords, chart.params)
-            Dc = covd_coord(calc, psi, k)
-            cl = coframe_action(calc, dirac(calc, Dc))
-            omega = np.einsum("bs,bjs->bj", np.conj(psi.value), cl.value + Dc.value)
-            out[s] = _normal_part(omega, nu)
-        return out
+        psi = spinor_jets(specs, md.coords, chart.params)  # [z, b, s, t]
+        Dc = covd_coord(calc, psi, k)
+        cl = coframe_action(calc, dirac(calc, Dc))  # [z, b, j, s, t]
+        omega = np.einsum("bst,bjst->sbj", np.conj(psi.value), cl.value + Dc.value)
+        return _normal_part(omega, nu)
 
-    flux = _flux(chart, r, integrand, measure, orders, dtype=np.complex128)
-    fluxes = [complex(f) for f in flux]
-    return fluxes[0] if single else fluxes
+    return _flux(chart, radii, integrand, measure, orders, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +637,7 @@ def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
     """Extrapolated ADM-type flux of the chart metric."""
     n = chart.n
     radii = _radii(chart, radii)
-    flux = tuple(adm_flux(chart, r, measure) for r in radii)
+    flux = adm_flux(chart, radii, measure)
     ext = series_limit(chart, radii, flux, chart.tau)
     norm = _normalizer(n, normalize)
     warnings = _series_warnings(radii, flux, ext.fallback)
@@ -611,7 +656,7 @@ def _end_mass(chart: MetricChart, radii, measure: str):
     n = chart.n
     riem = riemannian_mass(chart, radii, measure)
     radii = riem.radii
-    lee = [lee_flux(chart, r, measure) for r in radii]
+    lee = lee_flux(chart, radii, measure)
     series = tuple(a - 2.0 * (n - 1) * l for a, l in zip(riem.flux, lee))
     el = series_limit(chart, radii, lee, chart.tau + 1.0)
     leepart = -2.0 * (n - 1) * el.limit
@@ -684,8 +729,8 @@ def two_path_mass_delta(chart: MetricChart, f, base: MassReport,
     n = chart.n
     radii, measure = base.radii, base.measure
     ast = exprdsl.as_expr(f)
-    df_series = [gradient_flux(chart, ast, r, measure) for r in radii]
-    dff_series = [gradient_flux(chart, ast, r, measure, over_f=True) for r in radii]
+    df_series = gradient_flux(chart, ast, radii, measure)
+    dff_series = gradient_flux(chart, ast, radii, measure, over_f=True)
     e_df = series_limit(chart, radii, df_series, chart.tau + 1.0)
     e_dff = series_limit(chart, radii, dff_series, chart.tau + 1.0)
     path_b = base.limit + (n - 1.0) * (-e_df.limit)

@@ -9,9 +9,10 @@ then the N = 2^(n//2) components in the orthonormal-frame
 trivialization.  The frame is E_a = columns of A^{-1/2} where A is the
 metric coefficient matrix, so "constant spinor" is meaningful and
 asymptotically constant data is literally constant.  Spinor-valued
-tensors put their tensor axes before the spinor axis: ``covd_coord``
-takes (m, B, ..., N) and returns (m, B, n, ..., N), the coordinate
-direction third.
+tensors, and stacks of S fields (m, B, S, N), put their extra axes
+before the spinor axis: ``covd_coord`` takes (m, B, ..., N) and returns
+(m, B, n, ..., N), the coordinate direction third, and ``covd_frame``,
+``dirac`` and ``coframe_action`` carry the extra axes the same way.
 
 The frame data are real jets stacked the same way: ``E`` and ``S`` are
 (m, B, i, a), ``omega`` is (m, B, i, a, b), as are the metric,
@@ -52,6 +53,7 @@ lower order.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -99,8 +101,9 @@ def _act(G: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _slash(rep: clifford.CliffordRep, F: Jet) -> Jet:
-    """gamma_a F_a for a frame-indexed field F (m, B, a, N)."""
-    return Jet(F.space, np.einsum("ast,zbat->zbs", rep.gamma, F.c))
+    """gamma_a F_a for a frame-indexed field F (m, B, a, ..., N), giving
+    (m, B, ..., N)."""
+    return Jet(F.space, np.einsum("ast,zba...t->zb...s", rep.gamma, F.c))
 
 
 def h_jet(psi: Jet, phi: Jet) -> Jet:
@@ -140,11 +143,19 @@ def make_spinor_spec(sources, weight: float) -> SpinorFieldSpec:
     return SpinorFieldSpec(components=tuple(comps), weight=float(weight))
 
 
-def spinor_jets(spec: SpinorFieldSpec, coords: list, params=None) -> Jet:
-    """Evaluate a field spec to one complex jet of shape (m, B, N)."""
-    v = evaluate_jet([t for pair in spec.components for t in pair], coords, params).c
+def spinor_jets(spec: SpinorFieldSpec | Sequence[SpinorFieldSpec], coords: list,
+                params=None) -> Jet:
+    """Evaluate a field spec to one complex jet of shape (m, B, N), or a
+    sequence of S specs, in one program run, to one stacked field
+    (m, B, S, N)."""
+    single = isinstance(spec, SpinorFieldSpec)
+    specs = [spec] if single else list(spec)
+    v = evaluate_jet([t for sp in specs for pair in sp.components for t in pair],
+                     coords, params).c
     c = v[..., 0::2].astype(np.complex128)
     c.imag = v[..., 1::2]
+    if not single:
+        c = c.reshape(c.shape[:2] + (len(specs), -1))
     return Jet(coords[0].space, c)
 
 
@@ -296,21 +307,23 @@ def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None) -> Jet:
 
 
 def covd_frame(calc: SpinorCalc, Dc: Jet) -> Jet:
-    """D_{E_a} psi for every frame index a, as one jet (m, B, a, N), from
-    ``Dc = covd_coord(calc, psi, weight)``."""
+    """D_{E_a} psi for every frame index a, as one jet (m, B, a, ..., N),
+    from ``Dc = covd_coord(calc, psi, weight)`` of a field (m, B, ..., N)."""
     sp = Dc.space
-    return Jet(sp, tensor_mul(sp, "bia,bis->bas", calc.frame.E.c[:sp.m], Dc.c))
+    return Jet(sp, tensor_mul(sp, "bia,bi...s->ba...s", calc.frame.E.c[:sp.m], Dc.c))
 
 
 def dirac(calc: SpinorCalc, Dc: Jet) -> Jet:
-    """gamma_a D_{E_a} psi from ``Dc = covd_coord(calc, psi, weight)``."""
+    """gamma_a D_{E_a} psi from ``Dc = covd_coord(calc, psi, weight)``; a
+    field (m, B, ..., N) gives (m, B, ..., N)."""
     return _slash(calc.rep, covd_frame(calc, Dc))
 
 
 def coframe_action(calc: SpinorCalc, chi: Jet) -> Jet:
-    """dx_j^flat . chi for every coordinate direction j, as one jet (m, B, j, N)."""
+    """dx_j^flat . chi for every coordinate direction j: a field
+    (m, B, ..., N) gives one jet (m, B, j, ..., N)."""
     sp = chi.space
-    return Jet(sp, tensor_mul(sp, "bja,bas->bjs", calc.frame.S.c[:sp.m],
+    return Jet(sp, tensor_mul(sp, "bja,b...as->bj...s", calc.frame.S.c[:sp.m],
                               _act(calc.rep.gamma, chi.c)))
 
 

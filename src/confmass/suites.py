@@ -382,9 +382,10 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     scaled = scale_coordinates(chart, a)
     worst = 0.0
     pairs = []
-    # base.flux holds weyl_flux(chart, r) at each radius, bit for bit
-    for r, f0 in zip(base.radii, base.flux):
-        fs = mass.weyl_flux(scaled, math.sqrt(a) * float(r), measure=measure)
+    # base.flux holds weyl_flux(chart, base.radii), bit for bit
+    flux_scaled = mass.weyl_flux(scaled, [math.sqrt(a) * float(r) for r in base.radii],
+                                 measure=measure)
+    for r, f0, fs in zip(base.radii, base.flux, flux_scaled):
         mismatch = abs(fs - s * f0) / max(1.0, abs(f0), abs(fs))
         worst = max(worst, mismatch)
         pairs.append({"r": float(r), "flux": f0, "flux_scaled": fs})
@@ -435,15 +436,15 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
     tol = TOLERANCES
     mrep = mass.weyl_mass(chart, radii=radii, measure=measure)
     radii = mrep.radii
-    # one shared sample per radius for every field
-    per_radius = [mass.witten_flux(chart, [spec for _, spec in specs], r,
-                                   measure=measure) for r in radii]
+    # one shared sample per rung for every field and radius: (R, S)
+    fluxes = mass.witten_flux(chart, [spec for _, spec in specs], radii,
+                              measure=measure)
     checks = []
     fields = []
     for s, (name, spec) in enumerate(specs):
         psi0 = _asymptotic_value(spec, chart)
         nrm2 = float(np.sum(np.abs(psi0) ** 2))
-        series = [fluxes[s] for fluxes in per_radius]
+        series = [complex(v) for v in fluxes[:, s]]
         real_series = [v.real for v in series]
         imag_max = max(abs(v.imag) for v in series)
         ext = mass.series_limit(chart, radii, real_series, chart.tau)

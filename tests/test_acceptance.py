@@ -214,7 +214,7 @@ def test_witten_flux_limit_recovers_quarter_mass(iso_cfg, lee_cfg):
                 im = float(np.atleast_1d(evaluate(im_ast, anywhere, chart.params))[0])
                 norm2 += re * re + im * im
 
-            series = [witten_flux(chart, spec, r) for r in RADII]
+            series = [witten_flux(chart, [spec], [r])[0, 0] for r in RADII]
             assert max(abs(w.imag) for w in series) <= 1e-8
             ext = extrapolate([(r, w.real) for r, w in zip(RADII, series)])
             predicted = 0.25 * m_weyl * norm2

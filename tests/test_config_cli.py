@@ -271,14 +271,14 @@ class TestCli:
     def test_chart_breaking_down_mid_run_exits_two_with_one_line(
             self, capsys, tmp_path, command):
         # the SPD probe at r = 8 passes, but g11 = 1 - r/10 turns negative
-        # beyond r = 10: a ChartError at a sample point (identities,
-        # curvature) or an ArithmeticError in the spin frame's square root
-        # (witten)
+        # beyond r = 10: every command stops with a ChartError naming the
+        # first sample point where the metric is indefinite
         path = self.chart_file(tmp_path, "indefinite", 3, 0.75, {"11": "1 - r/10"})
         code, out, err = run_cli(capsys, command, path)
         assert code == 2
         assert out == ""
         assert err.startswith("confmass:") and err.count("\n") == 1
+        assert "not positive definite at" in err
 
     @pytest.mark.parametrize("command", ["mass", "weyl-mass", "laws", "witten"])
     def test_flux_commands_refuse_dimensions_without_a_sphere_rule(
@@ -289,6 +289,7 @@ class TestCli:
             raise AssertionError("a sphere rule was requested")
 
         monkeypatch.setattr(mass, "sphere_rule", no_rule)
+        monkeypatch.setattr(mass, "_unit_rule", no_rule)
         code, out, err = run_cli(capsys, command, path)
         assert code == 2
         assert out == ""

@@ -190,16 +190,17 @@ TOP = {n: max(N for N in QUAD_ORDERS if 2 * N ** (n - 1) <= QUAD_MAX_NODES)
 
 
 def record_rules(monkeypatch):
-    """List of (orders, flux, node terms) for every sphere rule a flux runs."""
+    """List of (orders, flux, sum of absolute node terms) for every sphere
+    rule a flux runs, in sample order."""
     runs = []
-    inner = mass._rule_flux
+    inner = mass._sample
 
-    def spy(chart, r, integrand, measure, orders, dtype):
-        out = inner(chart, r, integrand, measure, orders, dtype)
-        runs.append((orders,) + out)
+    def spy(chart, rules, integrand, measure, dtype):
+        out = inner(chart, rules, integrand, measure, dtype)
+        runs.extend((N,) + sums for (_, N), sums in zip(rules, out))
         return out
 
-    monkeypatch.setattr(mass, "_rule_flux", spy)
+    monkeypatch.setattr(mass, "_sample", spy)
     return runs
 
 
@@ -302,14 +303,14 @@ class TestFluxes:
     def test_flat_fluxes_vanish_identically(self):
         c = flat_chart()
         for r in (5.0, 50.0):
-            assert adm_flux(c, r) == 0.0
-            assert lee_flux(c, r) == 0.0
-            assert weyl_flux(c, r) == 0.0
+            assert adm_flux(c, [r])[0] == 0.0
+            assert lee_flux(c, [r])[0] == 0.0
+            assert weyl_flux(c, [r])[0] == 0.0
 
     @pytest.mark.parametrize("r", [10.0, 40.0, 160.0])
     def test_isotropic_adm_closed_form(self, r):
         # the coordinate-sphere flux is 16 pi (1 + 1/(2r))^3 at every radius
-        got = adm_flux(iso_chart(), r, measure="euclidean")
+        got = adm_flux(iso_chart(), [r], measure="euclidean")[0]
         want = 16 * math.pi * (1 + 1 / (2 * r)) ** 3
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -317,49 +318,49 @@ class TestFluxes:
     def test_radial_lee_flux_closed_form(self, r):
         # theta = -b x / r^3 integrates to -4 pi b on every sphere
         b = 0.25
-        got = lee_flux(lee_chart(b), r, measure="euclidean")
+        got = lee_flux(lee_chart(b), [r], measure="euclidean")[0]
         assert got == pytest.approx(-4 * math.pi * b, rel=1e-12)
 
     def test_rotational_lee_flux_vanishes(self):
-        assert lee_flux(rot_lee_chart(), 25.0) == pytest.approx(0.0, abs=1e-14)
+        assert lee_flux(rot_lee_chart(), [25.0])[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_weyl_flux_combines_both_terms(self):
         c = lee_chart(0.25)
         r = 30.0
-        want = adm_flux(c, r) - 2 * 2 * lee_flux(c, r)  # 2 (n - 1) = 4
-        assert weyl_flux(c, r) == pytest.approx(want, rel=1e-14)
+        want = adm_flux(c, [r])[0] - 2 * 2 * lee_flux(c, [r])[0]  # 2 (n - 1) = 4
+        assert weyl_flux(c, [r])[0] == pytest.approx(want, rel=1e-14)
 
     def test_measure_changes_the_answer(self):
         c = iso_chart()
-        e = adm_flux(c, 20.0, measure="euclidean")
-        g = adm_flux(c, 20.0, measure="g")
+        e = adm_flux(c, [20.0], measure="euclidean")[0]
+        g = adm_flux(c, [20.0], measure="g")[0]
         assert g > e  # the metric sphere area element is larger here
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError):
-            adm_flux(iso_chart(), 20.0, measure="spherical")
+            adm_flux(iso_chart(), [20.0], measure="spherical")
 
     def test_adm_flux_reads_only_the_metric_derivatives(self, monkeypatch):
         # the integrand needs d_k g_ij alone: no jet inverse or determinant
         c = iso_chart()
-        want = adm_flux(c, 20.0, measure="g")
+        want = adm_flux(c, [20.0], measure="g")[0]
 
         def forbidden(*args):
             raise AssertionError("adm_flux built a jet inverse or determinant")
 
         monkeypatch.setattr(jetlinalg, "mat_inv", forbidden)
         monkeypatch.setattr(jetlinalg, "mat_det", forbidden)
-        assert adm_flux(c, 20.0, measure="g") == want
+        assert adm_flux(c, [20.0], measure="g")[0] == want
 
     def test_radius_below_validity_rejected(self):
         c = flat_chart(r_min=4.0)
         with pytest.raises(ValueError):
-            adm_flux(c, 7.9)
+            adm_flux(c, [7.9])
 
     def test_gradient_flux_closed_form(self):
         # f = 1 + 1/r on the flat chart: df(nu) = -1/r^2, flux = -4 pi
         c = flat_chart()
-        got = gradient_flux(c, exprdsl.parse("1 + 1/r"), 12.0)
+        got = gradient_flux(c, exprdsl.parse("1 + 1/r"), [12.0])[0]
         assert got == pytest.approx(-4 * math.pi, rel=1e-12)
 
     def test_witten_flux_flat_exact_lee(self):
@@ -375,7 +376,7 @@ class TestFluxes:
         )
         spec = make_spinor_spec([("1", "0"), ("0", "0")], weight=-0.5)
         for r in (6.0, 24.0, 96.0):
-            w = witten_flux(c, spec, r)
+            w = witten_flux(c, [spec], [r])[0, 0]
             assert w.real == pytest.approx(4 * math.pi, rel=1e-12)
             assert abs(w.imag) <= 1e-12
 
@@ -388,8 +389,8 @@ class TestFluxes:
             make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")], weight=-0.5),
         ]
         # 16 Gauss nodes give 512 sphere nodes: two chunks
-        together = witten_flux(c, specs, 20.0, orders=16)
-        alone = [witten_flux(c, s, 20.0, orders=16) for s in specs]
+        together = list(witten_flux(c, specs, [20.0], orders=16)[0])
+        alone = [witten_flux(c, [s], [20.0], orders=16)[0, 0] for s in specs]
         assert isinstance(together, list) and isinstance(alone[0], complex)
         assert [(w.real, w.imag) for w in together] == [(w.real, w.imag) for w in alone]
 
@@ -408,12 +409,12 @@ class TestCoarsePair:
             for measure, last in (("euclidean", 24), ("g", 48)):
                 for fn in (adm_flux, lee_flux):
                     del runs[:]
-                    got[fn, measure, last] = value = fn(c, 20.0, measure)
+                    got[fn, measure, last] = value = fn(c, [20.0], measure)[0]
                     assert [o for o, *_ in runs] == \
                         list(QUAD_ORDERS[:QUAD_ORDERS.index(last) + 1])
                     assert abs(runs[1][1] - value) > QUAD_RTOL * abs(value)
         for (fn, measure, last), value in got.items():
-            assert value == fn(c, 20.0, measure, orders=last)
+            assert value == fn(c, [20.0], measure, orders=last)[0]
 
     def test_one_failing_column_sends_every_spinor_to_the_top_order(self, monkeypatch):
         # the zero spinor's flux agrees at the first pair; the constant
@@ -423,13 +424,13 @@ class TestCoarsePair:
                  make_spinor_spec([("1", "0"), ("0", "0")], weight=-0.5)]
         with monkeypatch.context() as m:
             runs = record_rules(m)
-            witten_flux(c, specs[0], 20.0)
+            witten_flux(c, specs[:1], [20.0])
             assert [o for o, *_ in runs] == [6, 12]
             del runs[:]
-            got = witten_flux(c, specs, 20.0)
+            got = witten_flux(c, specs, [20.0])[0].tolist()
             orders = [o for o, *_ in runs]
             assert orders == list(QUAD_ORDERS[:len(orders)]) and len(orders) > 2
-        assert got == witten_flux(c, specs, 20.0, orders=orders[-1])
+        assert got == witten_flux(c, specs, [20.0], orders=orders[-1])[0].tolist()
 
     @pytest.mark.parametrize("measure", ["euclidean", "g"])
     def test_bundled_charts_pass_within_the_stated_tolerance(self, monkeypatch, measure):
@@ -441,10 +442,10 @@ class TestCoarsePair:
                 r = default_radii(c)[0]
                 for fn in (adm_flux, lee_flux):
                     del runs[:]
-                    value = fn(c, r, measure)
+                    value = fn(c, [r], measure)[0]
                     assert [o for o, *_ in runs] == [6, 12]
-                    got.append((value, float(np.sum(np.abs(runs[1][2])))))
-        want = [fn(c, default_radii(c)[0], measure, orders=48)
+                    got.append((value, float(runs[1][2])))
+        want = [fn(c, default_radii(c)[:1], measure, orders=48)[0]
                 for c in charts for fn in (adm_flux, lee_flux)]
         for (value, scale), top in zip(got, want):
             assert abs(value - top) <= QUAD_RTOL * scale + QUAD_ATOL
@@ -454,10 +455,10 @@ class TestCoarsePair:
         specs = [spec for _, spec in cfg.spinors]
         with monkeypatch.context() as m:
             runs = record_rules(m)
-            got = witten_flux(cfg.chart, specs, 20.0)
+            got = witten_flux(cfg.chart, specs, [20.0])[0]
             assert [o for o, *_ in runs] == [6, 12]
-            scale = np.sum(np.abs(runs[1][2]), axis=0)
-        want = witten_flux(cfg.chart, specs, 20.0, orders=48)
+            scale = runs[1][2]
+        want = witten_flux(cfg.chart, specs, [20.0], orders=48)[0]
         for value, top, sc in zip(got, want, scale):
             assert abs(value - top) <= QUAD_RTOL * sc + QUAD_ATOL
 
@@ -465,17 +466,17 @@ class TestCoarsePair:
         # theta(nu) is zero at every node up to rounding, so no relative
         # test can pass; the absolute floor accepts the pair
         runs = record_rules(monkeypatch)
-        value = lee_flux(rot_lee_chart(), 20.0)
+        value = lee_flux(rot_lee_chart(), [20.0])[0]
         assert [o for o, *_ in runs] == [6, 12]
-        (_, lo, _), (_, hi, terms) = runs
-        assert abs(hi - lo) > QUAD_RTOL * float(np.sum(np.abs(terms)))
+        (_, lo, _), (_, hi, scale) = runs
+        assert abs(hi - lo) > QUAD_RTOL * float(scale)
         assert abs(value) <= QUAD_ATOL
 
     @pytest.mark.parametrize("orders", [2, 6, 9, 12])
     def test_orders_up_to_the_pair_run_alone(self, monkeypatch, orders):
         c = stress_chart()
         runs = record_rules(monkeypatch)
-        got = adm_flux(c, 20.0, "g", orders=orders)
+        got = adm_flux(c, [20.0], "g", orders=orders)[0]
         assert [o for o, *_ in runs] == [orders]
         assert got == runs[0][1]
 
@@ -483,7 +484,7 @@ class TestCoarsePair:
     def test_orders_above_the_pair_run_alone(self, monkeypatch, orders):
         c = stress_chart()
         runs = record_rules(monkeypatch)
-        got = lee_flux(c, 20.0, "g", orders=orders)
+        got = lee_flux(c, [20.0], "g", orders=orders)[0]
         assert [o for o, *_ in runs] == [orders]
         assert got == runs[0][1]
 
@@ -494,7 +495,7 @@ class TestCoarsePair:
         for n in (5, 6):
             del runs[:]
             c = flat_chart(n=n, lee=[f"-x{i}/r^{n}" for i in range(1, n + 1)])
-            assert lee_flux(c, 20.0) == pytest.approx(-sphere_area(n), rel=1e-14)
+            assert lee_flux(c, [20.0])[0] == pytest.approx(-sphere_area(n), rel=1e-14)
             assert [o for o, *_ in runs] == [6, 12]
 
     @pytest.mark.parametrize("width", [32, 4096])
@@ -503,9 +504,10 @@ class TestCoarsePair:
         spec = make_spinor_spec([("0.6", "0"), ("0", "0.8")], weight=-0.5)
 
         def fluxes():
-            return [adm_flux(stress, 20.0, "g", orders=24), lee_flux(stress, 20.0, orders=24),
-                    adm_flux(lee, 20.0, "g"), lee_flux(lee, 20.0),
-                    witten_flux(lee, spec, 20.0)]
+            return [adm_flux(stress, [20.0], "g", orders=24)[0],
+                    lee_flux(stress, [20.0], orders=24)[0],
+                    adm_flux(lee, [20.0], "g")[0], lee_flux(lee, [20.0])[0],
+                    witten_flux(lee, [spec], [20.0])[0, 0]]
 
         want = fluxes()
         monkeypatch.setattr(util, "CHUNK", width)
@@ -526,10 +528,10 @@ class TestLadder:
             return np.prod(nu ** np.array(alpha)[:, None], axis=0)
 
         runs = record_rules(monkeypatch)
-        got = _flux(c, 2.0, integrand, "euclidean", None)
+        got = _flux(c, [2.0], integrand, "euclidean", None)[0]
         assert [o for o, *_ in runs] == [6, 12, 16, 24]
-        (_, v12, _), (_, v16, terms) = runs[1:3]
-        assert abs(v16 - v12) > QUAD_RTOL * float(np.sum(np.abs(terms))) + QUAD_ATOL
+        (_, v12, _), (_, v16, scale) = runs[1:3]
+        assert abs(v16 - v12) > QUAD_RTOL * float(scale) + QUAD_ATOL
         assert got == runs[-1][1]
         want = 2.0 ** 4 * 2.0 * math.gamma(5.5) ** 3 * math.gamma(0.5) ** 2 / math.gamma(17.5)
         assert got == pytest.approx(want, rel=1e-13)
@@ -539,9 +541,122 @@ class TestLadder:
         # |x_n| has a kink on the equator, so no pair agrees
         c = flat_chart(n=n)
         runs = record_rules(monkeypatch)
-        got = _flux(c, 2.0, lambda Xc, nu: np.abs(nu[n - 1]), "euclidean", None)
+        got = _flux(c, [2.0], lambda Xc, nu: np.abs(nu[n - 1]), "euclidean", None)[0]
         assert [o for o, *_ in runs] == [N for N in QUAD_ORDERS if N <= TOP[n]]
         assert got == runs[-1][1]
+
+
+def bits(values) -> np.ndarray:
+    """The raw 64-bit words of a real or complex array, for bitwise checks."""
+    a = np.asarray(values)
+    return np.ascontiguousarray(a, dtype=np.result_type(a.dtype, np.float64)).view(np.uint64)
+
+
+def two_spinors(n):
+    N = 2 ** (n // 2)
+    rest = [("0", "0")] * (N - 2)
+    return [make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")] + rest, 0.5 * (2 - n)),
+            make_spinor_spec([("0.6", "0"), ("0", "0.8")] + rest, 0.5 * (2 - n))]
+
+
+# on perturbed4 in the g measure r = 20 climbs to order 16 and r = 1000
+# stops at the first pair; on the stress chart both climb, to different
+# rungs for the spinor flux
+SERIES_RADII = (20.0, 1000.0)
+SERIES_FLUXES = {
+    "adm": lambda c, radii, m: adm_flux(c, radii, m),
+    "lee": lambda c, radii, m: lee_flux(c, radii, m),
+    "gradient": lambda c, radii, m: gradient_flux(c, "1 + 1/sqrt(r^2 + 1)", radii, m),
+    "gradient_over_f": lambda c, radii, m: gradient_flux(c, "1 + 1/sqrt(r^2 + 1)", radii, m,
+                                                         over_f=True),
+    "weyl": lambda c, radii, m: weyl_flux(c, radii, m),
+    "witten": lambda c, radii, m: witten_flux(c, two_spinors(c.n), radii, m),
+}
+
+
+class TestFluxSeries:
+    """A flux series runs one sample per ladder rung for all its radii."""
+
+    @pytest.mark.parametrize("kind", sorted(SERIES_FLUXES))
+    @pytest.mark.parametrize("measure", ["euclidean", "g"])
+    @pytest.mark.parametrize("chart", ["perturbed4", "stress"])
+    def test_series_equals_single_radius_calls_bitwise(self, chart, measure, kind):
+        c = stress_chart() if chart == "stress" else load_config(chart).chart
+        fn = SERIES_FLUXES[kind]
+        series = fn(c, SERIES_RADII, measure)
+        alone = [fn(c, [r], measure)[0] for r in SERIES_RADII]
+        assert len(series) == len(SERIES_RADII)
+        assert np.array_equal(bits(series), bits(alone))
+
+    def test_first_sample_holds_the_pair_at_every_radius(self, monkeypatch):
+        c = load_config("perturbed4").chart
+        runs = record_rules(monkeypatch)
+        got = lee_flux(c, SERIES_RADII, "g")
+        # (6, 12) at both radii, then order 16 at r = 20 alone
+        assert [o for o, *_ in runs] == [6, 12, 6, 12, 16]
+        assert got == (runs[4][1], runs[3][1])
+
+    def test_open_radii_share_each_later_sample(self, monkeypatch):
+        c = stress_chart()
+        samples = []
+        inner = mass._sample
+
+        def spy(chart, rules, integrand, measure, dtype):
+            samples.append(list(rules))
+            return inner(chart, rules, integrand, measure, dtype)
+
+        monkeypatch.setattr(mass, "_sample", spy)
+        adm_flux(c, SERIES_RADII, "euclidean")
+        assert samples == [[(20.0, 6), (20.0, 12), (1000.0, 6), (1000.0, 12)],
+                           [(20.0, 16), (1000.0, 16)], [(20.0, 24), (1000.0, 24)]]
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_stacked_spinors_equal_one_spinor_calls_bitwise(self, n):
+        iso = f"pow(1 + 0.7/(2*r^{n - 2}), {4 / (n - 2)})"
+        metric = {f"{i}{i}": iso for i in range(1, n + 1)}
+        metric["12"] = f"0.3*x1*x2/r^{n + 2}"
+        lee = [f"-0.2*x{i}/r^{n} + 0.1*x{i % n + 1}/r^{n}" for i in range(1, n + 1)]
+        c = make_chart(n=n, tau=n - 2.1, r_min=1.0, metric=metric, lee=lee)
+        specs = two_spinors(n) + [make_spinor_spec([("0", "x1/r")] * 2 ** (n // 2), 0.5 * (2 - n))]
+        for measure in ("euclidean", "g"):
+            together = witten_flux(c, specs, [20.0, 50.0], measure, orders=2)
+            alone = np.stack([witten_flux(c, [s], [20.0, 50.0], measure, orders=2)[:, 0]
+                              for s in specs], axis=1)
+            assert together.shape == (2, len(specs))
+            assert np.array_equal(bits(together), bits(alone))
+
+    def test_four_radii_of_spinor_fluxes_share_six_chunks(self, monkeypatch, lee_cfg):
+        # 4 x (72 + 288) nodes in chunks of 256, where one call per radius
+        # took 3 chunks each
+        calls = []
+        inner = mass._measure_factors
+
+        def spy(chart, X, measure):
+            calls.append(X.shape[1])
+            return inner(chart, X, measure)
+
+        monkeypatch.setattr(mass, "_measure_factors", spy)
+        chart = lee_cfg.chart
+        got = witten_flux(chart, [spec for _, spec in lee_cfg.spinors], default_radii(chart))
+        assert got.shape == (4, len(lee_cfg.spinors))
+        assert calls == [256] * 5 + [160]
+
+    def test_peak_memory_does_not_grow_with_the_radius_count(self):
+        import tracemalloc
+
+        c = flat_chart(n=5, lee=[f"-x{i}/r^5" for i in range(1, 6)])
+        lee_flux(c, [20.0], orders=16)  # warm the unit-rule cache
+
+        def peak(radii):
+            tracemalloc.start()
+            try:
+                lee_flux(c, radii, orders=16)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak([20.0])
+        assert peak([20.0, 40.0, 80.0]) <= 1.1 * one
 
 
 class TestExtrapolate:

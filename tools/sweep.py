@@ -1,12 +1,15 @@
 """Compare every command on every bundled config between two source trees.
 
     python tools/sweep.py PARENT_TREE [--tree TREE] [--config PATH ...]
+        [--generated WORKLOAD:SEED ...]
 
 Runs ``python -m confmass <command> <config>`` for the 7 commands and the
-bundled configs of TREE (default: the checkout this script sits in), plus
-each config file given by a repeated ``--config``, once
-with TREE/src and once with PARENT_TREE/src on PYTHONPATH, one process at
-a time.  For each pair it prints both exit codes and both wall times,
+bundled configs of TREE (default: the checkout this script sits in),
+plus each config file given by a repeated ``--config`` and every config
+that TREE/benchmark/gen.py writes for a repeated ``--generated
+WORKLOAD:SEED`` (into a temporary directory, removed at the end), once
+with TREE/src and once with PARENT_TREE/src on PYTHONPATH, one process
+at a time.  For each pair it prints both exit codes and both wall times,
 ``stdout identical`` when the two outputs match byte for byte, and otherwise every ``pass``
 verdict that changed, report keys added or removed, and the largest
 relative drift of any float leaf with its JSON path; at the end, the
@@ -19,10 +22,12 @@ where a leaf of a named list item goes by that name as well
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 COMMANDS = ("check", "curvature", "identities", "mass", "weyl-mass", "laws", "witten")
@@ -32,6 +37,19 @@ def bundled_configs(tree: str) -> list:
     data = os.path.join(tree, "src", "confmass", "data")
     return sorted(os.path.splitext(f)[0] for f in os.listdir(data)
                   if f.endswith((".chart", ".ends")))
+
+
+def generated_configs(tree: str, spec: str, outdir: str) -> list:
+    """Paths of the configs TREE/benchmark/gen.py writes for ``WORKLOAD:SEED``
+    into a fresh directory under ``outdir``, in name order."""
+    workload, _, seed = spec.rpartition(":")
+    path = os.path.join(tree, "benchmark", "gen.py")
+    mod_spec = importlib.util.spec_from_file_location("confmass_bench_gen", path)
+    gen = importlib.util.module_from_spec(mod_spec)
+    mod_spec.loader.exec_module(gen)
+    where = os.path.join(outdir, f"{workload}-{seed}")
+    gen.generate(workload, int(seed), where)
+    return [os.path.join(where, f) for f in sorted(os.listdir(where))]
 
 
 def run(tree: str, command: str, config: str) -> tuple:
@@ -127,13 +145,26 @@ def main(argv=None) -> int:
                     help="source tree under test (default: this checkout)")
     ap.add_argument("--config", action="append", default=[], metavar="PATH",
                     help="config file to sweep as well as the bundled ones (repeatable)")
+    ap.add_argument("--generated", action="append", default=[], metavar="WORKLOAD:SEED",
+                    help="sweep the configs benchmark/gen.py writes for this workload "
+                         "and seed as well (repeatable)")
     args = ap.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="confmass-sweep-") as tmp:
+        configs = bundled_configs(args.tree) + args.config
+        for spec in args.generated:
+            configs += generated_configs(args.tree, spec, tmp)
+        sweep(args.parent, args.tree, configs)
+    return 0
+
+
+def sweep(parent: str, tree: str, configs: list) -> None:
+    """Run and compare every command on every config; print the summary."""
     worst_by_name: dict = {}
-    for config in bundled_configs(args.tree) + args.config:
+    for config in configs:
         for command in COMMANDS:
             label = f"{command} {config}"
-            code_old, out_old, old, t_old = run(args.parent, command, config)
-            code_new, out_new, new, t_new = run(args.tree, command, config)
+            code_old, out_old, old, t_old = run(parent, command, config)
+            code_new, out_new, new, t_new = run(tree, command, config)
             print(f"{label}: exit {code_old} -> {code_new}, {t_old:.2f} s -> {t_new:.2f} s")
             if out_old == out_new:
                 print("  stdout identical")
@@ -148,7 +179,6 @@ def main(argv=None) -> int:
     print("largest drift per leaf name:")
     for name, (d, where) in sorted(worst_by_name.items(), key=lambda kv: -kv[1][0]):
         print(f"  {name}: {d:.3g} ({where})")
-    return 0
 
 
 if __name__ == "__main__":
