@@ -9,10 +9,12 @@ EndSystem, each carrying a normalization weight a_l > 0.
 The jet front end lives here too: ``metric_jets`` evaluates g, its
 inverse and sqrt(det g) as jets at a point or point batch, checking
 positive definiteness of the value part (``metric_entry_jets`` gives g
-alone, unchecked), and ``lee_jets`` does the same for theta.  Each
-tensor is one batched Jet (m, B, *index); a single point (n,) is a batch
-of one.  ``decay_scan`` estimates actual decay exponents along rays as a
-sanity check against the declared tau.
+alone, unchecked, and ``metric_values`` its plain values), and
+``lee_jets`` does the same for theta.  Each tensor is one batched Jet
+(m, B, *index); a single point (n,) is a batch of one.  ``decay_scan``
+estimates actual decay exponents along rays as a sanity check against
+the declared tau.  A ``SpinorFieldSpec`` holds the parsed component
+expressions of a spinor field, as a chart holds those of its metric.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .jets import Jet, JetSpace
 
 __all__ = [
     "ChartError", "MetricChart", "End", "EndSystem", "MetricData",
-    "make_chart", "metric_entry_jets", "metric_jets", "lee_jets", "decay_scan",
-    "DecayReport", "conformal_rescale", "scale_coordinates",
+    "SpinorFieldSpec", "make_chart", "make_spinor_spec", "metric_entry_jets",
+    "metric_jets", "metric_values", "lee_jets", "decay_scan", "DecayReport",
+    "conformal_rescale", "scale_coordinates",
 ]
 
 MAX_DIM = 8
@@ -70,6 +73,24 @@ class EndSystem:
     @property
     def n(self) -> int:
         return self.ends[0].chart.n
+
+
+@dataclass(frozen=True)
+class SpinorFieldSpec:
+    """Component expressions (real, imaginary pairs) in the frame
+    trivialization, plus the weight."""
+
+    components: tuple  # N pairs of ExprAst
+    weight: float
+
+
+def make_spinor_spec(sources, weight: float) -> SpinorFieldSpec:
+    """Parse N (real, imaginary) source pairs into a field spec."""
+    comps = [(as_expr(re), as_expr(im)) for re, im in sources]
+    k = int(np.log2(len(comps)))
+    if 2 ** k != len(comps):
+        raise ValueError(f"component count {len(comps)} is not a power of two")
+    return SpinorFieldSpec(components=tuple(comps), weight=float(weight))
 
 
 def _probe_directions(n: int, count: int = 16) -> np.ndarray:
@@ -167,18 +188,14 @@ def _validate_chart(chart: MetricChart):
         if bad:
             raise ChartError(f"lee component {i + 1} uses unknown identifiers {sorted(bad)}")
 
-    # positive definiteness probe on the sphere r = 8 r_min
-    pts = 8.0 * chart.r_min * _probe_directions(chart.n)
-    md = metric_jets(chart, pts, order=1, check_spd=False)
-    gv = md.g.value  # (16, n, n)
-    if not np.all(np.isfinite(gv)):
-        raise ChartError("metric evaluates to a non-finite value at an SPD probe point")
-    for q in range(gv.shape[0]):
-        try:
-            np.linalg.cholesky(gv[q])
-        except np.linalg.LinAlgError:
-            raise ChartError(
-                f"metric is not positive definite at probe point {pts[:, q].tolist()}") from None
+    # positive definiteness probe on the sphere r = 8 r_min, through
+    # metric_jets (benchmark/tracer.py expects every workload to call it),
+    # and on the spheres of the decay scan, by plain evaluation
+    dirs = _probe_directions(chart.n)
+    pts = 8.0 * chart.r_min * dirs
+    _require_spd(metric_jets(chart, pts, order=1, check_spd=False).g.value, pts)
+    pts = np.concatenate([r * dirs for r in _scan_radii(chart)], axis=1)
+    _require_spd(metric_values(chart, pts), pts)
 
 
 @dataclass
@@ -212,6 +229,33 @@ def _batch(points) -> np.ndarray:
     return points[:, None] if points.ndim == 1 else points
 
 
+def _require_spd(G: np.ndarray, points: np.ndarray) -> None:
+    """Raise ChartError unless every matrix of G (B, n, n) is finite and
+    has a Cholesky factor, naming the first bad column of ``points``."""
+    if not np.all(np.isfinite(G)):
+        raise ChartError("metric evaluates to a non-finite value")
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        for q in range(G.shape[0]):
+            try:
+                np.linalg.cholesky(G[q])
+            except np.linalg.LinAlgError:
+                raise ChartError(
+                    f"metric is not positive definite at {points[:, q].tolist()}") from None
+
+
+def metric_values(chart: MetricChart, X: np.ndarray) -> np.ndarray:
+    """g_ij values at the columns of X (n, B) as a (B, n, n) array."""
+    n = chart.n
+    iu, ju = np.triu_indices(n)
+    upper = exprdsl.evaluate([chart.metric[i][j] for i, j in zip(iu, ju)], X, chart.params)
+    G = np.empty((X.shape[1], n, n))
+    G[:, iu, ju] = upper
+    G[:, ju, iu] = upper
+    return G
+
+
 def metric_entry_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
     """g as one jet (m, B, i, j) over the coordinate jets ``coords``;
     the upper triangle is evaluated as one program and mirrored."""
@@ -235,18 +279,7 @@ def metric_jets(chart: MetricChart, points, order: int = 2,
     g = metric_entry_jets(chart, coords)
 
     if check_spd:
-        gm = g.value
-        if not np.all(np.isfinite(gm)):
-            raise ChartError("metric evaluates to a non-finite value")
-        try:
-            np.linalg.cholesky(gm)
-        except np.linalg.LinAlgError:
-            for q in range(gm.shape[0]):
-                try:
-                    np.linalg.cholesky(gm[q])
-                except np.linalg.LinAlgError:
-                    raise ChartError(
-                        f"metric is not positive definite at {points[:, q].tolist()}") from None
+        _require_spd(g.value, points)
 
     return MetricData(chart=chart, space=space, points=points, coords=coords,
                       g=g, ginv=jetlinalg.mat_inv(g),
@@ -283,6 +316,11 @@ class DecayReport:
 FLAT_FLOOR = 1e-15
 
 
+def _scan_radii(chart: MetricChart) -> np.ndarray:
+    """The default radii of ``decay_scan``: 50..5000 r_min, log-spaced."""
+    return np.geomspace(50.0 * chart.r_min, 5000.0 * chart.r_min, 5)
+
+
 def decay_scan(chart: MetricChart, rays: int = 8,
                radii: np.ndarray | None = None) -> DecayReport:
     """Estimate decay exponents of g - delta and theta along rays.
@@ -293,9 +331,7 @@ def decay_scan(chart: MetricChart, rays: int = 8,
     sit below 1e-15 are reported exactly flat and pass trivially.
     """
     n = chart.n
-    if radii is None:
-        radii = np.geomspace(50.0 * chart.r_min, 5000.0 * chart.r_min, 5)
-    radii = np.asarray(radii, dtype=np.float64)
+    radii = np.asarray(_scan_radii(chart) if radii is None else radii, dtype=np.float64)
     dirs = _probe_directions(n, rays)  # (n, rays)
     # all sample points in one batch: (n, rays*len(radii))
     pts = (dirs[:, :, None] * radii[None, None, :]).reshape(n, -1)

@@ -36,9 +36,9 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
-from . import mass, suites
 from .chart import ChartError
 from .config import (SCHEMA_VERSION, ConfigError, LoadedConfig, dump_report,
                      load_config, load_expected)
@@ -58,10 +58,14 @@ _FLUX_COMMANDS = ("mass", "weyl-mass", "witten", "laws")
 def _parse_radii(text: str | None):
     if text is None:
         return None
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
     try:
-        radii = tuple(float(t) for t in text.split(",") if t.strip())
+        radii = tuple(float(t) for t in tokens)
     except ValueError as e:
         raise ConfigError(f"--radii: {e}") from e
+    for t, r in zip(tokens, radii):
+        if not math.isfinite(r):
+            raise ConfigError(f"--radii: {t!r} is not a finite number")
     if len(radii) < 4:
         raise ConfigError("--radii needs at least 4 comma-separated values")
     return radii
@@ -73,11 +77,15 @@ def _charts(cfg: LoadedConfig) -> list:
 
 def _check_flags(args, cfg: LoadedConfig) -> None:
     """Reject flag values the config cannot honour, before any computation."""
-    if args.command in _FLUX_COMMANDS and cfg.n > mass.FLUX_MAX_DIM:
-        raise ConfigError(f"{args.command} integrates over spheres, which needs "
-                          f"n <= {mass.FLUX_MAX_DIM}; the config has n = {cfg.n}")
+    if args.command in _FLUX_COMMANDS:
+        from . import mass
+        if cfg.n > mass.FLUX_MAX_DIM:
+            raise ConfigError(f"{args.command} integrates over spheres, which needs "
+                              f"n <= {mass.FLUX_MAX_DIM}; the config has n = {cfg.n}")
     if getattr(args, "points", 1) < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
+    if getattr(args, "seed", 0) < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     radii = _parse_radii(getattr(args, "radii", None))
     if radii is None:
         return
@@ -110,6 +118,8 @@ def _base_report(command: str, args, cfg: LoadedConfig) -> dict:
 
 def _quadrature_report(command: str, args, cfg: LoadedConfig) -> dict:
     """A base report for a command that integrates fluxes over spheres."""
+    from . import mass
+
     report = _base_report(command, args, cfg)
     report["tolerances"].update(quad_rtol=mass.QUAD_RTOL, quad_atol=mass.QUAD_ATOL)
     return report
@@ -187,6 +197,8 @@ def _cmd_check(args, cfg: LoadedConfig) -> dict:
 
 
 def _cmd_curvature(args, cfg: LoadedConfig) -> dict:
+    from . import suites
+
     report = _base_report("curvature", args, cfg)
     report["results"] = {"batteries": []}
     for chart in _charts(cfg):
@@ -207,6 +219,8 @@ def _converged(report: dict, rep: mass.MassReport) -> None:
 
 
 def _cmd_mass(args, cfg: LoadedConfig) -> dict:
+    from . import mass
+
     if cfg.chart is None:
         raise ConfigError("the mass command needs a chart config "
                           "(use weyl-mass for end systems)")
@@ -224,6 +238,8 @@ def _cmd_mass(args, cfg: LoadedConfig) -> dict:
 
 
 def _cmd_weyl_mass(args, cfg: LoadedConfig) -> dict:
+    from . import mass
+
     report = _quadrature_report("weyl-mass", args, cfg)
     target = cfg.chart if cfg.chart is not None else cfg.system
     rep = mass.weyl_mass(target, radii=_parse_radii(args.radii),
@@ -239,6 +255,8 @@ def _cmd_weyl_mass(args, cfg: LoadedConfig) -> dict:
 
 
 def _cmd_identities(args, cfg: LoadedConfig) -> dict:
+    from . import suites
+
     report = _base_report("identities", args, cfg)
     report["results"] = {"batteries": []}
     for chart in _charts(cfg):
@@ -252,6 +270,8 @@ def _cmd_identities(args, cfg: LoadedConfig) -> dict:
 
 
 def _cmd_witten(args, cfg: LoadedConfig) -> dict:
+    from . import suites
+
     report = _quadrature_report("witten", args, cfg)
     battery = suites.witten_battery(cfg, radii=_parse_radii(args.radii),
                                     measure=args.measure)
@@ -262,6 +282,8 @@ def _cmd_witten(args, cfg: LoadedConfig) -> dict:
 
 
 def _cmd_laws(args, cfg: LoadedConfig) -> dict:
+    from . import suites
+
     report = _quadrature_report("laws", args, cfg)
     expected_total = None
     entry = _expected_entry(args)

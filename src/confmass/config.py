@@ -45,8 +45,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .chart import ChartError, End, EndSystem, MetricChart, make_chart
-from .spinor import SpinorFieldSpec, make_spinor_spec
+from .chart import ChartError, End, EndSystem, MetricChart, make_chart, make_spinor_spec
 
 __all__ = [
     "SCHEMA_VERSION",

@@ -61,11 +61,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import exprdsl, util
-from .chart import (End, EndSystem, MetricChart, lee_jets, metric_entry_jets,
-                    metric_jets)
+from .chart import (End, EndSystem, MetricChart, SpinorFieldSpec, lee_jets,
+                    metric_entry_jets, metric_jets, metric_values)
 from .jets import seed_point
-from .spinor import (SpinorFieldSpec, coframe_action, covd_coord, dirac,
-                     spinor_calc, spinor_jets)
 
 __all__ = [
     "SphereRule",
@@ -196,17 +194,6 @@ def _small_det(A: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _metric_values(chart: MetricChart, X: np.ndarray) -> np.ndarray:
-    """g_ij values at columns of X as an (B, n, n) array."""
-    n = chart.n
-    iu, ju = np.triu_indices(n)
-    upper = exprdsl.evaluate([chart.metric[i][j] for i, j in zip(iu, ju)], X, chart.params)
-    G = np.empty((X.shape[1], n, n))
-    G[:, iu, ju] = upper
-    G[:, ju, iu] = upper
-    return G
-
-
 def _measure_factors(chart: MetricChart, X: np.ndarray, measure: str):
     """Outward normal components nu (n, B) and area factor (B,).
 
@@ -222,7 +209,7 @@ def _measure_factors(chart: MetricChart, X: np.ndarray, measure: str):
         return xhat, np.ones(B)
     if measure != "g":
         raise ValueError(f"unknown measure {measure!r} (euclidean | g)")
-    G = _metric_values(chart, X)
+    G = metric_values(chart, X)
     qn = np.einsum("ib,bij,jb->b", xhat, G, xhat)
     nu = xhat / np.sqrt(qn)
     # Householder reflection sending e_n to -s*xhat; first n-1 columns
@@ -387,7 +374,10 @@ def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
     returns.  The metric is checked positive definite at every node.
 
     The imaginary part is a diagnostic: it must vanish in the limit.
+    Imports the spinor layer when called: the metric masses never load it.
     """
+    from .spinor import coframe_action, covd_coord, dirac, spinor_calc, spinor_jets
+
     k = 0.5 * (2.0 - chart.n)
     specs = list(specs)
 

@@ -13,6 +13,8 @@ tensors, and stacks of S fields (m, B, S, N), put their extra axes
 before the spinor axis: ``covd_coord`` takes (m, B, ..., N) and returns
 (m, B, n, ..., N), the coordinate direction third, and ``covd_frame``,
 ``dirac`` and ``coframe_action`` carry the extra axes the same way.
+``spinor_jets`` evaluates a ``SpinorFieldSpec`` (parsed in ``chart``
+with the rest of a config, and re-exported here) to a field.
 
 The frame data are real jets stacked the same way: ``E`` and ``S`` are
 (m, B, i, a), ``omega`` is (m, B, i, a, b), as are the metric,
@@ -60,10 +62,9 @@ from functools import cached_property
 import numpy as np
 
 from . import clifford
-from . import exprdsl
 from . import jetlinalg
 from . import weyl as weylmod
-from .chart import MetricData
+from .chart import MetricData, SpinorFieldSpec, make_spinor_spec
 from .curvature import (ConnectionData, CurvatureData, christoffels, codiff_oneform,
                         curvature)
 from .jets import Jet, evaluate_jet, tensor_mul
@@ -123,25 +124,7 @@ def spinor_values(psi: Jet) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# field specifications
-
-@dataclass(frozen=True)
-class SpinorFieldSpec:
-    """Component expressions (real, imaginary pairs) in the frame
-    trivialization, plus the weight."""
-
-    components: tuple  # N pairs of ExprAst
-    weight: float
-
-
-def make_spinor_spec(sources, weight: float) -> SpinorFieldSpec:
-    """Parse N (real, imaginary) source pairs into a field spec."""
-    comps = [(exprdsl.as_expr(re), exprdsl.as_expr(im)) for re, im in sources]
-    k = int(np.log2(len(comps)))
-    if 2 ** k != len(comps):
-        raise ValueError(f"component count {len(comps)} is not a power of two")
-    return SpinorFieldSpec(components=tuple(comps), weight=float(weight))
-
+# field values
 
 def spinor_jets(spec: SpinorFieldSpec | Sequence[SpinorFieldSpec], coords: list,
                 params=None) -> Jet:

@@ -83,6 +83,12 @@ class TestMakeChart:
         with pytest.raises(ChartError):
             make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "-1"})
 
+    def test_rejects_metric_indefinite_only_on_a_decay_scan_sphere(self):
+        # positive at r = 8 r_min, negative from r = 100 on: the probes on
+        # the spheres of the decay scan (50..5000 r_min) must reject it
+        with pytest.raises(ChartError, match="not positive definite"):
+            make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "1 - r/100"})
+
     def test_validate_false_skips_probes(self):
         c = make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "-1"}, validate=False)
         assert isinstance(c, MetricChart)

@@ -188,6 +188,18 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this
+    confmass."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(confmass.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [root, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.fixture(scope="module")
 def witten_twoends():
     """Exit code and stdout of ``witten twoends``, run once for the module."""
@@ -246,6 +258,13 @@ class TestCli:
         ("mass", "schwarzschild", "--radii", "1,2,4,8"),  # below 2 r_min
         ("mass", "schwarzschild", "--radii", "20,25,30,35"),  # ratio < 1.5
         ("identities", "flat", "--points", "0"),
+        # nan passes the floor and ratio checks, since every comparison
+        # with it is false; the infinite radii would reach the quadrature
+        *[("mass", "schwarzschild", "--radii", f"20,40,80,160,{r}")
+          for r in ("inf", "-inf", "nan", "1e400")],
+        ("identities", "flat", "--seed", "-1"),
+        ("curvature", "flat", "--seed", "-1"),
+        ("laws", "schwarzschild", "--seed", "-3"),
     ])
     def test_unusable_flags_exit_two_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -267,18 +286,34 @@ class TestCli:
         return self.chart_file(tmp_path, f"n{n}", n, 3.0,
                                {f"{i}{i}": "1 + 1/r^3" for i in range(1, n + 1)})
 
-    @pytest.mark.parametrize("command", ["identities", "curvature", "witten"])
-    def test_chart_breaking_down_mid_run_exits_two_with_one_line(
+    @pytest.mark.parametrize("command", ["check", "identities", "witten"])
+    def test_chart_indefinite_beyond_the_first_probe_is_refused_at_load(
             self, capsys, tmp_path, command):
-        # the SPD probe at r = 8 passes, but g11 = 1 - r/10 turns negative
-        # beyond r = 10: every command stops with a ChartError naming the
-        # first sample point where the metric is indefinite
+        # g11 = 1 - r/10 is positive on the probe sphere r = 8 r_min and
+        # negative on every sphere of the decay scan (50..5000 r_min); the
+        # config loader names the file
         path = self.chart_file(tmp_path, "indefinite", 3, 0.75, {"11": "1 - r/10"})
         code, out, err = run_cli(capsys, command, path)
         assert code == 2
         assert out == ""
-        assert err.startswith("confmass:") and err.count("\n") == 1
-        assert "not positive definite at" in err
+        assert err.count("\n") == 1
+        assert err.startswith("confmass: indefinite.chart: metric is not positive definite at")
+
+    @pytest.mark.parametrize("command", ["identities", "curvature", "witten"])
+    def test_chart_breaking_down_mid_run_exits_two_with_one_line(
+            self, capsys, tmp_path, command):
+        # g11 = 1 - 2 exp(-(r - 20)^2/25) passes every load-time probe but
+        # is negative for |r - 20| < 4.2, inside the sampled annulus
+        # (5..50 r_min) and on the first witten radius: every command
+        # stops with a ChartError naming the first sample point where the
+        # metric is indefinite, not the config file
+        path = self.chart_file(tmp_path, "indefinite", 3, 0.75,
+                               {"11": "1 - 2*exp(-(r - 20)^2/25)"})
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("confmass: metric is not positive definite at")
 
     @pytest.mark.parametrize("command", ["mass", "weyl-mass", "laws", "witten"])
     def test_flux_commands_refuse_dimensions_without_a_sphere_rule(
@@ -422,15 +457,32 @@ class TestCli:
     def test_importing_the_cli_loads_no_scipy(self):
         # scipy's import was most of every command's start-up time; the
         # search for the decay power needs none of it
-        root = os.path.dirname(os.path.dirname(os.path.abspath(confmass.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [root, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]))
         code = ("import sys, confmass.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert run_fresh(code) == "[]\n"
+
+    def test_each_command_loads_only_the_layers_it_runs(self):
+        # parsing and config loading need no flux, spinor or battery
+        # layer, and the metric mass needs no spinor calculus
+        code = (
+            "import contextlib, io, json, sys, confmass.cli\n"
+            "from confmass.config import load_config\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'confmass')\n"
+            "load_config('schwarzschild')\n"
+            "print(json.dumps(loaded()))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = confmass.cli.main(['mass', 'schwarzschild'])\n"
+            "print(json.dumps([code, loaded()]))\n")
+        first, second = run_fresh(code).splitlines()
+        assert json.loads(first) == ["confmass"] + [
+            f"confmass.{m}" for m in
+            ("chart", "cli", "config", "exprdsl", "jetlinalg", "jets")]
+        code, after_mass = json.loads(second)
+        assert code == 0
+        assert "confmass.mass" in after_mass
+        for layer in ("spinor", "clifford", "weyl", "curvature", "suites"):
+            assert f"confmass.{layer}" not in after_mass
 
     def test_reports_are_deterministic_across_workers(self, capsys, monkeypatch):
         outs = []
