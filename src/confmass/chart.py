@@ -8,10 +8,11 @@ EndSystem, each carrying a normalization weight a_l > 0.
 
 The jet front end lives here too: ``metric_jets`` evaluates g, its
 inverse and sqrt(det g) as jets at a point or point batch, checking
-positive definiteness of the value part (``metric_entry_jets`` gives g
-alone, unchecked, and ``metric_values`` its plain values), and
-``lee_jets`` does the same for theta.  Each tensor is one batched Jet
-(m, B, *index); a single point (n,) is a batch of one.  ``decay_scan``
+positive definiteness of the value part first; ``metric_entry_jets``
+(g, unchecked) and ``lee_jets`` (theta) evaluate over given coordinate
+jets, and ``metric_values`` gives the plain values of g.  Each tensor
+is one batched Jet (m, B, *index); a single point (n,) is a batch of
+one.  ``decay_scan``
 estimates actual decay exponents along rays as a sanity check against
 the declared tau.  A ``SpinorFieldSpec`` holds the parsed component
 expressions of a spinor field, as a chart holds those of its metric.
@@ -193,7 +194,7 @@ def _validate_chart(chart: MetricChart):
     # and on the spheres of the decay scan, by plain evaluation
     dirs = _probe_directions(chart.n)
     pts = 8.0 * chart.r_min * dirs
-    _require_spd(metric_jets(chart, pts, order=1, check_spd=False).g.value, pts)
+    metric_jets(chart, pts, order=1)
     pts = np.concatenate([r * dirs for r in _scan_radii(chart)], axis=1)
     _require_spd(metric_values(chart, pts), pts)
 
@@ -269,29 +270,22 @@ def metric_entry_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
     return Jet(coords[0].space, g)
 
 
-def metric_jets(chart: MetricChart, points, order: int = 2,
-                check_spd: bool = True) -> MetricData:
-    """Evaluate g, g^{-1} and sqrt(det g) as jets at ``points``."""
+def metric_jets(chart: MetricChart, points, order: int = 2) -> MetricData:
+    """Evaluate g, g^{-1} and sqrt(det g) as jets at ``points``, after
+    checking g positive definite there."""
     points = _batch(points)
     if points.shape[0] != chart.n:
         raise ChartError(f"points have {points.shape[0]} coordinates, chart has n={chart.n}")
     space, coords = jets.seed_point(points, order)
     g = metric_entry_jets(chart, coords)
-
-    if check_spd:
-        _require_spd(g.value, points)
-
+    _require_spd(g.value, points)
     return MetricData(chart=chart, space=space, points=points, coords=coords,
                       g=g, ginv=jetlinalg.mat_inv(g),
                       sqrt_det=jets.jet_sqrt(jetlinalg.mat_det(g)))
 
 
-def lee_jets(chart: MetricChart, points, order: int = 2,
-             coords: list[Jet] | None = None) -> Jet:
-    """The Lee form as one jet (m, B, i) at ``points`` (reuses the
-    coordinate jets ``coords`` if given)."""
-    if coords is None:
-        _, coords = jets.seed_point(_batch(points), order)
+def lee_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
+    """theta as one jet (m, B, i) over the coordinate jets ``coords``."""
     return jets.evaluate_jet(chart.lee, coords, chart.params)
 
 
@@ -355,10 +349,9 @@ def decay_scan(chart: MetricChart, rays: int = 8,
                        "required": required, "passed": ok}
         return est
 
-    iu, ju = np.triu_indices(n)
-    metric = exprdsl.evaluate([chart.metric[i][j] for i, j in zip(iu, ju)], pts, chart.params)
-    for t, (i, j) in enumerate(zip(iu, ju)):
-        est = fit(f"g{i + 1}{j + 1}", metric[:, t] - (1.0 if i == j else 0.0),
+    G = metric_values(chart, pts)
+    for i, j in zip(*np.triu_indices(n)):
+        est = fit(f"g{i + 1}{j + 1}", G[:, i, j] - (1.0 if i == j else 0.0),
                   chart.tau, "metric")
         if est is not None:
             tau_fits.append(est)

@@ -10,7 +10,8 @@ report to stdout, and exits
 * 2 with one ``confmass: ...`` line on stderr and nothing on stdout
   when the config or the flags are unusable, and also when the chart
   breaks down while a command runs: a ``ChartError`` (say, a metric
-  that is not positive definite at a sample point) or an
+  that is not positive definite at a sample point, or a flux radius
+  that ``mass.check_radius`` refuses on a derived chart) or an
   ``ArithmeticError`` (say, a jet square root of an indefinite matrix,
   or a jet division by zero).  Flux commands on a chart of dimension
   above ``mass.FLUX_MAX_DIM`` are refused the same way, before any
@@ -36,7 +37,6 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .chart import ChartError
@@ -58,53 +58,48 @@ _FLUX_COMMANDS = ("mass", "weyl-mass", "witten", "laws")
 def _parse_radii(text: str | None):
     if text is None:
         return None
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
     try:
-        radii = tuple(float(t) for t in tokens)
+        return tuple(float(t) for t in text.split(",") if t.strip())
     except ValueError as e:
         raise ConfigError(f"--radii: {e}") from e
-    for t, r in zip(tokens, radii):
-        if not math.isfinite(r):
-            raise ConfigError(f"--radii: {t!r} is not a finite number")
-    if len(radii) < 4:
-        raise ConfigError("--radii needs at least 4 comma-separated values")
-    return radii
 
 
 def _charts(cfg: LoadedConfig) -> list:
     return [cfg.chart] if cfg.chart is not None else [e.chart for e in cfg.system.ends]
 
 
-def _check_flags(args, cfg: LoadedConfig) -> None:
-    """Reject flag values the config cannot honour, before any computation."""
-    if args.command in _FLUX_COMMANDS:
-        from . import mass
-        if cfg.n > mass.FLUX_MAX_DIM:
-            raise ConfigError(f"{args.command} integrates over spheres, which needs "
-                              f"n <= {mass.FLUX_MAX_DIM}; the config has n = {cfg.n}")
+def _check_flags(args, cfg: LoadedConfig):
+    """Reject flag values the config cannot honour, before any computation,
+    and return the parsed ``--radii`` (None when not given): every radius
+    passes ``mass.check_radius`` on every chart of the config, and the
+    series ``mass.check_series``."""
     if getattr(args, "points", 1) < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
     if getattr(args, "seed", 0) < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    radii = _parse_radii(getattr(args, "radii", None))
-    if radii is None:
-        return
-    floor = max(2.0 * chart.r_min for chart in _charts(cfg))
-    if min(radii) < floor:
-        raise ConfigError(f"--radii: {min(radii)!r} is below 2 r_min = {floor!r}")
-    r = sorted(radii)
-    for lo, hi in zip(r, r[1:]):
-        if hi / lo < 1.5:
-            raise ConfigError(f"--radii: successive radii {lo!r}, {hi!r} "
-                              "have a ratio below 1.5")
+    if args.command not in _FLUX_COMMANDS:
+        return None
+    from . import mass
+    if cfg.n > mass.FLUX_MAX_DIM:
+        raise ConfigError(f"{args.command} integrates over spheres, which needs "
+                          f"n <= {mass.FLUX_MAX_DIM}; the config has n = {cfg.n}")
+    radii = _parse_radii(args.radii)
+    if radii is not None:
+        try:
+            for chart in _charts(cfg):
+                for r in radii:
+                    mass.check_radius(chart, r)
+            mass.check_series(radii)
+        except ValueError as e:
+            raise ConfigError(f"--radii: {e}") from None
+    return radii
 
 
 def _base_report(command: str, args, cfg: LoadedConfig) -> dict:
     flags = {}
     for key in ("radii", "points", "seed", "jet_order", "measure", "normalize"):
         if hasattr(args, key):
-            v = getattr(args, key)
-            flags[key] = list(v) if isinstance(v, tuple) else v
+            flags[key] = getattr(args, key)
     return {
         "command": command,
         "config": cfg.name,
@@ -163,8 +158,8 @@ def _mass_result(rep: mass.MassReport) -> dict:
     }
 
 
-def _write_csv(path: str, rep: mass.MassReport) -> None:
-    rows = rep.csv_rows()
+def _write_csv(path: str, rep: mass.MassReport, chart) -> None:
+    rows = rep.csv_rows(chart)
     with open(path, "w") as f:
         f.write("r,flux,cumulative_extrapolation\n")
         for r, flux, cum in rows:
@@ -174,7 +169,7 @@ def _write_csv(path: str, rep: mass.MassReport) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_check(args, cfg: LoadedConfig) -> dict:
+def _cmd_check(args, cfg: LoadedConfig, radii) -> dict:
     from .chart import decay_scan
 
     report = _base_report("check", args, cfg)
@@ -196,15 +191,17 @@ def _cmd_check(args, cfg: LoadedConfig) -> dict:
     return report
 
 
-def _cmd_curvature(args, cfg: LoadedConfig) -> dict:
+def _cmd_pointwise(args, cfg: LoadedConfig, radii) -> dict:
+    """``curvature`` and ``identities``: one battery per chart."""
     from . import suites
 
-    report = _base_report("curvature", args, cfg)
+    battery_of = (suites.curvature_battery if args.command == "curvature"
+                  else suites.identity_battery)
+    report = _base_report(args.command, args, cfg)
     report["results"] = {"batteries": []}
     for chart in _charts(cfg):
-        battery = suites.curvature_battery(chart, points=args.points,
-                                           seed=args.seed,
-                                           jet_order=args.jet_order)
+        battery = battery_of(chart, points=args.points, seed=args.seed,
+                             jet_order=args.jet_order)
         report["results"]["batteries"].append(battery)
         report["tolerances"].update(battery.get("tolerances", {}))
         report["pass"] = report["pass"] and battery["pass"]
@@ -218,70 +215,46 @@ def _converged(report: dict, rep: mass.MassReport) -> None:
                       and rep.error <= budget)
 
 
-def _cmd_mass(args, cfg: LoadedConfig) -> dict:
+def _cmd_mass(args, cfg: LoadedConfig, radii) -> dict:
+    """``mass`` (the metric mass of a chart) and ``weyl-mass`` (the mass
+    of the Weyl structure of a chart or an end system)."""
     from . import mass
 
-    if cfg.chart is None:
+    if args.command == "weyl-mass":
+        target = cfg.chart if cfg.chart is not None else cfg.system
+        rep = mass.weyl_mass(target, radii=radii, measure=args.measure,
+                             normalize=args.normalize)
+        expected_key = "weyl_mass_raw"
+    elif cfg.chart is None:
         raise ConfigError("the mass command needs a chart config "
                           "(use weyl-mass for end systems)")
-    report = _quadrature_report("mass", args, cfg)
-    rep = mass.riemannian_mass(cfg.chart, radii=_parse_radii(args.radii),
-                               measure=args.measure, normalize=args.normalize)
+    else:
+        rep = mass.riemannian_mass(cfg.chart, radii=radii, measure=args.measure,
+                                   normalize=args.normalize)
+        expected_key = "riemannian_mass_raw"
+    report = _quadrature_report(args.command, args, cfg)
     report["results"] = _mass_result(rep)
     _converged(report, rep)
     entry = _expected_entry(args)
-    if entry and "riemannian_mass_raw" in entry and args.normalize == "raw":
-        _mass_expect_check(report, rep.limit, entry["riemannian_mass_raw"])
+    if entry and expected_key in entry and args.normalize == "raw":
+        _mass_expect_check(report, rep.limit, entry[expected_key])
     if args.csv:
-        _write_csv(args.csv, rep)
+        _write_csv(args.csv, rep, _charts(cfg)[0])
     return report
 
 
-def _cmd_weyl_mass(args, cfg: LoadedConfig) -> dict:
-    from . import mass
-
-    report = _quadrature_report("weyl-mass", args, cfg)
-    target = cfg.chart if cfg.chart is not None else cfg.system
-    rep = mass.weyl_mass(target, radii=_parse_radii(args.radii),
-                         measure=args.measure, normalize=args.normalize)
-    report["results"] = _mass_result(rep)
-    _converged(report, rep)
-    entry = _expected_entry(args)
-    if entry and "weyl_mass_raw" in entry and args.normalize == "raw":
-        _mass_expect_check(report, rep.limit, entry["weyl_mass_raw"])
-    if args.csv:
-        _write_csv(args.csv, rep)
-    return report
-
-
-def _cmd_identities(args, cfg: LoadedConfig) -> dict:
-    from . import suites
-
-    report = _base_report("identities", args, cfg)
-    report["results"] = {"batteries": []}
-    for chart in _charts(cfg):
-        battery = suites.identity_battery(chart, points=args.points,
-                                          seed=args.seed,
-                                          jet_order=args.jet_order)
-        report["results"]["batteries"].append(battery)
-        report["tolerances"].update(battery.get("tolerances", {}))
-        report["pass"] = report["pass"] and battery["pass"]
-    return report
-
-
-def _cmd_witten(args, cfg: LoadedConfig) -> dict:
+def _cmd_witten(args, cfg: LoadedConfig, radii) -> dict:
     from . import suites
 
     report = _quadrature_report("witten", args, cfg)
-    battery = suites.witten_battery(cfg, radii=_parse_radii(args.radii),
-                                    measure=args.measure)
+    battery = suites.witten_battery(cfg, radii=radii, measure=args.measure)
     report["results"] = battery
     report["tolerances"].update(battery.get("tolerances", {}))
     report["pass"] = battery["pass"]
     return report
 
 
-def _cmd_laws(args, cfg: LoadedConfig) -> dict:
+def _cmd_laws(args, cfg: LoadedConfig, radii) -> dict:
     from . import suites
 
     report = _quadrature_report("laws", args, cfg)
@@ -289,9 +262,8 @@ def _cmd_laws(args, cfg: LoadedConfig) -> dict:
     entry = _expected_entry(args)
     if entry and cfg.kind == "end_system":
         expected_total = entry.get("weyl_mass_raw")
-    battery = suites.laws_battery(cfg, radii=_parse_radii(args.radii),
-                                  measure=args.measure, seed=args.seed,
-                                  expected_total=expected_total)
+    battery = suites.laws_battery(cfg, radii=radii, measure=args.measure,
+                                  seed=args.seed, expected_total=expected_total)
     report["results"] = battery
     report["tolerances"].update(battery.get("tolerances", {}))
     report["pass"] = battery["pass"]
@@ -300,10 +272,10 @@ def _cmd_laws(args, cfg: LoadedConfig) -> dict:
 
 _COMMANDS = {
     "check": _cmd_check,
-    "curvature": _cmd_curvature,
+    "curvature": _cmd_pointwise,
     "mass": _cmd_mass,
-    "weyl-mass": _cmd_weyl_mass,
-    "identities": _cmd_identities,
+    "weyl-mass": _cmd_mass,
+    "identities": _cmd_pointwise,
     "witten": _cmd_witten,
     "laws": _cmd_laws,
 }
@@ -366,8 +338,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        _check_flags(args, cfg)
-        report = _COMMANDS[args.command](args, cfg)
+        radii = _check_flags(args, cfg)
+        report = _COMMANDS[args.command](args, cfg, radii)
     except (ConfigError, ChartError, ArithmeticError) as e:
         print(f"confmass: {e}", file=sys.stderr)
         return 2

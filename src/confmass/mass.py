@@ -16,14 +16,27 @@ flux as
     m(D) = m(g0) - 2 (n-1) lim_r  integral_{S_r} theta_0(nu) dA,
 
 and its report keeps the metric mass m(g0) of each end (``MassReport.metric``)
-for callers that need it again.  Every flux series becomes a limit
-through ``series_limit``.
+for callers that need it again.
+
+Every flux series becomes a limit through one fit,
+``extrapolate(radii, series, n, decay)``: value(r) = limit + c r^-p with
+p in (0.3, 2n), and ``decay`` taking over when that fit degenerates.
+The radius rules live here too, and the CLI checks ``--radii`` with the
+same functions: a flux radius is finite, at least 2 r_min, and keeps
+r^(n-1) finite (``check_radius``, run by every flux); a series has at
+least 4 radii whose sorted successive ratios are at least 1.5
+(``check_series``, run by ``extrapolate``).
 
 The sign of the Lee term is fixed by conformal invariance: with it,
 m(D) computed against g0 and against f g0 (rescaling the Lee form
 accordingly) agree, and the spinor boundary flux converges to
 (1/4) m(D) |psi_0|^2 for asymptotically constant psi_0.  Both facts are
 enforced by the acceptance tests.
+
+Measures: under ``g`` the area factor is the induced density
+sqrt(det T^t G T) for an orthonormal tangent basis T of the unit normal
+x^, in the closed form det(T^t G T) = det G * x^t G^-1 x^ (T and x^
+complete an orthogonal matrix; the Schur complement does the rest).
 
 Quadrature: every flux function takes the radii of its series and
 returns one flux per radius.  Each radius climbs the order ladder
@@ -61,8 +74,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import exprdsl, util
-from .chart import (End, EndSystem, MetricChart, SpinorFieldSpec, lee_jets,
-                    metric_entry_jets, metric_jets, metric_values)
+from .chart import (ChartError, End, EndSystem, MetricChart, SpinorFieldSpec,
+                    lee_jets, metric_entry_jets, metric_jets, metric_values)
 from .jets import seed_point
 
 __all__ = [
@@ -76,7 +89,8 @@ __all__ = [
     "weyl_flux",
     "witten_flux",
     "extrapolate",
-    "series_limit",
+    "check_radius",
+    "check_series",
     "riemannian_mass",
     "weyl_mass",
     "two_path_mass_delta",
@@ -177,56 +191,43 @@ def _unit_rule(n: int, N: int) -> tuple:
 # ---------------------------------------------------------------------------
 # measure factors
 
-def _small_det(A: np.ndarray) -> np.ndarray:
-    """Determinant of (..., d, d) arrays by cofactor expansion (d <= 5)."""
-    d = A.shape[-1]
-    if d == 1:
-        return A[..., 0, 0]
-    if d == 2:
-        return A[..., 0, 0] * A[..., 1, 1] - A[..., 0, 1] * A[..., 1, 0]
-    acc = None
-    cols = list(range(d))
-    for j in range(d):
-        rest = cols[:j] + cols[j + 1:]
-        minor = _small_det(A[..., 1:, :][..., :, rest])
-        term = ((-1.0) ** j) * A[..., 0, j] * minor
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def _measure_factors(chart: MetricChart, X: np.ndarray, measure: str):
     """Outward normal components nu (n, B) and area factor (B,).
 
     The factor multiplies the Euclidean quadrature weights; for the
     ``g`` measure nu is the g-unit radial vector and the factor is the
-    induced-area density sqrt(det T^t G T) over a Householder tangent
-    basis.
+    induced-area density sqrt(det G * x^t G^-1 x^) (see the module
+    docstring), its contraction summed in index order.
     """
-    n, B = X.shape
     r = np.sqrt(np.sum(X * X, axis=0))
     xhat = X / r
     if measure == "euclidean":
-        return xhat, np.ones(B)
+        return xhat, np.ones(X.shape[1])
     if measure != "g":
         raise ValueError(f"unknown measure {measure!r} (euclidean | g)")
     G = metric_values(chart, X)
     qn = np.einsum("ib,bij,jb->b", xhat, G, xhat)
     nu = xhat / np.sqrt(qn)
-    # Householder reflection sending e_n to -s*xhat; first n-1 columns
-    # span the tangent space of S_r at each node
-    s = np.where(xhat[n - 1] >= 0.0, 1.0, -1.0)
-    v = xhat.copy()
-    v[n - 1] += s
-    vn = np.sum(v * v, axis=0)
-    H = np.eye(n)[None, :, :] - 2.0 * np.einsum("ib,jb->bij", v, v) / vn[:, None, None]
-    T = H[:, :, : n - 1]
-    induced = np.einsum("bki,bkl,blj->bij", T, G, T)
-    fac = np.sqrt(_small_det(induced))
+    ginv_x = np.linalg.solve(G, xhat.T[:, :, None])[:, :, 0]
+    fac = np.sqrt(np.linalg.det(G) * _normal_part(ginv_x, xhat))
     return nu, fac
 
 
 # ---------------------------------------------------------------------------
 # fluxes
+
+def check_radius(chart: MetricChart, r: float) -> None:
+    """Raise ChartError unless ``r`` is a usable flux radius of ``chart``:
+    finite, at least 2 r_min, and with r^(n-1) (its weight factor) finite."""
+    if not math.isfinite(r):
+        raise ChartError(f"radius {r!r} is not finite")
+    if r < 2.0 * chart.r_min:
+        raise ChartError(f"radius {r!r} is below 2 r_min = {2.0 * chart.r_min!r}")
+    try:
+        r ** (chart.n - 1)
+    except OverflowError:
+        raise ChartError(f"radius {r!r} is too large: r^{chart.n - 1} overflows") from None
+
 
 def _flux(chart: MetricChart, r: Sequence[float], integrand, measure: str,
           orders: int | None, dtype=np.float64) -> np.ndarray:
@@ -238,8 +239,7 @@ def _flux(chart: MetricChart, r: Sequence[float], integrand, measure: str,
     the radii still open."""
     radii = tuple(float(x) for x in r)
     for x in radii:
-        if x < 2.0 * chart.r_min:
-            raise ValueError(f"flux radius {x} below validity (need >= {2.0 * chart.r_min})")
+        check_radius(chart, x)
     if orders is None:
         ladder = [N for N in QUAD_ORDERS if 2 * N ** (chart.n - 1) <= QUAD_MAX_NODES]
     else:
@@ -383,7 +383,7 @@ def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
 
     def integrand(Xc, nu):
         md = metric_jets(chart, Xc, order=1)
-        theta = lee_jets(chart, Xc, coords=md.coords) if chart.has_lee else None
+        theta = lee_jets(chart, md.coords) if chart.has_lee else None
         calc = spinor_calc(md, theta)
         psi = spinor_jets(specs, md.coords, chart.params)  # [z, b, s, t]
         Dc = covd_coord(calc, psi, k)
@@ -402,27 +402,15 @@ class ExtrapolationResult:
     limit: float
     error: float
     p: float
-    coefficient: float
     fallback: bool = False
 
 
-def _power_fit(r: np.ndarray, v: np.ndarray, p: float):
-    basis = r ** (-p)
-    A = np.stack([np.ones_like(r), basis], axis=1)
+def _power_fit(r: np.ndarray, v: np.ndarray, powers) -> tuple:
+    """Limit and RMS residual of the least-squares fit
+    v = m + sum_k c_k r^-p_k over the ``powers`` p_k."""
+    A = np.stack([np.ones_like(r)] + [r ** (-p) for p in powers], axis=1)
     sol, *_ = np.linalg.lstsq(A, v, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ sol - v) ** 2)))
-    return float(sol[0]), float(sol[1]), resid
-
-
-def _power_fit_refined(r: np.ndarray, v: np.ndarray, p: float) -> float:
-    """Limit of a two-term fit m + c r^-p + d r^-(p+1).
-
-    The shift against the one-term fit estimates the truncation error of
-    the power-law model.
-    """
-    A = np.stack([np.ones_like(r), r ** (-p), r ** (-(p + 1.0))], axis=1)
-    sol, *_ = np.linalg.lstsq(A, v, rcond=None)
-    return float(sol[0])
+    return float(sol[0]), float(np.sqrt(np.mean((A @ sol - v) ** 2)))
 
 
 def _fit_residuals(r: np.ndarray, vc: np.ndarray, ps) -> np.ndarray:
@@ -484,56 +472,58 @@ def _best_exponent(resid, lo: float, hi: float) -> float:
     return float(grid[best])
 
 
-def extrapolate(samples, p_bounds: tuple = (0.3, 8.0),
-                fallback_p: float | None = None) -> ExtrapolationResult:
-    """Fit value(r) = limit + c r^{-p} and estimate the limit.
+def check_series(radii) -> None:
+    """Raise ValueError unless ``radii`` can carry an extrapolation: at
+    least 4 of them, with sorted successive ratios of at least 1.5."""
+    r = sorted(radii)
+    if len(r) < 4:
+        raise ValueError(f"extrapolation needs at least 4 radii, got {len(r)}")
+    for lo, hi in zip(r, r[1:]):
+        if hi / lo < 1.5:
+            raise ValueError(f"successive radii {lo!r}, {hi!r} have a ratio below 1.5")
 
-    Needs >= 4 samples at increasing radii with successive ratios
-    >= 1.5.  p is optimized inside ``p_bounds`` (coarse grid plus a
-    golden-section search).  The error estimate is twice the
-    largest of four probes: the fit residual, the limit shift when the
-    smallest radius is dropped (p kept, and p re-optimized), and the
-    limit shift under a two-term fit with an r^-(p+1) correction; the
-    factor two covers the systematic part those probes underestimate
-    on slowly converging series.  If the optimization degenerates, p
-    falls back to ``fallback_p`` (flagged in the result).
+
+def extrapolate(radii, series, n: int, decay: float) -> ExtrapolationResult:
+    """Fit value(r) = limit + c r^{-p} to a flux ``series`` of a chart of
+    dimension ``n`` at ``radii`` and estimate the limit.
+
+    The radii must pass ``check_series``.  p is optimized inside
+    (0.3, 2n) (coarse grid plus a golden-section search).  The error
+    estimate is twice the largest of four probes: the fit residual, the
+    limit shift when the smallest radius is dropped (p kept, and p
+    re-optimized), and the limit shift under a two-term fit with an
+    r^-(p+1) correction; the factor two covers the systematic part those
+    probes underestimate on slowly converging series.  If the
+    optimization degenerates, p falls back to the declared ``decay``
+    (flagged in the result).
     """
-    pts = sorted((float(r), float(v)) for r, v in samples)
-    if len(pts) < 4:
-        raise ValueError(f"extrapolation needs >= 4 samples, got {len(pts)}")
+    pts = sorted(zip(map(float, radii), map(float, series)))
+    check_series([p[0] for p in pts])
     r = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
-    if np.any(r[1:] / r[:-1] < 1.5):
-        raise ValueError("radii must increase with ratio >= 1.5")
 
     spread = float(np.max(np.abs(v - v.mean())))
     scale = max(np.max(np.abs(v)), 1e-300)
     if spread <= 1e-13 * scale:
-        return ExtrapolationResult(limit=float(v[-1]), error=0.0, p=0.0,
-                                   coefficient=0.0)
-
-    lo, hi = p_bounds
+        return ExtrapolationResult(limit=float(v[-1]), error=0.0, p=0.0)
 
     def best_p(rr: np.ndarray, vv: np.ndarray) -> float:
         vc = vv - vv.mean()
-        return _best_exponent(lambda ps: _fit_residuals(rr, vc, ps), lo, hi)
+        return _best_exponent(lambda ps: _fit_residuals(rr, vc, ps), 0.3, 2.0 * n)
 
     fallback = False
     p = best_p(r, v)
-    m_inf, c, resid = _power_fit(r, v, p)
+    m_inf, resid = _power_fit(r, v, [p])
     if not (np.isfinite(m_inf) and np.isfinite(resid)):
-        if fallback_p is None:
-            raise ValueError("power-law fit failed and no fallback exponent given")
-        p = float(fallback_p)
-        m_inf, c, resid = _power_fit(r, v, p)
+        p = float(decay)
+        m_inf, resid = _power_fit(r, v, [p])
         fallback = True
-    m_drop_keep, _, _ = _power_fit(r[1:], v[1:], p)
-    m_drop_re, _, _ = _power_fit(r[1:], v[1:], best_p(r[1:], v[1:]))
-    m_aug = _power_fit_refined(r, v, p)
+    m_drop_keep, _ = _power_fit(r[1:], v[1:], [p])
+    m_drop_re, _ = _power_fit(r[1:], v[1:], [best_p(r[1:], v[1:])])
+    m_aug, _ = _power_fit(r, v, [p, p + 1.0])
     error = 2.0 * max(resid, abs(m_inf - m_drop_keep),
                       abs(m_inf - m_drop_re), abs(m_inf - m_aug))
-    return ExtrapolationResult(limit=m_inf, error=error, p=p, coefficient=c,
-                               fallback=fallback)
+    return ExtrapolationResult(limit=m_inf, error=error, p=p, fallback=fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +543,15 @@ class MassReport:
     # the raw riemannian_mass of each end a Weyl mass was built on
     metric: tuple = ()
 
-    def csv_rows(self):
+    def csv_rows(self, chart: MetricChart):
         """(r, flux, cumulative extrapolation) rows; the cumulative
-        column holds the running extrapolated limit once 4 samples
-        exist, before that the latest flux."""
+        column holds the running ``extrapolate`` limit, with the n and tau
+        of ``chart``, once 4 samples exist, before that the latest flux."""
         rows = []
         for k in range(len(self.radii)):
             if k + 1 >= 4:
-                est = extrapolate(list(zip(self.radii[:k + 1], self.flux[:k + 1]))).limit
+                est = extrapolate(self.radii[:k + 1], self.flux[:k + 1],
+                                  chart.n, chart.tau).limit
             else:
                 est = self.flux[k]
             rows.append((self.radii[k], self.flux[k], est))
@@ -615,20 +606,13 @@ def _radii(chart: MetricChart, radii) -> tuple:
     return tuple(float(r) for r in (default_radii(chart) if radii is None else radii))
 
 
-def series_limit(chart: MetricChart, radii, series, decay: float) -> ExtrapolationResult:
-    """The extrapolated limit of a flux ``series`` of ``chart`` at ``radii``:
-    the power is fitted in (0.3, 2n), with ``decay`` as its fallback."""
-    return extrapolate(list(zip(radii, series)), p_bounds=(0.3, 2.0 * chart.n),
-                       fallback_p=decay)
-
-
 def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
                     normalize: str = "raw") -> MassReport:
     """Extrapolated ADM-type flux of the chart metric."""
     n = chart.n
     radii = _radii(chart, radii)
     flux = adm_flux(chart, radii, measure)
-    ext = series_limit(chart, radii, flux, chart.tau)
+    ext = extrapolate(radii, flux, n, chart.tau)
     norm = _normalizer(n, normalize)
     warnings = _series_warnings(radii, flux, ext.fallback)
     return MassReport(kind="riemannian", radii=radii,
@@ -648,7 +632,7 @@ def _end_mass(chart: MetricChart, radii, measure: str):
     radii = riem.radii
     lee = lee_flux(chart, radii, measure)
     series = tuple(a - 2.0 * (n - 1) * l for a, l in zip(riem.flux, lee))
-    el = series_limit(chart, radii, lee, chart.tau + 1.0)
+    el = extrapolate(radii, lee, n, chart.tau + 1.0)
     leepart = -2.0 * (n - 1) * el.limit
     err = riem.error + 2.0 * (n - 1) * el.error
     fell_back = FALLBACK_WARNING in riem.warnings or el.fallback
@@ -659,15 +643,13 @@ def weyl_mass(system, radii=None, measure: str = "euclidean",
               normalize: str = "raw") -> MassReport:
     """Mass of an asymptotically flat Weyl structure.
 
-    Accepts a chart, an End, or an EndSystem; per end,
+    Accepts a chart or an EndSystem; per end,
     m_l = m(g0) - 2(n-1) lim lee_flux, and the total weighs each end by
     a_l^{(n-2)/2}.  The report's ``metric`` holds the raw
     ``riemannian_mass`` report m(g0) of each end, in end order.
     """
     if isinstance(system, MetricChart):
         system = EndSystem(ends=(End(chart=system),), name=system.name)
-    elif isinstance(system, End):
-        system = EndSystem(ends=(system,), name=system.chart.name)
     n = system.n
     norm = _normalizer(n, normalize)
 
@@ -721,8 +703,8 @@ def two_path_mass_delta(chart: MetricChart, f, base: MassReport,
     ast = exprdsl.as_expr(f)
     df_series = gradient_flux(chart, ast, radii, measure)
     dff_series = gradient_flux(chart, ast, radii, measure, over_f=True)
-    e_df = series_limit(chart, radii, df_series, chart.tau + 1.0)
-    e_dff = series_limit(chart, radii, dff_series, chart.tau + 1.0)
+    e_df = extrapolate(radii, df_series, n, chart.tau + 1.0)
+    e_dff = extrapolate(radii, dff_series, n, chart.tau + 1.0)
     path_b = base.limit + (n - 1.0) * (-e_df.limit)
 
     scale = max(abs(path_a.limit), abs(path_b), 1e-300)

@@ -33,7 +33,7 @@ from .spinor import (SpinorFieldSpec, covd_coord, dirac_composed,
                      lichnerowicz_II_residual, make_spinor_spec,
                      norm_identity_residual, spinor_calc, spinor_jets,
                      spinor_values)
-from .weyl import weyl_scalar
+from .weyl import weyl_data, weyl_scalar
 
 __all__ = [
     "TOLERANCES",
@@ -122,8 +122,7 @@ def _weyl_scal_values(chart: MetricChart, pts: np.ndarray, jet_order: int) -> np
     """Values of the Weyl scalar curvature of ``chart`` at ``pts``; the
     jets behind them are freed on return."""
     md = metric_jets(chart, pts, order=jet_order)
-    theta = lee_jets(chart, pts, coords=md.coords)
-    return weyl_scalar(curvature(christoffels(md)), theta).scal.value
+    return weyl_data(md, lee_jets(chart, md.coords)).scal.value
 
 
 def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
@@ -134,7 +133,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
     pts = sample_points(chart, points, rng)
 
     md = metric_jets(chart, pts, order=jet_order)
-    theta = lee_jets(chart, pts, coords=md.coords) if chart.has_lee else None
+    theta = lee_jets(chart, md.coords) if chart.has_lee else None
     calc = spinor_calc(md, theta)
     k = 0.5 * (2.0 - n)
 
@@ -293,7 +292,7 @@ def curvature_battery(chart: MetricChart, points: int = 50, seed: int = 42,
               ("ricci", cv.ricci), ("scal", cv.scal))}
     checks = []
     if chart.has_lee:
-        theta = lee_jets(chart, pts, coords=md.coords)
+        theta = lee_jets(chart, md.coords)
         wd = weyl_scalar(cv, theta)
         checks.append(_check("weyl-scalar-two-path", wd.divergence_gap,
                              TOLERANCES["two_path_rel"]))
@@ -447,7 +446,7 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
         series = [complex(v) for v in fluxes[:, s]]
         real_series = [v.real for v in series]
         imag_max = max(abs(v.imag) for v in series)
-        ext = mass.series_limit(chart, radii, real_series, chart.tau)
+        ext = mass.extrapolate(radii, real_series, chart.n, chart.tau)
         expect = 0.25 * mrep.limit * nrm2
         scale = max(1.0, abs(expect))
         checks.append(_check(f"witten-limit[{label}{name}]",

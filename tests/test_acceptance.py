@@ -56,11 +56,11 @@ def _tensor_max(obj) -> float:
     return float(np.max(np.abs(obj.value)))
 
 
-def _chart_theta_jets(chart, pts, order, coords):
+def _chart_theta_jets(chart, coords):
     """Lee-form jets, or None when the chart's Lee form vanishes identically."""
     if all(isinstance(t, Num) and t.value == 0.0 for t in chart.lee):
         return None
-    return lee_jets(chart, pts, order=order, coords=coords)
+    return lee_jets(chart, coords)
 
 
 def _spinor_setup(cfg, points, seed, order=2):
@@ -69,7 +69,7 @@ def _spinor_setup(cfg, points, seed, order=2):
     rng = rng_for(seed)
     pts = sample_points(chart, points, rng)
     md = metric_jets(chart, pts, order=order)
-    theta = _chart_theta_jets(chart, pts, order, md.coords)
+    theta = _chart_theta_jets(chart, md.coords)
     calc = spinor_calc(md, theta)
     k = 0.5 * (2.0 - chart.n)
     psi = spinor_jets(random_spinor_spec(chart.n, rng, k), md.coords, chart.params)
@@ -150,12 +150,12 @@ def test_weighted_scalar_curvature_is_conformally_covariant(lee_cfg, rot_cfg):
         pts = sample_points(chart, 100, rng_for(17))
 
         md = metric_jets(chart, pts, order=2)
-        theta = lee_jets(chart, pts, order=2, coords=md.coords)
+        theta = lee_jets(chart, md.coords)
         base = weyl_data(md, theta).scal.value
 
         resc = conformal_rescale(chart, f_src)
         md2 = metric_jets(resc, pts, order=2)
-        th2 = lee_jets(resc, pts, order=2, coords=md2.coords)
+        th2 = lee_jets(resc, md2.coords)
         moved = weyl_data(md2, th2).scal.value
 
         fv = evaluate(parse(f_src), pts, chart.params)
@@ -216,7 +216,7 @@ def test_witten_flux_limit_recovers_quarter_mass(iso_cfg, lee_cfg):
 
             series = [witten_flux(chart, [spec], [r])[0, 0] for r in RADII]
             assert max(abs(w.imag) for w in series) <= 1e-8
-            ext = extrapolate([(r, w.real) for r, w in zip(RADII, series)])
+            ext = extrapolate(RADII, [w.real for w in series], chart.n, chart.tau)
             predicted = 0.25 * m_weyl * norm2
             assert abs(ext.limit - predicted) <= 1e-2 * abs(predicted), (
                 f"{cfg.name}/{name}: {ext.limit:.6f} vs {predicted:.6f}"

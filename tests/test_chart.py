@@ -83,6 +83,13 @@ class TestMakeChart:
         with pytest.raises(ChartError):
             make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "-1"})
 
+    def test_rejects_metric_singular_on_the_probe_sphere(self):
+        # 1 - 8/r vanishes at r = 8 r_min: the SPD check names the first
+        # probe point before the jet inverse meets the singular matrix
+        with pytest.raises(ChartError) as err:
+            make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "1 - 8/r"})
+        assert str(err.value) == "metric is not positive definite at [8.0, 0.0, 0.0]"
+
     def test_rejects_metric_indefinite_only_on_a_decay_scan_sphere(self):
         # positive at r = 8 r_min, negative from r = 100 on: the probes on
         # the spheres of the decay scan (50..5000 r_min) must reject it
@@ -183,7 +190,7 @@ class TestMetricJets:
         metric_entry_jets(p4_cfg.chart, coords)
         assert len(taken) == 2
         taken.clear()
-        lee_jets(p4_cfg.chart, None, coords=coords)
+        lee_jets(p4_cfg.chart, coords)
         assert len(taken) == 2
 
 

@@ -265,12 +265,17 @@ class TestCli:
         ("identities", "flat", "--seed", "-1"),
         ("curvature", "flat", "--seed", "-1"),
         ("laws", "schwarzschild", "--seed", "-3"),
+        # finite, but from 1e155 on r^2 overflows in the quadrature weights
+        *[("mass", "schwarzschild", "--radii", f"20,40,80,160,{r}")
+          for r in ("1e155", "1e200")],
     ])
     def test_unusable_flags_exit_two_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("confmass:") and err.count("\n") == 1
+        if "--radii" in argv:
+            assert "--radii" in err
 
     @staticmethod
     def chart_file(tmp_path, name, n, tau, metric):

@@ -168,7 +168,7 @@ class TestWeylScalar:
     def test_reduces_to_riemannian_for_zero_lee_form(self):
         chart = iso_chart()
         md = metric_jets(chart, sample_points(3, 10), order=2)
-        theta = lee_jets(chart, None, coords=md.coords)
+        theta = lee_jets(chart, md.coords)
         wd = weyl_data(md, theta)
         cv = curvature(christoffels(md))
         np.testing.assert_array_equal(
@@ -180,7 +180,7 @@ class TestWeylScalar:
         # |theta|^2 must match the direct curvature of the Weyl connection
         chart = self.lee_chart()
         md = metric_jets(chart, sample_points(3, 10), order=2)
-        theta = lee_jets(chart, None, coords=md.coords)
+        theta = lee_jets(chart, md.coords)
         wd = weyl_data(md, theta)
         assert wd.divergence_gap <= 1e-11
         via = weyl_scalar_via_curvature(christoffels(md), theta)
@@ -196,7 +196,7 @@ class TestWeylScalar:
         # makes the paths disagree, and the gap shows it
         chart = self.lee_chart()
         md = metric_jets(chart, sample_points(3, 6), order=2)
-        theta = lee_jets(chart, None, coords=md.coords)
+        theta = lee_jets(chart, md.coords)
         assert weyl_data(md, theta).divergence_gap <= 1e-11
         bad = replace(md, sqrt_det=md.sqrt_det * (1.0 + 0.001 * md.coords[0]))
         assert weyl_data(bad, theta).divergence_gap > 1e-10
@@ -205,7 +205,7 @@ class TestWeylScalar:
         chart = self.lee_chart()
         X = sample_points(3, 10)
         md = metric_jets(chart, X, order=2)
-        theta = lee_jets(chart, None, coords=md.coords)
+        theta = lee_jets(chart, md.coords)
         n2 = theta_norm2(md, theta)
         r = np.linalg.norm(X, axis=0)
         u4 = (1 + 1 / (2 * r)) ** 4
@@ -227,7 +227,7 @@ class TestBatchIndependence:
 
     def evaluate(self, chart, X, order):
         md = metric_jets(chart, X, order=order)
-        theta = lee_jets(chart, None, coords=md.coords)
+        theta = lee_jets(chart, md.coords)
         cd = christoffels(md)
         out = {"christoffel": cd.christoffel.c,
                "codiff": codiff_oneform(md, theta).c}

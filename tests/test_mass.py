@@ -395,6 +395,51 @@ class TestFluxes:
         assert [(w.real, w.imag) for w in together] == [(w.real, w.imag) for w in alone]
 
 
+class TestAreaFactor:
+    """The g-measure area factor sqrt(det G * x^t G^-1 x^)."""
+
+    @staticmethod
+    def mixed_chart(n):
+        """A chart whose metric is far from isotropic and couples every axis."""
+        metric = {f"{i}{i}": f"1 + 2*(1 + 0.5*x{i}/r)/r^{n - 2}" for i in range(1, n + 1)}
+        for i, j in itertools.combinations(range(1, n + 1), 2):
+            metric[f"{i}{j}"] = f"0.8*x{i}*x{j}/r^{n}"
+        return make_chart(n=n, tau=n - 2.1, r_min=1.0, metric=metric)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_every_column_of_a_chunk_equals_the_column_alone(self, n):
+        c = self.mixed_chart(n)
+        rng = np.random.Generator(np.random.PCG64(n))
+        d = rng.normal(size=(n, util.CHUNK))
+        X = d / np.sqrt(np.sum(d * d, axis=0)) * rng.uniform(2.0, 40.0, size=util.CHUNK)
+        nu, fac = mass._measure_factors(c, X, "g")
+        for b in range(util.CHUNK):
+            nu_b, fac_b = mass._measure_factors(c, X[:, b:b + 1], "g")
+            assert np.array_equal(bits(nu[:, b:b + 1]), bits(nu_b))
+            assert np.array_equal(bits(fac[b:b + 1]), bits(fac_b))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_factor_equals_the_induced_density_on_a_tangent_basis(self, n):
+        # a constant random SPD metric; the reference takes det(T^t G T)
+        # over an orthonormal basis T of the complement of x^ from QR
+        rng = np.random.Generator(np.random.PCG64(10 + n))
+        for _ in range(4):
+            A = rng.normal(size=(n, n))
+            G = A @ A.T + 0.5 * np.eye(n)
+            c = make_chart(n=n, tau=n - 2.1, r_min=1.0,
+                           metric={f"{i + 1}{j + 1}": repr(float(G[i, j]))
+                                   for i in range(n) for j in range(i, n)})
+            d = rng.normal(size=(n, 32))
+            X = 7.0 * d / np.sqrt(np.sum(d * d, axis=0))
+            _, fac = mass._measure_factors(c, X, "g")
+            for b in range(X.shape[1]):
+                xhat = X[:, b] / 7.0
+                Q, _ = np.linalg.qr(np.column_stack([xhat, rng.normal(size=(n, n - 1))]))
+                T = Q[:, 1:]
+                want = math.sqrt(np.linalg.det(T.T @ G @ T))
+                assert fac[b] == pytest.approx(want, rel=1e-14)
+
+
 class TestCoarsePair:
     """The first pair of the order ladder, (6, 12), and what follows it."""
 
@@ -663,7 +708,7 @@ class TestExtrapolate:
     def test_exact_power_law_recovered(self):
         radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
         vals = 5.0 + 3.0 * radii**-1.5
-        out = extrapolate(list(zip(radii, vals)))
+        out = extrapolate(radii, vals, 4, 1.0)
         assert out.limit == pytest.approx(5.0, abs=1e-6)
         assert out.p == pytest.approx(1.5, abs=1e-3)
         assert not out.fallback
@@ -671,7 +716,7 @@ class TestExtrapolate:
 
     def test_constant_series_short_circuits(self):
         radii = [10.0, 20.0, 40.0, 80.0]
-        out = extrapolate([(r, 2.5) for r in radii])
+        out = extrapolate(radii, [2.5] * 4, 4, 1.0)
         assert out.limit == 2.5
         assert out.error == 0.0
 
@@ -679,23 +724,23 @@ class TestExtrapolate:
         # a two-term tail: the estimate must bracket the true limit
         radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
         vals = 1.0 + 4.0 / radii + 25.0 / radii**2
-        out = extrapolate(list(zip(radii, vals)))
+        out = extrapolate(radii, vals, 4, 1.0)
         assert abs(out.limit - 1.0) <= out.error
 
     def test_needs_four_samples(self):
         with pytest.raises(ValueError):
-            extrapolate([(10.0, 1.0), (20.0, 1.1), (40.0, 1.2)])
+            extrapolate([10.0, 20.0, 40.0], [1.0, 1.1, 1.2], 4, 1.0)
 
     def test_needs_spread_radii(self):
         with pytest.raises(ValueError):
-            extrapolate([(10.0, 1.0), (11.0, 1.1), (12.0, 1.2), (13.0, 1.25)])
+            extrapolate([10.0, 11.0, 12.0, 13.0], [1.0, 1.1, 1.2, 1.25], 4, 1.0)
 
     def test_fallback_exponent_used_when_fit_degenerates(self):
         # alternating noise around a constant defeats the power fit; the
         # declared decay rate takes over and the result is flagged
         radii = [10.0, 20.0, 40.0, 80.0]
         vals = [1.0 + 1e-3, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-3]
-        out = extrapolate(list(zip(radii, vals)), fallback_p=0.75)
+        out = extrapolate(radii, vals, 4, 0.75)
         assert out.fallback or out.error > 0.0
 
 
@@ -740,8 +785,8 @@ class TestGoldenSection:
     def test_repeated_calls_are_bitwise_equal(self):
         radii = [20.0, 40.0, 80.0, 160.0]
         vals = [50.27 + 77.0 / r + 30.0 / r ** 2 for r in radii]
-        a = extrapolate(list(zip(radii, vals)), p_bounds=(0.3, 6.0), fallback_p=0.99)
-        b = extrapolate(list(zip(radii, vals)), p_bounds=(0.3, 6.0), fallback_p=0.99)
+        a = extrapolate(radii, vals, 3, 0.99)
+        b = extrapolate(radii, vals, 3, 0.99)
         assert a == b
         assert type(a.p) is float
 
@@ -811,13 +856,13 @@ class TestMassFunctionals:
 
     def test_csv_rows(self):
         rep = riemannian_mass(iso_chart())
-        rows = rep.csv_rows()
+        rows = rep.csv_rows(iso_chart())
         assert len(rows) == len(rep.radii)
         r0, flux0, cum0 = rows[0]
         assert r0 == rep.radii[0]
-        # once four samples are in, the running column extrapolates; it is
-        # a plain refit, so it agrees with the report limit only loosely
-        assert rows[-1][2] == pytest.approx(rep.limit, rel=1e-4)
+        # once four samples are in, the running column extrapolates through
+        # the report's own fit, so on the whole raw series it is the limit
+        assert rows[-1][2] == rep.limit
 
 
 class TestTwoPathMassAgreement:

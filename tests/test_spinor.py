@@ -57,7 +57,7 @@ def lee_chart():
 
 def calc_for(chart, X, order=2):
     md = metric_jets(chart, X, order=order)
-    theta = lee_jets(chart, None, coords=md.coords)
+    theta = lee_jets(chart, md.coords)
     has_theta = np.max(np.abs(theta.value)) > 0
     return spinor_calc(md, theta if has_theta else None)
 
@@ -132,14 +132,14 @@ class TestSpinFrame:
 class TestCalculator:
     def test_first_order_calculator_has_no_scalar_curvature(self):
         md = metric_jets(lee_chart(), sample_points(3, 4), order=1)
-        calc = spinor_calc(md, lee_jets(lee_chart(), None, coords=md.coords))
+        calc = spinor_calc(md, lee_jets(lee_chart(), md.coords))
         with pytest.raises(ValueError):
             calc.scal
 
     def test_connection_with_lee_form_is_the_weyl_connection(self):
         chart = lee_chart()
         md = metric_jets(chart, sample_points(3, 5), order=2)
-        theta = lee_jets(chart, None, coords=md.coords)
+        theta = lee_jets(chart, md.coords)
         calc = spinor_calc(md, theta)
         want = weyl_connection(christoffels(md), theta)
         assert calc.connection.space is want.space
@@ -168,7 +168,7 @@ class TestCovariantDerivative:
         )
         X = sample_points(3, 6)
         md = metric_jets(chart, X, order=2)
-        theta = lee_jets(chart, None, coords=md.coords)
+        theta = lee_jets(chart, md.coords)
         calc = spinor_calc(md, theta)
         psi = spinor_jets(
             make_spinor_spec([("1 + x1/r", "x2/r"), ("x3/r", "0.5")], weight=-0.5),
@@ -197,7 +197,7 @@ class TestCovariantDerivative:
         )
         X = sample_points(3, 8)
         md = metric_jets(chart, X, order=2)
-        theta = lee_jets(chart, None, coords=md.coords)
+        theta = lee_jets(chart, md.coords)
         calc = spinor_calc(md, theta)
         spec = make_spinor_spec(
             [("0", "x3/r^2"), ("-x2/r^2", "x1/r^2")], weight=-0.5
