@@ -27,8 +27,10 @@ riemannian_mass``); the package re-exports none.  ``confmass.cli`` with
 ``config.load_config`` loads ``config``, ``chart``, ``exprdsl``, ``jets``
 and ``jetlinalg`` only.  ``check`` needs no more, ``mass`` and
 ``weyl-mass`` add ``mass`` and ``util`` (``witten_flux`` imports
-``spinor`` when called), and the batteries (``curvature``,
-``identities``, ``witten``, ``laws``) add ``suites`` and so every layer.
+``spinor`` when called).  The batteries add ``suites``: ``curvature``
+and ``identities`` with the pointwise layers up to ``spinor`` and never
+``mass`` or ``util``, which ``suites`` imports only inside the
+``witten`` and ``laws`` batteries.
 """
 
 __version__ = "0.1.0"

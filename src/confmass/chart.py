@@ -21,8 +21,7 @@ expressions of a spinor field, as a chart holds those of its metric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,14 +43,13 @@ class ChartError(ValueError):
     """Invalid chart data (dimensions, decay range, SPD failure, ...)."""
 
 
-@dataclass(frozen=True)
-class MetricChart:
+class MetricChart(NamedTuple):
     n: int
     tau: float
     r_min: float
     metric: tuple[tuple[ExprAst, ...], ...]  # full symmetric n x n
     lee: tuple[ExprAst, ...]
-    params: Mapping[str, float] = field(default_factory=dict)
+    params: Mapping[str, float]
     name: str = ""
 
     @property
@@ -60,14 +58,12 @@ class MetricChart:
         return not all(isinstance(t, Num) and t.value == 0.0 for t in self.lee)
 
 
-@dataclass(frozen=True)
-class End:
+class End(NamedTuple):
     chart: MetricChart
     a: float = 1.0
 
 
-@dataclass(frozen=True)
-class EndSystem:
+class EndSystem(NamedTuple):
     ends: tuple[End, ...]
     name: str = ""
 
@@ -76,8 +72,7 @@ class EndSystem:
         return self.ends[0].chart.n
 
 
-@dataclass(frozen=True)
-class SpinorFieldSpec:
+class SpinorFieldSpec(NamedTuple):
     """Component expressions (real, imaginary pairs) in the frame
     trivialization, plus the weight."""
 
@@ -199,8 +194,7 @@ def _validate_chart(chart: MetricChart):
     _require_spd(metric_values(chart, pts), pts)
 
 
-@dataclass
-class MetricData:
+class MetricData(NamedTuple):
     """Metric jets at a batch of B points ``points`` (n, B).
 
     ``coords`` are the n coordinate jets (m, B) the entries were
@@ -292,8 +286,7 @@ def lee_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
 # ---------------------------------------------------------------------------
 # decay diagnostics
 
-@dataclass
-class DecayReport:
+class DecayReport(NamedTuple):
     tau_declared: float
     tau_hat: float | None           # worst fitted metric exponent, None if all flat
     slots: dict[str, dict]          # per-component fit data

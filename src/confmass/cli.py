@@ -37,6 +37,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .chart import ChartError
@@ -72,7 +73,8 @@ def _check_flags(args, cfg: LoadedConfig):
     """Reject flag values the config cannot honour, before any computation,
     and return the parsed ``--radii`` (None when not given): every radius
     passes ``mass.check_radius`` on every chart of the config, and the
-    series ``mass.check_series``."""
+    series ``mass.check_series``; for ``laws`` on a chart, sqrt(a) r
+    passes it on the chart in scaled coordinates as well."""
     if getattr(args, "points", 1) < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
     if getattr(args, "seed", 0) < 0:
@@ -90,9 +92,28 @@ def _check_flags(args, cfg: LoadedConfig):
                 for r in radii:
                     mass.check_radius(chart, r)
             mass.check_series(radii)
+            if args.command == "laws" and cfg.chart is not None:
+                _check_scaled_radii(cfg.chart, radii)
         except ValueError as e:
             raise ConfigError(f"--radii: {e}") from None
     return radii
+
+
+def _check_scaled_radii(chart, radii) -> None:
+    """Raise ValueError unless ``laws`` can integrate ``chart`` in the
+    coordinates scaled by ``suites.LAWS_SCALING`` = a at every sqrt(a) r
+    (``scale_coordinates`` moves r_min to sqrt(a) r_min)."""
+    from . import mass
+    from .suites import LAWS_SCALING
+
+    k = math.sqrt(LAWS_SCALING)
+    scaled = chart._replace(r_min=k * chart.r_min)
+    for r in radii:
+        try:
+            mass.check_radius(scaled, k * r)
+        except ValueError as e:
+            raise ValueError(f"{r!r} is {k * r!r} on the coordinate-scaled chart "
+                             f"of laws: {e}") from None
 
 
 def _base_report(command: str, args, cfg: LoadedConfig) -> dict:

@@ -26,10 +26,10 @@ depend on the batch it is computed in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ def _chain(factors) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CliffordRep:
+class CliffordRep(NamedTuple):
     """Generators gamma_1..gamma_n on C^N with gamma^2 = -1.
 
     ``gamma`` stacks the generators as one (n, N, N) array and ``pairs``

@@ -42,8 +42,8 @@ info), so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .chart import ChartError, End, EndSystem, MetricChart, make_chart, make_spinor_spec
 
@@ -84,8 +84,7 @@ def _require(doc: dict, key: str, types, where: str):
     return v
 
 
-@dataclass(frozen=True)
-class LoadedConfig:
+class LoadedConfig(NamedTuple):
     """A parsed configuration document."""
 
     kind: str  # "chart" | "end_system"

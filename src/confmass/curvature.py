@@ -30,7 +30,7 @@ bitwise the same whatever batch it is computed in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class ConnectionData:
+class ConnectionData(NamedTuple):
     """Christoffel symbols of a metric sample, one jet order below it."""
 
     md: MetricData
@@ -61,8 +60,7 @@ class ConnectionData:
         return self.christoffel.space.order
 
 
-@dataclass
-class CurvatureData:
+class CurvatureData(NamedTuple):
     """Riemann/Ricci/scalar curvature jets, two orders below the metric."""
 
     cd: ConnectionData

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -85,36 +84,30 @@ class EvalError(ValueError):
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "ExprAst"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # '+', '-', '*', '/'
     left: "ExprAst"
     right: "ExprAst"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "ExprAst"
     exponent: int
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     args: tuple["ExprAst", ...]
 
@@ -135,8 +128,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num' | 'name' | 'op' | 'end'
     text: str
     offset: int

@@ -31,9 +31,11 @@ Across LAPACK builds the results may differ in the last bits.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .jets import Jet, JetSpace, tensor_mul
+from .jets import Jet, JetSpace, pair_plan, pair_sum, tensor_mul
 
 __all__ = ["mat_inv", "mat_det", "spd_sqrt"]
 
@@ -46,16 +48,20 @@ def _mm(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return acc
 
 
+@functools.lru_cache(maxsize=None)
 def _grade_pairs(space: JetSpace, k: int, nonzero_right: bool):
     """Multiplication-table pairs (i, j) feeding the grade-k targets,
-    with alpha_i != 0 (and alpha_j != 0 if asked), plus reduceat starts."""
+    with alpha_i != 0 (and alpha_j != 0 if asked), plus their
+    ``pair_plan`` (None when there are none)."""
     lo, hi = space.grade_count[k - 1], space.grade_count[k]
     t, i, j = space._mul_t, space._mul_i, space._mul_j
     keep = (t >= lo) & (t < hi) & (i != 0)
     if nonzero_right:
         keep &= j != 0
-    starts = np.searchsorted(t[keep], np.arange(lo, hi))
-    return i[keep], j[keep], starts
+    if not keep.any():
+        return i[keep], j[keep], None
+    return i[keep], j[keep], pair_plan(np.searchsorted(t[keep], np.arange(lo, hi)),
+                                       int(keep.sum()))
 
 
 def _graded(C: np.ndarray, space: JetSpace, X0: np.ndarray, solve,
@@ -67,11 +73,11 @@ def _graded(C: np.ndarray, space: JetSpace, X0: np.ndarray, solve,
     X[0] = X0
     for k in range(1, space.order + 1):
         lo, hi = space.grade_count[k - 1], space.grade_count[k]
-        i, j, starts = _grade_pairs(space, k, nonzero_right)
+        i, j, plan = _grade_pairs(space, k, nonzero_right)
         conv = None
-        if len(i):
+        if plan is not None:
             left = X[i] if nonzero_right else C[i]
-            conv = np.add.reduceat(_mm(left, X[j]), starts, axis=0)
+            conv = pair_sum(_mm(left, X[j]), plan)
         X[lo:hi] = solve(C[lo:hi], conv)
     return X
 

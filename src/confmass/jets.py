@@ -15,9 +15,9 @@ and ``tensor_dot`` unchanged.  Coefficients may be complex: a spinor
 field is one jet of shape (m, B, N) with the spinor axis trailing, and
 ``tensor_mul`` pairs it with real tensor jets or with another spinor
 (see ``spinor``).  All batched kernels are plain vectorized numpy with
-fixed iteration order (the multiplication uses a precomputed pair table
-and np.add.reduceat), so results are bitwise reproducible and
-independent of threading.
+fixed iteration order (the multiplication multiplies a precomputed pair
+table and sums it with ``pair_sum``), so results are bitwise
+reproducible and independent of threading.
 
 Two invariants worth spelling out:
 
@@ -47,10 +47,12 @@ from .exprdsl import ExprAst
 __all__ = [
     "JetSpace", "Jet", "seed_point",
     "jet_sqrt", "jet_exp", "jet_log", "jet_sin", "jet_cos", "jet_atan",
-    "jet_powc", "evaluate_jet", "tensor_mul", "tensor_dot",
+    "jet_powc", "evaluate_jet", "tensor_mul", "tensor_dot", "pair_plan", "pair_sum",
 ]
 
 MAX_ORDER = 3
+#: the most pairs that feed one coefficient: 2^3, for alpha = (1, 1, 1)
+MAX_PAIRS = 2 ** MAX_ORDER
 
 
 def _multi_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
@@ -59,6 +61,59 @@ def _multi_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
         grade_block = [a for a in itertools.product(range(grade + 1), repeat=nvars)
                        if sum(a) == grade]
         out.extend(sorted(grade_block))
+    return out
+
+
+def _rows(idx: np.ndarray):
+    """``idx`` as a slice when it is a run of consecutive rows."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+def pair_plan(starts: np.ndarray, total: int) -> tuple:
+    """Gather tables for ``pair_sum`` over the segments [starts[t],
+    starts[t+1]) of a pair axis of length ``total``; each segment holds
+    1..MAX_PAIRS pairs.
+
+    A segment c_0, ..., c_T sums as c_0 + tail, where numpy's pairwise
+    summation (which ``np.add.reduceat`` runs per segment) folds the tail
+    left to right, ((c_1 + c_2) + c_3) + ..., except that a complex tail
+    of 4..7 starts with (c_1 + c_2) + (c_3 + c_4).  The plan holds one
+    step per pair rank, each over the segments long enough for it: rows
+    of the tail array, the pair indices to add, and for the complex
+    (c_3 + c_4) step a second index.
+    """
+    starts = np.asarray(starts)
+    tails = np.diff(np.append(starts, total)) - 1
+    if not (len(tails) and 0 <= tails.min() and tails.max() < MAX_PAIRS):
+        raise ValueError(f"pair_sum segments need 1..{MAX_PAIRS} pairs each")
+    multi = np.flatnonzero(tails)
+    T = tails[multi]
+
+    def step(keep, r, second=False):
+        rows = np.flatnonzero(keep)
+        src = starts[multi[rows]] + r
+        return _rows(rows), src, (src + 1 if second else None)
+
+    real = [step(T >= r, r) for r in range(2, T.max(initial=0) + 1)]
+    cplx = real[:1] + [step(T == 3, 3), step(T >= 4, 3, second=True)] + real[3:]
+    cplx = [s for s in cplx if len(s[1])]
+    return starts, _rows(multi), starts[multi] + 1, real, cplx
+
+
+def pair_sum(conv: np.ndarray, plan: tuple) -> np.ndarray:
+    """Segment sums of ``conv`` along its first axis, bitwise equal to
+    ``np.add.reduceat(conv, starts, axis=0)`` for the ``pair_plan`` of
+    those starts: one gather-add per pair rank across every segment,
+    where reduceat walks the segments one at a time."""
+    head, multi, first, real, cplx = plan
+    out = conv[head]
+    if len(first):
+        tail = conv[first]
+        for rows, a, b in (cplx if np.iscomplexobj(conv) else real):
+            tail[rows] += conv[a] if b is None else conv[a] + conv[b]
+        out[multi] += tail
     return out
 
 
@@ -84,7 +139,7 @@ class JetSpace:
             [float(math.prod(math.factorial(ai) for ai in a)) for a in self.alphas])
 
         # multiplication table: all (i, j) with alpha_i + alpha_j in the space,
-        # grouped contiguously by target index for np.add.reduceat
+        # grouped contiguously by target index for pair_sum
         pairs = []
         for i, a in enumerate(self.alphas):
             for j, b in enumerate(self.alphas):
@@ -96,8 +151,8 @@ class JetSpace:
         self._mul_t = np.array([p[0] for p in pairs])
         self._mul_i = np.array([p[1] for p in pairs])
         self._mul_j = np.array([p[2] for p in pairs])
-        starts = np.searchsorted(self._mul_t, np.arange(self.m))
-        self._mul_starts = starts
+        self._mul_plan = pair_plan(np.searchsorted(self._mul_t, np.arange(self.m)),
+                                   len(pairs))
 
         # derivative tables: d/dx_v maps coefficient of beta+e_v to beta
         # with factor (beta_v + 1); every index of the order-1 space is hit
@@ -223,7 +278,7 @@ class Jet:
             self._check(other)
             sp = self.space
             conv = self.c[sp._mul_i] * other.c[sp._mul_j]
-            return Jet(sp, np.add.reduceat(conv, sp._mul_starts, axis=0))
+            return Jet(sp, pair_sum(conv, sp._mul_plan))
         return Jet(self.space, self.c * other)
 
     __rmul__ = __mul__
@@ -259,13 +314,12 @@ def tensor_mul(space: JetSpace, subscripts: str, x: np.ndarray,
 
     The non-jet axes combine by ``np.einsum`` ``subscripts`` such as
     "bij,bjk->bik"; the einsum runs over the multiplication-table pairs
-    and np.add.reduceat sums each target coefficient, as in
-    ``Jet.__mul__``.
+    and ``pair_sum`` sums each target coefficient, as in ``Jet.__mul__``.
     """
     xs, rest = subscripts.split(",")
     ys, out = rest.split("->")
     conv = np.einsum(f"z{xs},z{ys}->z{out}", x[space._mul_i], y[space._mul_j])
-    return np.add.reduceat(conv, space._mul_starts, axis=0)
+    return pair_sum(conv, space._mul_plan)
 
 
 def tensor_dot(space: JetSpace, subscripts: str, x: np.ndarray,
@@ -315,55 +369,64 @@ def _compose(u: Jet, dcoef: list[np.ndarray]) -> Jet:
     return acc
 
 
+def _coeffs(u: Jet, *terms) -> list:
+    """The Taylor coefficients f^(j)(u0)/j! that ``u``'s order reads, each
+    computed by its term function; the higher ones are never computed, so
+    a coefficient no product reads cannot overflow at a large u0."""
+    return [t() for t in terms[:u.space.order + 1]]
+
+
 def jet_sqrt(u: Jet) -> Jet:
     u0 = u.c[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         s = np.sqrt(u0)
-        d = [s, 0.5 / s, -1.0 / (8.0 * s * u0), 1.0 / (16.0 * s * u0 * u0)]
-    return _compose(u, d[:u.space.order + 1])
+        d = _coeffs(u, lambda: s, lambda: 0.5 / s, lambda: -1.0 / (8.0 * s * u0),
+                    lambda: 1.0 / (16.0 * s * u0 * u0))
+    return _compose(u, d)
 
 
 def jet_exp(u: Jet) -> Jet:
     e = np.exp(u.c[0])
-    return _compose(u, [e, e, e / 2.0, e / 6.0][:u.space.order + 1])
+    return _compose(u, _coeffs(u, lambda: e, lambda: e, lambda: e / 2.0, lambda: e / 6.0))
 
 
 def jet_log(u: Jet) -> Jet:
     u0 = u.c[0]
     with np.errstate(invalid="ignore", divide="ignore"):
-        d = [np.log(u0), 1.0 / u0, -1.0 / (2.0 * u0 * u0), 1.0 / (3.0 * u0 * u0 * u0)]
-    return _compose(u, d[:u.space.order + 1])
+        d = _coeffs(u, lambda: np.log(u0), lambda: 1.0 / u0,
+                    lambda: -1.0 / (2.0 * u0 * u0), lambda: 1.0 / (3.0 * u0 * u0 * u0))
+    return _compose(u, d)
 
 
 def jet_sin(u: Jet) -> Jet:
     u0 = u.c[0]
     s, c = np.sin(u0), np.cos(u0)
-    return _compose(u, [s, c, -s / 2.0, -c / 6.0][:u.space.order + 1])
+    return _compose(u, _coeffs(u, lambda: s, lambda: c, lambda: -s / 2.0, lambda: -c / 6.0))
 
 
 def jet_cos(u: Jet) -> Jet:
     u0 = u.c[0]
     s, c = np.sin(u0), np.cos(u0)
-    return _compose(u, [c, -s, -c / 2.0, s / 6.0][:u.space.order + 1])
+    return _compose(u, _coeffs(u, lambda: c, lambda: -s, lambda: -c / 2.0, lambda: s / 6.0))
 
 
 def jet_atan(u: Jet) -> Jet:
     u0 = u.c[0]
     t = 1.0 + u0 * u0
-    d = [np.arctan(u0), 1.0 / t, -u0 / (t * t),
-         (3.0 * u0 * u0 - 1.0) / (3.0 * t * t * t)]
-    return _compose(u, d[:u.space.order + 1])
+    return _compose(u, _coeffs(u, lambda: np.arctan(u0), lambda: 1.0 / t,
+                               lambda: -u0 / (t * t),
+                               lambda: (3.0 * u0 * u0 - 1.0) / (3.0 * t * t * t)))
 
 
 def jet_powc(u: Jet, s) -> Jet:
     """u^s for an exponent constant along the chart."""
     u0 = u.c[0]
     with np.errstate(invalid="ignore", divide="ignore"):
-        d = [np.power(u0, s),
-             s * np.power(u0, s - 1.0),
-             s * (s - 1.0) / 2.0 * np.power(u0, s - 2.0),
-             s * (s - 1.0) * (s - 2.0) / 6.0 * np.power(u0, s - 3.0)]
-    return _compose(u, d[:u.space.order + 1])
+        d = _coeffs(u, lambda: np.power(u0, s),
+                    lambda: s * np.power(u0, s - 1.0),
+                    lambda: s * (s - 1.0) / 2.0 * np.power(u0, s - 2.0),
+                    lambda: s * (s - 1.0) * (s - 2.0) / 6.0 * np.power(u0, s - 3.0))
+    return _compose(u, d)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -112,8 +112,7 @@ def sphere_area(n: int, r: float = 1.0) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * r ** (n - 1)
 
 
-@dataclass(frozen=True)
-class SphereRule:
+class SphereRule(NamedTuple):
     """Quadrature nodes on S_r with Euclidean surface weights."""
 
     r: float
@@ -271,7 +270,9 @@ def _sample(chart: MetricChart, rules, integrand, measure: str, dtype) -> list:
     The rules' nodes are laid end to end and evaluated in ``util.CHUNK``
     chunks cut across the whole sample, each built from the cached unit
     rule scaled by its radius; a rule's weighted node terms (M, ...) are
-    reduced as soon as its last node is in, then released.
+    reduced as soon as its last node is in, then released.  A chunk whose
+    evaluation overflows raises ChartError naming a radius that overflows
+    on its own: past it, x/inf reads as 0 and the flux would be wrong.
     """
     n = chart.n
     units = [_unit_rule(n, _rule_order(n, N)) for _, N in rules]
@@ -280,14 +281,27 @@ def _sample(chart: MetricChart, rules, integrand, measure: str, dtype) -> list:
     parts = [[] for _ in rules]
     sums = [None] * len(rules)
 
+    def terms_at(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+        with np.errstate(over="raise"):
+            nu, fac = _measure_factors(chart, X, measure)
+            return np.asarray(integrand(X, nu), dtype=dtype) * fac * w
+
     def chunk(a: int, b: int) -> None:
         # (rule, its first and end node in this chunk, in its own numbering)
         cut = [(k, max(a, starts[k]) - starts[k], min(b, ends[k]) - starts[k])
                for k in range(bisect.bisect_right(ends, a), bisect.bisect_left(ends, b) + 1)]
-        Xc = np.concatenate([rules[k][0] * units[k][0][:, i:j] for k, i, j in cut], axis=1)
-        w = np.concatenate([(rules[k][0] ** (n - 1)) * units[k][1][i:j] for k, i, j in cut])
-        nu, fac = _measure_factors(chart, Xc, measure)
-        terms = np.asarray(integrand(Xc, nu), dtype=dtype) * fac * w
+        nodes = [rules[k][0] * units[k][0][:, i:j] for k, i, j in cut]
+        weights = [(rules[k][0] ** (n - 1)) * units[k][1][i:j] for k, i, j in cut]
+        try:
+            terms = terms_at(np.concatenate(nodes, axis=1), np.concatenate(weights))
+        except FloatingPointError:
+            for (k, _, _), X, w in zip(cut, nodes, weights):
+                try:
+                    terms_at(X, w)
+                except FloatingPointError:
+                    raise ChartError(f"radius {rules[k][0]!r} is too large: evaluating "
+                                     "the chart there overflows") from None
+            raise
         at = 0
         for k, i, j in cut:
             parts[k].append(terms[..., at:at + j - i])
@@ -397,8 +411,7 @@ def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
 # ---------------------------------------------------------------------------
 # extrapolation
 
-@dataclass(frozen=True)
-class ExtrapolationResult:
+class ExtrapolationResult(NamedTuple):
     limit: float
     error: float
     p: float
@@ -529,8 +542,7 @@ def extrapolate(radii, series, n: int, decay: float) -> ExtrapolationResult:
 # ---------------------------------------------------------------------------
 # masses
 
-@dataclass(frozen=True)
-class MassReport:
+class MassReport(NamedTuple):
     kind: str  # "riemannian" | "weyl"
     radii: tuple
     flux: tuple  # per-radius series of the reported quantity

@@ -56,8 +56,8 @@ lower order.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,8 +145,7 @@ def spinor_jets(spec: SpinorFieldSpec | Sequence[SpinorFieldSpec], coords: list,
 # ---------------------------------------------------------------------------
 # frame + spin connection
 
-@dataclass
-class SpinFrame:
+class SpinFrame(NamedTuple):
     """Orthonormal frame data for one metric sample, as stacked jets.
 
     ``E`` (m, B, i, a) holds the coordinate components of the frame
@@ -187,7 +186,6 @@ def frame_spin_connection(md: MetricData) -> SpinFrame:
 # ---------------------------------------------------------------------------
 # calculator
 
-@dataclass
 class SpinorCalc:
     """Everything needed to differentiate spinor fields on one sample.
 
@@ -199,10 +197,12 @@ class SpinorCalc:
     ``covd_frame``, ``dirac``) never read them.
     """
 
-    frame: SpinFrame
-    rep: clifford.CliffordRep
-    theta: Jet | None
-    theta_frame: Jet | None
+    def __init__(self, frame: SpinFrame, rep: clifford.CliffordRep,
+                 theta: Jet | None, theta_frame: Jet | None):
+        self.frame = frame
+        self.rep = rep
+        self.theta = theta
+        self.theta_frame = theta_frame
 
     @property
     def n(self) -> int:

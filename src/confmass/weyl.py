@@ -29,7 +29,6 @@ symbols; contractions sum in index order as there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,15 +46,18 @@ __all__ = [
     "weyl_scalar_via_curvature",
 ]
 
-@dataclass
 class WeylData:
-    """Weyl-connection sample built over a metric connection sample."""
+    """Weyl-connection sample built over a metric connection sample:
+    the Lee form ``theta`` (m, B, i), tr_g(nabla theta), |theta|^2 and
+    ``scal``, the scalar curvature of the Weyl connection."""
 
-    cd: ConnectionData
-    theta: Jet  # Lee form (m, B, i)
-    trace_nabla_theta: Jet
-    norm2_theta: Jet
-    scal: Jet  # scalar curvature of the Weyl connection
+    def __init__(self, cd: ConnectionData, theta: Jet, trace_nabla_theta: Jet,
+                 norm2_theta: Jet, scal: Jet):
+        self.cd = cd
+        self.theta = theta
+        self.trace_nabla_theta = trace_nabla_theta
+        self.norm2_theta = norm2_theta
+        self.scal = scal
 
     @cached_property
     def gamma(self) -> Jet:

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,9 @@ class TestCli:
         # finite, but from 1e155 on r^2 overflows in the quadrature weights
         *[("mass", "schwarzschild", "--radii", f"20,40,80,160,{r}")
           for r in ("1e155", "1e200")],
+        # laws integrates its coordinate-scaled chart at 2 r = 2e154,
+        # where r^2 overflows
+        ("laws", "schwarzschild", "--radii", "20,40,80,1e154"),
     ])
     def test_unusable_flags_exit_two_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -276,6 +280,30 @@ class TestCli:
         assert err.startswith("confmass:") and err.count("\n") == 1
         if "--radii" in argv:
             assert "--radii" in err
+
+    @pytest.mark.parametrize("command", ["weyl-mass", "witten"])
+    def test_radius_where_the_chart_overflows_exits_two_with_one_line(
+            self, capsys, command):
+        # the Lee form x/r^3 overflows at r = 1e154, where r^2 is still
+        # finite; x/inf would read as 0 and drop the Lee flux
+        code, out, err = run_cli(capsys, command, "schwarzschild-lee",
+                                 "--radii", "20,40,80,1e154")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("confmass: radius 1e+154 is too large")
+
+    def test_huge_radius_evaluates_without_overflow(self, capsys):
+        # the metric's sqrt(r^2) needs first-order coefficients only; the
+        # third-order one overflows at r = 1e100 and is never read
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "mass", "schwarzschild",
+                                     "--radii", "20,40,80,1e100")
+        assert code == 0
+        assert err == ""
+        flux = json.loads(out)["results"]["flux"]
+        assert flux[-1] == pytest.approx(16 * math.pi, rel=1e-12)
 
     @staticmethod
     def chart_file(tmp_path, name, n, tau, metric):
@@ -468,7 +496,8 @@ class TestCli:
 
     def test_each_command_loads_only_the_layers_it_runs(self):
         # parsing and config loading need no flux, spinor or battery
-        # layer, and the metric mass needs no spinor calculus
+        # layer, the metric mass needs no spinor calculus, and the
+        # pointwise commands need no flux layer
         code = (
             "import contextlib, io, json, sys, confmass.cli\n"
             "from confmass.config import load_config\n"
@@ -488,11 +517,26 @@ class TestCli:
         assert "confmass.mass" in after_mass
         for layer in ("spinor", "clifford", "weyl", "curvature", "suites"):
             assert f"confmass.{layer}" not in after_mass
+        # check, curvature and identities integrate nothing over spheres,
+        # so neither the mass layer nor its quadrature imports load
+        code = (
+            "import contextlib, io, json, sys, confmass.cli\n"
+            "codes = []\n"
+            "for argv in (['check', 'schwarzschild-lee'],\n"
+            "             ['curvature', 'schwarzschild-lee', '--points', '3'],\n"
+            "             ['identities', 'schwarzschild-lee', '--points', '3']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(confmass.cli.main(argv))\n"
+            "print(json.dumps([codes, sorted(sys.modules)]))\n")
+        codes, loaded = json.loads(run_fresh(code))
+        assert codes == [0, 0, 0]
+        assert "confmass.suites" in loaded
+        for mod in ("confmass.mass", "confmass.util", "numpy.polynomial"):
+            assert mod not in loaded
 
-    def test_reports_are_deterministic_across_workers(self, capsys, monkeypatch):
+    def test_reports_are_byte_identical_from_run_to_run(self, capsys):
         outs = []
-        for workers in ("1", "4"):
-            monkeypatch.setenv("CONFMASS_THREADS", workers)
+        for _ in range(2):
             code, out, _ = run_cli(
                 capsys, "mass", "schwarzschild.chart", "--radii", "20,40,80,160"
             )

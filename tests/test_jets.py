@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmass import exprdsl, jets
-from confmass.jets import Jet, evaluate_jet, seed_point
+from confmass import exprdsl, jetlinalg, jets
+from confmass.jets import Jet, JetSpace, evaluate_jet, seed_point
 
 
 def jet_of(src, point, order, params=None):
@@ -201,3 +201,108 @@ class TestAgainstFiniteDifferences:
         pm = [pt[0] - h, pt[1]]
         fd = (at(pp) - 2 * at(p0) + at(pm)) / h**2
         assert j.partial((2, 0)) == pytest.approx(fd, abs=5e-4)
+
+
+
+# every JetSpace the kernels can build: nvars 1..8, order 0..3
+SPACES = [(nvars, order) for nvars in range(1, 9) for order in range(jets.MAX_ORDER + 1)]
+
+
+def _pair_tables(nvars, order):
+    """(pair count, plan) of the multiplication table of a space and of
+    every grade table of the jet linear algebra on it."""
+    sp = JetSpace.get(nvars, order)
+    tables = [(len(sp._mul_t), sp._mul_plan)]
+    for k in range(1, order + 1):
+        for nonzero_right in (False, True):
+            i, _, plan = jetlinalg._grade_pairs(sp, k, nonzero_right)
+            if plan is not None:
+                tables.append((len(i), plan))
+    return tables
+
+
+def _pair_data(rng, shape, dtype):
+    """Products with magnitudes 1e-6..1e6, so that the order of the
+    additions shows in the last bits, plus inf, -inf, nan and -0."""
+    def part():
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7, shape)
+
+    c = part() + 1j * part() if dtype is complex else part()
+    flat = c.reshape(-1)
+    special = [np.inf, -np.inf, np.nan, -0.0][:flat.size]
+    flat[rng.choice(flat.size, len(special), replace=False)] = special
+    return c
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def _left_fold(conv, starts):
+    """((c_0 + c_1) + c_2) + ... per segment: not what reduceat computes."""
+    ends = list(starts[1:]) + [len(conv)]
+    out = []
+    for a, b in zip(starts, ends):
+        acc = conv[a]
+        for k in range(a + 1, b):
+            acc = acc + conv[k]
+        out.append(acc)
+    return np.stack(out)
+
+
+class TestPairSum:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("shape", [(), (5,), (5, 3, 3)])
+    def test_bitwise_equal_to_reduceat(self, shape, dtype):
+        rng = np.random.default_rng(11)
+        for nvars, order in SPACES:
+            for total, plan in _pair_tables(nvars, order):
+                conv = _pair_data(rng, (total,) + shape, dtype)
+                with np.errstate(invalid="ignore"):
+                    want = np.add.reduceat(conv, plan[0], axis=0)
+                    got = jets.pair_sum(conv, plan)
+                assert got.shape == want.shape
+                assert np.array_equal(_bits(got), _bits(want)), (nvars, order, total)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_data_tell_a_left_fold_apart(self, dtype):
+        # the check above would catch a pair_sum that added left to right
+        rng = np.random.default_rng(11)
+        sp = JetSpace.get(3, 3)
+        conv = _pair_data(rng, (len(sp._mul_t), 5, 3, 3), dtype)
+        with np.errstate(invalid="ignore"):
+            want = np.add.reduceat(conv, sp._mul_plan[0], axis=0)
+            folded = _left_fold(conv, sp._mul_plan[0])
+        assert not np.array_equal(_bits(folded), _bits(want))
+
+    def test_segments_hold_at_most_max_pairs(self):
+        # reduceat's sums switch to an unrolled pairwise tree at 9 real
+        # pairs; the largest segment, alpha = (1, 1, 1), has 8
+        longest = {}
+        for nvars, order in SPACES:
+            for total, plan in _pair_tables(nvars, order):
+                seg = np.diff(np.append(plan[0], total))
+                assert seg.min() >= 1
+                longest[nvars, order] = max(longest.get((nvars, order), 0), int(seg.max()))
+        assert max(longest.values()) == jets.MAX_PAIRS == 8
+        assert longest[3, 3] == 8
+        with pytest.raises(ValueError):
+            jets.pair_plan(np.array([0, 9]), 10)
+
+
+class TestUnreadCoefficients:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_huge_or_tiny_argument_does_not_overflow(self, order):
+        # the third-order coefficients overflow (sqrt at 1e200, log at
+        # 1e120, u^0.5 at 1e-200); a jet of order 1 or 2 never reads them
+        sp = JetSpace.get(2, order)
+
+        def at(v):
+            return Jet.variable(sp, 0, np.array([v]))
+
+        with np.errstate(over="raise"):
+            root = jets.jet_sqrt(at(1e200))
+            jets.jet_log(at(1e120))
+            jets.jet_powc(at(1e-200), 0.5)
+        assert root.value[0] == 1e100
+        assert root.partial((1, 0))[0] == 0.5 / 1e100

@@ -1,7 +1,7 @@
 """Compare every command on every bundled config between two source trees.
 
     python tools/sweep.py PARENT_TREE [--tree TREE] [--config PATH ...]
-        [--generated WORKLOAD:SEED ...]
+        [--generated WORKLOAD:SEED ...] [--repeat K]
 
 Runs ``python -m confmass <command> <config>`` for the 7 commands and the
 bundled configs of TREE (default: the checkout this script sits in),
@@ -9,8 +9,11 @@ plus each config file given by a repeated ``--config`` and every config
 that TREE/benchmark/gen.py writes for a repeated ``--generated
 WORKLOAD:SEED`` (into a temporary directory, removed at the end), once
 with TREE/src and once with PARENT_TREE/src on PYTHONPATH, one process
-at a time.  For each pair it prints both exit codes and both wall times,
-``stdout identical`` when the two outputs match byte for byte, and otherwise every ``pass``
+at a time.  For each pair it prints both exit codes and both wall times
+(with ``--repeat K``, each side runs K times, the two sides taking turns,
+and the time is the median of its K runs; a side whose exit code or
+stdout changes between its runs is named), ``stdout identical`` when the
+two outputs match byte for byte, and otherwise every ``pass``
 verdict that changed, report keys added or removed, and the largest
 relative drift of any float leaf with its JSON path; at the end, the
 largest drift per leaf name (``limit``, ``error``, ...) over all pairs,
@@ -25,6 +28,7 @@ import argparse
 import importlib.util
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -148,24 +152,38 @@ def main(argv=None) -> int:
     ap.add_argument("--generated", action="append", default=[], metavar="WORKLOAD:SEED",
                     help="sweep the configs benchmark/gen.py writes for this workload "
                          "and seed as well (repeatable)")
+    ap.add_argument("--repeat", type=int, default=1, metavar="K",
+                    help="run each side K times per pair and print the median "
+                         "wall time (default 1)")
     args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
     with tempfile.TemporaryDirectory(prefix="confmass-sweep-") as tmp:
         configs = bundled_configs(args.tree) + args.config
         for spec in args.generated:
             configs += generated_configs(args.tree, spec, tmp)
-        sweep(args.parent, args.tree, configs)
+        sweep(args.parent, args.tree, configs, args.repeat)
     return 0
 
 
-def sweep(parent: str, tree: str, configs: list) -> None:
-    """Run and compare every command on every config; print the summary."""
+def sweep(parent: str, tree: str, configs: list, repeat: int = 1) -> None:
+    """Run and compare every command on every config, each side ``repeat``
+    times in turns; print the summary."""
     worst_by_name: dict = {}
     for config in configs:
         for command in COMMANDS:
             label = f"{command} {config}"
-            code_old, out_old, old, t_old = run(parent, command, config)
-            code_new, out_new, new, t_new = run(tree, command, config)
-            print(f"{label}: exit {code_old} -> {code_new}, {t_old:.2f} s -> {t_new:.2f} s")
+            runs = ([], [])  # parent's, tree's
+            for _ in range(repeat):
+                for side, done in zip((parent, tree), runs):
+                    done.append(run(side, command, config))
+            (code_old, out_old, old, _), (code_new, out_new, new, _) = runs[0][0], runs[1][0]
+            t_old, t_new = (statistics.median(r[3] for r in done) for done in runs)
+            print(f"{label}: exit {code_old} -> {code_new}, {t_old:.2f} s -> {t_new:.2f} s"
+                  + (f" (median of {repeat})" if repeat > 1 else ""))
+            for name, done in zip(("parent", "tree"), runs):
+                if any(r[:2] != done[0][:2] for r in done[1:]):
+                    print(f"  {name} output changes between runs")
             if out_old == out_new:
                 print("  stdout identical")
                 continue
