@@ -58,10 +58,8 @@ def _grade_pairs(space: JetSpace, k: int, nonzero_right: bool):
     keep = (t >= lo) & (t < hi) & (i != 0)
     if nonzero_right:
         keep &= j != 0
-    if not keep.any():
-        return i[keep], j[keep], None
-    return i[keep], j[keep], pair_plan(np.searchsorted(t[keep], np.arange(lo, hi)),
-                                       int(keep.sum()))
+    starts = np.searchsorted(t[keep], np.arange(lo, hi))
+    return i[keep], j[keep], (pair_plan(starts, int(keep.sum())) if keep.any() else None)
 
 
 def _graded(C: np.ndarray, space: JetSpace, X0: np.ndarray, solve,
