@@ -308,17 +308,18 @@ def _scan_radii(chart: MetricChart) -> np.ndarray:
     return np.geomspace(50.0 * chart.r_min, 5000.0 * chart.r_min, 5)
 
 
-def decay_scan(chart: MetricChart, rays: int = 8,
-               radii: np.ndarray | None = None) -> DecayReport:
-    """Estimate decay exponents of g - delta and theta along rays.
+def decay_scan(chart: MetricChart) -> DecayReport:
+    """Estimate decay exponents of g - delta and theta along 8 rays.
 
-    Log-log slopes of ray-averaged magnitudes are fitted over log-spaced
-    radii.  A metric slot passes if its fitted exponent is at least
-    tau - 0.1; a Lee slot needs tau + 1 - 0.1.  Slots whose samples all
-    sit below 1e-15 are reported exactly flat and pass trivially.
+    Log-log slopes of ray-averaged magnitudes are fitted over the radii
+    of ``_scan_radii``.  A metric slot passes if its fitted exponent is
+    at least tau - 0.1; a Lee slot needs tau + 1 - 0.1.  Slots whose
+    samples all sit below 1e-15 are reported exactly flat and pass
+    trivially.
     """
     n = chart.n
-    radii = np.asarray(_scan_radii(chart) if radii is None else radii, dtype=np.float64)
+    radii = _scan_radii(chart)
+    rays = 8
     dirs = _probe_directions(n, rays)  # (n, rays)
     # all sample points in one batch: (n, rays*len(radii))
     pts = (dirs[:, :, None] * radii[None, None, :]).reshape(n, -1)

@@ -21,6 +21,13 @@ Reports are deterministic: identical (config, seed, flags) yield
 byte-identical output.
 Every tolerance used by a command is echoed under ``"tolerances"``.
 
+``COMMANDS`` declares each command once: its help line, its flags and
+its handler.  The parser is built from it; a command integrates fluxes
+over spheres exactly when it takes ``--radii``; and a report echoes the
+command's flags as parsed (``--csv`` and ``--out`` name output files and
+are not echoed).  Expected values apply to a bundled config, named with
+or without its extension, at the default radii; never to a file path.
+
 Commands:
 
 ``check``      validate the config and scan asymptotic decay rates
@@ -37,14 +44,13 @@ Commands:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .chart import ChartError
 from .config import (SCHEMA_VERSION, ConfigError, LoadedConfig, dump_report,
                      load_config, load_expected)
 
-__all__ = ["main"]
+__all__ = ["main", "COMMANDS", "FLAGS"]
 
 # expected-value comparison for bundled configs at default flags
 EXPECTED_REL = 1e-3
@@ -52,17 +58,20 @@ EXPECTED_ABS = 1e-10
 # the extrapolation error estimate must stay below this fraction of the
 # mass scale for the series to count as converged
 CONVERGENCE_REL = 0.05
-# the commands that integrate fluxes over spheres
-_FLUX_COMMANDS = ("mass", "weyl-mass", "witten", "laws")
 
-
-def _parse_radii(text: str | None):
-    if text is None:
-        return None
-    try:
-        return tuple(float(t) for t in text.split(",") if t.strip())
-    except ValueError as e:
-        raise ConfigError(f"--radii: {e}") from e
+# argparse keywords of every flag, in the order ``--help`` lists them
+FLAGS = {
+    "radii": {"help": "comma-separated sphere radii (>= 4 values)"},
+    "points": {"type": int, "default": 100, "help": "number of random sample points"},
+    "seed": {"type": int, "default": 42, "help": "PCG64 seed for random sampling"},
+    "jet_order": {"type": int, "default": 2, "choices": (2, 3),
+                  "help": "truncation order of metric jets"},
+    "measure": {"default": "euclidean", "choices": ("euclidean", "g"),
+                "help": "surface measure and normal convention"},
+    "normalize": {"default": "raw", "choices": ("raw", "adm"),
+                  "help": "mass normalization"},
+    "csv": {"help": "write the radius series as CSV"},
+}
 
 
 def _charts(cfg: LoadedConfig) -> list:
@@ -72,89 +81,79 @@ def _charts(cfg: LoadedConfig) -> list:
 def _check_flags(args, cfg: LoadedConfig):
     """Reject flag values the config cannot honour, before any computation,
     and return the parsed ``--radii`` (None when not given): every radius
-    passes ``mass.check_radius`` on every chart of the config, and the
-    series ``mass.check_series``; for ``laws`` on a chart, sqrt(a) r
-    passes it on the chart in scaled coordinates as well."""
-    if getattr(args, "points", 1) < 1:
+    passes ``mass.check_radius`` and ``mass.probe_radius`` on every chart
+    of the config, and the series ``mass.check_series``; for ``laws`` on a
+    chart, so do the radii of its coordinate-scaled chart
+    (``suites.laws_scaled_chart``)."""
+    flags = COMMANDS[args.command][1]
+    if "points" in flags and args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
-    if getattr(args, "seed", 0) < 0:
+    if "seed" in flags and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    if args.command not in _FLUX_COMMANDS:
+    if "radii" not in flags:
         return None
     from . import mass
     if cfg.n > mass.FLUX_MAX_DIM:
         raise ConfigError(f"{args.command} integrates over spheres, which needs "
                           f"n <= {mass.FLUX_MAX_DIM}; the config has n = {cfg.n}")
-    radii = _parse_radii(args.radii)
-    if radii is not None:
-        try:
-            for chart in _charts(cfg):
-                for r in radii:
-                    mass.check_radius(chart, r)
-            mass.check_series(radii)
-            if args.command == "laws" and cfg.chart is not None:
-                _check_scaled_radii(cfg.chart, radii)
-        except ValueError as e:
-            raise ConfigError(f"--radii: {e}") from None
+    if args.radii is None:
+        return None
+    lee = args.command != "mass"  # the metric mass never evaluates the Lee form
+    try:
+        radii = tuple(float(t) for t in args.radii.split(",") if t.strip())
+        for chart in _charts(cfg):
+            for r in radii:
+                mass.check_radius(chart, r)
+        mass.check_series(radii)
+        for chart in _charts(cfg):
+            for r in radii:
+                mass.probe_radius(chart, r, lee)
+        if args.command == "laws" and cfg.chart is not None:
+            from .suites import laws_scaled_chart
+            scaled, scaled_radii = laws_scaled_chart(cfg.chart, radii)
+            for r, s in zip(radii, scaled_radii):
+                try:
+                    mass.check_radius(scaled, s)
+                    mass.probe_radius(scaled, s, lee)
+                except ValueError as e:
+                    raise ValueError(f"{r!r} is {s!r} on the coordinate-scaled "
+                                     f"chart of laws: {e}") from None
+    except ValueError as e:
+        raise ConfigError(f"--radii: {e}") from None
     return radii
 
 
-def _check_scaled_radii(chart, radii) -> None:
-    """Raise ValueError unless ``laws`` can integrate ``chart`` in the
-    coordinates scaled by ``suites.LAWS_SCALING`` = a at every sqrt(a) r
-    (``scale_coordinates`` moves r_min to sqrt(a) r_min)."""
-    from . import mass
-    from .suites import LAWS_SCALING
-
-    k = math.sqrt(LAWS_SCALING)
-    scaled = chart._replace(r_min=k * chart.r_min)
-    for r in radii:
-        try:
-            mass.check_radius(scaled, k * r)
-        except ValueError as e:
-            raise ValueError(f"{r!r} is {k * r!r} on the coordinate-scaled chart "
-                             f"of laws: {e}") from None
-
-
-def _base_report(command: str, args, cfg: LoadedConfig) -> dict:
-    flags = {}
-    for key in ("radii", "points", "seed", "jet_order", "measure", "normalize"):
-        if hasattr(args, key):
-            flags[key] = getattr(args, key)
+def _base_report(args, cfg: LoadedConfig) -> dict:
+    """The report of ``args.command`` before its results: the flags it
+    takes as parsed, and the quadrature tolerances when it integrates
+    fluxes."""
+    flags = COMMANDS[args.command][1]
+    tolerances = {}
+    if "radii" in flags:
+        from . import mass
+        tolerances = {"quad_rtol": mass.QUAD_RTOL, "quad_atol": mass.QUAD_ATOL}
     return {
-        "command": command,
+        "command": args.command,
         "config": cfg.name,
         "source": args.config,
         "schema_version": SCHEMA_VERSION,
-        "flags": flags,
-        "tolerances": {},
+        "flags": {key: getattr(args, key) for key in flags if key != "csv"},
+        "tolerances": tolerances,
         "pass": True,
     }
 
 
-def _quadrature_report(command: str, args, cfg: LoadedConfig) -> dict:
-    """A base report for a command that integrates fluxes over spheres."""
-    from . import mass
-
-    report = _base_report(command, args, cfg)
-    report["tolerances"].update(quad_rtol=mass.QUAD_RTOL, quad_atol=mass.QUAD_ATOL)
-    return report
+def _fold(report: dict, battery: dict) -> None:
+    """Take a battery's tolerances and verdict into the report."""
+    report["tolerances"].update(battery.get("tolerances", {}))
+    report["pass"] = report["pass"] and battery["pass"]
 
 
-def _expected_entry(args) -> dict | None:
-    """Frozen values for a bundled config, when run at default flags."""
-    try:
-        table = load_expected()
-    except Exception:
-        return None
-    entry = table.get(args.config)
-    if entry is None:
-        return None
-    if getattr(args, "radii", None) is not None:
-        return None
-    if getattr(args, "normalize", "raw") != "raw":
-        return None
-    return entry
+def _expected_entry(args, cfg: LoadedConfig) -> dict:
+    """Frozen values of a bundled config, when run at the default radii."""
+    if cfg.bundled is None or args.radii is not None:
+        return {}
+    return load_expected().get(cfg.bundled, {})
 
 
 def _mass_expect_check(report: dict, limit: float, expected: float) -> None:
@@ -188,14 +187,12 @@ def _write_csv(path: str, rep: mass.MassReport, chart) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each fills in the results and verdict of its base report
 
-def _cmd_check(args, cfg: LoadedConfig, radii) -> dict:
+def _cmd_check(args, cfg: LoadedConfig, radii, report: dict) -> None:
     from .chart import decay_scan
 
-    report = _base_report("check", args, cfg)
     scans = []
-    ok = True
     for chart in _charts(cfg):
         scan = decay_scan(chart)
         scans.append({
@@ -206,27 +203,22 @@ def _cmd_check(args, cfg: LoadedConfig, radii) -> dict:
             "slots": scan.slots,
             "pass": scan.passed,
         })
-        ok = ok and scan.passed
+        report["pass"] = report["pass"] and scan.passed
     report["results"] = {"kind": cfg.kind, "n": cfg.n, "decay": scans}
-    report["pass"] = ok
-    return report
 
 
-def _cmd_pointwise(args, cfg: LoadedConfig, radii) -> dict:
+def _cmd_pointwise(args, cfg: LoadedConfig, radii, report: dict) -> None:
     """``curvature`` and ``identities``: one battery per chart."""
     from . import suites
 
     battery_of = (suites.curvature_battery if args.command == "curvature"
                   else suites.identity_battery)
-    report = _base_report(args.command, args, cfg)
     report["results"] = {"batteries": []}
     for chart in _charts(cfg):
         battery = battery_of(chart, points=args.points, seed=args.seed,
                              jet_order=args.jet_order)
         report["results"]["batteries"].append(battery)
-        report["tolerances"].update(battery.get("tolerances", {}))
-        report["pass"] = report["pass"] and battery["pass"]
-    return report
+        _fold(report, battery)
 
 
 def _converged(report: dict, rep: mass.MassReport) -> None:
@@ -236,7 +228,7 @@ def _converged(report: dict, rep: mass.MassReport) -> None:
                       and rep.error <= budget)
 
 
-def _cmd_mass(args, cfg: LoadedConfig, radii) -> dict:
+def _cmd_mass(args, cfg: LoadedConfig, radii, report: dict) -> None:
     """``mass`` (the metric mass of a chart) and ``weyl-mass`` (the mass
     of the Weyl structure of a chart or an end system)."""
     from . import mass
@@ -253,52 +245,46 @@ def _cmd_mass(args, cfg: LoadedConfig, radii) -> dict:
         rep = mass.riemannian_mass(cfg.chart, radii=radii, measure=args.measure,
                                    normalize=args.normalize)
         expected_key = "riemannian_mass_raw"
-    report = _quadrature_report(args.command, args, cfg)
     report["results"] = _mass_result(rep)
     _converged(report, rep)
-    entry = _expected_entry(args)
-    if entry and expected_key in entry and args.normalize == "raw":
+    entry = _expected_entry(args, cfg)
+    if expected_key in entry and args.normalize == "raw":
         _mass_expect_check(report, rep.limit, entry[expected_key])
     if args.csv:
         _write_csv(args.csv, rep, _charts(cfg)[0])
-    return report
 
 
-def _cmd_witten(args, cfg: LoadedConfig, radii) -> dict:
+def _cmd_witten(args, cfg: LoadedConfig, radii, report: dict) -> None:
     from . import suites
 
-    report = _quadrature_report("witten", args, cfg)
-    battery = suites.witten_battery(cfg, radii=radii, measure=args.measure)
-    report["results"] = battery
-    report["tolerances"].update(battery.get("tolerances", {}))
-    report["pass"] = battery["pass"]
-    return report
+    report["results"] = suites.witten_battery(cfg, radii=radii, measure=args.measure)
+    _fold(report, report["results"])
 
 
-def _cmd_laws(args, cfg: LoadedConfig, radii) -> dict:
+def _cmd_laws(args, cfg: LoadedConfig, radii, report: dict) -> None:
     from . import suites
 
-    report = _quadrature_report("laws", args, cfg)
     expected_total = None
-    entry = _expected_entry(args)
-    if entry and cfg.kind == "end_system":
-        expected_total = entry.get("weyl_mass_raw")
-    battery = suites.laws_battery(cfg, radii=radii, measure=args.measure,
-                                  seed=args.seed, expected_total=expected_total)
-    report["results"] = battery
-    report["tolerances"].update(battery.get("tolerances", {}))
-    report["pass"] = battery["pass"]
-    return report
+    if cfg.kind == "end_system":
+        expected_total = _expected_entry(args, cfg).get("weyl_mass_raw")
+    report["results"] = suites.laws_battery(cfg, radii=radii, measure=args.measure,
+                                            seed=args.seed,
+                                            expected_total=expected_total)
+    _fold(report, report["results"])
 
 
-_COMMANDS = {
-    "check": _cmd_check,
-    "curvature": _cmd_pointwise,
-    "mass": _cmd_mass,
-    "weyl-mass": _cmd_mass,
-    "identities": _cmd_pointwise,
-    "witten": _cmd_witten,
-    "laws": _cmd_laws,
+# command -> (help line, flags, handler), in the order ``--help`` lists them
+COMMANDS = {
+    "check": ("validate a config and scan decay rates", (), _cmd_check),
+    "curvature": ("curvature summary at seeded random points",
+                  ("points", "seed", "jet_order"), _cmd_pointwise),
+    "mass": ("ADM-type metric mass", ("radii", "measure", "normalize", "csv"), _cmd_mass),
+    "weyl-mass": ("mass of the Weyl structure",
+                  ("radii", "measure", "normalize", "csv"), _cmd_mass),
+    "identities": ("pointwise identity batteries",
+                   ("points", "seed", "jet_order"), _cmd_pointwise),
+    "witten": ("spinor flux vs quarter-mass", ("radii", "measure"), _cmd_witten),
+    "laws": ("global mass laws", ("radii", "measure", "seed"), _cmd_laws),
 }
 
 
@@ -307,50 +293,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="confmass",
         description="Conformal-geometry batteries on asymptotically flat charts")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, radii=False, points=False, seed=False,
-            jet_order=False, measure=False, normalize=False, csv=False):
+    for name, (help_text, flags, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="config file path or bundled name")
-        if radii:
-            p.add_argument("--radii", default=None,
-                           help="comma-separated sphere radii (>= 4 values)")
-        if points:
-            p.add_argument("--points", type=int, default=100,
-                           help="number of random sample points")
-        if seed:
-            p.add_argument("--seed", type=int, default=42,
-                           help="PCG64 seed for random sampling")
-        if jet_order:
-            p.add_argument("--jet-order", dest="jet_order", type=int,
-                           default=2, choices=(2, 3),
-                           help="truncation order of metric jets")
-        if measure:
-            p.add_argument("--measure", default="euclidean",
-                           choices=("euclidean", "g"),
-                           help="surface measure and normal convention")
-        if normalize:
-            p.add_argument("--normalize", default="raw",
-                           choices=("raw", "adm"),
-                           help="mass normalization")
-        if csv:
-            p.add_argument("--csv", default=None,
-                           help="write the radius series as CSV")
-        p.add_argument("--out", default=None,
-                       help="also write the JSON report to this file")
-        return p
-
-    add("check", "validate a config and scan decay rates")
-    add("curvature", "curvature summary at seeded random points",
-        points=True, seed=True, jet_order=True)
-    add("mass", "ADM-type metric mass", radii=True, measure=True,
-        normalize=True, csv=True)
-    add("weyl-mass", "mass of the Weyl structure", radii=True, measure=True,
-        normalize=True, csv=True)
-    add("identities", "pointwise identity batteries",
-        points=True, seed=True, jet_order=True)
-    add("witten", "spinor flux vs quarter-mass", radii=True, measure=True)
-    add("laws", "global mass laws", radii=True, measure=True, seed=True)
+        for key, spec in FLAGS.items():
+            if key in flags:
+                p.add_argument("--" + key.replace("_", "-"), **spec)
+        p.add_argument("--out", help="also write the JSON report to this file")
     return parser
 
 
@@ -360,7 +309,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         radii = _check_flags(args, cfg)
-        report = _COMMANDS[args.command](args, cfg, radii)
+        report = _base_report(args, cfg)
+        COMMANDS[args.command][2](args, cfg, radii, report)
     except (ConfigError, ChartError, ArithmeticError) as e:
         print(f"confmass: {e}", file=sys.stderr)
         return 2

@@ -93,6 +93,8 @@ class LoadedConfig(NamedTuple):
     system: EndSystem | None
     spinors: tuple  # ((name, SpinorFieldSpec), ...)
     doc: dict
+    # the bundled file a name resolved to; None for a filesystem path
+    bundled: str | None = None
 
     @property
     def n(self) -> int:
@@ -203,36 +205,43 @@ def bundled_names() -> list:
                   if p.name.endswith((".chart", ".ends")))
 
 
-def bundled_text(name: str) -> str | None:
-    """Raw text of a bundled document, trying common suffixes."""
-    root = _data_root()
+def _bundled_file(name: str) -> str | None:
+    """The bundled document ``name`` resolves to, trying common suffixes."""
     for cand in (name, name + ".chart", name + ".ends"):
-        p = root.joinpath(cand)
-        if p.is_file():
-            return p.read_text()
+        if _data_root().joinpath(cand).is_file():
+            return cand
     return None
 
 
+def bundled_text(name: str) -> str | None:
+    """Raw text of a bundled document, trying common suffixes."""
+    found = _bundled_file(name)
+    return None if found is None else _data_root().joinpath(found).read_text()
+
+
 def load_config(path_or_name: str) -> LoadedConfig:
-    """Load a config from a filesystem path or a bundled name."""
+    """Load a config from a filesystem path or a bundled name; the result
+    records which bundled document a name resolved to."""
     import os
 
     if os.path.isfile(path_or_name):
         with open(path_or_name, "r") as f:
             text = f.read()
         source = os.path.basename(path_or_name)
+        found = None
     else:
-        text = bundled_text(path_or_name)
-        if text is None:
+        found = _bundled_file(path_or_name)
+        if found is None:
             raise ConfigError(
                 f"{path_or_name!r} is neither a file nor a bundled config "
                 f"(bundled: {', '.join(bundled_names())})")
+        text = _data_root().joinpath(found).read_text()
         source = path_or_name
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"{source}: invalid JSON: {e}") from e
-    return parse_config(doc, source)
+    return parse_config(doc, source)._replace(bundled=found)
 
 
 def load_expected() -> dict:

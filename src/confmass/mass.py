@@ -25,7 +25,9 @@ The radius rules live here too, and the CLI checks ``--radii`` with the
 same functions: a flux radius is finite, at least 2 r_min, and keeps
 r^(n-1) finite (``check_radius``, run by every flux); a series has at
 least 4 radii whose sorted successive ratios are at least 1.5
-(``check_series``, run by ``extrapolate``).
+(``check_series``, run by ``extrapolate``).  The CLI also refuses a
+radius where the chart cannot be evaluated without overflow
+(``probe_radius``); every flux sample guards its own nodes the same way.
 
 The sign of the Lee term is fixed by conformal invariance: with it,
 m(D) computed against g0 and against f g0 (rescaling the Lee form
@@ -47,10 +49,11 @@ of the absolute node terms plus ``QUAD_ATOL`` (the floor that lets
 integrands vanishing node by node, such as a rotational Lee form, pass),
 else the last rung's value.  A series runs one sample per rung: the
 first holds the first pair at every radius, each later one the next rung
-at the radii that have not yet agreed.  A flux function's ``orders``
-runs that one rule alone at every radius (the tests' reference path;
-the masses always climb the ladder).  Sphere rules, and so fluxes, exist
-for 3 <= n <= ``FLUX_MAX_DIM``.  The CLI echoes both tolerances.
+at the radii that have not yet agreed.  The ``orders`` of ``adm_flux``,
+``lee_flux`` and ``witten_flux`` runs that one rule alone at every
+radius (the tests' reference path; the masses always climb the ladder).
+Sphere rules, and so fluxes, exist for 3 <= n <= ``FLUX_MAX_DIM``.  The
+CLI echoes both tolerances.
 
 Determinism: a sample lays its rules' nodes end to end and evaluates
 them in fixed ``util.CHUNK``-node chunks cut across the whole sample,
@@ -90,6 +93,7 @@ __all__ = [
     "witten_flux",
     "extrapolate",
     "check_radius",
+    "probe_radius",
     "check_series",
     "riemannian_mass",
     "weyl_mass",
@@ -228,6 +232,25 @@ def check_radius(chart: MetricChart, r: float) -> None:
         raise ChartError(f"radius {r!r} is too large: r^{chart.n - 1} overflows") from None
 
 
+def _overflow(r: float) -> ChartError:
+    return ChartError(f"radius {r!r} is too large: evaluating the chart there overflows")
+
+
+def probe_radius(chart: MetricChart, r: float, lee: bool) -> None:
+    """Raise ChartError when evaluating ``chart`` at the 2n axis points
+    +-r e_i of S_r overflows: the metric and, with ``lee``, the Lee form,
+    their values and first derivatives."""
+    X = r * np.concatenate([np.eye(chart.n), -np.eye(chart.n)], axis=1)
+    coords = seed_point(X, 1)[1]
+    try:
+        with np.errstate(over="raise"):
+            metric_entry_jets(chart, coords)
+            if lee:
+                lee_jets(chart, coords)
+    except FloatingPointError:
+        raise _overflow(r) from None
+
+
 def _flux(chart: MetricChart, r: Sequence[float], integrand, measure: str,
           orders: int | None, dtype=np.float64) -> np.ndarray:
     """Fluxes of ``integrand`` over S_r for each radius of the series ``r``,
@@ -299,8 +322,7 @@ def _sample(chart: MetricChart, rules, integrand, measure: str, dtype) -> list:
                 try:
                     terms_at(X, w)
                 except FloatingPointError:
-                    raise ChartError(f"radius {rules[k][0]!r} is too large: evaluating "
-                                     "the chart there overflows") from None
+                    raise _overflow(rules[k][0]) from None
             raise
         at = 0
         for k, i, j in cut:
@@ -350,29 +372,30 @@ def lee_flux(chart: MetricChart, radii: Sequence[float], measure: str = "euclide
     return tuple(_flux(chart, radii, integrand, measure, orders).tolist())
 
 
-def gradient_flux(chart: MetricChart, f, radii: Sequence[float], measure: str = "euclidean",
-                  orders: int | None = None, over_f: bool = False) -> tuple:
-    """Integral over S_r of df(nu), or of (df/f)(nu) with ``over_f``, one
-    per radius."""
+def gradient_flux(chart: MetricChart, f, radii: Sequence[float],
+                  measure: str = "euclidean") -> tuple:
+    """Integrals over S_r of df(nu) and of (df/f)(nu): two series with one
+    flux per radius, from one ladder that climbs until both agree."""
     n = chart.n
     ast = exprdsl.as_expr(f)
     dfs = [exprdsl.derivative(ast, f"x{i + 1}") for i in range(n)]
 
     def integrand(Xc, nu):
-        vals = exprdsl.evaluate(dfs + [ast] if over_f else dfs, Xc, chart.params)
-        acc = _normal_part(vals[:, :n], nu)
-        return acc / vals[:, n] if over_f else acc
+        vals = exprdsl.evaluate(dfs + [ast], Xc, chart.params)
+        df = _normal_part(vals[:, :n], nu)
+        return np.stack([df, df / vals[:, n]])
 
-    return tuple(_flux(chart, radii, integrand, measure, orders).tolist())
+    out = _flux(chart, radii, integrand, measure, None)
+    return tuple(out[:, 0].tolist()), tuple(out[:, 1].tolist())
 
 
-def weyl_flux(chart: MetricChart, radii: Sequence[float], measure: str = "euclidean",
-              orders: int | None = None) -> tuple:
+def weyl_flux(chart: MetricChart, radii: Sequence[float],
+              measure: str = "euclidean") -> tuple:
     """ADM flux minus 2(n-1) times the Lee flux (the mass series), one per
     radius."""
     n = chart.n
     return tuple(a - 2.0 * (n - 1) * l for a, l in zip(
-        adm_flux(chart, radii, measure, orders), lee_flux(chart, radii, measure, orders)))
+        adm_flux(chart, radii, measure), lee_flux(chart, radii, measure)))
 
 
 def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
@@ -712,9 +735,7 @@ def two_path_mass_delta(chart: MetricChart, f, base: MassReport,
         raise ValueError("path_a must be taken at the radii and measure of base")
     n = chart.n
     radii, measure = base.radii, base.measure
-    ast = exprdsl.as_expr(f)
-    df_series = gradient_flux(chart, ast, radii, measure)
-    dff_series = gradient_flux(chart, ast, radii, measure, over_f=True)
+    df_series, dff_series = gradient_flux(chart, f, radii, measure)
     e_df = extrapolate(radii, df_series, n, chart.tau + 1.0)
     e_dff = extrapolate(radii, dff_series, n, chart.tau + 1.0)
     path_b = base.limit + (n - 1.0) * (-e_df.limit)

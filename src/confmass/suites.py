@@ -43,6 +43,7 @@ __all__ = [
     "identity_battery",
     "clifford_battery",
     "curvature_battery",
+    "laws_scaled_chart",
     "laws_battery",
     "witten_battery",
 ]
@@ -68,6 +69,14 @@ TOLERANCES = {
 
 #: the coordinate scaling z~ = sqrt(a) z of the laws battery's scaling check
 LAWS_SCALING = 4.0
+
+
+def laws_scaled_chart(chart: MetricChart, radii) -> tuple:
+    """The chart in the coordinates scaled by ``LAWS_SCALING`` = a, and the
+    radii sqrt(a) r at which the laws battery integrates it for a series
+    at ``radii``."""
+    k = math.sqrt(LAWS_SCALING)
+    return scale_coordinates(chart, LAWS_SCALING), [k * float(r) for r in radii]
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -383,12 +392,10 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     # coordinate scaling: matched finite radii, exact change of variables
     a = LAWS_SCALING
     s = a ** (0.5 * (n - 2))
-    scaled = scale_coordinates(chart, a)
     worst = 0.0
     pairs = []
     # base.flux holds weyl_flux(chart, base.radii), bit for bit
-    flux_scaled = mass.weyl_flux(scaled, [math.sqrt(a) * float(r) for r in base.radii],
-                                 measure=measure)
+    flux_scaled = mass.weyl_flux(*laws_scaled_chart(chart, base.radii), measure=measure)
     for r, f0, fs in zip(base.radii, base.flux, flux_scaled):
         mismatch = abs(fs - s * f0) / max(1.0, abs(f0), abs(fs))
         worst = max(worst, mismatch)

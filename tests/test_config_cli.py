@@ -228,6 +228,45 @@ class TestCli:
         assert "expected" in rep["results"]
         assert "expected_rel" in rep["tolerances"]
 
+    def test_bundled_name_without_extension_is_checked(self, capsys):
+        code, out, _ = run_cli(capsys, "mass", "schwarzschild")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["results"]["expected"] == load_expected()["schwarzschild.chart"][
+            "riemannian_mass_raw"]
+
+    def test_file_named_like_a_bundled_config_is_not_checked(
+            self, capsys, tmp_path, monkeypatch):
+        # a chart of mass m = 2 in the working directory, under the name of
+        # the bundled m = 1 chart, is the user's own and has no frozen value
+        doc = dict(CHART_DOC, name="schwarzschild", params={"m": 2.0})
+        (tmp_path / "schwarzschild.chart").write_text(json.dumps(doc))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "mass", "schwarzschild.chart")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["results"]["limit"] == pytest.approx(32 * math.pi, rel=1e-2)
+        assert "expected" not in rep["results"]
+        assert "expected_rel" not in rep["tolerances"]
+
+    @pytest.mark.parametrize("command, flags", [
+        ("check", []),
+        ("curvature", ["jet_order", "points", "seed"]),
+        ("identities", ["jet_order", "points", "seed"]),
+        ("mass", ["measure", "normalize", "radii"]),
+        ("weyl-mass", ["measure", "normalize", "radii"]),
+        ("witten", ["measure", "radii"]),
+        ("laws", ["measure", "radii", "seed"]),
+    ])
+    def test_each_command_echoes_exactly_its_own_flags(self, capsys, command, flags):
+        code, out, _ = run_cli(capsys, command, "flat")
+        assert code == 0
+        rep = json.loads(out)
+        assert sorted(rep["flags"]) == flags
+        flux = "radii" in flags
+        assert ("quad_rtol" in rep["tolerances"]) is flux
+        assert ("quad_atol" in rep["tolerances"]) is flux
+
     def test_mass_rejects_end_system(self, capsys):
         code, out, err = run_cli(capsys, "mass", "twoends.ends")
         assert code == 2
@@ -283,15 +322,27 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["weyl-mass", "witten"])
     def test_radius_where_the_chart_overflows_exits_two_with_one_line(
-            self, capsys, command):
+            self, capsys, monkeypatch, command):
         # the Lee form x/r^3 overflows at r = 1e154, where r^2 is still
-        # finite; x/inf would read as 0 and drop the Lee flux
+        # finite; x/inf would read as 0 and drop the Lee flux.  The flag
+        # check finds it before any flux runs
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a flux ran")
+
+        monkeypatch.setattr(mass, "_sample", no_sample)
         code, out, err = run_cli(capsys, command, "schwarzschild-lee",
                                  "--radii", "20,40,80,1e154")
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1
-        assert err.startswith("confmass: radius 1e+154 is too large")
+        assert err.startswith("confmass: --radii: radius 1e+154 is too large")
+
+    def test_metric_mass_is_not_refused_where_only_the_lee_form_overflows(self, capsys):
+        # mass never evaluates the Lee form x/r^3 that overflows at 1e154
+        code, out, err = run_cli(capsys, "mass", "schwarzschild-lee",
+                                 "--radii", "20,40,80,1e154")
+        assert code == 0
+        assert err == ""
 
     def test_huge_radius_evaluates_without_overflow(self, capsys):
         # the metric's sqrt(r^2) needs first-order coefficients only; the

@@ -358,10 +358,12 @@ class TestFluxes:
             adm_flux(c, [7.9])
 
     def test_gradient_flux_closed_form(self):
-        # f = 1 + 1/r on the flat chart: df(nu) = -1/r^2, flux = -4 pi
+        # f = 1 + 1/r on the flat chart: df(nu) = -1/r^2, flux = -4 pi, and
+        # (df/f)(nu) = -1/(r^2 f), flux = -4 pi / f(r)
         c = flat_chart()
-        got = gradient_flux(c, exprdsl.parse("1 + 1/r"), [12.0])[0]
-        assert got == pytest.approx(-4 * math.pi, rel=1e-12)
+        df, df_over_f = gradient_flux(c, exprdsl.parse("1 + 1/r"), [12.0])
+        assert df[0] == pytest.approx(-4 * math.pi, rel=1e-12)
+        assert df_over_f[0] == pytest.approx(-4 * math.pi / (1 + 1 / 12), rel=1e-12)
 
     def test_witten_flux_flat_exact_lee(self):
         # flat metric, theta = -x/r^3 (so m_riem = 0, lee limit = -4 pi):
@@ -611,9 +613,8 @@ SERIES_RADII = (20.0, 1000.0)
 SERIES_FLUXES = {
     "adm": lambda c, radii, m: adm_flux(c, radii, m),
     "lee": lambda c, radii, m: lee_flux(c, radii, m),
-    "gradient": lambda c, radii, m: gradient_flux(c, "1 + 1/sqrt(r^2 + 1)", radii, m),
-    "gradient_over_f": lambda c, radii, m: gradient_flux(c, "1 + 1/sqrt(r^2 + 1)", radii, m,
-                                                         over_f=True),
+    "gradient": lambda c, radii, m: gradient_flux(c, "1 + 1/sqrt(r^2 + 1)", radii, m)[0],
+    "gradient_over_f": lambda c, radii, m: gradient_flux(c, "1 + 1/sqrt(r^2 + 1)", radii, m)[1],
     "weyl": lambda c, radii, m: weyl_flux(c, radii, m),
     "witten": lambda c, radii, m: witten_flux(c, two_spinors(c.n), radii, m),
 }

@@ -11,9 +11,10 @@ WORKLOAD:SEED`` (into a temporary directory, removed at the end), once
 with TREE/src and once with PARENT_TREE/src on PYTHONPATH, one process
 at a time.  For each pair it prints both exit codes and both wall times
 (with ``--repeat K``, each side runs K times, the two sides taking turns,
-and the time is the median of its K runs; a side whose exit code or
-stdout changes between its runs is named), ``stdout identical`` when the
-two outputs match byte for byte, and otherwise every ``pass``
+and the time is the median of its K runs; a side whose exit code,
+stdout or stderr changes between its runs is named), ``stderr identical`` when the
+two stderr texts match byte for byte and otherwise both of them,
+``stdout identical`` when the two outputs match, and otherwise every ``pass``
 verdict that changed, report keys added or removed, and the largest
 relative drift of any float leaf with its JSON path; at the end, the
 largest drift per leaf name (``limit``, ``error``, ...) over all pairs,
@@ -57,8 +58,8 @@ def generated_configs(tree: str, spec: str, outdir: str) -> list:
 
 
 def run(tree: str, command: str, config: str) -> tuple:
-    """Exit code, stdout, parsed JSON report (None when stdout is not one)
-    and wall time in seconds."""
+    """Exit code, stdout, stderr, parsed JSON report (None when stdout is
+    not one) and wall time in seconds."""
     src = os.path.join(os.path.abspath(tree), "src")
     env = dict(os.environ, PYTHONPATH=src)
     t0 = time.perf_counter()
@@ -69,7 +70,7 @@ def run(tree: str, command: str, config: str) -> tuple:
         report = json.loads(proc.stdout)
     except json.JSONDecodeError:
         report = None
-    return proc.returncode, proc.stdout, report, wall
+    return proc.returncode, proc.stdout, proc.stderr, report, wall
 
 
 def leaves(node, path: str = "") -> dict:
@@ -177,13 +178,18 @@ def sweep(parent: str, tree: str, configs: list, repeat: int = 1) -> None:
             for _ in range(repeat):
                 for side, done in zip((parent, tree), runs):
                     done.append(run(side, command, config))
-            (code_old, out_old, old, _), (code_new, out_new, new, _) = runs[0][0], runs[1][0]
-            t_old, t_new = (statistics.median(r[3] for r in done) for done in runs)
+            (code_old, out_old, err_old, old, _), (code_new, out_new, err_new, new, _) = \
+                runs[0][0], runs[1][0]
+            t_old, t_new = (statistics.median(r[4] for r in done) for done in runs)
             print(f"{label}: exit {code_old} -> {code_new}, {t_old:.2f} s -> {t_new:.2f} s"
                   + (f" (median of {repeat})" if repeat > 1 else ""))
             for name, done in zip(("parent", "tree"), runs):
-                if any(r[:2] != done[0][:2] for r in done[1:]):
+                if any(r[:3] != done[0][:3] for r in done[1:]):
                     print(f"  {name} output changes between runs")
+            if err_old == err_new:
+                print("  stderr identical")
+            else:
+                print(f"  parent stderr: {err_old!r}\n  tree stderr: {err_new!r}")
             if out_old == out_new:
                 print("  stdout identical")
                 continue
