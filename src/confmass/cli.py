@@ -82,8 +82,9 @@ def _check_flags(args, cfg: LoadedConfig):
     """Reject flag values the config cannot honour, before any computation,
     and return the parsed ``--radii`` (None when not given): every radius
     passes ``mass.check_radius`` and ``mass.probe_radius`` on every chart
-    of the config, and the series ``mass.check_series``; for ``laws`` on a
-    chart, so do the radii of its coordinate-scaled chart
+    of the config (for ``witten`` with its spinor fields,
+    ``suites.witten_spinors``), and the series ``mass.check_series``; for
+    ``laws`` on a chart, so do the radii of its coordinate-scaled chart
     (``suites.laws_scaled_chart``)."""
     flags = COMMANDS[args.command][1]
     if "points" in flags and args.points < 1:
@@ -99,6 +100,10 @@ def _check_flags(args, cfg: LoadedConfig):
     if args.radii is None:
         return None
     lee = args.command != "mass"  # the metric mass never evaluates the Lee form
+    specs = ()
+    if args.command == "witten":
+        from .suites import witten_spinors
+        specs = [spec for _, spec in witten_spinors(cfg)]
     try:
         radii = tuple(float(t) for t in args.radii.split(",") if t.strip())
         for chart in _charts(cfg):
@@ -107,7 +112,7 @@ def _check_flags(args, cfg: LoadedConfig):
         mass.check_series(radii)
         for chart in _charts(cfg):
             for r in radii:
-                mass.probe_radius(chart, r, lee)
+                mass.probe_radius(chart, r, lee, specs)
         if args.command == "laws" and cfg.chart is not None:
             from .suites import laws_scaled_chart
             scaled, scaled_radii = laws_scaled_chart(cfg.chart, radii)

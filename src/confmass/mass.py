@@ -236,10 +236,11 @@ def _overflow(r: float) -> ChartError:
     return ChartError(f"radius {r!r} is too large: evaluating the chart there overflows")
 
 
-def probe_radius(chart: MetricChart, r: float, lee: bool) -> None:
+def probe_radius(chart: MetricChart, r: float, lee: bool,
+                 specs: Sequence[SpinorFieldSpec] = ()) -> None:
     """Raise ChartError when evaluating ``chart`` at the 2n axis points
     +-r e_i of S_r overflows: the metric and, with ``lee``, the Lee form,
-    their values and first derivatives."""
+    and the spinor fields ``specs``, their values and first derivatives."""
     X = r * np.concatenate([np.eye(chart.n), -np.eye(chart.n)], axis=1)
     coords = seed_point(X, 1)[1]
     try:
@@ -247,6 +248,9 @@ def probe_radius(chart: MetricChart, r: float, lee: bool) -> None:
             metric_entry_jets(chart, coords)
             if lee:
                 lee_jets(chart, coords)
+            if specs:
+                from .spinor import spinor_jets
+                spinor_jets(specs, coords, chart.params)
     except FloatingPointError:
         raise _overflow(r) from None
 

@@ -22,18 +22,12 @@ import math
 
 import numpy as np
 
-from . import clifford, exprdsl
-from .chart import MetricChart, conformal_rescale, lee_jets, metric_jets, scale_coordinates
+from . import exprdsl
+from .chart import (MetricChart, SpinorFieldSpec, conformal_rescale, lee_jets,
+                    make_spinor_spec, metric_jets, scale_coordinates)
 from .config import LoadedConfig
-from .curvature import christoffels, curvature
 from .exprdsl import Call, Num, Var, eadd, emul
 from .jets import seed_point
-from .spinor import (SpinorFieldSpec, covd_coord, dirac_composed,
-                     dirac_squared_expansion, h_jet, lichnerowicz_I_residual,
-                     lichnerowicz_II_residual, make_spinor_spec,
-                     norm_identity_residual, spinor_calc, spinor_jets,
-                     spinor_values)
-from .weyl import weyl_data, weyl_scalar
 
 __all__ = [
     "TOLERANCES",
@@ -45,6 +39,7 @@ __all__ = [
     "curvature_battery",
     "laws_scaled_chart",
     "laws_battery",
+    "witten_spinors",
     "witten_battery",
 ]
 
@@ -108,8 +103,10 @@ def _random_part(n: int, rng: np.random.Generator):
 def random_spinor_spec(n: int, rng: np.random.Generator,
                        weight: float) -> SpinorFieldSpec:
     """A spinor field with random polynomial+trig components."""
+    from .clifford import build_rep
+
     comps = [(_random_part(n, rng), _random_part(n, rng))
-             for _ in range(clifford.build_rep(n).N)]
+             for _ in range(build_rep(n).N)]
     return make_spinor_spec(comps, weight)
 
 
@@ -130,83 +127,142 @@ def _finish(battery: str, checks: list, tolerances: dict, **extra) -> dict:
 # ---------------------------------------------------------------------------
 # identities
 
+#: the pointwise batteries cut their sample into the fewest equal chunks
+#: whose points times n^3 times the jet space size stay within this
+#: budget, so their memory does not grow with the point count: 100 points
+#: at order 2 are one chunk for n <= 4, two for n = 5 and three for
+#: n = 6; at order 3, two for n = 4.  Every check and statistic is a
+#: maximum over the whole sample, which does not depend on the chunking.
+POINT_BUDGET = 216_000
+
+
+def _sample_maxima(maxima, pts: np.ndarray, jet_order: int) -> dict:
+    """``maxima(chunk)``, a dict of maxima over the points of one chunk of
+    the sample ``pts`` (n, P), run chunk by chunk and combined into the
+    maxima over the whole sample."""
+    n, count = pts.shape
+    limit = max(1, POINT_BUDGET // (math.comb(n + jet_order, n) * n ** 3))
+    chunks = -(-count // limit)  # the fewest within the budget,
+    width = -(-count // chunks)  # of equal width but for the last
+    parts = [maxima(pts[:, a:a + width]) for a in range(0, count, width)]
+    return {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
+
+
+def _gap_maxima(wd) -> dict:
+    """The two halves of ``WeylData.divergence_gap`` on one chunk."""
+    a = wd.trace_nabla_theta.value
+    return {"gap": np.max(np.abs(a + wd.codiff.value)), "trace": np.max(np.abs(a))}
+
+
+def _divergence_gap(m: dict) -> float:
+    return m["gap"] / max(1.0, m["trace"])
+
+
 def _weyl_scal_values(chart: MetricChart, pts: np.ndarray, jet_order: int) -> np.ndarray:
     """Values of the Weyl scalar curvature of ``chart`` at ``pts``; the
     jets behind them are freed on return."""
+    from .weyl import weyl_data
+
     md = metric_jets(chart, pts, order=jet_order)
     return weyl_data(md, lee_jets(chart, md.coords)).scal.value
 
 
-def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
-                     jet_order: int = 2) -> dict:
-    """All pointwise identities on one chart at seeded random points."""
-    rng = rng_for(seed)
-    n = chart.n
-    pts = sample_points(chart, points, rng)
+#: the conformal factor f of the identity battery's covariance check
+COVARIANCE_FACTOR = "1 + 0.3/sqrt(r^2 + 1)"
 
+
+def _identity_maxima(chart: MetricChart, rescaled: MetricChart, pts: np.ndarray,
+                     jet_order: int, specs: tuple, direction: np.ndarray) -> dict:
+    """The maxima behind every check of ``identity_battery`` on the points
+    ``pts``; ``rescaled`` is ``chart`` rescaled by ``COVARIANCE_FACTOR``,
+    ``specs`` the two spinor fields and ``direction`` the unit vector of
+    the norm identity."""
+    from .spinor import (covd_coord, dirac_composed, dirac_squared_expansion, h_jet,
+                         lichnerowicz_I_residual, lichnerowicz_II_residual,
+                         norm_identity_residual, spinor_calc, spinor_jets,
+                         spinor_values)
+
+    n = chart.n
     md = metric_jets(chart, pts, order=jet_order)
     theta = lee_jets(chart, md.coords) if chart.has_lee else None
     calc = spinor_calc(md, theta)
     k = 0.5 * (2.0 - n)
-
-    checks = []
-    tol = TOLERANCES
-
-    scal_weyl = calc.scal.value
-    if theta is not None:
-        # divergence two-path (trace of nabla theta vs -codifferential)
-        checks.append(_check("weyl-scalar-two-path", calc.weyl.divergence_gap,
-                             tol["two_path_rel"]))
+    out = _gap_maxima(calc.weyl) if theta is not None else {}
 
     # conformal covariance: f Scal(fg, theta - df/2f) = Scal(g, theta)
-    f_src = "1 + 0.3/sqrt(r^2 + 1)"
-    fv = exprdsl.evaluate(exprdsl.parse(f_src), pts, chart.params)
-    lhs = fv * _weyl_scal_values(conformal_rescale(chart, f_src), pts, jet_order)
-    scale = max(1.0, float(np.max(np.abs(scal_weyl))))
-    checks.append(_check("weyl-scalar-conformal-covariance",
-                         float(np.max(np.abs(lhs - scal_weyl))) / scale,
-                         tol["weyl_scalar_covariance_rel"]))
+    scal_weyl = calc.scal.value
+    fv = exprdsl.evaluate(exprdsl.parse(COVARIANCE_FACTOR), pts, chart.params)
+    lhs = fv * _weyl_scal_values(rescaled, pts, jet_order)
+    out["covariance"] = np.max(np.abs(lhs - scal_weyl))
+    out["scal"] = np.max(np.abs(scal_weyl))
 
     # spinor identities on two independent random fields
-    spec_psi = random_spinor_spec(n, rng, k)
-    spec_phi = random_spinor_spec(n, rng, k)
-    psi = spinor_jets(spec_psi, md.coords, chart.params)
-    phi = spinor_jets(spec_phi, md.coords, chart.params)
+    psi, phi = (spinor_jets(spec, md.coords, chart.params) for spec in specs)
     # D_i psi and D_i phi at weight k, shared by every residual below
     Dpsi = covd_coord(calc, psi, k)
     Dphi = covd_coord(calc, phi, k)
 
-    res, scale = lichnerowicz_I_residual(calc, psi, Dpsi)
-    checks.append(_check("lichnerowicz-first",
-                         float(np.max(np.abs(res))) / scale,
-                         tol["lichnerowicz_rel"]))
+    res, out["first_scale"] = lichnerowicz_I_residual(calc, psi, Dpsi)
+    out["first"] = np.max(np.abs(res))
 
     pairing = lichnerowicz_II_residual(calc, psi, phi, Dpsi, Dphi)
-    sc = pairing["scale"]
-    checks.append(_check("lichnerowicz-pairing",
-                         float(np.max(np.abs(pairing["main"]))) / sc,
-                         tol["lichnerowicz_rel"]))
-    checks.append(_check("pairing-connection-part",
-                         float(np.max(np.abs(pairing["first"]))) / sc,
-                         tol["lichnerowicz_rel"]))
-    checks.append(_check("pairing-dirac-part",
-                         float(np.max(np.abs(pairing["second"]))) / sc,
-                         tol["lichnerowicz_rel"]))
+    out["pairing_scale"] = pairing["scale"]
+    for key in ("main", "first", "second"):
+        out[f"pairing_{key}"] = np.max(np.abs(pairing[key]))
 
     if theta is not None:
         d2 = spinor_values(dirac_composed(calc, Dpsi, k))
         ex = spinor_values(dirac_squared_expansion(calc, psi, k))
-        scale = max(1.0, float(np.max(np.abs(d2))))
-        checks.append(_check("dirac-square-expansion",
-                             float(np.max(np.abs(d2 - ex))) / scale,
-                             tol["dirac_expansion_rel"]))
+        out["expansion"] = np.max(np.abs(d2 - ex))
+        out["d2"] = np.max(np.abs(d2))
 
+    nres = norm_identity_residual(calc, psi, direction, Dpsi)
+    out["norm"] = np.max(np.abs(nres))
+    out["norm_scale"] = np.max(np.abs(h_jet(psi, psi).value.real))
+    return out
+
+
+def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
+                     jet_order: int = 2) -> dict:
+    """All pointwise identities on one chart at seeded random points.
+
+    The random inputs are drawn first (the points, the two spinor fields,
+    the norm-identity direction); the points are then evaluated in chunks
+    (``POINT_BUDGET``), and each check is a maximum over all of them.
+    """
+    rng = rng_for(seed)
+    n = chart.n
+    k = 0.5 * (2.0 - n)
+    pts = sample_points(chart, points, rng)
+    specs = (random_spinor_spec(n, rng, k), random_spinor_spec(n, rng, k))
     direction = rng.normal(size=n)
     direction /= math.sqrt(float(np.sum(direction * direction)))
-    nres = norm_identity_residual(calc, psi, direction, Dpsi)
-    nscale = max(1.0, float(np.max(np.abs(h_jet(psi, psi).value.real))))
-    checks.append(_check("norm-identity",
-                         float(np.max(np.abs(nres))) / nscale,
+    rescaled = conformal_rescale(chart, COVARIANCE_FACTOR)
+    m = _sample_maxima(lambda p: _identity_maxima(chart, rescaled, p, jet_order,
+                                                  specs, direction),
+                       pts, jet_order)
+
+    tol = TOLERANCES
+    checks = []
+    if chart.has_lee:
+        # divergence two-path (trace of nabla theta vs -codifferential)
+        checks.append(_check("weyl-scalar-two-path", _divergence_gap(m),
+                             tol["two_path_rel"]))
+    checks.append(_check("weyl-scalar-conformal-covariance",
+                         m["covariance"] / max(1.0, m["scal"]),
+                         tol["weyl_scalar_covariance_rel"]))
+    checks.append(_check("lichnerowicz-first", m["first"] / m["first_scale"],
+                         tol["lichnerowicz_rel"]))
+    for name, key in (("lichnerowicz-pairing", "main"),
+                      ("pairing-connection-part", "first"),
+                      ("pairing-dirac-part", "second")):
+        checks.append(_check(name, m[f"pairing_{key}"] / m["pairing_scale"],
+                             tol["lichnerowicz_rel"]))
+    if chart.has_lee:
+        checks.append(_check("dirac-square-expansion",
+                             m["expansion"] / max(1.0, m["d2"]),
+                             tol["dirac_expansion_rel"]))
+    checks.append(_check("norm-identity", m["norm"] / max(1.0, m["norm_scale"]),
                          tol["norm_identity_rel"]))
 
     cliff = clifford_battery(n, seed=seed)
@@ -222,6 +278,8 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
 
 def clifford_battery(n: int, trials: int = 1000, seed: int = 42) -> dict:
     """Algebra relations (exact) and the module identities (1e-14)."""
+    from . import clifford
+
     rng = rng_for(seed)
     rep = clifford.build_rep(n)
     tol = TOLERANCES
@@ -290,25 +348,38 @@ def clifford_battery(n: int, trials: int = 1000, seed: int = 42) -> dict:
 # ---------------------------------------------------------------------------
 # curvature summary
 
-def curvature_battery(chart: MetricChart, points: int = 50, seed: int = 42,
-                      jet_order: int = 2) -> dict:
-    """Curvature magnitudes and internal consistency at random points."""
-    rng = rng_for(seed)
-    pts = sample_points(chart, points, rng)
+def _curvature_maxima(chart: MetricChart, pts: np.ndarray, jet_order: int) -> dict:
+    """The maxima behind the stats and checks of ``curvature_battery`` on
+    the points ``pts``."""
+    from .curvature import christoffels, curvature
+    from .weyl import weyl_scalar
+
     md = metric_jets(chart, pts, order=jet_order)
     cd = christoffels(md)
     cv = curvature(cd)
+    out = {name: np.max(np.abs(t.value)) for name, t in
+           (("christoffel", cd.christoffel), ("riemann", cv.riemann),
+            ("ricci", cv.ricci), ("scal", cv.scal))}
+    if chart.has_lee:
+        wd = weyl_scalar(cv, lee_jets(chart, md.coords))
+        out.update(_gap_maxima(wd), weyl_scal=np.max(np.abs(wd.scal.value)))
+    return out
 
-    stats = {f"max_abs_{name}": float(np.max(np.abs(t.value))) for name, t in
-             (("christoffel", cd.christoffel), ("riemann", cv.riemann),
-              ("ricci", cv.ricci), ("scal", cv.scal))}
+
+def curvature_battery(chart: MetricChart, points: int = 50, seed: int = 42,
+                      jet_order: int = 2) -> dict:
+    """Curvature magnitudes and internal consistency at random points,
+    evaluated in chunks like ``identity_battery``."""
+    pts = sample_points(chart, points, rng_for(seed))
+    m = _sample_maxima(lambda p: _curvature_maxima(chart, p, jet_order), pts, jet_order)
+
+    stats = {f"max_abs_{name}": m[name]
+             for name in ("christoffel", "riemann", "ricci", "scal")}
     checks = []
     if chart.has_lee:
-        theta = lee_jets(chart, md.coords)
-        wd = weyl_scalar(cv, theta)
-        checks.append(_check("weyl-scalar-two-path", wd.divergence_gap,
+        checks.append(_check("weyl-scalar-two-path", _divergence_gap(m),
                              TOLERANCES["two_path_rel"]))
-        stats["max_abs_weyl_scal"] = float(np.max(np.abs(wd.scal.value)))
+        stats["max_abs_weyl_scal"] = m["weyl_scal"]
 
     used = {"two_path_rel": TOLERANCES["two_path_rel"]} if checks else {}
     out = _finish("curvature", checks, used, chart=chart.name,
@@ -416,6 +487,8 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
 
 def _asymptotic_value(spec: SpinorFieldSpec, chart: MetricChart) -> np.ndarray:
     """The field's value at a far reference point on the first axis."""
+    from .spinor import spinor_jets, spinor_values
+
     far = np.zeros((chart.n, 1))
     far[0, 0] = 1e7 * chart.r_min
     _, coords = seed_point(far, 1)
@@ -425,7 +498,9 @@ def _asymptotic_value(spec: SpinorFieldSpec, chart: MetricChart) -> np.ndarray:
 
 def _default_spinors(n: int) -> list:
     """Three constant spinors of weight (2-n)/2 for configs that name none."""
-    N = clifford.build_rep(n).N
+    from .clifford import build_rep
+
+    N = build_rep(n).N
     zero = ("0", "0")
     base = [[zero] * N for _ in range(3)]
     base[0][0] = ("1", "0")
@@ -434,6 +509,12 @@ def _default_spinors(n: int) -> list:
     base[2][min(1, N - 1)] = ("0", "0.8")
     k = 0.5 * (2.0 - n)
     return [(f"const{i}", make_spinor_spec(rows, k)) for i, rows in enumerate(base)]
+
+
+def witten_spinors(cfg: LoadedConfig) -> list:
+    """The (name, spec) pairs whose fluxes ``witten`` integrates: the
+    config's own spinors, or the default constant ones."""
+    return list(cfg.spinors) or _default_spinors(cfg.n)
 
 
 def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
@@ -483,7 +564,7 @@ def witten_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean") ->
     per-end masses, radii, fields and mass warnings are listed under
     ``ends``.
     """
-    specs = list(cfg.spinors) or _default_spinors(cfg.n)
+    specs = witten_spinors(cfg)
     used = {k: TOLERANCES[k] for k in ("witten_rel", "witten_imag")}
     if cfg.chart is not None:
         checks, end = _witten_end(cfg.chart, specs, radii, measure, "")

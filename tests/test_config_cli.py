@@ -337,6 +337,43 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("confmass: --radii: radius 1e+154 is too large")
 
+    def test_radius_where_a_spinor_field_overflows_exits_two_with_one_line(
+            self, capsys, monkeypatch, tmp_path):
+        # the metric is finite at r = 1e154 and there is no Lee form, but
+        # the spinor component 1 + x1^3/r^2 overflows there: the flag check
+        # refuses it before the Weyl-mass series runs
+        def no_flux(*args, **kwargs):
+            raise AssertionError("a flux ran")
+
+        zero = {"expr": "0"}
+        doc = dict(CHART_DOC, spinors=[{
+            "name": "cubic", "weight": -0.5,
+            "components": [{"re": {"expr": "1 + x1^3/r^2"}, "im": zero},
+                           {"re": zero, "im": zero}]}])
+        path = tmp_path / "cubic.chart"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(mass, "_flux", no_flux)
+        code, out, err = run_cli(capsys, "witten", str(path), "--radii", "20,40,80,1e154")
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("confmass: --radii: radius 1e+154 is too large")
+
+    def test_witten_radii_are_probed_with_the_default_spinors(self, capsys, monkeypatch):
+        # a config that names no spinor is integrated with the three
+        # constant ones, and those are what the flag check evaluates
+        probe = mass.probe_radius
+        seen = []
+
+        def spy(chart, r, lee, specs=()):
+            seen.append(len(specs))
+            return probe(chart, r, lee, specs)
+
+        monkeypatch.setattr(mass, "probe_radius", spy)
+        code, _, err = run_cli(capsys, "witten", "flat", "--radii", "20,40,80,160")
+        assert code == 0, err
+        assert seen == [3] * 4
+
     def test_metric_mass_is_not_refused_where_only_the_lee_form_overflows(self, capsys):
         # mass never evaluates the Lee form x/r^3 that overflows at 1e154
         code, out, err = run_cli(capsys, "mass", "schwarzschild-lee",
@@ -584,6 +621,17 @@ class TestCli:
         assert "confmass.suites" in loaded
         for mod in ("confmass.mass", "confmass.util", "numpy.polynomial"):
             assert mod not in loaded
+        # the mass laws integrate no spinor and need no curvature tensor
+        code = (
+            "import contextlib, io, json, sys, confmass.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = confmass.cli.main(['laws', 'flat'])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n")
+        code, loaded = json.loads(run_fresh(code))
+        assert code == 0
+        assert "confmass.suites" in loaded
+        for layer in ("spinor", "clifford", "weyl", "curvature"):
+            assert f"confmass.{layer}" not in loaded
 
     def test_reports_are_byte_identical_from_run_to_run(self, capsys):
         outs = []

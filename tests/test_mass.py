@@ -560,6 +560,37 @@ class TestCoarsePair:
         monkeypatch.setattr(util, "CHUNK", width)
         assert fluxes() == want
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_flux_bits_do_not_depend_on_the_chunk_width_in_higher_dimensions(
+            self, monkeypatch, n):
+        # the spinor layer sums indices inside np.einsum, whose grouping may
+        # follow the batch shape; the nodes of one rule in chunks of 1, 7
+        # and all at once must give the same bits
+        base = f"1 + 1/(2*r^{n - 2})"
+        iso = f"pow({base}, 4/{n - 2})"
+        metric = {f"{i}{i}": iso for i in range(1, n + 1)}
+        metric["12"] = f"0.3*x1*x2/r^{n + 2}"
+        c = flat_chart(n=n, metric=metric,
+                       lee=[f"-0.2*x1/r^{n} - 0.1*x2/r^{n}", f"0.1*x1/r^{n}"]
+                       + [f"-0.2*x{i}/r^{n}" for i in range(3, n + 1)])
+        N = 2 ** (n // 2)
+        comps = [(f"{0.1 * (a + 1)} + x{a % n + 1}/r", f"x{(a + 1) % n + 1}*x1/r^2")
+                 for a in range(N)]
+        specs = [make_spinor_spec(comps, weight=0.5 * (2 - n)),
+                 make_spinor_spec([("0.6", "0")] + [("0", "0.8")] * (N - 1),
+                                  weight=0.5 * (2 - n))]
+
+        def fluxes():
+            return [adm_flux(c, [20.0], "g", orders=3)[0],
+                    witten_flux(c, specs, [20.0], orders=3).tolist()]
+
+        got = []
+        for width in (4096, 7, 1):
+            monkeypatch.setattr(util, "CHUNK", width)
+            got.append(fluxes())
+        assert got[1] == got[0]
+        assert got[2] == got[0]
+
 
 class TestLadder:
     def test_the_node_budget_sets_the_top_rung(self):

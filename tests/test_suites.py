@@ -1,11 +1,13 @@
 """Tests for what the batteries compute once and share: the base curvature,
 the order-2 spinor derivatives and the Clifford trials of the identity
-battery, and the fluxes of the laws battery."""
+battery, and the fluxes of the laws battery; and for the point chunks of
+the pointwise batteries."""
 
 import importlib
 import importlib.util
 import inspect
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -42,6 +44,61 @@ def spy(monkeypatch, module, name):
 
 def flat_chart(n):
     return make_chart(n=n, tau=0.5 * (n - 2) + 0.25, r_min=1.0, metric={})
+
+
+def offdiag_chart(n, lee):
+    """Isotropic Schwarzschild in n dimensions with an off-diagonal term
+    and, with ``lee``, a Lee form that is neither exact nor rotational."""
+    base = f"1 + 1/(2*r^{n - 2})"
+    iso = f"({base})^4" if n == 3 else f"pow({base}, 4/{n - 2})"
+    metric = {f"{i}{i}": iso for i in range(1, n + 1)}
+    metric["12"] = f"0.3*x1*x2/r^{n + 2}"
+    kw = {}
+    if lee:
+        kw["lee"] = [f"-0.2*x1/r^{n} - 0.1*x2/r^{n}", f"0.1*x1/r^{n}"] + [
+            f"-0.2*x{i}/r^{n}" for i in range(3, n + 1)]
+    return make_chart(n=n, tau=0.5 * (n - 2) + 0.25, r_min=1.0, metric=metric, **kw)
+
+
+def set_chunk_limit(monkeypatch, chart, jet_order, limit):
+    """Set ``suites.POINT_BUDGET`` so the batteries' chunks on ``chart`` hold
+    at most ``limit`` points."""
+    cost = math.comb(chart.n + jet_order, chart.n) * chart.n ** 3
+    monkeypatch.setattr(suites, "POINT_BUDGET", limit * cost)
+
+
+# every n with and without a Lee form, each n at both jet orders
+@pytest.mark.parametrize("n,lee,jet_order",
+                         [(n, lee, 2 + (n + lee) % 2) for n in range(3, 7)
+                          for lee in (False, True)])
+def test_battery_reports_do_not_depend_on_the_chunk_width(monkeypatch, n, lee, jet_order):
+    # 9 points in 9 chunks of 1, in chunks of 5 and 4, and in one chunk
+    chart = offdiag_chart(n, lee)
+    reports = []
+    for limit in (1, 7, 9):
+        set_chunk_limit(monkeypatch, chart, jet_order, limit)
+        reports.append([json.dumps(battery(chart, points=9, seed=5, jet_order=jet_order))
+                        for battery in (suites.identity_battery, suites.curvature_battery)])
+    assert reports[0] == reports[2]
+    assert reports[1] == reports[2]
+    assert ("weyl-scalar-two-path" in reports[2][1]) is lee
+
+
+def test_identity_battery_memory_does_not_grow_with_the_point_count():
+    import tracemalloc
+
+    chart = offdiag_chart(6, lee=True)
+    suites.identity_battery(chart, points=2)  # warm the jet-space caches
+
+    def peak(points):
+        tracemalloc.start()
+        try:
+            suites.identity_battery(chart, points=points)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(400) <= 1.1 * peak(100)
 
 
 @pytest.mark.parametrize("cfg", ["lee_cfg", "p4_cfg", "flat_cfg"])

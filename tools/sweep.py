@@ -3,7 +3,8 @@
     python tools/sweep.py PARENT_TREE [--tree TREE] [--config PATH ...]
         [--generated WORKLOAD:SEED ...] [--repeat K]
 
-Runs ``python -m confmass <command> <config>`` for the 7 commands and the
+Runs ``python -m confmass <command> <config>`` for the 7 commands, each at
+its default flags and at the flag variants in ``VARIANTS``, on the
 bundled configs of TREE (default: the checkout this script sits in),
 plus each config file given by a repeated ``--config`` and every config
 that TREE/benchmark/gen.py writes for a repeated ``--generated
@@ -37,6 +38,16 @@ import time
 
 COMMANDS = ("check", "curvature", "identities", "mass", "weyl-mass", "laws", "witten")
 
+# flags each command also runs with on every config, after its defaults:
+# the point count below and above the batteries' chunk widths, the
+# third-order jets, the other measure and normalisation, custom radii
+VARIANTS = {
+    "curvature": (("--points", "7"), ("--points", "250"), ("--jet-order", "3")),
+    "identities": (("--points", "7"), ("--points", "250")),
+    "mass": (("--measure", "g"),),
+    "weyl-mass": (("--normalize", "adm"), ("--radii", "20,40,80,160,320")),
+}
+
 
 def bundled_configs(tree: str) -> list:
     data = os.path.join(tree, "src", "confmass", "data")
@@ -57,13 +68,13 @@ def generated_configs(tree: str, spec: str, outdir: str) -> list:
     return [os.path.join(where, f) for f in sorted(os.listdir(where))]
 
 
-def run(tree: str, command: str, config: str) -> tuple:
+def run(tree: str, command: str, config: str, flags=()) -> tuple:
     """Exit code, stdout, stderr, parsed JSON report (None when stdout is
     not one) and wall time in seconds."""
     src = os.path.join(os.path.abspath(tree), "src")
     env = dict(os.environ, PYTHONPATH=src)
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "confmass", command, config],
+    proc = subprocess.run([sys.executable, "-m", "confmass", command, config, *flags],
                           capture_output=True, text=True, env=env)
     wall = time.perf_counter() - t0
     try:
@@ -172,12 +183,12 @@ def sweep(parent: str, tree: str, configs: list, repeat: int = 1) -> None:
     times in turns; print the summary."""
     worst_by_name: dict = {}
     for config in configs:
-        for command in COMMANDS:
-            label = f"{command} {config}"
+        for command, flags in [(c, f) for c in COMMANDS for f in ((), *VARIANTS.get(c, ()))]:
+            label = " ".join((command, config, *flags))
             runs = ([], [])  # parent's, tree's
             for _ in range(repeat):
                 for side, done in zip((parent, tree), runs):
-                    done.append(run(side, command, config))
+                    done.append(run(side, command, config, flags))
             (code_old, out_old, err_old, old, _), (code_new, out_new, err_new, new, _) = \
                 runs[0][0], runs[1][0]
             t_old, t_new = (statistics.median(r[4] for r in done) for done in runs)
