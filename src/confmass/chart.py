@@ -31,7 +31,8 @@ from .jets import Jet, JetSpace
 
 __all__ = [
     "ChartError", "MetricChart", "End", "EndSystem", "MetricData",
-    "SpinorFieldSpec", "make_chart", "make_spinor_spec", "metric_entry_jets",
+    "SpinorFieldSpec", "make_chart", "make_spinor_spec", "bound_identifiers",
+    "metric_entry_jets",
     "metric_jets", "metric_values", "lee_jets", "decay_scan", "DecayReport",
     "conformal_rescale", "scale_coordinates",
 ]
@@ -87,6 +88,12 @@ def make_spinor_spec(sources, weight: float) -> SpinorFieldSpec:
     if 2 ** k != len(comps):
         raise ValueError(f"component count {len(comps)} is not a power of two")
     return SpinorFieldSpec(components=tuple(comps), weight=float(weight))
+
+
+def bound_identifiers(chart: MetricChart) -> set:
+    """The names an expression on ``chart`` may use: the coordinates,
+    ``r`` and the chart's parameters."""
+    return {f"x{i + 1}" for i in range(chart.n)} | {"r"} | set(chart.params)
 
 
 def _probe_directions(n: int, count: int = 16) -> np.ndarray:
@@ -173,7 +180,7 @@ def make_chart(n: int, tau: float, r_min: float,
 
 
 def _validate_chart(chart: MetricChart):
-    allowed = {f"x{i + 1}" for i in range(chart.n)} | {"r"} | set(chart.params)
+    allowed = bound_identifiers(chart)
     for i in range(chart.n):
         for j in range(i, chart.n):
             bad = exprdsl.identifiers(chart.metric[i][j]) - allowed

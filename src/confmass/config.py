@@ -23,7 +23,8 @@ accepted).  Two document kinds exist:
 Metric keys are "ij" with 1-based single digits, i <= j; missing entries
 default to the identity.  ``lee`` (optional) lists the n covector
 components, default zero.  ``spinors`` (optional) names spinor fields
-for flux commands.
+for flux commands, each with N = 2^(n//2) components in the identifiers
+the chart binds (those of every end, on an end system).
 
 ``end_system``::
 
@@ -45,7 +46,9 @@ import json
 from importlib import resources
 from typing import NamedTuple
 
-from .chart import ChartError, End, EndSystem, MetricChart, make_chart, make_spinor_spec
+from . import exprdsl
+from .chart import (ChartError, End, EndSystem, MetricChart, bound_identifiers, make_chart,
+                    make_spinor_spec)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -101,7 +104,13 @@ class LoadedConfig(NamedTuple):
         return self.chart.n if self.chart is not None else self.system.n
 
 
-def _parse_spinors(doc: dict, where: str) -> tuple:
+def _parse_spinors(doc: dict, where: str, charts) -> tuple:
+    """The named spinor fields of ``doc``, each with the N = 2^(n//2)
+    components of the dimension and no identifier that one of ``charts``
+    leaves unbound."""
+    n = charts[0].n
+    N = 2 ** (n // 2)
+    bound = set.intersection(*map(bound_identifiers, charts))
     out = []
     for k, sp in enumerate(doc.get("spinors", ())):
         w = f"{where}.spinors[{k}]"
@@ -110,6 +119,9 @@ def _parse_spinors(doc: dict, where: str) -> tuple:
         name = sp.get("name", f"spinor{k}")
         weight = _require(sp, "weight", (int, float), w)
         comps = _require(sp, "components", list, w)
+        if len(comps) != N:
+            raise ConfigError(f"{w}: a spinor in n = {n} has {N} components, "
+                              f"got {len(comps)}")
         pairs = []
         for c, comp in enumerate(comps):
             wc = f"{w}.components[{c}]"
@@ -121,6 +133,12 @@ def _parse_spinors(doc: dict, where: str) -> tuple:
             spec = make_spinor_spec(pairs, float(weight))
         except (ValueError, ArithmeticError) as e:
             raise ConfigError(f"{w}: {e}") from e
+        for c, comp in enumerate(spec.components):
+            for part, tree in zip(("re", "im"), comp):
+                bad = exprdsl.identifiers(tree) - bound
+                if bad:
+                    raise ConfigError(f"{w}.components[{c}].{part}: uses unknown "
+                                      f"identifiers {sorted(bad)}")
         out.append((str(name), spec))
     return tuple(out)
 
@@ -164,7 +182,7 @@ def parse_config(doc: dict, source: str = "config") -> LoadedConfig:
     if kind == "chart":
         chart = _parse_chart_fields(doc, source, name)
         return LoadedConfig(kind=kind, name=name, chart=chart, system=None,
-                            spinors=_parse_spinors(doc, source), doc=doc)
+                            spinors=_parse_spinors(doc, source, [chart]), doc=doc)
 
     if kind == "end_system":
         ends_doc = _require(doc, "ends", list, source)
@@ -187,7 +205,9 @@ def parse_config(doc: dict, source: str = "config") -> LoadedConfig:
             raise ConfigError(f"{source}: all ends must share one dimension, got {dims}")
         system = EndSystem(ends=tuple(ends), name=name)
         return LoadedConfig(kind=kind, name=name, chart=None, system=system,
-                            spinors=_parse_spinors(doc, source), doc=doc)
+                            spinors=_parse_spinors(doc, source,
+                                                   [end.chart for end in ends]),
+                            doc=doc)
 
     raise ConfigError(f"{source}: unknown kind {kind!r} (chart | end_system)")
 

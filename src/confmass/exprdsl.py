@@ -56,7 +56,7 @@ import numpy as np
 __all__ = [
     "ExprAst", "Num", "Var", "Neg", "BinOp", "Pow", "Call",
     "ParseError", "EvalError",
-    "Program", "RING_OPS", "parse", "as_expr", "lower", "evaluate", "to_source",
+    "Program", "RING_OPS", "parse", "as_expr", "lower", "evaluate",
     "identifiers", "is_coordinate_free",
     "substitute", "derivative", "eadd", "esub", "emul", "ediv",
     "FUNCTIONS", "MAX_INT_EXPONENT", "COORD_RE",
@@ -432,56 +432,6 @@ def evaluate(ast: ExprAst | Sequence[ExprAst], coords,
     for k, v in enumerate(out):
         stacked[..., k] = v
     return stacked
-
-
-# ---------------------------------------------------------------------------
-# canonical printer
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 0, 1, 2, 3, 4
-
-
-def _level(node: ExprAst) -> int:
-    if isinstance(node, BinOp):
-        return _LEVEL_ADD if node.op in "+-" else _LEVEL_MUL
-    if isinstance(node, Neg):
-        return _LEVEL_UNARY
-    if isinstance(node, Pow):
-        return _LEVEL_POW
-    if isinstance(node, Num) and node.value < 0:
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
-
-
-def to_source(ast: ExprAst) -> str:
-    """Render a tree back to source.  parse(to_source(parse(s))) == parse(s)."""
-
-    def wrap(node: ExprAst, minlevel: int) -> str:
-        s = go(node)
-        return f"({s})" if _level(node) < minlevel else s
-
-    def go(node: ExprAst) -> str:
-        if isinstance(node, Num):
-            return repr(node.value)
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Neg):
-            return "-" + wrap(node.arg, _LEVEL_UNARY)
-        if isinstance(node, BinOp):
-            # left-associative: the right child needs parens at equal level
-            lvl = _LEVEL_ADD if node.op in "+-" else _LEVEL_MUL
-            lhs = wrap(node.left, lvl)
-            rhs = wrap(node.right, lvl + 1)
-            if node.op in "+-":
-                return f"{lhs} {node.op} {rhs}"
-            return f"{lhs}{node.op}{rhs}"
-        if isinstance(node, Pow):
-            base = wrap(node.base, _LEVEL_ATOM)
-            return f"{base}^{node.exponent}"
-        if isinstance(node, Call):
-            return f"{node.fn}({', '.join(go(a) for a in node.args)})"
-        raise TypeError(f"unknown node {node!r}")
-
-    return go(ast)
 
 
 # ---------------------------------------------------------------------------

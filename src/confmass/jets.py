@@ -11,13 +11,17 @@ Coefficients are numpy arrays of shape (m,) for a single point or (m, B)
 for a batch of B points, where m = C(nvars + order, order); further
 trailing axes (a whole tensor stacked into one array, (m, B, *index))
 pass through the ring operations, ``derive``, ``grad``, ``tensor_mul``
-and ``tensor_dot`` unchanged.  Coefficients may be complex: a spinor
+and ``tensor_matmul`` unchanged.  Coefficients may be complex: a spinor
 field is one jet of shape (m, B, N) with the spinor axis trailing, and
 ``tensor_mul`` pairs it with real tensor jets or with another spinor
-(see ``spinor``).  All batched kernels are plain vectorized numpy with
-fixed iteration order (the multiplication multiplies a precomputed pair
-table and sums it with ``pair_sum``), so results are bitwise
-reproducible and independent of threading.
+(see ``spinor``).  Every product multiplies a precomputed pair table
+and sums it with ``pair_sum`` in a fixed order; the index sums of
+``tensor_mul`` run inside ``np.einsum`` and those of ``tensor_matmul``
+inside ``np.matmul`` (BLAS).  That a point's result is bitwise the same
+whatever batch it is computed in is held by tests, not by construction:
+``tests/test_curvature.py::TestBatchIndependence``,
+``tests/test_spinor.py::TestBatchIndependence`` and
+``tests/test_jetlinalg.py::test_whole_batch_equals_single_columns_bitwise``.
 
 Two invariants worth spelling out:
 
@@ -47,7 +51,7 @@ from .exprdsl import ExprAst
 __all__ = [
     "JetSpace", "Jet", "seed_point",
     "jet_sqrt", "jet_exp", "jet_log", "jet_sin", "jet_cos", "jet_atan",
-    "jet_powc", "evaluate_jet", "tensor_mul", "tensor_dot", "pair_plan", "pair_sum",
+    "jet_powc", "evaluate_jet", "tensor_mul", "tensor_matmul", "pair_plan", "pair_sum",
 ]
 
 MAX_ORDER = 3
@@ -322,29 +326,11 @@ def tensor_mul(space: JetSpace, subscripts: str, x: np.ndarray,
     return pair_sum(conv, space._mul_plan)
 
 
-def tensor_dot(space: JetSpace, subscripts: str, x: np.ndarray,
-               y: np.ndarray) -> np.ndarray:
-    """``tensor_mul`` with the summed indices added in a fixed order.
-
-    Every index of the inputs that the output leaves out is summed by a
-    loop over its values (the last such index fastest), one elementwise
-    jet product per value.  Each output entry is then the same sequence
-    of roundings whatever the batch, where a reduction inside
-    ``np.einsum`` may regroup with the shape of its operands.
-    """
-    xs, rest = subscripts.split(",")
-    ys, out = rest.split("->")
-    summed = [c for c in dict.fromkeys(xs + ys) if c not in out]
-    size = dict(zip(xs + ys, x.shape[1:] + y.shape[1:]))
-    kx, ky = ("".join(c for c in s if c not in summed) for s in (xs, ys))
-    acc = None
-    for at in itertools.product(*(range(size[c]) for c in summed)):
-        pick = dict(zip(summed, at))
-        xv = x[(slice(None),) + tuple(pick.get(c, slice(None)) for c in xs)]
-        yv = y[(slice(None),) + tuple(pick.get(c, slice(None)) for c in ys)]
-        term = tensor_mul(space, f"{kx},{ky}->{out}", xv, yv)
-        acc = term if acc is None else acc + term
-    return acc
+def tensor_matmul(space: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Jet product of stacked matrices: x (m, B, ..., i, k) times
+    y (m, B, ..., k, j) by ``np.matmul`` over the multiplication-table
+    pairs, each target coefficient summed by ``pair_sum``."""
+    return pair_sum(np.matmul(x[space._mul_i], y[space._mul_j]), space._mul_plan)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ the Ricci-type contraction drops under the g^{ij} trace).
 
 The Lee form is one jet (m, B, i) and the connection coefficients
 ``gamma`` are (m, B, k, i, j), laid out as ``curvature``'s Christoffel
-symbols; contractions sum in index order as there.
+symbols; the contractions with g^{-1} are ``jets.tensor_matmul``
+products, whose batch independence the bitwise tests hold as there.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .chart import MetricData
 from .curvature import (ConnectionData, CurvatureData, christoffels,
                         codiff_oneform, curvature, trace_covd_oneform)
-from .jets import Jet, tensor_dot, tensor_mul
+from .jets import Jet, tensor_matmul, tensor_mul
 
 __all__ = [
     "WeylData",
@@ -83,7 +84,7 @@ def weyl_connection(cd: ConnectionData, theta: Jet) -> Jet:
     md = cd.md
     sp = theta.space.lower(min(cd.order, theta.space.order))
     th = theta.c[:sp.m]
-    thup = tensor_dot(sp, "bkl,bl->bk", md.ginv.c[:sp.m], th)
+    thup = tensor_matmul(sp, md.ginv.c[:sp.m], th[..., None])[..., 0]
     g = md.g.c[:sp.m]
     gam = cd.christoffel.c[:sp.m].copy()
     for k in range(md.n):
@@ -98,8 +99,8 @@ def weyl_connection(cd: ConnectionData, theta: Jet) -> Jet:
 def theta_norm2(md: MetricData, theta: Jet) -> Jet:
     """|theta|^2_g = g^{ij} theta_i theta_j."""
     sp = theta.space
-    t = tensor_mul(sp, "bij,bi->bij", md.ginv.c[:sp.m], theta.c)
-    return Jet(sp, tensor_dot(sp, "bij,bj->b", t, theta.c))
+    up = tensor_matmul(sp, md.ginv.c[:sp.m], theta.c[..., None])
+    return Jet(sp, tensor_matmul(sp, theta.c[..., None, :], up)[..., 0, 0])
 
 
 def weyl_scalar(cv: CurvatureData, theta: Jet) -> WeylData:

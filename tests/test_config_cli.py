@@ -359,6 +359,36 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("confmass: --radii: radius 1e+154 is too large")
 
+    def spinor_chart(self, tmp_path, components):
+        doc = dict(CHART_DOC, spinors=[{"name": "bad", "weight": -0.5,
+                                        "components": components}])
+        path = tmp_path / "spinor.chart"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["check", "mass", "witten"])
+    def test_spinor_with_an_unbound_identifier_is_refused_at_load(
+            self, capsys, tmp_path, command):
+        zero = {"expr": "0"}
+        path = self.spinor_chart(tmp_path, [{"re": {"expr": "q"}, "im": zero},
+                                            {"re": zero, "im": zero}])
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert err == ("confmass: spinor.chart.spinors[0].components[0].re: "
+                       "uses unknown identifiers ['q']\n")
+
+    @pytest.mark.parametrize("command", ["check", "mass", "witten"])
+    def test_spinor_with_the_wrong_component_count_is_refused_at_load(
+            self, capsys, tmp_path, command):
+        # N = 2^(n//2) = 2 components in n = 3
+        path = self.spinor_chart(tmp_path, [{"re": {"expr": "1"}, "im": {"expr": "0"}}])
+        code, out, err = run_cli(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert err == ("confmass: spinor.chart.spinors[0]: a spinor in n = 3 has "
+                       "2 components, got 1\n")
+
     def test_witten_radii_are_probed_with_the_default_spinors(self, capsys, monkeypatch):
         # a config that names no spinor is integrated with the three
         # constant ones, and those are what the flag check evaluates

@@ -212,8 +212,11 @@ class TestWeylScalar:
 
 
 class TestBatchIndependence:
-    """One column computed alone equals, bitwise, the same column inside a
-    batch of 7, as tests/test_spinor.py checks for the spinor layer."""
+    """One column computed alone equals, bitwise, the same column inside
+    batches of 7 and 257, as tests/test_spinor.py checks for the spinor
+    layer.  The contractions run on BLAS, whose kernels can branch on
+    alignment and on tails, so the 257 start at an odd offset and the 7
+    are its tail."""
 
     def chart(self, n):
         metric = {f"{i}{i}": f"1 + {0.5 + 0.1 * i}/r^2" for i in range(1, n + 1)}
@@ -242,9 +245,11 @@ class TestBatchIndependence:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_single_column_matches_the_batch_bitwise(self, n, order):
         chart = self.chart(n)
-        X = sample_points(n, 7)
-        whole = self.evaluate(chart, X, order)
-        for b in (0, 4):
-            one = self.evaluate(chart, X[:, b:b + 1], order)
-            for name, arr in whole.items():
-                assert np.array_equal(one[name][:, 0], arr[:, b]), name
+        X = sample_points(n, 258)
+        batches = {lo: self.evaluate(chart, X[:, lo:], order) for lo in (1, 251)}
+        for q in (1, 251, 255, 257):
+            one = self.evaluate(chart, X[:, q:q + 1], order)
+            for lo, whole in batches.items():
+                if q >= lo:
+                    for name, arr in whole.items():
+                        assert np.array_equal(one[name][:, 0], arr[:, q - lo]), name

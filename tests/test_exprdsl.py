@@ -28,7 +28,6 @@ from confmass.exprdsl import (
     lower,
     parse,
     substitute,
-    to_source,
 )
 from confmass.jets import Jet, evaluate_jet, seed_point
 
@@ -375,19 +374,6 @@ class TestLowering:
 
 
 class TestRoundTrip:
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @settings(max_examples=200, deadline=None)
-    @given(_ast_strategy())
-    def test_print_parse_round_trip(self, ast):
-        # to_source must emit text that parses back to an equivalent tree.
-        src = to_source(ast)
-        again = parse(src)
-        assert to_source(again) == src
-        pt = np.array([[0.3], [0.7], [-0.2]])
-        a = np.atleast_1d(evaluate(ast, pt, params={"m": 1.5}))
-        b = np.atleast_1d(evaluate(again, pt, params={"m": 1.5}))
-        np.testing.assert_array_equal(a, b)
-
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @settings(max_examples=100, deadline=None)
     @given(

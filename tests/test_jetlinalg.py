@@ -68,14 +68,17 @@ def test_inverse_is_a_two_sided_jet_inverse(n, order):
         assert np.max(np.abs(stack(P) - eye)) <= 1e-13
 
 
-@pytest.mark.parametrize("fn", [jetlinalg.spd_sqrt, jetlinalg.mat_inv])
+@pytest.mark.parametrize("fn", [jetlinalg.spd_sqrt, jetlinalg.mat_inv, jetlinalg.mat_det])
 @pytest.mark.parametrize("n,order", CASES)
 def test_whole_batch_equals_single_columns_bitwise(fn, n, order):
-    A = random_spd(n, order, 7, seed=n + 100 * order)
-    whole = fn(A).c
-    for b in range(7):
-        one = fn(column(A, b)).c
-        assert np.array_equal(one[:, 0], whole[:, b])
+    # widths 1, 7 and 257: BLAS kernels can branch on alignment and on
+    # tails, so the 257 start at an odd offset and the 7 are its tail
+    A = random_spd(n, order, 258, seed=n + 100 * order)
+    for lo in (1, 251):
+        whole = fn(Jet(A.space, A.c[:, lo:])).c
+        for b in range(whole.shape[1]):
+            one = fn(column(A, lo + b)).c
+            assert np.array_equal(one[:, 0], whole[:, b])
 
 
 def test_square_root_rejects_an_indefinite_value_part():

@@ -20,8 +20,10 @@ verdict that changed, report keys added or removed, and the largest
 relative drift of any float leaf with its JSON path; at the end, the
 largest drift per leaf name (``limit``, ``error``, ...) over all pairs,
 where a leaf of a named list item goes by that name as well
-(``clifford-wedge-contract.value``).  It sets no bounds and always exits
-0 once both sweeps have run.
+(``clifford-wedge-contract.value``), and one tally line: the pairs run,
+those with identical stdout, the exit codes that changed and the
+``pass`` verdicts that changed.  It sets no bounds and always exits 0
+once both sweeps have run.
 """
 
 from __future__ import annotations
@@ -182,6 +184,7 @@ def sweep(parent: str, tree: str, configs: list, repeat: int = 1) -> None:
     """Run and compare every command on every config, each side ``repeat``
     times in turns; print the summary."""
     worst_by_name: dict = {}
+    pairs = same = exits = verdicts = 0
     for config in configs:
         for command, flags in [(c, f) for c in COMMANDS for f in ((), *VARIANTS.get(c, ()))]:
             label = " ".join((command, config, *flags))
@@ -192,6 +195,8 @@ def sweep(parent: str, tree: str, configs: list, repeat: int = 1) -> None:
             (code_old, out_old, err_old, old, _), (code_new, out_new, err_new, new, _) = \
                 runs[0][0], runs[1][0]
             t_old, t_new = (statistics.median(r[4] for r in done) for done in runs)
+            pairs += 1
+            exits += code_old != code_new
             print(f"{label}: exit {code_old} -> {code_new}, {t_old:.2f} s -> {t_new:.2f} s"
                   + (f" (median of {repeat})" if repeat > 1 else ""))
             for name, done in zip(("parent", "tree"), runs):
@@ -202,6 +207,7 @@ def sweep(parent: str, tree: str, configs: list, repeat: int = 1) -> None:
             else:
                 print(f"  parent stderr: {err_old!r}\n  tree stderr: {err_new!r}")
             if out_old == out_new:
+                same += 1
                 print("  stdout identical")
                 continue
             if old is None or new is None:
@@ -209,11 +215,14 @@ def sweep(parent: str, tree: str, configs: list, repeat: int = 1) -> None:
                       f"{'none' if new is None else 'json'}")
                 continue
             for line in compare(old, new, worst_by_name, label):
+                verdicts += line.startswith("  verdict ")
                 print(line)
             sys.stdout.flush()
     print("largest drift per leaf name:")
     for name, (d, where) in sorted(worst_by_name.items(), key=lambda kv: -kv[1][0]):
         print(f"  {name}: {d:.3g} ({where})")
+    print(f"tally: {pairs} pairs, {same} with identical stdout, {exits} exit-code "
+          f"changes, {verdicts} verdict changes")
 
 
 if __name__ == "__main__":
