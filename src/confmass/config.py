@@ -23,8 +23,9 @@ accepted).  Two document kinds exist:
 Metric keys are "ij" with 1-based single digits, i <= j; missing entries
 default to the identity.  ``lee`` (optional) lists the n covector
 components, default zero.  ``spinors`` (optional) names spinor fields
-for flux commands, each with N = 2^(n//2) components in the identifiers
-the chart binds (those of every end, on an end system).
+for flux commands, each with a name no other spinor has, the weight
+(2 - n)/2 and N = 2^(n//2) components in the identifiers the chart
+binds (those of every end, on an end system).
 
 ``end_system``::
 
@@ -105,7 +106,8 @@ class LoadedConfig(NamedTuple):
 
 
 def _parse_spinors(doc: dict, where: str, charts) -> tuple:
-    """The named spinor fields of ``doc``, each with the N = 2^(n//2)
+    """The named spinor fields of ``doc``, each with its own name, the
+    weight (2 - n)/2 that ``witten`` integrates, the N = 2^(n//2)
     components of the dimension and no identifier that one of ``charts``
     leaves unbound."""
     n = charts[0].n
@@ -116,8 +118,13 @@ def _parse_spinors(doc: dict, where: str, charts) -> tuple:
         w = f"{where}.spinors[{k}]"
         if not isinstance(sp, dict):
             raise ConfigError(f"{w}: expected an object")
-        name = sp.get("name", f"spinor{k}")
+        name = str(sp.get("name", f"spinor{k}"))
+        if name in dict(out):
+            raise ConfigError(f"{w}: the name {name!r} is already taken")
         weight = _require(sp, "weight", (int, float), w)
+        if weight != 1 - n / 2:
+            raise ConfigError(f"{w}: a spinor in n = {n} has weight (2 - n)/2 = "
+                              f"{1 - n / 2:g}, got {weight:g}")
         comps = _require(sp, "components", list, w)
         if len(comps) != N:
             raise ConfigError(f"{w}: a spinor in n = {n} has {N} components, "
@@ -139,7 +146,7 @@ def _parse_spinors(doc: dict, where: str, charts) -> tuple:
                 if bad:
                     raise ConfigError(f"{w}.components[{c}].{part}: uses unknown "
                                       f"identifiers {sorted(bad)}")
-        out.append((str(name), spec))
+        out.append((name, spec))
     return tuple(out)
 
 

@@ -23,13 +23,14 @@ the batch axis.
 * ``codiff_oneform`` is the negative divergence, so ``laplacian`` is
   codiff after d and takes x1^2 to -2 on the flat metric.
 
-The index sums of the Christoffel symbols, the scalar curvature and
-the divergences are stacked matrix products (``jets.tensor_matmul``,
-on BLAS); the Ricci trace, the quadratic Riemann terms and the
-Gamma theta term of ``covd_oneform`` fold one index value at a time.
-That each point's result is bitwise the same whatever batch it is
-computed in is held by ``tests/test_curvature.py::TestBatchIndependence``,
-at batch widths 1, 7 and 257.
+Every index sum (the Christoffel symbols, the quadratic Riemann terms,
+the Gamma theta term of ``covd_oneform``, the scalar curvature and the
+divergences) is one stacked matrix product, ``jets.tensor_matmul`` on
+BLAS, whose rows and columns are tensor indices and whose broadcast
+axes hold the batch; the Ricci trace is a sum of n slices.  That each
+point's result is bitwise the same whatever batch it is computed in is
+held by ``tests/test_curvature.py::TestBatchIndependence``, at batch
+widths 1, 7 and 257.
 """
 
 from __future__ import annotations
@@ -108,12 +109,12 @@ def curvature(cd: ConnectionData) -> CurvatureData:
     sp = cd.christoffel.space.lower(cd.order - 1)
     G = cd.christoffel.c[:sp.m]
 
-    # d_i G^l_jk at [l, k, i, j], then the quadratic terms one m at a time
-    T = np.einsum("zbiljk->zblkij", cd.christoffel.grad().c)
+    # d_i G^l_jk at [l, k, i, j] plus G^l_im G^m_jk, the product of G as
+    # (l*i, m) and as (m, j*k), at [l, k, i, j]; each antisymmetrised in (i, j)
+    Q = tensor_matmul(sp, G.reshape(G.shape[:2] + (n * n, n)), G.reshape(G.shape[:2] + (n, -1)))
+    T = (np.einsum("zbiljk->zblkij", cd.christoffel.grad().c)
+         + np.einsum("zblijk->zblkij", Q.reshape(G.shape + (n,))))
     riem = T - np.swapaxes(T, -1, -2)
-    for m in range(n):
-        Q = tensor_mul(sp, "bli,bjk->blkij", G[:, :, :, :, m], G[:, :, m])
-        riem = riem + (Q - np.swapaxes(Q, -1, -2))
 
     ric = riem[:, :, 0, :, 0, :]
     for l in range(1, n):
@@ -131,12 +132,10 @@ def covd_oneform(cd: ConnectionData, theta: Jet) -> Jet:
     order).
     """
     sp = theta.space.lower(min(theta.space.order - 1, cd.order))
-    th = theta.c[:sp.m]
     G = cd.christoffel.c[:sp.m]
-    out = theta.grad().c[:sp.m]
-    for k in range(cd.md.n):
-        out = out - tensor_mul(sp, "bij,b->bij", G[:, :, k], th[:, :, k])
-    return Jet(sp, out)
+    # theta_k Gamma^k_ij as (1, k) @ (k, i*j)
+    thG = tensor_matmul(sp, theta.c[:sp.m, :, None, :], G.reshape(G.shape[:3] + (-1,)))
+    return Jet(sp, theta.grad().c[:sp.m] - thG.reshape(G.shape[:2] + G.shape[3:]))
 
 
 def trace_covd_oneform(cd: ConnectionData, theta: Jet) -> Jet:
@@ -153,7 +152,7 @@ def codiff_oneform(md: MetricData, theta: Jet) -> Jet:
     if q < 1:
         raise ValueError("codiff needs jet order >= 1")
     v = tensor_matmul(sp, md.ginv.c[:sp.m], theta.c[..., None])[..., 0]
-    dv = Jet(sp, tensor_mul(sp, "b,bi->bi", md.sqrt_det.c[:sp.m], v)).grad()
+    dv = Jet(sp, tensor_mul(sp, md.sqrt_det.c[:sp.m, :, None], v)).grad()
     div = dv.c[:, :, 0, 0]
     for i in range(1, md.n):
         div = div + dv.c[:, :, i, i]

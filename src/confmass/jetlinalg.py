@@ -112,6 +112,6 @@ def mat_det(A: Jet) -> Jet:
     det = Jet(sp, M[:, :, 0, 0])
     for col in range(M.shape[-1] - 1):
         f = Jet(sp, M[:, :, col + 1:, col]) / Jet(sp, M[:, :, col, col, None])
-        M[:, :, col + 1:, col + 1:] -= tensor_mul(sp, "br,bc->brc", f.c, M[:, :, col, col + 1:])
+        M[:, :, col + 1:, col + 1:] -= tensor_mul(sp, f.c[..., None], M[:, :, col, None, col + 1:])
         det = det * Jet(sp, M[:, :, col + 1, col + 1])
     return det

@@ -13,12 +13,21 @@ trailing axes (a whole tensor stacked into one array, (m, B, *index))
 pass through the ring operations, ``derive``, ``grad``, ``tensor_mul``
 and ``tensor_matmul`` unchanged.  Coefficients may be complex: a spinor
 field is one jet of shape (m, B, N) with the spinor axis trailing, and
-``tensor_mul`` pairs it with real tensor jets or with another spinor
-(see ``spinor``).  Every product multiplies a precomputed pair table
-and sums it with ``pair_sum`` in a fixed order; the index sums of
-``tensor_mul`` run inside ``np.einsum`` and those of ``tensor_matmul``
-inside ``np.matmul`` (BLAS).  That a point's result is bitwise the same
-whatever batch it is computed in is held by tests, not by construction:
+the two products pair it with real tensor jets or with another spinor
+(see ``spinor``).
+
+There is one product path.  Every product gathers the operands on a
+precomputed pair table and sums each target coefficient with
+``pair_sum`` in a fixed order: ``tensor_mul`` (and ``Jet.__mul__``)
+multiplies the gathered arrays elementwise, with numpy broadcasting on
+the trailing axes and no index sum, and ``tensor_matmul`` multiplies
+them as stacked matrices by ``np.matmul`` (BLAS), which is where every
+sum over a tensor or spinor index runs.  The rule that keeps a point's
+result independent of the batch it sits in: an axis whose length
+varies between calls (the batch, a stack of spinors, a chunk) is
+always a broadcast axis of ``np.matmul``, never a matrix row or
+column; only fixed index axes (n, N, n(n-1)/2) are.  That rule is held
+by tests, not by construction:
 ``tests/test_curvature.py::TestBatchIndependence``,
 ``tests/test_spinor.py::TestBatchIndependence`` and
 ``tests/test_jetlinalg.py::test_whole_batch_equals_single_columns_bitwise``.
@@ -280,9 +289,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check(other)
-            sp = self.space
-            conv = self.c[sp._mul_i] * other.c[sp._mul_j]
-            return Jet(sp, pair_sum(conv, sp._mul_plan))
+            return Jet(self.space, tensor_mul(self.space, self.c, other.c))
         return Jet(self.space, self.c * other)
 
     __rmul__ = __mul__
@@ -312,18 +319,12 @@ class Jet:
         return f"Jet(order={self.space.order}, nvars={self.space.nvars}, value={self.value!r})"
 
 
-def tensor_mul(space: JetSpace, subscripts: str, x: np.ndarray,
-               y: np.ndarray) -> np.ndarray:
-    """Jet product of two stacked coefficient arrays (jet axis first).
-
-    The non-jet axes combine by ``np.einsum`` ``subscripts`` such as
-    "bij,bjk->bik"; the einsum runs over the multiplication-table pairs
-    and ``pair_sum`` sums each target coefficient, as in ``Jet.__mul__``.
-    """
-    xs, rest = subscripts.split(",")
-    ys, out = rest.split("->")
-    conv = np.einsum(f"z{xs},z{ys}->z{out}", x[space._mul_i], y[space._mul_j])
-    return pair_sum(conv, space._mul_plan)
+def tensor_mul(space: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Jet product of two stacked coefficient arrays (jet axis first),
+    their other axes multiplied elementwise with numpy broadcasting;
+    each target coefficient is summed over the multiplication-table
+    pairs by ``pair_sum``."""
+    return pair_sum(x[space._mul_i] * y[space._mul_j], space._mul_plan)
 
 
 def tensor_matmul(space: JetSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:

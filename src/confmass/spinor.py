@@ -19,11 +19,12 @@ with the rest of a config, and re-exported here) to a field.
 The frame data are real jets stacked the same way: ``E`` and ``S`` are
 (m, B, i, a), ``omega`` is (m, B, i, a, b), as are the metric,
 connection and Lee-form jets of ``chart``, ``curvature`` and ``weyl``.
-Constant Clifford actions (gamma_a, gamma_a gamma_b) are ``np.einsum``
-with the stacked matrices of :class:`clifford.CliffordRep`; every row of
-those matrices holds one entry 1, -1, i or -i, so they act exactly.
-Products with real jets (omega, S, E, theta) and the hermitian pairing
-go through ``jets.tensor_mul``.
+Constant Clifford actions (gamma_a, gamma_a gamma_b) are ``@`` with the
+stacked matrices of :class:`clifford.CliffordRep`, whose rows hold one
+entry 1, -1, i or -i each, so they act exactly; every index sum of jets
+is one ``jets.tensor_matmul``.  Under the rule of ``jets``, the batch
+and a stack of fields stay broadcast axes of ``np.matmul``; only i, a,
+the N components and the pairs a < b are matrix rows or columns.
 
 Weighted derivative
 -------------------
@@ -67,7 +68,7 @@ from . import weyl as weylmod
 from .chart import MetricData, SpinorFieldSpec, make_spinor_spec
 from .curvature import (ConnectionData, CurvatureData, christoffels, codiff_oneform,
                         curvature)
-from .jets import Jet, evaluate_jet, tensor_mul
+from .jets import Jet, evaluate_jet, tensor_matmul, tensor_mul
 
 __all__ = [
     "SpinorFieldSpec",
@@ -95,21 +96,29 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Clifford action and pairing on coefficient arrays
 
+def _stacked(M: np.ndarray, ndim: int) -> np.ndarray:
+    """M (m, B, r, c) broadcast over the extra axes of (m, B, ..., k, l)."""
+    return M.reshape(M.shape[:2] + (1,) * (ndim - M.ndim) + M.shape[2:])
+
+
 def _act(G: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Constant matrices G (k, N, N) on the spinor axis of c (..., N),
-    giving (..., k, N)."""
-    return np.einsum("kst,...t->...ks", G, c)
+    giving (..., k, N): each spinor the row of one (1, N) @ (N, k N)."""
+    return (c[..., None, :] @ G.reshape(-1, G.shape[-1]).T).reshape(c.shape[:-1] + G.shape[:2])
 
 
 def _slash(rep: clifford.CliffordRep, F: Jet) -> Jet:
     """gamma_a F_a for a frame-indexed field F (m, B, a, ..., N), giving
-    (m, B, ..., N)."""
-    return Jet(F.space, np.einsum("ast,zba...t->zb...s", rep.gamma, F.c))
+    (m, B, ..., N): each point's (a, t) the row of one (1, n N) @ (n N, N)."""
+    Fa = np.moveaxis(F.c, 2, -2)  # [z, b, ..., a, t]
+    G = np.swapaxes(rep.gamma, 1, 2).reshape(-1, rep.N)  # rows (a, t)
+    return Jet(F.space, (Fa.reshape(Fa.shape[:-2] + (1, -1)) @ G)[..., 0, :])
 
 
 def h_jet(psi: Jet, phi: Jet) -> Jet:
     """Hermitian pairing sum_s conj(psi_s) phi_s as a complex jet."""
-    return Jet(psi.space, tensor_mul(psi.space, "bs,bs->b", np.conj(psi.c), phi.c))
+    pair = tensor_matmul(psi.space, np.conj(psi.c)[..., None, :], phi.c[..., None])
+    return Jet(psi.space, pair[..., 0, 0])
 
 
 def _h_values(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -177,9 +186,12 @@ def frame_spin_connection(md: MetricData) -> SpinFrame:
 
     sp = cd.christoffel.space
     Et = E.c[:sp.m]
-    nab = E.grad().c + tensor_mul(sp, "bjim,bma->bija", cd.christoffel.c, Et)
-    gnab = tensor_mul(sp, "bjk,bija->bika", md.g.c[:sp.m], nab)
-    omega = tensor_mul(sp, "bika,bkc->biac", gnab, Et)
+    G = cd.christoffel.c  # [z, b, j, i, m], as (j*i, m) @ E
+    GE = tensor_matmul(sp, G.reshape(G.shape[:2] + (-1, G.shape[-1])), Et).reshape(G.shape)
+    nab = E.grad().c + np.swapaxes(GE, 2, 3)  # [z, b, i, j, a]
+    # omega_i = (nabla_i E)^T (g E) for every i
+    gE = tensor_matmul(sp, md.g.c[:sp.m], Et)
+    omega = tensor_matmul(sp, np.swapaxes(nab, -1, -2), gE[:, :, None])
     return SpinFrame(md=md, cd=cd, E=E, S=S, omega=Jet(sp, omega))
 
 
@@ -239,7 +251,8 @@ def spinor_calc(md: MetricData, theta: Jet | None = None) -> SpinorCalc:
     tf = None
     if theta is not None:
         sp = theta.space
-        tf = Jet(sp, tensor_mul(sp, "bj,bja->ba", theta.c, frame.E.truncate(sp.order).c))
+        tf = Jet(sp, tensor_matmul(sp, theta.c[..., None, :],
+                                   frame.E.truncate(sp.order).c)[..., 0, :])
     return SpinorCalc(frame=frame, rep=clifford.build_rep(md.n), theta=theta,
                       theta_frame=tf)
 
@@ -261,7 +274,7 @@ def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None) -> Jet:
     Riemannian case.  The connection matrix C_i . gamma gamma + k theta_i
     is built once per direction i and applied to every field the extra
     axes hold, which keeps the gathered jet-product operands at
-    (P, B, ..., N) for the P pairs of the multiplication table.
+    (P, B, ..., N, N) for the P pairs of the multiplication table.
     """
     n = calc.n
     fr = calc.frame
@@ -274,18 +287,20 @@ def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None) -> Jet:
     psi_t = psi.c[:sp.m]
     om = fr.omega.c[:sp.m]
     a, b = np.triu_indices(n, 1)
-    diag = np.arange(psi_t.shape[-1])
+    pairs = calc.rep.pairs  # gamma_a gamma_b, a < b: (p, N, N)
+    diag = np.arange(pairs.shape[-1])
     dpsi = psi.grad().c[:sp.m]
     out = np.empty(dpsi.shape, dtype=dpsi.dtype)
     for i in range(n):
         C = 0.25 * (om[:, :, i, a, b] - om[:, :, i, b, a])
         if use_theta:
-            X = tensor_mul(sp, "ba,bc->bac", fr.S.c[:sp.m, :, i], calc.theta_frame.c[:sp.m])
+            X = tensor_mul(sp, fr.S.c[:sp.m, :, i, :, None], calc.theta_frame.c[:sp.m, :, None])
             C = C - 0.5 * (X[..., a, b] - X[..., b, a])
-        A = np.einsum("zbp,pst->zbst", C, calc.rep.pairs)
+        A = (C[..., None, :] @ pairs.reshape(len(a), -1)).reshape(C.shape[:2] + pairs.shape[1:])
         if use_theta:
             A[..., diag, diag] += weight * calc.theta.c[:sp.m, :, i, None]
-        out[:, :, i] = dpsi[:, :, i] + tensor_mul(sp, "bst,b...t->b...s", A, psi_t)
+        Apsi = tensor_matmul(sp, _stacked(A, psi_t.ndim + 1), psi_t[..., None])
+        out[:, :, i] = dpsi[:, :, i] + Apsi[..., 0]
     return Jet(sp, out)
 
 
@@ -293,7 +308,9 @@ def covd_frame(calc: SpinorCalc, Dc: Jet) -> Jet:
     """D_{E_a} psi for every frame index a, as one jet (m, B, a, ..., N),
     from ``Dc = covd_coord(calc, psi, weight)`` of a field (m, B, ..., N)."""
     sp = Dc.space
-    return Jet(sp, tensor_mul(sp, "bia,bi...s->ba...s", calc.frame.E.c[:sp.m], Dc.c))
+    Di = np.moveaxis(Dc.c, 2, -2)  # [z, b, ..., i, s]
+    ET = np.swapaxes(calc.frame.E.c[:sp.m], -1, -2)
+    return Jet(sp, np.moveaxis(tensor_matmul(sp, _stacked(ET, Di.ndim), Di), -2, 2))
 
 
 def dirac(calc: SpinorCalc, Dc: Jet) -> Jet:
@@ -306,8 +323,9 @@ def coframe_action(calc: SpinorCalc, chi: Jet) -> Jet:
     """dx_j^flat . chi for every coordinate direction j: a field
     (m, B, ..., N) gives one jet (m, B, j, ..., N)."""
     sp = chi.space
-    return Jet(sp, tensor_mul(sp, "bja,b...as->bj...s", calc.frame.S.c[:sp.m],
-                              _act(calc.rep.gamma, chi.c)))
+    ga = _act(calc.rep.gamma, chi.c)  # [z, b, ..., a, s]
+    Sga = tensor_matmul(sp, _stacked(calc.frame.S.c[:sp.m], ga.ndim), ga)
+    return Jet(sp, np.moveaxis(Sga, -2, 2))
 
 
 def conf_trace_second(calc: SpinorCalc, Dc: Jet, weight: float | None) -> Jet:
@@ -323,17 +341,20 @@ def conf_trace_second(calc: SpinorCalc, Dc: Jet, weight: float | None) -> Jet:
         raise ValueError("conf_trace_second needs spinor jets of order >= 2")
     sp = Dc.space.lower(t2)
 
-    # W_a^m = E_ja (d_j E_ma + G~^m_jl E_la)
+    # W_a^m = E_ja (d_j E_ma + G~^m_jl E_la); only w^m = sum_a W_a^m is
+    # read, as (m, j*a) @ (j*a, 1) with nab at [z, b, m, j, a]
     Et = E.c[:sp.m]
-    nab = E.grad().c[:sp.m] + tensor_mul(sp, "bmjl,bla->bjma",
-                                         calc.connection.c[:sp.m], Et)
-    W = tensor_mul(sp, "bja,bjma->bam", Et, nab)
+    conn = calc.connection.c[:sp.m]
+    z, B, n = conn.shape[:3]
+    nab = (np.swapaxes(E.grad().c[:sp.m], 2, 3)
+           + tensor_matmul(sp, conn.reshape(z, B, n * n, n), Et).reshape(conn.shape))
+    w = tensor_matmul(sp, nab.reshape(z, B, n, n * n), Et.reshape(z, B, n * n, 1))
 
     F = covd_frame(calc, Dc)
     DF = covd_coord(calc, F, weight).c  # [z, b, i, a, s]
-    G = tensor_mul(sp, "bia,bias->bs", Et, DF)
-    H = tensor_mul(sp, "bam,bms->bs", W, Dc.c[:sp.m])
-    return Jet(sp, H - G)
+    G = tensor_matmul(sp, Et.reshape(z, B, 1, n * n), DF.reshape(z, B, n * n, DF.shape[-1]))
+    H = tensor_matmul(sp, np.swapaxes(w, -1, -2), Dc.c[:sp.m])
+    return Jet(sp, (H - G)[:, :, 0])
 
 
 def dirac_composed(calc: SpinorCalc, Dc: Jet, weight: float | None) -> Jet:
@@ -375,25 +396,25 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
     dth = th.grad().c[:sp.m]  # [z, b, i, j]
     curl = dth - np.swapaxes(dth, 2, 3)
     Et = E.c[:sp.m]
-    dth_f = tensor_mul(sp, "bia,bic->bac", Et, tensor_mul(sp, "bij,bjc->bic", curl, Et))
+    dth_f = tensor_matmul(sp, np.swapaxes(Et, -1, -2), tensor_matmul(sp, curl, Et))
     a, b = np.triu_indices(n, 1)
-    term_dth = tensor_mul(sp, "bp,bps->bs", dth_f[..., a, b], _act(rep.pairs, psi2))
+    term_dth = tensor_matmul(sp, dth_f[..., a, b][..., None, :], _act(rep.pairs, psi2))
 
     delth = calc.weyl.codiff.c[:sp.m]
-    term_thdg = tensor_mul(sp, "ba,bas->bs", calc.theta_frame.c[:sp.m],
-                           _act(rep.gamma, dg1_full.c[:sp.m]))
+    term_thdg = tensor_matmul(sp, calc.theta_frame.c[:sp.m, :, None],
+                              _act(rep.gamma, dg1_full.c[:sp.m]))
 
     # nabla_{theta sharp} psi (Riemannian), theta^sharp^i = g^{ij} theta_j
     nab = nab_full.c[:sp.m]
-    sharp = tensor_mul(sp, "bij,bj->bi", md.ginv.c[:sp.m], th.c[:sp.m])
-    term_nab = tensor_mul(sp, "bi,bis->bs", sharp, nab)
+    sharp = tensor_matmul(sp, md.ginv.c[:sp.m], th.c[:sp.m, ..., None])
+    term_nab = tensor_matmul(sp, np.swapaxes(sharp, -1, -2), nab)
 
     nrm = calc.weyl.norm2_theta.c[:sp.m]
 
-    out = dg2.c + c1 * term_dth
-    out = out + tensor_mul(sp, "b,bs->bs", c1 * delth, psi2)
-    out = out - term_thdg - c2 * term_nab
-    out = out - tensor_mul(sp, "b,bs->bs", c3 * nrm, psi2)
+    out = dg2.c + c1 * term_dth[:, :, 0]
+    out = out + tensor_mul(sp, c1 * delth[..., None], psi2)
+    out = out - term_thdg[:, :, 0] - c2 * term_nab[:, :, 0]
+    out = out - tensor_mul(sp, c3 * nrm[..., None], psi2)
     return Jet(sp, out)
 
 
@@ -451,8 +472,8 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet,
 
     # beta_j = h(psi, dx_j^flat . Dirac phi), alpha_j = h(psi, D_j phi)
     cpsi = np.conj(psi.c[:sp.m])
-    beta = tensor_mul(sp, "bs,bjs->bj", cpsi, coframe_action(calc, d_phi).c)
-    alpha = tensor_mul(sp, "bs,bjs->bj", cpsi, Dc_phi.c)
+    beta = tensor_matmul(sp, coframe_action(calc, d_phi).c, cpsi[..., None])[..., 0]
+    alpha = tensor_matmul(sp, Dc_phi.c, cpsi[..., None])[..., 0]
 
     def codiff(w):
         return codiff_oneform(md, Jet(sp, w)).value

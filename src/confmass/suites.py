@@ -149,7 +149,9 @@ def _sample_maxima(maxima, pts: np.ndarray, jet_order: int) -> dict:
 
 
 def _gap_maxima(wd) -> dict:
-    """The two halves of ``WeylData.divergence_gap`` on one chunk."""
+    """The gap max|tr_g(nabla theta) + delta(theta)| between the two
+    divergence paths of ``weyl`` on one chunk, and its scale
+    max|tr_g(nabla theta)|; ``_divergence_gap`` combines them."""
     a = wd.trace_nabla_theta.value
     return {"gap": np.max(np.abs(a + wd.codiff.value)), "trace": np.max(np.abs(a))}
 

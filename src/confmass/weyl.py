@@ -14,18 +14,23 @@ quantity picks up f^{w/2}).
 
     Scal^D = Scal^g - 2 (n-1) tr_g(nabla theta) - (n-1)(n-2) |theta|^2_g
 
-and its ``WeylData`` measures, on first read, how far tr_g(nabla theta)
-is from the negative codifferential -delta(theta) computed through the
-volume density (``divergence_gap``); nothing raises on a gap, the
-batteries report it.  ``weyl_scalar_via_curvature`` instead contracts the
+and its ``WeylData`` holds tr_g(nabla theta) and, on first read, the
+codifferential delta(theta) computed through the volume density
+(``codiff``).  The two divergence paths agree (tr_g(nabla theta) =
+-delta(theta)) on consistent metric data; the batteries report their
+gap, chunk by chunk (``suites._gap_maxima``), and nothing here raises
+on it.  ``weyl_scalar_via_curvature`` instead contracts the
 curvature tensor of G~ directly and serves as an independent oracle for
 the reduction (no symmetrization is applied: the antisymmetric part of
 the Ricci-type contraction drops under the g^{ij} trace).
 
 The Lee form is one jet (m, B, i) and the connection coefficients
 ``gamma`` are (m, B, k, i, j), laid out as ``curvature``'s Christoffel
-symbols; the contractions with g^{-1} are ``jets.tensor_matmul``
-products, whose batch independence the bitwise tests hold as there.
+symbols.  The contractions with g^{-1} are ``jets.tensor_matmul``
+products with the batch on a broadcast axis, and the g_ij theta^k term
+of the connection is one broadcast ``jets.tensor_mul`` over every k;
+their batch independence is held by
+``tests/test_curvature.py::TestBatchIndependence``.
 """
 
 from __future__ import annotations
@@ -70,30 +75,18 @@ class WeylData:
         """The codifferential delta(theta) through the volume density."""
         return codiff_oneform(self.cd.md, self.theta)
 
-    @cached_property
-    def divergence_gap(self) -> float:
-        """max|tr_g(nabla theta) + delta(theta)| / max(1, max|tr_g(nabla theta)|):
-        the two divergence paths, which agree on consistent metric data."""
-        a = self.trace_nabla_theta.value
-        scale = max(1.0, float(np.max(np.abs(a))))
-        return float(np.max(np.abs(a + self.codiff.value))) / scale
-
 
 def weyl_connection(cd: ConnectionData, theta: Jet) -> Jet:
     """Connection coefficients of the Weyl connection for Lee form theta."""
     md = cd.md
     sp = theta.space.lower(min(cd.order, theta.space.order))
     th = theta.c[:sp.m]
-    thup = tensor_matmul(sp, md.ginv.c[:sp.m], th[..., None])[..., 0]
-    g = md.g.c[:sp.m]
-    gam = cd.christoffel.c[:sp.m].copy()
-    for k in range(md.n):
-        gam[:, :, k] -= tensor_mul(sp, "bij,b->bij", g, thup[:, :, k])
-    for k in range(md.n):
-        gam[:, :, k, :, k] += th  # delta^k_j theta_i
-    for k in range(md.n):
-        gam[:, :, k, k, :] += th  # delta^k_i theta_j
-    return Jet(sp, gam)
+    thup = tensor_matmul(sp, md.ginv.c[:sp.m], th[..., None])
+    g_thup = tensor_mul(sp, md.g.c[:sp.m, :, None], thup[..., None])  # g_ij theta^k
+    delta = np.eye(md.n)
+    return Jet(sp, cd.christoffel.c[:sp.m] - g_thup
+               + delta[:, None, :] * th[:, :, None, :, None]  # delta^k_j theta_i
+               + delta[:, :, None] * th[:, :, None, None, :])  # delta^k_i theta_j
 
 
 def theta_norm2(md: MetricData, theta: Jet) -> Jet:

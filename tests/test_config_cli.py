@@ -389,6 +389,31 @@ class TestCli:
         assert err == ("confmass: spinor.chart.spinors[0]: a spinor in n = 3 has "
                        "2 components, got 1\n")
 
+    @pytest.mark.parametrize("command", ["check", "mass", "witten"])
+    def test_spinor_with_a_repeated_name_is_refused_at_load(self, capsys, tmp_path, command):
+        # two witten-limit[a] checks could not be told apart by name
+        one = {"re": {"expr": "1"}, "im": {"expr": "0"}}
+        spinor = {"name": "a", "weight": -0.5, "components": [one, one]}
+        path = tmp_path / "spinor.chart"
+        path.write_text(json.dumps(dict(CHART_DOC, spinors=[spinor, spinor])))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "confmass: spinor.chart.spinors[1]: the name 'a' is already taken\n"
+
+    @pytest.mark.parametrize("command", ["check", "mass", "witten"])
+    def test_spinor_with_another_weight_is_refused_at_load(self, capsys, tmp_path, command):
+        # witten integrates omega at the distinguished weight (2 - n)/2 only
+        one = {"re": {"expr": "1"}, "im": {"expr": "0"}}
+        doc = dict(CHART_DOC, spinors=[{"name": "a", "weight": 7.0, "components": [one, one]}])
+        path = tmp_path / "spinor.chart"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == ("confmass: spinor.chart.spinors[0]: a spinor in n = 3 has weight "
+                       "(2 - n)/2 = -0.5, got 7\n")
+
     def test_witten_radii_are_probed_with_the_default_spinors(self, capsys, monkeypatch):
         # a config that names no spinor is integrated with the three
         # constant ones, and those are what the flag check evaluates

@@ -311,8 +311,11 @@ class TestPairing:
 
 
 class TestBatchIndependence:
-    """One column computed alone equals, bitwise, the same column inside a
-    batch, as tests/test_jetlinalg.py checks for the jet matrices."""
+    """One column computed alone equals, bitwise, the same column inside
+    batches of 7 and 257, as tests/test_curvature.py checks for the
+    curvature layer.  The contractions run on BLAS, whose kernels can
+    branch on alignment and on tails, so the 257 start at an odd offset
+    and the 7 are its tail."""
 
     def chart4(self):
         return make_chart(
@@ -340,19 +343,23 @@ class TestBatchIndependence:
         Dpsi = covd_coord(calc, psi, -1.0)
         pairing = lichnerowicz_II_residual(calc, psi, phi, Dpsi, covd_coord(calc, phi, -1.0))
         return {
+            "omega": calc.frame.omega.c,
             "covd_coord": Dpsi.c,
             "dirac": dirac(calc, Dpsi).c,
+            "dirac_squared_expansion": dirac_squared_expansion(calc, psi, -1.0).c,
             "pairing": h_jet(psi, phi).c,
             **{f"lichnerowicz_II.{k}": pairing[k] for k in ("main", "first", "second")},
         }
 
     def test_single_column_matches_the_batch_bitwise(self):
         chart = self.chart4()
-        X = sample_points(4, 5)
-        whole = self.evaluate(chart, X)
-        for b in (0, 3):
-            one = self.evaluate(chart, X[:, b:b + 1])
-            for name, arr in whole.items():
-                got = one[name][:, 0] if arr.ndim > 1 else one[name][0]
-                want = arr[:, b] if arr.ndim > 1 else arr[b]
-                assert np.array_equal(got, want), name
+        X = sample_points(4, 258)
+        batches = {lo: self.evaluate(chart, X[:, lo:]) for lo in (1, 251)}
+        for q in (1, 251, 255, 257):
+            one = self.evaluate(chart, X[:, q:q + 1])
+            for lo, whole in batches.items():
+                if q >= lo:
+                    for name, arr in whole.items():
+                        got = one[name][:, 0] if arr.ndim > 1 else one[name][0]
+                        want = arr[:, q - lo] if arr.ndim > 1 else arr[q - lo]
+                        assert np.array_equal(got, want), name

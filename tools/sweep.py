@@ -45,9 +45,10 @@ COMMANDS = ("check", "curvature", "identities", "mass", "weyl-mass", "laws", "wi
 # third-order jets, the other measure and normalisation, custom radii
 VARIANTS = {
     "curvature": (("--points", "7"), ("--points", "250"), ("--jet-order", "3")),
-    "identities": (("--points", "7"), ("--points", "250")),
+    "identities": (("--points", "7"), ("--points", "250"), ("--jet-order", "3")),
     "mass": (("--measure", "g"),),
     "weyl-mass": (("--normalize", "adm"), ("--radii", "20,40,80,160,320")),
+    "witten": (("--measure", "g"),),
 }
 
 
