@@ -8,7 +8,9 @@ report to stdout, and exits
 * 1 when a numeric assertion failed (the report carries the details
   with ``"pass": false``);
 * 2 with one ``confmass: ...`` line on stderr and nothing on stdout
-  when the config or the flags are unusable, and also when the chart
+  when the config or the flags are unusable (an ``--out`` or ``--csv``
+  file that is a directory or sits in no directory is refused before the
+  command runs), and also when the chart
   breaks down while a command runs: a ``ChartError`` (say, a metric
   that is not positive definite at a sample point, or a flux radius
   that ``mass.check_radius`` refuses on a derived chart) or an
@@ -44,6 +46,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .chart import ChartError
@@ -78,15 +81,31 @@ def _charts(cfg: LoadedConfig) -> list:
     return [cfg.chart] if cfg.chart is not None else [e.chart for e in cfg.system.ends]
 
 
+def _check_output(flag: str, path) -> None:
+    """Refuse an output file the report could not be written to: a
+    directory, or a path whose directory does not exist."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"--{flag}: {path!r} is a directory")
+    where = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(where):
+        raise ConfigError(f"--{flag}: {where!r} is not a directory")
+
+
 def _check_flags(args, cfg: LoadedConfig):
     """Reject flag values the config cannot honour, before any computation,
-    and return the parsed ``--radii`` (None when not given): every radius
+    and return the parsed ``--radii`` (None when not given): the output
+    files pass ``_check_output``; every radius
     passes ``mass.check_radius`` and ``mass.probe_radius`` on every chart
     of the config (for ``witten`` with its spinor fields,
     ``suites.witten_spinors``), and the series ``mass.check_series``; for
     ``laws`` on a chart, so do the radii of its coordinate-scaled chart
     (``suites.laws_scaled_chart``)."""
     flags = COMMANDS[args.command][1]
+    _check_output("out", args.out)
+    if "csv" in flags:
+        _check_output("csv", args.csv)
     if "points" in flags and args.points < 1:
         raise ConfigError(f"--points must be at least 1, got {args.points}")
     if "seed" in flags and args.seed < 0:

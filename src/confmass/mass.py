@@ -42,14 +42,18 @@ complete an orthogonal matrix; the Schur complement does the rest).
 
 Quadrature: every flux function takes the radii of its series and
 returns one flux per radius.  Each radius climbs the order ladder
-``QUAD_ORDERS`` of exact sphere rules (see ``sphere_rule``), skipping
-rungs of more than ``QUAD_MAX_NODES`` nodes, and gets the finer value of
-the first adjacent pair that agrees within ``QUAD_RTOL`` times the sum
-of the absolute node terms plus ``QUAD_ATOL`` (the floor that lets
-integrands vanishing node by node, such as a rotational Lee form, pass),
-else the last rung's value.  A series runs one sample per rung: the
-first holds the first pair at every radius, each later one the next rung
-at the radii that have not yet agreed.  The ``orders`` of ``adm_flux``,
+``QUAD_ORDERS`` = 4, 6, 8, 12, 16, 24, 32, 48 of exact sphere rules (see
+``sphere_rule``), one ladder for every n, skipping rungs of more than
+``QUAD_MAX_NODES`` nodes, and gets the finer value of the first adjacent
+pair that agrees within ``QUAD_RTOL`` times the sum of the absolute node
+terms plus ``QUAD_ATOL`` (the floor that lets integrands vanishing node
+by node, such as a rotational Lee form, pass), else the last rung's
+value.  A series runs one sample per rung: the first holds the pair
+(4, 6) at every radius, each later one the next rung at the radii that
+have not yet agreed.  A pair passes falsely only on an integrand both
+its rules miss by the same amount: cos(24 phi) reads 1 on the 8- and the
+12-node azimuth grids alike, so a degree-24 harmonic is told apart by
+the polar rules alone (tested).  The ``orders`` of ``adm_flux``,
 ``lee_flux`` and ``witten_flux`` runs that one rule alone at every
 radius (the tests' reference path; the masses always climb the ladder).
 Sphere rules, and so fluxes, exist for 3 <= n <= ``FLUX_MAX_DIM``.  The
@@ -102,8 +106,9 @@ __all__ = [
 ]
 
 # the order ladder, its node budget and tolerances (see the module
-# docstring); the budget tops the ladder at 48/48/24/12 for n = 3/4/5/6
-QUAD_ORDERS = (6, 12, 16, 24, 32, 48)
+# docstring); the budget tops the ladder at 48/48/24/12 for n = 3/4/5/6,
+# and its first pair (4, 6) costs 2 (4^(n-1) + 6^(n-1)) nodes per radius
+QUAD_ORDERS = (4, 6, 8, 12, 16, 24, 32, 48)
 QUAD_MAX_NODES = 700_000
 QUAD_RTOL = 1e-12
 QUAD_ATOL = 1e-15

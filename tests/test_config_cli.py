@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import confmass
-from confmass import mass
+from confmass import cli, mass
 from confmass.cli import main
 from confmass.config import (
     ConfigError,
@@ -605,6 +605,24 @@ class TestCli:
         code, out, _ = run_cli(capsys, "check", "flat.chart", "--out", str(dst))
         assert code == 0
         assert dst.read_text() == out
+
+    @pytest.mark.parametrize("flag,command", [
+        *[("out", c) for c in cli.COMMANDS],
+        *[("csv", c) for c, (_, flags, _) in cli.COMMANDS.items() if "csv" in flags]])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unwritable_output_file_exits_two_before_the_command_runs(
+            self, capsys, monkeypatch, tmp_path, flag, command, where):
+        help_text, flags, _ = cli.COMMANDS[command]
+
+        def no_run(*args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli.COMMANDS, command, (help_text, flags, no_run))
+        path = tmp_path / "missing" / "x.out" if where == "missing" else tmp_path
+        code, out, err = run_cli(capsys, command, "schwarzschild", f"--{flag}", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"confmass: --{flag}: ") and err.count("\n") == 1
 
     def test_csv_flag_writes_flux_table(self, capsys, tmp_path):
         dst = tmp_path / "flux.csv"

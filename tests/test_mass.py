@@ -187,6 +187,19 @@ RULE_SIZES = [(n, N) for n in range(3, 7) for N in (2, 3, 6, 7, 12, 24, 48)
 # the top rung of the order ladder in each dimension
 TOP = {n: max(N for N in QUAD_ORDERS if 2 * N ** (n - 1) <= QUAD_MAX_NODES)
        for n in range(3, 7)}
+# the first pair of the ladder, which every radius of a flux series runs
+PAIR = list(QUAD_ORDERS[:2])
+
+# (n, N) pairs for the moment oracle, whose power tables at degree 2N grow
+# as the node count times the monomials in three coordinates: (6, 8) would
+# take about half a gigabyte
+EXACT_SIZES = [(n, N) for n in range(3, 7) for N in (2, 3, 4, 6, 8)
+               if 2 * N ** (n - 1) <= 20_000]
+
+
+def rungs_through(last):
+    """The ladder's rungs from its first up to ``last``."""
+    return list(QUAD_ORDERS[:QUAD_ORDERS.index(last) + 1])
 
 
 def record_rules(monkeypatch):
@@ -252,11 +265,12 @@ class TestSphereRule:
         got = float(np.sum(rule.weights * rule.nodes[0] * rule.nodes[-1]))
         assert got == pytest.approx(0.0, abs=1e-12 * area)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
-    @pytest.mark.parametrize("N", [2, 3, 6])
+    @pytest.mark.parametrize("n,N", EXACT_SIZES, ids=[f"{N}-{n}" for n, N in EXACT_SIZES])
     def test_order_N_is_exact_through_degree_2N_minus_1(self, n, N):
+        # exact through degree 2N - 1, and no further: x_n^(2N) is missed
         rule = sphere_rule(n, 1.0, N)
         assert moment_error(rule.nodes, rule.weights, 2 * N - 1) <= 1e-13 * sphere_area(n)
+        assert moment_error(rule.nodes, rule.weights, 2 * N) > 1e-6 * sphere_area(n)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_theta_legendre_rule_fails_the_moment_oracle(self, monkeypatch, n):
@@ -443,7 +457,7 @@ class TestAreaFactor:
 
 
 class TestCoarsePair:
-    """The first pair of the order ladder, (6, 12), and what follows it."""
+    """The first pair of the order ladder, (4, 6), and what follows it."""
 
     def test_stress_chart_runs_the_top_order_bitwise(self, monkeypatch):
         # the first pair fails; the euclidean fluxes climb to the first pair
@@ -457,8 +471,7 @@ class TestCoarsePair:
                 for fn in (adm_flux, lee_flux):
                     del runs[:]
                     got[fn, measure, last] = value = fn(c, [20.0], measure)[0]
-                    assert [o for o, *_ in runs] == \
-                        list(QUAD_ORDERS[:QUAD_ORDERS.index(last) + 1])
+                    assert [o for o, *_ in runs] == rungs_through(last)
                     assert abs(runs[1][1] - value) > QUAD_RTOL * abs(value)
         for (fn, measure, last), value in got.items():
             assert value == fn(c, [20.0], measure, orders=last)[0]
@@ -472,7 +485,7 @@ class TestCoarsePair:
         with monkeypatch.context() as m:
             runs = record_rules(m)
             witten_flux(c, specs[:1], [20.0])
-            assert [o for o, *_ in runs] == [6, 12]
+            assert [o for o, *_ in runs] == PAIR
             del runs[:]
             got = witten_flux(c, specs, [20.0])[0].tolist()
             orders = [o for o, *_ in runs]
@@ -490,7 +503,7 @@ class TestCoarsePair:
                 for fn in (adm_flux, lee_flux):
                     del runs[:]
                     value = fn(c, [r], measure)[0]
-                    assert [o for o, *_ in runs] == [6, 12]
+                    assert [o for o, *_ in runs] == PAIR
                     got.append((value, float(runs[1][2])))
         want = [fn(c, default_radii(c)[:1], measure, orders=48)[0]
                 for c in charts for fn in (adm_flux, lee_flux)]
@@ -503,7 +516,7 @@ class TestCoarsePair:
         with monkeypatch.context() as m:
             runs = record_rules(m)
             got = witten_flux(cfg.chart, specs, [20.0])[0]
-            assert [o for o, *_ in runs] == [6, 12]
+            assert [o for o, *_ in runs] == PAIR
             scale = runs[1][2]
         want = witten_flux(cfg.chart, specs, [20.0], orders=48)[0]
         for value, top, sc in zip(got, want, scale):
@@ -514,7 +527,7 @@ class TestCoarsePair:
         # test can pass; the absolute floor accepts the pair
         runs = record_rules(monkeypatch)
         value = lee_flux(rot_lee_chart(), [20.0])[0]
-        assert [o for o, *_ in runs] == [6, 12]
+        assert [o for o, *_ in runs] == PAIR
         (_, lo, _), (_, hi, scale) = runs
         assert abs(hi - lo) > QUAD_RTOL * float(scale)
         assert abs(value) <= QUAD_ATOL
@@ -543,7 +556,7 @@ class TestCoarsePair:
             del runs[:]
             c = flat_chart(n=n, lee=[f"-x{i}/r^{n}" for i in range(1, n + 1)])
             assert lee_flux(c, [20.0])[0] == pytest.approx(-sphere_area(n), rel=1e-14)
-            assert [o for o, *_ in runs] == [6, 12]
+            assert [o for o, *_ in runs] == PAIR
 
     @pytest.mark.parametrize("width", [32, 4096])
     def test_flux_bits_do_not_depend_on_the_chunk_width(self, monkeypatch, width):
@@ -597,8 +610,8 @@ class TestLadder:
         assert TOP == {3: 48, 4: 48, 5: 24, 6: 12}
 
     def test_n5_climbs_past_the_second_pair(self, monkeypatch):
-        # a degree-30 monomial is exact from order 16 on: the pairs (6, 12)
-        # and (12, 16) disagree, (16, 24) agrees, and order 24 is returned
+        # a degree-30 monomial is exact from order 16 on: every pair up to
+        # (12, 16) disagrees, (16, 24) agrees, and order 24 is returned
         c = flat_chart(n=5)
         alpha = (10, 0, 10, 0, 10)
 
@@ -607,9 +620,9 @@ class TestLadder:
 
         runs = record_rules(monkeypatch)
         got = _flux(c, [2.0], integrand, "euclidean", None)[0]
-        assert [o for o, *_ in runs] == [6, 12, 16, 24]
-        (_, v12, _), (_, v16, scale) = runs[1:3]
-        assert abs(v16 - v12) > QUAD_RTOL * float(scale) + QUAD_ATOL
+        assert [o for o, *_ in runs] == rungs_through(24)
+        for (_, lo, _), (_, hi, scale) in zip(runs[:-2], runs[1:-1]):
+            assert abs(hi - lo) > QUAD_RTOL * float(scale) + QUAD_ATOL
         assert got == runs[-1][1]
         want = 2.0 ** 4 * 2.0 * math.gamma(5.5) ** 3 * math.gamma(0.5) ** 2 / math.gamma(17.5)
         assert got == pytest.approx(want, rel=1e-13)
@@ -622,6 +635,29 @@ class TestLadder:
         got = _flux(c, [2.0], lambda Xc, nu: np.abs(nu[n - 1]), "euclidean", None)[0]
         assert [o for o, *_ in runs] == [N for N in QUAD_ORDERS if N <= TOP[n]]
         assert got == runs[-1][1]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_harmonic_aliased_by_both_coarse_azimuth_grids_climbs(self, monkeypatch, n):
+        # Re((x1 + i x2)/r)^24 = S^24 cos(24 phi) integrates to 0 on every
+        # sphere (a harmonic of degree 24), and cos 24 phi reads 1 at every
+        # node of the 8- and the 12-node azimuth grids of (4, 6); only
+        # their polar rules tell them apart, and they must.  Orders from 13
+        # on are exact, so n = 3..5 stop at (16, 24) with 0; n = 6 tops out
+        # at order 12, which still aliases, and returns that rung unchecked.
+        c = flat_chart(n=n)
+        runs = record_rules(monkeypatch)
+        got = _flux(c, [2.0], lambda Xc, nu: ((nu[0] + 1j * nu[1]) ** 24).real,
+                    "euclidean", None)[0]
+        (_, lo, _), (_, hi, scale) = runs[:2]
+        assert PAIR == [4, 6]
+        assert abs(hi - lo) > QUAD_RTOL * float(scale) + QUAD_ATOL
+        assert got == runs[-1][1]
+        if TOP[n] > 12:
+            assert [o for o, *_ in runs] == rungs_through(24)
+            assert abs(got) <= QUAD_RTOL * float(runs[-1][2]) + QUAD_ATOL
+        else:
+            assert [o for o, *_ in runs] == rungs_through(TOP[n])
+            assert abs(got) > 1.0
 
 
 def bits(values) -> np.ndarray:
@@ -637,7 +673,7 @@ def two_spinors(n):
             make_spinor_spec([("0.6", "0"), ("0", "0.8")] + rest, 0.5 * (2 - n))]
 
 
-# on perturbed4 in the g measure r = 20 climbs to order 16 and r = 1000
+# on perturbed4 in the g measure r = 20 climbs to order 12 and r = 1000
 # stops at the first pair; on the stress chart both climb, to different
 # rungs for the spinor flux
 SERIES_RADII = (20.0, 1000.0)
@@ -669,9 +705,13 @@ class TestFluxSeries:
         c = load_config("perturbed4").chart
         runs = record_rules(monkeypatch)
         got = lee_flux(c, SERIES_RADII, "g")
-        # (6, 12) at both radii, then order 16 at r = 20 alone
-        assert [o for o, *_ in runs] == [6, 12, 6, 12, 16]
-        assert got == (runs[4][1], runs[3][1])
+        # the pair at both radii, then the next rungs at r = 20 alone
+        orders = [o for o, *_ in runs]
+        assert orders == PAIR * 2 + rungs_through(orders[-1])[2:] and len(orders) > 4
+        assert got == (runs[-1][1], runs[3][1])
+        want = lee_flux(c, SERIES_RADII, "g", orders=48)
+        for value, top, scale in zip(got, want, (runs[-1][2], runs[3][2])):
+            assert abs(value - top) <= QUAD_RTOL * float(scale) + QUAD_ATOL
 
     def test_open_radii_share_each_later_sample(self, monkeypatch):
         c = stress_chart()
@@ -684,8 +724,9 @@ class TestFluxSeries:
 
         monkeypatch.setattr(mass, "_sample", spy)
         adm_flux(c, SERIES_RADII, "euclidean")
-        assert samples == [[(20.0, 6), (20.0, 12), (1000.0, 6), (1000.0, 12)],
-                           [(20.0, 16), (1000.0, 16)], [(20.0, 24), (1000.0, 24)]]
+        # both radii climb to (16, 24) in step
+        assert samples == [[(r, N) for r in SERIES_RADII for N in PAIR]] + [
+            [(r, N) for r in SERIES_RADII] for N in rungs_through(24)[2:]]
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_stacked_spinors_equal_one_spinor_calls_bitwise(self, n):
@@ -702,9 +743,10 @@ class TestFluxSeries:
             assert together.shape == (2, len(specs))
             assert np.array_equal(bits(together), bits(alone))
 
-    def test_four_radii_of_spinor_fluxes_share_six_chunks(self, monkeypatch, lee_cfg):
-        # 4 x (72 + 288) nodes in chunks of 256, where one call per radius
-        # took 3 chunks each
+    def test_four_radii_of_spinor_fluxes_share_the_chunks_of_one_sample(
+            self, monkeypatch, lee_cfg):
+        # 4 x (32 + 72) nodes of the pair in chunks of 256: [256, 160],
+        # where one call per radius took one chunk each
         calls = []
         inner = mass._measure_factors
 
@@ -716,7 +758,9 @@ class TestFluxSeries:
         chart = lee_cfg.chart
         got = witten_flux(chart, [spec for _, spec in lee_cfg.spinors], default_radii(chart))
         assert got.shape == (4, len(lee_cfg.spinors))
-        assert calls == [256] * 5 + [160]
+        nodes = 4 * sum(2 * N ** (chart.n - 1) for N in PAIR)
+        full, rest = divmod(nodes, util.CHUNK)
+        assert calls == [util.CHUNK] * full + [rest] * (rest > 0)
 
     def test_peak_memory_does_not_grow_with_the_radius_count(self):
         import tracemalloc

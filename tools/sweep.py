@@ -1,7 +1,7 @@
 """Compare every command on every bundled config between two source trees.
 
     python tools/sweep.py PARENT_TREE [--tree TREE] [--config PATH ...]
-        [--generated WORKLOAD:SEED ...] [--repeat K]
+        [--generated WORKLOAD:SEED ...] [--repeat K] [--json PATH]
 
 Runs ``python -m confmass <command> <config>`` for the 7 commands, each at
 its default flags and at the flag variants in ``VARIANTS``, on the
@@ -10,10 +10,11 @@ plus each config file given by a repeated ``--config`` and every config
 that TREE/benchmark/gen.py writes for a repeated ``--generated
 WORKLOAD:SEED`` (into a temporary directory, removed at the end), once
 with TREE/src and once with PARENT_TREE/src on PYTHONPATH, one process
-at a time.  For each pair it prints both exit codes and both wall times
-(with ``--repeat K``, each side runs K times, the two sides taking turns,
-and the time is the median of its K runs; a side whose exit code,
-stdout or stderr changes between its runs is named), ``stderr identical`` when the
+at a time, each under TREE/benchmark/probe.py.  For each pair it prints
+both exit codes and both wall times net of the probes (with ``--repeat
+K``, each side runs K times, the two sides taking turns, and the time is
+the median of its K runs; a side whose exit code, stdout or stderr
+changes between its runs is named), ``stderr identical`` when the
 two stderr texts match byte for byte and otherwise both of them,
 ``stdout identical`` when the two outputs match, and otherwise every ``pass``
 verdict that changed, report keys added or removed, and the largest
@@ -24,6 +25,12 @@ where a leaf of a named list item goes by that name as well
 those with identical stdout, the exit codes that changed and the
 ``pass`` verdicts that changed.  It sets no bounds and always exits 0
 once both sweeps have run.
+
+``--json PATH`` also writes all of it to PATH: the machine, and per
+pair both exit codes, both median wall times raw and scaled to the
+probe's reference core (``probe.speed_factor``, as the benchmark scales
+its ops), whether stdout and stderr match, the verdict changes and the
+largest drift; then the largest drift per leaf name and the tally.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import argparse
 import importlib.util
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -58,33 +66,47 @@ def bundled_configs(tree: str) -> list:
                   if f.endswith((".chart", ".ends")))
 
 
+def bench_module(tree: str, name: str):
+    """TREE/benchmark/NAME.py, loaded as a module."""
+    path = os.path.join(tree, "benchmark", name + ".py")
+    mod_spec = importlib.util.spec_from_file_location(f"confmass_bench_{name}", path)
+    mod = importlib.util.module_from_spec(mod_spec)
+    mod_spec.loader.exec_module(mod)
+    return mod
+
+
 def generated_configs(tree: str, spec: str, outdir: str) -> list:
-    """Paths of the configs TREE/benchmark/gen.py writes for ``WORKLOAD:SEED``
-    into a fresh directory under ``outdir``, in name order."""
+    """(label, path) of the configs TREE/benchmark/gen.py writes for
+    ``WORKLOAD:SEED`` into a fresh directory under ``outdir``, in name
+    order; the label is ``WORKLOAD:SEED/FILE``."""
     workload, _, seed = spec.rpartition(":")
-    path = os.path.join(tree, "benchmark", "gen.py")
-    mod_spec = importlib.util.spec_from_file_location("confmass_bench_gen", path)
-    gen = importlib.util.module_from_spec(mod_spec)
-    mod_spec.loader.exec_module(gen)
     where = os.path.join(outdir, f"{workload}-{seed}")
-    gen.generate(workload, int(seed), where)
-    return [os.path.join(where, f) for f in sorted(os.listdir(where))]
+    bench_module(tree, "gen").generate(workload, int(seed), where)
+    return [(f"{spec}/{f}", os.path.join(where, f)) for f in sorted(os.listdir(where))]
 
 
-def run(tree: str, command: str, config: str, flags=()) -> tuple:
+def run(tree: str, command: str, config: str, flags, probe, samples: str) -> tuple:
     """Exit code, stdout, stderr, parsed JSON report (None when stdout is
-    not one) and wall time in seconds."""
+    not one), and wall time in seconds net of the probes, raw and scaled
+    by ``probe.speed_factor``; the process runs under ``probe``'s file,
+    which writes its samples to ``samples``."""
     src = os.path.join(os.path.abspath(tree), "src")
     env = dict(os.environ, PYTHONPATH=src)
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "confmass", command, config, *flags],
+    proc = subprocess.run([sys.executable, probe.__file__, samples,
+                           "-m", "confmass", command, config, *flags],
                           capture_output=True, text=True, env=env)
     wall = time.perf_counter() - t0
+    with open(samples) as f:
+        probes = [float(x) for x in f.read().split()]
+    os.remove(samples)
+    wall -= sum(probes)
     try:
         report = json.loads(proc.stdout)
     except json.JSONDecodeError:
         report = None
-    return proc.returncode, proc.stdout, proc.stderr, report, wall
+    return proc.returncode, proc.stdout, proc.stderr, report, wall, \
+        wall * probe.speed_factor(probes)
 
 
 def leaves(node, path: str = "") -> dict:
@@ -132,8 +154,9 @@ def summary_name(path: str) -> str:
     return leaf_name(path)
 
 
-def compare(old: dict, new: dict, worst_by_name: dict, label: str) -> list:
-    """Lines describing the differences between two reports."""
+def compare(old: dict, new: dict, worst_by_name: dict, label: str) -> tuple:
+    """Lines describing the differences between two reports, and the
+    largest drift as (drift, path, old, new), None when no float moved."""
     a, b = leaves(old), leaves(new)
     lines = [f"  removed: {p}" for p in sorted(a.keys() - b.keys())]
     lines += [f"  added: {p}" for p in sorted(b.keys() - a.keys())]
@@ -151,10 +174,11 @@ def compare(old: dict, new: dict, worst_by_name: dict, label: str) -> list:
             name = summary_name(p)
             if d > worst_by_name.get(name, (0.0,))[0]:
                 worst_by_name[name] = (d, f"{label} {p}: {x!r} -> {y!r}")
-    if worst[1] is not None:
-        d, p, x, y = worst
-        lines.append(f"  largest drift {d:.3g} at {p} ({x!r} -> {y!r})")
-    return lines
+    if worst[1] is None:
+        return lines, None
+    d, p, x, y = worst
+    lines.append(f"  largest drift {d:.3g} at {p} ({x!r} -> {y!r})")
+    return lines, worst
 
 
 def main(argv=None) -> int:
@@ -170,34 +194,60 @@ def main(argv=None) -> int:
     ap.add_argument("--repeat", type=int, default=1, metavar="K",
                     help="run each side K times per pair and print the median "
                          "wall time (default 1)")
+    ap.add_argument("--json", metavar="PATH",
+                    help="also write the machine, every pair and the summary "
+                         "as JSON to PATH")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     with tempfile.TemporaryDirectory(prefix="confmass-sweep-") as tmp:
-        configs = bundled_configs(args.tree) + args.config
+        configs = [(name, name) for name in bundled_configs(args.tree)]
+        configs += [(path, path) for path in args.config]
         for spec in args.generated:
             configs += generated_configs(args.tree, spec, tmp)
-        sweep(args.parent, args.tree, configs, args.repeat)
+        probe = bench_module(args.tree, "probe")
+        doc = sweep(args.parent, args.tree, configs, probe, tmp, args.repeat)
+    if args.json:
+        with open(args.json, "w") as f:
+            f.write(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
-def sweep(parent: str, tree: str, configs: list, repeat: int = 1) -> None:
-    """Run and compare every command on every config, each side ``repeat``
-    times in turns; print the summary."""
+def machine() -> dict:
+    import numpy
+    return {"machine": platform.machine(), "cpus": os.cpu_count(),
+            "python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def sweep(parent: str, tree: str, configs: list, probe, tmp: str, repeat: int = 1) -> dict:
+    """Run and compare every command on every (label, path) config, each
+    side ``repeat`` times in turns, under ``probe`` with its samples in
+    ``tmp``; print the summary and return it all as a JSON document."""
     worst_by_name: dict = {}
+    records = []
     pairs = same = exits = verdicts = 0
-    for config in configs:
+    samples = os.path.join(tmp, "probe.txt")
+    for config_label, config in configs:
         for command, flags in [(c, f) for c in COMMANDS for f in ((), *VARIANTS.get(c, ()))]:
-            label = " ".join((command, config, *flags))
+            label = " ".join((command, config_label, *flags))
             runs = ([], [])  # parent's, tree's
             for _ in range(repeat):
                 for side, done in zip((parent, tree), runs):
-                    done.append(run(side, command, config, flags))
-            (code_old, out_old, err_old, old, _), (code_new, out_new, err_new, new, _) = \
+                    done.append(run(side, command, config, flags, probe, samples))
+            (code_old, out_old, err_old, old, *_), (code_new, out_new, err_new, new, *_) = \
                 runs[0][0], runs[1][0]
             t_old, t_new = (statistics.median(r[4] for r in done) for done in runs)
             pairs += 1
             exits += code_old != code_new
+            record = {"command": command, "config": config_label, "flags": list(flags),
+                      "exit": [code_old, code_new],
+                      "wall_s": [round(t_old, 4), round(t_new, 4)],
+                      "scaled_s": [round(statistics.median(r[5] for r in done), 4)
+                                   for done in runs],
+                      "stdout_identical": out_old == out_new,
+                      "stderr_identical": err_old == err_new,
+                      "verdict_changes": 0, "largest_drift": None}
+            records.append(record)
             print(f"{label}: exit {code_old} -> {code_new}, {t_old:.2f} s -> {t_new:.2f} s"
                   + (f" (median of {repeat})" if repeat > 1 else ""))
             for name, done in zip(("parent", "tree"), runs):
@@ -215,15 +265,26 @@ def sweep(parent: str, tree: str, configs: list, repeat: int = 1) -> None:
                 print(f"  report: {'none' if old is None else 'json'} -> "
                       f"{'none' if new is None else 'json'}")
                 continue
-            for line in compare(old, new, worst_by_name, label):
-                verdicts += line.startswith("  verdict ")
+            lines, worst = compare(old, new, worst_by_name, label)
+            for line in lines:
+                record["verdict_changes"] += line.startswith("  verdict ")
                 print(line)
+            verdicts += record["verdict_changes"]
+            if worst is not None:
+                record["largest_drift"] = dict(zip(("drift", "path", "parent", "tree"), worst))
             sys.stdout.flush()
     print("largest drift per leaf name:")
-    for name, (d, where) in sorted(worst_by_name.items(), key=lambda kv: -kv[1][0]):
+    ranked = sorted(worst_by_name.items(), key=lambda kv: -kv[1][0])
+    for name, (d, where) in ranked:
         print(f"  {name}: {d:.3g} ({where})")
+    tally = {"pairs": pairs, "stdout_identical": same, "exit_code_changes": exits,
+             "verdict_changes": verdicts}
     print(f"tally: {pairs} pairs, {same} with identical stdout, {exits} exit-code "
           f"changes, {verdicts} verdict changes")
+    return {"machine": machine(), "repeat": repeat, "pairs": records,
+            "largest_drift_per_leaf": {name: {"drift": d, "where": where}
+                                       for name, (d, where) in ranked},
+            "tally": tally}
 
 
 if __name__ == "__main__":
