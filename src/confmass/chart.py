@@ -193,12 +193,19 @@ def _validate_chart(chart: MetricChart):
 
     # positive definiteness probe on the sphere r = 8 r_min, through
     # metric_jets (benchmark/tracer.py expects every workload to call it),
-    # and on the spheres of the decay scan, by plain evaluation
+    # and on the spheres of the decay scan, by plain evaluation; the Lee
+    # form must be finite on all of them
     dirs = _probe_directions(chart.n)
-    pts = 8.0 * chart.r_min * dirs
-    metric_jets(chart, pts, order=1)
+    near = 8.0 * chart.r_min * dirs
+    metric_jets(chart, near, order=1)
     pts = np.concatenate([r * dirs for r in _scan_radii(chart)], axis=1)
     _require_spd(metric_values(chart, pts), pts)
+    if chart.has_lee:
+        pts = np.concatenate([near, pts], axis=1)
+        finite = np.all(np.isfinite(exprdsl.evaluate(chart.lee, pts, chart.params)), axis=1)
+        if not finite.all():
+            q = int(np.argmin(finite))
+            raise ChartError(f"lee form evaluates to a non-finite value at {pts[:, q].tolist()}")
 
 
 class MetricData(NamedTuple):

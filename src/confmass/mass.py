@@ -78,7 +78,6 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from . import exprdsl, util
 from .chart import (ChartError, End, EndSystem, MetricChart, SpinorFieldSpec,
@@ -158,11 +157,10 @@ def _rule_order(n: int, orders: int) -> int:
 
 
 def _polar_rule(N: int, a: float) -> tuple:
-    """N-node Gauss rule in t on (-1, 1) for the weight (1 - t^2)^a: for
-    a > 0 the eigenvalues of the Jacobi matrix of the Jacobi polynomials
-    P^(a,a), weighted mu_0 v_0^2 (Golub & Welsch, Math. Comp. 23, 1969)."""
-    if a == 0:
-        return leggauss(N)
+    """N-node Gauss rule in t on (-1, 1) for the weight (1 - t^2)^a: the
+    eigenvalues of the Jacobi matrix of the Jacobi polynomials P^(a,a),
+    weighted mu_0 v_0^2 (Golub & Welsch, Math. Comp. 23, 1969); a = 0 is
+    Gauss-Legendre, with mu_0 = 2."""
     j = np.arange(1.0, N)
     b = np.sqrt(j * (j + 2.0 * a) / ((2.0 * j + 2.0 * a) ** 2 - 1.0))
     t, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
@@ -473,48 +471,36 @@ def _fit_residuals(r: np.ndarray, vc: np.ndarray, ps) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", e, e) / k)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# width at which the golden-section search for p stops
+# width at which the search for p stops
 P_XTOL = 1e-10
-
-
-def _golden_min(f, a: float, b: float, xtol: float = P_XTOL) -> float:
-    """Golden-section search (Kiefer 1953) for a minimum of f on [a, b].
-
-    The bracket shrinks by the golden ratio per evaluation until it is at
-    most ``xtol`` wide, so the evaluation count is set by (b - a) / xtol
-    alone; the midpoint of the last bracket is returned.
-    """
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+# points of each refining pass of that search
+_PASS_POINTS = 128
 
 
 def _best_exponent(resid, lo: float, hi: float) -> float:
     """The p in [lo, hi] that minimises ``resid`` (vectorised over p).
 
-    A 64-point grid picks the best cell, and golden-section search refines
-    p within one grid step of it; the grid point stands when the refined p
-    is not finite or fits no better.
+    A 64-point grid picks the best cell.  Grid passes of ``_PASS_POINTS``
+    points then refine p within one grid step of it: each keeps one step
+    of its own on each side of its best point, so it narrows the bracket
+    by a factor of at least (``_PASS_POINTS`` - 1) / 2, until the bracket
+    is at most ``P_XTOL`` wide (at most 6 passes for p in (0.3, 12)).
+    The grid point stands when the refined p fits no better, as when its
+    residual is not finite.
     """
     grid = np.linspace(lo, hi, 64)
     rg = resid(grid)
     best = int(np.argmin(rg))
     span = grid[1] - grid[0]
-    p = _golden_min(lambda q: float(resid(q)[0]),
-                    max(lo, grid[best] - span), min(hi, grid[best] + span))
-    if np.isfinite(p) and float(resid(p)[0]) < rg[best]:
-        return float(p)
-    return float(grid[best])
+    a, b = max(lo, grid[best] - span), min(hi, grid[best] + span)
+    p, rp = grid[best], rg[best]
+    while b - a > P_XTOL:
+        q = np.linspace(a, b, _PASS_POINTS)
+        rq = resid(q)
+        i = int(np.argmin(rq))
+        a, b = q[max(i - 1, 0)], q[min(i + 1, _PASS_POINTS - 1)]
+        p, rp = q[i], rq[i]
+    return float(p if rp < rg[best] else grid[best])
 
 
 def check_series(radii) -> None:
@@ -533,14 +519,14 @@ def extrapolate(radii, series, n: int, decay: float) -> ExtrapolationResult:
     dimension ``n`` at ``radii`` and estimate the limit.
 
     The radii must pass ``check_series``.  p is optimized inside
-    (0.3, 2n) (coarse grid plus a golden-section search).  The error
-    estimate is twice the largest of four probes: the fit residual, the
-    limit shift when the smallest radius is dropped (p kept, and p
-    re-optimized), and the limit shift under a two-term fit with an
-    r^-(p+1) correction; the factor two covers the systematic part those
-    probes underestimate on slowly converging series.  If the
-    optimization degenerates, p falls back to the declared ``decay``
-    (flagged in the result).
+    (0.3, 2n) (a coarse grid plus refining grid passes, see
+    ``_best_exponent``).  The error estimate is twice the largest of four
+    probes: the fit residual, the limit shift when the smallest radius is
+    dropped (p kept, and p re-optimized), and the limit shift under a
+    two-term fit with an r^-(p+1) correction; the factor two covers the
+    systematic part those probes underestimate on slowly converging
+    series.  If the optimization degenerates, p falls back to the declared
+    ``decay`` (flagged in the result).
     """
     pts = sorted(zip(map(float, radii), map(float, series)))
     check_series([p[0] for p in pts])

@@ -96,6 +96,12 @@ class TestMakeChart:
         with pytest.raises(ChartError, match="not positive definite"):
             make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "1 - r/100"})
 
+    def test_rejects_lee_form_non_finite_only_on_a_decay_scan_sphere(self):
+        # finite at r = 8 r_min, infinite on the first scan sphere r = 50
+        with pytest.raises(ChartError) as err:
+            make_chart(n=3, tau=0.75, r_min=1.0, lee=["1/(r - 50)", "0", "0"])
+        assert str(err.value) == "lee form evaluates to a non-finite value at [50.0, 0.0, 0.0]"
+
     def test_validate_false_skips_probes(self):
         c = make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "-1"}, validate=False)
         assert isinstance(c, MetricChart)

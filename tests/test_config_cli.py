@@ -475,6 +475,21 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("confmass: indefinite.chart: metric is not positive definite at")
 
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_lee_form_non_finite_on_the_probes_is_refused_at_load(
+            self, capsys, tmp_path, command):
+        # log(x1) is NaN on the probe point -8 r_min e_1, as a metric that
+        # is non-finite there is refused: no command runs on it
+        doc = json.loads(bundled_text("schwarzschild-lee.chart"))
+        doc["lee"] = ["log(x1)/r^3", "0", "0"]
+        path = tmp_path / "badlee.chart"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == ("confmass: badlee.chart: lee form evaluates to a "
+                       "non-finite value at [-8.0, 0.0, 0.0]\n")
+
     @pytest.mark.parametrize("command", ["identities", "curvature", "witten"])
     def test_chart_breaking_down_mid_run_exits_two_with_one_line(
             self, capsys, tmp_path, command):
@@ -705,6 +720,19 @@ class TestCli:
         assert "confmass.suites" in loaded
         for layer in ("spinor", "clifford", "weyl", "curvature"):
             assert f"confmass.{layer}" not in loaded
+        # every polar rule is built by Golub-Welsch, so no flux command
+        # loads numpy.polynomial
+        code = (
+            "import contextlib, io, json, sys, confmass.cli\n"
+            "codes = []\n"
+            "for command in ('mass', 'weyl-mass', 'laws', 'witten'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(confmass.cli.main([command, 'schwarzschild-lee']))\n"
+            "print(json.dumps([codes, sorted(sys.modules)]))\n")
+        codes, loaded = json.loads(run_fresh(code))
+        assert codes == [0, 0, 0, 0]
+        assert "confmass.mass" in loaded
+        assert "numpy.polynomial" not in loaded
 
     def test_reports_are_byte_identical_from_run_to_run(self, capsys):
         outs = []
