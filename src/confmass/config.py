@@ -96,7 +96,6 @@ class LoadedConfig(NamedTuple):
     chart: MetricChart | None
     system: EndSystem | None
     spinors: tuple  # ((name, SpinorFieldSpec), ...)
-    doc: dict
     # the bundled file a name resolved to; None for a filesystem path
     bundled: str | None = None
 
@@ -189,7 +188,7 @@ def parse_config(doc: dict, source: str = "config") -> LoadedConfig:
     if kind == "chart":
         chart = _parse_chart_fields(doc, source, name)
         return LoadedConfig(kind=kind, name=name, chart=chart, system=None,
-                            spinors=_parse_spinors(doc, source, [chart]), doc=doc)
+                            spinors=_parse_spinors(doc, source, [chart]))
 
     if kind == "end_system":
         ends_doc = _require(doc, "ends", list, source)
@@ -213,8 +212,7 @@ def parse_config(doc: dict, source: str = "config") -> LoadedConfig:
         system = EndSystem(ends=tuple(ends), name=name)
         return LoadedConfig(kind=kind, name=name, chart=None, system=system,
                             spinors=_parse_spinors(doc, source,
-                                                   [end.chart for end in ends]),
-                            doc=doc)
+                                                   [end.chart for end in ends]))
 
     raise ConfigError(f"{source}: unknown kind {kind!r} (chart | end_system)")
 

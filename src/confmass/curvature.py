@@ -160,5 +160,7 @@ def codiff_oneform(md: MetricData, theta: Jet) -> Jet:
 
 
 def laplacian(md: MetricData, f: Jet) -> Jet:
-    """Lap f = codiff(df); equals -div grad, so Lap(x1^2) = -2 when flat."""
+    """Lap f = codiff(df); equals -div grad, so Lap(x1^2) = -2 when flat.
+
+    A test oracle: only the tests call it."""
     return codiff_oneform(md, f.grad())

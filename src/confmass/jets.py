@@ -224,7 +224,8 @@ class Jet:
         return self.c[0]
 
     def partial(self, alpha: Sequence[int]):
-        """d^alpha f at the point: alpha! times the stored coefficient."""
+        """d^alpha f at the point: alpha! times the stored coefficient.
+        A test oracle: only the tests read derivatives this way."""
         alpha = tuple(int(a) for a in alpha)
         idx = self.space.index.get(alpha)
         if idx is None:

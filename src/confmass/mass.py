@@ -60,12 +60,13 @@ Sphere rules, and so fluxes, exist for 3 <= n <= ``FLUX_MAX_DIM``.  The
 CLI echoes both tolerances.
 
 Determinism: a sample lays its rules' nodes end to end and evaluates
-them in fixed ``util.CHUNK``-node chunks cut across the whole sample,
+them in ``util.chunked_map`` chunks of at most ``util.CHUNK`` nodes,
 each built from the cached unit rule scaled by its radius.  Integrands
-are column-independent bit for bit, and each rule's node terms are
-reduced with a fixed pairwise tree (see util) as soon as its last node
-is in, then released; so every flux is byte-identical from run to run,
-and equal to the flux a single-radius call returns.
+are column-independent bit for bit, and numpy's pairwise summation
+(Higham, *Accuracy and Stability*, 2nd ed., 4.2) sums each rule's
+joined node terms along the contiguous node axis; so every flux is
+byte-identical from run to run, whatever the chunk width, and equal to
+the flux a single-radius call returns.
 """
 
 from __future__ import annotations
@@ -259,7 +260,7 @@ def probe_radius(chart: MetricChart, r: float, lee: bool,
 
 
 def _flux(chart: MetricChart, r: Sequence[float], integrand, measure: str,
-          orders: int | None, dtype=np.float64) -> np.ndarray:
+          orders: int | None) -> np.ndarray:
     """Fluxes of ``integrand`` over S_r for each radius of the series ``r``,
     as an (R,) array, or (R, S) when the integrand returns (S, B); each
     climbs the order ladder until every column agrees (see the module
@@ -279,7 +280,7 @@ def _flux(chart: MetricChart, r: Sequence[float], integrand, measure: str,
     todo = list(range(len(radii)))
     while todo:
         rules = [(k, N) for k in todo for N in rungs]
-        sums = _sample(chart, [(radii[k], N) for k, N in rules], integrand, measure, dtype)
+        sums = _sample(chart, [(radii[k], N) for k, N in rules], integrand, measure)
         for (k, _), (hi, scale) in zip(rules, sums):
             if lo[k] is not None and np.all(np.abs(hi - lo[k]) <= QUAD_RTOL * scale + QUAD_ATOL):
                 out[k] = hi
@@ -293,16 +294,17 @@ def _flux(chart: MetricChart, r: Sequence[float], integrand, measure: str,
     return np.array(out)
 
 
-def _sample(chart: MetricChart, rules, integrand, measure: str, dtype) -> list:
-    """The flux and the pairwise sum of the absolute node terms of every
-    (radius, order) rule of one sample.
+def _sample(chart: MetricChart, rules, integrand, measure: str) -> list:
+    """The flux and the sum of the absolute node terms of every (radius,
+    order) rule of one sample.
 
-    The rules' nodes are laid end to end and evaluated in ``util.CHUNK``
-    chunks cut across the whole sample, each built from the cached unit
-    rule scaled by its radius; a rule's weighted node terms (M, ...) are
-    reduced as soon as its last node is in, then released.  A chunk whose
-    evaluation overflows raises ChartError naming a radius that overflows
-    on its own: past it, x/inf reads as 0 and the flux would be wrong.
+    The rules' nodes are laid end to end and evaluated in chunks of at
+    most ``util.CHUNK`` cut across the whole sample, each built from the
+    cached unit rule scaled by its radius; a rule's weighted node terms
+    (..., M) are joined and summed along the node axis as soon as its
+    last node is in, then released.  A chunk whose evaluation overflows
+    raises ChartError naming a radius that overflows on its own: past
+    it, x/inf reads as 0 and the flux would be wrong.
     """
     n = chart.n
     units = [_unit_rule(n, _rule_order(n, N)) for _, N in rules]
@@ -314,7 +316,7 @@ def _sample(chart: MetricChart, rules, integrand, measure: str, dtype) -> list:
     def terms_at(X: np.ndarray, w: np.ndarray) -> np.ndarray:
         with np.errstate(over="raise"):
             nu, fac = _measure_factors(chart, X, measure)
-            return np.asarray(integrand(X, nu), dtype=dtype) * fac * w
+            return integrand(X, nu) * fac * w
 
     def chunk(a: int, b: int) -> None:
         # (rule, its first and end node in this chunk, in its own numbering)
@@ -336,12 +338,12 @@ def _sample(chart: MetricChart, rules, integrand, measure: str, dtype) -> list:
             parts[k].append(terms[..., at:at + j - i])
             at += j - i
             if starts[k] + j == ends[k]:
-                t = np.concatenate(parts[k], axis=-1).T
+                t = np.concatenate(parts[k], axis=-1)
                 parts[k] = None
-                sums[k] = (util.pairwise_sum(t), util.pairwise_sum(np.abs(t)))
+                sums[k] = (t.sum(axis=-1), np.abs(t).sum(axis=-1))
 
     # integrands may return (S, B): S fluxes over one shared sample
-    util.chunked_map(chunk, ends[-1] if ends else 0)
+    util.chunked_map(chunk, ends[-1] if ends else 0, util.CHUNK)
     return sums
 
 
@@ -356,7 +358,8 @@ def _normal_part(v: np.ndarray, nu: np.ndarray) -> np.ndarray:
 
 def adm_flux(chart: MetricChart, radii: Sequence[float], measure: str = "euclidean",
              orders: int | None = None) -> tuple:
-    """Integral over S_r of (d_i g_ij - d_j g_ii) nu_j, one per radius."""
+    """Integral over S_r of (d_i g_ij - d_j g_ii) nu_j, one per radius;
+    ``orders``, one rule at every radius, is a test oracle."""
     n = chart.n
 
     def integrand(Xc, nu):
@@ -372,7 +375,8 @@ def adm_flux(chart: MetricChart, radii: Sequence[float], measure: str = "euclide
 
 def lee_flux(chart: MetricChart, radii: Sequence[float], measure: str = "euclidean",
              orders: int | None = None) -> tuple:
-    """Integral over S_r of theta(nu), one per radius."""
+    """Integral over S_r of theta(nu), one per radius (``orders`` as in
+    ``adm_flux``)."""
     def integrand(Xc, nu):
         return _normal_part(exprdsl.evaluate(chart.lee, Xc, chart.params), nu)
 
@@ -418,7 +422,8 @@ def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
     returns.  The metric is checked positive definite at every node.
 
     The imaginary part is a diagnostic: it must vanish in the limit.
-    Imports the spinor layer when called: the metric masses never load it.
+    ``orders`` is the test oracle of ``adm_flux``.  Imports the spinor
+    layer when called: the metric masses never load it.
     """
     from .spinor import coframe_action, covd_coord, dirac, spinor_calc, spinor_jets
 
@@ -435,7 +440,7 @@ def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
         omega = np.einsum("bst,bjst->sbj", np.conj(psi.value), cl.value + Dc.value)
         return _normal_part(omega, nu)
 
-    return _flux(chart, radii, integrand, measure, orders, dtype=np.complex128)
+    return _flux(chart, radii, integrand, measure, orders)
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +523,20 @@ def extrapolate(radii, series, n: int, decay: float) -> ExtrapolationResult:
     """Fit value(r) = limit + c r^{-p} to a flux ``series`` of a chart of
     dimension ``n`` at ``radii`` and estimate the limit.
 
-    The radii must pass ``check_series``.  p is optimized inside
-    (0.3, 2n) (a coarse grid plus refining grid passes, see
-    ``_best_exponent``).  The error estimate is twice the largest of four
-    probes: the fit residual, the limit shift when the smallest radius is
-    dropped (p kept, and p re-optimized), and the limit shift under a
-    two-term fit with an r^-(p+1) correction; the factor two covers the
-    systematic part those probes underestimate on slowly converging
-    series.  If the optimization degenerates, p falls back to the declared
-    ``decay`` (flagged in the result).
+    The radii must pass ``check_series``; the fit runs in units of the
+    smallest, so r^-p lies in (0, 1] whatever the length unit.  p is
+    optimized inside (0.3, 2n) (a coarse grid plus refining grid passes,
+    see ``_best_exponent``).  The error estimate is twice the largest of
+    four probes: the fit residual, the limit shift when the smallest
+    radius is dropped (p kept, and p re-optimized), and the limit shift
+    under a two-term fit with an r^-(p+1) correction; the factor two
+    covers the systematic part those probes underestimate on slowly
+    converging series.  If the optimization degenerates, p falls back to
+    the declared ``decay`` (flagged in the result).
     """
     pts = sorted(zip(map(float, radii), map(float, series)))
     check_series([p[0] for p in pts])
-    r = np.array([p[0] for p in pts])
+    r = np.array([p[0] for p in pts]) / pts[0][0]
     v = np.array([p[1] for p in pts])
 
     spread = float(np.max(np.abs(v - v.mean())))

@@ -103,7 +103,9 @@ def _stacked(M: np.ndarray, ndim: int) -> np.ndarray:
 
 def _act(G: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Constant matrices G (k, N, N) on the spinor axis of c (..., N),
-    giving (..., k, N): each spinor the row of one (1, N) @ (N, k N)."""
+    giving (..., k, N): each spinor the row of one (1, N) @ (N, k N).  The
+    batch stays a broadcast axis, never GEMM rows: a rule that rests on
+    review, as a test of it would depend on the BLAS build."""
     return (c[..., None, :] @ G.reshape(-1, G.shape[-1]).T).reshape(c.shape[:-1] + G.shape[:2])
 
 
@@ -296,6 +298,8 @@ def covd_coord(calc: SpinorCalc, psi: Jet, weight: float | None) -> Jet:
         if use_theta:
             X = tensor_mul(sp, fr.S.c[:sp.m, :, i, :, None], calc.theta_frame.c[:sp.m, :, None])
             C = C - 0.5 * (X[..., a, b] - X[..., b, a])
+        # the batch stays a broadcast axis: a rule that rests on review, as
+        # a test of it would depend on the BLAS build (see _act)
         A = (C[..., None, :] @ pairs.reshape(len(a), -1)).reshape(C.shape[:2] + pairs.shape[1:])
         if use_theta:
             A[..., diag, diag] += weight * calc.theta.c[:sp.m, :, i, None]

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from . import exprdsl
+from . import exprdsl, util
 from .chart import (MetricChart, SpinorFieldSpec, conformal_rescale, lee_jets,
                     make_spinor_spec, metric_jets, scale_coordinates)
 from .config import LoadedConfig
@@ -127,12 +127,13 @@ def _finish(battery: str, checks: list, tolerances: dict, **extra) -> dict:
 # ---------------------------------------------------------------------------
 # identities
 
-#: the pointwise batteries cut their sample into the fewest equal chunks
-#: whose points times n^3 times the jet space size stay within this
-#: budget, so their memory does not grow with the point count: 100 points
-#: at order 2 are one chunk for n <= 4, two for n = 5 and three for
-#: n = 6; at order 3, two for n = 4.  Every check and statistic is a
-#: maximum over the whole sample, which does not depend on the chunking.
+#: the pointwise batteries cut their sample (``util.chunked_map``) into
+#: the fewest equal chunks whose points times n^3 times the jet space
+#: size stay within this budget, so their memory does not grow with the
+#: point count: 100 points at order 2 are one chunk for n <= 4, two for
+#: n = 5 and three for n = 6; at order 3, two for n = 4.  Every check and
+#: statistic is a maximum over the whole sample, which does not depend on
+#: the chunking.
 POINT_BUDGET = 216_000
 
 
@@ -141,10 +142,8 @@ def _sample_maxima(maxima, pts: np.ndarray, jet_order: int) -> dict:
     the sample ``pts`` (n, P), run chunk by chunk and combined into the
     maxima over the whole sample."""
     n, count = pts.shape
-    limit = max(1, POINT_BUDGET // (math.comb(n + jet_order, n) * n ** 3))
-    chunks = -(-count // limit)  # the fewest within the budget,
-    width = -(-count // chunks)  # of equal width but for the last
-    parts = [maxima(pts[:, a:a + width]) for a in range(0, count, width)]
+    width = max(1, POINT_BUDGET // (math.comb(n + jet_order, n) * n ** 3))
+    parts = util.chunked_map(lambda a, b: maxima(pts[:, a:b]), count, width)
     return {key: float(np.max([p[key] for p in parts])) for key in parts[0]}
 
 
@@ -432,8 +431,10 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
 
     # conformal invariance of the Weyl-structure mass; the two Weyl masses
     # carry the metric masses of the chart and of its rescaling by the
-    # second factor, which the two-path checks below read again
-    factors = ("1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)")
+    # second factor, which the two-path checks below read again.  Both
+    # factors decay like the chart, r^-(n-2); n = 3 keeps its spelling
+    factors = (("1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)") if n == 3 else
+               tuple(f"1 + {c}pow(r^2 + 1, {(2 - n) / 2:g})" for c in ("", "0.3*")))
     base = mass.weyl_mass(chart, radii=radii, measure=measure)
     moved = mass.weyl_mass(conformal_rescale(chart, factors[1]), radii=radii,
                            measure=measure)

@@ -1,41 +1,26 @@
-"""Deterministic chunked evaluation and reduction helpers.
+"""Deterministic chunked evaluation.
 
-Numerical results must not depend on how the work is split: work is
-cut into fixed-size chunks keyed by index (the chunking depends on the
-item count alone), each chunk's result keeps its place, and sums are
-taken with a fixed pairwise binary tree instead of a left fold.
+Numerical results must not depend on how the work is split: work is cut
+into index chunks that depend on the item count and the width alone, and
+each chunk's result keeps its place.  The flux samples (``mass``, at
+``CHUNK`` nodes) and the pointwise batteries (``suites``, at their point
+budget) share this one loop, each with its own width.
 """
 
 from __future__ import annotations
 
-import numpy as np
+__all__ = ["CHUNK", "chunked_map"]
 
-__all__ = ["CHUNK", "pairwise_sum", "chunked_map"]
-
+#: the node width of a flux sample's chunks
 CHUNK = 256
 
 
-def pairwise_sum(values: np.ndarray):
-    """Sum with a fixed binary-tree order (independent of chunking)."""
-    values = np.asarray(values)
-    m = values.shape[0]
-    if m == 0:
-        return values.dtype.type(0)
-    while m > 1:
-        half = m // 2
-        head = values[:half] + values[half:2 * half]
-        if m % 2:
-            values = np.concatenate([head, values[2 * half:2 * half + 1]])
-        else:
-            values = head
-        m = values.shape[0]
-    return values[0]
-
-
-def chunked_map(fn, count: int) -> list:
-    """Evaluate fn(start, stop) over fixed ``CHUNK``-wide index chunks.
-
-    Results are returned in chunk order; the chunk boundaries are a
-    function of ``count`` alone.
-    """
-    return [fn(a, min(a + CHUNK, count)) for a in range(0, count, CHUNK)]
+def chunked_map(fn, count: int, width: int) -> list:
+    """fn(start, stop) over the fewest index chunks of at most ``width``
+    covering range(count), of equal width but for the last, in chunk
+    order; a count of 0 makes no call."""
+    if count <= 0:
+        return []
+    chunks = -(-count // width)
+    step = -(-count // chunks)
+    return [fn(a, min(a + step, count)) for a in range(0, count, step)]

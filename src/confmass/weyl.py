@@ -114,7 +114,8 @@ def weyl_scalar_via_curvature(cd: ConnectionData, theta: Jet) -> Jet:
     """Scal^D by contracting the Weyl connection's curvature tensor.
 
     Independent of :func:`weyl_scalar`: the coefficients G~ are formed
-    first and then run through the ordinary curvature contraction.
+    first and then run through the ordinary curvature contraction.  A
+    test oracle for it: only the tests call this path.
     """
     gam = weyl_connection(cd, theta)
     fake = ConnectionData(md=cd.md, christoffel=gam)

@@ -189,14 +189,20 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_fresh(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports this
-    confmass."""
+def python_fresh(*args) -> subprocess.CompletedProcess:
+    """``python *args`` run in a fresh interpreter that imports this
+    confmass, with its output captured."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(confmass.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [root, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env)
+
+
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports this
+    confmass."""
+    proc = python_fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -587,6 +593,43 @@ class TestCli:
         assert DIVERGENCE_WARNING in ends[0]["warnings"]
         assert ends[1]["warnings"] == []
 
+    @pytest.mark.parametrize("unit", [1e-30, 1e30])
+    def test_mass_does_not_depend_on_the_length_unit(self, capsys, tmp_path, unit):
+        # the bundled chart in a unit 1e30 times smaller or larger: its
+        # mass, a length at n = 3, scales by the unit, and no numpy
+        # warning reaches stderr on the way
+        code, out, _ = run_cli(capsys, "mass", "schwarzschild")
+        want = json.loads(out)["results"]["limit"]
+        doc = json.loads(bundled_text("schwarzschild.chart"))
+        doc.update(name="schwarzschild-rescaled", r_min=unit, params={"m": unit})
+        p = tmp_path / "rescaled.chart"
+        p.write_text(json.dumps(doc))
+        proc = python_fresh("-m", "confmass", "mass", str(p))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        got = json.loads(proc.stdout)["results"]["limit"]
+        assert got == pytest.approx(unit * want, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_laws_passes_on_converging_charts_above_three_dimensions(
+            self, capsys, tmp_path, n):
+        # isotropic Schwarzschild with an off-diagonal term and a radial
+        # Lee form: the laws factors decay like r^-(n-2), as the chart
+        # does, so each rescaled chart keeps a mass and every check holds
+        iso = f"pow(1 + m/(2*r^{n - 2}), 4/{n - 2})"
+        metric = {f"{i}{i}": iso for i in range(1, n + 1)}
+        metric["12"] = f"0.3*x1*x2/r^{n + 2}"
+        doc = {"schema_version": 1, "kind": "chart", "name": f"iso-n{n}", "n": n,
+               "tau": n - 2.1, "r_min": 1.0, "params": {"m": 0.8, "b": 0.25},
+               "metric": metric, "lee": [f"-b*x{i}/r^{n}" for i in range(1, n + 1)]}
+        p = tmp_path / "iso.chart"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "laws", str(p))
+        assert (code, err) == (0, "")
+        checks = json.loads(out)["results"]["checks"]
+        assert [c["name"] for c in checks if not c["pass"]] == []
+        factor = f"1 + pow(r^2 + 1, {(2 - n) / 2:g})"
+        assert f"mass-conformal-change[{factor}]" in [c["name"] for c in checks]
+
     def test_missing_config_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "mass", "nonexistent.chart")
         assert code == 2
@@ -694,7 +737,8 @@ class TestCli:
         for layer in ("spinor", "clifford", "weyl", "curvature", "suites"):
             assert f"confmass.{layer}" not in after_mass
         # check, curvature and identities integrate nothing over spheres,
-        # so neither the mass layer nor its quadrature imports load
+        # so neither the mass layer nor its quadrature imports load; their
+        # batteries share the chunk loop of util, which imports nothing
         code = (
             "import contextlib, io, json, sys, confmass.cli\n"
             "codes = []\n"
@@ -707,8 +751,14 @@ class TestCli:
         codes, loaded = json.loads(run_fresh(code))
         assert codes == [0, 0, 0]
         assert "confmass.suites" in loaded
-        for mod in ("confmass.mass", "confmass.util", "numpy.polynomial"):
+        for mod in ("confmass.mass", "numpy.polynomial"):
             assert mod not in loaded
+        code = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "import confmass.util\n"
+            "print(json.dumps(sorted(set(sys.modules) - before - {'__future__'})))\n")
+        assert json.loads(run_fresh(code)) == ["confmass", "confmass.util"]
         # the mass laws integrate no spinor and need no curvature tensor
         code = (
             "import contextlib, io, json, sys, confmass.cli\n"

@@ -3,6 +3,7 @@ mass functionals."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,8 @@ from confmass.mass import (
     weyl_mass,
     witten_flux,
 )
-from confmass.mass import P_XTOL, _best_exponent, _flux, _polar_rule, _unit_rule
+from confmass.mass import (P_XTOL, _best_exponent, _flux, _measure_factors, _polar_rule,
+                           _unit_rule)
 from confmass.spinor import make_spinor_spec
 
 ISO = "(1 + 1/(2*r))^4"
@@ -206,8 +208,8 @@ def record_rules(monkeypatch):
     runs = []
     inner = mass._sample
 
-    def spy(chart, rules, integrand, measure, dtype):
-        out = inner(chart, rules, integrand, measure, dtype)
+    def spy(chart, rules, integrand, measure):
+        out = inner(chart, rules, integrand, measure)
         runs.extend((N,) + sums for (_, N), sums in zip(rules, out))
         return out
 
@@ -692,6 +694,58 @@ SERIES_FLUXES = {
 }
 
 
+class TestChunks:
+    @pytest.mark.parametrize("count, width, want", [
+        (416, 256, [(0, 208), (208, 416)]),
+        (10, 4, [(0, 4), (4, 8), (8, 10)]),
+        (256, 256, [(0, 256)]),
+        (257, 256, [(0, 129), (129, 257)]),
+        (3, 1, [(0, 1), (1, 2), (2, 3)]),
+    ])
+    def test_fewest_chunks_of_equal_width_but_for_the_last(self, count, width, want):
+        assert util.chunked_map(lambda a, b: (a, b), count, width) == want
+
+    def test_every_count_and_width(self):
+        for width in range(1, 30):
+            for count in range(1, 200):
+                cuts = util.chunked_map(lambda a, b: (a, b), count, width)
+                sizes = [b - a for a, b in cuts]
+                assert len(cuts) == -(-count // width)
+                assert [a for a, _ in cuts] == [0] + [b for _, b in cuts[:-1]]
+                assert cuts[-1][1] == count
+                assert max(sizes) <= width
+                assert set(sizes[:-1]) <= {sizes[0]} and sizes[-1] <= sizes[0]
+
+    def test_a_count_of_zero_makes_no_call(self):
+        def fn(a, b):
+            raise AssertionError("called")
+
+        assert util.chunked_map(fn, 0, 256) == []
+
+    @pytest.mark.parametrize("measure", ["euclidean", "g"])
+    def test_each_rule_sums_its_node_terms_with_numpy_bitwise(self, monkeypatch, measure):
+        # one real and one complex row over 2 N^2 = 1152 nodes, five chunks
+        # of at most util.CHUNK; the flux and its scale are numpy's sums of
+        # the node terms of the whole rule, row by row
+        c, N, r = stress_chart(), 24, 20.0
+
+        def integrand(Xc, nu):
+            return np.stack([nu[0] ** 2 * np.exp(nu[1]), (nu[2] + 1j * nu[0]) ** 3])
+
+        runs = record_rules(monkeypatch)
+        got = _flux(c, [r], integrand, measure, N)[0]
+        rule = sphere_rule(3, r, N)
+        nu, fac = _measure_factors(c, rule.nodes, measure)
+        terms = integrand(rule.nodes, nu) * fac * rule.weights
+        assert rule.count > 4 * util.CHUNK
+        assert np.array_equal(bits(got), bits([terms[0].sum(), terms[1].sum()]))
+        assert np.array_equal(bits(runs[0][2]), bits(np.abs(terms).sum(axis=-1)))
+        # and within a few roundings of the exactly rounded sum
+        exact = [math.fsum(terms[0].real), complex(math.fsum(terms[1].real),
+                                                   math.fsum(terms[1].imag))]
+        assert np.all(np.abs(got - exact) <= 16 * np.finfo(float).eps * runs[0][2])
+
+
 class TestFluxSeries:
     """A flux series runs one sample per ladder rung for all its radii."""
 
@@ -723,9 +777,9 @@ class TestFluxSeries:
         samples = []
         inner = mass._sample
 
-        def spy(chart, rules, integrand, measure, dtype):
+        def spy(chart, rules, integrand, measure):
             samples.append(list(rules))
-            return inner(chart, rules, integrand, measure, dtype)
+            return inner(chart, rules, integrand, measure)
 
         monkeypatch.setattr(mass, "_sample", spy)
         adm_flux(c, SERIES_RADII, "euclidean")
@@ -750,8 +804,9 @@ class TestFluxSeries:
 
     def test_four_radii_of_spinor_fluxes_share_the_chunks_of_one_sample(
             self, monkeypatch, lee_cfg):
-        # 4 x (32 + 72) nodes of the pair in chunks of 256: [256, 160],
-        # where one call per radius took one chunk each
+        # 4 x (32 + 72) = 416 nodes of the pair in the fewest chunks of
+        # at most 256, cut equal: [208, 208], where one call per radius
+        # took one chunk each
         calls = []
         inner = mass._measure_factors
 
@@ -763,9 +818,9 @@ class TestFluxSeries:
         chart = lee_cfg.chart
         got = witten_flux(chart, [spec for _, spec in lee_cfg.spinors], default_radii(chart))
         assert got.shape == (4, len(lee_cfg.spinors))
-        nodes = 4 * sum(2 * N ** (chart.n - 1) for N in PAIR)
-        full, rest = divmod(nodes, util.CHUNK)
-        assert calls == [util.CHUNK] * full + [rest] * (rest > 0)
+        assert 4 * sum(2 * N ** (chart.n - 1) for N in PAIR) == 416
+        assert util.CHUNK == 256
+        assert calls == [208, 208]
 
     def test_peak_memory_does_not_grow_with_the_radius_count(self):
         import tracemalloc
@@ -807,6 +862,21 @@ class TestExtrapolate:
         vals = 1.0 + 4.0 / radii + 25.0 / radii**2
         out = extrapolate(radii, vals, 4, 1.0)
         assert abs(out.limit - 1.0) <= out.error
+
+    def test_limit_does_not_depend_on_the_length_unit(self):
+        # one series with its radii times 1e-30, 1 and 1e30: raw r^-p
+        # would swamp the constant column in the first and underflow to 0
+        # in the last
+        radii = np.array([20.0, 40.0, 80.0, 160.0, 320.0])
+        vals = 50.0 - 30.0 / radii + 40.0 / radii ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [extrapolate(unit * radii, vals, 3, 0.99) for unit in (1e-30, 1.0, 1e30)]
+        for out in got:
+            assert not out.fallback
+            assert out.limit == pytest.approx(got[1].limit, rel=1e-12)
+            assert out.error == pytest.approx(got[1].error, rel=1e-6)
+        assert got[1].limit == pytest.approx(50.0, abs=got[1].error)
 
     def test_needs_four_samples(self):
         with pytest.raises(ValueError):
