@@ -241,8 +241,10 @@ def _batch(points) -> np.ndarray:
 def _require_spd(G: np.ndarray, points: np.ndarray) -> None:
     """Raise ChartError unless every matrix of G (B, n, n) is finite and
     has a Cholesky factor, naming the first bad column of ``points``."""
-    if not np.all(np.isfinite(G)):
-        raise ChartError("metric evaluates to a non-finite value")
+    finite = np.all(np.isfinite(G), axis=(1, 2))
+    if not finite.all():
+        q = int(np.argmin(finite))
+        raise ChartError(f"metric evaluates to a non-finite value at {points[:, q].tolist()}")
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:

@@ -12,8 +12,9 @@ report to stdout, and exits
   file that is a directory or sits in no directory is refused before the
   command runs), and also when the chart
   breaks down while a command runs: a ``ChartError`` (say, a metric
-  that is not positive definite at a sample point, or a flux radius
-  that ``mass.check_radius`` refuses on a derived chart) or an
+  that is not positive definite at a sample point, a flux radius that
+  ``mass.check_radius`` refuses on a derived chart, or a flux sphere
+  where the chart evaluates to a non-finite value) or an
   ``ArithmeticError`` (say, a jet square root of an indefinite matrix,
   or a jet division by zero).  Flux commands on a chart of dimension
   above ``mass.FLUX_MAX_DIM`` are refused the same way, before any

@@ -18,15 +18,15 @@ flux as
 and its report keeps the metric mass m(g0) of each end (``MassReport.metric``)
 for callers that need it again.
 
-Every flux series becomes a limit through one fit,
-``extrapolate(radii, series, n, decay)``: value(r) = limit + c r^-p with
-p in (0.3, 2n), and ``decay`` taking over when that fit degenerates.
+Every flux series becomes a limit through one unit-free fit,
+``extrapolate(radii, series, n)``: value(r) = limit + c r^-p with p in
+(0.3, 2n), finite for every finite series.
 The radius rules live here too, and the CLI checks ``--radii`` with the
 same functions: a flux radius is finite, at least 2 r_min, and keeps
 r^(n-1) finite (``check_radius``, run by every flux); a series has at
 least 4 radii whose sorted successive ratios are at least 1.5
 (``check_series``, run by ``extrapolate``).  The CLI also refuses a
-radius where the chart cannot be evaluated without overflow
+radius where evaluating the chart overflows or gives a non-finite value
 (``probe_radius``); every flux sample guards its own nodes the same way.
 
 The sign of the Lee term is fixed by conformal invariance: with it,
@@ -240,23 +240,31 @@ def _overflow(r: float) -> ChartError:
     return ChartError(f"radius {r!r} is too large: evaluating the chart there overflows")
 
 
+def _non_finite(r: float) -> ChartError:
+    return ChartError(f"radius {r!r} is singular: the chart evaluates to a "
+                      "non-finite value on that sphere")
+
+
 def probe_radius(chart: MetricChart, r: float, lee: bool,
                  specs: Sequence[SpinorFieldSpec] = ()) -> None:
     """Raise ChartError when evaluating ``chart`` at the 2n axis points
-    +-r e_i of S_r overflows: the metric and, with ``lee``, the Lee form,
-    and the spinor fields ``specs``, their values and first derivatives."""
+    +-r e_i of S_r overflows or gives a non-finite value: the metric and,
+    with ``lee``, the Lee form, and the spinor fields ``specs``, their
+    values and first derivatives."""
     X = r * np.concatenate([np.eye(chart.n), -np.eye(chart.n)], axis=1)
     coords = seed_point(X, 1)[1]
     try:
-        with np.errstate(over="raise"):
-            metric_entry_jets(chart, coords)
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
+            jets = [metric_entry_jets(chart, coords)]
             if lee:
-                lee_jets(chart, coords)
+                jets.append(lee_jets(chart, coords))
             if specs:
                 from .spinor import spinor_jets
-                spinor_jets(specs, coords, chart.params)
+                jets.append(spinor_jets(specs, coords, chart.params))
     except FloatingPointError:
         raise _overflow(r) from None
+    if not all(np.all(np.isfinite(j.c)) for j in jets):
+        raise _non_finite(r)
 
 
 def _flux(chart: MetricChart, r: Sequence[float], integrand, measure: str,
@@ -303,8 +311,9 @@ def _sample(chart: MetricChart, rules, integrand, measure: str) -> list:
     cached unit rule scaled by its radius; a rule's weighted node terms
     (..., M) are joined and summed along the node axis as soon as its
     last node is in, then released.  A chunk whose evaluation overflows
-    raises ChartError naming a radius that overflows on its own: past
-    it, x/inf reads as 0 and the flux would be wrong.
+    or gives a non-finite node term raises ChartError naming a radius
+    that does so on its own: past an overflow, x/inf reads as 0 and the
+    flux would be wrong, and a non-finite term has no limit to fit.
     """
     n = chart.n
     units = [_unit_rule(n, _rule_order(n, N)) for _, N in rules]
@@ -314,7 +323,7 @@ def _sample(chart: MetricChart, rules, integrand, measure: str) -> list:
     sums = [None] * len(rules)
 
     def terms_at(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
             nu, fac = _measure_factors(chart, X, measure)
             return integrand(X, nu) * fac * w
 
@@ -326,13 +335,17 @@ def _sample(chart: MetricChart, rules, integrand, measure: str) -> list:
         weights = [(rules[k][0] ** (n - 1)) * units[k][1][i:j] for k, i, j in cut]
         try:
             terms = terms_at(np.concatenate(nodes, axis=1), np.concatenate(weights))
+            finite = np.all(np.isfinite(terms))
         except FloatingPointError:
+            finite = False
+        if not finite:
+            # the columns are independent: some rule fails on its own
             for (k, _, _), X, w in zip(cut, nodes, weights):
                 try:
-                    terms_at(X, w)
+                    if not np.all(np.isfinite(terms_at(X, w))):
+                        raise _non_finite(rules[k][0])
                 except FloatingPointError:
                     raise _overflow(rules[k][0]) from None
-            raise
         at = 0
         for k, i, j in cut:
             parts[k].append(terms[..., at:at + j - i])
@@ -450,7 +463,6 @@ class ExtrapolationResult(NamedTuple):
     limit: float
     error: float
     p: float
-    fallback: bool = False
 
 
 def _power_fit(r: np.ndarray, v: np.ndarray, powers) -> tuple:
@@ -519,48 +531,46 @@ def check_series(radii) -> None:
             raise ValueError(f"successive radii {lo!r}, {hi!r} have a ratio below 1.5")
 
 
-def extrapolate(radii, series, n: int, decay: float) -> ExtrapolationResult:
+def extrapolate(radii, series, n: int) -> ExtrapolationResult:
     """Fit value(r) = limit + c r^{-p} to a flux ``series`` of a chart of
     dimension ``n`` at ``radii`` and estimate the limit.
 
-    The radii must pass ``check_series``; the fit runs in units of the
-    smallest, so r^-p lies in (0, 1] whatever the length unit.  p is
-    optimized inside (0.3, 2n) (a coarse grid plus refining grid passes,
-    see ``_best_exponent``).  The error estimate is twice the largest of
-    four probes: the fit residual, the limit shift when the smallest
-    radius is dropped (p kept, and p re-optimized), and the limit shift
-    under a two-term fit with an r^-(p+1) correction; the factor two
-    covers the systematic part those probes underestimate on slowly
-    converging series.  If the optimization degenerates, p falls back to
-    the declared ``decay`` (flagged in the result).
+    The radii must pass ``check_series`` and the series must be finite
+    (else ValueError).  The fit runs in units of the smallest radius and
+    of the power of two at the largest |value| (an exact scaling), so it
+    is finite for every such series and scales with the length unit.  p
+    is optimized inside (0.3, 2n) (a coarse grid plus refining grid
+    passes, see ``_best_exponent``).  The error estimate is twice the
+    largest of four probes: the fit residual, the limit shift when the
+    smallest radius is dropped (p kept, and p re-optimized), and the
+    limit shift under a two-term fit with an r^-(p+1) correction; the
+    factor two covers the systematic part those probes underestimate on
+    slowly converging series.
     """
     pts = sorted(zip(map(float, radii), map(float, series)))
     check_series([p[0] for p in pts])
     r = np.array([p[0] for p in pts]) / pts[0][0]
     v = np.array([p[1] for p in pts])
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"flux series {v.tolist()} is not finite")
+    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(v))))[1] - 1)
+    v = v / unit
 
-    spread = float(np.max(np.abs(v - v.mean())))
-    scale = max(np.max(np.abs(v)), 1e-300)
-    if spread <= 1e-13 * scale:
-        return ExtrapolationResult(limit=float(v[-1]), error=0.0, p=0.0)
+    if np.max(np.abs(v - v.mean())) <= 1e-13 * np.max(np.abs(v)):
+        return ExtrapolationResult(limit=float(v[-1]) * unit, error=0.0, p=0.0)
 
     def best_p(rr: np.ndarray, vv: np.ndarray) -> float:
         vc = vv - vv.mean()
         return _best_exponent(lambda ps: _fit_residuals(rr, vc, ps), 0.3, 2.0 * n)
 
-    fallback = False
     p = best_p(r, v)
     m_inf, resid = _power_fit(r, v, [p])
-    if not (np.isfinite(m_inf) and np.isfinite(resid)):
-        p = float(decay)
-        m_inf, resid = _power_fit(r, v, [p])
-        fallback = True
     m_drop_keep, _ = _power_fit(r[1:], v[1:], [p])
     m_drop_re, _ = _power_fit(r[1:], v[1:], [best_p(r[1:], v[1:])])
     m_aug, _ = _power_fit(r, v, [p, p + 1.0])
     error = 2.0 * max(resid, abs(m_inf - m_drop_keep),
                       abs(m_inf - m_drop_re), abs(m_inf - m_aug))
-    return ExtrapolationResult(limit=m_inf, error=error, p=p, fallback=fallback)
+    return ExtrapolationResult(limit=m_inf * unit, error=error * unit, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -581,13 +591,12 @@ class MassReport(NamedTuple):
 
     def csv_rows(self, chart: MetricChart):
         """(r, flux, cumulative extrapolation) rows; the cumulative
-        column holds the running ``extrapolate`` limit, with the n and tau
-        of ``chart``, once 4 samples exist, before that the latest flux."""
+        column holds the running ``extrapolate`` limit, with the n of
+        ``chart``, once 4 samples exist, before that the latest flux."""
         rows = []
         for k in range(len(self.radii)):
             if k + 1 >= 4:
-                est = extrapolate(self.radii[:k + 1], self.flux[:k + 1],
-                                  chart.n, chart.tau).limit
+                est = extrapolate(self.radii[:k + 1], self.flux[:k + 1], chart.n).limit
             else:
                 est = self.flux[k]
             rows.append((self.radii[k], self.flux[k], est))
@@ -606,7 +615,6 @@ def _normalizer(n: int, normalize: str) -> float:
     raise ValueError(f"unknown normalization {normalize!r} (raw | adm)")
 
 
-FALLBACK_WARNING = "extrapolation fell back to the declared decay rate"
 DIVERGENCE_WARNING = ("flux series does not converge: its increments per unit "
                       "log-radius stop shrinking")
 
@@ -629,15 +637,6 @@ def _diverges(radii, flux) -> bool:
     return bool(np.any((slope[1:] >= slope[:-1]) & (step[1:] > floor)))
 
 
-def _series_warnings(radii, flux, fell_back: bool) -> tuple:
-    warn = []
-    if fell_back:
-        warn.append(FALLBACK_WARNING)
-    if _diverges(radii, flux):
-        warn.append(DIVERGENCE_WARNING)
-    return tuple(warn)
-
-
 def _radii(chart: MetricChart, radii) -> tuple:
     return tuple(float(r) for r in (default_radii(chart) if radii is None else radii))
 
@@ -648,9 +647,9 @@ def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
     n = chart.n
     radii = _radii(chart, radii)
     flux = adm_flux(chart, radii, measure)
-    ext = extrapolate(radii, flux, n, chart.tau)
+    ext = extrapolate(radii, flux, n)
     norm = _normalizer(n, normalize)
-    warnings = _series_warnings(radii, flux, ext.fallback)
+    warnings = (DIVERGENCE_WARNING,) if _diverges(radii, flux) else ()
     return MassReport(kind="riemannian", radii=radii,
                       flux=tuple(f * norm for f in flux),
                       limit=ext.limit * norm, error=ext.error * norm,
@@ -668,11 +667,11 @@ def _end_mass(chart: MetricChart, radii, measure: str):
     radii = riem.radii
     lee = lee_flux(chart, radii, measure)
     series = tuple(a - 2.0 * (n - 1) * l for a, l in zip(riem.flux, lee))
-    el = extrapolate(radii, lee, n, chart.tau + 1.0)
+    el = extrapolate(radii, lee, n)
     leepart = -2.0 * (n - 1) * el.limit
     err = riem.error + 2.0 * (n - 1) * el.error
-    fell_back = FALLBACK_WARNING in riem.warnings or el.fallback
-    return riem, series, leepart, err, _series_warnings(radii, series, fell_back)
+    warnings = (DIVERGENCE_WARNING,) if _diverges(radii, series) else ()
+    return riem, series, leepart, err, warnings
 
 
 def weyl_mass(system, radii=None, measure: str = "euclidean",
@@ -737,8 +736,8 @@ def two_path_mass_delta(chart: MetricChart, f, base: MassReport,
     n = chart.n
     radii, measure = base.radii, base.measure
     df_series, dff_series = gradient_flux(chart, f, radii, measure)
-    e_df = extrapolate(radii, df_series, n, chart.tau + 1.0)
-    e_dff = extrapolate(radii, dff_series, n, chart.tau + 1.0)
+    e_df = extrapolate(radii, df_series, n)
+    e_dff = extrapolate(radii, dff_series, n)
     path_b = base.limit + (n - 1.0) * (-e_df.limit)
 
     scale = max(abs(path_a.limit), abs(path_b), 1e-300)

@@ -117,6 +117,15 @@ def _check(name: str, value: float, tolerance: float, **extra) -> dict:
     return entry
 
 
+def _convergence_checks(name: str, masses: dict) -> list:
+    """A failing check ``name`` when a mass report of ``masses`` (label ->
+    report) carries a warning, listing those masses under ``diverging``:
+    their flux series do not converge, so the limits the battery read
+    from them mean nothing.  No check when every one converges."""
+    diverging = [label for label, rep in masses.items() if rep.warnings]
+    return [_check(name, len(diverging), 0.0, diverging=diverging)] if diverging else []
+
+
 def _finish(battery: str, checks: list, tolerances: dict, **extra) -> dict:
     out = {"battery": battery, "checks": checks,
            "pass": all(c["pass"] for c in checks), "tolerances": tolerances}
@@ -394,7 +403,8 @@ def curvature_battery(chart: MetricChart, points: int = 50, seed: int = 42,
 
 def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
                  seed: int = 42, expected_total: float | None = None) -> dict:
-    """Global mass laws for a chart or an end system."""
+    """Global mass laws for a chart or an end system.  A mass the laws
+    read whose flux series does not converge fails ``mass-convergence``."""
     from . import mass
 
     tol = TOLERANCES
@@ -419,6 +429,7 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
             checks.append(_check("weyl-mass-multi-end-expected",
                                  abs(rep.limit - expected_total) / max(1.0, abs(expected_total)),
                                  tol["mass_law_rel"]))
+        checks.extend(_convergence_checks("mass-convergence", {"weyl-mass": rep}))
         details["per_end"] = singles
         details["total"] = rep.limit
         used = {k: tol[k] for k in ("aggregate_consistency", "mass_law_rel")}
@@ -477,6 +488,9 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     checks.append(_check("weyl-mass-coordinate-scaling", worst,
                          tol["scaling_match"], a=a, expected_ratio=s))
     details["scaling"] = pairs
+    checks.extend(_convergence_checks("mass-convergence", {
+        "weyl-mass": base, "weyl-mass-rescaled": moved, "metric-mass": riem,
+        **{f"metric-mass[{f}]": path_a for f, path_a in zip(factors, paths_a)}}))
 
     used = {k: tol[k] for k in ("mass_law_rel", "scaling_match")}
     out = _finish("laws", checks, used, config=cfg.name, measure=measure,
@@ -525,8 +539,8 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
     """Checks and field records of the spinor fluxes on one chart.
 
     Every limit is compared with this chart's own Weyl mass, whose
-    warnings (a diverging or fallback series) the record carries;
-    ``label`` prefixes the check names.
+    warnings (a diverging series) the record carries and fail a
+    ``mass-convergence`` check; ``label`` prefixes the check names.
     """
     from . import mass
 
@@ -544,7 +558,7 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
         series = [complex(v) for v in fluxes[:, s]]
         real_series = [v.real for v in series]
         imag_max = max(abs(v.imag) for v in series)
-        ext = mass.extrapolate(radii, real_series, chart.n, chart.tau)
+        ext = mass.extrapolate(radii, real_series, chart.n)
         expect = 0.25 * mrep.limit * nrm2
         scale = max(1.0, abs(expect))
         checks.append(_check(f"witten-limit[{label}{name}]",
@@ -555,6 +569,8 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
         fields.append({"name": name, "norm2": nrm2, "series": real_series,
                        "limit": ext.limit, "expected": expect,
                        "imag_max": imag_max})
+    checks.extend(_convergence_checks(f"mass-convergence[{label}weyl-mass]",
+                                      {"weyl-mass": mrep}))
     return checks, {"mass": mrep.limit, "radii": list(radii), "fields": fields,
                     "warnings": list(mrep.warnings)}
 

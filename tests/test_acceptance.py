@@ -216,7 +216,7 @@ def test_witten_flux_limit_recovers_quarter_mass(iso_cfg, lee_cfg):
 
             series = [witten_flux(chart, [spec], [r])[0, 0] for r in RADII]
             assert max(abs(w.imag) for w in series) <= 1e-8
-            ext = extrapolate(RADII, [w.real for w in series], chart.n, chart.tau)
+            ext = extrapolate(RADII, [w.real for w in series], chart.n)
             predicted = 0.25 * m_weyl * norm2
             assert abs(ext.limit - predicted) <= 1e-2 * abs(predicted), (
                 f"{cfg.name}/{name}: {ext.limit:.6f} vs {predicted:.6f}"

@@ -102,6 +102,13 @@ class TestMakeChart:
             make_chart(n=3, tau=0.75, r_min=1.0, lee=["1/(r - 50)", "0", "0"])
         assert str(err.value) == "lee form evaluates to a non-finite value at [50.0, 0.0, 0.0]"
 
+    def test_rejects_metric_non_finite_only_on_a_decay_scan_sphere(self):
+        # finite at r = 8 r_min, infinite on the first scan sphere r = 50:
+        # the refusal names the first point, as the Lee-form one does
+        with pytest.raises(ChartError) as err:
+            make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "1 + 1/(r - 50)^2"})
+        assert str(err.value) == "metric evaluates to a non-finite value at [50.0, 0.0, 0.0]"
+
     def test_validate_false_skips_probes(self):
         c = make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "-1"}, validate=False)
         assert isinstance(c, MetricChart)

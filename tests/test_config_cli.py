@@ -512,6 +512,42 @@ class TestCli:
         assert err.count("\n") == 1
         assert err.startswith("confmass: metric is not positive definite at")
 
+    @staticmethod
+    def singular_chart(tmp_path, radius):
+        """The bundled Schwarzschild chart with log|r - radius|/r^3 added to
+        g11: it loads, and is infinite on the sphere r = radius."""
+        doc = json.loads(bundled_text("schwarzschild.chart"))
+        doc["metric"]["11"]["expr"] += f" + log(sqrt((r - {radius})^2))/r^3"
+        p = tmp_path / "singular.chart"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["mass", "weyl-mass", "laws", "witten"])
+    def test_flux_on_a_singular_sphere_exits_two_with_one_line(
+            self, capsys, tmp_path, command):
+        # the second default radius is 40: its node terms are not finite,
+        # and the flux sample names that radius instead of fitting NaN
+        path = self.singular_chart(tmp_path, 40)
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (2, "")
+        assert err == ("confmass: radius 40.0 is singular: the chart evaluates "
+                       "to a non-finite value on that sphere\n")
+
+    @pytest.mark.parametrize("command", ["mass", "weyl-mass", "laws", "witten"])
+    def test_radius_where_the_chart_is_singular_exits_two_with_one_line(
+            self, capsys, tmp_path, monkeypatch, command):
+        # the axis points of S_30 sit exactly on the singular sphere: the
+        # flag check refuses the radius before any flux runs
+        def no_sample(*args, **kwargs):
+            raise AssertionError("a flux ran")
+
+        monkeypatch.setattr(mass, "_sample", no_sample)
+        code, out, err = run_cli(capsys, command, self.singular_chart(tmp_path, 30),
+                                 "--radii", "30,60,120,240")
+        assert (code, out) == (2, "")
+        assert err == ("confmass: --radii: radius 30.0 is singular: the chart "
+                       "evaluates to a non-finite value on that sphere\n")
+
     @pytest.mark.parametrize("command", ["mass", "weyl-mass", "laws", "witten"])
     def test_flux_commands_refuse_dimensions_without_a_sphere_rule(
             self, capsys, tmp_path, monkeypatch, command):
@@ -584,14 +620,19 @@ class TestCli:
             p.write_text(json.dumps(doc))
             code, out, _ = run_cli(capsys, "witten", str(p))
             rep = json.loads(out)
-            # warnings inform; the exit code still follows the checks alone
+            # the exit code follows the checks, a warned mass failing its own
             assert rep["pass"] is all(c["pass"] for c in rep["results"]["checks"])
-            assert code == (0 if rep["pass"] else 1)
+            assert code == 1
             reports[name] = rep["results"]
         assert DIVERGENCE_WARNING in reports["diverging.chart"]["warnings"]
         ends = reports["mixed.ends"]["ends"]
         assert DIVERGENCE_WARNING in ends[0]["warnings"]
         assert ends[1]["warnings"] == []
+        for name, failed in (("diverging.chart", "mass-convergence[weyl-mass]"),
+                             ("mixed.ends", "mass-convergence[end0/weyl-mass]")):
+            names = [c["name"] for c in reports[name]["checks"] if not c["pass"]]
+            assert failed in names
+            assert not any(n.startswith("mass-convergence[end1/") for n in names)
 
     @pytest.mark.parametrize("unit", [1e-30, 1e30])
     def test_mass_does_not_depend_on_the_length_unit(self, capsys, tmp_path, unit):
@@ -608,6 +649,37 @@ class TestCli:
         assert (proc.returncode, proc.stderr) == (0, "")
         got = json.loads(proc.stdout)["results"]["limit"]
         assert got == pytest.approx(unit * want, rel=1e-9, abs=0.0)
+
+    def test_mass_scales_with_the_length_unit_above_three_dimensions(self, tmp_path):
+        # n = 4 Schwarzschild in units 1e100 times smaller or larger, with
+        # m = unit^2: the raw mass, a length^2, scales by unit^2; the flux
+        # values near 1e+-200 neither overflow nor underflow in the fit
+        g = "(1 + m/(2*r^2))^2"
+        limits = {}
+        for unit in (1e-100, 1.0, 1e100):
+            doc = {"schema_version": 1, "kind": "chart", "name": "schwarzschild4",
+                   "n": 4, "tau": 1.9, "r_min": unit, "params": {"m": unit ** 2},
+                   "metric": {f"{i}{i}": g for i in range(1, 5)}}
+            p = tmp_path / "schwarzschild4.chart"
+            p.write_text(json.dumps(doc))
+            proc = python_fresh("-m", "confmass", "mass", str(p))
+            assert (proc.returncode, proc.stderr) == (0, "")
+            limits[unit] = json.loads(proc.stdout)["results"]["limit"] / unit ** 2
+        assert limits[1.0] == pytest.approx(12 * math.pi ** 2, rel=1e-12)
+        for unit in (1e-100, 1e100):
+            assert limits[unit] == pytest.approx(limits[1.0], rel=1e-12, abs=0.0)
+
+    def test_laws_fails_on_a_mass_whose_series_does_not_converge(self, capsys):
+        # perturbed4 decays like r^-1.5 at n = 4: its mass fluxes grow, every
+        # mass laws reads carries the divergence warning, and the one
+        # failing check says so
+        code, out, _ = run_cli(capsys, "laws", "perturbed4")
+        assert code == 1
+        checks = json.loads(out)["results"]["checks"]
+        failed = [c for c in checks if not c["pass"]]
+        assert [c["name"] for c in failed] == ["mass-convergence"]
+        assert failed[0]["diverging"][:3] == ["weyl-mass", "weyl-mass-rescaled",
+                                              "metric-mass"]
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_laws_passes_on_converging_charts_above_three_dimensions(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from confmass import exprdsl, jetlinalg, mass, util
-from confmass.chart import End, EndSystem, conformal_rescale, make_chart
+from confmass.chart import ChartError, End, EndSystem, conformal_rescale, make_chart
 from confmass.config import bundled_names, load_config
 from confmass.mass import (
     DIVERGENCE_WARNING,
@@ -23,6 +23,7 @@ from confmass.mass import (
     extrapolate,
     gradient_flux,
     lee_flux,
+    probe_radius,
     riemannian_mass,
     sphere_area,
     sphere_rule,
@@ -321,6 +322,29 @@ class TestSphereRule:
 
 
 class TestFluxes:
+    @pytest.mark.parametrize("flux", [adm_flux, lee_flux])
+    @pytest.mark.parametrize("measure", ["euclidean", "g"])
+    def test_non_finite_node_terms_name_their_radius(self, flux, measure):
+        # log|r - 40| is -inf at the nodes of S_40 where r rounds to 40
+        # exactly: the sample refuses that radius, not the series
+        sing = "log(sqrt((r - 40)^2))/r^3"
+        c = make_chart(n=3, tau=0.99, r_min=1.0, metric={"11": f"{ISO} + {sing}", "22": ISO,
+                                                         "33": ISO},
+                       lee=[f"-0.25*x1/r^3 + {sing}", "0", "0"])
+        with pytest.raises(ChartError) as err:
+            flux(c, [20.0, 40.0, 80.0, 160.0], measure)
+        assert str(err.value) == ("radius 40.0 is singular: the chart evaluates "
+                                  "to a non-finite value on that sphere")
+
+    def test_probe_refuses_a_singular_sphere(self):
+        # the axis points of S_30 lie exactly on the sphere where the Lee
+        # form is singular; the metric alone is finite there
+        c = make_chart(n=3, tau=0.99, r_min=1.0,
+                       lee=["-0.25*x1/r^3 + log(sqrt((r - 30)^2))/r^3", "0", "0"])
+        probe_radius(c, 30.0, lee=False)
+        with pytest.raises(ChartError, match="radius 30.0 is singular"):
+            probe_radius(c, 30.0, lee=True)
+
     def test_flat_fluxes_vanish_identically(self):
         c = flat_chart()
         for r in (5.0, 50.0):
@@ -844,15 +868,14 @@ class TestExtrapolate:
     def test_exact_power_law_recovered(self):
         radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
         vals = 5.0 + 3.0 * radii**-1.5
-        out = extrapolate(radii, vals, 4, 1.0)
+        out = extrapolate(radii, vals, 4)
         assert out.limit == pytest.approx(5.0, abs=1e-6)
         assert out.p == pytest.approx(1.5, abs=1e-3)
-        assert not out.fallback
         assert abs(out.limit - 5.0) <= out.error + 1e-12
 
     def test_constant_series_short_circuits(self):
         radii = [10.0, 20.0, 40.0, 80.0]
-        out = extrapolate(radii, [2.5] * 4, 4, 1.0)
+        out = extrapolate(radii, [2.5] * 4, 4)
         assert out.limit == 2.5
         assert out.error == 0.0
 
@@ -860,39 +883,50 @@ class TestExtrapolate:
         # a two-term tail: the estimate must bracket the true limit
         radii = np.array([10.0, 20.0, 40.0, 80.0, 160.0])
         vals = 1.0 + 4.0 / radii + 25.0 / radii**2
-        out = extrapolate(radii, vals, 4, 1.0)
+        out = extrapolate(radii, vals, 4)
         assert abs(out.limit - 1.0) <= out.error
 
-    def test_limit_does_not_depend_on_the_length_unit(self):
-        # one series with its radii times 1e-30, 1 and 1e30: raw r^-p
-        # would swamp the constant column in the first and underflow to 0
-        # in the last
+    @pytest.mark.parametrize("scale", [2.0 ** -664, 1.0, 2.0 ** 664])
+    def test_limit_does_not_depend_on_the_length_unit(self, scale):
+        # one series with its radii times 1e-30, 1 and 1e30 and its values
+        # times about 1e-200, 1 and 1e200: raw r^-p would swamp the
+        # constant column in the first unit and underflow to 0 in the
+        # last, and squared raw values would underflow or overflow.  The
+        # value scales are powers of two, which scale the fit exactly (a
+        # decimal one rounds every value, and the error bar, a difference
+        # of nearby limits, moves by about 5e-9 of itself)
         radii = np.array([20.0, 40.0, 80.0, 160.0, 320.0])
         vals = 50.0 - 30.0 / radii + 40.0 / radii ** 2
+        ref = extrapolate(radii, vals, 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = [extrapolate(unit * radii, vals, 3, 0.99) for unit in (1e-30, 1.0, 1e30)]
+            got = [extrapolate(unit * radii, scale * vals, 3) for unit in (1e-30, 1.0, 1e30)]
+        assert got[1] == (scale * ref.limit, scale * ref.error, ref.p)
         for out in got:
-            assert not out.fallback
-            assert out.limit == pytest.approx(got[1].limit, rel=1e-12)
-            assert out.error == pytest.approx(got[1].error, rel=1e-6)
-        assert got[1].limit == pytest.approx(50.0, abs=got[1].error)
+            assert out.limit == pytest.approx(scale * ref.limit, rel=1e-12)
+            assert out.error == pytest.approx(scale * ref.error, rel=1e-6)
+        assert ref.limit == pytest.approx(50.0, abs=ref.error)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_series_is_refused(self, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            extrapolate([10.0, 20.0, 40.0, 80.0], [1.0, 1.1, bad, 1.2], 4)
 
     def test_needs_four_samples(self):
         with pytest.raises(ValueError):
-            extrapolate([10.0, 20.0, 40.0], [1.0, 1.1, 1.2], 4, 1.0)
+            extrapolate([10.0, 20.0, 40.0], [1.0, 1.1, 1.2], 4)
 
     def test_needs_spread_radii(self):
         with pytest.raises(ValueError):
-            extrapolate([10.0, 11.0, 12.0, 13.0], [1.0, 1.1, 1.2, 1.25], 4, 1.0)
+            extrapolate([10.0, 11.0, 12.0, 13.0], [1.0, 1.1, 1.2, 1.25], 4)
 
-    def test_fallback_exponent_used_when_fit_degenerates(self):
-        # alternating noise around a constant defeats the power fit; the
-        # declared decay rate takes over and the result is flagged
+    def test_degenerate_fit_carries_a_positive_bar(self):
+        # alternating noise around a constant defeats the power fit: the
+        # fit still ends, and its error bar says the limit is uncertain
         radii = [10.0, 20.0, 40.0, 80.0]
         vals = [1.0 + 1e-3, 1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-3]
-        out = extrapolate(radii, vals, 4, 0.75)
-        assert out.fallback or out.error > 0.0
+        out = extrapolate(radii, vals, 4)
+        assert out.error > 0.0
 
 
 class TestGoldenSection:
@@ -936,8 +970,8 @@ class TestGoldenSection:
     def test_repeated_calls_are_bitwise_equal(self):
         radii = [20.0, 40.0, 80.0, 160.0]
         vals = [50.27 + 77.0 / r + 30.0 / r ** 2 for r in radii]
-        a = extrapolate(radii, vals, 3, 0.99)
-        b = extrapolate(radii, vals, 3, 0.99)
+        a = extrapolate(radii, vals, 3)
+        b = extrapolate(radii, vals, 3)
         assert a == b
         assert type(a.p) is float
 
