@@ -75,19 +75,19 @@ class EndSystem(NamedTuple):
 
 class SpinorFieldSpec(NamedTuple):
     """Component expressions (real, imaginary pairs) in the frame
-    trivialization, plus the weight."""
+    trivialization; every operator reads the field at the weight
+    (2 - n)/2."""
 
     components: tuple  # N pairs of ExprAst
-    weight: float
 
 
-def make_spinor_spec(sources, weight: float) -> SpinorFieldSpec:
+def make_spinor_spec(sources) -> SpinorFieldSpec:
     """Parse N (real, imaginary) source pairs into a field spec."""
     comps = [(as_expr(re), as_expr(im)) for re, im in sources]
     k = int(np.log2(len(comps)))
     if 2 ** k != len(comps):
         raise ValueError(f"component count {len(comps)} is not a power of two")
-    return SpinorFieldSpec(components=tuple(comps), weight=float(weight))
+    return SpinorFieldSpec(components=tuple(comps))
 
 
 def bound_identifiers(chart: MetricChart) -> set:
@@ -209,15 +209,14 @@ def _validate_chart(chart: MetricChart):
 
 
 class MetricData(NamedTuple):
-    """Metric jets at a batch of B points ``points`` (n, B).
+    """Metric jets at a batch of B points.
 
     ``coords`` are the n coordinate jets (m, B) the entries were
-    evaluated on; ``g`` and ``ginv`` are (m, B, i, j), ``sqrt_det`` is
-    (m, B).
+    evaluated on, seeded at the points; ``g`` and ``ginv`` are
+    (m, B, i, j), ``sqrt_det`` is (m, B).
     """
     chart: MetricChart
     space: JetSpace
-    points: np.ndarray
     coords: list[Jet]
     g: Jet
     ginv: Jet
@@ -289,7 +288,7 @@ def metric_jets(chart: MetricChart, points, order: int = 2) -> MetricData:
     space, coords = jets.seed_point(points, order)
     g = metric_entry_jets(chart, coords)
     _require_spd(g.value, points)
-    return MetricData(chart=chart, space=space, points=points, coords=coords,
+    return MetricData(chart=chart, space=space, coords=coords,
                       g=g, ginv=jetlinalg.mat_inv(g),
                       sqrt_det=jets.jet_sqrt(jetlinalg.mat_det(g)))
 
@@ -312,8 +311,11 @@ class DecayReport(NamedTuple):
     def summary(self) -> str:
         if self.exactly_flat:
             return "exactly flat"
-        return f"tau_hat={self.tau_hat:.3f} vs declared {self.tau_declared} -> " + \
-            ("ok" if self.passed else "FAIL")
+        verdict = "ok" if self.passed else "FAIL"
+        if self.tau_hat is None:  # a flat metric: the Lee slots decide
+            return (f"metric exactly flat; lee form vs declared tau + 1 = "
+                    f"{self.tau_declared + 1.0:g} -> {verdict}")
+        return f"tau_hat={self.tau_hat:.3f} vs declared {self.tau_declared} -> {verdict}"
 
 
 FLAT_FLOOR = 1e-15

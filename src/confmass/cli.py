@@ -47,6 +47,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -247,10 +248,13 @@ def _cmd_pointwise(args, cfg: LoadedConfig, radii, report: dict) -> None:
 
 
 def _converged(report: dict, rep: mass.MassReport) -> None:
+    """Fail the report unless its mass converged: no warning, a finite
+    limit, and an error within ``CONVERGENCE_REL`` of the mass scale (an
+    infinite or NaN error never is)."""
     budget = CONVERGENCE_REL * max(1.0, abs(rep.limit))
     report["tolerances"]["convergence_rel"] = CONVERGENCE_REL
     report["pass"] = (report["pass"] and not rep.warnings
-                      and rep.error <= budget)
+                      and math.isfinite(rep.limit) and rep.error <= budget)
 
 
 def _cmd_mass(args, cfg: LoadedConfig, radii, report: dict) -> None:

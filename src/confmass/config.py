@@ -25,7 +25,10 @@ default to the identity.  ``lee`` (optional) lists the n covector
 components, default zero.  ``spinors`` (optional) names spinor fields
 for flux commands, each with a name no other spinor has, the weight
 (2 - n)/2 and N = 2^(n//2) components in the identifiers the chart
-binds (those of every end, on an end system).
+binds (those of every end, on an end system).  Every number is finite
+and none is ``true`` or ``false``; every expression parses within the
+limits of :func:`confmass.exprdsl.parse` (brackets nested at most
+``MAX_NESTING`` deep, a tree of at most ``MAX_DEPTH`` levels).
 
 ``end_system``::
 
@@ -44,6 +47,7 @@ info), so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from typing import NamedTuple
 
@@ -80,11 +84,16 @@ def _expr_source(node, where: str) -> str:
 
 
 def _require(doc: dict, key: str, types, where: str):
+    """``doc[key]`` when it is one of ``types``.  JSON true and false are
+    never numbers (Python reads them as the ints 1 and 0), and a number
+    must be finite (JSON ``Infinity`` and ``NaN`` read as floats)."""
     if key not in doc:
         raise ConfigError(f"{where}: missing required field {key!r}")
     v = doc[key]
-    if not isinstance(v, types):
+    if not isinstance(v, types) or isinstance(v, bool):
         raise ConfigError(f"{where}: field {key!r} has wrong type {type(v).__name__}")
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{where}: field {key!r} must be a finite number, got {v!r}")
     return v
 
 
@@ -136,7 +145,7 @@ def _parse_spinors(doc: dict, where: str, charts) -> tuple:
             pairs.append((_expr_source(comp.get("re", "0"), wc + ".re"),
                           _expr_source(comp.get("im", "0"), wc + ".im")))
         try:
-            spec = make_spinor_spec(pairs, float(weight))
+            spec = make_spinor_spec(pairs)
         except (ValueError, ArithmeticError) as e:
             raise ConfigError(f"{w}: {e}") from e
         for c, comp in enumerate(spec.components):
@@ -166,10 +175,11 @@ def _parse_chart_fields(doc: dict, where: str, name: str) -> MetricChart:
         if not isinstance(lee_doc, list):
             raise ConfigError(f"{where}: lee must be a list of {n} components")
         lee = [_expr_source(v, f"{where}.lee[{i}]") for i, v in enumerate(lee_doc)]
+    params = {str(k): float(_require(params, k, (int, float), f"{where}.params"))
+              for k in params}
     try:
         return make_chart(n, float(tau), float(r_min), metric=metric, lee=lee,
-                          params={str(k): float(v) for k, v in params.items()},
-                          name=name)
+                          params=params, name=name)
     except (ChartError, ValueError) as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -199,8 +209,8 @@ def parse_config(doc: dict, source: str = "config") -> LoadedConfig:
             w = f"{source}.ends[{k}]"
             if not isinstance(e, dict):
                 raise ConfigError(f"{w}: expected an object")
-            a = e.get("a", 1.0)
-            if not isinstance(a, (int, float)) or not a > 0:
+            a = _require(e, "a", (int, float), w) if "a" in e else 1.0
+            if not a > 0:
                 raise ConfigError(f"{w}: 'a' must be a positive number")
             chart_doc = _require(e, "chart", dict, w)
             cname = str(chart_doc.get("name", f"{name}-end{k}"))

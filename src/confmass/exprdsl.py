@@ -30,6 +30,9 @@ coordinate (so it is constant along the chart) and exp(s*log(u))
 otherwise.
 
 Parse errors carry the 0-based byte offset of the offending token.
+``parse`` also refuses brackets nested more than ``MAX_NESTING`` deep
+and expressions more than ``MAX_DEPTH`` levels deep (``depth``), which
+keeps parsing and lowering inside Python's recursion limit.
 
 Evaluation goes through one straight-line program.  ``lower`` turns a
 sequence of trees, with n and the parameters bound, into a ``Program``:
@@ -59,21 +62,30 @@ __all__ = [
     "Program", "RING_OPS", "parse", "as_expr", "lower", "evaluate",
     "identifiers", "is_coordinate_free",
     "substitute", "derivative", "eadd", "esub", "emul", "ediv",
-    "FUNCTIONS", "MAX_INT_EXPONENT", "COORD_RE",
+    "FUNCTIONS", "MAX_INT_EXPONENT", "MAX_NESTING", "MAX_DEPTH", "COORD_RE", "depth",
 ]
 
 FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "sin": 1, "cos": 1, "atan": 1, "pow": 2}
 MAX_INT_EXPONENT = 64
+# the limits ``parse`` sets on an expression, inside Python's default
+# recursion limit of 1000 frames.  The parser recurses four frames per
+# bracket.  Lowering, substitution and differentiation recurse at most
+# one frame per level that ``depth`` counts, under the frames of their
+# callers: ``laws`` and ``witten`` overflow past 975 levels, so MAX_DEPTH
+# leaves every command 15 frames to spare.
+MAX_NESTING = 200
+MAX_DEPTH = 960
 
 #: coordinate-like names are reserved: x1, x2, ... and the radius r
 COORD_RE = re.compile(r"^x[0-9]+$")
 
 
 class ParseError(ValueError):
-    """Syntax or grammar error; ``offset`` is the 0-based byte position."""
+    """Syntax or grammar error; ``offset`` is the 0-based byte position,
+    None for an error of the whole expression."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} at offset {offset}")
+    def __init__(self, message: str, offset: int | None = None):
+        super().__init__(message if offset is None else f"{message} at offset {offset}")
         self.offset = offset
 
 
@@ -194,17 +206,17 @@ class _Parser:
         return node
 
     def unary(self) -> ExprAst:
-        t = self.peek()
-        if t.kind == "op" and t.text == "-":
+        # unary and power in one frame, the minuses counted, not recursed on
+        signs = 0
+        while self.peek().kind == "op" and self.peek().text == "-":
             self.next()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> ExprAst:
+            signs += 1
         node = self.atom()
         while self.peek().kind == "op" and self.peek().text == "^":
             self.next()
             node = Pow(node, self.int_exponent())
+        for _ in range(signs):
+            node = Neg(node)
         return node
 
     def int_exponent(self) -> int:
@@ -230,24 +242,23 @@ class _Parser:
         if t.kind == "num":
             self.next()
             return Num(float(t.text))
-        if t.kind == "name":
-            self.next()
-            nt = self.peek()
-            if nt.kind == "op" and nt.text == "(":
-                return self.call(t)
-            return Var(t.text)
         if t.kind == "op" and t.text == "(":
             self.next()
             e = self.expr()
             self.expect_op(")")
             return e
-        got = repr(t.text) if t.kind != "end" else "end of input"
-        raise ParseError(f"unexpected {got}", t.offset)
-
-    def call(self, name: _Token) -> ExprAst:
+        if t.kind != "name":
+            got = repr(t.text) if t.kind != "end" else "end of input"
+            raise ParseError(f"unexpected {got}", t.offset)
+        name = self.next()
+        nt = self.peek()
+        if not (nt.kind == "op" and nt.text == "("):
+            return Var(name.text)
+        # a call, parsed in this frame: a bracket costs the same frames
+        # whether it is a call's or a group's
         if name.text not in FUNCTIONS:
             raise ParseError(f"unknown function {name.text!r}", name.offset)
-        self.expect_op("(")
+        self.next()
         args = [self.expr()]
         while self.peek().kind == "op" and self.peek().text == ",":
             self.next()
@@ -266,9 +277,22 @@ def parse(src: str) -> ExprAst:
     """Parse ``src`` to an immutable expression tree.
 
     Raises:
-        ParseError: on any syntax problem, with a 0-based byte offset.
+        ParseError: on any syntax problem, with a 0-based byte offset, and
+            on brackets nested more than ``MAX_NESTING`` deep (before any
+            recursion) or more than ``MAX_DEPTH`` levels (``depth``).
     """
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    nesting = 0
+    for t in parser.toks:
+        if t.kind == "op" and t.text in "()":
+            nesting += 1 if t.text == "(" else -1
+            if nesting > MAX_NESTING:
+                raise ParseError(f"brackets nest more than {MAX_NESTING} deep", t.offset)
+    tree = parser.parse()
+    levels = depth(tree)
+    if levels > MAX_DEPTH:
+        raise ParseError(f"expression is {levels} levels deep, more than {MAX_DEPTH}")
+    return tree
 
 
 def as_expr(e: str | ExprAst) -> ExprAst:
@@ -279,6 +303,18 @@ def as_expr(e: str | ExprAst) -> ExprAst:
 # ---------------------------------------------------------------------------
 # evaluation: trees lowered to one straight-line program
 
+def _children(node: ExprAst) -> tuple:
+    if isinstance(node, Neg):
+        return (node.arg,)
+    if isinstance(node, BinOp):
+        return (node.left, node.right)
+    if isinstance(node, Pow):
+        return (node.base,)
+    if isinstance(node, Call):
+        return node.args
+    return ()
+
+
 def identifiers(ast: ExprAst) -> set[str]:
     """All identifier names appearing in the tree."""
     out: set[str] = set()
@@ -287,15 +323,26 @@ def identifiers(ast: ExprAst) -> set[str]:
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node.name)
-        elif isinstance(node, Neg):
-            stack.append(node.arg)
-        elif isinstance(node, BinOp):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Call):
-            stack.extend(node.args)
+        stack.extend(_children(node))
     return out
+
+
+def depth(ast: ExprAst) -> int:
+    """Levels of the tree, counted without recursion: 1 for a leaf, one
+    more per level, and three more below a ``pow`` whose exponent is
+    coordinate-free, which ``lower`` evaluates by a program of its own
+    (the frames of ``evaluate``, ``lower`` and its generator)."""
+    most = 0
+    stack = [(ast, 1)]
+    while stack:
+        node, d = stack.pop()
+        most = max(most, d)
+        kids = _children(node)
+        if isinstance(node, Call) and node.fn == "pow" and is_coordinate_free(kids[1]):
+            stack.append((kids[1], d + 4))
+            kids = kids[:1]
+        stack.extend((c, d + 1) for c in kids)
+    return most
 
 
 def is_coordinate_free(ast: ExprAst) -> bool:

@@ -43,7 +43,7 @@ complete an orthogonal matrix; the Schur complement does the rest).
 Quadrature: every flux function takes the radii of its series and
 returns one flux per radius.  Each radius climbs the order ladder
 ``QUAD_ORDERS`` = 4, 6, 8, 12, 16, 24, 32, 48 of exact sphere rules (see
-``sphere_rule``), one ladder for every n, skipping rungs of more than
+``_unit_rule``), one ladder for every n, skipping rungs of more than
 ``QUAD_MAX_NODES`` nodes, and gets the finer value of the first adjacent
 pair that agrees within ``QUAD_RTOL`` times the sum of the absolute node
 terms plus ``QUAD_ATOL`` (the floor that lets integrands vanishing node
@@ -86,10 +86,8 @@ from .chart import (ChartError, End, EndSystem, MetricChart, SpinorFieldSpec,
 from .jets import seed_point
 
 __all__ = [
-    "SphereRule",
     "MassReport",
     "ExtrapolationResult",
-    "sphere_rule",
     "adm_flux",
     "lee_flux",
     "gradient_flux",
@@ -121,42 +119,6 @@ def sphere_area(n: int, r: float = 1.0) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0) * r ** (n - 1)
 
 
-class SphereRule(NamedTuple):
-    """Quadrature nodes on S_r with Euclidean surface weights."""
-
-    r: float
-    nodes: np.ndarray  # (n, M)
-    weights: np.ndarray  # (M,)
-
-    @property
-    def count(self) -> int:
-        return self.nodes.shape[1]
-
-
-def sphere_rule(n: int, r: float, orders: int) -> SphereRule:
-    """Product rule of order N = ``orders`` on the sphere of radius r: for
-    each polar angle theta_k (k = 1..n-2) N Gauss-Jacobi nodes in
-    cos(theta_k) for the weight (1 - t^2)^((n-2-k)/2) of the surface
-    element, and 2N uniform azimuth nodes.  Its 2 N^(n-1) nodes are exact
-    on polynomials of degree up to 2N - 1.  The unit-sphere rule is built
-    once per (n, N) and scaled by r on every call."""
-    N = _rule_order(n, orders)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    x, w = _unit_rule(n, N)
-    return SphereRule(r=float(r), nodes=r * x, weights=(r ** (n - 1)) * w)
-
-
-def _rule_order(n: int, orders: int) -> int:
-    """The order N of a sphere rule in dimension n, checked."""
-    if not 3 <= n <= FLUX_MAX_DIM:
-        raise ValueError(f"sphere_rule supports 3 <= n <= {FLUX_MAX_DIM}, got {n}")
-    N = int(orders)
-    if N < 2:
-        raise ValueError("quadrature order must be >= 2")
-    return N
-
-
 def _polar_rule(N: int, a: float) -> tuple:
     """N-node Gauss rule in t on (-1, 1) for the weight (1 - t^2)^a: the
     eigenvalues of the Jacobi matrix of the Jacobi polynomials P^(a,a),
@@ -171,9 +133,20 @@ def _polar_rule(N: int, a: float) -> tuple:
 
 @functools.lru_cache(maxsize=32)
 def _unit_rule(n: int, N: int) -> tuple:
-    """Read-only nodes (n, M) and weights (M,) of the rule on the unit sphere:
-    x[n-1] = t_1, x[n-2] = s_1 t_2, ..., x[0] = S cos(phi), x[1] = S sin(phi)
-    with s_k = sqrt(1 - t_k^2), S = prod s_k, t_1 slowest and phi fastest."""
+    """Product rule of order N on the unit sphere, as read-only nodes
+    (n, M) and weights (M,): for each polar angle theta_k (k = 1..n-2) N
+    Gauss-Jacobi nodes in t_k = cos(theta_k) for the weight
+    (1 - t^2)^((n-2-k)/2) of the surface element, and 2N uniform azimuth
+    nodes phi.  Its M = 2 N^(n-1) nodes are exact on polynomials of
+    degree up to 2N - 1.  x[n-1] = t_1, x[n-2] = s_1 t_2, ...,
+    x[0] = S cos(phi), x[1] = S sin(phi) with s_k = sqrt(1 - t_k^2),
+    S = prod s_k, t_1 slowest and phi fastest.  Built once per (n, N) and
+    scaled by each radius in ``_sample``; ValueError unless
+    3 <= n <= ``FLUX_MAX_DIM`` and N >= 2."""
+    if not 3 <= n <= FLUX_MAX_DIM:
+        raise ValueError(f"sphere rules exist for 3 <= n <= {FLUX_MAX_DIM}, got {n}")
+    if N < 2:
+        raise ValueError("quadrature order must be >= 2")
     M = 2 * N
     phi = 2.0 * math.pi * np.arange(M) / M
     shape = (N,) * (n - 2) + (M,)
@@ -316,7 +289,7 @@ def _sample(chart: MetricChart, rules, integrand, measure: str) -> list:
     flux would be wrong, and a non-finite term has no limit to fit.
     """
     n = chart.n
-    units = [_unit_rule(n, _rule_order(n, N)) for _, N in rules]
+    units = [_unit_rule(n, N) for _, N in rules]
     ends = list(itertools.accumulate(w.size for _, w in units))
     starts = [0] + ends[:-1]
     parts = [[] for _ in rules]

@@ -100,14 +100,13 @@ def _random_part(n: int, rng: np.random.Generator):
     return e
 
 
-def random_spinor_spec(n: int, rng: np.random.Generator,
-                       weight: float) -> SpinorFieldSpec:
+def random_spinor_spec(n: int, rng: np.random.Generator) -> SpinorFieldSpec:
     """A spinor field with random polynomial+trig components."""
     from .clifford import build_rep
 
     comps = [(_random_part(n, rng), _random_part(n, rng))
              for _ in range(build_rep(n).N)]
-    return make_spinor_spec(comps, weight)
+    return make_spinor_spec(comps)
 
 
 def _check(name: str, value: float, tolerance: float, **extra) -> dict:
@@ -242,9 +241,8 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
     """
     rng = rng_for(seed)
     n = chart.n
-    k = 0.5 * (2.0 - n)
     pts = sample_points(chart, points, rng)
-    specs = (random_spinor_spec(n, rng, k), random_spinor_spec(n, rng, k))
+    specs = (random_spinor_spec(n, rng), random_spinor_spec(n, rng))
     direction = rng.normal(size=n)
     direction /= math.sqrt(float(np.sum(direction * direction)))
     rescaled = conformal_rescale(chart, COVARIANCE_FACTOR)
@@ -524,8 +522,7 @@ def _default_spinors(n: int) -> list:
     base[1][min(1, N - 1)] = ("1", "0")
     base[2][0] = ("0.6", "0")
     base[2][min(1, N - 1)] = ("0", "0.8")
-    k = 0.5 * (2.0 - n)
-    return [(f"const{i}", make_spinor_spec(rows, k)) for i, rows in enumerate(base)]
+    return [(f"const{i}", make_spinor_spec(rows)) for i, rows in enumerate(base)]
 
 
 def witten_spinors(cfg: LoadedConfig) -> list:

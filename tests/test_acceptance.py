@@ -71,9 +71,8 @@ def _spinor_setup(cfg, points, seed, order=2):
     md = metric_jets(chart, pts, order=order)
     theta = _chart_theta_jets(chart, md.coords)
     calc = spinor_calc(md, theta)
-    k = 0.5 * (2.0 - chart.n)
-    psi = spinor_jets(random_spinor_spec(chart.n, rng, k), md.coords, chart.params)
-    phi = spinor_jets(random_spinor_spec(chart.n, rng, k), md.coords, chart.params)
+    psi = spinor_jets(random_spinor_spec(chart.n, rng), md.coords, chart.params)
+    phi = spinor_jets(random_spinor_spec(chart.n, rng), md.coords, chart.params)
     return calc, psi, phi
 
 

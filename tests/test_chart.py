@@ -162,6 +162,17 @@ class TestDecayScan:
         assert not scan.slots["theta1"]["passed"]
         assert scan.slots["theta2"]["exactly_flat"]
 
+    @pytest.mark.parametrize("power, verdict", [(3, "ok"), (1, "FAIL")])
+    def test_flat_metric_with_a_lee_form_summarises_the_lee_verdict(self, power, verdict):
+        # every metric slot is flat, so there is no tau_hat to print; the
+        # Lee slots (b x_i / r^3 decays at 2 >= tau + 1 - 0.1) decide
+        c = make_chart(n=3, tau=0.99, r_min=1.0, metric={}, params={"b": 0.25},
+                       lee=[f"b*x{i}/r^{power}" for i in (1, 2, 3)], validate=False)
+        scan = decay_scan(c)
+        assert scan.tau_hat is None and not scan.exactly_flat
+        assert scan.passed == (verdict == "ok")
+        assert scan.summary() == f"metric exactly flat; lee form vs declared tau + 1 = 1.99 -> {verdict}"
+
 
 class TestMetricJets:
     def test_spd_enforced(self):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import confmass
-from confmass import cli, mass
+from confmass import cli, exprdsl, mass
 from confmass.cli import main
 from confmass.config import (
     ConfigError,
@@ -103,7 +103,14 @@ class TestParseConfig:
         assert len(cfg.spinors) == 1
         name, spec = cfg.spinors[0]
         assert name == "const-plus"
-        assert spec.weight == -0.5
+        assert len(spec.components) == 2
+        # the spec keeps no weight, but the loader still requires (2 - n)/2
+        for weight in (None, 0.5):
+            spinor = {k: v for k, v in doc["spinors"][0].items() if k != "weight"}
+            if weight is not None:
+                spinor["weight"] = weight
+            with pytest.raises(ConfigError, match="weight"):
+                parse_config(dict(doc, spinors=[spinor]), "inline")
 
     def test_end_system(self):
         doc = {
@@ -556,7 +563,6 @@ class TestCli:
         def no_rule(*args, **kwargs):
             raise AssertionError("a sphere rule was requested")
 
-        monkeypatch.setattr(mass, "sphere_rule", no_rule)
         monkeypatch.setattr(mass, "_unit_rule", no_rule)
         code, out, err = run_cli(capsys, command, path)
         assert code == 2
@@ -865,3 +871,157 @@ class TestCli:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]  # byte identical
+
+
+def end_doc(**fields) -> dict:
+    """A two-end system of CHART_DOC charts (weights 1 and 4), with no
+    part shared between the ends."""
+    end = {k: v for k, v in CHART_DOC.items() if k not in ("schema_version", "kind", "name")}
+    return json.loads(json.dumps({"schema_version": 1, "kind": "end_system", "name": "pair",
+                                  "ends": [{"a": 1.0, "chart": end}, {"a": 4.0, "chart": end}],
+                                  **fields}))
+
+
+ONE = {"re": {"expr": "1"}, "im": {"expr": "0"}}
+
+
+class TestHostileConfigs:
+    """Configs that load, or ran, only to end in a traceback or in a
+    passing non-finite mass."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("ends", 1, "a"), math.inf, ".ends[1]: field 'a' must be a finite number, got inf"),
+        (("ends", 1, "a"), math.nan, ".ends[1]: field 'a' must be a finite number, got nan"),
+        (("ends", 1, "a"), True, ".ends[1]: field 'a' has wrong type bool"),
+        (("ends", 1, "chart", "r_min"), True, ".ends[1].chart: field 'r_min' has wrong type bool"),
+        (("ends", 1, "chart", "r_min"), math.inf,
+         ".ends[1].chart: field 'r_min' must be a finite number, got inf"),
+        (("ends", 1, "chart", "tau"), -math.inf,
+         ".ends[1].chart: field 'tau' must be a finite number, got -inf"),
+        (("ends", 1, "chart", "n"), True, ".ends[1].chart: field 'n' has wrong type bool"),
+        (("ends", 1, "chart", "params", "m"), True,
+         ".ends[1].chart.params: field 'm' has wrong type bool"),
+        (("ends", 1, "chart", "params", "m"), math.inf,
+         ".ends[1].chart.params: field 'm' must be a finite number, got inf"),
+        (("ends", 1, "chart", "params", "m"), [1.0],
+         ".ends[1].chart.params: field 'm' has wrong type list"),
+        (("schema_version",), True, ": field 'schema_version' has wrong type bool"),
+        (("spinors", 0, "weight"), True, ".spinors[0]: field 'weight' has wrong type bool"),
+        (("spinors", 0, "weight"), math.nan,
+         ".spinors[0]: field 'weight' must be a finite number, got nan"),
+    ])
+    def test_numbers_must_be_finite_and_not_booleans(self, capsys, tmp_path, path, value,
+                                                     message):
+        # JSON true loads as the int 1 and Infinity as a float: either one
+        # used to load, and an infinite weight a passed weyl-mass with an
+        # infinite limit
+        doc = end_doc(spinors=[{"name": "s", "weight": -0.5, "components": [ONE, ONE]}])
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "hostile.ends"
+        p.write_text(json.dumps(doc))  # Infinity and NaN, which json.loads reads
+        code, out, err = run_cli(capsys, "weyl-mass", str(p))
+        assert (code, out, err) == (2, "", f"confmass: hostile.ends{message}\n")
+
+    def test_a_mass_that_overflows_fails_its_convergence(self, capsys, tmp_path):
+        # two n = 4 Schwarzschild ends of mass 12 pi^2; weighing the second
+        # by a^((n - 2)/2) = 1e308 overflows the total, which must not pass
+        g = "(1 + m/(2*r^2))^2"
+        end = {"n": 4, "tau": 1.5, "r_min": 1.0, "params": {"m": 1.0},
+               "metric": {f"{i}{i}": g for i in range(1, 5)}}
+        doc = {"schema_version": 1, "kind": "end_system", "name": "heavy",
+               "ends": [{"a": 1.0, "chart": end}, {"a": 1e308, "chart": end}]}
+        p = tmp_path / "heavy.ends"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "weyl-mass", str(p))
+        rep = json.loads(out)
+        assert code == 1 and rep["pass"] is False
+        assert rep["results"]["limit"] == math.inf and rep["results"]["warnings"] == []
+
+    @pytest.mark.parametrize("limit, error, passed", [
+        (math.inf, math.inf, False), (math.inf, 0.0, False), (math.nan, 0.0, False),
+        (50.0, math.inf, False), (50.0, math.nan, False), (50.0, 0.1, True),
+    ])
+    def test_convergence_needs_a_finite_limit_and_error(self, limit, error, passed):
+        rep = mass.MassReport(kind="weyl", radii=(), flux=(), limit=limit, error=error,
+                              measure="euclidean", normalize="raw", components={})
+        report = {"tolerances": {}, "pass": True}
+        cli._converged(report, rep)
+        assert report["pass"] is passed
+
+    def test_check_on_a_flat_metric_with_a_lee_form(self, capsys, tmp_path):
+        # every metric slot is exactly flat, so no tau_hat exists to print
+        doc = json.loads(bundled_text("flat.chart"))
+        doc.update(tau=0.99, params={"b": 0.25},
+                   lee=[{"expr": f"b*x{i}/r^3"} for i in (1, 2, 3)])
+        p = tmp_path / "flat-lee.chart"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(p))
+        assert (code, err) == (0, "")
+        scan = json.loads(out)["results"]["decay"][0]
+        assert scan["tau_hat"] is None and scan["pass"] is True
+        assert scan["summary"] == "metric exactly flat; lee form vs declared tau + 1 = 1.99 -> ok"
+
+    # deep entries, each "+0" one tree level and each bracket pair one
+    # nesting deeper: DEEP[name](k) is k levels (or brackets) deep
+    ISO = "(1 + m/(2*r))^4"  # 5 levels, 2 brackets
+    DEEP = {
+        "sum": lambda k: TestHostileConfigs.ISO + "+0" * (k - 5),
+        # a coordinate-free exponent counts three levels more: lowering
+        # evaluates it by a program of its own
+        "pow": lambda k: "pow(1 + m/(2*r), 4" + "+0" * (k - 5) + ")",
+        "spinor": lambda k: "1" + "+0" * (k - 1),
+        "calls": lambda k: "sqrt(" * (k - 2) + TestHostileConfigs.ISO + ")" * (k - 2),
+        "groups": lambda k: "(" * k + "b*x1/r^3" + ")" * k,
+    }
+
+    def limit_chart(self, tmp_path, names=tuple(DEEP), beyond=0) -> str:
+        """The bundled Schwarzschild chart with the deep entries ``names``
+        ``beyond`` their parse limit: g11 the sum, g22 the pow, g33 the
+        calls, the first Lee component the groups and the first spinor
+        component the spinor chain."""
+        def entry(name, plain):
+            if name not in names:
+                return plain
+            limit = exprdsl.MAX_NESTING if name in ("calls", "groups") else exprdsl.MAX_DEPTH
+            return self.DEEP[name](limit + beyond)
+
+        doc = json.loads(bundled_text("schwarzschild.chart"))
+        doc["metric"] = {"11": entry("sum", self.ISO), "22": entry("pow", self.ISO),
+                         "33": entry("calls", self.ISO)}
+        doc["params"]["b"] = 0.25
+        doc["lee"] = [entry("groups", "b*x1/r^3"), "b*x2/r^3", "b*x3/r^3"]
+        spinor = {"re": entry("spinor", "1"), "im": "0"}
+        doc["spinors"] = [{"name": "deep", "weight": -0.5, "components": [spinor, ONE]}]
+        p = tmp_path / "deep.chart"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize("command", ["check", "identities", "laws", "witten"])
+    def test_expressions_at_the_parse_limits_run(self, tmp_path, command):
+        for name in ("sum", "pow", "spinor"):
+            tree = exprdsl._Parser(self.DEEP[name](exprdsl.MAX_DEPTH)).parse()
+            assert exprdsl.depth(tree) == exprdsl.MAX_DEPTH
+        # in a fresh process, as the CLI runs: the test runner's own frames
+        # would eat into the recursion the limits leave to the commands
+        proc = python_fresh("-m", "confmass", command, self.limit_chart(tmp_path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.parametrize("name, message", [
+        ("sum", f"expression is {exprdsl.MAX_DEPTH + 1} levels deep, "
+                f"more than {exprdsl.MAX_DEPTH}"),
+        ("pow", f"expression is {exprdsl.MAX_DEPTH + 1} levels deep, "
+                f"more than {exprdsl.MAX_DEPTH}"),
+        ("calls", f"brackets nest more than {exprdsl.MAX_NESTING} deep at offset "),
+        ("groups", f"brackets nest more than {exprdsl.MAX_NESTING} deep at offset "),
+        ("spinor", f"expression is {exprdsl.MAX_DEPTH + 1} levels deep, "
+                   f"more than {exprdsl.MAX_DEPTH}"),
+    ])
+    def test_expressions_past_the_parse_limits_are_refused_at_load(
+            self, capsys, tmp_path, name, message):
+        code, out, err = run_cli(capsys, "check", self.limit_chart(tmp_path, (name,), 1))
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        where = "deep.chart.spinors[0]" if name == "spinor" else "deep.chart"
+        assert err.startswith(f"confmass: {where}: {message}")

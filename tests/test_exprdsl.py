@@ -185,6 +185,47 @@ class TestParseEvaluate:
         with pytest.raises(ParseError):
             parse(f"x1^{exprdsl.MAX_INT_EXPONENT + 1}")
 
+    def test_minus_chains_and_powers_keep_their_tree(self):
+        # the parser counts leading minuses and takes powers in one frame
+        assert parse("--x1^2^3*y") == BinOp(
+            "*", Neg(Neg(Pow(Pow(Var("x1"), 2), 3))), Var("y"))
+        assert parse("-sqrt(-x1)^-2") == Neg(Pow(Call("sqrt", (Neg(Var("x1")),)), -2))
+
+    def test_depth_counts_what_lowering_recurses_through(self):
+        assert exprdsl.depth(parse("x1")) == 1
+        assert exprdsl.depth(parse("pow(x1, x2)")) == 2
+        assert exprdsl.depth(parse("pow(x1, 2)")) == 5
+        assert exprdsl.depth(parse("pow(x1, m + 1)")) == 6
+
+    @pytest.mark.parametrize("opener", ["(", "sqrt("])
+    def test_brackets_nest_at_most_max_nesting_deep(self, opener):
+        # counted on the tokens before the parser recurses, which it does
+        # four frames a bracket, a group's or a call's alike
+        k = exprdsl.MAX_NESTING
+        assert identifiers(parse(opener * k + "x1" + ")" * k)) == {"x1"}
+        with pytest.raises(ParseError) as err:
+            parse(opener * (k + 1) + "x1" + ")" * (k + 1))
+        assert err.value.offset == len(opener) * (k + 1) - 1
+        assert str(err.value) == f"brackets nest more than {k} deep at offset {err.value.offset}"
+
+    @pytest.mark.parametrize("chain", [
+        lambda k: "x1" + "+0" * (k - 1),
+        lambda k: "-" * (k - 1) + "x1",
+        lambda k: "x1" + "^1" * (k - 1),
+        lambda k: "pow(2, " * 100 + "1" + "+0" * (k - 401) + ")" * 100,
+    ], ids=["sum", "minus", "power", "pow"])
+    def test_trees_are_at_most_max_depth_levels_deep(self, chain):
+        # a chain of k - 1 operators on a leaf is k levels deep, and each
+        # pow with a coordinate-free exponent four, since lowering
+        # evaluates that exponent by a program of its own; neither the
+        # parse of a bracket-free chain nor the depth count recurses on it
+        k = exprdsl.MAX_DEPTH
+        assert exprdsl.depth(parse(chain(k))) == k
+        with pytest.raises(ParseError) as err:
+            parse(chain(k + 1))
+        assert err.value.offset is None
+        assert str(err.value) == f"expression is {k + 1} levels deep, more than {k}"
+
     def test_vectorized_evaluation(self):
         pts = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
         out = evaluate(parse("x1^2 + x2"), pts)

@@ -26,7 +26,6 @@ from confmass.mass import (
     probe_radius,
     riemannian_mass,
     sphere_area,
-    sphere_rule,
     two_path_mass_delta,
     weyl_flux,
     weyl_mass,
@@ -238,47 +237,48 @@ class TestSphereRule:
         ],
     )
     def test_unit_sphere_areas(self, n, area):
-        rule = sphere_rule(n, 1.0, TOP[n])
-        assert float(np.sum(rule.weights)) == pytest.approx(area, rel=1e-12)
+        _, w = _unit_rule(n, TOP[n])
+        assert float(np.sum(w)) == pytest.approx(area, rel=1e-12)
         assert sphere_area(n, 1.0) == pytest.approx(area, rel=1e-15)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
-    def test_scaling_with_radius(self, n):
+    def test_flux_scales_the_unit_rule_by_its_radius(self, n):
+        # the flux sample scales the unit rule itself: 1 integrates to the
+        # area of S_r and |x|^2 to r^2 times it, on the ladder and on the
+        # top rung alike
         r = 7.5
-        rule = sphere_rule(n, r, TOP[n])
-        assert float(np.sum(rule.weights)) == pytest.approx(
-            sphere_area(n, r), rel=1e-12
-        )
-        np.testing.assert_allclose(np.linalg.norm(rule.nodes, axis=0), r, rtol=1e-14)
+        c = flat_chart(n=n)
+
+        def ones(Xc, nu):
+            return np.stack([np.ones(Xc.shape[1]), np.sum(Xc * Xc, axis=0)])
+
+        for orders in (None, TOP[n]):
+            area, second = _flux(c, [r], ones, "euclidean", orders)[0]
+            assert area == pytest.approx(sphere_area(n, r), rel=1e-12)
+            assert second == pytest.approx(r ** 2 * sphere_area(n, r), rel=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_polynomial_moments(self, n):
-        # odd moments vanish, quadratic moments are area * r^2 / n
-        r = 2.0
-        rule = sphere_rule(n, r, TOP[n])
-        area = sphere_area(n, r)
+        # odd moments vanish, quadratic moments are area / n
+        x, w = _unit_rule(n, TOP[n])
+        area = sphere_area(n)
         for i in range(n):
-            assert float(np.sum(rule.weights * rule.nodes[i])) == pytest.approx(
-                0.0, abs=1e-12 * area
-            )
-            got = float(np.sum(rule.weights * rule.nodes[i] ** 2))
-            assert got == pytest.approx(area * r**2 / n, rel=1e-12)
-        got = float(np.sum(rule.weights * rule.nodes[0] * rule.nodes[-1]))
-        assert got == pytest.approx(0.0, abs=1e-12 * area)
+            assert float(np.sum(w * x[i])) == pytest.approx(0.0, abs=1e-12 * area)
+            assert float(np.sum(w * x[i] ** 2)) == pytest.approx(area / n, rel=1e-12)
+        assert float(np.sum(w * x[0] * x[-1])) == pytest.approx(0.0, abs=1e-12 * area)
 
     @pytest.mark.parametrize("n,N", EXACT_SIZES, ids=[f"{N}-{n}" for n, N in EXACT_SIZES])
     def test_order_N_is_exact_through_degree_2N_minus_1(self, n, N):
         # exact through degree 2N - 1, and no further: x_n^(2N) is missed
-        rule = sphere_rule(n, 1.0, N)
-        assert moment_error(rule.nodes, rule.weights, 2 * N - 1) <= 1e-13 * sphere_area(n)
-        assert moment_error(rule.nodes, rule.weights, 2 * N) > 1e-6 * sphere_area(n)
+        x, w = _unit_rule(n, N)
+        assert moment_error(x, w, 2 * N - 1) <= 1e-13 * sphere_area(n)
+        assert moment_error(x, w, 2 * N) > 1e-6 * sphere_area(n)
 
     @pytest.mark.parametrize("n", [4, 5, 6])
-    def test_theta_legendre_rule_fails_the_moment_oracle(self, monkeypatch, n):
+    def test_theta_legendre_rule_fails_the_moment_oracle(self, n):
         # mutation: the earlier rule in the polar angles themselves
-        monkeypatch.setattr(mass, "_unit_rule", theta_unit_rule)
-        rule = sphere_rule(n, 1.0, 6)
-        assert moment_error(rule.nodes, rule.weights, 11) > 1e-3
+        x, w = theta_unit_rule(n, 6)
+        assert moment_error(x, w, 11) > 1e-3
 
     @pytest.mark.parametrize("N", [2, 3, 6, 7, 12, 24, 48])
     def test_n3_rule_is_gauss_legendre_in_cos_theta_bitwise(self, N):
@@ -300,24 +300,23 @@ class TestSphereRule:
         np.testing.assert_allclose(t, t_ref, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(wt, wt_ref, rtol=2e-12, atol=0.0)
 
-    def test_refinement_changes_count(self):
-        a = sphere_rule(3, 1.0, TOP[3])
-        b = sphere_rule(3, 1.0, orders=2 * TOP[3])
-        assert b.count > a.count
+    @pytest.mark.parametrize("n,N", RULE_SIZES)
+    def test_node_count_is_2_N_to_the_n_minus_1(self, n, N):
+        x, w = _unit_rule(n, N)
+        assert x.shape == (n, 2 * N ** (n - 1)) and w.shape == (2 * N ** (n - 1),)
 
-    def test_minimum_order(self):
-        with pytest.raises(ValueError):
-            sphere_rule(3, 1.0, orders=1)
+    @pytest.mark.parametrize("n,N", [(3, 1), (3, 0), (2, 4), (mass.FLUX_MAX_DIM + 1, 2)])
+    def test_refuses_an_order_below_two_and_a_dimension_without_a_rule(self, n, N):
+        # a refusal is not cached: it raises on every call
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                _unit_rule(n, N)
 
     @pytest.mark.parametrize("n,N", RULE_SIZES)
     def test_cached_rule_is_bitwise_the_rule_built_from_scratch(self, n, N):
-        x, w = reference_unit_rule(n, N)
-        for r in (1.0, 2.5, 20.0, 37.7, 160.0):
-            rule = sphere_rule(n, r, orders=N)
-            assert rule.r == r
-            assert np.array_equal(rule.nodes, r * x)
-            assert np.array_equal(rule.weights, (r ** (n - 1)) * w)
+        x_ref, w_ref = reference_unit_rule(n, N)
         x, w = _unit_rule(n, N)
+        assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref)
         assert not x.flags.writeable and not w.flags.writeable
 
 
@@ -421,7 +420,7 @@ class TestFluxes:
             metric={},
             lee=["-x1/r^3", "-x2/r^3", "-x3/r^3"],
         )
-        spec = make_spinor_spec([("1", "0"), ("0", "0")], weight=-0.5)
+        spec = make_spinor_spec([("1", "0"), ("0", "0")])
         for r in (6.0, 24.0, 96.0):
             w = witten_flux(c, [spec], [r])[0, 0]
             assert w.real == pytest.approx(4 * math.pi, rel=1e-12)
@@ -431,9 +430,9 @@ class TestFluxes:
     def test_witten_flux_of_several_specs_matches_single_calls_bitwise(self):
         c = lee_chart()
         specs = [
-            make_spinor_spec([("1", "0"), ("0", "0")], weight=-0.5),
-            make_spinor_spec([("0.6", "0"), ("0", "0.8")], weight=-0.5),
-            make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")], weight=-0.5),
+            make_spinor_spec([("1", "0"), ("0", "0")]),
+            make_spinor_spec([("0.6", "0"), ("0", "0.8")]),
+            make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")]),
         ]
         # 16 Gauss nodes give 512 sphere nodes: two chunks
         together = list(witten_flux(c, specs, [20.0], orders=16)[0])
@@ -511,8 +510,8 @@ class TestCoarsePair:
         # the zero spinor's flux agrees at the first pair; the constant
         # one's does not, and the whole shared sample climbs the ladder
         c = stress_chart()
-        specs = [make_spinor_spec([("0", "0"), ("0", "0")], weight=-0.5),
-                 make_spinor_spec([("1", "0"), ("0", "0")], weight=-0.5)]
+        specs = [make_spinor_spec([("0", "0"), ("0", "0")]),
+                 make_spinor_spec([("1", "0"), ("0", "0")])]
         with monkeypatch.context() as m:
             runs = record_rules(m)
             witten_flux(c, specs[:1], [20.0])
@@ -592,7 +591,7 @@ class TestCoarsePair:
     @pytest.mark.parametrize("width", [32, 4096])
     def test_flux_bits_do_not_depend_on_the_chunk_width(self, monkeypatch, width):
         stress, lee = stress_chart(), lee_chart()
-        spec = make_spinor_spec([("0.6", "0"), ("0", "0.8")], weight=-0.5)
+        spec = make_spinor_spec([("0.6", "0"), ("0", "0.8")])
 
         def fluxes():
             return [adm_flux(stress, [20.0], "g", orders=24)[0],
@@ -620,9 +619,8 @@ class TestCoarsePair:
         N = 2 ** (n // 2)
         comps = [(f"{0.1 * (a + 1)} + x{a % n + 1}/r", f"x{(a + 1) % n + 1}*x1/r^2")
                  for a in range(N)]
-        specs = [make_spinor_spec(comps, weight=0.5 * (2 - n)),
-                 make_spinor_spec([("0.6", "0")] + [("0", "0.8")] * (N - 1),
-                                  weight=0.5 * (2 - n))]
+        specs = [make_spinor_spec(comps),
+                 make_spinor_spec([("0.6", "0")] + [("0", "0.8")] * (N - 1))]
 
         def fluxes():
             return [adm_flux(c, [20.0], "g", orders=3)[0],
@@ -700,8 +698,8 @@ def bits(values) -> np.ndarray:
 def two_spinors(n):
     N = 2 ** (n // 2)
     rest = [("0", "0")] * (N - 2)
-    return [make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")] + rest, 0.5 * (2 - n)),
-            make_spinor_spec([("0.6", "0"), ("0", "0.8")] + rest, 0.5 * (2 - n))]
+    return [make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")] + rest),
+            make_spinor_spec([("0.6", "0"), ("0", "0.8")] + rest)]
 
 
 # on perturbed4 in the g measure r = 20 climbs to order 12 and r = 1000
@@ -758,10 +756,10 @@ class TestChunks:
 
         runs = record_rules(monkeypatch)
         got = _flux(c, [r], integrand, measure, N)[0]
-        rule = sphere_rule(3, r, N)
-        nu, fac = _measure_factors(c, rule.nodes, measure)
-        terms = integrand(rule.nodes, nu) * fac * rule.weights
-        assert rule.count > 4 * util.CHUNK
+        x, w = _unit_rule(3, N)
+        nu, fac = _measure_factors(c, r * x, measure)
+        terms = integrand(r * x, nu) * fac * (r ** 2 * w)
+        assert w.size > 4 * util.CHUNK
         assert np.array_equal(bits(got), bits([terms[0].sum(), terms[1].sum()]))
         assert np.array_equal(bits(runs[0][2]), bits(np.abs(terms).sum(axis=-1)))
         # and within a few roundings of the exactly rounded sum
@@ -818,7 +816,7 @@ class TestFluxSeries:
         metric["12"] = f"0.3*x1*x2/r^{n + 2}"
         lee = [f"-0.2*x{i}/r^{n} + 0.1*x{i % n + 1}/r^{n}" for i in range(1, n + 1)]
         c = make_chart(n=n, tau=n - 2.1, r_min=1.0, metric=metric, lee=lee)
-        specs = two_spinors(n) + [make_spinor_spec([("0", "x1/r")] * 2 ** (n // 2), 0.5 * (2 - n))]
+        specs = two_spinors(n) + [make_spinor_spec([("0", "x1/r")] * 2 ** (n // 2))]
         for measure in ("euclidean", "g"):
             together = witten_flux(c, specs, [20.0, 50.0], measure, orders=2)
             alone = np.stack([witten_flux(c, [s], [20.0, 50.0], measure, orders=2)[:, 0]
@@ -929,7 +927,7 @@ class TestExtrapolate:
         assert out.error > 0.0
 
 
-class TestGoldenSection:
+class TestGridPassSearch:
     def test_minimum_inside_the_bracket(self):
         best = _best_exponent(lambda ps: (np.reshape(ps, -1) - 1.2345) ** 2, 0.3, 8.0)
         assert best == pytest.approx(1.2345, abs=1e-9)

@@ -152,7 +152,7 @@ class TestCovariantDerivative:
         X = sample_points(3, 5)
         md = metric_jets(chart, X, order=2)
         calc = spinor_calc(md, None)
-        psi = spinor_jets(make_spinor_spec([("1", "0"), ("0", "1")], weight=-0.5), md.coords)
+        psi = spinor_jets(make_spinor_spec([("1", "0"), ("0", "1")]), md.coords)
         D = covd_coord(calc, psi, None)
         assert max(np.max(np.abs(D.value[:, i])) for i in range(3)) == 0.0
 
@@ -171,7 +171,7 @@ class TestCovariantDerivative:
         theta = lee_jets(chart, md.coords)
         calc = spinor_calc(md, theta)
         psi = spinor_jets(
-            make_spinor_spec([("1 + x1/r", "x2/r"), ("x3/r", "0.5")], weight=-0.5),
+            make_spinor_spec([("1 + x1/r", "x2/r"), ("x3/r", "0.5")]),
             md.coords,
         )
         k1, k2 = -0.5, 1.5
@@ -199,9 +199,7 @@ class TestCovariantDerivative:
         md = metric_jets(chart, X, order=2)
         theta = lee_jets(chart, md.coords)
         calc = spinor_calc(md, theta)
-        spec = make_spinor_spec(
-            [("0", "x3/r^2"), ("-x2/r^2", "x1/r^2")], weight=-0.5
-        )
+        spec = make_spinor_spec([("0", "x3/r^2"), ("-x2/r^2", "x1/r^2")])
         psi = spinor_jets(spec, md.coords)
         D = covd_coord(calc, psi, -0.5)
         worst = max(np.max(np.abs(D.value[:, i])) for i in range(3))
@@ -222,7 +220,7 @@ class TestDirac:
         X = sample_points(3, 4)
         md = metric_jets(chart, X, order=2)
         calc = spinor_calc(md, None)
-        psi = spinor_jets(make_spinor_spec([("x1", "0"), ("0", "0")], weight=-0.5), md.coords)
+        psi = spinor_jets(make_spinor_spec([("x1", "0"), ("0", "0")]), md.coords)
         vals = spinor_values(dirac(calc, covd_coord(calc, psi, None)))
         np.testing.assert_allclose(vals[0], 0.0, atol=1e-15)
         np.testing.assert_allclose(vals[1], 1j * np.ones(4), atol=1e-15)
@@ -232,7 +230,7 @@ class TestDirac:
         X = sample_points(3, 10)
         calc = calc_for(chart, X, order=2)
         psi = spinor_jets(
-            make_spinor_spec([("1 + x2/r^2", "x1/r^3"), ("x3/r^2", "1")], weight=-0.5),
+            make_spinor_spec([("1 + x2/r^2", "x1/r^3"), ("x3/r^2", "1")]),
             calc.frame.md.coords,
         )
         # the expanded form must reproduce the composed square
@@ -245,10 +243,7 @@ class TestDirac:
 class TestResiduals:
     def make_psi(self, coords):
         return spinor_jets(
-            make_spinor_spec(
-                [("1 + x1/r^2", "0.2 - x3/r^3"), ("x2/r^2", "1 - x1/r^3")],
-                weight=-0.5,
-            ),
+            make_spinor_spec([("1 + x1/r^2", "0.2 - x3/r^3"), ("x2/r^2", "1 - x1/r^3")]),
             coords,
         )
 
@@ -268,7 +263,7 @@ class TestResiduals:
         calc = calc_for(chart, X)
         psi = self.make_psi(calc.frame.md.coords)
         phi = spinor_jets(
-            make_spinor_spec([("x3/r^2", "1"), ("0.5", "x1/r^2")], weight=-0.5),
+            make_spinor_spec([("x3/r^2", "1"), ("0.5", "x1/r^2")]),
             calc.frame.md.coords,
         )
         out = lichnerowicz_II_residual(calc, psi, phi, covd_coord(calc, psi, -0.5),
@@ -294,8 +289,8 @@ class TestPairing:
         chart = iso_chart()
         X = sample_points(3, 6)
         md = metric_jets(chart, X, order=2)
-        psi = spinor_jets(make_spinor_spec([("x1", "x2"), ("1", "x3/r")], weight=-0.5), md.coords)
-        phi = spinor_jets(make_spinor_spec([("0.5", "x3"), ("x2/r", "1")], weight=-0.5), md.coords)
+        psi = spinor_jets(make_spinor_spec([("x1", "x2"), ("1", "x3/r")]), md.coords)
+        phi = spinor_jets(make_spinor_spec([("0.5", "x3"), ("x2/r", "1")]), md.coords)
         ab = h_jet(psi, phi).value
         ba = h_jet(phi, psi).value
         np.testing.assert_allclose(ab, np.conj(ba), rtol=1e-15)
@@ -304,7 +299,7 @@ class TestPairing:
         chart = iso_chart()
         X = sample_points(3, 6)
         md = metric_jets(chart, X, order=2)
-        psi = spinor_jets(make_spinor_spec([("1", "x1/r"), ("x2/r", "0")], weight=-0.5), md.coords)
+        psi = spinor_jets(make_spinor_spec([("1", "x1/r"), ("x2/r", "0")]), md.coords)
         d = h_jet(psi, psi)
         assert np.all(np.atleast_1d(d.value.real) > 0)
         np.testing.assert_allclose(np.atleast_1d(d.value.imag), 0.0, atol=1e-16)
@@ -332,12 +327,12 @@ class TestBatchIndependence:
         coords = calc.frame.md.coords
         psi = spinor_jets(
             make_spinor_spec([("1 + x1/r^2", "x2/r^2"), ("x3/r^2", "0.5"),
-                              ("0.2", "x4/r^2"), ("x1*x2/r^4", "1")], weight=-1.0),
+                              ("0.2", "x4/r^2"), ("x1*x2/r^4", "1")]),
             coords,
         )
         phi = spinor_jets(
             make_spinor_spec([("x4/r^2", "1"), ("0.5", "x1/r^2"),
-                              ("1", "0"), ("x2/r^2", "x3/r^2")], weight=-1.0),
+                              ("1", "0"), ("x2/r^2", "x3/r^2")]),
             coords,
         )
         Dpsi = covd_coord(calc, psi, -1.0)
