@@ -6,9 +6,10 @@ parameters, a decay rate tau with (n-2)/2 < tau < n-2, and an inner
 radius r_min beyond which the data is valid.  Several ends form an
 EndSystem, each carrying a normalization weight a_l > 0.
 
-The jet front end lives here too: ``metric_jets`` evaluates g, its
-inverse and sqrt(det g) as jets at a point or point batch, checking
-positive definiteness of the value part first; ``metric_entry_jets``
+The jet front end lives here too: ``metric_jets`` evaluates g and its
+inverse as jets at a point or point batch, checking positive
+definiteness of the value part first, and its ``MetricData`` builds
+sqrt(det g) on first read; ``metric_entry_jets``
 (g, unchecked) and ``lee_jets`` (theta) evaluate over given coordinate
 jets, and ``metric_values`` gives the plain values of g.  Each tensor
 is one batched Jet (m, B, *index); a single point (n,) is a batch of
@@ -21,6 +22,7 @@ expressions of a spinor field, as a chart holds those of its metric.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -115,7 +117,7 @@ def make_chart(n: int, tau: float, r_min: float,
                metric: Mapping | None = None,
                lee: Sequence | None = None,
                params: Mapping[str, float] | None = None,
-               name: str = "", validate: bool = True) -> MetricChart:
+               name: str = "") -> MetricChart:
     """Build and validate a chart.
 
     ``metric`` maps "ij" strings (or (i, j) 1-based tuples) to expression
@@ -174,8 +176,7 @@ def make_chart(n: int, tau: float, r_min: float,
     chart = MetricChart(n=n, tau=float(tau), r_min=float(r_min),
                         metric=metric_t, lee=tuple(lee_list),
                         params=params, name=name)
-    if validate:
-        _validate_chart(chart)
+    _validate_chart(chart)
     return chart
 
 
@@ -192,12 +193,13 @@ def _validate_chart(chart: MetricChart):
             raise ChartError(f"lee component {i + 1} uses unknown identifiers {sorted(bad)}")
 
     # positive definiteness probe on the sphere r = 8 r_min, through
-    # metric_jets (benchmark/tracer.py expects every workload to call it),
-    # and on the spheres of the decay scan, by plain evaluation; the Lee
-    # form must be finite on all of them
+    # metric_jets and its sqrt_det (benchmark/tracer.py expects every
+    # workload to call metric_jets and jetlinalg.mat_det, and the flux
+    # commands read no determinant jet), and on the spheres of the decay
+    # scan, by plain evaluation; the Lee form must be finite on all of them
     dirs = _probe_directions(chart.n)
     near = 8.0 * chart.r_min * dirs
-    metric_jets(chart, near, order=1)
+    metric_jets(chart, near, order=1).sqrt_det
     pts = np.concatenate([r * dirs for r in _scan_radii(chart)], axis=1)
     _require_spd(metric_values(chart, pts), pts)
     if chart.has_lee:
@@ -208,19 +210,27 @@ def _validate_chart(chart: MetricChart):
             raise ChartError(f"lee form evaluates to a non-finite value at {pts[:, q].tolist()}")
 
 
-class MetricData(NamedTuple):
+class MetricData:
     """Metric jets at a batch of B points.
 
     ``coords`` are the n coordinate jets (m, B) the entries were
     evaluated on, seeded at the points; ``g`` and ``ginv`` are
-    (m, B, i, j), ``sqrt_det`` is (m, B).
+    (m, B, i, j).  ``sqrt_det`` (m, B) is built on first read: only the
+    codifferential reads it.
     """
-    chart: MetricChart
-    space: JetSpace
-    coords: list[Jet]
-    g: Jet
-    ginv: Jet
-    sqrt_det: Jet
+
+    def __init__(self, chart: MetricChart, space: JetSpace, coords: list[Jet],
+                 g: Jet, ginv: Jet):
+        self.chart = chart
+        self.space = space
+        self.coords = coords
+        self.g = g
+        self.ginv = ginv
+
+    @cached_property
+    def sqrt_det(self) -> Jet:
+        """sqrt(det g) (m, B), built on first read."""
+        return jets.jet_sqrt(jetlinalg.mat_det(self.g))
 
     @property
     def n(self) -> int:
@@ -280,8 +290,8 @@ def metric_entry_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
 
 
 def metric_jets(chart: MetricChart, points, order: int = 2) -> MetricData:
-    """Evaluate g, g^{-1} and sqrt(det g) as jets at ``points``, after
-    checking g positive definite there."""
+    """Evaluate g and g^{-1} as jets at ``points``, after checking g
+    positive definite there; sqrt(det g) waits until it is read."""
     points = _batch(points)
     if points.shape[0] != chart.n:
         raise ChartError(f"points have {points.shape[0]} coordinates, chart has n={chart.n}")
@@ -289,8 +299,7 @@ def metric_jets(chart: MetricChart, points, order: int = 2) -> MetricData:
     g = metric_entry_jets(chart, coords)
     _require_spd(g.value, points)
     return MetricData(chart=chart, space=space, coords=coords,
-                      g=g, ginv=jetlinalg.mat_inv(g),
-                      sqrt_det=jets.jet_sqrt(jetlinalg.mat_det(g)))
+                      g=g, ginv=jetlinalg.mat_inv(g))
 
 
 def lee_jets(chart: MetricChart, coords: list[Jet]) -> Jet:

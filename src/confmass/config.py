@@ -28,7 +28,9 @@ for flux commands, each with a name no other spinor has, the weight
 binds (those of every end, on an end system).  Every number is finite
 and none is ``true`` or ``false``; every expression parses within the
 limits of :func:`confmass.exprdsl.parse` (brackets nested at most
-``MAX_NESTING`` deep, a tree of at most ``MAX_DEPTH`` levels).
+``MAX_NESTING`` deep, a tree of at most ``MAX_DEPTH`` levels), and a
+parse error names its entry (``bad.chart.metric.22: ...``,
+``....lee[1]: ...``, ``....spinors[0].components[1].re: ...``).
 
 ``end_system``::
 
@@ -54,6 +56,7 @@ from typing import NamedTuple
 from . import exprdsl
 from .chart import (ChartError, End, EndSystem, MetricChart, bound_identifiers, make_chart,
                     make_spinor_spec)
+from .exprdsl import ExprAst
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -74,13 +77,19 @@ class ConfigError(ValueError):
     """Malformed configuration document."""
 
 
-def _expr_source(node, where: str) -> str:
-    if isinstance(node, str):
-        return node
-    if isinstance(node, dict) and set(node) == {"expr"} and isinstance(node["expr"], str):
-        return node["expr"]
-    raise ConfigError(f"{where}: expected an expression string or {{\"expr\": ...}}, "
-                      f"got {node!r}")
+def _expr(node, where: str) -> ExprAst:
+    """The parsed expression of ``node``, a source string or
+    ``{"expr": source}``; a parse error names the entry ``where``."""
+    src = node
+    if isinstance(node, dict) and set(node) == {"expr"}:
+        src = node["expr"]
+    if not isinstance(src, str):
+        raise ConfigError(f"{where}: expected an expression string or {{\"expr\": ...}}, "
+                          f"got {node!r}")
+    try:
+        return exprdsl.parse(src)
+    except exprdsl.ParseError as e:
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def _require(doc: dict, key: str, types, where: str):
@@ -142,12 +151,9 @@ def _parse_spinors(doc: dict, where: str, charts) -> tuple:
             wc = f"{w}.components[{c}]"
             if not isinstance(comp, dict):
                 raise ConfigError(f"{wc}: expected an object with re/im")
-            pairs.append((_expr_source(comp.get("re", "0"), wc + ".re"),
-                          _expr_source(comp.get("im", "0"), wc + ".im")))
-        try:
-            spec = make_spinor_spec(pairs)
-        except (ValueError, ArithmeticError) as e:
-            raise ConfigError(f"{w}: {e}") from e
+            pairs.append((_expr(comp.get("re", "0"), wc + ".re"),
+                          _expr(comp.get("im", "0"), wc + ".im")))
+        spec = make_spinor_spec(pairs)
         for c, comp in enumerate(spec.components):
             for part, tree in zip(("re", "im"), comp):
                 bad = exprdsl.identifiers(tree) - bound
@@ -168,13 +174,13 @@ def _parse_chart_fields(doc: dict, where: str, name: str) -> MetricChart:
     metric_doc = doc.get("metric", {})
     if not isinstance(metric_doc, dict):
         raise ConfigError(f"{where}: metric must be an object of 'ij' entries")
-    metric = {k: _expr_source(v, f"{where}.metric.{k}") for k, v in metric_doc.items()}
+    metric = {k: _expr(v, f"{where}.metric.{k}") for k, v in metric_doc.items()}
     lee_doc = doc.get("lee")
     lee = None
     if lee_doc is not None:
         if not isinstance(lee_doc, list):
             raise ConfigError(f"{where}: lee must be a list of {n} components")
-        lee = [_expr_source(v, f"{where}.lee[{i}]") for i, v in enumerate(lee_doc)]
+        lee = [_expr(v, f"{where}.lee[{i}]") for i, v in enumerate(lee_doc)]
     params = {str(k): float(_require(params, k, (int, float), f"{where}.params"))
               for k in params}
     try:

@@ -47,7 +47,9 @@ integrands on order-1 jets use the same calculator and never pay for
 them.  Operators on a field take its derivative
 ``Dc = covd_coord(calc, psi, weight)``, with weight None for the
 Riemannian derivative, so each first derivative is computed once by
-the caller and shared by every operator that reads it.
+the caller and shared by every operator that reads it;
+``lichnerowicz_I_residual`` takes the Dirac square
+``dirac_composed(calc, Dc, weight)`` the same way.
 
 All operators evaluate on a batch of points (n, B); every derivative
 drops the jet order by one and mixed-order products truncate to the
@@ -425,15 +427,16 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
 # ---------------------------------------------------------------------------
 # identity residuals
 
-def lichnerowicz_I_residual(calc: SpinorCalc, psi: Jet, Dc: Jet):
+def lichnerowicz_I_residual(calc: SpinorCalc, psi: Jet, Dc: Jet, D2: Jet):
     """Dirac-square minus trace-second minus quarter-Scal, at the
-    distinguished weight k = (2 - n)/2, with ``Dc = covd_coord(calc, psi, k)``.
+    distinguished weight k = (2 - n)/2, with ``Dc = covd_coord(calc, psi, k)``
+    and the Dirac square ``D2 = dirac_composed(calc, Dc, k)``.
 
     Returns (residual (N, batch) complex array, scale) with scale the
     largest constituent term, for relative comparison.
     """
     k = 0.5 * (2.0 - calc.n)
-    d2 = spinor_values(dirac_composed(calc, Dc, k))
+    d2 = spinor_values(D2)
     tr = spinor_values(conf_trace_second(calc, Dc, k))
     quarter = 0.25 * calc.scal.value * spinor_values(psi)
     res = d2 - tr - quarter

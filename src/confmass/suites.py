@@ -192,26 +192,31 @@ def _identity_maxima(chart: MetricChart, rescaled: MetricChart, pts: np.ndarray,
                          spinor_values)
 
     n = chart.n
+    # conformal covariance: f Scal(fg, theta - df/2f) = Scal(g, theta); the
+    # rescaled chart's jets are freed before the base chart's are built
+    fv = exprdsl.evaluate(exprdsl.parse(COVARIANCE_FACTOR), pts, chart.params)
+    lhs = fv * _weyl_scal_values(rescaled, pts, jet_order)
+
     md = metric_jets(chart, pts, order=jet_order)
     theta = lee_jets(chart, md.coords) if chart.has_lee else None
     calc = spinor_calc(md, theta)
     k = 0.5 * (2.0 - n)
     out = _gap_maxima(calc.weyl) if theta is not None else {}
 
-    # conformal covariance: f Scal(fg, theta - df/2f) = Scal(g, theta)
     scal_weyl = calc.scal.value
-    fv = exprdsl.evaluate(exprdsl.parse(COVARIANCE_FACTOR), pts, chart.params)
-    lhs = fv * _weyl_scal_values(rescaled, pts, jet_order)
     out["covariance"] = np.max(np.abs(lhs - scal_weyl))
     out["scal"] = np.max(np.abs(scal_weyl))
 
     # spinor identities on two independent random fields
     psi, phi = (spinor_jets(spec, md.coords, chart.params) for spec in specs)
-    # D_i psi and D_i phi at weight k, shared by every residual below
+    # D_i psi and D_i phi at weight k, shared by every residual below, and
+    # the composed Dirac square of psi, shared by the first identity and
+    # the expansion check
     Dpsi = covd_coord(calc, psi, k)
     Dphi = covd_coord(calc, phi, k)
+    D2psi = dirac_composed(calc, Dpsi, k)
 
-    res, out["first_scale"] = lichnerowicz_I_residual(calc, psi, Dpsi)
+    res, out["first_scale"] = lichnerowicz_I_residual(calc, psi, Dpsi, D2psi)
     out["first"] = np.max(np.abs(res))
 
     pairing = lichnerowicz_II_residual(calc, psi, phi, Dpsi, Dphi)
@@ -220,7 +225,7 @@ def _identity_maxima(chart: MetricChart, rescaled: MetricChart, pts: np.ndarray,
         out[f"pairing_{key}"] = np.max(np.abs(pairing[key]))
 
     if theta is not None:
-        d2 = spinor_values(dirac_composed(calc, Dpsi, k))
+        d2 = spinor_values(D2psi)
         ex = spinor_values(dirac_squared_expansion(calc, psi, k))
         out["expansion"] = np.max(np.abs(d2 - ex))
         out["d2"] = np.max(np.abs(d2))
@@ -419,10 +424,15 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
                    [rep.components["riemannian"] + rep.components["lee"]])
         combined = sum(e.a ** (0.5 * (n - 2)) * m
                        for e, m in zip(system.ends, singles))
-        scale = max(1.0, abs(combined))
-        checks.append(_check("weyl-mass-multi-end-consistency",
-                             abs(rep.limit - combined) / scale,
-                             tol["aggregate_consistency"]))
+        # an overflowing total or sum fails with its name, not with a NaN
+        # from inf - inf
+        not_finite = [label for label, v in (("total", rep.limit), ("weighted_sum", combined))
+                      if not math.isfinite(v)]
+        extra = {"not_finite": not_finite} if not_finite else {}
+        value = (math.inf if not_finite else
+                 abs(rep.limit - combined) / max(1.0, abs(combined)))
+        checks.append(_check("weyl-mass-multi-end-consistency", value,
+                             tol["aggregate_consistency"], **extra))
         if expected_total is not None:
             checks.append(_check("weyl-mass-multi-end-expected",
                                  abs(rep.limit - expected_total) / max(1.0, abs(expected_total)),

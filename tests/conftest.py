@@ -1,6 +1,14 @@
 import pytest
 
+from confmass import chart as chart_module
 from confmass.config import load_config, load_expected
+
+
+@pytest.fixture
+def unvalidated(monkeypatch):
+    """``make_chart`` without the load-time probes of ``_validate_chart``,
+    for charts that exercise a layer outside the valid ends."""
+    monkeypatch.setattr(chart_module, "_validate_chart", lambda chart: None)
 
 
 @pytest.fixture(scope="session")

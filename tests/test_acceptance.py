@@ -33,6 +33,7 @@ from confmass.mass import (
 )
 from confmass.spinor import (
     covd_coord,
+    dirac_composed,
     lichnerowicz_I_residual,
     lichnerowicz_II_residual,
     spinor_calc,
@@ -123,7 +124,8 @@ def test_dirac_laplacian_formula_residual_across_chart_matrix(
     for cfg in (iso_cfg, lee_cfg, rot_cfg, p4_cfg):
         calc, psi, _ = _spinor_setup(cfg, points=100, seed=101)
         k = 0.5 * (2.0 - calc.n)
-        res, scale = lichnerowicz_I_residual(calc, psi, covd_coord(calc, psi, k))
+        Dc = covd_coord(calc, psi, k)
+        res, scale = lichnerowicz_I_residual(calc, psi, Dc, dirac_composed(calc, Dc, k))
         rel = float(np.max(np.abs(res))) / scale
         assert rel <= 1e-8, f"{cfg.name}: relative residual {rel:.3e}"
     assert time.monotonic() - start < 30.0

@@ -1,10 +1,12 @@
 """Tests for chart construction, validation, decay scanning, and the two
 chart-level transformations (conformal rescaling and coordinate scaling)."""
 
+import inspect
+
 import numpy as np
 import pytest
 
-from confmass import exprdsl, jets
+from confmass import exprdsl, jetlinalg, jets
 from confmass.chart import (
     ChartError,
     End,
@@ -109,9 +111,12 @@ class TestMakeChart:
             make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "1 + 1/(r - 50)^2"})
         assert str(err.value) == "metric evaluates to a non-finite value at [50.0, 0.0, 0.0]"
 
-    def test_validate_false_skips_probes(self):
-        c = make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "-1"}, validate=False)
+    def test_unvalidated_charts_skip_the_probes(self, unvalidated):
+        # the test-only route around _validate_chart: make_chart itself
+        # has no option to skip it
+        c = make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "-1"})
         assert isinstance(c, MetricChart)
+        assert "validate" not in inspect.signature(make_chart).parameters
 
     def test_reserved_parameter_names_rejected(self):
         with pytest.raises(ChartError):
@@ -147,9 +152,9 @@ class TestDecayScan:
         assert scan.exactly_flat and scan.passed
         assert "exactly flat" in scan.summary()
 
-    def test_flags_slow_metric_decay(self):
+    def test_flags_slow_metric_decay(self, unvalidated):
         # g11 - 1 is constant along rays: exponent 0 < required tau
-        c = make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "2"}, validate=False)
+        c = make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "2"})
         scan = decay_scan(c)
         assert not scan.passed
         assert not scan.slots["g11"]["passed"]
@@ -163,11 +168,12 @@ class TestDecayScan:
         assert scan.slots["theta2"]["exactly_flat"]
 
     @pytest.mark.parametrize("power, verdict", [(3, "ok"), (1, "FAIL")])
-    def test_flat_metric_with_a_lee_form_summarises_the_lee_verdict(self, power, verdict):
+    def test_flat_metric_with_a_lee_form_summarises_the_lee_verdict(self, power, verdict,
+                                                                     unvalidated):
         # every metric slot is flat, so there is no tau_hat to print; the
         # Lee slots (b x_i / r^3 decays at 2 >= tau + 1 - 0.1) decide
         c = make_chart(n=3, tau=0.99, r_min=1.0, metric={}, params={"b": 0.25},
-                       lee=[f"b*x{i}/r^{power}" for i in (1, 2, 3)], validate=False)
+                       lee=[f"b*x{i}/r^{power}" for i in (1, 2, 3)])
         scan = decay_scan(c)
         assert scan.tau_hat is None and not scan.exactly_flat
         assert scan.passed == (verdict == "ok")
@@ -175,17 +181,34 @@ class TestDecayScan:
 
 
 class TestMetricJets:
-    def test_spd_enforced(self):
+    def test_spd_enforced(self, unvalidated):
         c = make_chart(
             n=3,
             tau=0.75,
             r_min=1.0,
             metric={"11": "-1", "22": "1", "33": "1"},
-            validate=False,
         )
         X = np.array([[5.0], [0.0], [0.0]])
         with pytest.raises(ChartError):
             metric_jets(c, X, order=1)
+
+    def test_sqrt_det_is_built_once_on_first_read(self, monkeypatch):
+        c = make_iso()
+        X = np.array([[3.0, 0.0], [4.0, 6.0], [0.0, 2.0]])
+        calls = []
+        mat_det = jetlinalg.mat_det
+
+        def counting(A):
+            calls.append(A)
+            return mat_det(A)
+
+        monkeypatch.setattr(jetlinalg, "mat_det", counting)
+        md = metric_jets(c, X, order=2)
+        assert calls == []
+        first = md.sqrt_det
+        assert md.sqrt_det is first and len(calls) == 1
+        np.testing.assert_allclose(first.value, np.sqrt(np.linalg.det(md.g.value)),
+                                   rtol=1e-13)
 
     def test_wrong_coordinate_count_rejected(self):
         c = make_iso()

@@ -940,6 +940,24 @@ class TestHostileConfigs:
         assert code == 1 and rep["pass"] is False
         assert rep["results"]["limit"] == math.inf and rep["results"]["warnings"] == []
 
+    def test_an_overflowing_end_system_fails_laws_without_a_nan(self, capsys, tmp_path):
+        # the same system: the total and the weighted sum of the ends are
+        # both infinite, and |inf - inf| / inf read NaN
+        g = "(1 + m/(2*r^2))^2"
+        end = {"n": 4, "tau": 1.5, "r_min": 1.0, "params": {"m": 1.0},
+               "metric": {f"{i}{i}": g for i in range(1, 5)}}
+        doc = {"schema_version": 1, "kind": "end_system", "name": "heavy",
+               "ends": [{"a": 1.0, "chart": end}, {"a": 1e308, "chart": end}]}
+        p = tmp_path / "heavy.ends"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "laws", str(p))
+        assert code == 1 and "NaN" not in out
+        rep = json.loads(out)
+        (check,) = [c for c in rep["results"]["checks"]
+                    if c["name"] == "weyl-mass-multi-end-consistency"]
+        assert check["value"] == math.inf and check["pass"] is False
+        assert check["not_finite"] == ["total", "weighted_sum"]
+
     @pytest.mark.parametrize("limit, error, passed", [
         (math.inf, math.inf, False), (math.inf, 0.0, False), (math.nan, 0.0, False),
         (50.0, math.inf, False), (50.0, math.nan, False), (50.0, 0.1, True),
@@ -1023,5 +1041,41 @@ class TestHostileConfigs:
             self, capsys, tmp_path, name, message):
         code, out, err = run_cli(capsys, "check", self.limit_chart(tmp_path, (name,), 1))
         assert (code, out) == (2, "") and err.count("\n") == 1
-        where = "deep.chart.spinors[0]" if name == "spinor" else "deep.chart"
-        assert err.startswith(f"confmass: {where}: {message}")
+        where = {"sum": "metric.11", "pow": "metric.22", "calls": "metric.33",
+                 "groups": "lee[0]", "spinor": "spinors[0].components[0].re"}[name]
+        assert err.startswith(f"confmass: deep.chart.{where}: {message}")
+
+    @pytest.mark.parametrize("entry, where", [
+        (("metric", "22"), "metric.22"),
+        (("lee", 1), "lee[1]"),
+        (("spinors", 0, "components", 1, "re"), "spinors[0].components[1].re"),
+        (("spinors", 0, "components", 0, "im"), "spinors[0].components[0].im"),
+    ])
+    def test_a_parse_error_names_its_entry(self, capsys, tmp_path, entry, where):
+        doc = json.loads(bundled_text("schwarzschild.chart"))
+        doc["lee"] = ["0", "0", "0"]
+        doc["spinors"] = [{"name": "s", "weight": -0.5, "components": [dict(ONE), dict(ONE)]}]
+        node = doc
+        for key in entry[:-1]:
+            node = node[key]
+        node[entry[-1]] = {"expr": "1 +"}
+        p = tmp_path / "bad.chart"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(p))
+        assert (code, out, err) == (
+            2, "", f"confmass: bad.chart.{where}: unexpected end of input at offset 3\n")
+
+    @pytest.mark.parametrize("end, key, where", [
+        (1, "metric", "ends[1].chart.metric.11"), (0, "lee", "ends[0].chart.lee[2]")])
+    def test_a_parse_error_names_its_end(self, capsys, tmp_path, end, key, where):
+        doc = end_doc()
+        chart = doc["ends"][end]["chart"]
+        if key == "lee":
+            chart["lee"] = ["0", "0", "1 +"]
+        else:
+            chart["metric"]["11"] = "1 +"
+        p = tmp_path / "bad.ends"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "check", str(p))
+        assert (code, out, err) == (
+            2, "", f"confmass: bad.ends.{where}: unexpected end of input at offset 3\n")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from confmass import exprdsl, suites
-from confmass.chart import lee_jets, make_chart, metric_jets
+from confmass.chart import MetricData, lee_jets, make_chart, metric_jets
 from confmass.curvature import (
     christoffels,
     codiff_oneform,
@@ -78,7 +78,7 @@ class TestFlatChart:
 
 
 class TestRoundSphere:
-    def test_scalar_curvature_of_unit_three_sphere(self):
+    def test_scalar_curvature_of_unit_three_sphere(self, unvalidated):
         # stereographic coordinates: g = 4 delta / (1 + |x|^2)^2 has
         # constant scalar curvature n(n-1) = 6 in our sign convention
         c = make_chart(
@@ -86,7 +86,6 @@ class TestRoundSphere:
             tau=0.75,
             r_min=0.5,
             metric={ij: "4/(1 + r^2)^2" for ij in ("11", "22", "33")},
-            validate=False,
         )
         md = metric_jets(c, sample_points(3, 10, lo=0.6, hi=3.0), order=2)
         scal = curvature(christoffels(md)).scal
@@ -108,7 +107,7 @@ class TestConformallyFlat:
         assert np.max(np.abs(np.atleast_1d(scal.value))) <= 1e-9
         assert np.all(u > 1)  # sanity on the sample
 
-    def test_nonharmonic_profile_matches_closed_form(self):
+    def test_nonharmonic_profile_matches_closed_form(self, unvalidated):
         # u = 1 + 1/(2 r^2) in n = 3: sum_i d_i^2 u = r^-4, and
         # Scal(u^4 delta) = -8 u^-5 sum_i d_i^2 u = -8 u^-5 r^-4
         c = make_chart(
@@ -116,7 +115,6 @@ class TestConformallyFlat:
             tau=0.99,
             r_min=1.0,
             metric={ij: "(1 + 1/(2*r^2))^4" for ij in ("11", "22", "33")},
-            validate=False,
         )
         X = sample_points(3, 15)
         md = metric_jets(c, X, order=2)
@@ -201,7 +199,8 @@ class TestWeylScalar:
         md = metric_jets(chart, sample_points(3, 6), order=2)
         theta = lee_jets(chart, md.coords)
         assert divergence_gap(weyl_data(md, theta)) <= 1e-11
-        bad = md._replace(sqrt_det=md.sqrt_det * (1.0 + 0.001 * md.coords[0]))
+        bad = MetricData(md.chart, md.space, md.coords, md.g, md.ginv)
+        bad.sqrt_det = md.sqrt_det * (1.0 + 0.001 * md.coords[0])
         assert divergence_gap(weyl_data(bad, theta)) > 1e-10
 
     def test_theta_norm2(self):

@@ -396,6 +396,19 @@ class TestFluxes:
         monkeypatch.setattr(jetlinalg, "mat_det", forbidden)
         assert adm_flux(c, [20.0], measure="g")[0] == want
 
+    def test_adm_and_witten_fluxes_build_no_determinant(self, monkeypatch):
+        # neither integrand reads sqrt(det g): the metric jets of the
+        # spinor flux never build it
+        c = lee_chart()
+        spec = make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")])
+        want = (adm_flux(c, [20.0])[0], witten_flux(c, [spec], [20.0])[0, 0])
+
+        def forbidden(*args):
+            raise AssertionError("a flux built a jet determinant")
+
+        monkeypatch.setattr(jetlinalg, "mat_det", forbidden)
+        assert (adm_flux(c, [20.0])[0], witten_flux(c, [spec], [20.0])[0, 0]) == want
+
     def test_radius_below_validity_rejected(self):
         c = flat_chart(r_min=4.0)
         with pytest.raises(ValueError):

@@ -184,7 +184,7 @@ class TestCovariantDerivative:
             want = (k1 - k2) * (0.1 * X[i] / r**3) * pv
             np.testing.assert_allclose(diff, want, rtol=1e-12, atol=1e-15)
 
-    def test_parallel_spinor_for_exact_lee_form(self):
+    def test_parallel_spinor_for_exact_lee_form(self, unvalidated):
         # flat metric with theta = d log(1/r^2): psi with |psi|^2 = r^-2
         # built from the coordinate functions is parallel at weight -1/2
         chart = make_chart(
@@ -192,8 +192,8 @@ class TestCovariantDerivative:
             tau=0.75,
             r_min=1.0,
             metric={},
+            # this theta decays too slowly for a valid end: unvalidated
             lee=["-2*x1/r^2", "-2*x2/r^2", "-2*x3/r^2"],
-            validate=False,  # this theta decays too slowly for a valid end
         )
         X = sample_points(3, 8)
         md = metric_jets(chart, X, order=2)
@@ -253,7 +253,8 @@ class TestResiduals:
         X = sample_points(3, 12)
         calc = calc_for(chart, X)
         psi = self.make_psi(calc.frame.md.coords)
-        res, scale = lichnerowicz_I_residual(calc, psi, covd_coord(calc, psi, -0.5))
+        Dc = covd_coord(calc, psi, -0.5)
+        res, scale = lichnerowicz_I_residual(calc, psi, Dc, dirac_composed(calc, Dc, -0.5))
         assert np.max(np.abs(res)) <= 1e-8 * max(1.0, scale)
 
     @pytest.mark.parametrize("chartf", [iso_chart, lee_chart])

@@ -18,7 +18,7 @@ import pytest
 
 import confmass
 from confmass import clifford, mass, spinor, suites, weyl
-from confmass.chart import make_chart
+from confmass.chart import conformal_rescale, make_chart
 
 # the package exports the function ``curvature`` under the module's name
 curvature = importlib.import_module("confmass.curvature")
@@ -134,6 +134,37 @@ def test_two_path_codifferential_computed_once(monkeypatch, lee_cfg, p4_cfg):
         assert len(calls) == 4, cfg.name
 
 
+def test_dirac_square_computed_once(monkeypatch, lee_cfg, p4_cfg):
+    # the composed Dirac square of psi is read by the first Lichnerowicz
+    # identity and by the expansion check; the other call is phi's, in
+    # the pairing identity
+    for cfg in (lee_cfg, p4_cfg):
+        with monkeypatch.context() as m:
+            calls = spy(m, spinor, "dirac_composed")
+            assert suites.identity_battery(cfg.chart, points=4)["pass"]
+        assert len(calls) == 2, cfg.name
+
+
+def test_rescaled_jets_built_before_the_base_jets_in_every_chunk(monkeypatch, lee_cfg):
+    # the covariance check's rescaled chart is evaluated, and its jets
+    # freed, before the base chart's jets are built: the two are never
+    # alive together
+    chart = lee_cfg.chart
+    rescaled = conformal_rescale(chart, suites.COVARIANCE_FACTOR).name
+    set_chunk_limit(monkeypatch, chart, 2, 2)
+    built = []
+    metric_jets = suites.metric_jets
+
+    def recording(c, *args, **kwargs):
+        built.append(c.name)
+        return metric_jets(c, *args, **kwargs)
+
+    # the batteries' own calls, not the load-time probe of make_chart
+    monkeypatch.setattr(suites, "metric_jets", recording)
+    assert suites.identity_battery(chart, points=5)["pass"]
+    assert built == [rescaled, chart.name] * 3
+
+
 def test_two_path_gap_fails_the_reported_check(monkeypatch, lee_cfg):
     # a divergence gap of 1e-9 relative, above the report's two_path_rel,
     # shows as a failing check, not an error; the Dirac-square expansion
@@ -178,9 +209,10 @@ def test_weyl_connection_built_only_where_read(monkeypatch, request, cfg):
 
 
 def test_order_two_derivatives_computed_once(monkeypatch, p4_cfg):
-    # n = 4 with a Lee form: 2 shared fields, 2 in each Lichnerowicz
-    # residual (the outer Dirac step and the n trace-second fields in one
-    # call), 1 in the weighted Dirac square and 2 in its Riemannian
+    # n = 4 with a Lee form: 2 shared fields, 1 in the shared weighted
+    # Dirac square of psi, 1 in the first Lichnerowicz residual (the n
+    # trace-second fields in one call), 2 in the pairing residual (phi's
+    # outer Dirac step and trace-second fields) and 2 in the Riemannian
     # expansion
     calls = spy(monkeypatch, spinor, "covd_coord")
     assert suites.identity_battery(p4_cfg.chart, points=4)["pass"]
@@ -189,7 +221,7 @@ def test_order_two_derivatives_computed_once(monkeypatch, p4_cfg):
         bound = dict(zip(("calc", "psi", "weight"), args), **kwargs)
         keys.append((id(bound["psi"]), bound["weight"]))
     assert len(set(keys)) == len(keys)  # the fields stay alive in ``calls``
-    assert len(calls) == 9
+    assert len(calls) == 8
 
 
 @pytest.mark.parametrize("n", range(3, 7))
