@@ -26,10 +26,10 @@ components, default zero.  ``spinors`` (optional) names spinor fields
 for flux commands, each with a name no other spinor has, the weight
 (2 - n)/2 and N = 2^(n//2) components in the identifiers the chart
 binds (those of every end, on an end system).  Every number is finite
-and none is ``true`` or ``false``; every expression parses within the
-limits of :func:`confmass.exprdsl.parse` (brackets nested at most
-``MAX_NESTING`` deep, a tree of at most ``MAX_DEPTH`` levels), and a
-parse error names its entry (``bad.chart.metric.22: ...``,
+and none is ``true`` or ``false``; every name is a string; every
+expression parses within the limit of :func:`confmass.exprdsl.parse`
+(brackets nested at most ``MAX_NESTING`` deep, a tree of any number of
+levels), and a parse error names its entry (``bad.chart.metric.22: ...``,
 ``....lee[1]: ...``, ``....spinors[0].components[1].re: ...``).
 
 ``end_system``::
@@ -135,7 +135,7 @@ def _parse_spinors(doc: dict, where: str, charts) -> tuple:
         w = f"{where}.spinors[{k}]"
         if not isinstance(sp, dict):
             raise ConfigError(f"{w}: expected an object")
-        name = str(sp.get("name", f"spinor{k}"))
+        name = _require(sp, "name", str, w) if "name" in sp else f"spinor{k}"
         if name in dict(out):
             raise ConfigError(f"{w}: the name {name!r} is already taken")
         weight = _require(sp, "weight", (int, float), w)
@@ -199,7 +199,7 @@ def parse_config(doc: dict, source: str = "config") -> LoadedConfig:
         raise ConfigError(f"{source}: unsupported schema_version {version} "
                           f"(this build reads {SCHEMA_VERSION})")
     kind = _require(doc, "kind", str, source)
-    name = str(doc.get("name", source))
+    name = _require(doc, "name", str, source) if "name" in doc else source
 
     if kind == "chart":
         chart = _parse_chart_fields(doc, source, name)
@@ -219,7 +219,8 @@ def parse_config(doc: dict, source: str = "config") -> LoadedConfig:
             if not a > 0:
                 raise ConfigError(f"{w}: 'a' must be a positive number")
             chart_doc = _require(e, "chart", dict, w)
-            cname = str(chart_doc.get("name", f"{name}-end{k}"))
+            cname = (_require(chart_doc, "name", str, f"{w}.chart") if "name" in chart_doc
+                     else f"{name}-end{k}")
             ends.append(End(chart=_parse_chart_fields(chart_doc, w + ".chart", cname),
                             a=float(a)))
         dims = {end.chart.n for end in ends}

@@ -30,9 +30,8 @@ coordinate (so it is constant along the chart) and exp(s*log(u))
 otherwise.
 
 Parse errors carry the 0-based byte offset of the offending token.
-``parse`` also refuses brackets nested more than ``MAX_NESTING`` deep
-and expressions more than ``MAX_DEPTH`` levels deep (``depth``), which
-keeps parsing and lowering inside Python's recursion limit.
+``parse`` also refuses brackets nested more than ``MAX_NESTING`` deep;
+a tree may have any number of levels, since no walk recurses on them.
 
 Evaluation goes through one straight-line program.  ``lower`` turns a
 sequence of trees, with n and the parameters bound, into a ``Program``:
@@ -62,19 +61,15 @@ __all__ = [
     "Program", "RING_OPS", "parse", "as_expr", "lower", "evaluate",
     "identifiers", "is_coordinate_free",
     "substitute", "derivative", "eadd", "esub", "emul", "ediv",
-    "FUNCTIONS", "MAX_INT_EXPONENT", "MAX_NESTING", "MAX_DEPTH", "COORD_RE", "depth",
+    "FUNCTIONS", "MAX_INT_EXPONENT", "MAX_NESTING", "COORD_RE",
 ]
 
 FUNCTIONS = {"sqrt": 1, "exp": 1, "log": 1, "sin": 1, "cos": 1, "atan": 1, "pow": 2}
 MAX_INT_EXPONENT = 64
-# the limits ``parse`` sets on an expression, inside Python's default
-# recursion limit of 1000 frames.  The parser recurses four frames per
-# bracket.  Lowering, substitution and differentiation recurse at most
-# one frame per level that ``depth`` counts, under the frames of their
-# callers: ``laws`` and ``witten`` overflow past 975 levels, so MAX_DEPTH
-# leaves every command 15 frames to spare.
+# how deep ``parse`` lets brackets nest, inside Python's default recursion
+# limit of 1000 frames: the parser recurses four frames per bracket and
+# ``lower`` three per nested coordinate-free ``pow`` exponent.
 MAX_NESTING = 200
-MAX_DEPTH = 960
 
 #: coordinate-like names are reserved: x1, x2, ... and the radius r
 COORD_RE = re.compile(r"^x[0-9]+$")
@@ -278,8 +273,7 @@ def parse(src: str) -> ExprAst:
 
     Raises:
         ParseError: on any syntax problem, with a 0-based byte offset, and
-            on brackets nested more than ``MAX_NESTING`` deep (before any
-            recursion) or more than ``MAX_DEPTH`` levels (``depth``).
+            on brackets nested more than ``MAX_NESTING`` deep.
     """
     parser = _Parser(src)
     nesting = 0
@@ -288,11 +282,7 @@ def parse(src: str) -> ExprAst:
             nesting += 1 if t.text == "(" else -1
             if nesting > MAX_NESTING:
                 raise ParseError(f"brackets nest more than {MAX_NESTING} deep", t.offset)
-    tree = parser.parse()
-    levels = depth(tree)
-    if levels > MAX_DEPTH:
-        raise ParseError(f"expression is {levels} levels deep, more than {MAX_DEPTH}")
-    return tree
+    return parser.parse()
 
 
 def as_expr(e: str | ExprAst) -> ExprAst:
@@ -315,6 +305,38 @@ def _children(node: ExprAst) -> tuple:
     return ()
 
 
+def _fold(trees: Sequence[ExprAst], visit: Callable, children: Callable = _children) -> list:
+    """``visit(tree, kids)`` for each of ``trees``, ``kids`` being what
+    ``visit`` gave ``children(tree)``: every node visited after its children,
+    left to right, tree after tree, on the walk's own stacks (no frame per level)."""
+    order = []  # preorder, last child first; reversed, a left-to-right postorder
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        kids = children(node)
+        order.append((node, len(kids)))
+        stack.extend(kids)
+    values: list = []
+    for node, k in reversed(order):
+        kids = values[len(values) - k:]
+        del values[len(values) - k:]
+        values.append(visit(node, kids))
+    return values
+
+
+def _rebuild(node: ExprAst, kids: Sequence[ExprAst]) -> ExprAst:
+    """``node`` with the children ``kids`` in place of its own."""
+    if isinstance(node, Neg):
+        return Neg(kids[0])
+    if isinstance(node, BinOp):
+        return BinOp(node.op, kids[0], kids[1])
+    if isinstance(node, Pow):
+        return Pow(kids[0], node.exponent)
+    if isinstance(node, Call):
+        return Call(node.fn, tuple(kids))
+    return node
+
+
 def identifiers(ast: ExprAst) -> set[str]:
     """All identifier names appearing in the tree."""
     out: set[str] = set()
@@ -325,24 +347,6 @@ def identifiers(ast: ExprAst) -> set[str]:
             out.add(node.name)
         stack.extend(_children(node))
     return out
-
-
-def depth(ast: ExprAst) -> int:
-    """Levels of the tree, counted without recursion: 1 for a leaf, one
-    more per level, and three more below a ``pow`` whose exponent is
-    coordinate-free, which ``lower`` evaluates by a program of its own
-    (the frames of ``evaluate``, ``lower`` and its generator)."""
-    most = 0
-    stack = [(ast, 1)]
-    while stack:
-        node, d = stack.pop()
-        most = max(most, d)
-        kids = _children(node)
-        if isinstance(node, Call) and node.fn == "pow" and is_coordinate_free(kids[1]):
-            stack.append((kids[1], d + 4))
-            kids = kids[:1]
-        stack.extend((c, d + 1) for c in kids)
-    return most
 
 
 def is_coordinate_free(ast: ExprAst) -> bool:
@@ -408,7 +412,12 @@ def lower(trees: Sequence[ExprAst], n: int,
             code.append((op, lit, args))
         return k
 
-    def go(node: ExprAst) -> int:
+    def children(node: ExprAst) -> tuple:
+        if isinstance(node, Call) and node.fn == "pow" and is_coordinate_free(node.args[1]):
+            return node.args[:1]
+        return _children(node)
+
+    def visit(node: ExprAst, kids: Sequence[int]) -> int:
         if isinstance(node, Num):
             return emit("const", float(node.value))
         if isinstance(node, Var):
@@ -431,11 +440,11 @@ def lower(trees: Sequence[ExprAst], n: int,
                 return emit("const", float(params[name]))
             raise EvalError(f"unbound identifier {name!r}")
         if isinstance(node, Neg):
-            return emit("neg", None, go(node.arg))
+            return emit("neg", None, kids[0])
         if isinstance(node, BinOp):
-            return emit(node.op, None, go(node.left), go(node.right))
+            return emit(node.op, None, kids[0], kids[1])
         if isinstance(node, Pow):
-            base = go(node.base)
+            base = kids[0]
             if node.exponent == 0:
                 return emit("const", 1.0)
             acc = base
@@ -443,16 +452,17 @@ def lower(trees: Sequence[ExprAst], n: int,
                 acc = emit("*", None, acc, base)
             return acc if node.exponent > 0 else emit("/", None, emit("const", 1.0), acc)
         if isinstance(node, Call):
-            base = go(node.args[0])
+            base = kids[0]
             if node.fn != "pow":
                 return emit(node.fn, None, base)
-            ex = node.args[1]
-            if is_coordinate_free(ex):
-                return emit("powc", float(evaluate(ex, np.zeros(n), params)), base)
-            return emit("exp", None, emit("*", None, go(ex), emit("log", None, base)))
+            if len(kids) == 1:  # a coordinate-free exponent, run on its own
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    (s,) = lower([node.args[1]], n, params).run(_NUMPY_OPS)
+                return emit("powc", float(s), base)
+            return emit("exp", None, emit("*", None, kids[1], emit("log", None, base)))
         raise EvalError(f"unknown node {node!r}")
 
-    outputs = tuple(go(t) for t in trees)
+    outputs = tuple(_fold(trees, visit, children))
     return Program(code=tuple(code), outputs=outputs)
 
 
@@ -534,19 +544,10 @@ def ediv(a: ExprAst, b: ExprAst) -> ExprAst:
 def substitute(ast: ExprAst, mapping: Mapping[str, ExprAst]) -> ExprAst:
     """Replace identifiers by subtrees.  Note ``r`` must be mapped
     explicitly when the coordinates are transformed."""
-    if isinstance(ast, Num):
-        return ast
-    if isinstance(ast, Var):
-        return mapping.get(ast.name, ast)
-    if isinstance(ast, Neg):
-        return Neg(substitute(ast.arg, mapping))
-    if isinstance(ast, BinOp):
-        return BinOp(ast.op, substitute(ast.left, mapping), substitute(ast.right, mapping))
-    if isinstance(ast, Pow):
-        return Pow(substitute(ast.base, mapping), ast.exponent)
-    if isinstance(ast, Call):
-        return Call(ast.fn, tuple(substitute(a, mapping) for a in ast.args))
-    raise TypeError(f"unknown node {ast!r}")
+    def visit(node: ExprAst, kids: Sequence[ExprAst]) -> ExprAst:
+        return mapping.get(node.name, node) if isinstance(node, Var) else _rebuild(node, kids)
+
+    return _fold([ast], visit)[0]
 
 
 def derivative(ast: ExprAst, coord: str) -> ExprAst:
@@ -558,7 +559,7 @@ def derivative(ast: ExprAst, coord: str) -> ExprAst:
     if not COORD_RE.match(coord):
         raise ValueError(f"derivative is with respect to a coordinate, got {coord!r}")
 
-    def d(node: ExprAst) -> ExprAst:
+    def d(node: ExprAst, kids: Sequence[ExprAst]) -> ExprAst:
         if isinstance(node, Num):
             return _ZERO
         if isinstance(node, Var):
@@ -568,10 +569,10 @@ def derivative(ast: ExprAst, coord: str) -> ExprAst:
                 return ediv(Var(coord), Var("r"))
             return _ZERO
         if isinstance(node, Neg):
-            da = d(node.arg)
+            (da,) = kids
             return _ZERO if _is_const(da, 0.0) else Neg(da)
         if isinstance(node, BinOp):
-            da, db = d(node.left), d(node.right)
+            da, db = kids
             if node.op == "+":
                 return eadd(da, db)
             if node.op == "-":
@@ -582,20 +583,18 @@ def derivative(ast: ExprAst, coord: str) -> ExprAst:
             num = esub(emul(da, node.right), emul(node.left, db))
             return ediv(num, Pow(node.right, 2))
         if isinstance(node, Pow):
-            db = d(node.base)
+            (db,) = kids
             if node.exponent == 0 or _is_const(db, 0.0):
                 return _ZERO
             coef = emul(Num(float(node.exponent)), Pow(node.base, node.exponent - 1))
             return emul(coef, db)
         if isinstance(node, Call):
             if node.fn == "pow":
-                u, s = node.args
-                du, ds = d(u), d(s)
+                (u, s), (du, ds) = node.args, kids
                 # d(u^s) = u^s * (ds*log u + s*du/u)
                 terms = eadd(emul(ds, Call("log", (u,))), emul(s, ediv(du, u)))
                 return emul(Call("pow", (u, s)), terms)
-            (u,) = node.args
-            du = d(u)
+            (u,), (du,) = node.args, kids
             if _is_const(du, 0.0):
                 return _ZERO
             if node.fn == "sqrt":
@@ -612,4 +611,4 @@ def derivative(ast: ExprAst, coord: str) -> ExprAst:
                 return ediv(du, eadd(_ONE, Pow(u, 2)))
         raise TypeError(f"unknown node {node!r}")
 
-    return d(ast)
+    return _fold([ast], d)[0]

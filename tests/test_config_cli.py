@@ -925,6 +925,25 @@ class TestHostileConfigs:
         code, out, err = run_cli(capsys, "weyl-mass", str(p))
         assert (code, out, err) == (2, "", f"confmass: hostile.ends{message}\n")
 
+    @pytest.mark.parametrize("path, value, message", [
+        (("name",), None, ": field 'name' has wrong type NoneType"),
+        (("name",), 7, ": field 'name' has wrong type int"),
+        (("ends", 1, "chart", "name"), {"a": 1},
+         ".ends[1].chart: field 'name' has wrong type dict"),
+        (("spinors", 0, "name"), None, ".spinors[0]: field 'name' has wrong type NoneType"),
+    ])
+    def test_names_must_be_strings(self, capsys, tmp_path, path, value, message):
+        # a null spinor name used to load and name its checks witten-limit[None]
+        doc = end_doc(spinors=[{"name": "s", "weight": -0.5, "components": [ONE, ONE]}])
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        p = tmp_path / "hostile.ends"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "witten", str(p))
+        assert (code, out, err) == (2, "", f"confmass: hostile.ends{message}\n")
+
     def test_a_mass_that_overflows_fails_its_convergence(self, capsys, tmp_path):
         # two n = 4 Schwarzschild ends of mass 12 pi^2; weighing the second
         # by a^((n - 2)/2) = 1e308 overflows the total, which must not pass
@@ -987,63 +1006,48 @@ class TestHostileConfigs:
     ISO = "(1 + m/(2*r))^4"  # 5 levels, 2 brackets
     DEEP = {
         "sum": lambda k: TestHostileConfigs.ISO + "+0" * (k - 5),
-        # a coordinate-free exponent counts three levels more: lowering
-        # evaluates it by a program of its own
-        "pow": lambda k: "pow(1 + m/(2*r), 4" + "+0" * (k - 5) + ")",
+        "pow": lambda k: "pow(1 + m/(2*r), 4" + "+0" * (k - 2) + ")",
+        "lee": lambda k: "b*x2/r^3" + "+0" * (k - 3),
         "spinor": lambda k: "1" + "+0" * (k - 1),
         "calls": lambda k: "sqrt(" * (k - 2) + TestHostileConfigs.ISO + ")" * (k - 2),
         "groups": lambda k: "(" * k + "b*x1/r^3" + ")" * k,
     }
 
-    def limit_chart(self, tmp_path, names=tuple(DEEP), beyond=0) -> str:
-        """The bundled Schwarzschild chart with the deep entries ``names``
-        ``beyond`` their parse limit: g11 the sum, g22 the pow, g33 the
-        calls, the first Lee component the groups and the first spinor
-        component the spinor chain."""
-        def entry(name, plain):
-            if name not in names:
-                return plain
-            limit = exprdsl.MAX_NESTING if name in ("calls", "groups") else exprdsl.MAX_DEPTH
-            return self.DEEP[name](limit + beyond)
-
+    def deep_chart(self, tmp_path, deep: dict) -> str:
+        """The bundled Schwarzschild chart with a Lee form and a spinor, the
+        sources ``deep`` in place of its entries: g11 the sum, g22 the pow,
+        g33 the calls, lee[0] the groups, lee[1] the lee and the first
+        spinor component the spinor."""
         doc = json.loads(bundled_text("schwarzschild.chart"))
-        doc["metric"] = {"11": entry("sum", self.ISO), "22": entry("pow", self.ISO),
-                         "33": entry("calls", self.ISO)}
+        doc["metric"] = {"11": deep.get("sum", self.ISO), "22": deep.get("pow", self.ISO),
+                         "33": deep.get("calls", self.ISO)}
         doc["params"]["b"] = 0.25
-        doc["lee"] = [entry("groups", "b*x1/r^3"), "b*x2/r^3", "b*x3/r^3"]
-        spinor = {"re": entry("spinor", "1"), "im": "0"}
+        doc["lee"] = [deep.get("groups", "b*x1/r^3"), deep.get("lee", "b*x2/r^3"), "b*x3/r^3"]
+        spinor = {"re": deep.get("spinor", "1"), "im": "0"}
         doc["spinors"] = [{"name": "deep", "weight": -0.5, "components": [spinor, ONE]}]
         p = tmp_path / "deep.chart"
         p.write_text(json.dumps(doc))
         return str(p)
 
     @pytest.mark.parametrize("command", ["check", "identities", "laws", "witten"])
-    def test_expressions_at_the_parse_limits_run(self, tmp_path, command):
-        for name in ("sum", "pow", "spinor"):
-            tree = exprdsl._Parser(self.DEEP[name](exprdsl.MAX_DEPTH)).parse()
-            assert exprdsl.depth(tree) == exprdsl.MAX_DEPTH
-        # in a fresh process, as the CLI runs: the test runner's own frames
-        # would eat into the recursion the limits leave to the commands
-        proc = python_fresh("-m", "confmass", command, self.limit_chart(tmp_path))
-        assert (proc.returncode, proc.stderr) == (0, "")
+    def test_entries_of_any_depth_run(self, capsys, tmp_path, command):
+        # no walk of a tree recurses per level, so entries 20,000 levels
+        # deep run from the test runner's own stack, next to brackets at
+        # the nesting limit
+        deep = {name: self.DEEP[name](20_000) for name in ("sum", "pow", "lee", "spinor")}
+        deep.update((name, self.DEEP[name](exprdsl.MAX_NESTING)) for name in ("calls", "groups"))
+        code, out, err = run_cli(capsys, command, self.deep_chart(tmp_path, deep))
+        assert (code, err) == (0, "")
 
-    @pytest.mark.parametrize("name, message", [
-        ("sum", f"expression is {exprdsl.MAX_DEPTH + 1} levels deep, "
-                f"more than {exprdsl.MAX_DEPTH}"),
-        ("pow", f"expression is {exprdsl.MAX_DEPTH + 1} levels deep, "
-                f"more than {exprdsl.MAX_DEPTH}"),
-        ("calls", f"brackets nest more than {exprdsl.MAX_NESTING} deep at offset "),
-        ("groups", f"brackets nest more than {exprdsl.MAX_NESTING} deep at offset "),
-        ("spinor", f"expression is {exprdsl.MAX_DEPTH + 1} levels deep, "
-                   f"more than {exprdsl.MAX_DEPTH}"),
-    ])
-    def test_expressions_past_the_parse_limits_are_refused_at_load(
-            self, capsys, tmp_path, name, message):
-        code, out, err = run_cli(capsys, "check", self.limit_chart(tmp_path, (name,), 1))
+    @pytest.mark.parametrize("name, where", [("calls", "metric.33"), ("groups", "lee[0]")])
+    def test_brackets_past_the_nesting_limit_are_refused_at_load(
+            self, capsys, tmp_path, name, where):
+        k = exprdsl.MAX_NESTING
+        code, out, err = run_cli(capsys, "check", self.deep_chart(
+            tmp_path, {name: self.DEEP[name](k + 1)}))
         assert (code, out) == (2, "") and err.count("\n") == 1
-        where = {"sum": "metric.11", "pow": "metric.22", "calls": "metric.33",
-                 "groups": "lee[0]", "spinor": "spinors[0].components[0].re"}[name]
-        assert err.startswith(f"confmass: deep.chart.{where}: {message}")
+        assert err.startswith(f"confmass: deep.chart.{where}: brackets nest more than {k} "
+                              f"deep at offset ")
 
     @pytest.mark.parametrize("entry, where", [
         (("metric", "22"), "metric.22"),

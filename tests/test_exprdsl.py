@@ -191,12 +191,6 @@ class TestParseEvaluate:
             "*", Neg(Neg(Pow(Pow(Var("x1"), 2), 3))), Var("y"))
         assert parse("-sqrt(-x1)^-2") == Neg(Pow(Call("sqrt", (Neg(Var("x1")),)), -2))
 
-    def test_depth_counts_what_lowering_recurses_through(self):
-        assert exprdsl.depth(parse("x1")) == 1
-        assert exprdsl.depth(parse("pow(x1, x2)")) == 2
-        assert exprdsl.depth(parse("pow(x1, 2)")) == 5
-        assert exprdsl.depth(parse("pow(x1, m + 1)")) == 6
-
     @pytest.mark.parametrize("opener", ["(", "sqrt("])
     def test_brackets_nest_at_most_max_nesting_deep(self, opener):
         # counted on the tokens before the parser recurses, which it does
@@ -208,23 +202,27 @@ class TestParseEvaluate:
         assert err.value.offset == len(opener) * (k + 1) - 1
         assert str(err.value) == f"brackets nest more than {k} deep at offset {err.value.offset}"
 
-    @pytest.mark.parametrize("chain", [
-        lambda k: "x1" + "+0" * (k - 1),
-        lambda k: "-" * (k - 1) + "x1",
-        lambda k: "x1" + "^1" * (k - 1),
-        lambda k: "pow(2, " * 100 + "1" + "+0" * (k - 401) + ")" * 100,
-    ], ids=["sum", "minus", "power", "pow"])
-    def test_trees_are_at_most_max_depth_levels_deep(self, chain):
-        # a chain of k - 1 operators on a leaf is k levels deep, and each
-        # pow with a coordinate-free exponent four, since lowering
-        # evaluates that exponent by a program of its own; neither the
-        # parse of a bracket-free chain nor the depth count recurses on it
-        k = exprdsl.MAX_DEPTH
-        assert exprdsl.depth(parse(chain(k))) == k
-        with pytest.raises(ParseError) as err:
-            parse(chain(k + 1))
-        assert err.value.offset is None
-        assert str(err.value) == f"expression is {k + 1} levels deep, more than {k}"
+    def test_nested_coordinate_free_exponents_evaluate_from_a_deep_stack(self):
+        # lower runs each coordinate-free pow exponent by a program of its
+        # own, three frames per bracket, so the deepest nesting parse allows
+        # still evaluates when the caller already holds 200 frames
+        k = exprdsl.MAX_NESTING
+        tree = parse("pow(x1, " + "pow(1, " * (k - 1) + "2" + ")" * k)
+
+        def deeper(frames):
+            return deeper(frames - 1) if frames else ev1(tree, np.array([[3.0], [0.0]]))
+
+        assert deeper(200) == 3.0
+
+    def test_chains_of_any_length_walk_without_recursion(self):
+        # substitution, differentiation and lowering keep their own stacks
+        k = 100_000
+        tree = parse("x1" + "+0" * k)
+        pts = np.array([[2.0], [0.0]])
+        assert ev1(tree, pts) == 2.0
+        assert ev1(substitute(tree, {"x1": parse("x2 + 5")}), pts) == 5.0
+        assert derivative(tree, "x1") == Num(1.0)
+        assert len(exprdsl.lower([tree, derivative(tree, "x2")], 2).code) == k + 2
 
     def test_vectorized_evaluation(self):
         pts = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])

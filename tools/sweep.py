@@ -6,9 +6,10 @@
 Runs ``python -m confmass <command> <config>`` for the 7 commands, each at
 its default flags and at the flag variants in ``VARIANTS``, on the
 bundled configs of TREE (default: the checkout this script sits in),
-plus each config file given by a repeated ``--config`` and every config
-that TREE/benchmark/gen.py writes for a repeated ``--generated
-WORKLOAD:SEED`` (into a temporary directory, removed at the end), once
+plus each config file given by a repeated ``--config`` (labelled by its
+file name) and every config that TREE/benchmark/gen.py writes for a
+repeated ``--generated WORKLOAD:SEED`` (into a temporary directory,
+removed at the end, and labelled ``WORKLOAD:SEED/FILE``), once
 with TREE/src and once with PARENT_TREE/src on PYTHONPATH, one process
 at a time, each under TREE/benchmark/probe.py.  For each pair it prints
 both exit codes and both wall times net of the probes (with ``--repeat
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
         ap.error("--repeat must be at least 1")
     with tempfile.TemporaryDirectory(prefix="confmass-sweep-") as tmp:
         configs = [(name, name) for name in bundled_configs(args.tree)]
-        configs += [(path, path) for path in args.config]
+        configs += [(os.path.basename(path), path) for path in args.config]
         for spec in args.generated:
             configs += generated_configs(args.tree, spec, tmp)
         probe = bench_module(args.tree, "probe")
