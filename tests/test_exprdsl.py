@@ -224,6 +224,22 @@ class TestParseEvaluate:
         assert derivative(tree, "x1") == Num(1.0)
         assert len(exprdsl.lower([tree, derivative(tree, "x2")], 2).code) == k + 2
 
+    @pytest.mark.parametrize("source, code_len", [
+        ("-" * 20_000 + "x1", 20_002),
+        ("x1" + "^1" * 20_000, 2),
+        ("pow(x1, 1" + "+0" * 20_000 + ")", 3),
+    ], ids=["minus", "power", "pow"])
+    def test_chains_of_every_shape_walk_without_recursion(self, source, code_len):
+        # 20,000 minuses, powers or terms of a coordinate-free pow exponent:
+        # parsed, substituted into, differentiated and lowered on the walks'
+        # own stacks; x1 lowers once, to one slot, and d/dx2 to a constant 0
+        tree = parse(source)
+        pts = np.array([[2.0], [0.0]])
+        assert ev1(tree, pts) == 2.0
+        assert ev1(substitute(tree, {"x1": parse("x2 + 5")}), pts) == 5.0
+        assert derivative(tree, "x2") == Num(0.0)
+        assert len(exprdsl.lower([tree, derivative(tree, "x2")], 2).code) == code_len
+
     def test_vectorized_evaluation(self):
         pts = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
         out = evaluate(parse("x1^2 + x2"), pts)
