@@ -6,17 +6,23 @@ parameters, a decay rate tau with (n-2)/2 < tau < n-2, and an inner
 radius r_min beyond which the data is valid.  Several ends form an
 EndSystem, each carrying a normalization weight a_l > 0.
 
+``make_chart`` lowers the metric (``metric_program``: the n^2 entries
+row-major, one slot per symmetric pair) and the Lee form
+(``lee_program``) once, n and the params bound, and every evaluator of a
+chart runs those programs; derived charts are made by ``make_chart`` too.
+
 The jet front end lives here too: ``metric_jets`` evaluates g and its
 inverse as jets at a point or point batch, checking positive
 definiteness of the value part first, and its ``MetricData`` builds
-sqrt(det g) on first read; ``metric_entry_jets``
-(g, unchecked) and ``lee_jets`` (theta) evaluate over given coordinate
-jets, and ``metric_values`` gives the plain values of g.  Each tensor
-is one batched Jet (m, B, *index); a single point (n,) is a batch of
-one.  ``decay_scan``
-estimates actual decay exponents along rays as a sanity check against
-the declared tau.  A ``SpinorFieldSpec`` holds the parsed component
-expressions of a spinor field, as a chart holds those of its metric.
+sqrt(det g) on first read; ``metric_entry_jets`` (g, unchecked) and
+``lee_jets`` (theta) evaluate over given coordinate jets, and
+``metric_values`` gives the plain values of g.  Each tensor is one
+batched Jet (m, B, *index); a single point (n,) is a batch of one.
+``decay_scan`` estimates actual decay exponents along rays as a sanity
+check against the declared tau.  A ``SpinorFieldSpec`` holds the parsed
+component expressions of a spinor field, as a chart holds those of its
+metric; it is lowered on every evaluation, since one spec serves ends
+whose params differ.
 """
 
 from __future__ import annotations
@@ -53,6 +59,8 @@ class MetricChart(NamedTuple):
     metric: tuple[tuple[ExprAst, ...], ...]  # full symmetric n x n
     lee: tuple[ExprAst, ...]
     params: Mapping[str, float]
+    metric_program: exprdsl.Program  # the n^2 entries, row-major
+    lee_program: exprdsl.Program     # the n components
     name: str = ""
 
     @property
@@ -92,10 +100,10 @@ def make_spinor_spec(sources) -> SpinorFieldSpec:
     return SpinorFieldSpec(components=tuple(comps))
 
 
-def bound_identifiers(chart: MetricChart) -> set:
-    """The names an expression on ``chart`` may use: the coordinates,
-    ``r`` and the chart's parameters."""
-    return {f"x{i + 1}" for i in range(chart.n)} | {"r"} | set(chart.params)
+def bound_identifiers(n: int, params: Mapping[str, float]) -> set:
+    """The names an expression on a chart of dimension n with ``params``
+    may use: the coordinates, ``r`` and the parameters."""
+    return {f"x{i + 1}" for i in range(n)} | {"r"} | set(params)
 
 
 def _probe_directions(n: int, count: int = 16) -> np.ndarray:
@@ -173,25 +181,25 @@ def make_chart(n: int, tau: float, r_min: float,
             raise ChartError(f"lee form needs {n} components, got {len(lee)}")
         lee_list = [as_expr(e) for e in lee]
 
+    allowed = bound_identifiers(n, params)
+    named = [(f"metric g{i + 1}{j + 1}", metric_t[i][j]) for i in range(n) for j in range(i, n)]
+    for what, t in named + [(f"lee component {i + 1}", t) for i, t in enumerate(lee_list)]:
+        bad = exprdsl.identifiers(t) - allowed
+        if bad:
+            raise ChartError(f"{what} uses unknown identifiers {sorted(bad)}")
+
+    # each symmetric pair is one tree, so it lowers to one slot
     chart = MetricChart(n=n, tau=float(tau), r_min=float(r_min),
-                        metric=metric_t, lee=tuple(lee_list),
-                        params=params, name=name)
+                        metric=metric_t, lee=tuple(lee_list), params=params,
+                        metric_program=exprdsl.lower([t for row in metric_t for t in row],
+                                                     n, params),
+                        lee_program=exprdsl.lower(lee_list, n, params), name=name)
     _validate_chart(chart)
     return chart
 
 
+@np.errstate(all="ignore")  # non-finite values are refused by name, not warned of
 def _validate_chart(chart: MetricChart):
-    allowed = bound_identifiers(chart)
-    for i in range(chart.n):
-        for j in range(i, chart.n):
-            bad = exprdsl.identifiers(chart.metric[i][j]) - allowed
-            if bad:
-                raise ChartError(f"metric g{i + 1}{j + 1} uses unknown identifiers {sorted(bad)}")
-    for i, t in enumerate(chart.lee):
-        bad = exprdsl.identifiers(t) - allowed
-        if bad:
-            raise ChartError(f"lee component {i + 1} uses unknown identifiers {sorted(bad)}")
-
     # positive definiteness probe on the sphere r = 8 r_min, through
     # metric_jets and its sqrt_det (benchmark/tracer.py expects every
     # workload to call metric_jets and jetlinalg.mat_det, and the flux
@@ -204,7 +212,7 @@ def _validate_chart(chart: MetricChart):
     _require_spd(metric_values(chart, pts), pts)
     if chart.has_lee:
         pts = np.concatenate([near, pts], axis=1)
-        finite = np.all(np.isfinite(exprdsl.evaluate(chart.lee, pts, chart.params)), axis=1)
+        finite = np.all(np.isfinite(exprdsl.evaluate(chart.lee_program, pts)), axis=1)
         if not finite.all():
             q = int(np.argmin(finite))
             raise ChartError(f"lee form evaluates to a non-finite value at {pts[:, q].tolist()}")
@@ -267,26 +275,14 @@ def _require_spd(G: np.ndarray, points: np.ndarray) -> None:
 
 def metric_values(chart: MetricChart, X: np.ndarray) -> np.ndarray:
     """g_ij values at the columns of X (n, B) as a (B, n, n) array."""
-    n = chart.n
-    iu, ju = np.triu_indices(n)
-    upper = exprdsl.evaluate([chart.metric[i][j] for i, j in zip(iu, ju)], X, chart.params)
-    G = np.empty((X.shape[1], n, n))
-    G[:, iu, ju] = upper
-    G[:, ju, iu] = upper
-    return G
+    return exprdsl.evaluate(chart.metric_program, X).reshape(X.shape[1], chart.n, chart.n)
 
 
 def metric_entry_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
-    """g as one jet (m, B, i, j) over the coordinate jets ``coords``;
-    the upper triangle is evaluated as one program and mirrored."""
-    n = chart.n
-    iu, ju = np.triu_indices(n)
-    upper = jets.evaluate_jet([chart.metric[i][j] for i, j in zip(iu, ju)],
-                              coords, chart.params).c
-    g = np.empty(coords[0].c.shape + (n, n))
-    g[..., iu, ju] = upper
-    g[..., ju, iu] = upper
-    return Jet(coords[0].space, g)
+    """g as one jet (m, B, i, j) over the coordinate jets ``coords``,
+    by the chart's metric program."""
+    g = jets.evaluate_jet(chart.metric_program, coords).c
+    return Jet(coords[0].space, g.reshape(g.shape[:-1] + (chart.n, chart.n)))
 
 
 def metric_jets(chart: MetricChart, points, order: int = 2) -> MetricData:
@@ -304,7 +300,7 @@ def metric_jets(chart: MetricChart, points, order: int = 2) -> MetricData:
 
 def lee_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
     """theta as one jet (m, B, i) over the coordinate jets ``coords``."""
-    return jets.evaluate_jet(chart.lee, coords, chart.params)
+    return jets.evaluate_jet(chart.lee_program, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +372,7 @@ def decay_scan(chart: MetricChart) -> DecayReport:
                   chart.tau, "metric")
         if est is not None:
             tau_fits.append(est)
-    lee = exprdsl.evaluate(chart.lee, pts, chart.params)
+    lee = exprdsl.evaluate(chart.lee_program, pts)
     for i in range(n):
         fit(f"theta{i + 1}", lee[:, i], chart.tau + 1.0, "lee")
 

@@ -129,7 +129,7 @@ def _parse_spinors(doc: dict, where: str, charts) -> tuple:
     leaves unbound."""
     n = charts[0].n
     N = 2 ** (n // 2)
-    bound = set.intersection(*map(bound_identifiers, charts))
+    bound = set.intersection(*(bound_identifiers(c.n, c.params) for c in charts))
     out = []
     for k, sp in enumerate(doc.get("spinors", ())):
         w = f"{where}.spinors[{k}]"
@@ -267,10 +267,13 @@ def load_config(path_or_name: str) -> LoadedConfig:
     import os
 
     if os.path.isfile(path_or_name):
-        with open(path_or_name, "r") as f:
-            text = f.read()
         source = os.path.basename(path_or_name)
         found = None
+        try:
+            with open(path_or_name, encoding="utf-8") as f:
+                text = f.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{source}: cannot read: {e}") from e
     else:
         found = _bundled_file(path_or_name)
         if found is None:

@@ -44,7 +44,8 @@ for e = 0 (its base is still lowered, so unbound names still raise);
 ``pow`` with a coordinate-free exponent to ``powc`` with that exponent
 evaluated once as its literal, any other ``pow`` to exp(s*log(u)).
 ``evaluate`` runs the program with a numpy op table and
-``jets.evaluate_jet`` runs the same program with a jet op table.
+``jets.evaluate_jet`` runs the same program with a jet op table; both
+take a ``Program`` in place of trees too, such as a chart's.
 """
 
 from __future__ import annotations
@@ -466,13 +467,14 @@ def lower(trees: Sequence[ExprAst], n: int,
     return Program(code=tuple(code), outputs=outputs)
 
 
-def evaluate(ast: ExprAst | Sequence[ExprAst], coords,
+def evaluate(ast: ExprAst | Sequence[ExprAst] | Program, coords,
              params: Mapping[str, float] | None = None):
     """Evaluate at a point (shape (n,)) or batch of points (shape (n, B)).
 
     One tree gives a numpy float64 scalar or array (a coordinate-free tree
     gives a scalar); a sequence of trees gives their values broadcast to
-    the batch and stacked on a last axis.  Unbound identifiers raise
+    the batch and stacked on a last axis, and so does a ``Program``, whose
+    n and params ``lower`` bound already.  Unbound identifiers raise
     EvalError; domain violations (log of a negative number, ...) follow
     IEEE semantics and propagate NaN.
     """
@@ -480,7 +482,8 @@ def evaluate(ast: ExprAst | Sequence[ExprAst], coords,
     if coords.ndim not in (1, 2):
         raise EvalError(f"coords must have shape (n,) or (n, B), got {coords.shape}")
     single = isinstance(ast, ExprAst)
-    prog = lower([ast] if single else ast, coords.shape[0], params)
+    prog = ast if isinstance(ast, Program) else lower(
+        [ast] if single else ast, coords.shape[0], params)
     with np.errstate(invalid="ignore", divide="ignore"):
         out = prog.run(dict(_NUMPY_OPS, coord=coords.__getitem__))
     if single:

@@ -432,19 +432,21 @@ def seed_point(point, order: int) -> tuple[JetSpace, list[Jet]]:
     return space, [Jet.variable(space, i, point[i]) for i in range(n)]
 
 
-def evaluate_jet(ast: ExprAst | Sequence[ExprAst], coords: list[Jet],
+def evaluate_jet(ast: ExprAst | Sequence[ExprAst] | exprdsl.Program, coords: list[Jet],
                  params: Mapping[str, float] | None = None) -> Jet:
     """Evaluate an expression tree, or a sequence of trees, in jet arithmetic.
 
     ``coords`` are the coordinate jets from :func:`seed_point`.  The trees
-    are lowered by ``exprdsl.lower`` and the program runs with the jet op
-    table; a sequence gives one jet with the values stacked on a last
+    are lowered by ``exprdsl.lower``, or come lowered as a ``Program``
+    with its params bound, and the program runs with the jet op table; a
+    sequence or a program gives one jet with the values stacked on a last
     axis.  Value slots are bitwise equal to ``exprdsl.evaluate`` at the
     same point.
     """
     space, c0 = coords[0].space, coords[0].c[0]
     single = isinstance(ast, ExprAst)
-    prog = exprdsl.lower([ast] if single else ast, len(coords), params)
+    prog = ast if isinstance(ast, exprdsl.Program) else exprdsl.lower(
+        [ast] if single else ast, len(coords), params)
     out = prog.run(dict(
         exprdsl.RING_OPS, coord=coords.__getitem__,
         const=lambda v: Jet.constant(space, np.full_like(c0, v)),

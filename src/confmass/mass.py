@@ -364,7 +364,7 @@ def lee_flux(chart: MetricChart, radii: Sequence[float], measure: str = "euclide
     """Integral over S_r of theta(nu), one per radius (``orders`` as in
     ``adm_flux``)."""
     def integrand(Xc, nu):
-        return _normal_part(exprdsl.evaluate(chart.lee, Xc, chart.params), nu)
+        return _normal_part(exprdsl.evaluate(chart.lee_program, Xc), nu)
 
     return tuple(_flux(chart, radii, integrand, measure, orders).tolist())
 

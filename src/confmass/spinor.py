@@ -66,7 +66,6 @@ import numpy as np
 
 from . import clifford
 from . import jetlinalg
-from . import weyl as weylmod
 from .chart import MetricData, SpinorFieldSpec, make_spinor_spec
 from .curvature import (ConnectionData, CurvatureData, christoffels, codiff_oneform,
                         curvature)
@@ -233,8 +232,11 @@ class SpinorCalc:
         return curvature(self.frame.cd)
 
     @cached_property
-    def weyl(self) -> weylmod.WeylData | None:
-        return None if self.theta is None else weylmod.weyl_scalar(self.curv, self.theta)
+    def weyl(self):
+        """The ``weyl.WeylData`` of the sample, None without a Lee form.
+        The Weyl layer is imported here: only the identity battery reads it."""
+        from .weyl import weyl_scalar
+        return None if self.theta is None else weyl_scalar(self.curv, self.theta)
 
     @property
     def connection(self) -> Jet:

@@ -6,7 +6,7 @@ import inspect
 import numpy as np
 import pytest
 
-from confmass import exprdsl, jetlinalg, jets
+from confmass import exprdsl, jetlinalg, jets, util
 from confmass.chart import (
     ChartError,
     End,
@@ -20,6 +20,8 @@ from confmass.chart import (
     metric_jets,
     scale_coordinates,
 )
+from confmass.cli import main
+from confmass.config import bundled_names, load_config
 
 ISO = {"11": "(1 + 1/(2*r))^4", "22": "(1 + 1/(2*r))^4", "33": "(1 + 1/(2*r))^4"}
 
@@ -296,3 +298,51 @@ class TestEndSystem:
         sys = EndSystem(ends=(End(chart=c, a=1.0), End(chart=c, a=4.0)))
         assert len(sys.ends) == 2
         assert sys.ends[1].a == 4.0
+
+
+def bundled_charts() -> list:
+    """Every chart of the bundled configs, the ends of a system included."""
+    out = []
+    for name in bundled_names():
+        cfg = load_config(name)
+        out += [cfg.chart] if cfg.chart is not None else [e.chart for e in cfg.system.ends]
+    return out
+
+
+class TestChartPrograms:
+    def test_metric_program_is_the_lowered_upper_triangle(self):
+        # the n^2 entries lowered row-major emit no instruction beyond the
+        # upper triangle's: each symmetric pair is one tree, so one slot
+        for c in bundled_charts():
+            n = c.n
+            upper = [c.metric[i][j] for i in range(n) for j in range(i, n)]
+            assert c.metric_program.code == exprdsl.lower(upper, n, c.params).code, c.name
+            out = np.reshape(c.metric_program.outputs, (n, n))
+            assert np.array_equal(out, out.T), c.name
+            assert c.lee_program == exprdsl.lower(c.lee, n, c.params), c.name
+
+    def test_derived_charts_carry_their_own_programs(self):
+        c = make_iso(params={"b": 0.25}, lee=["b*x1/r^3", "0", "0"])
+        for d in (conformal_rescale(c, "1 + 1/r"), scale_coordinates(c, 4.0)):
+            flat = [t for row in d.metric for t in row]
+            assert d.metric_program == exprdsl.lower(flat, d.n, d.params)
+            assert d.lee_program == exprdsl.lower(d.lee, d.n, d.params)
+
+    def test_a_flux_command_lowers_as_often_at_any_chunk_width(self, capsys, monkeypatch):
+        # the chart's programs are lowered when it is made, not once per
+        # flux chunk: a sixteenth of the chunk width lowers no more often
+        lower = exprdsl.lower
+        counts = []
+        for width in (256, 16):
+            calls = []
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return lower(*args, **kwargs)
+
+            monkeypatch.setattr(exprdsl, "lower", counted)
+            monkeypatch.setattr(util, "CHUNK", width)
+            assert main(["weyl-mass", "schwarzschild-lee"]) == 0
+            capsys.readouterr()
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0

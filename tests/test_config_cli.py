@@ -848,6 +848,16 @@ class TestCli:
         assert "confmass.suites" in loaded
         for layer in ("spinor", "clifford", "weyl", "curvature"):
             assert f"confmass.{layer}" not in loaded
+        # witten integrates spinors, but only the identity battery reads
+        # the Weyl scalar of a spinor calculator
+        code = (
+            "import contextlib, io, json, sys, confmass.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = confmass.cli.main(['witten', 'schwarzschild-lee'])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n")
+        code, loaded = json.loads(run_fresh(code))
+        assert code == 0
+        assert "confmass.spinor" in loaded and "confmass.weyl" not in loaded
         # every polar rule is built by Golub-Welsch, so no flux command
         # loads numpy.polynomial
         code = (
@@ -1083,3 +1093,39 @@ class TestHostileConfigs:
         code, out, err = run_cli(capsys, "check", str(p))
         assert (code, out, err) == (
             2, "", f"confmass: bad.ends.{where}: unexpected end of input at offset 3\n")
+
+    def test_a_file_that_is_not_utf8_is_refused_in_one_line(self, capsys, tmp_path):
+        # a UTF-16 byte-order mark used to end in a UnicodeDecodeError traceback
+        p = tmp_path / "utf16.chart"
+        p.write_bytes(b"\xff\xfe" + json.dumps(CHART_DOC).encode("utf-16-le"))
+        code, out, err = run_cli(capsys, "check", str(p))
+        assert (code, out) == (2, "") and err.count("\n") == 1
+        assert err.startswith("confmass: utf16.chart: cannot read: 'utf-8' codec can't decode")
+
+    def test_a_file_that_cannot_be_read_is_refused_in_one_line(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # permissions cannot refuse a read to root, so the refusal is faked
+        p = tmp_path / "locked.chart"
+        p.write_text(json.dumps(CHART_DOC))
+        real_open = open
+
+        def locked_open(file, *args, **kwargs):
+            if file == str(p):
+                raise PermissionError(13, "Permission denied", file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", locked_open)
+        code, out, err = run_cli(capsys, "check", str(p))
+        assert (code, out, err) == (
+            2, "", f"confmass: locked.chart: cannot read: [Errno 13] Permission denied: '{p}'\n")
+
+    def test_a_refusal_at_load_prints_no_numpy_warning(self, tmp_path):
+        # m*m overflows in the load-time probes; the non-finite metric is
+        # refused by name, and stderr holds that one line and nothing else
+        doc = dict(CHART_DOC, params={"m": 1e308}, metric={"11": "1 + m*m/r"})
+        p = tmp_path / "huge.chart"
+        p.write_text(json.dumps(doc))
+        proc = python_fresh("-m", "confmass", "check", str(p))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", "confmass: huge.chart: metric evaluates to a non-finite value at "
+                   "[8.0, 0.0, 0.0]\n")

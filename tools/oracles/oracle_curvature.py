@@ -1,5 +1,5 @@
-"""Symbolic curvature oracles: frozen constants for tests/test_curvature.py
-and tests/test_weyl.py.
+"""Symbolic curvature oracles for the closed forms in tests/test_curvature.py
+(its round-sphere, conformally flat and Weyl-scalar classes).
 
 Checks, all with sympy so they are independent of the package code:
   1. Christoffel symbols of g = diag(1, x1^2) on n=2 (polar-style chart).
@@ -86,7 +86,7 @@ def main():
     uiso = 1 + m / (2 * r)
     print("lap(1 + m/(2r)) =", sp.simplify(sum(sp.diff(uiso, v, 2) for v in (x1, x2, x3))))
 
-    # frozen spot values for tests: isotropic chart m=1 at (1.5, -0.5, 2.0)
+    # spot values to compare by hand: isotropic chart m=1 at (1.5, -0.5, 2.0)
     vals = {x1: sp.Rational(3, 2), x2: sp.Rational(-1, 2), x3: 2, m: 1}
     uu = uiso.subs(vals)
     print("isotropic m=1 at (1.5,-0.5,2.0): g11 = u^4 =", float((uu ** 4)))
