@@ -1,5 +1,6 @@
-"""Tests for chart construction, validation, decay scanning, and the two
-chart-level transformations (conformal rescaling and coordinate scaling)."""
+"""Tests for chart construction, validation, the lowered metric and Lee
+programs, decay scanning, and the two chart-level transformations
+(conformal rescaling and coordinate scaling)."""
 
 import inspect
 
