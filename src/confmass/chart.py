@@ -21,8 +21,8 @@ batched Jet (m, B, *index); a single point (n,) is a batch of one.
 ``decay_scan`` estimates actual decay exponents along rays as a sanity
 check against the declared tau.  A ``SpinorFieldSpec`` holds the parsed
 component expressions of a spinor field, as a chart holds those of its
-metric; it is lowered on every evaluation, since one spec serves ends
-whose params differ.
+metric; one spec serves ends whose params differ, so ``spinor_program``
+lowers specs on one chart, once per call of the flux or battery.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .jets import Jet, JetSpace
 
 __all__ = [
     "ChartError", "MetricChart", "End", "EndSystem", "MetricData",
-    "SpinorFieldSpec", "make_chart", "make_spinor_spec", "bound_identifiers",
-    "metric_entry_jets",
+    "SpinorFieldSpec", "make_chart", "make_spinor_spec", "spinor_program",
+    "spinor_components", "bound_identifiers", "metric_entry_jets",
     "metric_jets", "metric_values", "lee_jets", "decay_scan", "DecayReport",
     "conformal_rescale", "scale_coordinates",
 ]
@@ -98,6 +98,26 @@ def make_spinor_spec(sources) -> SpinorFieldSpec:
     if 2 ** k != len(comps):
         raise ValueError(f"component count {len(comps)} is not a power of two")
     return SpinorFieldSpec(components=tuple(comps))
+
+
+def spinor_program(chart: MetricChart, specs: Sequence[SpinorFieldSpec]) -> exprdsl.Program:
+    """The (re, im) components of ``specs``, field after field, lowered
+    with the chart's n and params; ``spinor_components`` reads its
+    outputs.  Every spec needs the 2^(n//2) components of the chart's
+    dimension."""
+    N = 2 ** (chart.n // 2)
+    for spec in specs:
+        if len(spec.components) != N:
+            raise ChartError(f"a spinor in n = {chart.n} has {N} components, "
+                             f"got {len(spec.components)}")
+    return exprdsl.lower([t for sp in specs for pair in sp.components for t in pair],
+                         chart.n, chart.params)
+
+
+def spinor_components(values: np.ndarray, n: int) -> np.ndarray:
+    """The outputs of a ``spinor_program`` over n coordinates, stacked on
+    the last axis of ``values``, as complex fields (..., S, N)."""
+    return values.view(np.complex128).reshape(values.shape[:-1] + (-1, 2 ** (n // 2)))
 
 
 def bound_identifiers(n: int, params: Mapping[str, float]) -> set:

@@ -131,7 +131,8 @@ def _parse_spinors(doc: dict, where: str, charts) -> tuple:
     N = 2 ** (n // 2)
     bound = set.intersection(*(bound_identifiers(c.n, c.params) for c in charts))
     out = []
-    for k, sp in enumerate(doc.get("spinors", ())):
+    spinors = _require(doc, "spinors", list, where) if "spinors" in doc else ()
+    for k, sp in enumerate(spinors):
         w = f"{where}.spinors[{k}]"
         if not isinstance(sp, dict):
             raise ConfigError(f"{w}: expected an object")

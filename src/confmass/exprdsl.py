@@ -45,7 +45,8 @@ for e = 0 (its base is still lowered, so unbound names still raise);
 evaluated once as its literal, any other ``pow`` to exp(s*log(u)).
 ``evaluate`` runs the program with a numpy op table and
 ``jets.evaluate_jet`` runs the same program with a jet op table; both
-take a ``Program`` in place of trees too, such as a chart's.
+take only a ``Program``, lowered once where its trees are made, and
+refuse a coordinate count other than its n.
 """
 
 from __future__ import annotations
@@ -377,10 +378,12 @@ class Program(NamedTuple):
     ``code[k]`` is the instruction ``(op, literal, operand slots)`` that
     fills slot k; operands name earlier slots, and ``literal`` is None
     except for ``const`` (the value), ``coord`` (the coordinate index)
-    and ``powc`` (the exponent).  ``outputs`` holds each tree's slot.
+    and ``powc`` (the exponent).  ``outputs`` holds each tree's slot,
+    and ``n`` the number of coordinates the program runs on.
     """
     code: tuple[tuple[str, object, tuple[int, ...]], ...]
     outputs: tuple[int, ...]
+    n: int
 
     def run(self, ops: Mapping[str, Callable]) -> list:
         """The output values, computing slot k as ``ops[op](*operands)``,
@@ -457,37 +460,30 @@ def lower(trees: Sequence[ExprAst], n: int,
             if node.fn != "pow":
                 return emit(node.fn, None, base)
             if len(kids) == 1:  # a coordinate-free exponent, run on its own
-                with np.errstate(invalid="ignore", divide="ignore"):
+                # silently: an overflow to inf is refused where it is evaluated
+                with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                     (s,) = lower([node.args[1]], n, params).run(_NUMPY_OPS)
                 return emit("powc", float(s), base)
             return emit("exp", None, emit("*", None, kids[1], emit("log", None, base)))
         raise EvalError(f"unknown node {node!r}")
 
     outputs = tuple(_fold(trees, visit, children))
-    return Program(code=tuple(code), outputs=outputs)
+    return Program(code=tuple(code), outputs=outputs, n=n)
 
 
-def evaluate(ast: ExprAst | Sequence[ExprAst] | Program, coords,
-             params: Mapping[str, float] | None = None):
-    """Evaluate at a point (shape (n,)) or batch of points (shape (n, B)).
-
-    One tree gives a numpy float64 scalar or array (a coordinate-free tree
-    gives a scalar); a sequence of trees gives their values broadcast to
-    the batch and stacked on a last axis, and so does a ``Program``, whose
-    n and params ``lower`` bound already.  Unbound identifiers raise
-    EvalError; domain violations (log of a negative number, ...) follow
-    IEEE semantics and propagate NaN.
+def evaluate(prog: Program, coords) -> np.ndarray:
+    """Run ``prog`` at a point (shape (n,)) or batch of points (shape
+    (n, B)), n the program's own: its outputs broadcast to the batch and
+    stacked on a last axis.  Other coordinate shapes raise EvalError;
+    domain violations (log of a negative number, ...) follow IEEE
+    semantics and propagate NaN.
     """
     coords = np.asarray(coords, dtype=np.float64)
-    if coords.ndim not in (1, 2):
-        raise EvalError(f"coords must have shape (n,) or (n, B), got {coords.shape}")
-    single = isinstance(ast, ExprAst)
-    prog = ast if isinstance(ast, Program) else lower(
-        [ast] if single else ast, coords.shape[0], params)
+    if coords.ndim not in (1, 2) or coords.shape[0] != prog.n:
+        raise EvalError(f"coords must have shape ({prog.n},) or ({prog.n}, B), "
+                        f"got {coords.shape}")
     with np.errstate(invalid="ignore", divide="ignore"):
         out = prog.run(dict(_NUMPY_OPS, coord=coords.__getitem__))
-    if single:
-        return out[0]
     stacked = np.empty(coords.shape[1:] + (len(out),))
     for k, v in enumerate(out):
         stacked[..., k] = v

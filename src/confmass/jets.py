@@ -36,7 +36,8 @@ Two invariants worth spelling out:
 
 * the value part of any jet computation equals the plain float64
   evaluation of the same expression bitwise.  ``evaluate_jet`` and
-  ``exprdsl.evaluate`` run the same ``exprdsl.Program``, so both take
+  ``exprdsl.evaluate`` run the same ``exprdsl.Program`` (the one form
+  either takes, lowered once by its caller), so both take
   the same operations in the same order, and the two op tables agree op
   by op on the value slot: division by a fixed-point recurrence whose
   value slot is a0/b0 directly, the ring operations and the elementary
@@ -50,12 +51,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import exprdsl
-from .exprdsl import ExprAst
 
 __all__ = [
     "JetSpace", "Jet", "seed_point",
@@ -432,24 +432,18 @@ def seed_point(point, order: int) -> tuple[JetSpace, list[Jet]]:
     return space, [Jet.variable(space, i, point[i]) for i in range(n)]
 
 
-def evaluate_jet(ast: ExprAst | Sequence[ExprAst] | exprdsl.Program, coords: list[Jet],
-                 params: Mapping[str, float] | None = None) -> Jet:
-    """Evaluate an expression tree, or a sequence of trees, in jet arithmetic.
-
-    ``coords`` are the coordinate jets from :func:`seed_point`.  The trees
-    are lowered by ``exprdsl.lower``, or come lowered as a ``Program``
-    with its params bound, and the program runs with the jet op table; a
-    sequence or a program gives one jet with the values stacked on a last
-    axis.  Value slots are bitwise equal to ``exprdsl.evaluate`` at the
-    same point.
+def evaluate_jet(prog: exprdsl.Program, coords: list[Jet]) -> Jet:
+    """Run ``prog`` in jet arithmetic over the coordinate jets ``coords``
+    from :func:`seed_point`, one per coordinate of the program (else
+    ValueError): one jet with the outputs stacked on a last axis, whose
+    value slots are bitwise equal to ``exprdsl.evaluate`` at the same point.
     """
+    if len(coords) != prog.n:
+        raise ValueError(f"a program over {prog.n} coordinates run on {len(coords)} jets")
     space, c0 = coords[0].space, coords[0].c[0]
-    single = isinstance(ast, ExprAst)
-    prog = ast if isinstance(ast, exprdsl.Program) else exprdsl.lower(
-        [ast] if single else ast, len(coords), params)
     out = prog.run(dict(
         exprdsl.RING_OPS, coord=coords.__getitem__,
         const=lambda v: Jet.constant(space, np.full_like(c0, v)),
         sqrt=jet_sqrt, exp=jet_exp, log=jet_log, sin=jet_sin, cos=jet_cos,
         atan=jet_atan, powc=jet_powc))
-    return out[0] if single else Jet(space, np.stack([j.c for j in out], axis=-1))
+    return Jet(space, np.stack([j.c for j in out], axis=-1))

@@ -82,7 +82,8 @@ import numpy as np
 
 from . import exprdsl, util
 from .chart import (ChartError, End, EndSystem, MetricChart, SpinorFieldSpec,
-                    lee_jets, metric_entry_jets, metric_jets, metric_values)
+                    lee_jets, metric_entry_jets, metric_jets, metric_values,
+                    spinor_program)
 from .jets import seed_point
 
 __all__ = [
@@ -233,7 +234,7 @@ def probe_radius(chart: MetricChart, r: float, lee: bool,
                 jets.append(lee_jets(chart, coords))
             if specs:
                 from .spinor import spinor_jets
-                jets.append(spinor_jets(specs, coords, chart.params))
+                jets.append(spinor_jets(spinor_program(chart, specs), coords))
     except FloatingPointError:
         raise _overflow(r) from None
     if not all(np.all(np.isfinite(j.c)) for j in jets):
@@ -375,10 +376,11 @@ def gradient_flux(chart: MetricChart, f, radii: Sequence[float],
     flux per radius, from one ladder that climbs until both agree."""
     n = chart.n
     ast = exprdsl.as_expr(f)
-    dfs = [exprdsl.derivative(ast, f"x{i + 1}") for i in range(n)]
+    prog = exprdsl.lower([exprdsl.derivative(ast, f"x{i + 1}") for i in range(n)] + [ast],
+                         n, chart.params)
 
     def integrand(Xc, nu):
-        vals = exprdsl.evaluate(dfs + [ast], Xc, chart.params)
+        vals = exprdsl.evaluate(prog, Xc)
         df = _normal_part(vals[:, :n], nu)
         return np.stack([df, df / vals[:, n]])
 
@@ -402,10 +404,11 @@ def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
     omega_psi(X) = h(psi, X^flat . Dirac psi + D_X psi) at weight (2-n)/2,
     as a complex (R, S) array: one row per radius, one column per spec.
 
-    The specs are one stacked field (m, B, S, N) on one sample per chunk:
-    the metric jets, the Lee jets and the spin frame are built once, and
-    each flux is bitwise equal to the one a call with that spec alone
-    returns.  The metric is checked positive definite at every node.
+    The specs are lowered once, then run as one stacked field (m, B, S, N)
+    on one sample per chunk: the metric jets, the Lee jets and the spin
+    frame are built once, and each flux is bitwise equal to the one a call
+    with that spec alone returns.  The metric is checked positive definite
+    at every node.
 
     The imaginary part is a diagnostic: it must vanish in the limit.
     ``orders`` is the test oracle of ``adm_flux``.  Imports the spinor
@@ -414,13 +417,13 @@ def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
     from .spinor import coframe_action, covd_coord, dirac, spinor_calc, spinor_jets
 
     k = 0.5 * (2.0 - chart.n)
-    specs = list(specs)
+    fields = spinor_program(chart, specs)
 
     def integrand(Xc, nu):
         md = metric_jets(chart, Xc, order=1)
         theta = lee_jets(chart, md.coords) if chart.has_lee else None
         calc = spinor_calc(md, theta)
-        psi = spinor_jets(specs, md.coords, chart.params)  # [z, b, s, t]
+        psi = spinor_jets(fields, md.coords)  # [z, b, s, t]
         Dc = covd_coord(calc, psi, k)
         cl = coframe_action(calc, dirac(calc, Dc))  # [z, b, j, s, t]
         omega = np.einsum("bst,bjst->sbj", np.conj(psi.value), cl.value + Dc.value)

@@ -13,8 +13,9 @@ tensors, and stacks of S fields (m, B, S, N), put their extra axes
 before the spinor axis: ``covd_coord`` takes (m, B, ..., N) and returns
 (m, B, n, ..., N), the coordinate direction third, and ``covd_frame``,
 ``dirac`` and ``coframe_action`` carry the extra axes the same way.
-``spinor_jets`` evaluates a ``SpinorFieldSpec`` (parsed in ``chart``
-with the rest of a config, and re-exported here) to a field.
+``spinor_jets`` runs the program that ``chart.spinor_program`` lowers
+from S field specs (``SpinorFieldSpec``, parsed in ``chart`` with the
+rest of a config and re-exported here) to one stacked field (m, B, S, N).
 
 The frame data are real jets stacked the same way: ``E`` and ``S`` are
 (m, B, i, a), ``omega`` is (m, B, i, a, b), as are the metric,
@@ -58,7 +59,6 @@ lower order.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import cached_property
 from typing import NamedTuple
 
@@ -66,9 +66,10 @@ import numpy as np
 
 from . import clifford
 from . import jetlinalg
-from .chart import MetricData, SpinorFieldSpec, make_spinor_spec
+from .chart import MetricData, SpinorFieldSpec, make_spinor_spec, spinor_components
 from .curvature import (ConnectionData, CurvatureData, christoffels, codiff_oneform,
                         curvature)
+from .exprdsl import Program
 from .jets import Jet, evaluate_jet, tensor_matmul, tensor_mul
 
 __all__ = [
@@ -138,20 +139,10 @@ def spinor_values(psi: Jet) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # field values
 
-def spinor_jets(spec: SpinorFieldSpec | Sequence[SpinorFieldSpec], coords: list,
-                params=None) -> Jet:
-    """Evaluate a field spec to one complex jet of shape (m, B, N), or a
-    sequence of S specs, in one program run, to one stacked field
-    (m, B, S, N)."""
-    single = isinstance(spec, SpinorFieldSpec)
-    specs = [spec] if single else list(spec)
-    v = evaluate_jet([t for sp in specs for pair in sp.components for t in pair],
-                     coords, params).c
-    c = v[..., 0::2].astype(np.complex128)
-    c.imag = v[..., 1::2]
-    if not single:
-        c = c.reshape(c.shape[:2] + (len(specs), -1))
-    return Jet(coords[0].space, c)
+def spinor_jets(fields: Program, coords: list) -> Jet:
+    """Run a ``chart.spinor_program`` of S fields over the coordinate jets
+    to one complex jet (m, B, S, N)."""
+    return Jet(coords[0].space, spinor_components(evaluate_jet(fields, coords).c, fields.n))
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,11 @@ import numpy as np
 
 from . import exprdsl, util
 from .chart import (MetricChart, SpinorFieldSpec, conformal_rescale, lee_jets,
-                    make_spinor_spec, metric_jets, scale_coordinates)
+                    make_spinor_spec, metric_jets, scale_coordinates, spinor_components,
+                    spinor_program)
 from .config import LoadedConfig
 from .exprdsl import Call, Num, Var, eadd, emul
-from .jets import seed_point
+from .jets import Jet
 
 __all__ = [
     "TOLERANCES",
@@ -180,12 +181,13 @@ def _weyl_scal_values(chart: MetricChart, pts: np.ndarray, jet_order: int) -> np
 COVARIANCE_FACTOR = "1 + 0.3/sqrt(r^2 + 1)"
 
 
-def _identity_maxima(chart: MetricChart, rescaled: MetricChart, pts: np.ndarray,
-                     jet_order: int, specs: tuple, direction: np.ndarray) -> dict:
+def _identity_maxima(chart: MetricChart, rescaled: MetricChart, factor: exprdsl.Program,
+                     pts: np.ndarray, jet_order: int, fields: tuple,
+                     direction: np.ndarray) -> dict:
     """The maxima behind every check of ``identity_battery`` on the points
     ``pts``; ``rescaled`` is ``chart`` rescaled by ``COVARIANCE_FACTOR``,
-    ``specs`` the two spinor fields and ``direction`` the unit vector of
-    the norm identity."""
+    ``factor`` that factor lowered, ``fields`` the programs of the two
+    spinor fields and ``direction`` the unit vector of the norm identity."""
     from .spinor import (covd_coord, dirac_composed, dirac_squared_expansion, h_jet,
                          lichnerowicz_I_residual, lichnerowicz_II_residual,
                          norm_identity_residual, spinor_calc, spinor_jets,
@@ -194,7 +196,7 @@ def _identity_maxima(chart: MetricChart, rescaled: MetricChart, pts: np.ndarray,
     n = chart.n
     # conformal covariance: f Scal(fg, theta - df/2f) = Scal(g, theta); the
     # rescaled chart's jets are freed before the base chart's are built
-    fv = exprdsl.evaluate(exprdsl.parse(COVARIANCE_FACTOR), pts, chart.params)
+    fv = exprdsl.evaluate(factor, pts)[:, 0]
     lhs = fv * _weyl_scal_values(rescaled, pts, jet_order)
 
     md = metric_jets(chart, pts, order=jet_order)
@@ -208,7 +210,7 @@ def _identity_maxima(chart: MetricChart, rescaled: MetricChart, pts: np.ndarray,
     out["scal"] = np.max(np.abs(scal_weyl))
 
     # spinor identities on two independent random fields
-    psi, phi = (spinor_jets(spec, md.coords, chart.params) for spec in specs)
+    psi, phi = (Jet(md.space, spinor_jets(f, md.coords).c[:, :, 0]) for f in fields)
     # D_i psi and D_i phi at weight k, shared by every residual below, and
     # the composed Dirac square of psi, shared by the first identity and
     # the expansion check
@@ -247,12 +249,13 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
     rng = rng_for(seed)
     n = chart.n
     pts = sample_points(chart, points, rng)
-    specs = (random_spinor_spec(n, rng), random_spinor_spec(n, rng))
+    fields = tuple(spinor_program(chart, [random_spinor_spec(n, rng)]) for _ in range(2))
     direction = rng.normal(size=n)
     direction /= math.sqrt(float(np.sum(direction * direction)))
     rescaled = conformal_rescale(chart, COVARIANCE_FACTOR)
-    m = _sample_maxima(lambda p: _identity_maxima(chart, rescaled, p, jet_order,
-                                                  specs, direction),
+    factor = exprdsl.lower([exprdsl.parse(COVARIANCE_FACTOR)], n, chart.params)
+    m = _sample_maxima(lambda p: _identity_maxima(chart, rescaled, factor, p, jet_order,
+                                                  fields, direction),
                        pts, jet_order)
 
     tol = TOLERANCES
@@ -510,17 +513,6 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
 # ---------------------------------------------------------------------------
 # spinor flux vs mass
 
-def _asymptotic_value(spec: SpinorFieldSpec, chart: MetricChart) -> np.ndarray:
-    """The field's value at a far reference point on the first axis."""
-    from .spinor import spinor_jets, spinor_values
-
-    far = np.zeros((chart.n, 1))
-    far[0, 0] = 1e7 * chart.r_min
-    _, coords = seed_point(far, 1)
-    psi = spinor_jets(spec, coords, chart.params)
-    return spinor_values(psi)[:, 0]
-
-
 def _default_spinors(n: int) -> list:
     """Three constant spinors of weight (2-n)/2 for configs that name none."""
     from .clifford import build_rep
@@ -554,14 +546,17 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
     tol = TOLERANCES
     mrep = mass.weyl_mass(chart, radii=radii, measure=measure)
     radii = mrep.radii
+    sources = [spec for _, spec in specs]
     # one shared sample per rung for every field and radius: (R, S)
-    fluxes = mass.witten_flux(chart, [spec for _, spec in specs], radii,
-                              measure=measure)
+    fluxes = mass.witten_flux(chart, sources, radii, measure=measure)
+    # every field's value psi_0 at a far reference point on the first axis
+    far = np.zeros(chart.n)
+    far[0] = 1e7 * chart.r_min
+    psi0 = spinor_components(exprdsl.evaluate(spinor_program(chart, sources), far), chart.n)
     checks = []
     fields = []
-    for s, (name, spec) in enumerate(specs):
-        psi0 = _asymptotic_value(spec, chart)
-        nrm2 = float(np.sum(np.abs(psi0) ** 2))
+    for s, (name, _) in enumerate(specs):
+        nrm2 = float(np.sum(np.abs(psi0[s]) ** 2))
         series = [complex(v) for v in fluxes[:, s]]
         real_series = [v.real for v in series]
         imag_max = max(abs(v.imag) for v in series)

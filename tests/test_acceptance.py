@@ -21,9 +21,11 @@ from confmass.chart import (
     lee_jets,
     metric_jets,
     scale_coordinates,
+    spinor_program,
 )
 from confmass.curvature import christoffels, curvature
-from confmass.exprdsl import Num, evaluate, is_coordinate_free, parse
+from confmass.exprdsl import Num, evaluate, is_coordinate_free, lower, parse
+from confmass.jets import Jet
 from confmass.mass import (
     extrapolate,
     riemannian_mass,
@@ -64,6 +66,12 @@ def _chart_theta_jets(chart, coords):
     return lee_jets(chart, coords)
 
 
+def _field(chart, spec, coords):
+    """The jet (m, B, N) of one spinor field spec, lowered on ``chart``."""
+    psi = spinor_jets(spinor_program(chart, [spec]), coords)
+    return Jet(psi.space, psi.c[:, :, 0])
+
+
 def _spinor_setup(cfg, points, seed, order=2):
     """Calculator plus two generic random spinor fields at seeded points."""
     chart = cfg.chart
@@ -72,8 +80,8 @@ def _spinor_setup(cfg, points, seed, order=2):
     md = metric_jets(chart, pts, order=order)
     theta = _chart_theta_jets(chart, md.coords)
     calc = spinor_calc(md, theta)
-    psi = spinor_jets(random_spinor_spec(chart.n, rng), md.coords, chart.params)
-    phi = spinor_jets(random_spinor_spec(chart.n, rng), md.coords, chart.params)
+    psi = _field(chart, random_spinor_spec(chart.n, rng), md.coords)
+    phi = _field(chart, random_spinor_spec(chart.n, rng), md.coords)
     return calc, psi, phi
 
 
@@ -159,7 +167,7 @@ def test_weighted_scalar_curvature_is_conformally_covariant(lee_cfg, rot_cfg):
         th2 = lee_jets(resc, md2.coords)
         moved = weyl_data(md2, th2).scal.value
 
-        fv = evaluate(parse(f_src), pts, chart.params)
+        fv = evaluate(lower([parse(f_src)], chart.n, chart.params), pts)[:, 0]
         gap = float(np.max(np.abs(fv * moved - base)))
         assert gap <= 1e-10 * max(1.0, float(np.max(np.abs(base))))
 
@@ -208,12 +216,10 @@ def test_witten_flux_limit_recovers_quarter_mass(iso_cfg, lee_cfg):
         assert len(cfg.spinors) >= 3
         for name, spec in cfg.spinors[:3]:
             anywhere = np.full(chart.n, 3.0)
-            norm2 = 0.0
             for re_ast, im_ast in spec.components:
                 assert is_coordinate_free(re_ast) and is_coordinate_free(im_ast)
-                re = float(np.atleast_1d(evaluate(re_ast, anywhere, chart.params))[0])
-                im = float(np.atleast_1d(evaluate(im_ast, anywhere, chart.params))[0])
-                norm2 += re * re + im * im
+            values = evaluate(spinor_program(chart, [spec]), anywhere)  # re, im, ...
+            norm2 = float(np.sum(values * values))
 
             series = [witten_flux(chart, [spec], [r])[0, 0] for r in RADII]
             assert max(abs(w.imag) for w in series) <= 1e-8

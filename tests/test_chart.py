@@ -7,7 +7,7 @@ import inspect
 import numpy as np
 import pytest
 
-from confmass import exprdsl, jetlinalg, jets, util
+from confmass import exprdsl, jetlinalg, jets, suites, util
 from confmass.chart import (
     ChartError,
     End,
@@ -19,6 +19,7 @@ from confmass.chart import (
     make_chart,
     metric_entry_jets,
     metric_jets,
+    metric_values,
     scale_coordinates,
 )
 from confmass.cli import main
@@ -31,6 +32,11 @@ def make_iso(**kw):
     args = dict(n=3, tau=0.99, r_min=1.0, metric=ISO, lee=None)
     args.update(kw)
     return make_chart(**args)
+
+
+def value_at(tree, chart, pt):
+    """One tree lowered with the n and params of ``chart``, at one column point."""
+    return float(exprdsl.evaluate(exprdsl.lower([tree], chart.n, chart.params), pt)[0, 0])
 
 
 class TestMakeChart:
@@ -253,9 +259,7 @@ class TestTransformations:
         r = float(np.linalg.norm(pt))
         u4 = (1 + 1 / (2 * r)) ** 4
         fval = 1 + 1 / np.sqrt(r**2 + 1)
-        got = float(
-            np.atleast_1d(exprdsl.evaluate(d.metric[0][0], pt, params=d.params))[0]
-        )
+        got = value_at(d.metric[0][0], d, pt)
         assert got == pytest.approx(fval * u4, rel=1e-14)
 
     def test_conformal_rescale_shifts_lee_form(self):
@@ -264,10 +268,7 @@ class TestTransformations:
         d = conformal_rescale(c, exprdsl.parse("2"))
         pt = np.array([[4.0], [3.0], [0.0]])
         for i in range(3):
-            v = float(
-                np.atleast_1d(exprdsl.evaluate(d.lee[i], pt, params=d.params))[0]
-            )
-            assert v == 0.0
+            assert value_at(d.lee[i], d, pt) == 0.0
 
     def test_scale_coordinates_metric_transport(self):
         c = make_iso()
@@ -276,12 +277,8 @@ class TestTransformations:
         # g~_ij(z) = g_ij(z / sqrt(a)); check at z = sqrt(a) * z0
         z0 = np.array([[3.0], [0.0], [4.0]])
         z = np.sqrt(a) * z0
-        want = float(
-            np.atleast_1d(exprdsl.evaluate(c.metric[0][0], z0, params=c.params))[0]
-        )
-        got = float(
-            np.atleast_1d(exprdsl.evaluate(s.metric[0][0], z, params=s.params))[0]
-        )
+        want = value_at(c.metric[0][0], c, z0)
+        got = value_at(s.metric[0][0], s, z)
         assert got == pytest.approx(want, rel=1e-15)
         assert s.r_min == pytest.approx(np.sqrt(a) * c.r_min)
 
@@ -329,12 +326,23 @@ class TestChartPrograms:
             assert d.metric_program == exprdsl.lower(flat, d.n, d.params)
             assert d.lee_program == exprdsl.lower(d.lee, d.n, d.params)
 
-    def test_a_flux_command_lowers_as_often_at_any_chunk_width(self, capsys, monkeypatch):
-        # the chart's programs are lowered when it is made, not once per
-        # flux chunk: a sixteenth of the chunk width lowers no more often
+    @pytest.mark.parametrize("argv, module, knob, widths, lowered", [
+        (["weyl-mass", "schwarzschild-lee"], util, "CHUNK", (256, 16), 2),
+        (["witten", "schwarzschild-lee"], util, "CHUNK", (256, 16), 4),
+        (["identities", "schwarzschild-rot-lee"], suites, "POINT_BUDGET", (216_000, 2_000), 7),
+    ], ids=["weyl-mass", "witten", "identities"])
+    def test_a_flux_command_lowers_as_often_at_any_chunk_width(
+            self, argv, module, knob, widths, lowered, capsys, monkeypatch):
+        # the chart's programs are lowered when it is made, the spinor
+        # fields' and the suites' own trees once per call, never once per
+        # flux or point chunk: a chunk many times narrower lowers no more
+        # often (weyl-mass: the metric and the Lee form; witten: those, the
+        # fluxes' fields and psi_0's; identities: the chart and its
+        # rescaling, two each, the covariance factor and the two random
+        # fields)
         lower = exprdsl.lower
         counts = []
-        for width in (256, 16):
+        for width in widths:
             calls = []
 
             def counted(*args, **kwargs):
@@ -342,8 +350,23 @@ class TestChartPrograms:
                 return lower(*args, **kwargs)
 
             monkeypatch.setattr(exprdsl, "lower", counted)
-            monkeypatch.setattr(util, "CHUNK", width)
-            assert main(["weyl-mass", "schwarzschild-lee"]) == 0
+            monkeypatch.setattr(module, knob, width)
+            assert main(argv) == 0
             capsys.readouterr()
             counts.append(len(calls))
-        assert counts[0] == counts[1] > 0
+        assert counts == [lowered, lowered]
+
+    # the n = 3 schwarzschild chart's programs run on three coordinates only
+    @pytest.mark.parametrize("shape", [(4, 1), (2, 4)], ids=["four-rows", "two-rows"])
+    def test_metric_values_refuse_another_row_count(self, shape):
+        # four rows were read as their first three, two ended in an IndexError
+        chart = load_config("schwarzschild").chart
+        with pytest.raises(exprdsl.EvalError, match=r"shape \(3,\) or \(3, B\), got"):
+            metric_values(chart, np.ones(shape))
+
+    def test_metric_program_refuses_a_fourth_coordinate_jet(self):
+        # four coordinate jets gave a metric jet in a four-variable space
+        chart = load_config("schwarzschild").chart
+        coords = jets.seed_point(np.ones((4, 2)), 1)[1]
+        with pytest.raises(ValueError, match="over 3 coordinates run on 4 jets"):
+            jets.evaluate_jet(chart.metric_program, coords)

@@ -954,6 +954,41 @@ class TestHostileConfigs:
         code, out, err = run_cli(capsys, "witten", str(p))
         assert (code, out, err) == (2, "", f"confmass: hostile.ends{message}\n")
 
+    @pytest.mark.parametrize("command", ["check", "mass", "witten"])
+    @pytest.mark.parametrize("value, kind", [
+        (5, "int"), (None, "NoneType"), (True, "bool"), (1e308, "float"),
+    ], ids=["int", "null", "true", "float"])
+    def test_spinors_must_be_a_list(self, capsys, tmp_path, command, value, kind):
+        # anything but a list ended in "TypeError: ... is not iterable"
+        doc = json.loads(bundled_text("schwarzschild-lee.chart"))
+        doc["spinors"] = value
+        p = tmp_path / "hostile.chart"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(p))
+        assert (code, out, err) == (
+            2, "", f"confmass: hostile.chart: field 'spinors' has wrong type {kind}\n")
+
+    @pytest.mark.parametrize("command, message", [
+        ("check", "hostile.chart: metric evaluates to a non-finite value at [8.0, 0.0, 0.0]"),
+        ("witten", "radius 20.0 is singular: the chart evaluates to a non-finite value "
+                   "on that sphere"),
+    ])
+    def test_an_exponent_that_overflows_is_refused_in_one_line(self, capsys, tmp_path,
+                                                               command, message):
+        # a coordinate-free pow exponent lowers to its value, here inf; the
+        # overflow warned before the refusal, at load for the metric entry
+        doc = json.loads(bundled_text("schwarzschild-lee.chart"))
+        big = "pow(x1/r + 2, 1e200*1e200)"
+        if command == "check":
+            doc["metric"]["11"] = big
+        else:
+            doc["spinors"] = [{"name": "big", "weight": -0.5,
+                               "components": [{"re": big, "im": "0"}, ONE]}]
+        p = tmp_path / "hostile.chart"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(p))
+        assert (code, out, err) == (2, "", f"confmass: {message}\n")
+
     def test_a_mass_that_overflows_fails_its_convergence(self, capsys, tmp_path):
         # two n = 4 Schwarzschild ends of mass 12 pi^2; weighing the second
         # by a^((n - 2)/2) = 1e308 overflows the total, which must not pass

@@ -24,6 +24,12 @@ from confmass.weyl import (
 RNG = np.random.Generator(np.random.PCG64(7))
 
 
+def scalar_jet(md, src):
+    """The jet (m, B) of ``src`` lowered over the coordinates of ``md``."""
+    return Jet(md.space, evaluate_jet(exprdsl.lower([exprdsl.parse(src)], md.n),
+                                      md.coords).c[..., 0])
+
+
 def sample_points(n, count, lo=3.0, hi=30.0):
     v = RNG.normal(size=(n, count))
     v /= np.linalg.norm(v, axis=0)
@@ -68,12 +74,12 @@ class TestFlatChart:
     def test_laplacian_is_euclidean(self):
         # flat metric: laplacian(f) = sum of plain second partials
         md = metric_jets(flat_chart(), sample_points(3, 10), order=2)
-        f = evaluate_jet(exprdsl.parse("x1^2 - x2^2 + x3"), md.coords)
+        f = scalar_jet(md, "x1^2 - x2^2 + x3")
         lap = laplacian(md, f)
         np.testing.assert_allclose(np.atleast_1d(lap.value), 0.0, atol=1e-14)
         # the positive convention: laplacian = codiff after d, so on flat
         # space laplacian(f) = -sum of second partials
-        g = evaluate_jet(exprdsl.parse("x1^2 + x2^2"), md.coords)
+        g = scalar_jet(md, "x1^2 + x2^2")
         np.testing.assert_allclose(np.atleast_1d(laplacian(md, g).value), -4.0, rtol=1e-14)
 
 
@@ -130,7 +136,7 @@ class TestOneFormCalculus:
         # laplacian(f) = codiff(df): exact one-forms close the triangle
         chart = iso_chart()
         md = metric_jets(chart, sample_points(3, 10), order=2)
-        f = evaluate_jet(exprdsl.parse("1/r"), md.coords)
+        f = scalar_jet(md, "1/r")
         df = f.grad()
         lhs = codiff_oneform(md, df)
         rhs = laplacian(md, f)
@@ -143,10 +149,8 @@ class TestOneFormCalculus:
         # through different formulas; use a covector with nonzero divergence
         chart = iso_chart()
         md = metric_jets(chart, sample_points(3, 10), order=2)
-        theta = Jet(md.space, np.stack([
-            evaluate_jet(exprdsl.parse(s), md.coords).c
-            for s in ("x1/r^2", "x2/r^2", "x3/r^2")
-        ], axis=-1))
+        theta = evaluate_jet(exprdsl.lower(
+            [exprdsl.parse(s) for s in ("x1/r^2", "x2/r^2", "x3/r^2")], 3), md.coords)
         cd = christoffels(md)
         tr = np.atleast_1d(trace_covd_oneform(cd, theta).value)
         co = np.atleast_1d(codiff_oneform(md, theta).value)

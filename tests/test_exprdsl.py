@@ -138,8 +138,8 @@ def tree_evaluate_jet(ast, coords, params=None):
 
 
 def ev1(ast, pt, params=None):
-    """Evaluate at a single column point, tolerating scalar constant folds."""
-    return float(np.atleast_1d(evaluate(ast, pt, params=params))[0])
+    """Evaluate one tree, lowered over the point's n, at a single column point."""
+    return float(evaluate(lower([ast], len(pt), params), pt)[0, 0])
 
 
 def ev(src, x1=0.0, x2=0.0, x3=0.0, params=None):
@@ -242,16 +242,16 @@ class TestParseEvaluate:
 
     def test_vectorized_evaluation(self):
         pts = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
-        out = evaluate(parse("x1^2 + x2"), pts)
-        assert out.shape == (3,)
-        np.testing.assert_allclose(out, [1.0, 5.0, 11.0])
+        out = evaluate(lower([parse("x1^2 + x2")], 3), pts)
+        assert out.shape == (3, 1)
+        np.testing.assert_allclose(out[:, 0], [1.0, 5.0, 11.0])
 
-    def test_constant_expression_collapses_to_scalar(self):
-        # Coordinate-free expressions fold to a scalar; callers broadcast.
+    def test_constant_expression_broadcasts_to_the_batch(self):
+        # a coordinate-free output fills every point of the batch
         pts = np.zeros((3, 5))
-        out = evaluate(parse("2 + 2"), pts)
-        assert np.shape(out) == ()
-        assert float(out) == 4.0
+        out = evaluate(lower([parse("2 + 2")], 3), pts)
+        assert out.shape == (5, 1)
+        assert out.tolist() == [[4.0]] * 5
 
 
 class TestDerivative:
@@ -368,14 +368,15 @@ class TestProgramAgainstTreeWalk:
     @settings(max_examples=150, deadline=None)
     @given(_ast_strategy())
     def test_float_single_tree(self, ast):
-        assert_bitwise(evaluate(ast, PTS, PARAMS), tree_evaluate(ast, PTS, PARAMS))
+        assert_bitwise(evaluate(lower([ast], 3, PARAMS), PTS)[:, 0],
+                       np.broadcast_to(tree_evaluate(ast, PTS, PARAMS), (8,)))
 
     @settings(max_examples=60, deadline=None)
     @given(_shared_trees)
     def test_float_shared_trees(self, trees):
         want = np.stack([np.broadcast_to(tree_evaluate(t, PTS, PARAMS), (8,))
                          for t in trees], axis=-1)
-        assert_bitwise(evaluate(trees, PTS, PARAMS), want)
+        assert_bitwise(evaluate(lower(trees, 3, PARAMS), PTS), want)
 
     @settings(max_examples=150, deadline=None)
     @given(_ast_strategy(), st.integers(1, 3))
@@ -386,36 +387,38 @@ class TestProgramAgainstTreeWalk:
     def test_jet_single_tree(self, ast, order):
         _, coords = seed_point(PTS, order)
         want = jet_or_error(tree_evaluate_jet, ast, coords, PARAMS)
+        prog = lower([ast], 3, PARAMS)
         if isinstance(want, ZeroDivisionError):
             with pytest.raises(ZeroDivisionError):
-                evaluate_jet(ast, coords, PARAMS)
+                evaluate_jet(prog, coords)
         else:
-            assert_bitwise(evaluate_jet(ast, coords, PARAMS).c, want.c)
+            assert_bitwise(evaluate_jet(prog, coords).c[..., 0], want.c)
 
     @settings(max_examples=60, deadline=None)
     @given(_shared_trees, st.integers(1, 3))
     def test_jet_shared_trees(self, trees, order):
         _, coords = seed_point(PTS, order)
         want = [jet_or_error(tree_evaluate_jet, t, coords, PARAMS) for t in trees]
+        prog = lower(trees, 3, PARAMS)
         if any(isinstance(w, ZeroDivisionError) for w in want):
             with pytest.raises(ZeroDivisionError):
-                evaluate_jet(trees, coords, PARAMS)
+                evaluate_jet(prog, coords)
         else:
-            assert_bitwise(evaluate_jet(trees, coords, PARAMS).c,
+            assert_bitwise(evaluate_jet(prog, coords).c,
                            np.stack([w.c for w in want], axis=-1))
 
 
 class TestLowering:
     def test_signed_zero_constants_stay_apart(self):
-        out = evaluate((Num(0.0), Num(-0.0)), np.zeros((3, 2)))
+        out = evaluate(lower((Num(0.0), Num(-0.0)), 3), np.zeros((3, 2)))
         assert out.shape == (2, 2)
         assert np.signbit(out).tolist() == [[False, True], [False, True]]
 
     def test_zero_power_still_lowers_its_base(self):
         with pytest.raises(EvalError, match="unbound identifier 'y'"):
-            evaluate(parse("y^0"), np.zeros((3, 2)))
+            evaluate(lower([parse("y^0")], 3), np.zeros((3, 2)))
         with pytest.raises(EvalError, match="unbound identifier 'y'"):
-            evaluate_jet(parse("y^0"), seed_point(np.zeros((3, 2)), 1)[1])
+            evaluate_jet(lower([parse("y^0")], 3), seed_point(np.zeros((3, 2)), 1)[1])
 
     def test_slots_follow_lowering_order(self):
         prog = lower([parse("sin(x2) + r*x1"), parse("x1*x1")], 2)
@@ -449,14 +452,14 @@ class TestRoundTrip:
         sym = ev1(d, pt, params={"m": 1.5})
         assume(math.isfinite(sym) and abs(sym) < 1e8)
         _, coords = seed_point(pt, 1)
-        fwd = float(evaluate_jet(ast, coords, {"m": 1.5}).derive(idx).value[0])
+        fwd = float(evaluate_jet(lower([ast], 3, {"m": 1.5}), coords).derive(idx).value[0, 0])
         assert sym == pytest.approx(fwd, rel=2e-5, abs=2e-5)
 
     def test_forward_mode_oracle_on_the_steep_example(self):
         ast = parse("sin(exp(exp(5*x1)))")
         pt = np.array([[0.4], [-0.6], [0.9]])
         _, coords = seed_point(pt, 1)
-        fwd = float(evaluate_jet(ast, coords).derive(0).value[0])
+        fwd = float(evaluate_jet(lower([ast], 3), coords).derive(0).value[0, 0])
         sym = ev1(derivative(ast, "x1"), pt)
         assert sym == pytest.approx(-57808.74581727, rel=1e-10)
         assert sym == pytest.approx(fwd, rel=2e-5, abs=2e-5)

@@ -12,8 +12,10 @@ from confmass.jets import Jet, JetSpace, evaluate_jet, seed_point
 
 
 def jet_of(src, point, order, params=None):
+    """The jet of one tree, lowered over the point's n, at ``point``."""
     space, xs = seed_point(point, order)
-    return evaluate_jet(exprdsl.parse(src), xs, params=params)
+    return Jet(space, evaluate_jet(exprdsl.lower([exprdsl.parse(src)], len(xs), params),
+                                   xs).c[..., 0])
 
 
 class TestClosedForms:
@@ -66,7 +68,7 @@ class TestExactness:
         pt = np.array([1.3, -0.7, 2.9])
         ast = exprdsl.parse(src)
         j = jet_of(src, pt, order)
-        plain = float(np.atleast_1d(exprdsl.evaluate(ast, pt.reshape(-1, 1)))[0])
+        plain = float(exprdsl.evaluate(exprdsl.lower([ast], 3), pt.reshape(-1, 1))[0, 0])
         assert j.value == plain  # bitwise
 
     @pytest.mark.parametrize("order", [1, 2, 3])
@@ -75,21 +77,21 @@ class TestExactness:
         # f'(0) is infinite but the argument is constant: the jet is f(0)
         # with zero derivatives, not inf * 0 = NaN
         pts = np.array([[1.3, 0.0, -2.0], [-0.7, 0.5, 1.0], [2.9, 0.0, 0.25]])
-        ast = exprdsl.parse(src)
+        prog = exprdsl.lower([exprdsl.parse(src)], 3)
         _, xs = seed_point(pts, order)
         with np.errstate(invalid="ignore"):
-            j = evaluate_jet(ast, xs)
-        plain = np.broadcast_to(exprdsl.evaluate(ast, pts), (3,))
-        assert np.array_equal(j.c[0], plain)
+            j = evaluate_jet(prog, xs)
+        plain = exprdsl.evaluate(prog, pts)[:, 0]
+        assert np.array_equal(j.c[0, :, 0], plain)
         assert np.array_equal(j.c[1:], np.zeros_like(j.c[1:]))
 
     def test_finite_columns_keep_their_bits_beside_a_constant_one(self):
         # at order 1, x1*x2 has a zero nilpotent part at the origin only;
         # the other column is what it is when evaluated alone
-        ast = exprdsl.parse("sqrt(x1*x2)")
+        prog = exprdsl.lower([exprdsl.parse("sqrt(x1*x2)")], 2)
         _, xs = seed_point(np.array([[0.0, 1.3], [0.0, 2.9]]), 1)
         with np.errstate(invalid="ignore"):
-            both = evaluate_jet(ast, xs).c
+            both = evaluate_jet(prog, xs).c[..., 0]
         alone = jet_of("sqrt(x1*x2)", [1.3, 2.9], 1).c
         assert np.array_equal(both[:, 0], [0.0, 0.0, 0.0])
         assert np.array_equal(both[:, 1], alone)
@@ -129,8 +131,7 @@ class TestArithmetic:
 
     def test_derive_shifts_orders(self):
         # derive(v) returns the jet of the partial derivative, one order lower.
-        space, (x, y) = seed_point([0.4, 0.9], 3)
-        f = evaluate_jet(exprdsl.parse("sin(x1*x2)"), [x, y])
+        f = jet_of("sin(x1*x2)", [0.4, 0.9], 3)
         g = f.derive(0)  # d/dx1, an order-2 jet
         assert g.value == pytest.approx(f.partial((1, 0)), rel=1e-15)
         assert g.partial((0, 1)) == pytest.approx(f.partial((1, 1)), rel=1e-13)
@@ -170,7 +171,7 @@ class TestAgainstFiniteDifferences:
     @given(_poly_and_point())
     def test_gradient_matches_central_difference(self, case):
         src, pt = case
-        ast = exprdsl.parse(src)
+        prog = exprdsl.lower([exprdsl.parse(src)], 2)
         j = jet_of(src, pt, 1)
         h = 1e-6
         for i in range(2):
@@ -179,8 +180,8 @@ class TestAgainstFiniteDifferences:
             pm = list(pt)
             pp[i] += h
             pm[i] -= h
-            fp = float(np.atleast_1d(exprdsl.evaluate(ast, np.reshape(pp, (2, 1))))[0])
-            fm = float(np.atleast_1d(exprdsl.evaluate(ast, np.reshape(pm, (2, 1))))[0])
+            fp = float(exprdsl.evaluate(prog, np.reshape(pp, (2, 1)))[0, 0])
+            fm = float(exprdsl.evaluate(prog, np.reshape(pm, (2, 1)))[0, 0])
             fd = (fp - fm) / (2 * h)
             assert j.partial(alpha) == pytest.approx(fd, abs=5e-6)
 
@@ -188,12 +189,12 @@ class TestAgainstFiniteDifferences:
     @given(_poly_and_point())
     def test_hessian_matches_second_difference(self, case):
         src, pt = case
-        ast = exprdsl.parse(src)
+        prog = exprdsl.lower([exprdsl.parse(src)], 2)
         j = jet_of(src, pt, 2)
         h = 1e-4
 
         def at(q):
-            return float(np.atleast_1d(exprdsl.evaluate(ast, np.reshape(q, (2, 1))))[0])
+            return float(exprdsl.evaluate(prog, np.reshape(q, (2, 1)))[0, 0])
 
         # d2f/dx1^2 via 3-point stencil
         p0 = list(pt)

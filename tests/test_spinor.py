@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from confmass import exprdsl
-from confmass.chart import lee_jets, make_chart, metric_jets
+from confmass.chart import ChartError, lee_jets, make_chart, metric_jets, spinor_program
 from confmass.curvature import christoffels
 from confmass.jets import Jet
 from confmass.spinor import (
@@ -53,6 +53,13 @@ def lee_chart():
         metric={"11": ISO, "22": ISO, "33": ISO},
         lee=["-0.25*x1/r^3", "-0.25*x2/r^3", "-0.25*x3/r^3"],
     )
+
+
+def field(chart, coords, pairs):
+    """The spinor field of the (re, im) source ``pairs``, lowered on
+    ``chart`` and run over ``coords``: one jet (m, B, N)."""
+    psi = spinor_jets(spinor_program(chart, [make_spinor_spec(pairs)]), coords)
+    return Jet(psi.space, psi.c[:, :, 0])
 
 
 def calc_for(chart, X, order=2):
@@ -146,13 +153,33 @@ class TestCalculator:
         assert np.array_equal(calc.connection.c, want.c)
 
 
+class TestSpinorProgram:
+    def test_refuses_a_spec_with_another_component_count(self):
+        # n = 3 has N = 2 components: four are not read as two fields
+        spec = make_spinor_spec([("1", "0")] * 4)
+        with pytest.raises(ChartError, match="a spinor in n = 3 has 2 components, got 4"):
+            spinor_program(flat_chart(), [spec])
+
+    def test_fields_stack_on_the_third_axis(self):
+        # one program of S fields runs to (m, B, S, N), each field's slice
+        # bitwise the field run alone
+        chart = iso_chart()
+        md = metric_jets(chart, sample_points(3, 4), order=1)
+        a, b = [("x1", "x2"), ("1", "x3/r")], [("0.5", "x3"), ("x2/r", "1")]
+        both = spinor_jets(spinor_program(chart, [make_spinor_spec(a), make_spinor_spec(b)]),
+                           md.coords)
+        assert both.c.shape == (4, 4, 2, 2)
+        assert np.array_equal(both.c[:, :, 0], field(chart, md.coords, a).c)
+        assert np.array_equal(both.c[:, :, 1], field(chart, md.coords, b).c)
+
+
 class TestCovariantDerivative:
     def test_constant_spinor_flat_chart_is_parallel(self):
         chart = flat_chart()
         X = sample_points(3, 5)
         md = metric_jets(chart, X, order=2)
         calc = spinor_calc(md, None)
-        psi = spinor_jets(make_spinor_spec([("1", "0"), ("0", "1")]), md.coords)
+        psi = field(chart, md.coords, [("1", "0"), ("0", "1")])
         D = covd_coord(calc, psi, None)
         assert max(np.max(np.abs(D.value[:, i])) for i in range(3)) == 0.0
 
@@ -170,10 +197,7 @@ class TestCovariantDerivative:
         md = metric_jets(chart, X, order=2)
         theta = lee_jets(chart, md.coords)
         calc = spinor_calc(md, theta)
-        psi = spinor_jets(
-            make_spinor_spec([("1 + x1/r", "x2/r"), ("x3/r", "0.5")]),
-            md.coords,
-        )
+        psi = field(chart, md.coords, [("1 + x1/r", "x2/r"), ("x3/r", "0.5")])
         k1, k2 = -0.5, 1.5
         D1 = covd_coord(calc, psi, k1)
         D2 = covd_coord(calc, psi, k2)
@@ -199,8 +223,7 @@ class TestCovariantDerivative:
         md = metric_jets(chart, X, order=2)
         theta = lee_jets(chart, md.coords)
         calc = spinor_calc(md, theta)
-        spec = make_spinor_spec([("0", "x3/r^2"), ("-x2/r^2", "x1/r^2")])
-        psi = spinor_jets(spec, md.coords)
+        psi = field(chart, md.coords, [("0", "x3/r^2"), ("-x2/r^2", "x1/r^2")])
         D = covd_coord(calc, psi, -0.5)
         worst = max(np.max(np.abs(D.value[:, i])) for i in range(3))
         assert worst <= 1e-15
@@ -220,7 +243,7 @@ class TestDirac:
         X = sample_points(3, 4)
         md = metric_jets(chart, X, order=2)
         calc = spinor_calc(md, None)
-        psi = spinor_jets(make_spinor_spec([("x1", "0"), ("0", "0")]), md.coords)
+        psi = field(chart, md.coords, [("x1", "0"), ("0", "0")])
         vals = spinor_values(dirac(calc, covd_coord(calc, psi, None)))
         np.testing.assert_allclose(vals[0], 0.0, atol=1e-15)
         np.testing.assert_allclose(vals[1], 1j * np.ones(4), atol=1e-15)
@@ -229,10 +252,7 @@ class TestDirac:
         chart = lee_chart()
         X = sample_points(3, 10)
         calc = calc_for(chart, X, order=2)
-        psi = spinor_jets(
-            make_spinor_spec([("1 + x2/r^2", "x1/r^3"), ("x3/r^2", "1")]),
-            calc.frame.md.coords,
-        )
+        psi = field(chart, calc.frame.md.coords, [("1 + x2/r^2", "x1/r^3"), ("x3/r^2", "1")])
         # the expanded form must reproduce the composed square
         d2 = spinor_values(dirac_composed(calc, covd_coord(calc, psi, -0.5), -0.5))
         ex = spinor_values(dirac_squared_expansion(calc, psi, -0.5))
@@ -241,18 +261,16 @@ class TestDirac:
 
 
 class TestResiduals:
-    def make_psi(self, coords):
-        return spinor_jets(
-            make_spinor_spec([("1 + x1/r^2", "0.2 - x3/r^3"), ("x2/r^2", "1 - x1/r^3")]),
-            coords,
-        )
+    def make_psi(self, chart, coords):
+        return field(chart, coords,
+                     [("1 + x1/r^2", "0.2 - x3/r^3"), ("x2/r^2", "1 - x1/r^3")])
 
     @pytest.mark.parametrize("chartf", [iso_chart, lee_chart])
     def test_lichnerowicz_first(self, chartf):
         chart = chartf()
         X = sample_points(3, 12)
         calc = calc_for(chart, X)
-        psi = self.make_psi(calc.frame.md.coords)
+        psi = self.make_psi(chart, calc.frame.md.coords)
         Dc = covd_coord(calc, psi, -0.5)
         res, scale = lichnerowicz_I_residual(calc, psi, Dc, dirac_composed(calc, Dc, -0.5))
         assert np.max(np.abs(res)) <= 1e-8 * max(1.0, scale)
@@ -262,11 +280,8 @@ class TestResiduals:
         chart = chartf()
         X = sample_points(3, 12)
         calc = calc_for(chart, X)
-        psi = self.make_psi(calc.frame.md.coords)
-        phi = spinor_jets(
-            make_spinor_spec([("x3/r^2", "1"), ("0.5", "x1/r^2")]),
-            calc.frame.md.coords,
-        )
+        psi = self.make_psi(chart, calc.frame.md.coords)
+        phi = field(chart, calc.frame.md.coords, [("x3/r^2", "1"), ("0.5", "x1/r^2")])
         out = lichnerowicz_II_residual(calc, psi, phi, covd_coord(calc, psi, -0.5),
                                        covd_coord(calc, phi, -0.5))
         bound = 1e-8 * max(1.0, out["scale"])
@@ -279,7 +294,7 @@ class TestResiduals:
         chart = lee_chart()
         X = sample_points(3, 12)
         calc = calc_for(chart, X)
-        psi = self.make_psi(calc.frame.md.coords)
+        psi = self.make_psi(chart, calc.frame.md.coords)
         res = norm_identity_residual(calc, psi, [0.6, -0.8, 0.0],
                                      covd_coord(calc, psi, -0.5))
         assert np.max(np.abs(res)) <= 1e-10
@@ -290,8 +305,8 @@ class TestPairing:
         chart = iso_chart()
         X = sample_points(3, 6)
         md = metric_jets(chart, X, order=2)
-        psi = spinor_jets(make_spinor_spec([("x1", "x2"), ("1", "x3/r")]), md.coords)
-        phi = spinor_jets(make_spinor_spec([("0.5", "x3"), ("x2/r", "1")]), md.coords)
+        psi = field(chart, md.coords, [("x1", "x2"), ("1", "x3/r")])
+        phi = field(chart, md.coords, [("0.5", "x3"), ("x2/r", "1")])
         ab = h_jet(psi, phi).value
         ba = h_jet(phi, psi).value
         np.testing.assert_allclose(ab, np.conj(ba), rtol=1e-15)
@@ -300,7 +315,7 @@ class TestPairing:
         chart = iso_chart()
         X = sample_points(3, 6)
         md = metric_jets(chart, X, order=2)
-        psi = spinor_jets(make_spinor_spec([("1", "x1/r"), ("x2/r", "0")]), md.coords)
+        psi = field(chart, md.coords, [("1", "x1/r"), ("x2/r", "0")])
         d = h_jet(psi, psi)
         assert np.all(np.atleast_1d(d.value.real) > 0)
         np.testing.assert_allclose(np.atleast_1d(d.value.imag), 0.0, atol=1e-16)
@@ -326,16 +341,10 @@ class TestBatchIndependence:
     def evaluate(self, chart, X):
         calc = calc_for(chart, X)
         coords = calc.frame.md.coords
-        psi = spinor_jets(
-            make_spinor_spec([("1 + x1/r^2", "x2/r^2"), ("x3/r^2", "0.5"),
-                              ("0.2", "x4/r^2"), ("x1*x2/r^4", "1")]),
-            coords,
-        )
-        phi = spinor_jets(
-            make_spinor_spec([("x4/r^2", "1"), ("0.5", "x1/r^2"),
-                              ("1", "0"), ("x2/r^2", "x3/r^2")]),
-            coords,
-        )
+        psi = field(chart, coords, [("1 + x1/r^2", "x2/r^2"), ("x3/r^2", "0.5"),
+                                    ("0.2", "x4/r^2"), ("x1*x2/r^4", "1")])
+        phi = field(chart, coords, [("x4/r^2", "1"), ("0.5", "x1/r^2"),
+                                    ("1", "0"), ("x2/r^2", "x3/r^2")])
         Dpsi = covd_coord(calc, psi, -1.0)
         pairing = lichnerowicz_II_residual(calc, psi, phi, Dpsi, covd_coord(calc, phi, -1.0))
         return {
