@@ -31,6 +31,8 @@ and ``jetlinalg`` only.  ``check`` needs no more, ``mass`` and
 the chunk loop that imports nothing: ``curvature`` and ``identities``
 with the pointwise layers up to ``spinor`` and never ``mass``, which
 ``suites`` imports only inside the ``witten`` and ``laws`` batteries.
+``numpy.random`` loads only for the batteries that draw seeded samples
+(``suites.rng_for``): ``curvature`` and ``identities``.
 """
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ batched Jet (m, B, *index); a single point (n,) is a batch of one.
 check against the declared tau.  A ``SpinorFieldSpec`` holds the parsed
 component expressions of a spinor field, as a chart holds those of its
 metric; one spec serves ends whose params differ, so ``spinor_program``
-lowers specs on one chart, once per call of the flux or battery.
+lowers specs on one chart: ``config.parse_config`` lowers a config's
+fields once per chart, beside the metric and Lee programs.
 """
 
 from __future__ import annotations
@@ -127,18 +128,15 @@ def bound_identifiers(n: int, params: Mapping[str, float]) -> set:
 
 
 def _probe_directions(n: int, count: int = 16) -> np.ndarray:
-    """Deterministic unit directions: coordinate axes, then seeded fill."""
-    dirs = []
-    for i in range(n):
-        for s in (1.0, -1.0):
-            v = np.zeros(n)
-            v[i] = s
-            dirs.append(v)
-    rng = np.random.Generator(np.random.PCG64(0))
-    while len(dirs) < count:
-        v = rng.normal(size=n)
-        dirs.append(v / np.linalg.norm(v))
-    return np.array(dirs[:count]).T  # (n, count)
+    """Deterministic unit directions: +-e_1, +-e_2, ..., then the
+    closed-form fill v_i = sin(k/2 + i), i = 0..n-1, for k = 1, 2, ...,
+    normalised.  No fill component is zero, so a slot that vanishes on
+    every axis (x1 x3 / r^5, say) is still sampled off them."""
+    axes = np.zeros((2 * n, n))
+    axes[np.arange(2 * n), np.arange(2 * n) // 2] = np.tile([1.0, -1.0], n)
+    fill = np.sin(0.5 * np.arange(1, count + 1)[:, None] + np.arange(n))
+    fill /= np.linalg.norm(fill, axis=1, keepdims=True)
+    return np.concatenate([axes, fill])[:count].T  # (n, count)
 
 
 def make_chart(n: int, tau: float, r_min: float,

@@ -79,10 +79,6 @@ FLAGS = {
 }
 
 
-def _charts(cfg: LoadedConfig) -> list:
-    return [cfg.chart] if cfg.chart is not None else [e.chart for e in cfg.system.ends]
-
-
 def _check_output(flag: str, path) -> None:
     """Refuse an output file the report could not be written to: a
     directory, or a path whose directory does not exist."""
@@ -100,7 +96,7 @@ def _check_flags(args, cfg: LoadedConfig):
     and return the parsed ``--radii`` (None when not given): the output
     files pass ``_check_output``; every radius
     passes ``mass.check_radius`` and ``mass.probe_radius`` on every chart
-    of the config (for ``witten`` with its spinor fields,
+    of the config (for ``witten`` with its spinor program on that chart,
     ``suites.witten_spinors``), and the series ``mass.check_series``; for
     ``laws`` on a chart, so do the radii of its coordinate-scaled chart
     (``suites.laws_scaled_chart``)."""
@@ -121,19 +117,19 @@ def _check_flags(args, cfg: LoadedConfig):
     if args.radii is None:
         return None
     lee = args.command != "mass"  # the metric mass never evaluates the Lee form
-    specs = ()
+    programs = [None] * len(cfg.charts)
     if args.command == "witten":
         from .suites import witten_spinors
-        specs = [spec for _, spec in witten_spinors(cfg)]
+        programs = witten_spinors(cfg)[1]
     try:
         radii = tuple(float(t) for t in args.radii.split(",") if t.strip())
-        for chart in _charts(cfg):
+        for chart in cfg.charts:
             for r in radii:
                 mass.check_radius(chart, r)
         mass.check_series(radii)
-        for chart in _charts(cfg):
+        for chart, fields in zip(cfg.charts, programs):
             for r in radii:
-                mass.probe_radius(chart, r, lee, specs)
+                mass.probe_radius(chart, r, lee, fields)
         if args.command == "laws" and cfg.chart is not None:
             from .suites import laws_scaled_chart
             scaled, scaled_radii = laws_scaled_chart(cfg.chart, radii)
@@ -219,7 +215,7 @@ def _cmd_check(args, cfg: LoadedConfig, radii, report: dict) -> None:
     from .chart import decay_scan
 
     scans = []
-    for chart in _charts(cfg):
+    for chart in cfg.charts:
         scan = decay_scan(chart)
         scans.append({
             "chart": chart.name,
@@ -240,7 +236,7 @@ def _cmd_pointwise(args, cfg: LoadedConfig, radii, report: dict) -> None:
     battery_of = (suites.curvature_battery if args.command == "curvature"
                   else suites.identity_battery)
     report["results"] = {"batteries": []}
-    for chart in _charts(cfg):
+    for chart in cfg.charts:
         battery = battery_of(chart, points=args.points, seed=args.seed,
                              jet_order=args.jet_order)
         report["results"]["batteries"].append(battery)
@@ -280,7 +276,7 @@ def _cmd_mass(args, cfg: LoadedConfig, radii, report: dict) -> None:
     if expected_key in entry and args.normalize == "raw":
         _mass_expect_check(report, rep.limit, entry[expected_key])
     if args.csv:
-        _write_csv(args.csv, rep, _charts(cfg)[0])
+        _write_csv(args.csv, rep, cfg.charts[0])
 
 
 def _cmd_witten(args, cfg: LoadedConfig, radii, report: dict) -> None:

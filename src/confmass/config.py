@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 from . import exprdsl
 from .chart import (ChartError, End, EndSystem, MetricChart, bound_identifiers, make_chart,
-                    make_spinor_spec)
+                    make_spinor_spec, spinor_program)
 from .exprdsl import ExprAst
 
 __all__ = [
@@ -114,6 +114,7 @@ class LoadedConfig(NamedTuple):
     chart: MetricChart | None
     system: EndSystem | None
     spinors: tuple  # ((name, SpinorFieldSpec), ...)
+    spinor_programs: tuple  # all of them lowered on each of ``charts``, or ()
     # the bundled file a name resolved to; None for a filesystem path
     bundled: str | None = None
 
@@ -121,12 +122,17 @@ class LoadedConfig(NamedTuple):
     def n(self) -> int:
         return self.chart.n if self.chart is not None else self.system.n
 
+    @property
+    def charts(self) -> list:
+        """The chart, or the chart of every end in order."""
+        return [self.chart] if self.chart is not None else [e.chart for e in self.system.ends]
 
-def _parse_spinors(doc: dict, where: str, charts) -> tuple:
-    """The named spinor fields of ``doc``, each with its own name, the
-    weight (2 - n)/2 that ``witten`` integrates, the N = 2^(n//2)
-    components of the dimension and no identifier that one of ``charts``
-    leaves unbound."""
+
+def _parse_spinors(doc: dict, where: str, charts) -> dict:
+    """The ``LoadedConfig`` fields of the named spinors of ``doc`` (each
+    with its own name, the weight (2 - n)/2 that ``witten`` integrates,
+    the N = 2^(n//2) components of the dimension and no identifier that
+    one of ``charts`` leaves unbound), their specs lowered on each chart."""
     n = charts[0].n
     N = 2 ** (n // 2)
     bound = set.intersection(*(bound_identifiers(c.n, c.params) for c in charts))
@@ -162,7 +168,9 @@ def _parse_spinors(doc: dict, where: str, charts) -> tuple:
                     raise ConfigError(f"{w}.components[{c}].{part}: uses unknown "
                                       f"identifiers {sorted(bad)}")
         out.append((name, spec))
-    return tuple(out)
+    specs = [spec for _, spec in out]
+    return {"spinors": tuple(out),
+            "spinor_programs": tuple(spinor_program(c, specs) for c in charts) if out else ()}
 
 
 def _parse_chart_fields(doc: dict, where: str, name: str) -> MetricChart:
@@ -205,7 +213,7 @@ def parse_config(doc: dict, source: str = "config") -> LoadedConfig:
     if kind == "chart":
         chart = _parse_chart_fields(doc, source, name)
         return LoadedConfig(kind=kind, name=name, chart=chart, system=None,
-                            spinors=_parse_spinors(doc, source, [chart]))
+                            **_parse_spinors(doc, source, [chart]))
 
     if kind == "end_system":
         ends_doc = _require(doc, "ends", list, source)
@@ -229,8 +237,7 @@ def parse_config(doc: dict, source: str = "config") -> LoadedConfig:
             raise ConfigError(f"{source}: all ends must share one dimension, got {dims}")
         system = EndSystem(ends=tuple(ends), name=name)
         return LoadedConfig(kind=kind, name=name, chart=None, system=system,
-                            spinors=_parse_spinors(doc, source,
-                                                   [end.chart for end in ends]))
+                            **_parse_spinors(doc, source, [end.chart for end in ends]))
 
     raise ConfigError(f"{source}: unknown kind {kind!r} (chart | end_system)")
 

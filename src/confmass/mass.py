@@ -81,9 +81,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import exprdsl, util
-from .chart import (ChartError, End, EndSystem, MetricChart, SpinorFieldSpec,
-                    lee_jets, metric_entry_jets, metric_jets, metric_values,
-                    spinor_program)
+from .chart import (ChartError, End, EndSystem, MetricChart, lee_jets, metric_entry_jets,
+                    metric_jets, metric_values)
 from .jets import seed_point
 
 __all__ = [
@@ -220,10 +219,10 @@ def _non_finite(r: float) -> ChartError:
 
 
 def probe_radius(chart: MetricChart, r: float, lee: bool,
-                 specs: Sequence[SpinorFieldSpec] = ()) -> None:
+                 fields: exprdsl.Program | None = None) -> None:
     """Raise ChartError when evaluating ``chart`` at the 2n axis points
     +-r e_i of S_r overflows or gives a non-finite value: the metric and,
-    with ``lee``, the Lee form, and the spinor fields ``specs``, their
+    with ``lee``, the Lee form, and the spinor program ``fields``, their
     values and first derivatives."""
     X = r * np.concatenate([np.eye(chart.n), -np.eye(chart.n)], axis=1)
     coords = seed_point(X, 1)[1]
@@ -232,9 +231,9 @@ def probe_radius(chart: MetricChart, r: float, lee: bool,
             jets = [metric_entry_jets(chart, coords)]
             if lee:
                 jets.append(lee_jets(chart, coords))
-            if specs:
+            if fields is not None:
                 from .spinor import spinor_jets
-                jets.append(spinor_jets(spinor_program(chart, specs), coords))
+                jets.append(spinor_jets(fields, coords))
     except FloatingPointError:
         raise _overflow(r) from None
     if not all(np.all(np.isfinite(j.c)) for j in jets):
@@ -397,18 +396,17 @@ def weyl_flux(chart: MetricChart, radii: Sequence[float],
         adm_flux(chart, radii, measure), lee_flux(chart, radii, measure)))
 
 
-def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
+def witten_flux(chart: MetricChart, fields: exprdsl.Program,
                 radii: Sequence[float], measure: str = "euclidean",
                 orders: int | None = None) -> np.ndarray:
     """Integral over S_r of omega_psi(nu), with
     omega_psi(X) = h(psi, X^flat . Dirac psi + D_X psi) at weight (2-n)/2,
-    as a complex (R, S) array: one row per radius, one column per spec.
-
-    The specs are lowered once, then run as one stacked field (m, B, S, N)
-    on one sample per chunk: the metric jets, the Lee jets and the spin
-    frame are built once, and each flux is bitwise equal to the one a call
-    with that spec alone returns.  The metric is checked positive definite
-    at every node.
+    as a complex (R, S) array: one row per radius, one column per field of
+    the ``chart.spinor_program`` ``fields``, run as one stacked field
+    (m, B, S, N) on one sample per chunk: the metric jets, the Lee jets
+    and the spin frame are built once, and each flux is bitwise equal to
+    the one a program of that field alone gives.  The metric is checked
+    positive definite at every node.
 
     The imaginary part is a diagnostic: it must vanish in the limit.
     ``orders`` is the test oracle of ``adm_flux``.  Imports the spinor
@@ -417,7 +415,6 @@ def witten_flux(chart: MetricChart, specs: Sequence[SpinorFieldSpec],
     from .spinor import coframe_action, covd_coord, dirac, spinor_calc, spinor_jets
 
     k = 0.5 * (2.0 - chart.n)
-    fields = spinor_program(chart, specs)
 
     def integrand(Xc, nu):
         md = metric_jets(chart, Xc, order=1)

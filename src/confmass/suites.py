@@ -515,27 +515,26 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
 
 def _default_spinors(n: int) -> list:
     """Three constant spinors of weight (2-n)/2 for configs that name none."""
-    from .clifford import build_rep
-
-    N = build_rep(n).N
-    zero = ("0", "0")
-    base = [[zero] * N for _ in range(3)]
-    base[0][0] = ("1", "0")
-    base[1][min(1, N - 1)] = ("1", "0")
-    base[2][0] = ("0.6", "0")
-    base[2][min(1, N - 1)] = ("0", "0.8")
-    return [(f"const{i}", make_spinor_spec(rows)) for i, rows in enumerate(base)]
+    rest = [("0", "0")] * (2 ** (n // 2) - 2)
+    heads = ([("1", "0"), ("0", "0")], [("0", "0"), ("1", "0")], [("0.6", "0"), ("0", "0.8")])
+    return [(f"const{i}", make_spinor_spec(head + rest)) for i, head in enumerate(heads)]
 
 
-def witten_spinors(cfg: LoadedConfig) -> list:
-    """The (name, spec) pairs whose fluxes ``witten`` integrates: the
-    config's own spinors, or the default constant ones."""
-    return list(cfg.spinors) or _default_spinors(cfg.n)
+def witten_spinors(cfg: LoadedConfig) -> tuple:
+    """The names of the spinor fields whose fluxes ``witten`` integrates,
+    and their program on each chart of ``cfg.charts``: the config's own,
+    lowered at load, or the default constant ones, lowered here."""
+    if cfg.spinors:
+        return [name for name, _ in cfg.spinors], cfg.spinor_programs
+    defaults = _default_spinors(cfg.n)
+    specs = [spec for _, spec in defaults]
+    return [name for name, _ in defaults], [spinor_program(c, specs) for c in cfg.charts]
 
 
-def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
+def _witten_end(chart: MetricChart, names: list, fields, radii, measure: str,
                 label: str) -> tuple:
-    """Checks and field records of the spinor fluxes on one chart.
+    """Checks and field records of the fluxes of the spinor fields
+    ``names`` (the program ``fields``) on one chart.
 
     Every limit is compared with this chart's own Weyl mass, whose
     warnings (a diverging series) the record carries and fail a
@@ -546,16 +545,15 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
     tol = TOLERANCES
     mrep = mass.weyl_mass(chart, radii=radii, measure=measure)
     radii = mrep.radii
-    sources = [spec for _, spec in specs]
     # one shared sample per rung for every field and radius: (R, S)
-    fluxes = mass.witten_flux(chart, sources, radii, measure=measure)
+    fluxes = mass.witten_flux(chart, fields, radii, measure=measure)
     # every field's value psi_0 at a far reference point on the first axis
     far = np.zeros(chart.n)
     far[0] = 1e7 * chart.r_min
-    psi0 = spinor_components(exprdsl.evaluate(spinor_program(chart, sources), far), chart.n)
+    psi0 = spinor_components(exprdsl.evaluate(fields, far), chart.n)
     checks = []
-    fields = []
-    for s, (name, _) in enumerate(specs):
+    records = []
+    for s, name in enumerate(names):
         nrm2 = float(np.sum(np.abs(psi0[s]) ** 2))
         series = [complex(v) for v in fluxes[:, s]]
         real_series = [v.real for v in series]
@@ -568,12 +566,12 @@ def _witten_end(chart: MetricChart, specs: list, radii, measure: str,
                              tol["witten_rel"]))
         checks.append(_check(f"witten-imag[{label}{name}]", imag_max,
                              tol["witten_imag"], absolute=True))
-        fields.append({"name": name, "norm2": nrm2, "series": real_series,
-                       "limit": ext.limit, "expected": expect,
-                       "imag_max": imag_max})
+        records.append({"name": name, "norm2": nrm2, "series": real_series,
+                        "limit": ext.limit, "expected": expect,
+                        "imag_max": imag_max})
     checks.extend(_convergence_checks(f"mass-convergence[{label}weyl-mass]",
                                       {"weyl-mass": mrep}))
-    return checks, {"mass": mrep.limit, "radii": list(radii), "fields": fields,
+    return checks, {"mass": mrep.limit, "radii": list(radii), "fields": records,
                     "warnings": list(mrep.warnings)}
 
 
@@ -585,19 +583,14 @@ def witten_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean") ->
     per-end masses, radii, fields and mass warnings are listed under
     ``ends``.
     """
-    specs = witten_spinors(cfg)
+    names, programs = witten_spinors(cfg)
     used = {k: TOLERANCES[k] for k in ("witten_rel", "witten_imag")}
     if cfg.chart is not None:
-        checks, end = _witten_end(cfg.chart, specs, radii, measure, "")
-        out = _finish("witten", checks, used, config=cfg.name, measure=measure)
-        out.update(end)
-        return out
-    checks = []
-    ends = []
-    for k, e in enumerate(cfg.system.ends):
-        c, end = _witten_end(e.chart, specs, radii, measure, f"end{k}/")
+        checks, end = _witten_end(cfg.chart, names, programs[0], radii, measure, "")
+        return _finish("witten", checks, used, config=cfg.name, measure=measure, **end)
+    checks, ends = [], []
+    for k, (e, fields) in enumerate(zip(cfg.system.ends, programs)):
+        c, end = _witten_end(e.chart, names, fields, radii, measure, f"end{k}/")
         checks.extend(c)
         ends.append({"end": k, "chart": e.chart.name, "a": e.a, **end})
-    out = _finish("witten", checks, used, config=cfg.name, measure=measure)
-    out["ends"] = ends
-    return out
+    return _finish("witten", checks, used, config=cfg.name, measure=measure, ends=ends)

@@ -106,6 +106,8 @@ def test_flat_chart_has_zero_mass_and_vanishing_curvature(flat_cfg):
 
 
 def test_isotropic_chart_mass_matches_closed_form(iso_cfg):
+    """The flux 16 pi (1 + m/(2r))^3 of the isotropic chart extrapolates
+    to 16 pi m raw, 1 ADM-normalised (m = 1)."""
     start = time.monotonic()
     chart = iso_cfg.chart
 
@@ -187,6 +189,10 @@ def test_mass_change_under_conformal_rescaling_agrees_two_ways(flat_cfg, iso_cfg
 
 
 def test_weyl_mass_invariance_scaling_and_aggregation(lee_cfg, ends_cfg):
+    """m(D) = m(g) - 2 (n-1) lim oint theta(nu) is the conformally
+    invariant sign: on g0 = u^4 delta with theta0 = d(1/r) it reads 32 pi
+    against g0 and against f g0, f = 1 + 0.3/sqrt(r^2 + 1), where
+    m(f g0) = 92 pi/5; the other sign gives 0 and 24 pi/5."""
     chart = lee_cfg.chart
 
     # invariance under conformal change of the representative metric
@@ -218,10 +224,11 @@ def test_witten_flux_limit_recovers_quarter_mass(iso_cfg, lee_cfg):
             anywhere = np.full(chart.n, 3.0)
             for re_ast, im_ast in spec.components:
                 assert is_coordinate_free(re_ast) and is_coordinate_free(im_ast)
-            values = evaluate(spinor_program(chart, [spec]), anywhere)  # re, im, ...
+            fields = spinor_program(chart, [spec])
+            values = evaluate(fields, anywhere)  # re, im, ...
             norm2 = float(np.sum(values * values))
 
-            series = [witten_flux(chart, [spec], [r])[0, 0] for r in RADII]
+            series = [witten_flux(chart, fields, [r])[0, 0] for r in RADII]
             assert max(abs(w.imag) for w in series) <= 1e-8
             ext = extrapolate(RADII, [w.real for w in series], chart.n)
             predicted = 0.25 * m_weyl * norm2

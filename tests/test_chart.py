@@ -155,6 +155,14 @@ class TestDecayScan:
         # g - delta decays like 2/r here, so the fitted exponent is near 1
         assert scan.tau_hat == pytest.approx(1.0, abs=0.05)
 
+    def test_a_slot_that_vanishes_on_every_axis_is_fitted(self):
+        # g13 = e x1 x3 / r^5 is zero on all six axis rays, so only the
+        # two off-axis rays see it; it decays like r^-3, not exactly flat
+        c = make_iso(metric=dict(ISO, **{"13": "e*x1*x3/r^5"}), params={"e": 0.3})
+        slot = decay_scan(c).slots["g13"]
+        assert not slot["exactly_flat"]
+        assert slot["exponent"] == pytest.approx(3.0, abs=1e-9)
+
     def test_flat_chart_is_exactly_flat(self):
         c = make_chart(n=3, tau=0.75, r_min=1.0, metric={})
         scan = decay_scan(c)
@@ -327,19 +335,26 @@ class TestChartPrograms:
             assert d.lee_program == exprdsl.lower(d.lee, d.n, d.params)
 
     @pytest.mark.parametrize("argv, module, knob, widths, lowered", [
-        (["weyl-mass", "schwarzschild-lee"], util, "CHUNK", (256, 16), 2),
-        (["witten", "schwarzschild-lee"], util, "CHUNK", (256, 16), 4),
-        (["identities", "schwarzschild-rot-lee"], suites, "POINT_BUDGET", (216_000, 2_000), 7),
-    ], ids=["weyl-mass", "witten", "identities"])
+        (["weyl-mass", "schwarzschild-lee"], util, "CHUNK", (256, 16), 3),
+        (["witten", "schwarzschild-lee"], util, "CHUNK", (256, 16), 3),
+        (["witten", "schwarzschild-lee", "--radii", "20,40,80,160,320,640"],
+         util, "CHUNK", (256, 16), 3),
+        (["witten", "twoends"], util, "CHUNK", (256, 16), 6),
+        (["witten", "twoends", "--radii", "20,40,80,160"], util, "CHUNK", (256, 16), 8),
+        (["identities", "schwarzschild-rot-lee"], suites, "POINT_BUDGET", (216_000, 2_000), 8),
+    ], ids=["weyl-mass", "witten", "witten-radii", "witten-defaults",
+            "witten-defaults-radii", "identities"])
     def test_a_flux_command_lowers_as_often_at_any_chunk_width(
             self, argv, module, knob, widths, lowered, capsys, monkeypatch):
-        # the chart's programs are lowered when it is made, the spinor
-        # fields' and the suites' own trees once per call, never once per
-        # flux or point chunk: a chunk many times narrower lowers no more
-        # often (weyl-mass: the metric and the Lee form; witten: those, the
-        # fluxes' fields and psi_0's; identities: the chart and its
-        # rescaling, two each, the covariance factor and the two random
-        # fields)
+        # a config's expressions are lowered once, at load: each chart's
+        # metric and Lee form, and its named spinor fields (schwarzschild-lee:
+        # 3); the suites' own trees once per call, never once per radius,
+        # flux or point chunk.  witten reads psi_0, the fluxes and, with
+        # --radii, the probes from the loaded spinor program; a config that
+        # names none (twoends: 2 x 2 at load) has the default fields lowered
+        # once per chart by the battery and once by the radius probe.
+        # identities: the config, three, its rescaled chart, two, the
+        # covariance factor and the two random fields
         lower = exprdsl.lower
         counts = []
         for width in widths:

@@ -429,13 +429,13 @@ class TestCli:
 
     def test_witten_radii_are_probed_with_the_default_spinors(self, capsys, monkeypatch):
         # a config that names no spinor is integrated with the three
-        # constant ones, and those are what the flag check evaluates
+        # constant ones, and their program is what the flag check evaluates
         probe = mass.probe_radius
         seen = []
 
-        def spy(chart, r, lee, specs=()):
-            seen.append(len(specs))
-            return probe(chart, r, lee, specs)
+        def spy(chart, r, lee, fields=None):
+            seen.append(len(fields.outputs) // (2 * 2 ** (chart.n // 2)))
+            return probe(chart, r, lee, fields)
 
         monkeypatch.setattr(mass, "probe_radius", spy)
         code, _, err = run_cli(capsys, "witten", "flat", "--radii", "20,40,80,160")
@@ -845,7 +845,7 @@ class TestCli:
             "print(json.dumps([code, sorted(sys.modules)]))\n")
         code, loaded = json.loads(run_fresh(code))
         assert code == 0
-        assert "confmass.suites" in loaded
+        assert "confmass.suites" in loaded and "numpy.random" not in loaded
         for layer in ("spinor", "clifford", "weyl", "curvature"):
             assert f"confmass.{layer}" not in loaded
         # witten integrates spinors, but only the identity battery reads
@@ -871,6 +871,24 @@ class TestCli:
         assert codes == [0, 0, 0, 0]
         assert "confmass.mass" in loaded
         assert "numpy.polynomial" not in loaded
+        # only the curvature and identity batteries draw random samples:
+        # the probe directions of the load-time checks and of the decay
+        # scan are a closed form, so these commands (and laws, above) on
+        # every bundled config never load numpy.random
+        code = (
+            "import contextlib, io, json, sys, confmass.cli\n"
+            "from confmass.config import bundled_names\n"
+            "codes = []\n"
+            "for command in ('check', 'mass', 'weyl-mass', 'witten'):\n"
+            "    for name in bundled_names():\n"
+            "        if command == 'mass' and name.endswith('.ends'):\n"
+            "            continue\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            codes.append(confmass.cli.main([command, name]))\n"
+            "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n")
+        codes, drawn = json.loads(run_fresh(code))
+        assert len(codes) == 23 and set(codes) <= {0, 1}
+        assert drawn is False
 
     def test_reports_are_byte_identical_from_run_to_run(self, capsys):
         outs = []

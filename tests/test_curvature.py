@@ -85,8 +85,10 @@ class TestFlatChart:
 
 class TestRoundSphere:
     def test_scalar_curvature_of_unit_three_sphere(self, unvalidated):
-        # stereographic coordinates: g = 4 delta / (1 + |x|^2)^2 has
-        # constant scalar curvature n(n-1) = 6 in our sign convention
+        """The unit 3-sphere in stereographic coordinates,
+        g = 4 delta / (1 + |x|^2)^2, has Scal = n(n-1) = 6: the sign
+        convention Ric_ij = R^l_{jli}, under which every round sphere is
+        positive."""
         c = make_chart(
             n=3,
             tau=0.75,
@@ -100,9 +102,9 @@ class TestRoundSphere:
 
 class TestConformallyFlat:
     def test_scalar_curvature_matches_laplacian_formula(self):
-        # for g = u^4 delta in dimension 3: Scal(g) = 8 u^-5 (-sum d_i^2 u)
-        # with our positive-sphere convention written via the metric
-        # laplacian of the flat chart
+        """Scal(u^4 delta) = -8 u^-5 sum_i d_i^2 u in n = 3, and
+        u = 1 + 1/(2r) is harmonic away from 0, so the chart is
+        scalar-flat."""
         chart = iso_chart()
         X = sample_points(3, 25)
         md = metric_jets(chart, X, order=2)
@@ -114,8 +116,8 @@ class TestConformallyFlat:
         assert np.all(u > 1)  # sanity on the sample
 
     def test_nonharmonic_profile_matches_closed_form(self, unvalidated):
-        # u = 1 + 1/(2 r^2) in n = 3: sum_i d_i^2 u = r^-4, and
-        # Scal(u^4 delta) = -8 u^-5 sum_i d_i^2 u = -8 u^-5 r^-4
+        """u = 1 + 1/(2 r^2) in n = 3: sum_i d_i^2 u = r^-4, so the closed
+        form Scal(u^4 delta) = -8 u^-5 sum_i d_i^2 u reads -8 u^-5 r^-4."""
         c = make_chart(
             n=3,
             tau=0.99,

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from confmass import exprdsl, jetlinalg, mass, util
-from confmass.chart import ChartError, End, EndSystem, conformal_rescale, make_chart
+from confmass.chart import (ChartError, End, EndSystem, conformal_rescale, make_chart,
+                            spinor_program)
 from confmass.config import bundled_names, load_config
 from confmass.mass import (
     DIVERGENCE_WARNING,
@@ -353,7 +354,9 @@ class TestFluxes:
 
     @pytest.mark.parametrize("r", [10.0, 40.0, 160.0])
     def test_isotropic_adm_closed_form(self, r):
-        # the coordinate-sphere flux is 16 pi (1 + 1/(2r))^3 at every radius
+        """The isotropic chart u^4 delta, u = 1 + 1/(2r), has the
+        euclidean coordinate-sphere flux 16 pi u^3 at every radius (the
+        g measure gives 16 pi u^5)."""
         got = adm_flux(iso_chart(), [r], measure="euclidean")[0]
         want = 16 * math.pi * (1 + 1 / (2 * r)) ** 3
         assert got == pytest.approx(want, rel=1e-12)
@@ -401,13 +404,13 @@ class TestFluxes:
         # spinor flux never build it
         c = lee_chart()
         spec = make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")])
-        want = (adm_flux(c, [20.0])[0], witten_flux(c, [spec], [20.0])[0, 0])
+        want = (adm_flux(c, [20.0])[0], spinor_flux(c, [spec], [20.0])[0, 0])
 
         def forbidden(*args):
             raise AssertionError("a flux built a jet determinant")
 
         monkeypatch.setattr(jetlinalg, "mat_det", forbidden)
-        assert (adm_flux(c, [20.0])[0], witten_flux(c, [spec], [20.0])[0, 0]) == want
+        assert (adm_flux(c, [20.0])[0], spinor_flux(c, [spec], [20.0])[0, 0]) == want
 
     def test_radius_below_validity_rejected(self):
         c = flat_chart(r_min=4.0)
@@ -423,9 +426,9 @@ class TestFluxes:
         assert df_over_f[0] == pytest.approx(-4 * math.pi / (1 + 1 / 12), rel=1e-12)
 
     def test_witten_flux_flat_exact_lee(self):
-        # flat metric, theta = -x/r^3 (so m_riem = 0, lee limit = -4 pi):
-        # the spinor flux for a unit constant spinor is exactly
-        # (1/4) (0 - 2 (n-1) (-4 pi)) = 4 pi at every radius
+        """Flat metric, theta = -x/r^3 (so m(g) = 0, Lee flux -4 pi): the
+        spinor flux of a unit constant spinor is exactly
+        m(D)/4 = (0 - 2 (n-1) (-4 pi))/4 = 4 pi at every radius."""
         c = make_chart(
             n=3,
             tau=0.75,
@@ -435,7 +438,7 @@ class TestFluxes:
         )
         spec = make_spinor_spec([("1", "0"), ("0", "0")])
         for r in (6.0, 24.0, 96.0):
-            w = witten_flux(c, [spec], [r])[0, 0]
+            w = spinor_flux(c, [spec], [r])[0, 0]
             assert w.real == pytest.approx(4 * math.pi, rel=1e-12)
             assert abs(w.imag) <= 1e-12
 
@@ -448,8 +451,8 @@ class TestFluxes:
             make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")]),
         ]
         # 16 Gauss nodes give 512 sphere nodes: two chunks
-        together = list(witten_flux(c, specs, [20.0], orders=16)[0])
-        alone = [witten_flux(c, [s], [20.0], orders=16)[0, 0] for s in specs]
+        together = list(spinor_flux(c, specs, [20.0], orders=16)[0])
+        alone = [spinor_flux(c, [s], [20.0], orders=16)[0, 0] for s in specs]
         assert isinstance(together, list) and isinstance(alone[0], complex)
         assert [(w.real, w.imag) for w in together] == [(w.real, w.imag) for w in alone]
 
@@ -527,13 +530,13 @@ class TestCoarsePair:
                  make_spinor_spec([("1", "0"), ("0", "0")])]
         with monkeypatch.context() as m:
             runs = record_rules(m)
-            witten_flux(c, specs[:1], [20.0])
+            spinor_flux(c, specs[:1], [20.0])
             assert [o for o, *_ in runs] == PAIR
             del runs[:]
-            got = witten_flux(c, specs, [20.0])[0].tolist()
+            got = spinor_flux(c, specs, [20.0])[0].tolist()
             orders = [o for o, *_ in runs]
             assert orders == list(QUAD_ORDERS[:len(orders)]) and len(orders) > 2
-        assert got == witten_flux(c, specs, [20.0], orders=orders[-1])[0].tolist()
+        assert got == spinor_flux(c, specs, [20.0], orders=orders[-1])[0].tolist()
 
     @pytest.mark.parametrize("measure", ["euclidean", "g"])
     def test_bundled_charts_pass_within_the_stated_tolerance(self, monkeypatch, measure):
@@ -555,13 +558,13 @@ class TestCoarsePair:
 
     def test_bundled_witten_fluxes_pass_within_the_stated_tolerance(self, monkeypatch):
         cfg = load_config("schwarzschild-lee")
-        specs = [spec for _, spec in cfg.spinors]
+        (fields,) = cfg.spinor_programs
         with monkeypatch.context() as m:
             runs = record_rules(m)
-            got = witten_flux(cfg.chart, specs, [20.0])[0]
+            got = witten_flux(cfg.chart, fields, [20.0])[0]
             assert [o for o, *_ in runs] == PAIR
             scale = runs[1][2]
-        want = witten_flux(cfg.chart, specs, [20.0], orders=48)[0]
+        want = witten_flux(cfg.chart, fields, [20.0], orders=48)[0]
         for value, top, sc in zip(got, want, scale):
             assert abs(value - top) <= QUAD_RTOL * sc + QUAD_ATOL
 
@@ -610,7 +613,7 @@ class TestCoarsePair:
             return [adm_flux(stress, [20.0], "g", orders=24)[0],
                     lee_flux(stress, [20.0], orders=24)[0],
                     adm_flux(lee, [20.0], "g")[0], lee_flux(lee, [20.0])[0],
-                    witten_flux(lee, [spec], [20.0])[0, 0]]
+                    spinor_flux(lee, [spec], [20.0])[0, 0]]
 
         want = fluxes()
         monkeypatch.setattr(util, "CHUNK", width)
@@ -637,7 +640,7 @@ class TestCoarsePair:
 
         def fluxes():
             return [adm_flux(c, [20.0], "g", orders=3)[0],
-                    witten_flux(c, specs, [20.0], orders=3).tolist()]
+                    spinor_flux(c, specs, [20.0], orders=3).tolist()]
 
         got = []
         for width in (4096, 7, 1):
@@ -708,6 +711,11 @@ def bits(values) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.result_type(a.dtype, np.float64)).view(np.uint64)
 
 
+def spinor_flux(chart, specs, *args, **kw):
+    """``witten_flux`` of the fields ``specs``, lowered on ``chart``."""
+    return witten_flux(chart, spinor_program(chart, specs), *args, **kw)
+
+
 def two_spinors(n):
     N = 2 ** (n // 2)
     rest = [("0", "0")] * (N - 2)
@@ -725,7 +733,7 @@ SERIES_FLUXES = {
     "gradient": lambda c, radii, m: gradient_flux(c, "1 + 1/sqrt(r^2 + 1)", radii, m)[0],
     "gradient_over_f": lambda c, radii, m: gradient_flux(c, "1 + 1/sqrt(r^2 + 1)", radii, m)[1],
     "weyl": lambda c, radii, m: weyl_flux(c, radii, m),
-    "witten": lambda c, radii, m: witten_flux(c, two_spinors(c.n), radii, m),
+    "witten": lambda c, radii, m: spinor_flux(c, two_spinors(c.n), radii, m),
 }
 
 
@@ -831,8 +839,8 @@ class TestFluxSeries:
         c = make_chart(n=n, tau=n - 2.1, r_min=1.0, metric=metric, lee=lee)
         specs = two_spinors(n) + [make_spinor_spec([("0", "x1/r")] * 2 ** (n // 2))]
         for measure in ("euclidean", "g"):
-            together = witten_flux(c, specs, [20.0, 50.0], measure, orders=2)
-            alone = np.stack([witten_flux(c, [s], [20.0, 50.0], measure, orders=2)[:, 0]
+            together = spinor_flux(c, specs, [20.0, 50.0], measure, orders=2)
+            alone = np.stack([spinor_flux(c, [s], [20.0, 50.0], measure, orders=2)[:, 0]
                               for s in specs], axis=1)
             assert together.shape == (2, len(specs))
             assert np.array_equal(bits(together), bits(alone))
@@ -851,7 +859,7 @@ class TestFluxSeries:
 
         monkeypatch.setattr(mass, "_measure_factors", spy)
         chart = lee_cfg.chart
-        got = witten_flux(chart, [spec for _, spec in lee_cfg.spinors], default_radii(chart))
+        got = witten_flux(chart, lee_cfg.spinor_programs[0], default_radii(chart))
         assert got.shape == (4, len(lee_cfg.spinors))
         assert 4 * sum(2 * N ** (chart.n - 1) for N in PAIR) == 416
         assert util.CHUNK == 256
@@ -1030,7 +1038,10 @@ class TestMassFunctionals:
         assert rep.kind == "weyl"
 
     def test_weyl_mass_adds_lee_contribution(self):
-        # m(D) = m_riem - 2 (n-1) lim lee flux = 16 pi + 4 * 4 pi b
+        """m(D) = m(g) - 2 (n-1) lim oint theta(nu) = 16 pi + 4 * 4 pi b
+        for theta = -b x/r^3: the sign under which m(D) is conformally
+        invariant (the other sign moves it by 24 pi/5 under f = 1 +
+        0.3/sqrt(r^2 + 1) with b = 1)."""
         b = 0.25
         rep = weyl_mass(lee_chart(b))
         want = 16 * math.pi * (1 + b)
@@ -1069,8 +1080,10 @@ class TestTwoPathMassAgreement:
                 riemannian_mass(conformal_rescale(chart, f), **kw))
 
     def test_conformal_change_moves_mass_by_gradient_flux(self):
-        # path A: mass of the rescaled chart; path B: base mass plus the
-        # first-order correction through the gradient flux limit
+        """Path A, the mass of the rescaled chart, against path B, the base
+        mass plus (n-1) times minus the limit of oint df(nu): the closed
+        form m(f g) - m(g) = -(n-1) lim oint df(nu) (8 pi for f = 1 +
+        1/sqrt(r^2 + 1) on the flat chart)."""
         chart = iso_chart()
         f = exprdsl.parse("1 + 1/sqrt(r^2 + 1)")
         out = two_path_mass_delta(chart, f, *self.masses(chart, f))

@@ -105,7 +105,8 @@ class TestSpinFrame:
                 )
 
     def test_spin_coefficients_match_closed_form(self):
-        # for g = u^4 delta: omega_i^{ab} = 2 (u_a d_i^b - u_b d_i^a)/u
+        """For g = u^4 delta (n = 3) the frame is E_a = u^-2 d_a and
+        omega_i^{ab} = g(nabla_i E_a, E_b) = 2 (u_a d_i^b - u_b d_i^a)/u."""
         chart = iso_chart()
         X = sample_points(3, 8)
         md = metric_jets(chart, X, order=2)
@@ -209,8 +210,11 @@ class TestCovariantDerivative:
             np.testing.assert_allclose(diff, want, rtol=1e-12, atol=1e-15)
 
     def test_parallel_spinor_for_exact_lee_form(self, unvalidated):
-        # flat metric with theta = d log(1/r^2): psi with |psi|^2 = r^-2
-        # built from the coordinate functions is parallel at weight -1/2
+        """Flat metric, theta = -2 dr/r: psi = r^-2 (x . gamma) eta_0 with
+        gamma_a = i sigma_a and eta_0 = (1, 0), whose components are
+        r^-2 (i x3, -x2 + i x1), is parallel for
+        D_X psi - X.theta.psi/2 + (k - 1/2) theta(X) psi at k = -1/2, and
+        |psi|^2 = r^-2."""
         chart = make_chart(
             n=3,
             tau=0.75,

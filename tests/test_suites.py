@@ -18,7 +18,7 @@ import pytest
 
 import confmass
 from confmass import clifford, mass, spinor, suites, weyl
-from confmass.chart import conformal_rescale, make_chart
+from confmass.chart import conformal_rescale, make_chart, spinor_program
 
 # the package exports the function ``curvature`` under the module's name
 curvature = importlib.import_module("confmass.curvature")
@@ -191,7 +191,8 @@ def test_witten_flux_builds_no_curvature(monkeypatch, lee_cfg):
     cur_calls = spy(monkeypatch, curvature, "curvature")
     weyl_calls = spy(monkeypatch, weyl, "weyl_scalar")
     spec = suites._default_spinors(3)[0][1]
-    flux = mass.witten_flux(lee_cfg.chart, [spec], [20.0], orders=6)[0, 0]
+    fields = spinor_program(lee_cfg.chart, [spec])
+    flux = mass.witten_flux(lee_cfg.chart, fields, [20.0], orders=6)[0, 0]
     assert np.isfinite(flux.real)
     assert (len(cur_calls), len(weyl_calls)) == (0, 0)
 

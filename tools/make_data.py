@@ -117,8 +117,9 @@ def iso_flux(r):
     return 16.0 * PI * (1.0 + 1.0 / (2.0 * r)) ** 3
 
 
-oracle_euclid = [54.130426819516, 52.174098169263, 51.213863011585, 50.738195511012]
-for r, e in zip(radii, oracle_euclid):
+# iso_flux to 12 decimals, as frozen when the corpus was first written
+frozen_euclid = [54.130426819516, 52.174098169263, 51.213863011585, 50.738195511012]
+for r, e in zip(radii, frozen_euclid):
     assert abs(iso_flux(r) - e) < 5e-12, (r, iso_flux(r), e)
 
 expected = {
@@ -129,6 +130,8 @@ expected = {
     },
     "schwarzschild.chart": {
         "adm_flux_euclidean": [iso_flux(r) for r in radii],
+        # the g measure multiplies the flux by u^2: 16 pi (1 + 1/(2r))^5,
+        # to 12 decimals
         "adm_flux_g": [56.870779677254, 53.486602826333,
                        51.856036840754, 51.055804723147],
         "riemannian_mass_raw": 16.0 * PI,

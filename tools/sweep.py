@@ -57,7 +57,7 @@ VARIANTS = {
     "identities": (("--points", "7"), ("--points", "250"), ("--jet-order", "3")),
     "mass": (("--measure", "g"),),
     "weyl-mass": (("--normalize", "adm"), ("--radii", "20,40,80,160,320")),
-    "witten": (("--measure", "g"),),
+    "witten": (("--measure", "g"), ("--radii", "20,40,80,160,320,640")),
 }
 
 
