@@ -21,14 +21,16 @@ Layering (each module uses only the ones before it):
 ``config``   JSON configuration documents and report serialization
 ``suites``   seeded identity/law batteries shared by the CLI and tests
 ``cli``      the ``confmass`` command-line tool
+``__main__`` the process entry: freezes the import-time heap, runs ``cli``
 
 Import names from their submodules (``from confmass.mass import
 riemannian_mass``); the package re-exports none.  ``confmass.cli`` with
 ``config.load_config`` loads ``config``, ``chart``, ``exprdsl``, ``jets``
 and ``jetlinalg`` only.  ``check`` needs no more, ``mass`` and
 ``weyl-mass`` add ``mass`` and ``util`` (``witten_flux`` imports
-``spinor`` when called).  The batteries add ``suites`` and ``util``,
-the chunk loop that imports nothing: ``curvature`` and ``identities``
+``spinor`` when called; ``mass`` refuses an end system before).  The
+batteries add ``suites`` and ``util``, the chunk loop that imports
+nothing: ``curvature`` and ``identities``
 with the pointwise layers up to ``spinor`` and never ``mass``, which
 ``suites`` imports only inside the ``witten`` and ``laws`` batteries.
 ``numpy.random`` loads only for the batteries that draw seeded samples

@@ -24,6 +24,12 @@ Reports are deterministic: identical (config, seed, flags) yield
 byte-identical output.
 Every tolerance used by a command is echoed under ``"tolerances"``.
 
+``main`` leaves no process-wide state behind, since the tests call it
+many times in one process; in particular it never touches the garbage
+collector.  Freezing the import-time heap is the job of the process
+entry, ``confmass.__main__.run``: a freeze in ``main`` would keep each
+earlier call's leftover garbage cycles until the process exits.
+
 ``COMMANDS`` declares each command once: its help line, its flags and
 its handler.  The parser is built from it; a command integrates fluxes
 over spheres exactly when it takes ``--radii``; and a report echoes the
@@ -51,7 +57,7 @@ import math
 import os
 import sys
 
-from .chart import ChartError
+from .chart import ChartError, scale_coordinates
 from .config import (SCHEMA_VERSION, ConfigError, LoadedConfig, dump_report,
                      load_config, load_expected)
 
@@ -94,12 +100,12 @@ def _check_output(flag: str, path) -> None:
 def _check_flags(args, cfg: LoadedConfig):
     """Reject flag values the config cannot honour, before any computation,
     and return the parsed ``--radii`` (None when not given): the output
-    files pass ``_check_output``; every radius
+    files pass ``_check_output``; ``mass`` refuses an end system before it
+    loads the mass layer; every radius
     passes ``mass.check_radius`` and ``mass.probe_radius`` on every chart
     of the config (for ``witten`` with its spinor program on that chart,
-    ``suites.witten_spinors``), and the series ``mass.check_series``; for
-    ``laws`` on a chart, so do the radii of its coordinate-scaled chart
-    (``suites.laws_scaled_chart``)."""
+    ``suites.witten_spinors``), and the series ``mass.check_series``.
+    ``_cmd_laws`` checks the radii of its coordinate-scaled chart."""
     flags = COMMANDS[args.command][1]
     _check_output("out", args.out)
     if "csv" in flags:
@@ -110,6 +116,9 @@ def _check_flags(args, cfg: LoadedConfig):
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     if "radii" not in flags:
         return None
+    if args.command == "mass" and cfg.chart is None:
+        raise ConfigError("the mass command needs a chart config "
+                          "(use weyl-mass for end systems)")
     from . import mass
     if cfg.n > mass.FLUX_MAX_DIM:
         raise ConfigError(f"{args.command} integrates over spheres, which needs "
@@ -130,16 +139,6 @@ def _check_flags(args, cfg: LoadedConfig):
         for chart, fields in zip(cfg.charts, programs):
             for r in radii:
                 mass.probe_radius(chart, r, lee, fields)
-        if args.command == "laws" and cfg.chart is not None:
-            from .suites import laws_scaled_chart
-            scaled, scaled_radii = laws_scaled_chart(cfg.chart, radii)
-            for r, s in zip(radii, scaled_radii):
-                try:
-                    mass.check_radius(scaled, s)
-                    mass.probe_radius(scaled, s, lee)
-                except ValueError as e:
-                    raise ValueError(f"{r!r} is {s!r} on the coordinate-scaled "
-                                     f"chart of laws: {e}") from None
     except ValueError as e:
         raise ConfigError(f"--radii: {e}") from None
     return radii
@@ -263,10 +262,7 @@ def _cmd_mass(args, cfg: LoadedConfig, radii, report: dict) -> None:
         rep = mass.weyl_mass(target, radii=radii, measure=args.measure,
                              normalize=args.normalize)
         expected_key = "weyl_mass_raw"
-    elif cfg.chart is None:
-        raise ConfigError("the mass command needs a chart config "
-                          "(use weyl-mass for end systems)")
-    else:
+    else:  # a chart: _check_flags refused an end system
         rep = mass.riemannian_mass(cfg.chart, radii=radii, measure=args.measure,
                                    normalize=args.normalize)
         expected_key = "riemannian_mass_raw"
@@ -286,15 +282,40 @@ def _cmd_witten(args, cfg: LoadedConfig, radii, report: dict) -> None:
     _fold(report, report["results"])
 
 
+def _laws_scaled_chart(chart, radii):
+    """The chart in the coordinates scaled by ``suites.LAWS_SCALING``,
+    built once for ``laws`` at ``radii``, after each matched radius
+    (``suites.laws_scaled_radii``) passes ``mass.check_radius`` and
+    ``mass.probe_radius`` on it; refused like a ``--radii`` that
+    ``_check_flags`` refuses."""
+    from . import mass, suites
+
+    try:
+        scaled = scale_coordinates(chart, suites.LAWS_SCALING)
+        for r, s in zip(radii, suites.laws_scaled_radii(radii)):
+            try:
+                mass.check_radius(scaled, s)
+                mass.probe_radius(scaled, s, True)
+            except ValueError as e:
+                raise ValueError(f"{r!r} is {s!r} on the coordinate-scaled "
+                                 f"chart of laws: {e}") from None
+    except ValueError as e:
+        raise ConfigError(f"--radii: {e}") from None
+    return scaled
+
+
 def _cmd_laws(args, cfg: LoadedConfig, radii, report: dict) -> None:
     from . import suites
 
-    expected_total = None
+    expected_total = scaled = None
     if cfg.kind == "end_system":
         expected_total = _expected_entry(args, cfg).get("weyl_mass_raw")
+    elif radii is not None:
+        scaled = _laws_scaled_chart(cfg.chart, radii)
     report["results"] = suites.laws_battery(cfg, radii=radii, measure=args.measure,
                                             seed=args.seed,
-                                            expected_total=expected_total)
+                                            expected_total=expected_total,
+                                            scaled=scaled)
     _fold(report, report["results"])
 
 
@@ -345,7 +366,3 @@ def main(argv=None) -> int:
             f.write(text)
     sys.stdout.write(text)
     return 0 if report["pass"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

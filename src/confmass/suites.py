@@ -38,7 +38,7 @@ __all__ = [
     "identity_battery",
     "clifford_battery",
     "curvature_battery",
-    "laws_scaled_chart",
+    "laws_scaled_radii",
     "laws_battery",
     "witten_spinors",
     "witten_battery",
@@ -67,12 +67,12 @@ TOLERANCES = {
 LAWS_SCALING = 4.0
 
 
-def laws_scaled_chart(chart: MetricChart, radii) -> tuple:
-    """The chart in the coordinates scaled by ``LAWS_SCALING`` = a, and the
-    radii sqrt(a) r at which the laws battery integrates it for a series
-    at ``radii``."""
+def laws_scaled_radii(radii) -> list:
+    """The radii sqrt(a) r at which the laws battery integrates its chart
+    in the coordinates scaled by ``LAWS_SCALING`` = a, for a series at
+    ``radii``."""
     k = math.sqrt(LAWS_SCALING)
-    return scale_coordinates(chart, LAWS_SCALING), [k * float(r) for r in radii]
+    return [k * float(r) for r in radii]
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -408,9 +408,12 @@ def curvature_battery(chart: MetricChart, points: int = 50, seed: int = 42,
 # mass laws
 
 def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
-                 seed: int = 42, expected_total: float | None = None) -> dict:
+                 seed: int = 42, expected_total: float | None = None,
+                 scaled: MetricChart | None = None) -> dict:
     """Global mass laws for a chart or an end system.  A mass the laws
-    read whose flux series does not converge fails ``mass-convergence``."""
+    read whose flux series does not converge fails ``mass-convergence``.
+    ``scaled`` is the chart in the coordinates scaled by ``LAWS_SCALING``
+    when the caller built it already; otherwise it is built here."""
     from . import mass
 
     tol = TOLERANCES
@@ -490,8 +493,10 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     s = a ** (0.5 * (n - 2))
     worst = 0.0
     pairs = []
+    if scaled is None:
+        scaled = scale_coordinates(chart, a)
     # base.flux holds weyl_flux(chart, base.radii), bit for bit
-    flux_scaled = mass.weyl_flux(*laws_scaled_chart(chart, base.radii), measure=measure)
+    flux_scaled = mass.weyl_flux(scaled, laws_scaled_radii(base.radii), measure=measure)
     for r, f0, fs in zip(base.radii, base.flux, flux_scaled):
         mismatch = abs(fs - s * f0) / max(1.0, abs(f0), abs(fs))
         worst = max(worst, mismatch)

@@ -7,7 +7,8 @@ import inspect
 import numpy as np
 import pytest
 
-from confmass import exprdsl, jetlinalg, jets, suites, util
+from confmass import chart as chart_module
+from confmass import cli, exprdsl, jetlinalg, jets, suites, util
 from confmass.chart import (
     ChartError,
     End,
@@ -370,6 +371,25 @@ class TestChartPrograms:
             capsys.readouterr()
             counts.append(len(calls))
         assert counts == [lowered, lowered]
+
+    @pytest.mark.parametrize("radii", [[], ["--radii", "20,40,80,160"]],
+                             ids=["default-radii", "radii"])
+    def test_laws_builds_its_coordinate_scaled_chart_once(
+            self, radii, capsys, monkeypatch):
+        # with --radii the CLI checks the matched radii on the scaled chart
+        # and hands that chart to the battery, which builds it only when
+        # given none
+        calls = []
+
+        def counted(chart, a):
+            calls.append(a)
+            return scale_coordinates(chart, a)
+
+        for module in (chart_module, cli, suites):
+            monkeypatch.setattr(module, "scale_coordinates", counted)
+        assert main(["laws", "schwarzschild", *radii]) == 0
+        capsys.readouterr()
+        assert calls == [suites.LAWS_SCALING]
 
     # the n = 3 schwarzschild chart's programs run on three coordinates only
     @pytest.mark.parametrize("shape", [(4, 1), (2, 4)], ids=["four-rows", "two-rows"])

@@ -1,7 +1,10 @@
 """Tests for configuration parsing, bundled documents, report serialization,
 and the command-line interface."""
 
+import ast
 import contextlib
+import gc
+import importlib
 import io
 import json
 import math
@@ -284,6 +287,23 @@ class TestCli:
         code, out, err = run_cli(capsys, "mass", "twoends.ends")
         assert code == 2
         assert "weyl-mass" in err
+
+    def test_mass_refuses_an_end_system_before_loading_the_mass_layer(self):
+        # the refusal comes before the radius checks and probes, so it
+        # needs neither confmass.mass nor its radii, given or not
+        code = (
+            "import contextlib, io, json, sys, confmass.cli\n"
+            "err = io.StringIO()\n"
+            "codes = []\n"
+            "for radii in ([], ['--radii', '20,40,80,160']):\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        codes.append(confmass.cli.main(['mass', 'twoends', *radii]))\n"
+            "print(json.dumps([codes, err.getvalue(), 'confmass.mass' in sys.modules]))\n")
+        codes, err, loaded = json.loads(run_fresh(code))
+        assert codes == [2, 2]
+        assert err == 2 * ("confmass: the mass command needs a chart config "
+                           "(use weyl-mass for end systems)\n")
+        assert loaded is False
 
     def test_weyl_mass_on_end_system(self, capsys):
         code, out, _ = run_cli(capsys, "weyl-mass", "twoends.ends")
@@ -899,6 +919,71 @@ class TestCli:
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]  # byte identical
+
+
+class TestEntryPoint:
+    """``python -m confmass`` and the console script run
+    ``confmass.__main__.run``, which freezes the import-time heap before
+    the command; ``cli.main`` itself leaves the collector alone."""
+
+    def test_main_in_process_freezes_nothing(self, capsys):
+        before = gc.get_freeze_count()
+        for argv in (["check", "flat"], ["mass", "flat"], ["mass", "twoends"]):
+            run_cli(capsys, *argv)
+            assert gc.get_freeze_count() == before
+
+    def test_only_the_process_entry_freezes(self):
+        package = os.path.dirname(os.path.abspath(confmass.__file__))
+        callers = []
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name)) as f:
+                    tree = ast.parse(f.read())
+                callers += [name for node in ast.walk(tree)
+                            if isinstance(node, ast.Attribute) and node.attr == "freeze"]
+        assert callers == ["__main__.py"]
+
+    def test_python_m_freezes_before_the_command_runs(self):
+        # runpy runs the package the way -m (and benchmark/probe.py) does,
+        # with the check handler wrapped to read the freeze count when it
+        # starts; an exit hook reads it again after the report is written
+        code = (
+            "import atexit, gc, json, runpy, sys\n"
+            "from confmass import cli\n"
+            "help_text, flags, handler = cli.COMMANDS['check']\n"
+            "seen = [gc.get_freeze_count()]\n"
+            "def spy(*args):\n"
+            "    seen.append(gc.get_freeze_count())\n"
+            "    handler(*args)\n"
+            "cli.COMMANDS['check'] = (help_text, flags, spy)\n"
+            "atexit.register(lambda: print(json.dumps(seen + [gc.get_freeze_count()]),\n"
+            "                              file=sys.stderr))\n"
+            "sys.argv = ['confmass', 'check', 'flat']\n"
+            "runpy.run_module('confmass', run_name='__main__', alter_sys=True)\n")
+        proc = python_fresh("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "check"
+        before, at_command, at_exit = json.loads(proc.stderr)
+        assert before == 0
+        # numpy and the layers the CLI imports, frozen before check ran
+        assert at_command > 10_000 and at_exit > 10_000
+
+    @pytest.mark.parametrize("argv", [("check", "schwarzschild-lee"),
+                                      ("mass", "schwarzschild"),
+                                      ("witten", "schwarzschild-lee")])
+    def test_python_m_prints_what_main_prints(self, capsys, argv):
+        want = run_cli(capsys, *argv)
+        proc = python_fresh("-m", "confmass", *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+    def test_console_script_is_the_freezing_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+            target = tomllib.load(f)["project"]["scripts"]["confmass"]
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        assert entry is importlib.import_module("confmass.__main__").run
 
 
 def end_doc(**fields) -> dict:
