@@ -18,9 +18,9 @@ flux as
 and its report keeps the metric mass m(g0) of each end (``MassReport.metric``)
 for callers that need it again.
 
-Every flux series becomes a limit through one unit-free fit,
-``extrapolate(radii, series, n)``: value(r) = limit + c r^-p with p in
-(0.3, 2n), finite for every finite series.
+Every flux series becomes a limit through one unit-free Richardson table
+of power-law fits, ``extrapolate(radii, series, n)``, finite for every
+finite series.
 The radius rules live here too, and the CLI checks ``--radii`` with the
 same functions: a flux radius is finite, at least 2 r_min, and keeps
 r^(n-1) finite (``check_radius``, run by every flux); a series has at
@@ -112,6 +112,8 @@ QUAD_RTOL = 1e-12
 QUAD_ATOL = 1e-15
 # the largest dimension with a sphere rule, so with fluxes and masses
 FLUX_MAX_DIM = 6
+# the condition number at which a ladder of the Richardson table stops
+FIT_MAX_COND = 1e8
 
 
 def sphere_area(n: int, r: float = 1.0) -> float:
@@ -435,62 +437,26 @@ def witten_flux(chart: MetricChart, fields: exprdsl.Program,
 class ExtrapolationResult(NamedTuple):
     limit: float
     error: float
-    p: float
+    p: float  # the leading power of the winning ladder, 0 for a constant series
 
 
-def _power_fit(r: np.ndarray, v: np.ndarray, powers) -> tuple:
-    """Limit and RMS residual of the least-squares fit
-    v = m + sum_k c_k r^-p_k over the ``powers`` p_k."""
-    A = np.stack([np.ones_like(r)] + [r ** (-p) for p in powers], axis=1)
-    sol, *_ = np.linalg.lstsq(A, v, rcond=None)
-    return float(sol[0]), float(np.sqrt(np.mean((A @ sol - v) ** 2)))
-
-
-def _fit_residuals(r: np.ndarray, vc: np.ndarray, ps) -> np.ndarray:
-    """RMS residuals of the fits v = m + c r^-p, one per entry of ``ps``.
-
-    ``vc`` is v minus its mean.  Projecting out the constant column leaves
-    a one-column regression of vc on centred r^-p, so every p is fitted in
-    one array pass.
-    """
-    k = r.size
-    b = r ** -np.reshape(ps, (-1, 1))
-    b -= np.add.reduce(b, axis=1, keepdims=True) / k
-    c = (b @ vc) / np.einsum("ij,ij->i", b, b)
-    e = vc - c[:, None] * b
-    return np.sqrt(np.einsum("ij,ij->i", e, e) / k)
-
-
-# width at which the search for p stops
-P_XTOL = 1e-10
-# points of each refining pass of that search
-_PASS_POINTS = 128
-
-
-def _best_exponent(resid, lo: float, hi: float) -> float:
-    """The p in [lo, hi] that minimises ``resid`` (vectorised over p).
-
-    A 64-point grid picks the best cell.  Grid passes of ``_PASS_POINTS``
-    points then refine p within one grid step of it: each keeps one step
-    of its own on each side of its best point, so it narrows the bracket
-    by a factor of at least (``_PASS_POINTS`` - 1) / 2, until the bracket
-    is at most ``P_XTOL`` wide (at most 6 passes for p in (0.3, 12)).
-    The grid point stands when the refined p fits no better, as when its
-    residual is not finite.
-    """
-    grid = np.linspace(lo, hi, 64)
-    rg = resid(grid)
-    best = int(np.argmin(rg))
-    span = grid[1] - grid[0]
-    a, b = max(lo, grid[best] - span), min(hi, grid[best] + span)
-    p, rp = grid[best], rg[best]
-    while b - a > P_XTOL:
-        q = np.linspace(a, b, _PASS_POINTS)
-        rq = resid(q)
-        i = int(np.argmin(rq))
-        a, b = q[max(i - 1, 0)], q[min(i + 1, _PASS_POINTS - 1)]
-        p, rp = q[i], rq[i]
-    return float(p if rp < rg[best] else grid[best])
+def _fit(r: np.ndarray, v: np.ndarray, powers) -> tuple | None:
+    """Limit A of the least-squares fit v = A + sum_k c_k r^-p_k over
+    ``powers`` by one SVD, and the larger of its largest leave-one-out
+    shift w_i e_i / (1 - h_ii) and its propagated quadrature tolerance
+    QUAD_RTOL sum_i |w_i v_i| (w the limit's row of the pseudo-inverse, e
+    the residual, h the hat diagonal); None past ``FIT_MAX_COND``."""
+    X = np.stack([np.ones_like(r)] + [r ** -p for p in powers], axis=1)
+    U, s, Vt = np.linalg.svd(X)
+    if s[0] > FIT_MAX_COND * s[-1]:
+        return None
+    w = (Vt[:, 0] / s) @ U[:, :s.size].T
+    Q = U[:, s.size:]
+    # 1 - h_ii summed over the residual space does not cancel, and a
+    # sample of leverage 1 to rounding divides by epsilon, not by zero
+    out = np.maximum(np.einsum("ij,ij->i", Q, Q), np.finfo(float).eps)
+    loo = np.max(np.abs(w * (Q @ (Q.T @ v))) / out)
+    return float(w @ v), max(float(loo), QUAD_RTOL * float(np.abs(w) @ np.abs(v)))
 
 
 def check_series(radii) -> None:
@@ -505,20 +471,19 @@ def check_series(radii) -> None:
 
 
 def extrapolate(radii, series, n: int) -> ExtrapolationResult:
-    """Fit value(r) = limit + c r^{-p} to a flux ``series`` of a chart of
-    dimension ``n`` at ``radii`` and estimate the limit.
+    """Limit at r = infinity of a flux ``series`` of a chart of dimension
+    ``n`` at ``radii``, from one Richardson table (L. F. Richardson 1927;
+    A. Sidi, *Practical Extrapolation Methods*, CUP 2003).
 
     The radii must pass ``check_series`` and the series must be finite
     (else ValueError).  The fit runs in units of the smallest radius and
     of the power of two at the largest |value| (an exact scaling), so it
-    is finite for every such series and scales with the length unit.  p
-    is optimized inside (0.3, 2n) (a coarse grid plus refining grid
-    passes, see ``_best_exponent``).  The error estimate is twice the
-    largest of four probes: the fit residual, the limit shift when the
-    smallest radius is dropped (p kept, and p re-optimized), and the
-    limit shift under a two-term fit with an r^-(p+1) correction; the
-    factor two covers the systematic part those probes underestimate on
-    slowly converging series.
+    is finite for every such series and scales with the length unit.
+    Ladders p, p + q, ... (p in 1/2, 1, ..., n - 2; q in 1, 1/2) fit
+    A_K + sum_{k<K} c_k r^-(p + k q) (``_fit``), 1 <= K <= R - 2 of R radii,
+    until ``FIT_MAX_COND``.  The entry with the smallest bar, the largest
+    of |A_K - A_{K-1}| (A_0 the mean) and ``_fit``'s, wins; ``p`` is its
+    ladder's leading power.
     """
     pts = sorted(zip(map(float, radii), map(float, series)))
     check_series([p[0] for p in pts])
@@ -532,18 +497,18 @@ def extrapolate(radii, series, n: int) -> ExtrapolationResult:
     if np.max(np.abs(v - v.mean())) <= 1e-13 * np.max(np.abs(v)):
         return ExtrapolationResult(limit=float(v[-1]) * unit, error=0.0, p=0.0)
 
-    def best_p(rr: np.ndarray, vv: np.ndarray) -> float:
-        vc = vv - vv.mean()
-        return _best_exponent(lambda ps: _fit_residuals(rr, vc, ps), 0.3, 2.0 * n)
-
-    p = best_p(r, v)
-    m_inf, resid = _power_fit(r, v, [p])
-    m_drop_keep, _ = _power_fit(r[1:], v[1:], [p])
-    m_drop_re, _ = _power_fit(r[1:], v[1:], [best_p(r[1:], v[1:])])
-    m_aug, _ = _power_fit(r, v, [p, p + 1.0])
-    error = 2.0 * max(resid, abs(m_inf - m_drop_keep),
-                      abs(m_inf - m_drop_re), abs(m_inf - m_aug))
-    return ExtrapolationResult(limit=m_inf * unit, error=error * unit, p=p)
+    error = math.inf
+    for lead, q in itertools.product(np.arange(1, 2 * n - 3) / 2.0, (1.0, 0.5)):
+        prev = float(v.mean())
+        for K in range(1, r.size - 1):
+            fit = _fit(r, v, lead + q * np.arange(K))
+            if fit is None:
+                break
+            bar = max(abs(fit[0] - prev), fit[1])
+            if bar < error:
+                error, limit, p = bar, fit[0], float(lead)
+            prev = fit[0]
+    return ExtrapolationResult(limit=limit * unit, error=error * unit, p=p)
 
 
 # ---------------------------------------------------------------------------

@@ -475,10 +475,10 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
         checks.append(_check(f"mass-conformal-change[{f}]",
                              abs(rec["path_a"] - rec["path_b"]) / scale,
                              tol["mass_law_rel"]))
-        err_budget = rec["flux_equality"]["budget"] + 1e-9 * scale
+        budget = rec["flux_equality"]["budget"]
         checks.append(_check(f"gradient-flux-agreement[{f}]",
-                             rec["flux_equality"]["diff"], err_budget,
-                             budget=err_budget, absolute=True))
+                             rec["flux_equality"]["diff"], budget,
+                             budget=budget, absolute=True))
     details["conformal_change"] = change_records
 
     scale = max(1.0, abs(base.limit))

@@ -806,7 +806,7 @@ class TestCli:
 
     def test_importing_the_cli_loads_no_scipy(self):
         # scipy's import was most of every command's start-up time; the
-        # search for the decay power needs none of it
+        # extrapolation's least-squares fits need none of it
         code = ("import sys, confmass.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert run_fresh(code) == "[]\n"

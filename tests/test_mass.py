@@ -32,8 +32,7 @@ from confmass.mass import (
     weyl_mass,
     witten_flux,
 )
-from confmass.mass import (P_XTOL, _best_exponent, _flux, _measure_factors, _polar_rule,
-                           _unit_rule)
+from confmass.mass import _flux, _measure_factors, _polar_rule, _unit_rule
 from confmass.spinor import make_spinor_spec
 
 ISO = "(1 + 1/(2*r))^4"
@@ -948,43 +947,67 @@ class TestExtrapolate:
         assert out.error > 0.0
 
 
-class TestGridPassSearch:
-    def test_minimum_inside_the_bracket(self):
-        best = _best_exponent(lambda ps: (np.reshape(ps, -1) - 1.2345) ** 2, 0.3, 8.0)
-        assert best == pytest.approx(1.2345, abs=1e-9)
+class TestRichardsonTable:
+    RADII = 20.0 * 2.0 ** np.arange(8)
 
-    @pytest.mark.parametrize("hi", [6.0, 12.0])
-    def test_search_takes_at_most_eight_array_passes(self, hi):
-        # the grid and its refining passes are whole arrays of p: a search
-        # that evaluates one p at a time needs dozens of calls
-        calls = []
+    def test_four_correction_terms_are_recovered_at_eight_radii(self):
+        r = self.RADII
+        out = extrapolate(r, 50.0 + 77.0 / r - 300.0 / r ** 2 + 900.0 / r ** 3
+                          - 2000.0 / r ** 4, 3)
+        assert abs(out.limit - 50.0) <= 1e-12 * 50.0
+        assert abs(out.limit - 50.0) <= out.error
+        assert out.p == 1.0
 
-        def resid(ps):
-            calls.append(np.size(ps))
-            return np.abs(np.reshape(ps, -1) - 3.3)
+    @pytest.mark.parametrize("count", [5, 8])
+    def test_half_integer_steps_pick_the_half_step_ladder(self, monkeypatch, count):
+        # powers 1/2, 1, 3/2: the ladders of step 1 from 1/2 or 1 miss one
+        # of them, so only a step of 1/2 recovers the limit
+        r = self.RADII[:count]
+        fits = []
+        inner = mass._fit
 
-        best = _best_exponent(resid, 0.3, hi)
-        assert abs(best - 3.3) <= P_XTOL
-        assert len(calls) <= 8
-        assert min(calls) > 1
+        def spy(rr, vv, powers):
+            out = inner(rr, vv, powers)
+            fits.append((list(powers), out))
+            return out
 
-    @pytest.mark.parametrize("slope, edge", [(1.0, 0.3), (-1.0, 8.0)])
-    def test_minimum_at_a_bracket_edge_returns_the_edge(self, slope, edge):
-        # a monotone residual: no interior point fits better than the edge
-        best = _best_exponent(lambda ps: slope * np.reshape(ps, -1), 0.3, 8.0)
-        assert best == edge
+        monkeypatch.setattr(mass, "_fit", spy)
+        # every value lies in [1, 2): the fit's unit is 1
+        out = extrapolate(r, 1.0 + 0.3 * r ** -0.5 - 0.2 / r + 0.1 * r ** -1.5, 3)
+        assert abs(out.limit - 1.0) <= 1e-14
+        assert out.p == 0.5
+        won = [powers for powers, fit in fits if fit is not None and fit[0] == out.limit]
+        assert won and all(np.all(np.diff(powers) == 0.5) and len(powers) >= 3
+                           for powers in won)
 
-    def test_non_finite_residuals_fall_back_to_the_grid(self):
-        grid = np.linspace(0.3, 8.0, 64)
+    def test_sample_of_leverage_one_raises_no_warning(self):
+        # at eight radii 20 * 2^k the n = 6 ladder of step 1 from 7/2 fits
+        # five powers below the condition cap, and the hat diagonal of its
+        # smallest radius is 1 to rounding
+        r = self.RADII / self.RADII[0]
+        X = np.stack([np.ones_like(r)] + [r ** -(3.5 + k) for k in range(5)], axis=1)
+        U, s, _ = np.linalg.svd(X)
+        assert s[0] <= mass.FIT_MAX_COND * s[-1]
+        assert np.min(1.0 - np.sum(U[:, :s.size] ** 2, axis=1)) <= 1e-14
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for limit, vals in ((5.0, 5.0 + 3.0 * self.RADII ** -4),
+                                (2.0, 2.0 - self.RADII ** -0.5 + 4.0 * self.RADII ** -3.5)):
+                out = extrapolate(self.RADII, vals, 6)
+                assert abs(out.limit - limit) <= out.error
+            limit, bar = mass._fit(r, 5.0 + 1.0 / r, 3.5 + np.arange(5))
+        assert math.isfinite(limit) and math.isfinite(bar)
 
-        def grid_only(ps):
-            ps = np.reshape(ps, -1)
-            finite = np.isin(ps, grid)
-            return np.where(finite, (ps - 2.0) ** 2, np.nan)
-
-        best = _best_exponent(grid_only, 0.3, 8.0)
-        assert best == grid[np.argmin((grid - 2.0) ** 2)]
-        assert _best_exponent(lambda ps: np.full(np.size(ps), np.nan), 0.3, 8.0) == 0.3
+    def test_one_ulp_in_any_flux_moves_the_limit_by_at_most_1e_14(self):
+        chart = load_config("schwarzschild").chart
+        radii = default_radii(chart)
+        flux = adm_flux(chart, radii)
+        ref = extrapolate(radii, flux, chart.n).limit
+        for k, way in itertools.product(range(len(flux)), (math.inf, -math.inf)):
+            moved = list(flux)
+            moved[k] = math.nextafter(moved[k], way)
+            limit = extrapolate(radii, moved, chart.n).limit
+            assert abs(limit - ref) <= 1e-14 * abs(ref)
 
     def test_repeated_calls_are_bitwise_equal(self):
         radii = [20.0, 40.0, 80.0, 160.0]
@@ -993,6 +1016,54 @@ class TestGridPassSearch:
         b = extrapolate(radii, vals, 3)
         assert a == b
         assert type(a.p) is float
+
+
+# the corpus charts' two poles: mass m, position p and core radius a
+POLES = ((1.0, (1.0, 0.0, 0.0), 0.7), (0.5, (-0.5, 0.3, 0.0), 1.2))
+
+
+def corpus_chart(n, family):
+    """g = u^(4/(n-2)) delta with u = 1 + sum_i (m_i/2) (|x - p_i|^2 +
+    a_i^2)^(-(n-2)/2) over ``POLES``: the smooth Plummer-type chart
+    ("plummer", r_min = 1), or with every a_i = 0 the Brill-Lindquist
+    chart ("bl", r_min = 2, outside both poles).  Its raw mass is
+    2 (n-1) omega_(n-1) sum_i m_i."""
+    terms = []
+    for m, p, a in POLES:
+        d = " + ".join(f"(x{i + 1} - ({c!r}))^2" for i, c in enumerate(p + (0.0,) * (n - 3)))
+        if family == "plummer":
+            d += f" + {a * a!r}"
+        terms.append(f"{m / 2!r}*pow({d}, {-(n - 2) / 2!r})")
+    g = f"pow(1 + {' + '.join(terms)}, {4 / (n - 2)!r})"
+    return make_chart(n=n, tau=0.99 * max(1, n - 2), r_min=1.0 if family == "plummer" else 2.0,
+                      metric={f"{i}{i}": g for i in range(1, n + 1)}, name=f"{family}{n}")
+
+
+def corpus_mass(n):
+    return 2.0 * (n - 1) * sphere_area(n) * sum(m for m, _, _ in POLES)
+
+
+CORPUS = list(itertools.product((3, 4, 5), ("plummer", "bl")))
+
+
+class TestCorpusHonesty:
+    """The error bar of every mass covers the exact mass of the asymmetric
+    two-pole charts, whose fluxes have every power of 1/r."""
+
+    @pytest.mark.parametrize("measure", ["euclidean", "g"])
+    @pytest.mark.parametrize("n, family", CORPUS)
+    def test_the_bar_covers_the_exact_mass(self, n, family, measure):
+        rep = riemannian_mass(corpus_chart(n, family), measure=measure)
+        assert abs(rep.limit - corpus_mass(n)) <= rep.error
+
+    @pytest.mark.parametrize("measure", ["euclidean", "g"])
+    @pytest.mark.parametrize("n, family", CORPUS)
+    def test_eight_radii_reach_the_exact_mass(self, n, family, measure):
+        chart = corpus_chart(n, family)
+        radii = [20.0 * 2.0 ** k * chart.r_min for k in range(8)]
+        rep = riemannian_mass(chart, radii=radii, measure=measure)
+        assert abs(rep.limit - corpus_mass(n)) <= 1e-12 * corpus_mass(n)
+        assert abs(rep.limit - corpus_mass(n)) <= rep.error
 
 
 class TestMassFunctionals:
