@@ -454,8 +454,8 @@ def _fit(r: np.ndarray, v: np.ndarray, powers) -> tuple | None:
     Q = U[:, s.size:]
     # 1 - h_ii summed over the residual space does not cancel, and a
     # sample of leverage 1 to rounding divides by epsilon, not by zero
-    out = np.maximum(np.einsum("ij,ij->i", Q, Q), np.finfo(float).eps)
-    loo = np.max(np.abs(w * (Q @ (Q.T @ v))) / out)
+    one_minus_h = np.maximum(np.einsum("ij,ij->i", Q, Q), np.finfo(float).eps)
+    loo = np.max(np.abs(w * (Q @ (Q.T @ v))) / one_minus_h)
     return float(w @ v), max(float(loo), QUAD_RTOL * float(np.abs(w) @ np.abs(v)))
 
 
