@@ -222,11 +222,16 @@ def _validate_chart(chart: MetricChart):
     # metric_jets and its sqrt_det (benchmark/tracer.py expects every
     # workload to call metric_jets and jetlinalg.mat_det, and the flux
     # commands read no determinant jet), and on the spheres of the decay
-    # scan, by plain evaluation; the Lee form must be finite on all of them
+    # scan, by plain evaluation; the Lee form must be finite on all of them.
+    # Every r^2 of the scan must be finite first
+    radii = _scan_radii(chart)
+    if not np.isfinite(radii[-1] ** 2):
+        raise ChartError(f"r_min {chart.r_min!r} is too large: the square of the "
+                         f"decay scan radius {float(radii[-1])!r} overflows")
     dirs = _probe_directions(chart.n)
     near = 8.0 * chart.r_min * dirs
     metric_jets(chart, near, order=1).sqrt_det
-    pts = np.concatenate([r * dirs for r in _scan_radii(chart)], axis=1)
+    pts = np.concatenate([r * dirs for r in radii], axis=1)
     _require_spd(metric_values(chart, pts), pts)
     if chart.has_lee:
         pts = np.concatenate([near, pts], axis=1)

@@ -21,6 +21,10 @@ for callers that need it again.
 Every flux series becomes a limit through one unit-free Richardson table
 of power-law fits, ``extrapolate(radii, series, n)``, finite for every
 finite series.
+A mass counts unless its report lists a reason under ``warnings``
+(``_warnings``): a diverging flux series, a non-finite limit, or an
+error beyond ``CONVERGENCE_REL`` times max(1, |limit|), on the reported
+limit and error; every flux command fails a mass that does not count.
 The radius rules live here too, and the CLI checks ``--radii`` with the
 same functions: a flux radius is finite, at least 2 r_min, and keeps
 r^(n-1) finite (``check_radius``, run by every flux); a series has at
@@ -553,8 +557,22 @@ def _normalizer(n: int, normalize: str) -> float:
     raise ValueError(f"unknown normalization {normalize!r} (raw | adm)")
 
 
+# a mass counts only with an error within this fraction of max(1, |limit|)
+CONVERGENCE_REL = 0.05
+
 DIVERGENCE_WARNING = ("flux series does not converge: its increments per unit "
                       "log-radius stop shrinking")
+NON_FINITE_WARNING = "mass limit is not finite"
+ERROR_BAR_WARNING = (f"extrapolation error exceeds {CONVERGENCE_REL:g} times the "
+                     "mass scale max(1, |limit|)")
+
+
+def _warnings(diverging: bool, limit: float, error: float) -> tuple:
+    """Every reason the mass ``limit`` +- ``error`` does not count (a NaN
+    error never fits the bar)."""
+    return tuple(text for failed, text in (
+        (diverging, DIVERGENCE_WARNING), (not math.isfinite(limit), NON_FINITE_WARNING),
+        (not error <= CONVERGENCE_REL * max(1.0, abs(limit)), ERROR_BAR_WARNING)) if failed)
 
 
 def _diverges(radii, flux) -> bool:
@@ -587,19 +605,16 @@ def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
     flux = adm_flux(chart, radii, measure)
     ext = extrapolate(radii, flux, n)
     norm = _normalizer(n, normalize)
-    warnings = (DIVERGENCE_WARNING,) if _diverges(radii, flux) else ()
-    return MassReport(kind="riemannian", radii=radii,
-                      flux=tuple(f * norm for f in flux),
-                      limit=ext.limit * norm, error=ext.error * norm,
-                      measure=measure, normalize=normalize,
-                      components={"riemannian": ext.limit * norm, "lee": 0.0,
-                                  "total": ext.limit * norm},
-                      warnings=warnings)
+    limit, error = ext.limit * norm, ext.error * norm
+    return MassReport(kind="riemannian", radii=radii, flux=tuple(f * norm for f in flux),
+                      limit=limit, error=error, measure=measure, normalize=normalize,
+                      components={"riemannian": limit, "lee": 0.0, "total": limit},
+                      warnings=_warnings(_diverges(radii, flux), limit, error))
 
 
 def _end_mass(chart: MetricChart, radii, measure: str):
     """The raw metric mass of one end, its Weyl flux series, the Lee part
-    of its mass, the error and the warnings of that series."""
+    of its mass, the error, and whether that series diverges."""
     n = chart.n
     riem = riemannian_mass(chart, radii, measure)
     radii = riem.radii
@@ -608,8 +623,7 @@ def _end_mass(chart: MetricChart, radii, measure: str):
     el = extrapolate(radii, lee, n)
     leepart = -2.0 * (n - 1) * el.limit
     err = riem.error + 2.0 * (n - 1) * el.error
-    warnings = (DIVERGENCE_WARNING,) if _diverges(radii, series) else ()
-    return riem, series, leepart, err, warnings
+    return riem, series, leepart, err, _diverges(radii, series)
 
 
 def weyl_mass(system, radii=None, measure: str = "euclidean",
@@ -619,7 +633,8 @@ def weyl_mass(system, radii=None, measure: str = "euclidean",
     Accepts a chart or an EndSystem; per end,
     m_l = m(g0) - 2(n-1) lim lee_flux, and the total weighs each end by
     a_l^{(n-2)/2}.  The report's ``metric`` holds the raw
-    ``riemannian_mass`` report m(g0) of each end, in end order.
+    ``riemannian_mass`` report m(g0) of each end, in end order.  Its
+    warnings judge the Weyl flux series of every end and the total.
     """
     if isinstance(system, MetricChart):
         system = EndSystem(ends=(End(chart=system),), name=system.name)
@@ -628,18 +643,18 @@ def weyl_mass(system, radii=None, measure: str = "euclidean",
 
     parts = []
     metric = []
-    warnings: list = []
+    diverging = False
     total = 0.0
     err = 0.0
     for endobj in system.ends:
-        riem, series, leepart, e, warn = _end_mass(endobj.chart, radii, measure)
+        riem, series, leepart, e, diverges = _end_mass(endobj.chart, radii, measure)
         metric.append(riem)
         w = endobj.a ** (0.5 * (n - 2))
         parts.append({"a": endobj.a, "radii": riem.radii,
                       "flux": tuple(f * norm for f in series),
                       "riemannian": riem.limit * norm, "lee": leepart * norm,
                       "total": (riem.limit + leepart) * norm})
-        warnings.extend(warn)
+        diverging = diverging or diverges
         total += w * (riem.limit + leepart)
         err += w * e
 
@@ -655,7 +670,7 @@ def weyl_mass(system, radii=None, measure: str = "euclidean",
     return MassReport(kind="weyl", radii=first["radii"], flux=first["flux"],
                       limit=total * norm, error=err * norm, measure=measure,
                       normalize=normalize, components=components,
-                      warnings=tuple(dict.fromkeys(warnings)), metric=tuple(metric))
+                      warnings=_warnings(diverging, total * norm, err * norm), metric=tuple(metric))
 
 
 def two_path_mass_delta(chart: MetricChart, f, base: MassReport,

@@ -57,7 +57,6 @@ TOLERANCES = {
     # mass laws
     "mass_law_rel": 5e-3,
     "scaling_match": 1e-6,
-    "aggregate_consistency": 1e-9,
     # spinor flux
     "witten_rel": 1e-2,
     "witten_imag": 1e-8,
@@ -120,8 +119,9 @@ def _check(name: str, value: float, tolerance: float, **extra) -> dict:
 def _convergence_checks(name: str, masses: dict) -> list:
     """A failing check ``name`` when a mass report of ``masses`` (label ->
     report) carries a warning, listing those masses under ``diverging``:
-    their flux series do not converge, so the limits the battery read
-    from them mean nothing.  No check when every one converges."""
+    they do not count (``mass._warnings``: a diverging series, a limit
+    that is not finite or too wide an error), so the limits the battery
+    read from them mean nothing.  No check when every one counts."""
     diverging = [label for label, rep in masses.items() if rep.warnings]
     return [_check(name, len(diverging), 0.0, diverging=diverging)] if diverging else []
 
@@ -411,7 +411,9 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
                  seed: int = 42, expected_total: float | None = None,
                  scaled: MetricChart | None = None) -> dict:
     """Global mass laws for a chart or an end system.  A mass the laws
-    read whose flux series does not converge fails ``mass-convergence``.
+    read that does not count (its report carries a warning) fails
+    ``mass-convergence``.  An end system is checked against
+    ``expected_total`` when given, and otherwise only for convergence.
     ``scaled`` is the chart in the coordinates scaled by ``LAWS_SCALING``
     when the caller built it already; otherwise it is built here."""
     from . import mass
@@ -421,33 +423,19 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     details = {}
 
     if cfg.kind == "end_system":
-        system = cfg.system
-        n = system.n
-        rep = mass.weyl_mass(system, radii=radii, measure=measure)
-        # each end's own mass, as weyl_mass of that end's chart returns it
-        parts = rep.components.get("ends")
-        singles = ([p["total"] for p in parts] if parts else
-                   [rep.components["riemannian"] + rep.components["lee"]])
-        combined = sum(e.a ** (0.5 * (n - 2)) * m
-                       for e, m in zip(system.ends, singles))
-        # an overflowing total or sum fails with its name, not with a NaN
-        # from inf - inf
-        not_finite = [label for label, v in (("total", rep.limit), ("weighted_sum", combined))
-                      if not math.isfinite(v)]
-        extra = {"not_finite": not_finite} if not_finite else {}
-        value = (math.inf if not_finite else
-                 abs(rep.limit - combined) / max(1.0, abs(combined)))
-        checks.append(_check("weyl-mass-multi-end-consistency", value,
-                             tol["aggregate_consistency"], **extra))
+        rep = mass.weyl_mass(cfg.system, radii=radii, measure=measure)
         if expected_total is not None:
             checks.append(_check("weyl-mass-multi-end-expected",
                                  abs(rep.limit - expected_total) / max(1.0, abs(expected_total)),
                                  tol["mass_law_rel"]))
         checks.extend(_convergence_checks("mass-convergence", {"weyl-mass": rep}))
-        details["per_end"] = singles
+        # each end's own mass, as weyl_mass of that end's chart returns it
+        parts = rep.components.get("ends")
+        details["per_end"] = ([p["total"] for p in parts] if parts else
+                              [rep.components["riemannian"] + rep.components["lee"]])
         details["total"] = rep.limit
-        used = {k: tol[k] for k in ("aggregate_consistency", "mass_law_rel")}
-        out = _finish("laws", checks, used, config=cfg.name, measure=measure)
+        out = _finish("laws", checks, {"mass_law_rel": tol["mass_law_rel"]},
+                      config=cfg.name, measure=measure)
         out["details"] = details
         return out
 
@@ -542,8 +530,8 @@ def _witten_end(chart: MetricChart, names: list, fields, radii, measure: str,
     ``names`` (the program ``fields``) on one chart.
 
     Every limit is compared with this chart's own Weyl mass, whose
-    warnings (a diverging series) the record carries and fail a
-    ``mass-convergence`` check; ``label`` prefixes the check names.
+    warnings (the reasons it does not count) the record carries and fail
+    a ``mass-convergence`` check; ``label`` prefixes the check names.
     """
     from . import mass
 

@@ -121,6 +121,15 @@ class TestMakeChart:
             make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "1 + 1/(r - 50)^2"})
         assert str(err.value) == "metric evaluates to a non-finite value at [50.0, 0.0, 0.0]"
 
+    def test_rejects_an_r_min_whose_decay_scan_squares_to_inf(self):
+        # 5000 r_min is the last scan radius: its square is finite at
+        # r_min = 2.6e150 and overflows at 2.7e150
+        make_chart(n=3, tau=0.75, r_min=2.6e150)
+        for r_min in (2.7e150, 1e300, 1e305):
+            with pytest.raises(ChartError) as err:
+                make_chart(n=3, tau=0.75, r_min=r_min)
+            assert str(err.value).startswith(f"r_min {r_min!r} is too large: the square")
+
     def test_unvalidated_charts_skip_the_probes(self, unvalidated):
         # the test-only route around _validate_chart: make_chart itself
         # has no option to skip it

@@ -28,7 +28,8 @@ from confmass.config import (
     load_expected,
     parse_config,
 )
-from confmass.mass import DIVERGENCE_WARNING, QUAD_ATOL, QUAD_RTOL
+from confmass.mass import (CONVERGENCE_REL, DIVERGENCE_WARNING, ERROR_BAR_WARNING,
+                           NON_FINITE_WARNING, QUAD_ATOL, QUAD_RTOL)
 
 CHART_DOC = {
     "schema_version": 1,
@@ -624,9 +625,52 @@ class TestCli:
         assert code == 0
         tol = json.loads(out)["tolerances"]
         if command == "check":
-            assert "quad_rtol" not in tol and "quad_atol" not in tol
+            assert not {"quad_rtol", "quad_atol", "convergence_rel"} & tol.keys()
         else:
-            assert (tol["quad_rtol"], tol["quad_atol"]) == (QUAD_RTOL, QUAD_ATOL)
+            assert (tol["quad_rtol"], tol["quad_atol"], tol["convergence_rel"]) == (
+                QUAD_RTOL, QUAD_ATOL, CONVERGENCE_REL)
+
+    @staticmethod
+    def slow_chart(tmp_path, scale: str = "") -> str:
+        """An n = 3 chart whose flux series settle slowly, g_ii = 1 +
+        ``scale``(2/r + 30 r^-1.2): with no ``scale`` its Weyl mass is
+        257.70 +- 35.39, a 13.7 % error bar, and its series does not diverge."""
+        g = f"1 + {scale}(2/r + 30*pow(r, -1.2))"
+        doc = {"schema_version": 1, "kind": "chart", "name": "slow", "n": 3, "tau": 0.99,
+               "r_min": 1.0, "metric": {"11": g, "22": g, "33": g}}
+        p = tmp_path / "slow.chart"
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    def test_a_mass_with_a_wide_error_bar_fails_every_flux_command(self, capsys, tmp_path):
+        # laws and witten fail it by name, as mass and weyl-mass do, and
+        # not only through the law checks that read it
+        p = self.slow_chart(tmp_path)
+        for command in ("mass", "weyl-mass"):
+            code, out, _ = run_cli(capsys, command, p)
+            res = json.loads(out)["results"]
+            assert code == 1 and res["warnings"] == [ERROR_BAR_WARNING]
+            assert res["error"] > CONVERGENCE_REL * res["limit"]
+        factors = ("1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)")
+        for command, name, masses in (
+                ("laws", "mass-convergence",
+                 ["weyl-mass", "weyl-mass-rescaled", "metric-mass",
+                  *(f"metric-mass[{f}]" for f in factors)]),
+                ("witten", "mass-convergence[weyl-mass]", ["weyl-mass"])):
+            code, out, _ = run_cli(capsys, command, p)
+            assert code == 1
+            (check,) = [c for c in json.loads(out)["results"]["checks"] if c["name"] == name]
+            assert check["pass"] is False and check["diverging"] == masses
+
+    def test_the_error_bar_is_judged_on_the_normalized_mass(self, capsys, tmp_path):
+        # the slow chart scaled by 0.01: 2.577 +- 0.354 raw is beyond 5 %
+        # of the mass, but 0.0513 +- 0.0070 in ADM units is within 5 % of
+        # the scale max(1, |limit|) = 1
+        p = self.slow_chart(tmp_path, "0.01*")
+        for flags, code, warned in (((), 1, [ERROR_BAR_WARNING]),
+                                    (("--normalize", "adm"), 0, [])):
+            got, out, _ = run_cli(capsys, "mass", p, *flags)
+            assert (got, json.loads(out)["results"]["warnings"]) == (code, warned)
 
     def test_witten_reports_carry_the_mass_warnings(self, capsys, tmp_path):
         # g = (1 + r^-0.75) delta: the mass series diverges, and the witten
@@ -1092,9 +1136,10 @@ class TestHostileConfigs:
         code, out, err = run_cli(capsys, command, str(p))
         assert (code, out, err) == (2, "", f"confmass: {message}\n")
 
-    def test_a_mass_that_overflows_fails_its_convergence(self, capsys, tmp_path):
-        # two n = 4 Schwarzschild ends of mass 12 pi^2; weighing the second
-        # by a^((n - 2)/2) = 1e308 overflows the total, which must not pass
+    @staticmethod
+    def heavy_system(tmp_path) -> str:
+        """Two n = 4 Schwarzschild ends of mass 12 pi^2; weighing the second
+        by a^((n - 2)/2) = 1e308 overflows the total."""
         g = "(1 + m/(2*r^2))^2"
         end = {"n": 4, "tau": 1.5, "r_min": 1.0, "params": {"m": 1.0},
                "metric": {f"{i}{i}": g for i in range(1, 5)}}
@@ -1102,39 +1147,45 @@ class TestHostileConfigs:
                "ends": [{"a": 1.0, "chart": end}, {"a": 1e308, "chart": end}]}
         p = tmp_path / "heavy.ends"
         p.write_text(json.dumps(doc))
-        code, out, _ = run_cli(capsys, "weyl-mass", str(p))
-        rep = json.loads(out)
-        assert code == 1 and rep["pass"] is False
-        assert rep["results"]["limit"] == math.inf and rep["results"]["warnings"] == []
+        return str(p)
 
-    def test_an_overflowing_end_system_fails_laws_without_a_nan(self, capsys, tmp_path):
-        # the same system: the total and the weighted sum of the ends are
-        # both infinite, and |inf - inf| / inf read NaN
-        g = "(1 + m/(2*r^2))^2"
-        end = {"n": 4, "tau": 1.5, "r_min": 1.0, "params": {"m": 1.0},
-               "metric": {f"{i}{i}": g for i in range(1, 5)}}
-        doc = {"schema_version": 1, "kind": "end_system", "name": "heavy",
-               "ends": [{"a": 1.0, "chart": end}, {"a": 1e308, "chart": end}]}
-        p = tmp_path / "heavy.ends"
-        p.write_text(json.dumps(doc))
-        code, out, _ = run_cli(capsys, "laws", str(p))
+    def test_a_mass_that_overflows_fails_its_convergence(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "weyl-mass", self.heavy_system(tmp_path))
         assert code == 1 and "NaN" not in out
         rep = json.loads(out)
-        (check,) = [c for c in rep["results"]["checks"]
-                    if c["name"] == "weyl-mass-multi-end-consistency"]
-        assert check["value"] == math.inf and check["pass"] is False
-        assert check["not_finite"] == ["total", "weighted_sum"]
+        assert rep["pass"] is False and rep["results"]["limit"] == math.inf
+        assert rep["results"]["warnings"] == [NON_FINITE_WARNING]
+
+    def test_an_overflowing_end_system_fails_laws_without_a_nan(self, capsys, tmp_path):
+        # the infinite total fails mass-convergence, the one failing check
+        code, out, _ = run_cli(capsys, "laws", self.heavy_system(tmp_path))
+        assert code == 1 and "NaN" not in out
+        res = json.loads(out)["results"]
+        (check,) = [c for c in res["checks"] if not c["pass"]]
+        assert (check["name"], check["diverging"]) == ("mass-convergence", ["weyl-mass"])
+        assert res["details"]["total"] == math.inf
+        assert all(math.isfinite(m) for m in res["details"]["per_end"])
 
     @pytest.mark.parametrize("limit, error, passed", [
         (math.inf, math.inf, False), (math.inf, 0.0, False), (math.nan, 0.0, False),
         (50.0, math.inf, False), (50.0, math.nan, False), (50.0, 0.1, True),
     ])
     def test_convergence_needs_a_finite_limit_and_error(self, limit, error, passed):
-        rep = mass.MassReport(kind="weyl", radii=(), flux=(), limit=limit, error=error,
-                              measure="euclidean", normalize="raw", components={})
-        report = {"tolerances": {}, "pass": True}
-        cli._converged(report, rep)
-        assert report["pass"] is passed
+        assert (mass._warnings(False, limit, error) == ()) is passed
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_an_r_min_whose_decay_scan_overflows_is_refused(self, capsys, tmp_path,
+                                                            command):
+        # the last decay scan radius 5000 r_min = 5e303 squares to inf, so
+        # the chart is refused at load, by every command with one line
+        doc = json.loads(bundled_text("schwarzschild.chart"))
+        doc["r_min"] = 1e300
+        p = tmp_path / "huge.chart"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(p))
+        assert (code, out, err) == (2, "", "confmass: huge.chart: r_min 1e+300 is too large: "
+                                    "the square of the decay scan radius "
+                                    "5.0000000000000003e+303 overflows\n")
 
     def test_check_on_a_flat_metric_with_a_lee_form(self, capsys, tmp_path):
         # every metric slot is exactly flat, so no tau_hat exists to print
