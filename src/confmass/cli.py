@@ -11,11 +11,12 @@ report to stdout, and exits
 * 2 with one ``confmass: ...`` line on stderr and nothing on stdout
   when the config or the flags are unusable (an ``--out`` or ``--csv``
   file that is a directory or sits in no directory is refused before the
-  command runs), and also when the chart
+  command runs, and so are radii that ``mass.check_radius`` or
+  ``mass.check_series`` refuses), and also when the chart
   breaks down while a command runs: a ``ChartError`` (say, a metric
-  that is not positive definite at a sample point, a flux radius that
-  ``mass.check_radius`` refuses on a derived chart, or a flux sphere
-  where the chart evaluates to a non-finite value) or an
+  that is not positive definite at a sample point, or a flux sphere
+  where evaluating the chart overflows or gives a non-finite value,
+  which the flux sample refuses by its radius) or an
   ``ArithmeticError`` (say, a jet square root of an indefinite matrix,
   or a jet division by zero).  Flux commands on a chart of dimension
   above ``mass.FLUX_MAX_DIM`` are refused the same way, before any
@@ -57,7 +58,7 @@ import argparse
 import os
 import sys
 
-from .chart import ChartError, scale_coordinates
+from .chart import ChartError
 from .config import (SCHEMA_VERSION, ConfigError, LoadedConfig, dump_report,
                      load_config, load_expected)
 
@@ -98,11 +99,11 @@ def _check_flags(args, cfg: LoadedConfig):
     """Reject flag values the config cannot honour, before any computation,
     and return the parsed ``--radii`` (None when not given): the output
     files pass ``_check_output``; ``mass`` refuses an end system before it
-    loads the mass layer; every radius
-    passes ``mass.check_radius`` and ``mass.probe_radius`` on every chart
-    of the config (for ``witten`` with its spinor program on that chart,
-    ``suites.witten_spinors``), and the series ``mass.check_series``.
-    ``_cmd_laws`` checks the radii of its coordinate-scaled chart."""
+    loads the mass layer; every radius passes ``mass.check_radius`` on
+    every chart of the config, and then the series ``mass.check_series``.
+    Only these numbers are checked here: whether the chart can be
+    evaluated on a sphere is decided by the flux sample that evaluates
+    it (``mass``)."""
     flags = COMMANDS[args.command][1]
     _check_output("out", args.out)
     if "csv" in flags:
@@ -122,20 +123,12 @@ def _check_flags(args, cfg: LoadedConfig):
                           f"n <= {mass.FLUX_MAX_DIM}; the config has n = {cfg.n}")
     if args.radii is None:
         return None
-    lee = args.command != "mass"  # the metric mass never evaluates the Lee form
-    programs = [None] * len(cfg.charts)
-    if args.command == "witten":
-        from .suites import witten_spinors
-        programs = witten_spinors(cfg)[1]
     try:
         radii = tuple(float(t) for t in args.radii.split(",") if t.strip())
         for chart in cfg.charts:
             for r in radii:
                 mass.check_radius(chart, r)
         mass.check_series(radii)
-        for chart, fields in zip(cfg.charts, programs):
-            for r in radii:
-                mass.probe_radius(chart, r, lee, fields)
     except ValueError as e:
         raise ConfigError(f"--radii: {e}") from None
     return radii
@@ -270,40 +263,15 @@ def _cmd_witten(args, cfg: LoadedConfig, radii, report: dict) -> None:
     _fold(report, report["results"])
 
 
-def _laws_scaled_chart(chart, radii):
-    """The chart in the coordinates scaled by ``suites.LAWS_SCALING``,
-    built once for ``laws`` at ``radii``, after each matched radius
-    (``suites.laws_scaled_radii``) passes ``mass.check_radius`` and
-    ``mass.probe_radius`` on it; refused like a ``--radii`` that
-    ``_check_flags`` refuses."""
-    from . import mass, suites
-
-    try:
-        scaled = scale_coordinates(chart, suites.LAWS_SCALING)
-        for r, s in zip(radii, suites.laws_scaled_radii(radii)):
-            try:
-                mass.check_radius(scaled, s)
-                mass.probe_radius(scaled, s, True)
-            except ValueError as e:
-                raise ValueError(f"{r!r} is {s!r} on the coordinate-scaled "
-                                 f"chart of laws: {e}") from None
-    except ValueError as e:
-        raise ConfigError(f"--radii: {e}") from None
-    return scaled
-
-
 def _cmd_laws(args, cfg: LoadedConfig, radii, report: dict) -> None:
     from . import suites
 
-    expected_total = scaled = None
+    expected_total = None
     if cfg.kind == "end_system":
         expected_total = _expected_entry(args, cfg).get("weyl_mass_raw")
-    elif radii is not None:
-        scaled = _laws_scaled_chart(cfg.chart, radii)
     report["results"] = suites.laws_battery(cfg, radii=radii, measure=args.measure,
                                             seed=args.seed,
-                                            expected_total=expected_total,
-                                            scaled=scaled)
+                                            expected_total=expected_total)
     _fold(report, report["results"])
 
 

@@ -28,10 +28,11 @@ limit and error; every flux command fails a mass that does not count.
 The radius rules live here too, and the CLI checks ``--radii`` with the
 same functions: a flux radius is finite, at least 2 r_min, and keeps
 r^(n-1) finite (``check_radius``, run by every flux); a series has at
-least 4 radii whose sorted successive ratios are at least 1.5
-(``check_series``, run by ``extrapolate``).  The CLI also refuses a
-radius where evaluating the chart overflows or gives a non-finite value
-(``probe_radius``); every flux sample guards its own nodes the same way.
+least 4 finite positive radii whose sorted successive ratios are at
+least 1.5 (``check_series``, run by ``extrapolate``).  Whether the chart
+can be evaluated on S_r is decided here alone, where it is evaluated:
+a flux sample refuses, by its radius, a sphere where evaluating the
+chart overflows or gives a non-finite node term (``_sample``).
 
 The sign of the Lee term is fixed by conformal invariance: with it,
 m(D) computed against g0 and against f g0 (rescaling the Lee form
@@ -99,7 +100,6 @@ __all__ = [
     "witten_flux",
     "extrapolate",
     "check_radius",
-    "probe_radius",
     "check_series",
     "riemannian_mass",
     "weyl_mass",
@@ -222,28 +222,6 @@ def _overflow(r: float) -> ChartError:
 def _non_finite(r: float) -> ChartError:
     return ChartError(f"radius {r!r} is singular: the chart evaluates to a "
                       "non-finite value on that sphere")
-
-
-def probe_radius(chart: MetricChart, r: float, lee: bool,
-                 fields: exprdsl.Program | None = None) -> None:
-    """Raise ChartError when evaluating ``chart`` at the 2n axis points
-    +-r e_i of S_r overflows or gives a non-finite value: the metric and,
-    with ``lee``, the Lee form, and the spinor program ``fields``, their
-    values and first derivatives."""
-    X = r * np.concatenate([np.eye(chart.n), -np.eye(chart.n)], axis=1)
-    coords = seed_point(X, 1)[1]
-    try:
-        with np.errstate(over="raise", divide="ignore", invalid="ignore"):
-            jets = [metric_entry_jets(chart, coords)]
-            if lee:
-                jets.append(lee_jets(chart, coords))
-            if fields is not None:
-                from .spinor import spinor_jets
-                jets.append(spinor_jets(fields, coords))
-    except FloatingPointError:
-        raise _overflow(r) from None
-    if not all(np.all(np.isfinite(j.c)) for j in jets):
-        raise _non_finite(r)
 
 
 def _flux(chart: MetricChart, r: Sequence[float], integrand, measure: str,
@@ -465,8 +443,12 @@ def _fit(r: np.ndarray, v: np.ndarray, powers) -> tuple | None:
 
 def check_series(radii) -> None:
     """Raise ValueError unless ``radii`` can carry an extrapolation: at
-    least 4 of them, with sorted successive ratios of at least 1.5."""
+    least 4 of them, each finite and positive, with sorted successive
+    ratios of at least 1.5."""
     r = sorted(radii)
+    for x in r:
+        if not (math.isfinite(x) and x > 0):
+            raise ValueError(f"radius {x!r} is not finite and positive")
     if len(r) < 4:
         raise ValueError(f"extrapolation needs at least 4 radii, got {len(r)}")
     for lo, hi in zip(r, r[1:]):

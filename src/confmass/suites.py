@@ -38,7 +38,6 @@ __all__ = [
     "identity_battery",
     "clifford_battery",
     "curvature_battery",
-    "laws_scaled_radii",
     "laws_battery",
     "witten_spinors",
     "witten_battery",
@@ -62,16 +61,10 @@ TOLERANCES = {
     "witten_imag": 1e-8,
 }
 
-#: the coordinate scaling z~ = sqrt(a) z of the laws battery's scaling check
-LAWS_SCALING = 4.0
-
-
-def laws_scaled_radii(radii) -> list:
-    """The radii sqrt(a) r at which the laws battery integrates its chart
-    in the coordinates scaled by ``LAWS_SCALING`` = a, for a series at
-    ``radii``."""
-    k = math.sqrt(LAWS_SCALING)
-    return [k * float(r) for r in radii]
+#: the coordinate scaling z~ = sqrt(a) z of the laws battery's scaling
+#: check: a = 1/4 integrates the scaled chart at r/2, on the base chart's
+#: own nodes halved, an exact power-of-two scaling
+LAWS_SCALING = 0.25
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -408,14 +401,14 @@ def curvature_battery(chart: MetricChart, points: int = 50, seed: int = 42,
 # mass laws
 
 def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
-                 seed: int = 42, expected_total: float | None = None,
-                 scaled: MetricChart | None = None) -> dict:
+                 seed: int = 42, expected_total: float | None = None) -> dict:
     """Global mass laws for a chart or an end system.  A mass the laws
     read that does not count (its report carries a warning) fails
     ``mass-convergence``.  An end system is checked against
     ``expected_total`` when given, and otherwise only for convergence.
-    ``scaled`` is the chart in the coordinates scaled by ``LAWS_SCALING``
-    when the caller built it already; otherwise it is built here."""
+    A chart's flux series is compared with that of the chart in the
+    coordinates scaled by ``LAWS_SCALING`` = a, at the matched radii
+    sqrt(a) r, where it is the chart's flux times a^((n-2)/2)."""
     from . import mass
 
     tol = TOLERANCES
@@ -481,10 +474,9 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     s = a ** (0.5 * (n - 2))
     worst = 0.0
     pairs = []
-    if scaled is None:
-        scaled = scale_coordinates(chart, a)
     # base.flux holds weyl_flux(chart, base.radii), bit for bit
-    flux_scaled = mass.weyl_flux(scaled, laws_scaled_radii(base.radii), measure=measure)
+    flux_scaled = mass.weyl_flux(scale_coordinates(chart, a),
+                                 [math.sqrt(a) * r for r in base.radii], measure=measure)
     for r, f0, fs in zip(base.radii, base.flux, flux_scaled):
         mismatch = abs(fs - s * f0) / max(1.0, abs(f0), abs(fs))
         worst = max(worst, mismatch)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from confmass import chart as chart_module
-from confmass import cli, exprdsl, jetlinalg, jets, suites, util
+from confmass import exprdsl, jetlinalg, jets, suites, util
 from confmass.chart import (
     ChartError,
     End,
@@ -350,7 +350,7 @@ class TestChartPrograms:
         (["witten", "schwarzschild-lee", "--radii", "20,40,80,160,320,640"],
          util, "CHUNK", (256, 16), 3),
         (["witten", "twoends"], util, "CHUNK", (256, 16), 6),
-        (["witten", "twoends", "--radii", "20,40,80,160"], util, "CHUNK", (256, 16), 8),
+        (["witten", "twoends", "--radii", "20,40,80,160"], util, "CHUNK", (256, 16), 6),
         (["identities", "schwarzschild-rot-lee"], suites, "POINT_BUDGET", (216_000, 2_000), 8),
     ], ids=["weyl-mass", "witten", "witten-radii", "witten-defaults",
             "witten-defaults-radii", "identities"])
@@ -359,10 +359,10 @@ class TestChartPrograms:
         # a config's expressions are lowered once, at load: each chart's
         # metric and Lee form, and its named spinor fields (schwarzschild-lee:
         # 3); the suites' own trees once per call, never once per radius,
-        # flux or point chunk.  witten reads psi_0, the fluxes and, with
-        # --radii, the probes from the loaded spinor program; a config that
-        # names none (twoends: 2 x 2 at load) has the default fields lowered
-        # once per chart by the battery and once by the radius probe.
+        # flux or point chunk.  witten reads psi_0 and the fluxes from the
+        # loaded spinor program, at any radii; a config that names none
+        # (twoends: 2 x 2 at load) has the default fields lowered once per
+        # chart by the battery.
         # identities: the config, three, its rescaled chart, two, the
         # covariance factor and the two random fields
         lower = exprdsl.lower
@@ -385,16 +385,14 @@ class TestChartPrograms:
                              ids=["default-radii", "radii"])
     def test_laws_builds_its_coordinate_scaled_chart_once(
             self, radii, capsys, monkeypatch):
-        # with --radii the CLI checks the matched radii on the scaled chart
-        # and hands that chart to the battery, which builds it only when
-        # given none
+        # the battery builds it, with or without --radii; the CLI builds none
         calls = []
 
         def counted(chart, a):
             calls.append(a)
             return scale_coordinates(chart, a)
 
-        for module in (chart_module, cli, suites):
+        for module in (chart_module, suites):
             monkeypatch.setattr(module, "scale_coordinates", counted)
         assert main(["laws", "schwarzschild", *radii]) == 0
         capsys.readouterr()

@@ -342,9 +342,6 @@ class TestCli:
         # finite, but from 1e155 on r^2 overflows in the quadrature weights
         *[("mass", "schwarzschild", "--radii", f"20,40,80,160,{r}")
           for r in ("1e155", "1e200")],
-        # laws integrates its coordinate-scaled chart at 2 r = 2e154,
-        # where r^2 overflows
-        ("laws", "schwarzschild", "--radii", "20,40,80,1e154"),
     ])
     def test_unusable_flags_exit_two_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -354,31 +351,32 @@ class TestCli:
         if "--radii" in argv:
             assert "--radii" in err
 
+    def test_laws_runs_where_the_mass_runs(self, capsys):
+        # laws integrates its coordinate-scaled chart at r/2, on the base
+        # chart's own nodes, so a radius the Weyl mass takes it takes too
+        code, out, err = run_cli(capsys, "laws", "schwarzschild",
+                                 "--radii", "20,40,80,1e154")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["details"]["scaling"][-1]["r"] == 1e154
+
     @pytest.mark.parametrize("command", ["weyl-mass", "witten"])
     def test_radius_where_the_chart_overflows_exits_two_with_one_line(
-            self, capsys, monkeypatch, command):
+            self, capsys, command):
         # the Lee form x/r^3 overflows at r = 1e154, where r^2 is still
-        # finite; x/inf would read as 0 and drop the Lee flux.  The flag
-        # check finds it before any flux runs
-        def no_sample(*args, **kwargs):
-            raise AssertionError("a flux ran")
-
-        monkeypatch.setattr(mass, "_sample", no_sample)
+        # finite; x/inf would read as 0 and drop the Lee flux.  The flux
+        # sample that evaluates it there refuses that radius
         code, out, err = run_cli(capsys, command, "schwarzschild-lee",
                                  "--radii", "20,40,80,1e154")
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("confmass: --radii: radius 1e+154 is too large")
+        assert err == ("confmass: radius 1e+154 is too large: evaluating the "
+                       "chart there overflows\n")
 
     def test_radius_where_a_spinor_field_overflows_exits_two_with_one_line(
-            self, capsys, monkeypatch, tmp_path):
-        # the metric is finite at r = 1e154 and there is no Lee form, but
-        # the spinor component 1 + x1^3/r^2 overflows there: the flag check
-        # refuses it before the Weyl-mass series runs
-        def no_flux(*args, **kwargs):
-            raise AssertionError("a flux ran")
-
+            self, capsys, tmp_path):
+        # the metric is finite at r = 1e154 and there is no Lee form, so the
+        # Weyl mass runs; the spinor component 1 + x1^3/r^2 overflows there,
+        # and the spinor flux sample refuses the radius
         zero = {"expr": "0"}
         doc = dict(CHART_DOC, spinors=[{
             "name": "cubic", "weight": -0.5,
@@ -386,12 +384,11 @@ class TestCli:
                            {"re": zero, "im": zero}]}])
         path = tmp_path / "cubic.chart"
         path.write_text(json.dumps(doc))
-        monkeypatch.setattr(mass, "_flux", no_flux)
         code, out, err = run_cli(capsys, "witten", str(path), "--radii", "20,40,80,1e154")
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1
-        assert err.startswith("confmass: --radii: radius 1e+154 is too large")
+        assert err == ("confmass: radius 1e+154 is too large: evaluating the "
+                       "chart there overflows\n")
 
     def spinor_chart(self, tmp_path, components):
         doc = dict(CHART_DOC, spinors=[{"name": "bad", "weight": -0.5,
@@ -447,21 +444,6 @@ class TestCli:
         assert out == ""
         assert err == ("confmass: spinor.chart.spinors[0]: a spinor in n = 3 has weight "
                        "(2 - n)/2 = -0.5, got 7\n")
-
-    def test_witten_radii_are_probed_with_the_default_spinors(self, capsys, monkeypatch):
-        # a config that names no spinor is integrated with the three
-        # constant ones, and their program is what the flag check evaluates
-        probe = mass.probe_radius
-        seen = []
-
-        def spy(chart, r, lee, fields=None):
-            seen.append(len(fields.outputs) // (2 * 2 ** (chart.n // 2)))
-            return probe(chart, r, lee, fields)
-
-        monkeypatch.setattr(mass, "probe_radius", spy)
-        code, _, err = run_cli(capsys, "witten", "flat", "--radii", "20,40,80,160")
-        assert code == 0, err
-        assert seen == [3] * 4
 
     def test_metric_mass_is_not_refused_where_only_the_lee_form_overflows(self, capsys):
         # mass never evaluates the Lee form x/r^3 that overflows at 1e154
@@ -563,18 +545,14 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["mass", "weyl-mass", "laws", "witten"])
     def test_radius_where_the_chart_is_singular_exits_two_with_one_line(
-            self, capsys, tmp_path, monkeypatch, command):
-        # the axis points of S_30 sit exactly on the singular sphere: the
-        # flag check refuses the radius before any flux runs
-        def no_sample(*args, **kwargs):
-            raise AssertionError("a flux ran")
-
-        monkeypatch.setattr(mass, "_sample", no_sample)
+            self, capsys, tmp_path, command):
+        # the first of the given radii lies on the singular sphere: the
+        # flux sample names it, as it names a default radius
         code, out, err = run_cli(capsys, command, self.singular_chart(tmp_path, 30),
                                  "--radii", "30,60,120,240")
         assert (code, out) == (2, "")
-        assert err == ("confmass: --radii: radius 30.0 is singular: the chart "
-                       "evaluates to a non-finite value on that sphere\n")
+        assert err == ("confmass: radius 30.0 is singular: the chart evaluates "
+                       "to a non-finite value on that sphere\n")
 
     @pytest.mark.parametrize("command", ["mass", "weyl-mass", "laws", "witten"])
     def test_flux_commands_refuse_dimensions_without_a_sphere_rule(
@@ -1186,6 +1164,19 @@ class TestHostileConfigs:
         assert (code, out, err) == (2, "", "confmass: huge.chart: r_min 1e+300 is too large: "
                                     "the square of the decay scan radius "
                                     "5.0000000000000003e+303 overflows\n")
+
+    def test_laws_runs_on_a_chart_whose_doubled_r_min_would_be_refused(
+            self, capsys, tmp_path):
+        # r_min = m = 2e150 loads: its last decay scan radius 1e154 squares
+        # to 1e308.  The coordinate-scaled chart of laws halves r_min, so
+        # it loads too; at twice r_min its decay scan would overflow
+        doc = json.loads(bundled_text("schwarzschild.chart"))
+        doc["r_min"] = doc["params"]["m"] = 2e150
+        p = tmp_path / "big.chart"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "laws", str(p))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["details"]["scaling"][0]["r"] == 4e151
 
     def test_check_on_a_flat_metric_with_a_lee_form(self, capsys, tmp_path):
         # every metric slot is exactly flat, so no tau_hat exists to print

@@ -20,11 +20,11 @@ from confmass.mass import (
     QUAD_RTOL,
     MassReport,
     adm_flux,
+    check_series,
     default_radii,
     extrapolate,
     gradient_flux,
     lee_flux,
-    probe_radius,
     riemannian_mass,
     sphere_area,
     two_path_mass_delta,
@@ -335,14 +335,18 @@ class TestFluxes:
         assert str(err.value) == ("radius 40.0 is singular: the chart evaluates "
                                   "to a non-finite value on that sphere")
 
-    def test_probe_refuses_a_singular_sphere(self):
-        # the axis points of S_30 lie exactly on the sphere where the Lee
-        # form is singular; the metric alone is finite there
-        c = make_chart(n=3, tau=0.99, r_min=1.0,
+    def test_a_lee_form_singular_on_a_sphere_refuses_only_the_weyl_mass(self):
+        # the Lee form is singular on S_30 and the metric is finite there:
+        # the metric mass never evaluates the Lee form, the Weyl mass's Lee
+        # flux sample names the radius
+        c = make_chart(n=3, tau=0.99, r_min=1.0, metric={"11": ISO, "22": ISO, "33": ISO},
                        lee=["-0.25*x1/r^3 + log(sqrt((r - 30)^2))/r^3", "0", "0"])
-        probe_radius(c, 30.0, lee=False)
-        with pytest.raises(ChartError, match="radius 30.0 is singular"):
-            probe_radius(c, 30.0, lee=True)
+        radii = [30.0, 60.0, 120.0, 240.0]
+        assert riemannian_mass(c, radii=radii).radii == tuple(radii)
+        with pytest.raises(ChartError) as err:
+            weyl_mass(c, radii=radii)
+        assert str(err.value) == ("radius 30.0 is singular: the chart evaluates "
+                                  "to a non-finite value on that sphere")
 
     def test_flat_fluxes_vanish_identically(self):
         c = flat_chart()
@@ -929,6 +933,21 @@ class TestExtrapolate:
     def test_non_finite_series_is_refused(self, bad):
         with pytest.raises(ValueError, match="not finite"):
             extrapolate([10.0, 20.0, 40.0, 80.0], [1.0, 1.1, bad, 1.2], 4)
+
+    @pytest.mark.parametrize("bad", [0.0, -20.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+    def test_a_radius_that_is_not_finite_and_positive_is_refused_by_name(
+            self, bad, first):
+        # 0 divided the ratio check, nan passed it and reached the SVD, inf
+        # was fitted, and -20 was refused for its ratio
+        radii = [bad, 20.0, 40.0, 80.0] if first else [20.0, 40.0, 80.0, 160.0, bad]
+        want = f"radius {bad!r} is not finite and positive"
+        with pytest.raises(ValueError) as err:
+            check_series(radii)
+        assert str(err.value) == want
+        with pytest.raises(ValueError) as err:
+            extrapolate(radii, [1.0, 1.1, 1.2, 1.25, 1.3][:len(radii)], 3)
+        assert str(err.value) == want
 
     def test_needs_four_samples(self):
         with pytest.raises(ValueError):

@@ -58,6 +58,7 @@ VARIANTS = {
     "identities": (("--points", "7"), ("--points", "250"), ("--jet-order", "3")),
     "mass": (("--measure", "g"), ("--radii", "20,40,80,160,320,640,1280,2560")),
     "weyl-mass": (("--normalize", "adm"), ("--radii", "20,40,80,160,320")),
+    "laws": (("--measure", "g"), ("--radii", "20,40,80,160,320")),
     "witten": (("--measure", "g"), ("--radii", "20,40,80,160,320,640")),
 }
 
