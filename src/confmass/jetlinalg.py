@@ -8,8 +8,8 @@ Taylor grades (Higham, *Functions of Matrices*, SIAM 2008, sec. 6.1):
 * the value part (grade 0) is factored once with LAPACK: ``inv`` for
   the inverse, ``eigh`` for the square root;
 * each higher grade gamma then follows in closed form from the lower
-  ones, the pairs alpha + beta = gamma coming from the JetSpace
-  multiplication table:
+  ones, the pairs alpha + beta = gamma coming from the grade plans of
+  ``jets`` (the ones the scalar quotient ``Jet.__truediv__`` reads):
 
       inverse:  X_g = -A_0^-1 sum_{a+b=g, a!=0} A_a X_b
       sqrt:     S_0 S_g + S_g S_0 = A_g - sum_{a+b=g, a,b!=0} S_a S_b,
@@ -33,27 +33,11 @@ may differ in the last bits.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .jets import Jet, JetSpace, pair_plan, pair_sum, tensor_mul
+from .jets import Jet, JetSpace, _grade_pairs, pair_sum, tensor_mul
 
 __all__ = ["mat_inv", "mat_det", "spd_sqrt"]
-
-
-@functools.lru_cache(maxsize=None)
-def _grade_pairs(space: JetSpace, k: int, nonzero_right: bool):
-    """Multiplication-table pairs (i, j) feeding the grade-k targets,
-    with alpha_i != 0 (and alpha_j != 0 if asked), plus their
-    ``pair_plan`` (None when there are none)."""
-    lo, hi = space.grade_count[k - 1], space.grade_count[k]
-    t, i, j = space._mul_t, space._mul_i, space._mul_j
-    keep = (t >= lo) & (t < hi) & (i != 0)
-    if nonzero_right:
-        keep &= j != 0
-    starts = np.searchsorted(t[keep], np.arange(lo, hi))
-    return i[keep], j[keep], (pair_plan(starts, int(keep.sum())) if keep.any() else None)
 
 
 def _graded(C: np.ndarray, space: JetSpace, X0: np.ndarray, solve,

@@ -17,17 +17,19 @@ the two products pair it with real tensor jets or with another spinor
 (see ``spinor``).
 
 There is one product path.  Every product gathers the operands on a
-precomputed pair table and sums each target coefficient with
-``pair_sum`` in a fixed order: ``tensor_mul`` (and ``Jet.__mul__``)
+precomputed pair table and sums each target coefficient's pairs left
+to right with ``pair_sum``: ``tensor_mul`` (and ``Jet.__mul__``)
 multiplies the gathered arrays elementwise, with numpy broadcasting on
 the trailing axes and no index sum, and ``tensor_matmul`` multiplies
 them as stacked matrices by ``np.matmul`` (BLAS), which is where every
-sum over a tensor or spinor index runs.  The rule that keeps a point's
-result independent of the batch it sits in: an axis whose length
-varies between calls (the batch, a stack of spinors, a chunk) is
-always a broadcast axis of ``np.matmul``, never a matrix row or
-column; only fixed index axes (n, N, n(n-1)/2) are.  That rule is held
-by tests, not by construction:
+sum over a tensor or spinor index runs.  The quotient, like the
+inverse and square root of ``jetlinalg``, solves one grade at a time
+over the same table cut by grade (``_grade_pairs``).  The rule that
+keeps a point's result independent of the batch it sits in: an axis
+whose length varies between calls (the batch, a stack of spinors, a
+chunk) is always a broadcast axis of ``np.matmul``, never a matrix row
+or column; only fixed index axes (n, N, n(n-1)/2) are.  That rule is
+held by tests, not by construction:
 ``tests/test_curvature.py::TestBatchIndependence``,
 ``tests/test_spinor.py::TestBatchIndependence`` and
 ``tests/test_jetlinalg.py::test_whole_batch_equals_single_columns_bitwise``.
@@ -39,8 +41,9 @@ Two invariants worth spelling out:
   ``exprdsl.evaluate`` run the same ``exprdsl.Program`` (the one form
   either takes, lowered once by its caller), so both take
   the same operations in the same order, and the two op tables agree op
-  by op on the value slot: division by a fixed-point recurrence whose
-  value slot is a0/b0 directly, the ring operations and the elementary
+  by op on the value slot: division solves grade by grade from the
+  value slot a0/b0 (Griewank & Walther, *Evaluating Derivatives*, 2nd
+  ed., SIAM 2008, Table 13.1), the ring operations and the elementary
   functions by the same numpy arithmetic and calls.
 * jets combined by arithmetic must live in the same (nvars, order)
   space; mixing orders is a programming error and raises.  Use
@@ -49,6 +52,7 @@ Two invariants worth spelling out:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Sequence
@@ -64,8 +68,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 3
-#: the most pairs that feed one coefficient: 2^3, for alpha = (1, 1, 1)
-MAX_PAIRS = 2 ** MAX_ORDER
 
 
 def _multi_indices(nvars: int, order: int) -> list[tuple[int, ...]]:
@@ -87,47 +89,45 @@ def _rows(idx: np.ndarray):
 def pair_plan(starts: np.ndarray, total: int) -> tuple:
     """Gather tables for ``pair_sum`` over the segments [starts[t],
     starts[t+1]) of a pair axis of length ``total``; each segment holds
-    1..MAX_PAIRS pairs.
-
-    A segment c_0, ..., c_T sums as c_0 + tail, where numpy's pairwise
-    summation (which ``np.add.reduceat`` runs per segment) folds the tail
-    left to right, ((c_1 + c_2) + c_3) + ..., except that a complex tail
-    of 4..7 starts with (c_1 + c_2) + (c_3 + c_4).  The plan holds one
-    step per pair rank, each over the segments long enough for it: rows
-    of the tail array, the pair indices to add, and for the complex
-    (c_3 + c_4) step a second index.
+    at least one pair.  The plan holds the segments' first pairs, then
+    one step per pair rank r >= 1: the segments holding more than r
+    pairs (rows of the result) and the index of their r-th pair.
     """
     starts = np.asarray(starts)
-    tails = np.diff(np.append(starts, total)) - 1
-    if not (len(tails) and 0 <= tails.min() and tails.max() < MAX_PAIRS):
-        raise ValueError(f"pair_sum segments need 1..{MAX_PAIRS} pairs each")
-    multi = np.flatnonzero(tails)
-    T = tails[multi]
-
-    def step(keep, r, second=False):
-        rows = np.flatnonzero(keep)
-        src = starts[multi[rows]] + r
-        return _rows(rows), src, (src + 1 if second else None)
-
-    real = [step(T >= r, r) for r in range(2, T.max(initial=0) + 1)]
-    cplx = real[:1] + [step(T == 3, 3), step(T >= 4, 3, second=True)] + real[3:]
-    cplx = [s for s in cplx if len(s[1])]
-    return starts, _rows(multi), starts[multi] + 1, real, cplx
+    counts = np.diff(np.append(starts, total))
+    if not (len(counts) and counts.min() >= 1):
+        raise ValueError("pair_sum segments need at least one pair each")
+    steps = []
+    for r in range(1, counts.max()):
+        rows = np.flatnonzero(counts > r)
+        steps.append((_rows(rows), starts[rows] + r))
+    return starts, steps
 
 
 def pair_sum(conv: np.ndarray, plan: tuple) -> np.ndarray:
-    """Segment sums of ``conv`` along its first axis, bitwise equal to
-    ``np.add.reduceat(conv, starts, axis=0)`` for the ``pair_plan`` of
-    those starts: one gather-add per pair rank across every segment,
-    where reduceat walks the segments one at a time."""
-    head, multi, first, real, cplx = plan
-    out = conv[head]
-    if len(first):
-        tail = conv[first]
-        for rows, a, b in (cplx if np.iscomplexobj(conv) else real):
-            tail[rows] += conv[a] if b is None else conv[a] + conv[b]
-        out[multi] += tail
+    """Segment sums of ``conv`` along its first axis for the ``pair_plan``
+    of their starts, each the left fold ((c_0 + c_1) + c_2) + ... of its
+    pairs: one gather-add per pair rank across every segment, real and
+    complex data alike."""
+    starts, steps = plan
+    out = conv[starts]
+    for rows, src in steps:
+        out[rows] += conv[src]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _grade_pairs(space: "JetSpace", k: int, nonzero_right: bool):
+    """Multiplication-table pairs (i, j) feeding the grade-k targets,
+    with alpha_i != 0 (and alpha_j != 0 if asked), plus their
+    ``pair_plan`` (None when there are none)."""
+    lo, hi = space.grade_count[k - 1], space.grade_count[k]
+    t, i, j = space._mul_t, space._mul_i, space._mul_j
+    keep = (t >= lo) & (t < hi) & (i != 0)
+    if nonzero_right:
+        keep &= j != 0
+    starts = np.searchsorted(t[keep], np.arange(lo, hi))
+    return i[keep], j[keep], (pair_plan(starts, int(keep.sum())) if keep.any() else None)
 
 
 class JetSpace:
@@ -296,21 +296,24 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        """The quotient q = a/b in one pass over the grades (Griewank &
+        Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, Table 13.1):
+        q_0 = a_0/b_0 exactly, then
+        q_g = (a_g - sum_{beta+gamma=g, beta!=0} b_beta q_gamma)/b_0."""
         if not isinstance(other, Jet):
             return Jet(self.space, self.c / other)
         self._check(other)
-        b0 = other.c[0]
+        sp, a, b = self.space, self.c, other.c
+        b0 = b[0]
         if not np.all(b0):
             raise ZeroDivisionError("jet division by a jet whose value slot is zero")
-        nil = other.c.copy()
-        nil[0] = np.zeros_like(b0)
-        bnil = Jet(other.space, nil)
-        # fixed point q <- (a - bnil*q)/b0; the value slot is a0/b0 exactly
-        # at every step, and each step extends correctness by one grade
-        q = Jet(self.space, self.c / b0)
-        for _ in range(self.space.order):
-            q = Jet(self.space, (self.c - (bnil * q).c) / b0)
-        return q
+        q = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+        q[0] = a[0] / b0
+        for k in range(1, sp.order + 1):
+            lo, hi = sp.grade_count[k - 1], sp.grade_count[k]
+            i, j, plan = _grade_pairs(sp, k, False)
+            q[lo:hi] = (a[lo:hi] - pair_sum(b[i] * q[j], plan)) / b0
+        return Jet(sp, q)
 
     def __rtruediv__(self, other):
         return Jet.constant(self.space, np.broadcast_to(

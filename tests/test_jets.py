@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confmass import exprdsl, jetlinalg, jets
+from confmass import exprdsl, jets
 from confmass.jets import Jet, JetSpace, evaluate_jet, seed_point
 
 
@@ -213,12 +213,12 @@ SPACES = [(nvars, order) for nvars in range(1, 9) for order in range(jets.MAX_OR
 
 def _pair_tables(nvars, order):
     """(pair count, plan) of the multiplication table of a space and of
-    every grade table of the jet linear algebra on it."""
+    every grade table of the jet quotient and linear algebra on it."""
     sp = JetSpace.get(nvars, order)
     tables = [(len(sp._mul_t), sp._mul_plan)]
     for k in range(1, order + 1):
         for nonzero_right in (False, True):
-            i, _, plan = jetlinalg._grade_pairs(sp, k, nonzero_right)
+            i, _, plan = jets._grade_pairs(sp, k, nonzero_right)
             if plan is not None:
                 tables.append((len(i), plan))
     return tables
@@ -242,55 +242,115 @@ def _bits(a):
 
 
 def _left_fold(conv, starts):
-    """((c_0 + c_1) + c_2) + ... per segment: not what reduceat computes."""
+    """((c_0 + c_1) + c_2) + ... per segment, one array addition at a
+    time (slices, so that no step runs as numpy scalar arithmetic)."""
     ends = list(starts[1:]) + [len(conv)]
     out = []
     for a, b in zip(starts, ends):
-        acc = conv[a]
+        acc = conv[a:a + 1]
         for k in range(a + 1, b):
-            acc = acc + conv[k]
+            acc = acc + conv[k:k + 1]
         out.append(acc)
-    return np.stack(out)
+    return np.concatenate(out)
 
 
 class TestPairSum:
     @pytest.mark.parametrize("dtype", [float, complex])
     @pytest.mark.parametrize("shape", [(), (5,), (5, 3, 3)])
-    def test_bitwise_equal_to_reduceat(self, shape, dtype):
+    def test_bitwise_equal_to_left_fold(self, shape, dtype):
         rng = np.random.default_rng(11)
         for nvars, order in SPACES:
             for total, plan in _pair_tables(nvars, order):
                 conv = _pair_data(rng, (total,) + shape, dtype)
                 with np.errstate(invalid="ignore"):
-                    want = np.add.reduceat(conv, plan[0], axis=0)
+                    want = _left_fold(conv, plan[0])
                     got = jets.pair_sum(conv, plan)
                 assert got.shape == want.shape
                 assert np.array_equal(_bits(got), _bits(want)), (nvars, order, total)
 
     @pytest.mark.parametrize("dtype", [float, complex])
-    def test_data_tell_a_left_fold_apart(self, dtype):
-        # the check above would catch a pair_sum that added left to right
+    def test_data_tell_another_order_apart(self, dtype):
+        # the check above would catch a pair_sum that added c_0 to a
+        # separately summed tail, as np.add.reduceat does
         rng = np.random.default_rng(11)
         sp = JetSpace.get(3, 3)
         conv = _pair_data(rng, (len(sp._mul_t), 5, 3, 3), dtype)
         with np.errstate(invalid="ignore"):
-            want = np.add.reduceat(conv, sp._mul_plan[0], axis=0)
+            other = np.add.reduceat(conv, sp._mul_plan[0], axis=0)
             folded = _left_fold(conv, sp._mul_plan[0])
-        assert not np.array_equal(_bits(folded), _bits(want))
+        assert not np.array_equal(_bits(folded), _bits(other))
 
-    def test_segments_hold_at_most_max_pairs(self):
-        # reduceat's sums switch to an unrolled pairwise tree at 9 real
-        # pairs; the largest segment, alpha = (1, 1, 1), has 8
-        longest = {}
-        for nvars, order in SPACES:
-            for total, plan in _pair_tables(nvars, order):
-                seg = np.diff(np.append(plan[0], total))
-                assert seg.min() >= 1
-                longest[nvars, order] = max(longest.get((nvars, order), 0), int(seg.max()))
-        assert max(longest.values()) == jets.MAX_PAIRS == 8
-        assert longest[3, 3] == 8
-        with pytest.raises(ValueError):
-            jets.pair_plan(np.array([0, 9]), 10)
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_a_segment_of_more_than_eight_pairs_folds_left(self, dtype):
+        # no jet table has more than 8 pairs per target, (1, 1, 1)'s; a
+        # plan takes segments of any length, here 3, 12, 1 and 9 pairs
+        starts = np.array([0, 3, 15, 16])
+        conv = _pair_data(np.random.default_rng(5), (25, 4), dtype)
+        with np.errstate(invalid="ignore"):
+            want = _left_fold(conv, starts)
+            got = jets.pair_sum(conv, jets.pair_plan(starts, 25))
+        assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("starts, total", [([0, 2, 2], 5), ([0, 5], 5), ([], 0),
+                                               ([0, 3, 2], 5)])
+    def test_an_empty_segment_is_refused(self, starts, total):
+        with pytest.raises(ValueError, match="at least one pair"):
+            jets.pair_plan(np.array(starts, dtype=int), total)
+
+
+def _fixed_point_quotient(a, b):
+    """a/b by the fixed point q <- (a - (b - b_0) q)/b_0, one jet product
+    per order: the kernel's former division, the reference at order 1."""
+    b0 = b.c[0]
+    nil = b.c.copy()
+    nil[0] = np.zeros_like(b0)
+    bnil = Jet(b.space, nil)
+    q = Jet(a.space, a.c / b0)
+    for _ in range(a.space.order):
+        q = Jet(a.space, (a.c - (bnil * q).c) / b0)
+    return q
+
+
+def _random_jets(rng, nvars, order, shape_a, shape_b):
+    """Two jets with coefficients of magnitudes 1e-3..1e3; b's value slot
+    is bounded away from zero."""
+    sp = JetSpace.get(nvars, order)
+
+    def coeffs(shape):
+        return rng.standard_normal((sp.m,) + shape) * 10.0 ** rng.integers(-3, 4, (sp.m,) + shape)
+
+    b = coeffs(shape_b)
+    b[0] = np.where(rng.random(shape_b) < 0.5, -1.0, 1.0) * rng.uniform(0.5, 4.0, shape_b)
+    return Jet(sp, coeffs(shape_a)), Jet(sp, b)
+
+
+class TestQuotient:
+    @pytest.mark.parametrize("nvars", [1, 3, 8])
+    @pytest.mark.parametrize("shape_a, shape_b", [((), ()), ((6,), (6,)), ((6, 4), (6, 1))])
+    def test_order_one_equals_the_fixed_point_bitwise(self, nvars, shape_a, shape_b):
+        # a grade-1 target has one pair besides the value pair, so the
+        # one-pass quotient adds and divides what the fixed point did
+        a, b = _random_jets(np.random.default_rng(nvars), nvars, 1, shape_a, shape_b)
+        got, want = (a / b).c, _fixed_point_quotient(a, b).c
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+    def test_order_three_value_slot_and_product(self):
+        rng = np.random.default_rng(3)
+        a, b = _random_jets(rng, 3, 3, (7, 4), (7, 1))
+        q = a / b
+        assert np.array_equal(_bits(q.c[0]), _bits(a.c[0] / b.c[0]))
+        # each slot of q b is a sum of pairs: a few ulps of the sum of
+        # the pairs' magnitudes
+        back = (q * b).c
+        scale = jets.tensor_mul(q.space, np.abs(q.c), np.abs(b.c))
+        assert np.all(np.abs(back - a.c) <= 4 * np.finfo(float).eps * scale)
+
+    def test_zero_value_slot_in_a_batch_raises(self):
+        a, b = _random_jets(np.random.default_rng(4), 3, 3, (5,), (5,))
+        b.c[0, 2] = 0.0
+        with pytest.raises(ZeroDivisionError):
+            _ = a / b
 
 
 class TestUnreadCoefficients:
