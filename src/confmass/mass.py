@@ -23,8 +23,8 @@ of power-law fits, ``extrapolate(radii, series, n)``, finite for every
 finite series.
 A mass counts unless its report lists a reason under ``warnings``
 (``_warnings``): a diverging flux series, a non-finite limit, or an
-error beyond ``CONVERGENCE_REL`` times max(1, |limit|), on the reported
-limit and error; every flux command fails a mass that does not count.
+error beyond ``CONVERGENCE_REL`` times ``util.scale(limit)``, on the
+reported limit and error; every flux command fails a mass that does not count.
 The radius rules live here too, and the CLI checks ``--radii`` with the
 same functions: a flux radius is finite, at least 2 r_min, and keeps
 r^(n-1) finite (``check_radius``, run by every flux); a series has at
@@ -96,7 +96,6 @@ __all__ = [
     "adm_flux",
     "lee_flux",
     "gradient_flux",
-    "weyl_flux",
     "witten_flux",
     "extrapolate",
     "check_radius",
@@ -371,15 +370,6 @@ def gradient_flux(chart: MetricChart, f, radii: Sequence[float],
     return tuple(out[:, 0].tolist()), tuple(out[:, 1].tolist())
 
 
-def weyl_flux(chart: MetricChart, radii: Sequence[float],
-              measure: str = "euclidean") -> tuple:
-    """ADM flux minus 2(n-1) times the Lee flux (the mass series), one per
-    radius."""
-    n = chart.n
-    return tuple(a - 2.0 * (n - 1) * l for a, l in zip(
-        adm_flux(chart, radii, measure), lee_flux(chart, radii, measure)))
-
-
 def witten_flux(chart: MetricChart, fields: exprdsl.Program,
                 radii: Sequence[float], measure: str = "euclidean",
                 orders: int | None = None) -> np.ndarray:
@@ -539,7 +529,7 @@ def _normalizer(n: int, normalize: str) -> float:
     raise ValueError(f"unknown normalization {normalize!r} (raw | adm)")
 
 
-# a mass counts only with an error within this fraction of max(1, |limit|)
+# a mass counts only with an error within this fraction of util.scale(limit)
 CONVERGENCE_REL = 0.05
 
 DIVERGENCE_WARNING = ("flux series does not converge: its increments per unit "
@@ -554,25 +544,26 @@ def _warnings(diverging: bool, limit: float, error: float) -> tuple:
     error never fits the bar)."""
     return tuple(text for failed, text in (
         (diverging, DIVERGENCE_WARNING), (not math.isfinite(limit), NON_FINITE_WARNING),
-        (not error <= CONVERGENCE_REL * max(1.0, abs(limit)), ERROR_BAR_WARNING)) if failed)
+        (not error <= CONVERGENCE_REL * util.scale(limit), ERROR_BAR_WARNING)) if failed)
 
 
 def _diverges(radii, flux) -> bool:
-    """True when the flux series stops settling as the radius grows.
+    """True when the flux series stops settling at its asymptotic end.
 
     The increment between successive radii, divided by the log-ratio of
     the radii, is the mean slope in ln r; for any series that tends to a
-    limit as a power law these slopes shrink outward, so a slope that
-    does not shrink (beyond a 1e-9 relative rounding floor) means the
-    series has no limit to extrapolate to.
+    limit as a power law these slopes shrink outward, so an outermost
+    slope that does not shrink (over a step beyond a 1e-9 relative
+    rounding floor) means the series has no limit to extrapolate to.
+    Inner intervals can be pre-asymptotic, so they are not judged.
     """
     order = np.argsort(radii)
     r = np.asarray(radii, dtype=np.float64)[order]
     f = np.asarray(flux, dtype=np.float64)[order]
     step = np.abs(np.diff(f))
     slope = step / np.log(r[1:] / r[:-1])
-    floor = 1e-9 * max(1.0, float(np.max(np.abs(f))))
-    return bool(np.any((slope[1:] >= slope[:-1]) & (step[1:] > floor)))
+    floor = 1e-9 * util.scale(float(np.max(np.abs(f))))
+    return bool(slope[-1] >= slope[-2] and step[-1] > floor)
 
 
 def _radii(chart: MetricChart, radii) -> tuple:
@@ -595,8 +586,8 @@ def riemannian_mass(chart: MetricChart, radii=None, measure: str = "euclidean",
 
 
 def _end_mass(chart: MetricChart, radii, measure: str):
-    """The raw metric mass of one end, its Weyl flux series, the Lee part
-    of its mass, the error, and whether that series diverges."""
+    """The raw metric mass of one end, its Weyl flux series adm - 2(n-1) lee,
+    the Lee part of its mass, the error, and whether that series diverges."""
     n = chart.n
     riem = riemannian_mass(chart, radii, measure)
     radii = riem.radii
@@ -665,6 +656,8 @@ def two_path_mass_delta(chart: MetricChart, f, base: MassReport,
     Path B adds (n-1) times the negative limit of the df(nu) flux to the
     mass of g.  The companion record compares the limits of (df/f)(nu)
     and df(nu) fluxes, which must agree.
+    ``rel_delta`` has no ``util.scale`` floor: it shows what the floored
+    ``laws`` check hides on masses far below 1.
     """
     if (path_a.radii, path_a.measure) != (base.radii, base.measure):
         raise ValueError("path_a must be taken at the radii and measure of base")

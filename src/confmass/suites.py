@@ -8,8 +8,9 @@ plain dict::
      "checks": [{"name": ..., "value": ..., "tolerance": ...,
                  "pass": bool, ...}, ...]}
 
-with residuals reported relative to the scale of the largest
-constituent term unless marked absolute.
+with residuals relative unless marked absolute: to their own terms for
+``lichnerowicz-*`` and ``pairing-*``, else to ``util.scale`` of what
+they compare.
 
 Randomness uses numpy's PCG64 generator explicitly (a fixed, documented
 algorithm), so a seed reproduces the same points, fields, and reports
@@ -158,7 +159,7 @@ def _gap_maxima(wd) -> dict:
 
 
 def _divergence_gap(m: dict) -> float:
-    return m["gap"] / max(1.0, m["trace"])
+    return m["gap"] / util.scale(m["trace"])
 
 
 def _weyl_scal_values(chart: MetricChart, pts: np.ndarray, jet_order: int) -> np.ndarray:
@@ -258,7 +259,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
         checks.append(_check("weyl-scalar-two-path", _divergence_gap(m),
                              tol["two_path_rel"]))
     checks.append(_check("weyl-scalar-conformal-covariance",
-                         m["covariance"] / max(1.0, m["scal"]),
+                         m["covariance"] / util.scale(m["scal"]),
                          tol["weyl_scalar_covariance_rel"]))
     checks.append(_check("lichnerowicz-first", m["first"] / m["first_scale"],
                          tol["lichnerowicz_rel"]))
@@ -269,9 +270,9 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
                              tol["lichnerowicz_rel"]))
     if chart.has_lee:
         checks.append(_check("dirac-square-expansion",
-                             m["expansion"] / max(1.0, m["d2"]),
+                             m["expansion"] / util.scale(m["d2"]),
                              tol["dirac_expansion_rel"]))
-    checks.append(_check("norm-identity", m["norm"] / max(1.0, m["norm_scale"]),
+    checks.append(_check("norm-identity", m["norm"] / util.scale(m["norm_scale"]),
                          tol["norm_identity_rel"]))
 
     cliff = clifford_battery(n, seed=seed)
@@ -419,7 +420,7 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
         rep = mass.weyl_mass(cfg.system, radii=radii, measure=measure)
         if expected_total is not None:
             checks.append(_check("weyl-mass-multi-end-expected",
-                                 abs(rep.limit - expected_total) / max(1.0, abs(expected_total)),
+                                 abs(rep.limit - expected_total) / util.scale(expected_total),
                                  tol["mass_law_rel"]))
         checks.extend(_convergence_checks("mass-convergence", {"weyl-mass": rep}))
         # each end's own mass, as weyl_mass of that end's chart returns it
@@ -452,9 +453,9 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     change_records = [mass.two_path_mass_delta(chart, f, riem, path_a)
                       for f, path_a in zip(factors, paths_a)]
     for f, rec in zip(factors, change_records):
-        scale = max(1.0, abs(rec["path_a"]), abs(rec["path_b"]))
         checks.append(_check(f"mass-conformal-change[{f}]",
-                             abs(rec["path_a"] - rec["path_b"]) / scale,
+                             abs(rec["path_a"] - rec["path_b"])
+                             / util.scale(rec["path_a"], rec["path_b"]),
                              tol["mass_law_rel"]))
         budget = rec["flux_equality"]["budget"]
         checks.append(_check(f"gradient-flux-agreement[{f}]",
@@ -462,9 +463,8 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
                              budget=budget, absolute=True))
     details["conformal_change"] = change_records
 
-    scale = max(1.0, abs(base.limit))
     checks.append(_check("weyl-mass-conformal-invariance",
-                         abs(base.limit - moved.limit) / scale,
+                         abs(base.limit - moved.limit) / util.scale(base.limit),
                          tol["mass_law_rel"]))
     details["weyl_mass"] = base.limit
     details["weyl_mass_rescaled"] = moved.limit
@@ -474,11 +474,10 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     s = a ** (0.5 * (n - 2))
     worst = 0.0
     pairs = []
-    # base.flux holds weyl_flux(chart, base.radii), bit for bit
-    flux_scaled = mass.weyl_flux(scale_coordinates(chart, a),
-                                 [math.sqrt(a) * r for r in base.radii], measure=measure)
+    flux_scaled = mass.weyl_mass(scale_coordinates(chart, a),
+                                 [math.sqrt(a) * r for r in base.radii], measure).flux
     for r, f0, fs in zip(base.radii, base.flux, flux_scaled):
-        mismatch = abs(fs - s * f0) / max(1.0, abs(f0), abs(fs))
+        mismatch = abs(fs - s * f0) / util.scale(f0, fs)
         worst = max(worst, mismatch)
         pairs.append({"r": float(r), "flux": f0, "flux_scaled": fs})
     checks.append(_check("weyl-mass-coordinate-scaling", worst,
@@ -545,9 +544,8 @@ def _witten_end(chart: MetricChart, names: list, fields, radii, measure: str,
         imag_max = max(abs(v.imag) for v in series)
         ext = mass.extrapolate(radii, real_series, chart.n)
         expect = 0.25 * mrep.limit * nrm2
-        scale = max(1.0, abs(expect))
         checks.append(_check(f"witten-limit[{label}{name}]",
-                             abs(ext.limit - expect) / scale,
+                             abs(ext.limit - expect) / util.scale(expect),
                              tol["witten_rel"]))
         checks.append(_check(f"witten-imag[{label}{name}]", imag_max,
                              tol["witten_imag"], absolute=True))

@@ -1,4 +1,4 @@
-"""Deterministic chunked evaluation.
+"""The residual floor (``scale``) and deterministic chunked evaluation.
 
 Numerical results must not depend on how the work is split: work is cut
 into index chunks that depend on the item count and the width alone, and
@@ -9,10 +9,17 @@ budget) share this one loop, each with its own width.
 
 from __future__ import annotations
 
-__all__ = ["CHUNK", "chunked_map"]
+__all__ = ["CHUNK", "chunked_map", "scale"]
 
 #: the node width of a flux sample's chunks
 CHUNK = 256
+
+
+def scale(*values: float) -> float:
+    """max(1, |v1|, |v2|, ...), in that order, so a NaN is passed over: the
+    one floor of every relative residual not scaled by its own terms, and
+    so the one rule ROADMAP direction 10 changes to make verdicts unit-free."""
+    return max(1.0, *(abs(v) for v in values))
 
 
 def chunked_map(fn, count: int, width: int) -> list:
