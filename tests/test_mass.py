@@ -826,6 +826,18 @@ class TestFluxSeries:
         assert len(series) == len(SERIES_RADII)
         assert np.array_equal(bits(series), bits(alone))
 
+    @pytest.mark.parametrize("measure", ["euclidean", "g"])
+    @pytest.mark.parametrize("chart", ["perturbed4", "stress"])
+    def test_weyl_series_equals_single_radius_calls_bitwise(self, chart, measure):
+        # the Weyl mass needs four radii; SERIES_RADII sit at both ends so
+        # the ladders of one series still stop at different rungs
+        c = stress_chart() if chart == "stress" else load_config(chart).chart
+        radii = (SERIES_RADII[0], 40.0, 100.0, SERIES_RADII[1])
+        series = weyl_mass(c, radii, measure).flux
+        alone = [adm_flux(c, [r], measure)[0] - 2.0 * (c.n - 1) * lee_flux(c, [r], measure)[0]
+                 for r in radii]
+        assert np.array_equal(bits(series), bits(alone))
+
     def test_first_sample_holds_the_pair_at_every_radius(self, monkeypatch):
         c = load_config("perturbed4").chart
         runs = record_rules(monkeypatch)
