@@ -8,11 +8,12 @@ precision.
 
 Layering (each module uses only the ones before it):
 
-``exprdsl``  expression language: parser, evaluator, symbolic derivative
+``exprdsl``  expression language: parser, lowering to programs, evaluator,
+             program transforms (forward-mode derivative, pullback)
 ``jets``     dense multivariate jet arithmetic, orders 1..3
 ``jetlinalg`` matrix helpers over jets (inverse, determinant, sqrt)
-``chart``    asymptotically flat charts, their validation, and the
-             parsed spinor field specs of a config
+``chart``    asymptotically flat charts, their validation and derived
+             charts, and the spinor field programs of a config
 ``curvature`` Christoffel symbols, curvature tensors, Laplacians
 ``weyl``     Weyl connections and the conformal scalar curvature
 ``clifford`` Clifford algebra representations

@@ -6,10 +6,13 @@ parameters, a decay rate tau with (n-2)/2 < tau < n-2, and an inner
 radius r_min beyond which the data is valid.  Several ends form an
 EndSystem, each carrying a normalization weight a_l > 0.
 
-``make_chart`` lowers the metric (``metric_program``: the n^2 entries
-row-major, one slot per symmetric pair) and the Lee form
-(``lee_program``) once, n and the params bound, and every evaluator of a
-chart runs those programs; derived charts are made by ``make_chart`` too.
+``make_chart`` checks the expressions and keeps only their programs,
+lowered once with n and the params bound: ``metric`` (the n^2 entries
+row-major, one slot per symmetric pair) and ``lee``, which every chart
+evaluator runs.  A derived chart (``conformal_rescale``, which takes
+the ``factor_program`` of its factor, and ``scale_coordinates``) has
+programs the ``exprdsl`` transforms build on the base chart's, validated
+as ``make_chart`` validates.
 
 The jet front end lives here too: ``metric_jets`` evaluates g and its
 inverse as jets at a point or point batch, checking positive
@@ -19,11 +22,11 @@ sqrt(det g) on first read; ``metric_entry_jets`` (g, unchecked) and
 ``metric_values`` gives the plain values of g.  Each tensor is one
 batched Jet (m, B, *index); a single point (n,) is a batch of one.
 ``decay_scan`` estimates actual decay exponents along rays as a sanity
-check against the declared tau.  A ``SpinorFieldSpec`` holds the parsed
-component expressions of a spinor field, as a chart holds those of its
-metric; one spec serves ends whose params differ, so ``spinor_program``
-lowers specs on one chart: ``config.parse_config`` lowers a config's
-fields once per chart, beside the metric and Lee programs.
+check against the declared tau.  ``spinor_program`` lowers spinor
+fields, each given by its (re, im) component sources, on one chart:
+``config.parse_config`` lowers a config's fields once per chart, beside
+the metric and Lee programs.  ``spinor_count`` is the number of
+components of a spinor in dimension n.
 """
 
 from __future__ import annotations
@@ -39,11 +42,10 @@ from .exprdsl import COORD_RE, ExprAst, Num, as_expr
 from .jets import Jet, JetSpace
 
 __all__ = [
-    "ChartError", "MetricChart", "End", "EndSystem", "MetricData",
-    "SpinorFieldSpec", "make_chart", "make_spinor_spec", "spinor_program",
-    "spinor_components", "bound_identifiers", "metric_entry_jets",
-    "metric_jets", "metric_values", "lee_jets", "decay_scan", "DecayReport",
-    "conformal_rescale", "scale_coordinates",
+    "ChartError", "MetricChart", "End", "EndSystem", "MetricData", "make_chart",
+    "spinor_count", "spinor_program", "spinor_components", "bound_identifiers",
+    "metric_entry_jets", "metric_jets", "metric_values", "lee_jets", "decay_scan",
+    "DecayReport", "factor_program", "conformal_rescale", "scale_coordinates",
 ]
 
 MAX_DIM = 8
@@ -57,17 +59,16 @@ class MetricChart(NamedTuple):
     n: int
     tau: float
     r_min: float
-    metric: tuple[tuple[ExprAst, ...], ...]  # full symmetric n x n
-    lee: tuple[ExprAst, ...]
+    metric: exprdsl.Program  # the n^2 entries, row-major
+    lee: exprdsl.Program     # the n components
     params: Mapping[str, float]
-    metric_program: exprdsl.Program  # the n^2 entries, row-major
-    lee_program: exprdsl.Program     # the n components
     name: str = ""
 
     @property
     def has_lee(self) -> bool:
-        """False when every Lee component is the literal 0."""
-        return not all(isinstance(t, Num) and t.value == 0.0 for t in self.lee)
+        """False when every Lee component is the constant 0."""
+        code = self.lee.code
+        return not all(code[k][0] == "const" and code[k][1] == 0.0 for k in self.lee.outputs)
 
 
 class End(NamedTuple):
@@ -84,41 +85,30 @@ class EndSystem(NamedTuple):
         return self.ends[0].chart.n
 
 
-class SpinorFieldSpec(NamedTuple):
-    """Component expressions (real, imaginary pairs) in the frame
-    trivialization; every operator reads the field at the weight
-    (2 - n)/2."""
-
-    components: tuple  # N pairs of ExprAst
+def spinor_count(n: int) -> int:
+    """N = 2^(n//2), the number of components of a spinor in dimension n."""
+    return 2 ** (n // 2)
 
 
-def make_spinor_spec(sources) -> SpinorFieldSpec:
-    """Parse N (real, imaginary) source pairs into a field spec."""
-    comps = [(as_expr(re), as_expr(im)) for re, im in sources]
-    k = int(np.log2(len(comps)))
-    if 2 ** k != len(comps):
-        raise ValueError(f"component count {len(comps)} is not a power of two")
-    return SpinorFieldSpec(components=tuple(comps))
-
-
-def spinor_program(chart: MetricChart, specs: Sequence[SpinorFieldSpec]) -> exprdsl.Program:
-    """The (re, im) components of ``specs``, field after field, lowered
-    with the chart's n and params; ``spinor_components`` reads its
-    outputs.  Every spec needs the 2^(n//2) components of the chart's
-    dimension."""
-    N = 2 ** (chart.n // 2)
-    for spec in specs:
-        if len(spec.components) != N:
+def spinor_program(chart: MetricChart, fields: Sequence[Sequence]) -> exprdsl.Program:
+    """The components of ``fields``, each a sequence of (re, im) source
+    pairs (strings or trees), lowered with the chart's n and params,
+    field after field and re before im; ``spinor_components`` reads its
+    outputs.  Every field needs the ``spinor_count`` components of the
+    chart's dimension."""
+    N = spinor_count(chart.n)
+    for field in fields:
+        if len(field) != N:
             raise ChartError(f"a spinor in n = {chart.n} has {N} components, "
-                             f"got {len(spec.components)}")
-    return exprdsl.lower([t for sp in specs for pair in sp.components for t in pair],
+                             f"got {len(field)}")
+    return exprdsl.lower([as_expr(t) for field in fields for pair in field for t in pair],
                          chart.n, chart.params)
 
 
 def spinor_components(values: np.ndarray, n: int) -> np.ndarray:
     """The outputs of a ``spinor_program`` over n coordinates, stacked on
     the last axis of ``values``, as complex fields (..., S, N)."""
-    return values.view(np.complex128).reshape(values.shape[:-1] + (-1, 2 ** (n // 2)))
+    return values.view(np.complex128).reshape(values.shape[:-1] + (-1, spinor_count(n)))
 
 
 def bound_identifiers(n: int, params: Mapping[str, float]) -> set:
@@ -183,14 +173,9 @@ def make_chart(n: int, tau: float, r_min: float,
         if ij in upper:
             raise ChartError(f"metric entry {key!r} given twice (symmetry)")
         upper[ij] = as_expr(src)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            a, b = (i, j) if i <= j else (j, i)
-            row.append(upper.get((a, b), Num(1.0) if i == j else Num(0.0)))
-        rows.append(tuple(row))
-    metric_t = tuple(rows)
+    # row-major; each symmetric pair is one tree, so it lowers to one slot
+    entries = [upper.get((min(i, j), max(i, j)), Num(float(i == j)))
+               for i in range(n) for j in range(n)]
 
     lee_list: list[ExprAst] = [Num(0.0)] * n
     if lee is not None:
@@ -200,24 +185,19 @@ def make_chart(n: int, tau: float, r_min: float,
         lee_list = [as_expr(e) for e in lee]
 
     allowed = bound_identifiers(n, params)
-    named = [(f"metric g{i + 1}{j + 1}", metric_t[i][j]) for i in range(n) for j in range(i, n)]
+    named = [(f"metric g{i + 1}{j + 1}", entries[i * n + j]) for i in range(n) for j in range(i, n)]
     for what, t in named + [(f"lee component {i + 1}", t) for i, t in enumerate(lee_list)]:
         bad = exprdsl.identifiers(t) - allowed
         if bad:
             raise ChartError(f"{what} uses unknown identifiers {sorted(bad)}")
 
-    # each symmetric pair is one tree, so it lowers to one slot
-    chart = MetricChart(n=n, tau=float(tau), r_min=float(r_min),
-                        metric=metric_t, lee=tuple(lee_list), params=params,
-                        metric_program=exprdsl.lower([t for row in metric_t for t in row],
-                                                     n, params),
-                        lee_program=exprdsl.lower(lee_list, n, params), name=name)
-    _validate_chart(chart)
-    return chart
+    return _validate_chart(MetricChart(
+        n=n, tau=float(tau), r_min=float(r_min), metric=exprdsl.lower(entries, n, params),
+        lee=exprdsl.lower(lee_list, n, params), params=params, name=name))
 
 
 @np.errstate(all="ignore")  # non-finite values are refused by name, not warned of
-def _validate_chart(chart: MetricChart):
+def _validate_chart(chart: MetricChart) -> MetricChart:
     # positive definiteness probe on the sphere r = 8 r_min, through
     # metric_jets and its sqrt_det (benchmark/tracer.py expects every
     # workload to call metric_jets and jetlinalg.mat_det, and the flux
@@ -235,10 +215,11 @@ def _validate_chart(chart: MetricChart):
     _require_spd(metric_values(chart, pts), pts)
     if chart.has_lee:
         pts = np.concatenate([near, pts], axis=1)
-        finite = np.all(np.isfinite(exprdsl.evaluate(chart.lee_program, pts)), axis=1)
+        finite = np.all(np.isfinite(exprdsl.evaluate(chart.lee, pts)), axis=1)
         if not finite.all():
             q = int(np.argmin(finite))
             raise ChartError(f"lee form evaluates to a non-finite value at {pts[:, q].tolist()}")
+    return chart
 
 
 class MetricData:
@@ -298,13 +279,13 @@ def _require_spd(G: np.ndarray, points: np.ndarray) -> None:
 
 def metric_values(chart: MetricChart, X: np.ndarray) -> np.ndarray:
     """g_ij values at the columns of X (n, B) as a (B, n, n) array."""
-    return exprdsl.evaluate(chart.metric_program, X).reshape(X.shape[1], chart.n, chart.n)
+    return exprdsl.evaluate(chart.metric, X).reshape(X.shape[1], chart.n, chart.n)
 
 
 def metric_entry_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
     """g as one jet (m, B, i, j) over the coordinate jets ``coords``,
     by the chart's metric program."""
-    g = jets.evaluate_jet(chart.metric_program, coords).c
+    g = jets.evaluate_jet(chart.metric, coords).c
     return Jet(coords[0].space, g.reshape(g.shape[:-1] + (chart.n, chart.n)))
 
 
@@ -323,7 +304,7 @@ def metric_jets(chart: MetricChart, points, order: int = 2) -> MetricData:
 
 def lee_jets(chart: MetricChart, coords: list[Jet]) -> Jet:
     """theta as one jet (m, B, i) over the coordinate jets ``coords``."""
-    return jets.evaluate_jet(chart.lee_program, coords)
+    return jets.evaluate_jet(chart.lee, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +376,7 @@ def decay_scan(chart: MetricChart) -> DecayReport:
                   chart.tau, "metric")
         if est is not None:
             tau_fits.append(est)
-    lee = exprdsl.evaluate(chart.lee_program, pts)
+    lee = exprdsl.evaluate(chart.lee, pts)
     for i in range(n):
         fit(f"theta{i + 1}", lee[:, i], chart.tau + 1.0, "lee")
 
@@ -408,24 +389,29 @@ def decay_scan(chart: MetricChart) -> DecayReport:
 # ---------------------------------------------------------------------------
 # chart transforms
 
-def conformal_rescale(chart: MetricChart, factor) -> MetricChart:
-    """The chart of (f g, theta - df/(2f)) for a positive conformal factor f.
+def _derived(chart: MetricChart, suffix: str, **fields) -> MetricChart:
+    """``chart`` with ``fields`` replaced and ``suffix`` on its name,
+    validated as ``make_chart`` validates."""
+    return _validate_chart(
+        chart._replace(name=f"{chart.name}~{suffix}" if chart.name else suffix, **fields))
+
+
+def factor_program(chart: MetricChart, factor) -> exprdsl.Program:
+    """A scalar ``factor`` (source or tree) lowered with the chart's n and
+    params, as ``conformal_rescale`` and ``mass.gradient_flux`` take it."""
+    return exprdsl.lower([as_expr(factor)], chart.n, chart.params)
+
+
+def conformal_rescale(chart: MetricChart, f: exprdsl.Program) -> MetricChart:
+    """The chart of (f g, theta - df/(2f)) for a positive conformal factor
+    f, given as its ``factor_program``.
 
     This is the closed-form counterpart of the jet-level Lee transform:
     rescaling the metric inside the conformal class shifts the Lee form by
     -d(log f)/2, which keeps the associated torsion-free connection fixed.
     """
-    f = as_expr(factor)
-    metric = {(i + 1, j + 1): exprdsl.emul(f, chart.metric[i][j])
-              for i in range(chart.n) for j in range(i, chart.n)}
-    lee = []
-    for i in range(chart.n):
-        df = exprdsl.derivative(f, f"x{i + 1}")
-        shift = exprdsl.ediv(df, exprdsl.emul(Num(2.0), f))
-        lee.append(exprdsl.esub(chart.lee[i], shift))
-    return make_chart(chart.n, chart.tau, chart.r_min, metric=metric, lee=lee,
-                      params=dict(chart.params),
-                      name=(chart.name + "~rescaled") if chart.name else "rescaled")
+    metric, lee = exprdsl.conformal_join(chart.metric, chart.lee, f)
+    return _derived(chart, "rescaled", metric=metric, lee=lee)
 
 
 def scale_coordinates(chart: MetricChart, a: float) -> MetricChart:
@@ -438,12 +424,6 @@ def scale_coordinates(chart: MetricChart, a: float) -> MetricChart:
     if not a > 0:
         raise ChartError(f"scale factor must be positive, got {a}")
     s = 1.0 / math.sqrt(a)
-    mapping = {f"x{i + 1}": exprdsl.emul(Num(s), exprdsl.Var(f"x{i + 1}"))
-               for i in range(chart.n)}
-    mapping["r"] = exprdsl.emul(Num(s), exprdsl.Var("r"))
-    metric = {(i + 1, j + 1): exprdsl.substitute(chart.metric[i][j], mapping)
-              for i in range(chart.n) for j in range(i, chart.n)}
-    lee = [exprdsl.emul(Num(s), exprdsl.substitute(t, mapping)) for t in chart.lee]
-    return make_chart(chart.n, chart.tau, math.sqrt(a) * chart.r_min,
-                      metric=metric, lee=lee, params=dict(chart.params),
-                      name=(chart.name + "~scaled") if chart.name else "scaled")
+    return _derived(chart, "scaled", r_min=math.sqrt(a) * chart.r_min,
+                    metric=exprdsl.pullback(chart.metric, s),
+                    lee=exprdsl.pullback(chart.lee, s, s))

@@ -290,8 +290,14 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Refuse unusable arguments in one line, as every other refusal."""
+        self.exit(2, f"confmass: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="confmass",
         description="Conformal-geometry batteries on asymptotically flat charts")
     sub = parser.add_subparsers(dest="command", required=True)

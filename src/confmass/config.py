@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 from . import exprdsl
 from .chart import (ChartError, End, EndSystem, MetricChart, bound_identifiers, make_chart,
-                    make_spinor_spec, spinor_program)
+                    spinor_count, spinor_program)
 from .exprdsl import ExprAst
 
 __all__ = [
@@ -113,7 +113,7 @@ class LoadedConfig(NamedTuple):
     name: str
     chart: MetricChart | None
     system: EndSystem | None
-    spinors: tuple  # ((name, SpinorFieldSpec), ...)
+    spinors: tuple  # the names of the spinor fields, in order
     spinor_programs: tuple  # all of them lowered on each of ``charts``, or ()
     # the bundled file a name resolved to; None for a filesystem path
     bundled: str | None = None
@@ -131,19 +131,19 @@ class LoadedConfig(NamedTuple):
 def _parse_spinors(doc: dict, where: str, charts) -> dict:
     """The ``LoadedConfig`` fields of the named spinors of ``doc`` (each
     with its own name, the weight (2 - n)/2 that ``witten`` integrates,
-    the N = 2^(n//2) components of the dimension and no identifier that
-    one of ``charts`` leaves unbound), their specs lowered on each chart."""
+    the ``spinor_count`` N = 2^(n//2) components of the dimension and no
+    identifier that one of ``charts`` leaves unbound), lowered on each chart."""
     n = charts[0].n
-    N = 2 ** (n // 2)
+    N = spinor_count(n)
     bound = set.intersection(*(bound_identifiers(c.n, c.params) for c in charts))
-    out = []
+    names, fields = [], []
     spinors = _require(doc, "spinors", list, where) if "spinors" in doc else ()
     for k, sp in enumerate(spinors):
         w = f"{where}.spinors[{k}]"
         if not isinstance(sp, dict):
             raise ConfigError(f"{w}: expected an object")
         name = _require(sp, "name", str, w) if "name" in sp else f"spinor{k}"
-        if name in dict(out):
+        if name in names:
             raise ConfigError(f"{w}: the name {name!r} is already taken")
         weight = _require(sp, "weight", (int, float), w)
         if weight != 1 - n / 2:
@@ -160,17 +160,16 @@ def _parse_spinors(doc: dict, where: str, charts) -> dict:
                 raise ConfigError(f"{wc}: expected an object with re/im")
             pairs.append((_expr(comp.get("re", "0"), wc + ".re"),
                           _expr(comp.get("im", "0"), wc + ".im")))
-        spec = make_spinor_spec(pairs)
-        for c, comp in enumerate(spec.components):
+        for c, comp in enumerate(pairs):
             for part, tree in zip(("re", "im"), comp):
                 bad = exprdsl.identifiers(tree) - bound
                 if bad:
                     raise ConfigError(f"{w}.components[{c}].{part}: uses unknown "
                                       f"identifiers {sorted(bad)}")
-        out.append((name, spec))
-    specs = [spec for _, spec in out]
-    return {"spinors": tuple(out),
-            "spinor_programs": tuple(spinor_program(c, specs) for c in charts) if out else ()}
+        names.append(name)
+        fields.append(pairs)
+    return {"spinors": tuple(names),
+            "spinor_programs": tuple(spinor_program(c, fields) for c in charts) if names else ()}
 
 
 def _parse_chart_fields(doc: dict, where: str, name: str) -> MetricChart:

@@ -47,6 +47,13 @@ evaluated once as its literal, any other ``pow`` to exp(s*log(u)).
 ``jets.evaluate_jet`` runs the same program with a jet op table; both
 take only a ``Program``, lowered once where its trees are made, and
 refuse a coordinate count other than its n.
+
+Transforms build programs on lowered ones, never on trees, through
+``lower``'s value numbering: ``derivative`` is forward mode over the
+slots (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 3),
+linear in the program; ``pullback`` reads x as s x; ``conformal_join``
+emits f g and theta - df/(2f).  They fold a constant 0 operand and a
+factor or divisor 1, emitting nothing for them.
 """
 
 from __future__ import annotations
@@ -62,7 +69,7 @@ __all__ = [
     "ParseError", "EvalError",
     "Program", "RING_OPS", "parse", "as_expr", "lower", "evaluate",
     "identifiers", "is_coordinate_free",
-    "substitute", "derivative", "eadd", "esub", "emul", "ediv",
+    "derivative", "pullback", "conformal_join",
     "FUNCTIONS", "MAX_INT_EXPONENT", "MAX_NESTING", "COORD_RE",
 ]
 
@@ -326,19 +333,6 @@ def _fold(trees: Sequence[ExprAst], visit: Callable, children: Callable = _child
     return values
 
 
-def _rebuild(node: ExprAst, kids: Sequence[ExprAst]) -> ExprAst:
-    """``node`` with the children ``kids`` in place of its own."""
-    if isinstance(node, Neg):
-        return Neg(kids[0])
-    if isinstance(node, BinOp):
-        return BinOp(node.op, kids[0], kids[1])
-    if isinstance(node, Pow):
-        return Pow(kids[0], node.exponent)
-    if isinstance(node, Call):
-        return Call(node.fn, tuple(kids))
-    return node
-
-
 def identifiers(ast: ExprAst) -> set[str]:
     """All identifier names appearing in the tree."""
     out: set[str] = set()
@@ -395,6 +389,114 @@ class Program(NamedTuple):
         return [slots[k] for k in self.outputs]
 
 
+class _Emitter:
+    """Straight-line code under construction: ``emit`` returns the slot
+    of an equal instruction if there is one, so ``lower`` shares slots.
+    The transforms also use ``add``, ``sub``, ``mul`` and ``div``, which
+    fold a constant 0 operand and a factor or divisor 1, with None for a
+    zero never emitted; ``program`` emits one only where an output is 0.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.code, self.slot_of = n, [], {}
+
+    def emit(self, op: str, lit=None, *args: int) -> int:
+        key = (op, lit.hex() if isinstance(lit, float) else lit, args)
+        k = self.slot_of.get(key)
+        if k is None:
+            k = self.slot_of[key] = len(self.code)
+            self.code.append((op, lit, args))
+        return k
+
+    def slot(self, k: int | None) -> int:
+        return self.emit("const", 0.0) if k is None else k
+
+    def program(self, outputs: Sequence[int | None]) -> Program:
+        outputs = tuple(self.slot(k) for k in outputs)
+        return Program(code=tuple(self.code), outputs=outputs, n=self.n)
+
+    def copy(self, prog: Program, coord: Callable[[int], int] | None = None) -> list[int]:
+        """Emit ``prog``'s code on top of this code: the new slot of each
+        of its slots, coordinate i read as the slot ``coord(i)`` if given."""
+        slots: list[int] = []
+        for op, lit, args in prog.code:
+            slots.append(coord(lit) if op == "coord" and coord else
+                         self.emit(op, lit, *(slots[a] for a in args)))
+        return slots
+
+    def _is(self, k: int | None, v: float) -> bool:
+        return v == 0.0 if k is None else self.code[k][0] == "const" and self.code[k][1] == v
+
+    def add(self, a, b):
+        if self._is(a, 0.0):
+            return b
+        return a if self._is(b, 0.0) else self.emit("+", None, a, b)
+
+    def sub(self, a, b):
+        if self._is(b, 0.0):
+            return a
+        return self.emit("neg", None, b) if self._is(a, 0.0) else self.emit("-", None, a, b)
+
+    def mul(self, a, b):
+        if self._is(a, 0.0) or self._is(b, 0.0):
+            return None
+        if self._is(a, 1.0):
+            return b
+        return a if self._is(b, 1.0) else self.emit("*", None, a, b)
+
+    def div(self, a, b):
+        if self._is(a, 0.0):
+            return None
+        return a if self._is(b, 1.0) else self.emit("/", None, a, self.slot(b))
+
+    def forward(self, coord: int, count: int) -> list:
+        """d/dx_coord of each of the first ``count`` slots, a slot or None
+        for zero, which propagates emitting nothing.  Each instruction takes
+        the rule of the tree it lowered from: a square a*a (``^2``) as
+        (2*a)*da, any other product by the product rule, a quotient as
+        (da*b - a*db)/(b*b), sqrt(u) as du/(2*sqrt(u)), u^s as u^s*(s*(du/u))."""
+        emit, d = self.emit, []
+        for k, (op, lit, args) in enumerate(self.code[:count]):
+            da = [d[a] for a in args]
+            a, b = (args + (None, None))[:2]
+            if op == "coord":
+                dk = emit("const", 1.0) if lit == coord else None
+            elif all(self._is(x, 0.0) for x in da):  # constant along x_coord
+                dk = None
+            elif op == "+":
+                dk = self.add(*da)
+            elif op == "-":
+                dk = self.sub(*da)
+            elif op == "*" and a != b:
+                dk = self.add(self.mul(da[0], b), self.mul(a, da[1]))
+            elif op == "/":
+                num = self.sub(self.mul(da[0], b), self.mul(a, da[1]))
+                dk = None if self._is(num, 0.0) else emit("/", None, num, emit("*", None, b, b))
+            elif op == "*":
+                dk = self.mul(emit("*", None, emit("const", 2.0), a), da[0])
+            elif op == "neg":
+                dk = emit("neg", None, da[0])
+            elif op == "sqrt":
+                dk = emit("/", None, da[0], emit("*", None, emit("const", 2.0), k))
+            elif op == "exp":
+                dk = self.mul(k, da[0])
+            elif op == "log":
+                dk = self.div(da[0], a)
+            elif op == "sin":
+                dk = self.mul(emit("cos", None, a), da[0])
+            elif op == "cos":
+                dk = emit("neg", None, self.mul(emit("sin", None, a), da[0]))
+            elif op == "atan":
+                dk = emit("/", None, da[0],
+                          emit("+", None, emit("const", 1.0), emit("*", None, a, a)))
+            elif op == "powc":
+                dk = self.mul(k, self.mul(emit("const", lit), self.div(da[0], a)))
+            else:
+                raise EvalError(f"no derivative rule for {op!r}")
+            d.append(dk)
+        return d
+
+
 def lower(trees: Sequence[ExprAst], n: int,
           params: Mapping[str, float] | None = None) -> Program:
     """Lower ``trees`` over n coordinates to one program.
@@ -404,17 +506,9 @@ def lower(trees: Sequence[ExprAst], n: int,
     order.  Unbound identifiers and coordinates beyond n raise EvalError.
     """
     params = params or {}
-    code: list = []
-    slot_of: dict = {}
+    out = _Emitter(n)
+    emit = out.emit
     radius: list = []  # r's slot, lowered on first use
-
-    def emit(op: str, lit=None, *args: int) -> int:
-        key = (op, lit.hex() if isinstance(lit, float) else lit, args)
-        k = slot_of.get(key)
-        if k is None:
-            k = slot_of[key] = len(code)
-            code.append((op, lit, args))
-        return k
 
     def children(node: ExprAst) -> tuple:
         if isinstance(node, Call) and node.fn == "pow" and is_coordinate_free(node.args[1]):
@@ -467,8 +561,7 @@ def lower(trees: Sequence[ExprAst], n: int,
             return emit("exp", None, emit("*", None, kids[1], emit("log", None, base)))
         raise EvalError(f"unknown node {node!r}")
 
-    outputs = tuple(_fold(trees, visit, children))
-    return Program(code=tuple(code), outputs=outputs, n=n)
+    return out.program(_fold(trees, visit, children))
 
 
 def evaluate(prog: Program, coords) -> np.ndarray:
@@ -491,123 +584,41 @@ def evaluate(prog: Program, coords) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# structural helpers: substitution and symbolic derivative
-#
-# These exist so charts can be transformed in closed form (conformal
-# rescaling g -> f g with theta -> theta - df/(2f), and coordinate scaling
-# z -> z/sqrt(a)).  They are deliberately simple -- enough algebraic
-# simplification to keep trees small, no more.
+# transforms: new programs emitted on top of lowered ones
 
-_ZERO = Num(0.0)
-_ONE = Num(1.0)
-
-
-def _is_const(node: ExprAst, v: float) -> bool:
-    return isinstance(node, Num) and node.value == v
-
-
-def eadd(a: ExprAst, b: ExprAst) -> ExprAst:
-    if _is_const(a, 0.0):
-        return b
-    if _is_const(b, 0.0):
-        return a
-    return BinOp("+", a, b)
+def derivative(prog: Program) -> Program:
+    """``prog``'s outputs, then for each coordinate index i < n in turn
+    d/dx_i of every output, by forward mode over its slots: at most five
+    instructions per instruction and coordinate (a quotient's)."""
+    out = _Emitter(prog.n)
+    slots = out.copy(prog)
+    outputs = [slots[k] for k in prog.outputs]
+    for i in range(prog.n):
+        d = out.forward(i, len(slots))
+        outputs += [d[slots[k]] for k in prog.outputs]
+    return out.program(outputs)
 
 
-def esub(a: ExprAst, b: ExprAst) -> ExprAst:
-    if _is_const(b, 0.0):
-        return a
-    if _is_const(a, 0.0):
-        return Neg(b)
-    return BinOp("-", a, b)
+def pullback(prog: Program, s: float, factor: float = 1.0) -> Program:
+    """The program of ``factor`` * prog(s x): every coordinate read as
+    s*x_i, every output multiplied by ``factor``; s = 1 and factor 1
+    emit nothing."""
+    out = _Emitter(prog.n)
+    slots = out.copy(prog, None if s == 1.0 else lambda i: out.emit(
+        "*", None, out.emit("const", float(s)), out.emit("coord", i)))
+    c = None if factor == 1.0 else out.emit("const", float(factor))
+    return out.program([slots[k] if c is None else out.mul(c, slots[k]) for k in prog.outputs])
 
 
-def emul(a: ExprAst, b: ExprAst) -> ExprAst:
-    if _is_const(a, 0.0) or _is_const(b, 0.0):
-        return _ZERO
-    if _is_const(a, 1.0):
-        return b
-    if _is_const(b, 1.0):
-        return a
-    return BinOp("*", a, b)
-
-
-def ediv(a: ExprAst, b: ExprAst) -> ExprAst:
-    if _is_const(a, 0.0):
-        return _ZERO
-    if _is_const(b, 1.0):
-        return a
-    return BinOp("/", a, b)
-
-
-def substitute(ast: ExprAst, mapping: Mapping[str, ExprAst]) -> ExprAst:
-    """Replace identifiers by subtrees.  Note ``r`` must be mapped
-    explicitly when the coordinates are transformed."""
-    def visit(node: ExprAst, kids: Sequence[ExprAst]) -> ExprAst:
-        return mapping.get(node.name, node) if isinstance(node, Var) else _rebuild(node, kids)
-
-    return _fold([ast], visit)[0]
-
-
-def derivative(ast: ExprAst, coord: str) -> ExprAst:
-    """Symbolic partial derivative with respect to coordinate ``coord``.
-
-    The derived radius obeys the chain rule d r / d x_i = x_i / r.
-    Parameters differentiate to zero.
-    """
-    if not COORD_RE.match(coord):
-        raise ValueError(f"derivative is with respect to a coordinate, got {coord!r}")
-
-    def d(node: ExprAst, kids: Sequence[ExprAst]) -> ExprAst:
-        if isinstance(node, Num):
-            return _ZERO
-        if isinstance(node, Var):
-            if node.name == coord:
-                return _ONE
-            if node.name == "r":
-                return ediv(Var(coord), Var("r"))
-            return _ZERO
-        if isinstance(node, Neg):
-            (da,) = kids
-            return _ZERO if _is_const(da, 0.0) else Neg(da)
-        if isinstance(node, BinOp):
-            da, db = kids
-            if node.op == "+":
-                return eadd(da, db)
-            if node.op == "-":
-                return esub(da, db)
-            if node.op == "*":
-                return eadd(emul(da, node.right), emul(node.left, db))
-            # quotient rule
-            num = esub(emul(da, node.right), emul(node.left, db))
-            return ediv(num, Pow(node.right, 2))
-        if isinstance(node, Pow):
-            (db,) = kids
-            if node.exponent == 0 or _is_const(db, 0.0):
-                return _ZERO
-            coef = emul(Num(float(node.exponent)), Pow(node.base, node.exponent - 1))
-            return emul(coef, db)
-        if isinstance(node, Call):
-            if node.fn == "pow":
-                (u, s), (du, ds) = node.args, kids
-                # d(u^s) = u^s * (ds*log u + s*du/u)
-                terms = eadd(emul(ds, Call("log", (u,))), emul(s, ediv(du, u)))
-                return emul(Call("pow", (u, s)), terms)
-            (u,), (du,) = node.args, kids
-            if _is_const(du, 0.0):
-                return _ZERO
-            if node.fn == "sqrt":
-                return ediv(du, emul(Num(2.0), Call("sqrt", (u,))))
-            if node.fn == "exp":
-                return emul(Call("exp", (u,)), du)
-            if node.fn == "log":
-                return ediv(du, u)
-            if node.fn == "sin":
-                return emul(Call("cos", (u,)), du)
-            if node.fn == "cos":
-                return Neg(emul(Call("sin", (u,)), du))
-            if node.fn == "atan":
-                return ediv(du, eadd(_ONE, Pow(u, 2)))
-        raise TypeError(f"unknown node {node!r}")
-
-    return _fold([ast], d)[0]
+def conformal_join(metric: Program, lee: Program, factor: Program) -> tuple[Program, Program]:
+    """The programs of f*g and theta - df/(2f), f the one output of
+    ``factor``: every output of ``metric`` times f, and from the i-th
+    output of ``lee`` (d/dx_i f)/(2*f) subtracted."""
+    grad = derivative(factor)  # f, then its n derivatives
+    g, t = _Emitter(metric.n), _Emitter(lee.n)
+    f, entries = g.copy(factor)[factor.outputs[0]], g.copy(metric)
+    fs, theta = t.copy(grad), t.copy(lee)
+    two_f = t.mul(t.emit("const", 2.0), fs[grad.outputs[0]])
+    return (g.program([g.mul(f, entries[k]) for k in metric.outputs]),
+            t.program([t.sub(theta[k], t.div(fs[df], two_f))
+                       for k, df in zip(lee.outputs, grad.outputs[1:])]))

@@ -269,7 +269,8 @@ def _sample(chart: MetricChart, rules, integrand, measure: str) -> list:
     last node is in, then released.  A chunk whose evaluation overflows
     or gives a non-finite node term raises ChartError naming a radius
     that does so on its own: past an overflow, x/inf reads as 0 and the
-    flux would be wrong, and a non-finite term has no limit to fit.
+    flux would be wrong, and a non-finite term has no limit to fit.  A
+    rule whose finite terms sum past the largest float raises too.
     """
     n = chart.n
     units = [_unit_rule(n, N) for _, N in rules]
@@ -309,7 +310,10 @@ def _sample(chart: MetricChart, rules, integrand, measure: str) -> list:
             if starts[k] + j == ends[k]:
                 t = np.concatenate(parts[k], axis=-1)
                 parts[k] = None
-                sums[k] = (t.sum(axis=-1), np.abs(t).sum(axis=-1))
+                with np.errstate(over="ignore"):
+                    sums[k] = (t.sum(axis=-1), np.abs(t).sum(axis=-1))
+                if not np.all(np.isfinite(sums[k][1])):  # it bounds the flux
+                    raise _overflow(rules[k][0])
 
     # integrands may return (S, B): S fluxes over one shared sample
     util.chunked_map(chunk, ends[-1] if ends else 0, util.CHUNK)
@@ -347,24 +351,22 @@ def lee_flux(chart: MetricChart, radii: Sequence[float], measure: str = "euclide
     """Integral over S_r of theta(nu), one per radius (``orders`` as in
     ``adm_flux``)."""
     def integrand(Xc, nu):
-        return _normal_part(exprdsl.evaluate(chart.lee_program, Xc), nu)
+        return _normal_part(exprdsl.evaluate(chart.lee, Xc), nu)
 
     return tuple(_flux(chart, radii, integrand, measure, orders).tolist())
 
 
-def gradient_flux(chart: MetricChart, f, radii: Sequence[float],
+def gradient_flux(chart: MetricChart, f: exprdsl.Program, radii: Sequence[float],
                   measure: str = "euclidean") -> tuple:
-    """Integrals over S_r of df(nu) and of (df/f)(nu): two series with one
-    flux per radius, from one ladder that climbs until both agree."""
-    n = chart.n
-    ast = exprdsl.as_expr(f)
-    prog = exprdsl.lower([exprdsl.derivative(ast, f"x{i + 1}") for i in range(n)] + [ast],
-                         n, chart.params)
+    """Integrals over S_r of df(nu) and of (df/f)(nu), f given as its
+    ``chart.factor_program``: two series with one flux per radius, from
+    one ladder that climbs until both agree."""
+    prog = exprdsl.derivative(f)  # f, then its n derivatives
 
     def integrand(Xc, nu):
         vals = exprdsl.evaluate(prog, Xc)
-        df = _normal_part(vals[:, :n], nu)
-        return np.stack([df, df / vals[:, n]])
+        df = _normal_part(vals[:, 1:], nu)
+        return np.stack([df, df / vals[:, 0]])
 
     out = _flux(chart, radii, integrand, measure, None)
     return tuple(out[:, 0].tolist()), tuple(out[:, 1].tolist())
@@ -646,9 +648,10 @@ def weyl_mass(system, radii=None, measure: str = "euclidean",
                       warnings=_warnings(diverging, total * norm, err * norm), metric=tuple(metric))
 
 
-def two_path_mass_delta(chart: MetricChart, f, base: MassReport,
+def two_path_mass_delta(chart: MetricChart, f: exprdsl.Program, base: MassReport,
                         path_a: MassReport) -> dict:
-    """Two-path check of the conformal mass-change law.
+    """Two-path check of the conformal mass-change law, f given as its
+    ``chart.factor_program``.
 
     ``base`` is the raw ``riemannian_mass`` of ``chart`` and ``path_a``
     that of the rescaled chart (f g); the df(nu) fluxes are taken at the

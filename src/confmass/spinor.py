@@ -14,8 +14,7 @@ before the spinor axis: ``covd_coord`` takes (m, B, ..., N) and returns
 (m, B, n, ..., N), the coordinate direction third, and ``covd_frame``,
 ``dirac`` and ``coframe_action`` carry the extra axes the same way.
 ``spinor_jets`` runs the program that ``chart.spinor_program`` lowers
-from S field specs (``SpinorFieldSpec``, parsed in ``chart`` with the
-rest of a config and re-exported here) to one stacked field (m, B, S, N).
+from the component sources of S fields to one stacked field (m, B, S, N).
 
 The frame data are real jets stacked the same way: ``E`` and ``S`` are
 (m, B, i, a), ``omega`` is (m, B, i, a, b), as are the metric,
@@ -66,17 +65,15 @@ import numpy as np
 
 from . import clifford
 from . import jetlinalg
-from .chart import MetricData, SpinorFieldSpec, make_spinor_spec, spinor_components
+from .chart import MetricData, spinor_components
 from .curvature import (ConnectionData, CurvatureData, christoffels, codiff_oneform,
                         curvature)
 from .exprdsl import Program
 from .jets import Jet, evaluate_jet, tensor_matmul, tensor_mul
 
 __all__ = [
-    "SpinorFieldSpec",
     "SpinFrame",
     "SpinorCalc",
-    "make_spinor_spec",
     "spinor_jets",
     "frame_spin_connection",
     "spinor_calc",

@@ -24,18 +24,18 @@ import math
 import numpy as np
 
 from . import exprdsl, util
-from .chart import (MetricChart, SpinorFieldSpec, conformal_rescale, lee_jets,
-                    make_spinor_spec, metric_jets, scale_coordinates, spinor_components,
+from .chart import (ChartError, MetricChart, conformal_rescale, factor_program, lee_jets,
+                    metric_jets, scale_coordinates, spinor_components, spinor_count,
                     spinor_program)
 from .config import LoadedConfig
-from .exprdsl import Call, Num, Var, eadd, emul
+from .exprdsl import BinOp, Call, Num, Var
 from .jets import Jet
 
 __all__ = [
     "TOLERANCES",
     "rng_for",
     "sample_points",
-    "random_spinor_spec",
+    "random_spinor",
     "identity_battery",
     "clifford_battery",
     "curvature_battery",
@@ -83,24 +83,21 @@ def sample_points(chart: MetricChart, count: int, rng: np.random.Generator) -> n
 
 
 def _random_part(n: int, rng: np.random.Generator):
-    """Low-degree polynomial plus a trig term, with short coefficients."""
-    c = np.round(rng.uniform(-1.0, 1.0, size=4), 3)
-    idx = rng.integers(1, n + 1, size=4)
-    e = Num(float(c[0]))
-    e = eadd(e, emul(Num(float(c[1])), Var(f"x{idx[0]}")))
-    e = eadd(e, emul(Num(float(c[2])),
-                     emul(Var(f"x{idx[1]}"), Var(f"x{idx[2]}"))))
-    e = eadd(e, emul(Num(float(c[3])), Call("sin", (Var(f"x{idx[3]}"),))))
+    """Low-degree polynomial plus a trig term, with short coefficients: a
+    zero constant or term is left out of the sum, a coefficient 1 unwritten."""
+    c = np.round(rng.uniform(-1.0, 1.0, size=4), 3).tolist()
+    x = [Var(f"x{i}") for i in rng.integers(1, n + 1, size=4).tolist()]
+    e = Num(c[0])
+    for a, t in zip(c[1:], (x[0], BinOp("*", x[1], x[2]), Call("sin", (x[3],)))):
+        t = Num(0.0) if a == 0.0 else t if a == 1.0 else BinOp("*", Num(a), t)
+        e = t if e == Num(0.0) else e if t == Num(0.0) else BinOp("+", e, t)
     return e
 
 
-def random_spinor_spec(n: int, rng: np.random.Generator) -> SpinorFieldSpec:
-    """A spinor field with random polynomial+trig components."""
-    from .clifford import build_rep
-
-    comps = [(_random_part(n, rng), _random_part(n, rng))
-             for _ in range(build_rep(n).N)]
-    return make_spinor_spec(comps)
+def random_spinor(n: int, rng: np.random.Generator) -> list:
+    """The (re, im) component trees of a spinor field with random
+    polynomial+trig components."""
+    return [(_random_part(n, rng), _random_part(n, rng)) for _ in range(spinor_count(n))]
 
 
 def _check(name: str, value: float, tolerance: float, **extra) -> dict:
@@ -243,11 +240,11 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
     rng = rng_for(seed)
     n = chart.n
     pts = sample_points(chart, points, rng)
-    fields = tuple(spinor_program(chart, [random_spinor_spec(n, rng)]) for _ in range(2))
+    fields = tuple(spinor_program(chart, [random_spinor(n, rng)]) for _ in range(2))
     direction = rng.normal(size=n)
     direction /= math.sqrt(float(np.sum(direction * direction)))
-    rescaled = conformal_rescale(chart, COVARIANCE_FACTOR)
-    factor = exprdsl.lower([exprdsl.parse(COVARIANCE_FACTOR)], n, chart.params)
+    factor = factor_program(chart, COVARIANCE_FACTOR)
+    rescaled = conformal_rescale(chart, factor)
     m = _sample_maxima(lambda p: _identity_maxima(chart, rescaled, factor, p, jet_order,
                                                   fields, direction),
                        pts, jet_order)
@@ -442,16 +439,17 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
     # factors decay like the chart, r^-(n-2); n = 3 keeps its spelling
     factors = (("1 + 1/sqrt(r^2 + 1)", "1 + 0.3/sqrt(r^2 + 1)") if n == 3 else
                tuple(f"1 + {c}pow(r^2 + 1, {(2 - n) / 2:g})" for c in ("", "0.3*")))
+    progs = [factor_program(chart, f) for f in factors]
     base = mass.weyl_mass(chart, radii=radii, measure=measure)
-    moved = mass.weyl_mass(conformal_rescale(chart, factors[1]), radii=radii,
+    moved = mass.weyl_mass(conformal_rescale(chart, progs[1]), radii=radii,
                            measure=measure)
     riem = base.metric[0]
 
     # two-path conformal change of the metric mass, two factors
-    paths_a = (mass.riemannian_mass(conformal_rescale(chart, factors[0]),
+    paths_a = (mass.riemannian_mass(conformal_rescale(chart, progs[0]),
                                     riem.radii, measure), moved.metric[0])
     change_records = [mass.two_path_mass_delta(chart, f, riem, path_a)
-                      for f, path_a in zip(factors, paths_a)]
+                      for f, path_a in zip(progs, paths_a)]
     for f, rec in zip(factors, change_records):
         checks.append(_check(f"mass-conformal-change[{f}]",
                              abs(rec["path_a"] - rec["path_b"])
@@ -499,9 +497,9 @@ def laws_battery(cfg: LoadedConfig, radii=None, measure: str = "euclidean",
 
 def _default_spinors(n: int) -> list:
     """Three constant spinors of weight (2-n)/2 for configs that name none."""
-    rest = [("0", "0")] * (2 ** (n // 2) - 2)
+    rest = [("0", "0")] * (spinor_count(n) - 2)
     heads = ([("1", "0"), ("0", "0")], [("0", "0"), ("1", "0")], [("0.6", "0"), ("0", "0.8")])
-    return [(f"const{i}", make_spinor_spec(head + rest)) for i, head in enumerate(heads)]
+    return [(f"const{i}", head + rest) for i, head in enumerate(heads)]
 
 
 def witten_spinors(cfg: LoadedConfig) -> tuple:
@@ -509,10 +507,10 @@ def witten_spinors(cfg: LoadedConfig) -> tuple:
     and their program on each chart of ``cfg.charts``: the config's own,
     lowered at load, or the default constant ones, lowered here."""
     if cfg.spinors:
-        return [name for name, _ in cfg.spinors], cfg.spinor_programs
+        return list(cfg.spinors), cfg.spinor_programs
     defaults = _default_spinors(cfg.n)
-    specs = [spec for _, spec in defaults]
-    return [name for name, _ in defaults], [spinor_program(c, specs) for c in cfg.charts]
+    fields = [field for _, field in defaults]
+    return [name for name, _ in defaults], [spinor_program(c, fields) for c in cfg.charts]
 
 
 def _witten_end(chart: MetricChart, names: list, fields, radii, measure: str,
@@ -531,14 +529,18 @@ def _witten_end(chart: MetricChart, names: list, fields, radii, measure: str,
     radii = mrep.radii
     # one shared sample per rung for every field and radius: (R, S)
     fluxes = mass.witten_flux(chart, fields, radii, measure=measure)
-    # every field's value psi_0 at a far reference point on the first axis
+    # every field's value psi_0 at a far reference point on the first axis;
+    # an overflow is silent there (an infinite norm fails ``witten-limit``)
     far = np.zeros(chart.n)
     far[0] = 1e7 * chart.r_min
-    psi0 = spinor_components(exprdsl.evaluate(fields, far), chart.n)
+    with np.errstate(over="ignore"):
+        psi0 = spinor_components(exprdsl.evaluate(fields, far), chart.n)
+        norms = [float(np.sum(np.abs(p) ** 2)) for p in psi0]
     checks = []
     records = []
-    for s, name in enumerate(names):
-        nrm2 = float(np.sum(np.abs(psi0[s]) ** 2))
+    for s, (name, nrm2) in enumerate(zip(names, norms)):
+        if not np.isfinite(psi0[s]).all():
+            raise ChartError(f"spinor {name!r} is not finite at the far point {far.tolist()}")
         series = [complex(v) for v in fluxes[:, s]]
         real_series = [v.real for v in series]
         imag_max = max(abs(v.imag) for v in series)

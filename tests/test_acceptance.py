@@ -18,13 +18,15 @@ import pytest
 import confmass
 from confmass.chart import (
     conformal_rescale,
+    factor_program,
     lee_jets,
     metric_jets,
     scale_coordinates,
+    spinor_components,
     spinor_program,
 )
 from confmass.curvature import christoffels, curvature
-from confmass.exprdsl import Num, evaluate, is_coordinate_free, lower, parse
+from confmass.exprdsl import evaluate
 from confmass.jets import Jet
 from confmass.mass import (
     extrapolate,
@@ -43,7 +45,7 @@ from confmass.spinor import (
 )
 from confmass.suites import (
     clifford_battery,
-    random_spinor_spec,
+    random_spinor,
     rng_for,
     sample_points,
 )
@@ -61,14 +63,12 @@ def _tensor_max(obj) -> float:
 
 def _chart_theta_jets(chart, coords):
     """Lee-form jets, or None when the chart's Lee form vanishes identically."""
-    if all(isinstance(t, Num) and t.value == 0.0 for t in chart.lee):
-        return None
-    return lee_jets(chart, coords)
+    return lee_jets(chart, coords) if chart.has_lee else None
 
 
-def _field(chart, spec, coords):
-    """The jet (m, B, N) of one spinor field spec, lowered on ``chart``."""
-    psi = spinor_jets(spinor_program(chart, [spec]), coords)
+def _field(chart, field, coords):
+    """The jet (m, B, N) of one spinor field, lowered on ``chart``."""
+    psi = spinor_jets(spinor_program(chart, [field]), coords)
     return Jet(psi.space, psi.c[:, :, 0])
 
 
@@ -80,8 +80,8 @@ def _spinor_setup(cfg, points, seed, order=2):
     md = metric_jets(chart, pts, order=order)
     theta = _chart_theta_jets(chart, md.coords)
     calc = spinor_calc(md, theta)
-    psi = _field(chart, random_spinor_spec(chart.n, rng), md.coords)
-    phi = _field(chart, random_spinor_spec(chart.n, rng), md.coords)
+    psi = _field(chart, random_spinor(chart.n, rng), md.coords)
+    phi = _field(chart, random_spinor(chart.n, rng), md.coords)
     return calc, psi, phi
 
 
@@ -164,12 +164,13 @@ def test_weighted_scalar_curvature_is_conformally_covariant(lee_cfg, rot_cfg):
         theta = lee_jets(chart, md.coords)
         base = weyl_data(md, theta).scal.value
 
-        resc = conformal_rescale(chart, f_src)
+        f = factor_program(chart, f_src)
+        resc = conformal_rescale(chart, f)
         md2 = metric_jets(resc, pts, order=2)
         th2 = lee_jets(resc, md2.coords)
         moved = weyl_data(md2, th2).scal.value
 
-        fv = evaluate(lower([parse(f_src)], chart.n, chart.params), pts)[:, 0]
+        fv = evaluate(f, pts)[:, 0]
         gap = float(np.max(np.abs(fv * moved - base)))
         assert gap <= 1e-10 * max(1.0, float(np.max(np.abs(base))))
 
@@ -179,7 +180,8 @@ def test_mass_change_under_conformal_rescaling_agrees_two_ways(flat_cfg, iso_cfg
         (flat_cfg.chart, "1 + 0.3/sqrt(r^2 + 1)"),
         (iso_cfg.chart, "1 + 1/sqrt(r^2 + 1)"),
     )
-    for chart, f in pairs:
+    for chart, src in pairs:
+        f = factor_program(chart, src)
         base = riemannian_mass(chart, radii=RADII)
         path_a = riemannian_mass(conformal_rescale(chart, f), radii=RADII)
         out = two_path_mass_delta(chart, f, base, path_a)
@@ -197,7 +199,8 @@ def test_weyl_mass_invariance_scaling_and_aggregation(lee_cfg, ends_cfg):
 
     # invariance under conformal change of the representative metric
     base = weyl_mass(chart, radii=RADII)
-    moved = weyl_mass(conformal_rescale(chart, "1 + 0.3/sqrt(r^2 + 1)"), radii=RADII)
+    moved = weyl_mass(conformal_rescale(chart, factor_program(chart, "1 + 0.3/sqrt(r^2 + 1)")),
+                      radii=RADII)
     assert abs(moved.limit - base.limit) <= 5e-3 * abs(base.limit)
 
     # exact scaling under the coordinate dilation, at matched radii
@@ -220,15 +223,15 @@ def test_witten_flux_limit_recovers_quarter_mass(iso_cfg, lee_cfg):
         chart = cfg.chart
         m_weyl = weyl_mass(chart, radii=RADII).limit
         assert len(cfg.spinors) >= 3
-        for name, spec in cfg.spinors[:3]:
-            anywhere = np.full(chart.n, 3.0)
-            for re_ast, im_ast in spec.components:
-                assert is_coordinate_free(re_ast) and is_coordinate_free(im_ast)
-            fields = spinor_program(chart, [spec])
-            values = evaluate(fields, anywhere)  # re, im, ...
-            norm2 = float(np.sum(values * values))
+        (fields,) = cfg.spinor_programs
+        # constant fields: their program reads no coordinate
+        assert all(op != "coord" for op, _, _ in fields.code)
+        psi0 = spinor_components(evaluate(fields, np.full(chart.n, 3.0)), chart.n)
+        fluxes = np.array([witten_flux(chart, fields, [r])[0] for r in RADII])  # (R, S)
+        for s, name in enumerate(cfg.spinors[:3]):
+            norm2 = float(np.sum(np.abs(psi0[s]) ** 2))
 
-            series = [witten_flux(chart, fields, [r])[0, 0] for r in RADII]
+            series = fluxes[:, s].tolist()
             assert max(abs(w.imag) for w in series) <= 1e-8
             ext = extrapolate(RADII, [w.real for w in series], chart.n)
             predicted = 0.25 * m_weyl * norm2

@@ -3,6 +3,7 @@ programs, decay scanning, and the two chart-level transformations
 (conformal rescaling and coordinate scaling)."""
 
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from confmass.chart import (
     MetricChart,
     conformal_rescale,
     decay_scan,
+    factor_program,
     lee_jets,
     make_chart,
     metric_entry_jets,
@@ -24,7 +26,7 @@ from confmass.chart import (
     scale_coordinates,
 )
 from confmass.cli import main
-from confmass.config import bundled_names, load_config
+from confmass.config import bundled_names, bundled_text, load_config
 
 ISO = {"11": "(1 + 1/(2*r))^4", "22": "(1 + 1/(2*r))^4", "33": "(1 + 1/(2*r))^4"}
 
@@ -35,9 +37,9 @@ def make_iso(**kw):
     return make_chart(**args)
 
 
-def value_at(tree, chart, pt):
-    """One tree lowered with the n and params of ``chart``, at one column point."""
-    return float(exprdsl.evaluate(exprdsl.lower([tree], chart.n, chart.params), pt)[0, 0])
+def entry_slots(chart) -> np.ndarray:
+    """The output slots of the metric program as an n x n array."""
+    return np.reshape(chart.metric.outputs, (chart.n, chart.n))
 
 
 class TestMakeChart:
@@ -45,7 +47,12 @@ class TestMakeChart:
         c = make_iso()
         assert c.n == 3
         assert c.tau == 0.99
-        assert c.metric[0][0] == exprdsl.parse("(1 + 1/(2*r))^4")
+        # the n^2 entries lowered row-major, the missing ones flat
+        iso, zero = exprdsl.parse(ISO["11"]), exprdsl.Num(0.0)
+        entries = [iso if i == j else zero for i in range(3) for j in range(3)]
+        assert c.metric == exprdsl.lower(entries, 3)
+        assert c.lee == exprdsl.lower([zero] * 3, 3)
+        assert not c.has_lee
 
     def test_off_diagonal_symmetrized(self):
         c = make_chart(
@@ -54,8 +61,8 @@ class TestMakeChart:
             r_min=1.0,
             metric={"11": "1", "22": "1", "33": "1", "12": "0.1*x3/r^2"},
         )
-        # g12 and g21 must be the same expression object
-        assert c.metric[0][1] is c.metric[1][0]
+        # g12 and g21 are one slot
+        assert entry_slots(c)[0, 1] == entry_slots(c)[1, 0]
 
     def test_dimension_bounds(self):
         with pytest.raises(ChartError):
@@ -74,8 +81,9 @@ class TestMakeChart:
 
     def test_missing_entries_default_to_flat(self):
         c = make_chart(n=3, tau=0.75, r_min=1.0, metric={"11": "1 + 1/r"})
-        assert c.metric[1][1] == exprdsl.parse("1")
-        assert c.metric[0][1] == exprdsl.parse("0")
+        slots = entry_slots(c)
+        assert c.metric.code[slots[1, 1]] == ("const", 1.0, ())
+        assert c.metric.code[slots[0, 1]] == ("const", 0.0, ())
 
     def test_duplicate_symmetric_entry_rejected(self):
         with pytest.raises(ChartError):
@@ -271,22 +279,21 @@ class TestMetricJets:
 class TestTransformations:
     def test_conformal_rescale_metric_values(self):
         c = make_iso()
-        f = exprdsl.parse("1 + 1/sqrt(r^2 + 1)")
-        d = conformal_rescale(c, f)
+        d = conformal_rescale(c, factor_program(c, "1 + 1/sqrt(r^2 + 1)"))
         pt = np.array([[7.0], [1.0], [-2.0]])
         r = float(np.linalg.norm(pt))
         u4 = (1 + 1 / (2 * r)) ** 4
         fval = 1 + 1 / np.sqrt(r**2 + 1)
-        got = value_at(d.metric[0][0], d, pt)
+        got = metric_values(d, pt)[0, 0, 0]
         assert got == pytest.approx(fval * u4, rel=1e-14)
 
     def test_conformal_rescale_shifts_lee_form(self):
         # the covector picks up -(df)/(2f); for f -> const the shift vanishes
         c = make_iso()
-        d = conformal_rescale(c, exprdsl.parse("2"))
+        d = conformal_rescale(c, factor_program(c, "2"))
         pt = np.array([[4.0], [3.0], [0.0]])
-        for i in range(3):
-            assert value_at(d.lee[i], d, pt) == 0.0
+        assert exprdsl.evaluate(d.lee, pt).tolist() == [[0.0, 0.0, 0.0]]
+        assert not d.has_lee
 
     def test_scale_coordinates_metric_transport(self):
         c = make_iso()
@@ -295,8 +302,8 @@ class TestTransformations:
         # g~_ij(z) = g_ij(z / sqrt(a)); check at z = sqrt(a) * z0
         z0 = np.array([[3.0], [0.0], [4.0]])
         z = np.sqrt(a) * z0
-        want = value_at(c.metric[0][0], c, z0)
-        got = value_at(s.metric[0][0], s, z)
+        want = metric_values(c, z0)[0, 0, 0]
+        got = metric_values(s, z)[0, 0, 0]
         assert got == pytest.approx(want, rel=1e-15)
         assert s.r_min == pytest.approx(np.sqrt(a) * c.r_min)
 
@@ -329,20 +336,47 @@ class TestChartPrograms:
     def test_metric_program_is_the_lowered_upper_triangle(self):
         # the n^2 entries lowered row-major emit no instruction beyond the
         # upper triangle's: each symmetric pair is one tree, so one slot
-        for c in bundled_charts():
-            n = c.n
-            upper = [c.metric[i][j] for i in range(n) for j in range(i, n)]
-            assert c.metric_program.code == exprdsl.lower(upper, n, c.params).code, c.name
-            out = np.reshape(c.metric_program.outputs, (n, n))
-            assert np.array_equal(out, out.T), c.name
-            assert c.lee_program == exprdsl.lower(c.lee, n, c.params), c.name
+        for name in bundled_names():
+            doc = json.loads(bundled_text(name))
+            docs = [doc] if doc["kind"] == "chart" else [e["chart"] for e in doc["ends"]]
+            for chart_doc, c in zip(docs, load_config(name).charts):
+                n, metric = c.n, chart_doc["metric"]
+                upper = [exprdsl.parse(metric[f"{i + 1}{j + 1}"]["expr"])
+                         if f"{i + 1}{j + 1}" in metric else exprdsl.Num(float(i == j))
+                         for i in range(n) for j in range(i, n)]
+                assert c.metric.code == exprdsl.lower(upper, n, c.params).code, c.name
+                out = entry_slots(c)
+                assert np.array_equal(out, out.T), c.name
+                lee = [exprdsl.parse(e["expr"]) for e in chart_doc.get("lee", ())]
+                assert c.lee == exprdsl.lower(lee or [exprdsl.Num(0.0)] * n, n, c.params), c.name
 
-    def test_derived_charts_carry_their_own_programs(self):
-        c = make_iso(params={"b": 0.25}, lee=["b*x1/r^3", "0", "0"])
-        for d in (conformal_rescale(c, "1 + 1/r"), scale_coordinates(c, 4.0)):
-            flat = [t for row in d.metric for t in row]
-            assert d.metric_program == exprdsl.lower(flat, d.n, d.params)
-            assert d.lee_program == exprdsl.lower(d.lee, d.n, d.params)
+    @pytest.mark.parametrize("c", bundled_charts(), ids=lambda c: c.name)
+    def test_scaled_chart_reads_the_base_chart_at_doubled_points(self, c):
+        # a = 1/4 reads the coordinates doubled, an exact scaling: the
+        # metric is the base metric there bit for bit, the Lee form twice
+        # the base Lee form there
+        s = scale_coordinates(c, 0.25)
+        z = suites.sample_points(s, 64, suites.rng_for(7))
+        assert np.array_equal(metric_values(s, z), metric_values(c, 2.0 * z))
+        assert np.array_equal(exprdsl.evaluate(s.lee, z),
+                              2.0 * exprdsl.evaluate(c.lee, 2.0 * z))
+        assert s.has_lee == c.has_lee and s.r_min == 0.5 * c.r_min
+
+    @pytest.mark.parametrize("c", bundled_charts(), ids=lambda c: c.name)
+    def test_rescaled_chart_is_f_g_with_the_lee_form_shifted(self, c):
+        # f g bit for bit; theta - df/(2f) against df from f's order-1 jets,
+        # relative to |theta| + |df/(2f)|, since the two terms may cancel
+        f = factor_program(c, suites.COVARIANCE_FACTOR)
+        d = conformal_rescale(c, f)
+        X = suites.sample_points(c, 64, suites.rng_for(7))
+        fv = exprdsl.evaluate(f, X)[:, 0]
+        assert np.array_equal(metric_values(d, X), fv[:, None, None] * metric_values(c, X))
+        fj = jets.evaluate_jet(f, jets.seed_point(X, 1)[1])
+        df = np.stack([fj.derive(i).value[:, 0] for i in range(c.n)], axis=-1)
+        theta, shift = exprdsl.evaluate(c.lee, X), df / (2.0 * fv[:, None])
+        got = exprdsl.evaluate(d.lee, X)
+        assert np.all(np.abs(got - (theta - shift)) <= 1e-15 * (np.abs(theta) + np.abs(shift)))
+        assert d.has_lee
 
     @pytest.mark.parametrize("argv, module, knob, widths, lowered", [
         (["weyl-mass", "schwarzschild-lee"], util, "CHUNK", (256, 16), 3),
@@ -351,9 +385,10 @@ class TestChartPrograms:
          util, "CHUNK", (256, 16), 3),
         (["witten", "twoends"], util, "CHUNK", (256, 16), 6),
         (["witten", "twoends", "--radii", "20,40,80,160"], util, "CHUNK", (256, 16), 6),
-        (["identities", "schwarzschild-rot-lee"], suites, "POINT_BUDGET", (216_000, 2_000), 8),
+        (["identities", "schwarzschild-rot-lee"], suites, "POINT_BUDGET", (216_000, 2_000), 6),
+        (["laws", "schwarzschild"], util, "CHUNK", (256, 16), 5),
     ], ids=["weyl-mass", "witten", "witten-radii", "witten-defaults",
-            "witten-defaults-radii", "identities"])
+            "witten-defaults-radii", "identities", "laws"])
     def test_a_flux_command_lowers_as_often_at_any_chunk_width(
             self, argv, module, knob, widths, lowered, capsys, monkeypatch):
         # a config's expressions are lowered once, at load: each chart's
@@ -363,8 +398,11 @@ class TestChartPrograms:
         # loaded spinor program, at any radii; a config that names none
         # (twoends: 2 x 2 at load) has the default fields lowered once per
         # chart by the battery.
-        # identities: the config, three, its rescaled chart, two, the
-        # covariance factor and the two random fields
+        # identities: the config, three, the covariance factor once (the
+        # rescaled chart's programs are built on the chart's and on it, not
+        # lowered), and the two random fields; laws: the config, three, and
+        # each of its two factors once, for its rescaled chart and its
+        # gradient fluxes
         lower = exprdsl.lower
         counts = []
         for width in widths:
@@ -411,4 +449,4 @@ class TestChartPrograms:
         chart = load_config("schwarzschild").chart
         coords = jets.seed_point(np.ones((4, 2)), 1)[1]
         with pytest.raises(ValueError, match="over 3 coordinates run on 4 jets"):
-            jets.evaluate_jet(chart.metric_program, coords)
+            jets.evaluate_jet(chart.metric, coords)

@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import confmass
 from confmass import cli, exprdsl, mass
@@ -104,11 +106,10 @@ class TestParseConfig:
             }
         ]
         cfg = parse_config(doc, "inline")
-        assert len(cfg.spinors) == 1
-        name, spec = cfg.spinors[0]
-        assert name == "const-plus"
-        assert len(spec.components) == 2
-        # the spec keeps no weight, but the loader still requires (2 - n)/2
+        assert cfg.spinors == ("const-plus",)
+        (fields,) = cfg.spinor_programs
+        assert len(fields.outputs) == 4  # two components, re and im
+        # the program keeps no weight, but the loader still requires (2 - n)/2
         for weight in (None, 0.5):
             spinor = {k: v for k, v in doc["spinors"][0].items() if k != "weight"}
             if weight is not None:
@@ -1309,3 +1310,140 @@ class TestHostileConfigs:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", "confmass: huge.chart: metric evaluates to a non-finite value at "
                    "[8.0, 0.0, 0.0]\n")
+
+
+# ---------------------------------------------------------------------------
+# the CLI on mutated bundled configs
+
+BAD_EXPRESSIONS = ["", "1 +", "(x1", "x9", "q/r", "1/0", "log(-1)", "sqrt(-r)", "r^-64",
+                   "pow(x1, 1e400)", "exp(r)", "-1", "0", "1e308*r", "x1/r", "1/(r - 8)"]
+ODD_VALUES = [None, True, False, "x", "", [], {}, 0, -1, 7, 0.5, 1e308, [1.0], {"expr": 1}]
+FLAG_VALUES = {
+    "radii": ["20,40,80,160", "1,2,3,4", "0,1,2,3", "-5,10,20,40", "inf,1,2,3", "nan",
+              "20,20,40,80", "20,40,80", "1e300,1e301,1e302,1e303", "x"],
+    "points": ["1", "2", "0", "-3"],
+    "seed": ["0", "7", "-1"],
+    "jet_order": ["2", "3"],
+    "measure": ["euclidean", "g"],
+    "normalize": ["raw", "adm"],
+}
+
+
+def doc_paths(node, prefix=()) -> list:
+    """The path of every entry of a JSON document, nested ones included."""
+    items = (node.items() if isinstance(node, dict) else
+             enumerate(node) if isinstance(node, list) else ())
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out += doc_paths(child, prefix + (key,))
+    return out
+
+
+@st.composite
+def mutated_runs(draw):
+    """argv for one command on a mutated copy of the bundled flat or
+    schwarzschild config, and the document to write."""
+    doc = json.loads(bundled_text(draw(st.sampled_from(["flat", "schwarzschild"])) + ".chart"))
+    kind = draw(st.sampled_from(["drop", "retype", "non-finite", "spinors", "expression"]))
+    if kind == "spinors":
+        count = draw(st.integers(0, 5))
+        weight = draw(st.sampled_from([-0.5, 0.5, math.nan]))
+        doc["spinors"] = [{"name": "s", "weight": weight, "components": [ONE] * count}]
+    elif kind == "expression":
+        slot = draw(st.sampled_from(["metric", "lee", "spinor"]))
+        expr = {"expr": draw(st.sampled_from(BAD_EXPRESSIONS))}
+        if slot == "metric":
+            doc["metric"][draw(st.sampled_from(["11", "12", "33"]))] = expr
+        elif slot == "lee":
+            doc["lee"] = [expr, "0", "0"]
+        else:
+            doc["spinors"][0]["components"][1]["im"] = expr
+    else:
+        path = draw(st.sampled_from(doc_paths(doc)))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if kind == "drop":
+            del node[path[-1]]
+        else:
+            pool = ODD_VALUES if kind == "retype" else [math.inf, -math.inf, math.nan]
+            node[path[-1]] = draw(st.sampled_from(pool))
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    argv = [command]
+    for flag in cli.COMMANDS[command][1]:
+        if flag in FLAG_VALUES and draw(st.booleans()):
+            argv += ["--" + flag.replace("_", "-"), draw(st.sampled_from(FLAG_VALUES[flag]))]
+    if command in ("witten", "laws", "mass", "weyl-mass") and "--radii" not in argv:
+        argv += ["--radii", "20,40,80,160"]
+    if command in ("curvature", "identities") and "--points" not in argv:
+        argv += ["--points", "2"]
+    return argv, doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@pytest.mark.filterwarnings("error")
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(mutated_runs())
+def test_mutated_configs_end_in_a_report_or_a_one_line_refusal(fuzz_dir, run):
+    # whatever the mutation, the CLI exits 0, 1 or 2: a report on stdout,
+    # or one confmass: line on stderr and nothing on stdout; a numpy
+    # warning (an error here) or any other exception fails.  Every flag
+    # but --csv, which only names an output file, takes fuzzed values
+    assert set(FLAG_VALUES) == set(cli.FLAGS) - {"csv"}
+    argv, doc = run
+    path = fuzz_dir / "mutated.chart"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([argv[0], str(path), *argv[1:]])
+        except SystemExit as e:  # how argparse refuses the command line
+            code = e.code
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("confmass: ") and err.getvalue().count("\n") == 1
+    else:
+        assert json.loads(out.getvalue())["command"] == argv[0] and err.getvalue() == ""
+
+
+TOO_LARGE = "confmass: radius 20.0 is too large: evaluating the chart there overflows\n"
+
+
+class TestFuzzFindings:
+    """Inputs the mutated-config fuzz found, each now a report or a
+    one-line refusal."""
+
+    def test_a_flag_value_argparse_takes_for_an_option_is_refused_in_one_line(self, capsys):
+        # usage and error used to take two lines
+        with pytest.raises(SystemExit) as e:
+            main(["mass", "schwarzschild", "--radii", "-5,10,20,40"])
+        assert e.value.code == 2
+        assert capsys.readouterr() == ("", "confmass: argument --radii: expected one argument\n")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("im, code, err", [
+        ("exp(r)", 2, "confmass: spinor 'const-plus' is not finite at the far point "
+                      "[10000000.0, 0.0, 0.0]\n"),
+        ("r^-64", 0, ""),
+        ("1e154", 2, TOO_LARGE),
+        ("1e155", 2, TOO_LARGE),
+    ], ids=["overflows", "underflows", "flux-sum-overflows", "flux-terms-overflow"])
+    def test_a_spinor_that_overflows_at_the_far_point_warns_no_more(
+            self, capsys, tmp_path, im, code, err):
+        # psi_0 is read at r = 1e7: exp(r) overflowed to inf with a numpy
+        # warning and a failing report, r^-64 warned on its way to 0; a
+        # constant psi_0 finite there is refused at the first radius if its
+        # flux terms overflow (1e155) or their sum over one rule (1e154,
+        # which warned and failed its report)
+        doc = json.loads(bundled_text("schwarzschild.chart"))
+        doc["spinors"][0]["components"][1]["im"] = {"expr": im}
+        p = tmp_path / "far.chart"
+        p.write_text(json.dumps(doc))
+        got, out, stderr = run_cli(capsys, "witten", str(p), "--radii", "20,40,80,160")
+        assert (got, stderr) == (code, err) and (out == "") == (code == 2)

@@ -1,5 +1,5 @@
-"""Tests for the scalar expression language: parsing, printing, evaluation,
-symbolic differentiation, and substitution."""
+"""Tests for the scalar expression language: parsing, evaluation, and the
+program transforms (forward-mode derivative, pullback)."""
 
 import math
 
@@ -18,16 +18,15 @@ from confmass.exprdsl import (
     Num,
     ParseError,
     Pow,
+    Program,
     Var,
     derivative,
-    eadd,
-    emul,
     evaluate,
     identifiers,
     is_coordinate_free,
     lower,
     parse,
-    substitute,
+    pullback,
 )
 from confmass.jets import Jet, evaluate_jet, seed_point
 
@@ -142,6 +141,14 @@ def ev1(ast, pt, params=None):
     return float(evaluate(lower([ast], len(pt), params), pt)[0, 0])
 
 
+def d1(ast, coord, pt, params=None):
+    """d/dx_coord (0-based) of one tree, by ``derivative`` on its program,
+    at a single column point: the output after the tree's own value and
+    the coord derivatives before it."""
+    prog = derivative(lower([ast], len(pt), params))
+    return float(evaluate(prog, pt)[0, 1 + coord])
+
+
 def ev(src, x1=0.0, x2=0.0, x3=0.0, params=None):
     return ev1(parse(src), np.array([[x1], [x2], [x3]]), params=params)
 
@@ -215,30 +222,52 @@ class TestParseEvaluate:
         assert deeper(200) == 3.0
 
     def test_chains_of_any_length_walk_without_recursion(self):
-        # substitution, differentiation and lowering keep their own stacks
+        # parsing and lowering keep their own stacks, the transforms run
+        # once over the program's slots
         k = 100_000
         tree = parse("x1" + "+0" * k)
         pts = np.array([[2.0], [0.0]])
+        prog = lower([tree], 2)
         assert ev1(tree, pts) == 2.0
-        assert ev1(substitute(tree, {"x1": parse("x2 + 5")}), pts) == 5.0
-        assert derivative(tree, "x1") == Num(1.0)
-        assert len(exprdsl.lower([tree, derivative(tree, "x2")], 2).code) == k + 2
+        assert evaluate(pullback(prog, 2.5), pts)[0, 0] == 5.0
+        # d/dx1 is a constant 1, d/dx2 the literal 0 the chain already has
+        d = derivative(prog)
+        assert [d.code[k] for k in d.outputs[1:]] == [("const", 1.0, ()), ("const", 0.0, ())]
+        assert len(d.code) == len(prog.code) + 1 == k + 3
 
     @pytest.mark.parametrize("source, code_len", [
-        ("-" * 20_000 + "x1", 20_002),
-        ("x1" + "^1" * 20_000, 2),
-        ("pow(x1, 1" + "+0" * 20_000 + ")", 3),
+        ("-" * 20_000 + "x1", 40_003),
+        ("x1" + "^1" * 20_000, 3),
+        ("pow(x1, 1" + "+0" * 20_000 + ")", 6),
     ], ids=["minus", "power", "pow"])
     def test_chains_of_every_shape_walk_without_recursion(self, source, code_len):
         # 20,000 minuses, powers or terms of a coordinate-free pow exponent:
-        # parsed, substituted into, differentiated and lowered on the walks'
-        # own stacks; x1 lowers once, to one slot, and d/dx2 to a constant 0
+        # parsed and lowered on the walks' own stacks, then pulled back and
+        # differentiated; x1 lowers once, to one slot, d/dx1 adds the
+        # constant 1 and a negation per minus (pow: a quotient and a
+        # product), and d/dx2 the constant 0
         tree = parse(source)
         pts = np.array([[2.0], [0.0]])
+        prog = lower([tree], 2)
         assert ev1(tree, pts) == 2.0
-        assert ev1(substitute(tree, {"x1": parse("x2 + 5")}), pts) == 5.0
-        assert derivative(tree, "x2") == Num(0.0)
-        assert len(exprdsl.lower([tree, derivative(tree, "x2")], 2).code) == code_len
+        assert evaluate(pullback(prog, 2.5), pts)[0, 0] == 5.0
+        d = derivative(prog)
+        assert d.code[d.outputs[2]] == ("const", 0.0, ())
+        assert len(d.code) == code_len
+        assert evaluate(d, pts).tolist() == [[2.0, 1.0, 0.0]]
+
+    @pytest.mark.parametrize("source, per_instruction", [
+        ("x1" + "^1" * 20_000, 5), ("x1" + "*x2" * 19_998, 3), ("x1" + "/x2" * 19_998, 5),
+    ], ids=["power-chain", "product-chain", "quotient-chain"])
+    def test_derivative_emits_a_bounded_count_per_instruction(self, source, per_instruction):
+        # forward mode emits at most five instructions per instruction and
+        # coordinate (a quotient's; a product's three), plus the constants
+        # 1 and 2: linear in the program, whatever depth the tree had (the
+        # 20,000-level power chain lowers to one instruction, the others
+        # to 20,000)
+        prog = lower([parse(source)], 2)
+        emitted = len(derivative(prog).code) - len(prog.code)
+        assert emitted <= per_instruction * prog.n * len(prog.code) + 2
 
     def test_vectorized_evaluation(self):
         pts = np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 0.0]])
@@ -267,17 +296,32 @@ class TestDerivative:
     )
     def test_against_closed_forms(self, src, coord, want):
         p = np.array([0.7, -1.3, 2.1])
-        d = derivative(parse(src), coord)
-        got = ev1(d, p.reshape(3, 1))
+        got = d1(parse(src), int(coord[1:]) - 1, p.reshape(3, 1))
         assert got == pytest.approx(want(p), rel=1e-14)
 
     def test_derivative_of_constant_is_zero(self):
-        d = derivative(parse("3.5"), "x1")
-        assert ev1(d, np.zeros((3, 1))) == 0.0
+        assert d1(parse("3.5"), 0, np.zeros((3, 1))) == 0.0
 
     def test_parameter_treated_as_constant(self):
-        d = derivative(parse("m*x1"), "x1")
-        assert ev1(d, np.zeros((3, 1)), params={"m": 4.0}) == 4.0
+        assert d1(parse("m*x1"), 0, np.zeros((3, 1)), params={"m": 4.0}) == 4.0
+
+    def test_an_op_without_a_rule_is_refused(self):
+        # an op on a varying operand must have its own rule, never powc's
+        prog = Program(code=(("coord", 0, ()), ("tan", None, (0,))), outputs=(1,), n=1)
+        with pytest.raises(EvalError, match="no derivative rule for 'tan'"):
+            derivative(prog)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_jets_equal_the_symbolic_rule_bitwise(self, order):
+        # the conformal factor of the batteries: the slot rules do the
+        # arithmetic of the symbolic rule's tree below (d r/d x1 = x1/r),
+        # since the lowered r differentiates to (2*x1)/(2*r), x1/r exactly
+        f = lower([parse("1 + 0.3/sqrt(r^2 + 1)")], 3)
+        rule = parse("-(0.3*(((2*r^1)*(x1/r))/(2*sqrt(r^2 + 1))))/sqrt(r^2 + 1)^2")
+        pts = np.random.Generator(np.random.PCG64(3)).uniform(-50.0, 50.0, (3, 200))
+        _, coords = seed_point(pts, order)
+        assert_bitwise(evaluate_jet(derivative(f), coords).c[..., 1],
+                       evaluate_jet(lower([rule], 3), coords).c[..., 0])
 
 
 class TestAstUtilities:
@@ -291,14 +335,16 @@ class TestAstUtilities:
         assert not is_coordinate_free(parse("2*x1"))
         assert not is_coordinate_free(parse("r"))
 
-    def test_substitute(self):
-        ast = parse("u^2 + x1")
-        out = substitute(ast, {"u": parse("1 + 1/x1")})
-        assert ev1(out, np.array([[2.0], [0.0], [0.0]])) == pytest.approx((1.5) ** 2 + 2.0)
-
-    def test_constructors_compose(self):
-        ast = eadd(emul(Num(2.0), Var("x1")), Call("sin", (Var("x2"),)))
-        assert ev1(ast, np.array([[3.0], [0.0], [0.0]])) == pytest.approx(6.0)
+    def test_pullback(self):
+        # factor * prog(s x): the coordinates, r among them, read scaled
+        prog = lower([parse("x1^2 + sin(x2)/r")], 3)
+        x = np.array([[2.0], [0.5], [-1.0]])
+        assert evaluate(pullback(prog, 3.0, 0.5), x)[0, 0] == pytest.approx(
+            0.5 * evaluate(prog, 3.0 * x)[0, 0], rel=1e-15)
+        # s = 1 and factor 1 emit nothing: the program's own code; another
+        # s adds itself and one product per coordinate, and no factor
+        assert pullback(prog, 1.0) == prog
+        assert len(pullback(prog, 3.0).code) == len(prog.code) + 4
 
 
 # A strategy for well-formed expression ASTs of bounded depth.  Without
@@ -316,8 +362,8 @@ def _ast_strategy(extended=True):
     def extend(children):
         pairs = st.tuples(children, children)
         core = [
-            pairs.map(lambda ab: eadd(*ab)),
-            pairs.map(lambda ab: emul(*ab)),
+            pairs.map(lambda ab: BinOp("+", *ab)),
+            pairs.map(lambda ab: BinOp("*", *ab)),
             children.map(lambda a: Call("sin", (a,))),
             children.map(lambda a: Call("exp", (a,))),
         ]
@@ -333,7 +379,7 @@ def _ast_strategy(extended=True):
             .map(lambda fa: Call(fa[0], (fa[1],))),
             st.tuples(children, coord_free).map(lambda ab: Call("pow", ab)),
             # an exponent that depends on the coordinates
-            pairs.map(lambda ab: Call("pow", (ab[0], eadd(ab[1], Var("x2"))))),
+            pairs.map(lambda ab: Call("pow", (ab[0], BinOp("+", ab[1], Var("x2"))))),
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
@@ -448,8 +494,7 @@ class TestRoundTrip:
         idx = int(coord[1]) - 1
         base = ev1(ast, pt, params={"m": 1.5})
         assume(math.isfinite(base) and abs(base) < 1e12)
-        d = derivative(ast, coord)
-        sym = ev1(d, pt, params={"m": 1.5})
+        sym = d1(ast, idx, pt, params={"m": 1.5})
         assume(math.isfinite(sym) and abs(sym) < 1e8)
         _, coords = seed_point(pt, 1)
         fwd = float(evaluate_jet(lower([ast], 3, {"m": 1.5}), coords).derive(idx).value[0, 0])
@@ -460,6 +505,6 @@ class TestRoundTrip:
         pt = np.array([[0.4], [-0.6], [0.9]])
         _, coords = seed_point(pt, 1)
         fwd = float(evaluate_jet(lower([ast], 3), coords).derive(0).value[0, 0])
-        sym = ev1(derivative(ast, "x1"), pt)
+        sym = d1(ast, 0, pt)
         assert sym == pytest.approx(-57808.74581727, rel=1e-10)
         assert sym == pytest.approx(fwd, rel=2e-5, abs=2e-5)

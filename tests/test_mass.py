@@ -8,9 +8,9 @@ import warnings
 import numpy as np
 import pytest
 
-from confmass import exprdsl, jetlinalg, mass, util
-from confmass.chart import (ChartError, End, EndSystem, conformal_rescale, make_chart,
-                            spinor_program)
+from confmass import jetlinalg, mass, util
+from confmass.chart import (ChartError, End, EndSystem, conformal_rescale, factor_program,
+                            make_chart, spinor_program)
 from confmass.config import bundled_names, load_config
 from confmass.mass import (
     DIVERGENCE_WARNING,
@@ -32,7 +32,6 @@ from confmass.mass import (
     witten_flux,
 )
 from confmass.mass import _flux, _measure_factors, _polar_rule, _unit_rule
-from confmass.spinor import make_spinor_spec
 
 ISO = "(1 + 1/(2*r))^4"
 
@@ -406,7 +405,7 @@ class TestFluxes:
         # neither integrand reads sqrt(det g): the metric jets of the
         # spinor flux never build it
         c = lee_chart()
-        spec = make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")])
+        spec = [("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")]
         want = (adm_flux(c, [20.0])[0], spinor_flux(c, [spec], [20.0])[0, 0])
 
         def forbidden(*args):
@@ -424,7 +423,7 @@ class TestFluxes:
         # f = 1 + 1/r on the flat chart: df(nu) = -1/r^2, flux = -4 pi, and
         # (df/f)(nu) = -1/(r^2 f), flux = -4 pi / f(r)
         c = flat_chart()
-        df, df_over_f = gradient_flux(c, exprdsl.parse("1 + 1/r"), [12.0])
+        df, df_over_f = gradient_flux(c, factor_program(c, "1 + 1/r"), [12.0])
         assert df[0] == pytest.approx(-4 * math.pi, rel=1e-12)
         assert df_over_f[0] == pytest.approx(-4 * math.pi / (1 + 1 / 12), rel=1e-12)
 
@@ -439,7 +438,7 @@ class TestFluxes:
             metric={},
             lee=["-x1/r^3", "-x2/r^3", "-x3/r^3"],
         )
-        spec = make_spinor_spec([("1", "0"), ("0", "0")])
+        spec = [("1", "0"), ("0", "0")]
         for r in (6.0, 24.0, 96.0):
             w = spinor_flux(c, [spec], [r])[0, 0]
             assert w.real == pytest.approx(4 * math.pi, rel=1e-12)
@@ -449,9 +448,9 @@ class TestFluxes:
     def test_witten_flux_of_several_specs_matches_single_calls_bitwise(self):
         c = lee_chart()
         specs = [
-            make_spinor_spec([("1", "0"), ("0", "0")]),
-            make_spinor_spec([("0.6", "0"), ("0", "0.8")]),
-            make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")]),
+            [("1", "0"), ("0", "0")],
+            [("0.6", "0"), ("0", "0.8")],
+            [("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")],
         ]
         # 16 Gauss nodes give 512 sphere nodes: two chunks
         together = list(spinor_flux(c, specs, [20.0], orders=16)[0])
@@ -529,8 +528,7 @@ class TestCoarsePair:
         # the zero spinor's flux agrees at the first pair; the constant
         # one's does not, and the whole shared sample climbs the ladder
         c = stress_chart()
-        specs = [make_spinor_spec([("0", "0"), ("0", "0")]),
-                 make_spinor_spec([("1", "0"), ("0", "0")])]
+        specs = [[("0", "0"), ("0", "0")], [("1", "0"), ("0", "0")]]
         with monkeypatch.context() as m:
             runs = record_rules(m)
             spinor_flux(c, specs[:1], [20.0])
@@ -610,7 +608,7 @@ class TestCoarsePair:
     @pytest.mark.parametrize("width", [32, 4096])
     def test_flux_bits_do_not_depend_on_the_chunk_width(self, monkeypatch, width):
         stress, lee = stress_chart(), lee_chart()
-        spec = make_spinor_spec([("0.6", "0"), ("0", "0.8")])
+        spec = [("0.6", "0"), ("0", "0.8")]
 
         def fluxes():
             return [adm_flux(stress, [20.0], "g", orders=24)[0],
@@ -638,8 +636,7 @@ class TestCoarsePair:
         N = 2 ** (n // 2)
         comps = [(f"{0.1 * (a + 1)} + x{a % n + 1}/r", f"x{(a + 1) % n + 1}*x1/r^2")
                  for a in range(N)]
-        specs = [make_spinor_spec(comps),
-                 make_spinor_spec([("0.6", "0")] + [("0", "0.8")] * (N - 1))]
+        specs = [comps, [("0.6", "0")] + [("0", "0.8")] * (N - 1)]
 
         def fluxes():
             return [adm_flux(c, [20.0], "g", orders=3)[0],
@@ -722,19 +719,22 @@ def spinor_flux(chart, specs, *args, **kw):
 def two_spinors(n):
     N = 2 ** (n // 2)
     rest = [("0", "0")] * (N - 2)
-    return [make_spinor_spec([("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")] + rest),
-            make_spinor_spec([("0.6", "0"), ("0", "0.8")] + rest)]
+    return [[("1 + x1/r", "x2/r^2"), ("0.5", "-x3/r")] + rest,
+            [("0.6", "0"), ("0", "0.8")] + rest]
 
 
 # on perturbed4 in the g measure r = 20 climbs to order 12 and r = 1000
 # stops at the first pair; on the stress chart both climb, to different
 # rungs for the spinor flux
 SERIES_RADII = (20.0, 1000.0)
+GRADIENT_FACTOR = "1 + 1/sqrt(r^2 + 1)"
 SERIES_FLUXES = {
     "adm": lambda c, radii, m: adm_flux(c, radii, m),
     "lee": lambda c, radii, m: lee_flux(c, radii, m),
-    "gradient": lambda c, radii, m: gradient_flux(c, "1 + 1/sqrt(r^2 + 1)", radii, m)[0],
-    "gradient_over_f": lambda c, radii, m: gradient_flux(c, "1 + 1/sqrt(r^2 + 1)", radii, m)[1],
+    "gradient": lambda c, radii, m: gradient_flux(c, factor_program(c, GRADIENT_FACTOR),
+                                                  radii, m)[0],
+    "gradient_over_f": lambda c, radii, m: gradient_flux(c, factor_program(c, GRADIENT_FACTOR),
+                                                         radii, m)[1],
     "witten": lambda c, radii, m: spinor_flux(c, two_spinors(c.n), radii, m),
 }
 
@@ -872,7 +872,7 @@ class TestFluxSeries:
         metric["12"] = f"0.3*x1*x2/r^{n + 2}"
         lee = [f"-0.2*x{i}/r^{n} + 0.1*x{i % n + 1}/r^{n}" for i in range(1, n + 1)]
         c = make_chart(n=n, tau=n - 2.1, r_min=1.0, metric=metric, lee=lee)
-        specs = two_spinors(n) + [make_spinor_spec([("0", "x1/r")] * 2 ** (n // 2))]
+        specs = two_spinors(n) + [[("0", "x1/r")] * 2 ** (n // 2)]
         for measure in ("euclidean", "g"):
             together = spinor_flux(c, specs, [20.0, 50.0], measure, orders=2)
             alone = np.stack([spinor_flux(c, [s], [20.0, 50.0], measure, orders=2)[:, 0]
@@ -1153,7 +1153,8 @@ class TestMassFunctionals:
         # 0.3/sqrt(r^2 + 1) tends to 2.4 pi, but its slopes per unit
         # log-radius rise once before they shrink; only the outermost
         # pair of slopes is judged
-        c = conformal_rescale(flat_chart(), "1 + 0.3/sqrt(r^2 + 1)")
+        flat = flat_chart()
+        c = conformal_rescale(flat, factor_program(flat, "1 + 0.3/sqrt(r^2 + 1)"))
         rep = riemannian_mass(c, measure="g")
         # the default radii double, so the steps are the slopes times ln 2
         step = np.abs(np.diff(rep.flux))
@@ -1226,7 +1227,7 @@ class TestTwoPathMassAgreement:
         form m(f g) - m(g) = -(n-1) lim oint df(nu) (8 pi for f = 1 +
         1/sqrt(r^2 + 1) on the flat chart)."""
         chart = iso_chart()
-        f = exprdsl.parse("1 + 1/sqrt(r^2 + 1)")
+        f = factor_program(chart, "1 + 1/sqrt(r^2 + 1)")
         out = two_path_mass_delta(chart, f, *self.masses(chart, f))
         assert out["rel_delta"] <= 5e-3
         fe = out["flux_equality"]
@@ -1234,7 +1235,7 @@ class TestTwoPathMassAgreement:
 
     def test_flat_chart_rescaling(self):
         chart = flat_chart()
-        f = exprdsl.parse("1 + 0.3/sqrt(r^2 + 1)")
+        f = factor_program(chart, "1 + 0.3/sqrt(r^2 + 1)")
         out = two_path_mass_delta(chart, f, *self.masses(chart, f))
         assert out["rel_delta"] <= 5e-3
 
@@ -1248,7 +1249,7 @@ class TestReusedMetricMass:
         # two_path_mass_delta reuses the metric masses it is handed; one
         # taken off the radii or measure of the other is refused
         chart = flat_chart()
-        f = "1 + 0.3/sqrt(r^2 + 1)"
+        f = factor_program(chart, "1 + 0.3/sqrt(r^2 + 1)")
         base = riemannian_mass(chart)
         path_a = riemannian_mass(conformal_rescale(chart, f), **kw)
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from confmass.spinor import (
     h_jet,
     lichnerowicz_I_residual,
     lichnerowicz_II_residual,
-    make_spinor_spec,
     norm_identity_residual,
     spinor_calc,
     spinor_jets,
@@ -58,7 +57,7 @@ def lee_chart():
 def field(chart, coords, pairs):
     """The spinor field of the (re, im) source ``pairs``, lowered on
     ``chart`` and run over ``coords``: one jet (m, B, N)."""
-    psi = spinor_jets(spinor_program(chart, [make_spinor_spec(pairs)]), coords)
+    psi = spinor_jets(spinor_program(chart, [pairs]), coords)
     return Jet(psi.space, psi.c[:, :, 0])
 
 
@@ -157,7 +156,7 @@ class TestCalculator:
 class TestSpinorProgram:
     def test_refuses_a_spec_with_another_component_count(self):
         # n = 3 has N = 2 components: four are not read as two fields
-        spec = make_spinor_spec([("1", "0")] * 4)
+        spec = [("1", "0")] * 4
         with pytest.raises(ChartError, match="a spinor in n = 3 has 2 components, got 4"):
             spinor_program(flat_chart(), [spec])
 
@@ -167,7 +166,7 @@ class TestSpinorProgram:
         chart = iso_chart()
         md = metric_jets(chart, sample_points(3, 4), order=1)
         a, b = [("x1", "x2"), ("1", "x3/r")], [("0.5", "x3"), ("x2/r", "1")]
-        both = spinor_jets(spinor_program(chart, [make_spinor_spec(a), make_spinor_spec(b)]),
+        both = spinor_jets(spinor_program(chart, [a, b]),
                            md.coords)
         assert both.c.shape == (4, 4, 2, 2)
         assert np.array_equal(both.c[:, :, 0], field(chart, md.coords, a).c)

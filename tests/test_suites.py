@@ -18,7 +18,8 @@ import pytest
 
 import confmass
 from confmass import clifford, mass, spinor, suites, weyl
-from confmass.chart import conformal_rescale, make_chart, spinor_program
+from confmass.chart import conformal_rescale, factor_program, make_chart, spinor_program
+from confmass.exprdsl import BinOp, Call, Num, Var
 
 # the package exports the function ``curvature`` under the module's name
 curvature = importlib.import_module("confmass.curvature")
@@ -150,7 +151,7 @@ def test_rescaled_jets_built_before_the_base_jets_in_every_chunk(monkeypatch, le
     # freed, before the base chart's jets are built: the two are never
     # alive together
     chart = lee_cfg.chart
-    rescaled = conformal_rescale(chart, suites.COVARIANCE_FACTOR).name
+    rescaled = conformal_rescale(chart, factor_program(chart, suites.COVARIANCE_FACTOR)).name
     set_chunk_limit(monkeypatch, chart, 2, 2)
     built = []
     metric_jets = suites.metric_jets
@@ -312,3 +313,16 @@ def test_benchmark_tracer_runs_the_command_unchanged(tmp_path, argv, targets):
     names = {span[0] for span in json.loads(spans.read_text())["spans"]}
     for target in ("spinor.covd_coord", "spinor.covd_frame", *targets):
         assert target in names, target
+
+
+def test_random_part_drops_zero_terms_and_unit_coefficients():
+    # a generator that draws the coefficients 0, 1, 0, -0.5 and x1, x2, x3, x2
+    class Draws:
+        def uniform(self, low, high, size):
+            return np.array([0.0, 1.0, 0.0, -0.5])
+
+        def integers(self, low, high, size):
+            return np.array([1, 2, 3, 2])
+
+    sin = BinOp("*", Num(-0.5), Call("sin", (Var("x2"),)))
+    assert suites._random_part(3, Draws()) == BinOp("+", Var("x1"), sin)
