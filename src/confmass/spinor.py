@@ -11,8 +11,8 @@ metric coefficient matrix, so "constant spinor" is meaningful and
 asymptotically constant data is literally constant.  Spinor-valued
 tensors, and stacks of S fields (m, B, S, N), put their extra axes
 before the spinor axis: ``covd_coord`` takes (m, B, ..., N) and returns
-(m, B, n, ..., N), the coordinate direction third, and ``covd_frame``,
-``dirac`` and ``coframe_action`` carry the extra axes the same way.
+(m, B, n, ..., N), the coordinate direction third, and every other
+operator carries the extra axes the same way.
 ``spinor_jets`` runs the program that ``chart.spinor_program`` lowers
 from the component sources of S fields to one stacked field (m, B, S, N).
 
@@ -47,9 +47,11 @@ integrands on order-1 jets use the same calculator and never pay for
 them.  Operators on a field take its derivative
 ``Dc = covd_coord(calc, psi, weight)``, with weight None for the
 Riemannian derivative, so each first derivative is computed once by
-the caller and shared by every operator that reads it;
-``lichnerowicz_I_residual`` takes the Dirac square
-``dirac_composed(calc, Dc, weight)`` the same way.
+the caller and shared by every operator that reads it; every operator,
+``conf_trace_second`` included, takes a stack of fields on its extra
+axes.  The residuals read the caller's ``Dc``, Dirac square
+``dirac_composed`` and trace ``conf_trace_second``, and differentiate
+nothing themselves.
 
 All operators evaluate on a batch of points (n, B); every derivative
 drops the jet order by one and mixed-order products truncate to the
@@ -326,7 +328,7 @@ def coframe_action(calc: SpinorCalc, chi: Jet) -> Jet:
 
 def conf_trace_second(calc: SpinorCalc, Dc: Jet, weight: float | None) -> Jet:
     """-(D_{E_a}(D_{E_a} psi) - D_{W_a} psi) summed over a, from
-    ``Dc = covd_coord(calc, psi, weight)``.
+    ``Dc = covd_coord(calc, psi, weight)`` of a field (m, B, ..., N), giving (m, B, ..., N).
 
     W_a is the Weyl-connection derivative of the frame field E_a along
     itself; both spinor derivative applications use the same weight.
@@ -346,11 +348,12 @@ def conf_trace_second(calc: SpinorCalc, Dc: Jet, weight: float | None) -> Jet:
            + tensor_matmul(sp, conn.reshape(z, B, n * n, n), Et).reshape(conn.shape))
     w = tensor_matmul(sp, nab.reshape(z, B, n, n * n), Et.reshape(z, B, n * n, 1))
 
-    F = covd_frame(calc, Dc)
-    DF = covd_coord(calc, F, weight).c  # [z, b, i, a, s]
-    G = tensor_matmul(sp, Et.reshape(z, B, 1, n * n), DF.reshape(z, B, n * n, DF.shape[-1]))
-    H = tensor_matmul(sp, np.swapaxes(w, -1, -2), Dc.c[:sp.m])
-    return Jet(sp, (H - G)[:, :, 0])
+    DF = np.moveaxis(covd_coord(calc, covd_frame(calc, Dc), weight).c, (2, 3), (-3, -2))
+    DF = DF.reshape(DF.shape[:-3] + (n * n, DF.shape[-1]))  # [z, b, ..., i*a, s]
+    G = tensor_matmul(sp, _stacked(Et.reshape(z, B, 1, n * n), DF.ndim), DF)
+    Di = np.moveaxis(Dc.c[:sp.m], 2, -2)  # [z, b, ..., i, s]
+    H = tensor_matmul(sp, _stacked(np.swapaxes(w, -1, -2), Di.ndim), Di)
+    return Jet(sp, (H - G)[..., 0, :])
 
 
 def dirac_composed(calc: SpinorCalc, Dc: Jet, weight: float | None) -> Jet:
@@ -417,26 +420,26 @@ def dirac_squared_expansion(calc: SpinorCalc, psi: Jet, weight: float) -> Jet:
 # ---------------------------------------------------------------------------
 # identity residuals
 
-def lichnerowicz_I_residual(calc: SpinorCalc, psi: Jet, Dc: Jet, D2: Jet):
+def lichnerowicz_I_residual(calc: SpinorCalc, psi: Jet, D2: Jet, tr: Jet):
     """Dirac-square minus trace-second minus quarter-Scal, at the
-    distinguished weight k = (2 - n)/2, with ``Dc = covd_coord(calc, psi, k)``
-    and the Dirac square ``D2 = dirac_composed(calc, Dc, k)``.
+    distinguished weight k = (2 - n)/2, from ``D2 = dirac_composed(calc, Dc, k)``
+    and ``tr = conf_trace_second(calc, Dc, k)`` of ``Dc = covd_coord(calc, psi, k)``.
 
     Returns (residual (N, batch) complex array, scale) with scale the
     largest constituent term, for relative comparison.
     """
-    k = 0.5 * (2.0 - calc.n)
     d2 = spinor_values(D2)
-    tr = spinor_values(conf_trace_second(calc, Dc, k))
+    trv = spinor_values(tr)
     quarter = 0.25 * calc.scal.value * spinor_values(psi)
-    res = d2 - tr - quarter
-    scale = max(np.max(np.abs(d2)), np.max(np.abs(tr)), np.max(np.abs(quarter)))
+    res = d2 - trv - quarter
+    scale = max(np.max(np.abs(d2)), np.max(np.abs(trv)), np.max(np.abs(quarter)))
     return res, float(scale)
 
 
-def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet,
-                             Dc_psi: Jet, Dc_phi: Jet) -> dict:
-    """Pairing form of the identity, with its two sub-residuals.
+def lichnerowicz_II_residual(calc: SpinorCalc, fields: Jet, Dc: Jet, D2: Jet,
+                             tr: Jet) -> dict:
+    """Pairing form of the identity for psi and phi, the fields 0 and 1 of
+    the stack ``fields`` (m, B, S, N), with its two sub-residuals.
 
     main:    h(D psi, D phi) + (1/4) Scal^D h(psi, phi)
              - h(Dirac psi, Dirac phi) + delta(omega),
@@ -449,28 +452,28 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet,
     The divergences are taken with the background metric codifferential
     (the weight of the pairing makes the Weyl and metric
     codifferentials coincide there).  Returns per-point complex
-    residuals plus the scale of the largest term.  ``Dc_psi`` and
-    ``Dc_phi`` are ``covd_coord`` of psi and of phi at weight (2 - n)/2.
+    residuals plus the scale of the largest term.  ``Dc``, ``D2`` and ``tr``
+    are the stack's ``covd_coord``, ``dirac_composed`` and ``conf_trace_second``
+    at weight (2 - n)/2.
     """
     md = calc.md
-    k = 0.5 * (2.0 - calc.n)
-    psi0 = psi.value
-    h_tr = _h_values(psi0, conf_trace_second(calc, Dc_phi, k).value)
-    h_d2 = _h_values(psi0, dirac_composed(calc, Dc_phi, k).value)
+    psi0, phi0 = fields.value[:, 0], fields.value[:, 1]
+    h_tr = _h_values(psi0, tr.value[:, 1])
+    h_d2 = _h_values(psi0, D2.value[:, 1])
 
-    sp = Dc_psi.space
-    F_psi = covd_frame(calc, Dc_psi)
-    F_phi = covd_frame(calc, Dc_phi)
-    d_phi = _slash(calc.rep, F_phi)
+    sp = Dc.space
+    F = covd_frame(calc, Dc)  # [z, b, a, s, t]
+    d = _slash(calc.rep, F)  # [z, b, s, t]
 
-    hDD_v = _h_values(F_psi.value, F_phi.value)
-    hdd_v = _h_values(_slash(calc.rep, F_psi).value, d_phi.value)
-    quarter_v = 0.25 * calc.scal.value * _h_values(psi0, phi.value)
+    hDD_v = _h_values(F.value[:, :, 0], F.value[:, :, 1])
+    hdd_v = _h_values(d.value[:, 0], d.value[:, 1])
+    quarter_v = 0.25 * calc.scal.value * _h_values(psi0, phi0)
 
     # beta_j = h(psi, dx_j^flat . Dirac phi), alpha_j = h(psi, D_j phi)
-    cpsi = np.conj(psi.c[:sp.m])
-    beta = tensor_matmul(sp, coframe_action(calc, d_phi).c, cpsi[..., None])[..., 0]
-    alpha = tensor_matmul(sp, Dc_phi.c, cpsi[..., None])[..., 0]
+    cpsi = np.conj(fields.c[:sp.m, :, 0])
+    beta = tensor_matmul(sp, coframe_action(calc, Jet(sp, d.c[:, :, 1])).c,
+                         cpsi[..., None])[..., 0]
+    alpha = tensor_matmul(sp, Dc.c[:, :, :, 1], cpsi[..., None])[..., 0]
 
     def codiff(w):
         return codiff_oneform(md, Jet(sp, w)).value
@@ -485,19 +488,15 @@ def lichnerowicz_II_residual(calc: SpinorCalc, psi: Jet, phi: Jet,
 
     scale = max(np.max(np.abs(hDD_v)), np.max(np.abs(hdd_v)),
                 np.max(np.abs(quarter_v)), np.max(np.abs(d_omega)), 1e-300)
-    return {
-        "main": main,
-        "first": first,
-        "second": second,
-        "scale": float(scale),
-    }
+    return {"main": main, "first": first, "second": second, "scale": float(scale)}
 
 
-def norm_identity_residual(calc: SpinorCalc, psi: Jet, direction, Dc: Jet) -> np.ndarray:
+def norm_identity_residual(calc: SpinorCalc, psi: Jet, direction, Dc: Jet) -> tuple:
     """d|psi|^2(X) - 2 Re h(D_X psi, psi) - (n-2) theta(X) |psi|^2.
 
     ``direction`` is a constant coordinate coefficient vector and ``Dc``
     is ``covd_coord(calc, psi, (2 - n)/2)``, at the distinguished weight.
+    Returns (residual, scale) with scale the largest |psi|^2.
     """
     n = calc.n
     X = np.asarray(direction, dtype=np.float64)
@@ -510,4 +509,4 @@ def norm_identity_residual(calc: SpinorCalc, psi: Jet, direction, Dc: Jet) -> np
     thX = 0.0 if calc.theta is None else sum(X[i] * calc.theta.value[:, i]
                                              for i in range(n))
     rhs2 = (n - 2.0) * thX * nrm.value.real
-    return lhs - rhs1 - rhs2
+    return lhs - rhs1 - rhs2, float(np.max(np.abs(nrm.value.real)))

@@ -10,7 +10,8 @@ plain dict::
 
 with residuals relative unless marked absolute: to their own terms for
 ``lichnerowicz-*`` and ``pairing-*``, else to ``util.scale`` of what
-they compare.
+they compare.  The identity battery runs its two random spinor fields,
+one ``chart.spinor_program``, as one stack through each spinor operator.
 
 Randomness uses numpy's PCG64 generator explicitly (a fixed, documented
 algorithm), so a seed reproduces the same points, fields, and reports
@@ -173,16 +174,16 @@ COVARIANCE_FACTOR = "1 + 0.3/sqrt(r^2 + 1)"
 
 
 def _identity_maxima(chart: MetricChart, rescaled: MetricChart, factor: exprdsl.Program,
-                     pts: np.ndarray, jet_order: int, fields: tuple,
+                     pts: np.ndarray, jet_order: int, fields: exprdsl.Program,
                      direction: np.ndarray) -> dict:
     """The maxima behind every check of ``identity_battery`` on the points
     ``pts``; ``rescaled`` is ``chart`` rescaled by ``COVARIANCE_FACTOR``,
-    ``factor`` that factor lowered, ``fields`` the programs of the two
+    ``factor`` that factor lowered, ``fields`` the program of the two
     spinor fields and ``direction`` the unit vector of the norm identity."""
-    from .spinor import (covd_coord, dirac_composed, dirac_squared_expansion, h_jet,
-                         lichnerowicz_I_residual, lichnerowicz_II_residual,
-                         norm_identity_residual, spinor_calc, spinor_jets,
-                         spinor_values)
+    from .spinor import (conf_trace_second, covd_coord, dirac_composed,
+                         dirac_squared_expansion, lichnerowicz_I_residual,
+                         lichnerowicz_II_residual, norm_identity_residual, spinor_calc,
+                         spinor_jets, spinor_values)
 
     n = chart.n
     # conformal covariance: f Scal(fg, theta - df/2f) = Scal(g, theta); the
@@ -200,19 +201,19 @@ def _identity_maxima(chart: MetricChart, rescaled: MetricChart, factor: exprdsl.
     out["covariance"] = np.max(np.abs(lhs - scal_weyl))
     out["scal"] = np.max(np.abs(scal_weyl))
 
-    # spinor identities on two independent random fields
-    psi, phi = (Jet(md.space, spinor_jets(f, md.coords).c[:, :, 0]) for f in fields)
-    # D_i psi and D_i phi at weight k, shared by every residual below, and
-    # the composed Dirac square of psi, shared by the first identity and
-    # the expansion check
-    Dpsi = covd_coord(calc, psi, k)
-    Dphi = covd_coord(calc, phi, k)
-    D2psi = dirac_composed(calc, Dpsi, k)
+    # spinor identities on two independent random fields psi and phi, one
+    # stack (m, B, 2, N): their derivatives D_i at weight k, Dirac squares
+    # and trace-second fields are one call each, shared by every residual
+    psiphi = spinor_jets(fields, md.coords)
+    D = covd_coord(calc, psiphi, k)
+    D2 = dirac_composed(calc, D, k)
+    tr = conf_trace_second(calc, D, k)
+    psi, Dpsi, D2psi, trpsi = (Jet(t.space, t.c[..., 0, :]) for t in (psiphi, D, D2, tr))
 
-    res, out["first_scale"] = lichnerowicz_I_residual(calc, psi, Dpsi, D2psi)
+    res, out["first_scale"] = lichnerowicz_I_residual(calc, psi, D2psi, trpsi)
     out["first"] = np.max(np.abs(res))
 
-    pairing = lichnerowicz_II_residual(calc, psi, phi, Dpsi, Dphi)
+    pairing = lichnerowicz_II_residual(calc, psiphi, D, D2, tr)
     out["pairing_scale"] = pairing["scale"]
     for key in ("main", "first", "second"):
         out[f"pairing_{key}"] = np.max(np.abs(pairing[key]))
@@ -223,9 +224,8 @@ def _identity_maxima(chart: MetricChart, rescaled: MetricChart, factor: exprdsl.
         out["expansion"] = np.max(np.abs(d2 - ex))
         out["d2"] = np.max(np.abs(d2))
 
-    nres = norm_identity_residual(calc, psi, direction, Dpsi)
+    nres, out["norm_scale"] = norm_identity_residual(calc, psi, direction, Dpsi)
     out["norm"] = np.max(np.abs(nres))
-    out["norm_scale"] = np.max(np.abs(h_jet(psi, psi).value.real))
     return out
 
 
@@ -240,7 +240,7 @@ def identity_battery(chart: MetricChart, points: int = 100, seed: int = 42,
     rng = rng_for(seed)
     n = chart.n
     pts = sample_points(chart, points, rng)
-    fields = tuple(spinor_program(chart, [random_spinor(n, rng)]) for _ in range(2))
+    fields = spinor_program(chart, [random_spinor(n, rng) for _ in range(2)])
     direction = rng.normal(size=n)
     direction /= math.sqrt(float(np.sum(direction * direction)))
     factor = factor_program(chart, COVARIANCE_FACTOR)

@@ -36,6 +36,7 @@ from confmass.mass import (
     witten_flux,
 )
 from confmass.spinor import (
+    conf_trace_second,
     covd_coord,
     dirac_composed,
     lichnerowicz_I_residual,
@@ -66,23 +67,17 @@ def _chart_theta_jets(chart, coords):
     return lee_jets(chart, coords) if chart.has_lee else None
 
 
-def _field(chart, field, coords):
-    """The jet (m, B, N) of one spinor field, lowered on ``chart``."""
-    psi = spinor_jets(spinor_program(chart, [field]), coords)
-    return Jet(psi.space, psi.c[:, :, 0])
-
-
 def _spinor_setup(cfg, points, seed, order=2):
-    """Calculator plus two generic random spinor fields at seeded points."""
+    """Calculator plus two generic random spinor fields at seeded points,
+    stacked (m, B, 2, N)."""
     chart = cfg.chart
     rng = rng_for(seed)
     pts = sample_points(chart, points, rng)
     md = metric_jets(chart, pts, order=order)
     theta = _chart_theta_jets(chart, md.coords)
     calc = spinor_calc(md, theta)
-    psi = _field(chart, random_spinor(chart.n, rng), md.coords)
-    phi = _field(chart, random_spinor(chart.n, rng), md.coords)
-    return calc, psi, phi
+    fields = spinor_program(chart, [random_spinor(chart.n, rng) for _ in range(2)])
+    return calc, spinor_jets(fields, md.coords)
 
 
 def test_flat_chart_has_zero_mass_and_vanishing_curvature(flat_cfg):
@@ -132,10 +127,12 @@ def test_dirac_laplacian_formula_residual_across_chart_matrix(
 ):
     start = time.monotonic()
     for cfg in (iso_cfg, lee_cfg, rot_cfg, p4_cfg):
-        calc, psi, _ = _spinor_setup(cfg, points=100, seed=101)
+        calc, fields = _spinor_setup(cfg, points=100, seed=101)
+        psi = Jet(fields.space, fields.c[:, :, 0])
         k = 0.5 * (2.0 - calc.n)
         Dc = covd_coord(calc, psi, k)
-        res, scale = lichnerowicz_I_residual(calc, psi, Dc, dirac_composed(calc, Dc, k))
+        res, scale = lichnerowicz_I_residual(calc, psi, dirac_composed(calc, Dc, k),
+                                             conf_trace_second(calc, Dc, k))
         rel = float(np.max(np.abs(res))) / scale
         assert rel <= 1e-8, f"{cfg.name}: relative residual {rel:.3e}"
     assert time.monotonic() - start < 30.0
@@ -145,10 +142,11 @@ def test_pairing_formula_residuals_across_chart_matrix(
     iso_cfg, lee_cfg, rot_cfg, p4_cfg
 ):
     for cfg in (iso_cfg, lee_cfg, rot_cfg, p4_cfg):
-        calc, psi, phi = _spinor_setup(cfg, points=100, seed=202)
+        calc, fields = _spinor_setup(cfg, points=100, seed=202)
         k = 0.5 * (2.0 - calc.n)
-        out = lichnerowicz_II_residual(calc, psi, phi, covd_coord(calc, psi, k),
-                                       covd_coord(calc, phi, k))
+        Dc = covd_coord(calc, fields, k)
+        out = lichnerowicz_II_residual(calc, fields, Dc, dirac_composed(calc, Dc, k),
+                                       conf_trace_second(calc, Dc, k))
         for part in ("main", "first", "second"):
             rel = float(np.max(np.abs(out[part]))) / out["scale"]
             assert rel <= 1e-8, f"{cfg.name}/{part}: relative residual {rel:.3e}"

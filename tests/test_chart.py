@@ -385,7 +385,7 @@ class TestChartPrograms:
          util, "CHUNK", (256, 16), 3),
         (["witten", "twoends"], util, "CHUNK", (256, 16), 6),
         (["witten", "twoends", "--radii", "20,40,80,160"], util, "CHUNK", (256, 16), 6),
-        (["identities", "schwarzschild-rot-lee"], suites, "POINT_BUDGET", (216_000, 2_000), 6),
+        (["identities", "schwarzschild-rot-lee"], suites, "POINT_BUDGET", (216_000, 2_000), 5),
         (["laws", "schwarzschild"], util, "CHUNK", (256, 16), 5),
     ], ids=["weyl-mass", "witten", "witten-radii", "witten-defaults",
             "witten-defaults-radii", "identities", "laws"])
@@ -400,9 +400,9 @@ class TestChartPrograms:
         # chart by the battery.
         # identities: the config, three, the covariance factor once (the
         # rescaled chart's programs are built on the chart's and on it, not
-        # lowered), and the two random fields; laws: the config, three, and
-        # each of its two factors once, for its rescaled chart and its
-        # gradient fluxes
+        # lowered), and the two random fields as one program; laws: the
+        # config, three, and each of its two factors once, for its rescaled
+        # chart and its gradient fluxes
         lower = exprdsl.lower
         counts = []
         for width in widths:

@@ -9,7 +9,10 @@ from confmass.chart import ChartError, lee_jets, make_chart, metric_jets, spinor
 from confmass.curvature import christoffels
 from confmass.jets import Jet
 from confmass.spinor import (
+    coframe_action,
+    conf_trace_second,
     covd_coord,
+    covd_frame,
     dirac,
     dirac_composed,
     dirac_squared_expansion,
@@ -264,9 +267,10 @@ class TestDirac:
 
 
 class TestResiduals:
+    PSI = [("1 + x1/r^2", "0.2 - x3/r^3"), ("x2/r^2", "1 - x1/r^3")]
+
     def make_psi(self, chart, coords):
-        return field(chart, coords,
-                     [("1 + x1/r^2", "0.2 - x3/r^3"), ("x2/r^2", "1 - x1/r^3")])
+        return field(chart, coords, self.PSI)
 
     @pytest.mark.parametrize("chartf", [iso_chart, lee_chart])
     def test_lichnerowicz_first(self, chartf):
@@ -275,7 +279,8 @@ class TestResiduals:
         calc = calc_for(chart, X)
         psi = self.make_psi(chart, calc.frame.md.coords)
         Dc = covd_coord(calc, psi, -0.5)
-        res, scale = lichnerowicz_I_residual(calc, psi, Dc, dirac_composed(calc, Dc, -0.5))
+        res, scale = lichnerowicz_I_residual(calc, psi, dirac_composed(calc, Dc, -0.5),
+                                             conf_trace_second(calc, Dc, -0.5))
         assert np.max(np.abs(res)) <= 1e-8 * max(1.0, scale)
 
     @pytest.mark.parametrize("chartf", [iso_chart, lee_chart])
@@ -283,10 +288,11 @@ class TestResiduals:
         chart = chartf()
         X = sample_points(3, 12)
         calc = calc_for(chart, X)
-        psi = self.make_psi(chart, calc.frame.md.coords)
-        phi = field(chart, calc.frame.md.coords, [("x3/r^2", "1"), ("0.5", "x1/r^2")])
-        out = lichnerowicz_II_residual(calc, psi, phi, covd_coord(calc, psi, -0.5),
-                                       covd_coord(calc, phi, -0.5))
+        phi = [("x3/r^2", "1"), ("0.5", "x1/r^2")]
+        fields = spinor_jets(spinor_program(chart, [self.PSI, phi]), calc.frame.md.coords)
+        Dc = covd_coord(calc, fields, -0.5)
+        out = lichnerowicz_II_residual(calc, fields, Dc, dirac_composed(calc, Dc, -0.5),
+                                       conf_trace_second(calc, Dc, -0.5))
         bound = 1e-8 * max(1.0, out["scale"])
         # the identity itself plus both sub-identities it splits into
         assert np.max(np.abs(out["main"])) <= bound
@@ -298,8 +304,8 @@ class TestResiduals:
         X = sample_points(3, 12)
         calc = calc_for(chart, X)
         psi = self.make_psi(chart, calc.frame.md.coords)
-        res = norm_identity_residual(calc, psi, [0.6, -0.8, 0.0],
-                                     covd_coord(calc, psi, -0.5))
+        res, _ = norm_identity_residual(calc, psi, [0.6, -0.8, 0.0],
+                                        covd_coord(calc, psi, -0.5))
         assert np.max(np.abs(res)) <= 1e-10
 
 
@@ -341,19 +347,20 @@ class TestBatchIndependence:
             lee=["-0.2*x1/r^4", "0.1*x3/r^4", "-0.1*x2/r^4", "0.2*x4/r^4"],
         )
 
+    PSI = [("1 + x1/r^2", "x2/r^2"), ("x3/r^2", "0.5"), ("0.2", "x4/r^2"), ("x1*x2/r^4", "1")]
+    PHI = [("x4/r^2", "1"), ("0.5", "x1/r^2"), ("1", "0"), ("x2/r^2", "x3/r^2")]
+
     def evaluate(self, chart, X):
         calc = calc_for(chart, X)
-        coords = calc.frame.md.coords
-        psi = field(chart, coords, [("1 + x1/r^2", "x2/r^2"), ("x3/r^2", "0.5"),
-                                    ("0.2", "x4/r^2"), ("x1*x2/r^4", "1")])
-        phi = field(chart, coords, [("x4/r^2", "1"), ("0.5", "x1/r^2"),
-                                    ("1", "0"), ("x2/r^2", "x3/r^2")])
-        Dpsi = covd_coord(calc, psi, -1.0)
-        pairing = lichnerowicz_II_residual(calc, psi, phi, Dpsi, covd_coord(calc, phi, -1.0))
+        fields = spinor_jets(spinor_program(chart, [self.PSI, self.PHI]), calc.frame.md.coords)
+        psi, phi = (Jet(fields.space, fields.c[:, :, s]) for s in range(2))
+        D = covd_coord(calc, fields, -1.0)
+        pairing = lichnerowicz_II_residual(calc, fields, D, dirac_composed(calc, D, -1.0),
+                                           conf_trace_second(calc, D, -1.0))
         return {
             "omega": calc.frame.omega.c,
-            "covd_coord": Dpsi.c,
-            "dirac": dirac(calc, Dpsi).c,
+            "covd_coord": D.c,
+            "dirac": dirac(calc, D).c,
             "dirac_squared_expansion": dirac_squared_expansion(calc, psi, -1.0).c,
             "pairing": h_jet(psi, phi).c,
             **{f"lichnerowicz_II.{k}": pairing[k] for k in ("main", "first", "second")},
@@ -371,3 +378,28 @@ class TestBatchIndependence:
                         got = one[name][:, 0] if arr.ndim > 1 else one[name][0]
                         want = arr[:, q - lo] if arr.ndim > 1 else arr[q - lo]
                         assert np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("width", [1, 7, 257])
+    def test_stacked_fields_match_each_field_alone_bitwise(self, width):
+        # every operator on a stack (m, B, 2, N) equals, slice by slice,
+        # the same operator on that field alone, whose stack axis is the
+        # one before the spinor axis in every output
+        chart = self.chart4()
+        calc = calc_for(chart, sample_points(4, 258)[:, 258 - width:])
+        coords = calc.frame.md.coords
+
+        def run(fields):
+            D = covd_coord(calc, fields, -1.0)
+            return {
+                "covd_coord": D,
+                "covd_frame": covd_frame(calc, D),
+                "dirac": dirac(calc, D),
+                "dirac_composed": dirac_composed(calc, D, -1.0),
+                "conf_trace_second": conf_trace_second(calc, D, -1.0),
+                "coframe_action": coframe_action(calc, fields),
+            }
+
+        stacked = run(spinor_jets(spinor_program(chart, [self.PSI, self.PHI]), coords))
+        for s, spec in enumerate((self.PSI, self.PHI)):
+            for name, alone in run(field(chart, coords, spec)).items():
+                assert np.array_equal(stacked[name].c[..., s, :], alone.c), name

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import confmass
+from confmass import chart as chart_module
 from confmass import clifford, mass, spinor, suites, weyl
 from confmass.chart import conformal_rescale, factor_program, make_chart, spinor_program
 from confmass.exprdsl import BinOp, Call, Num, Var
@@ -136,14 +137,14 @@ def test_two_path_codifferential_computed_once(monkeypatch, lee_cfg, p4_cfg):
 
 
 def test_dirac_square_computed_once(monkeypatch, lee_cfg, p4_cfg):
-    # the composed Dirac square of psi is read by the first Lichnerowicz
-    # identity and by the expansion check; the other call is phi's, in
-    # the pairing identity
+    # one call on the stack of psi and phi: psi's square is read by the
+    # first Lichnerowicz identity and by the expansion check, phi's by the
+    # pairing identity
     for cfg in (lee_cfg, p4_cfg):
         with monkeypatch.context() as m:
             calls = spy(m, spinor, "dirac_composed")
             assert suites.identity_battery(cfg.chart, points=4)["pass"]
-        assert len(calls) == 2, cfg.name
+        assert len(calls) == 1, cfg.name
 
 
 def test_rescaled_jets_built_before_the_base_jets_in_every_chunk(monkeypatch, lee_cfg):
@@ -211,11 +212,10 @@ def test_weyl_connection_built_only_where_read(monkeypatch, request, cfg):
 
 
 def test_order_two_derivatives_computed_once(monkeypatch, p4_cfg):
-    # n = 4 with a Lee form: 2 shared fields, 1 in the shared weighted
-    # Dirac square of psi, 1 in the first Lichnerowicz residual (the n
-    # trace-second fields in one call), 2 in the pairing residual (phi's
-    # outer Dirac step and trace-second fields) and 2 in the Riemannian
-    # expansion
+    # n = 4 with a Lee form: 1 on the stack of psi and phi, 1 in its
+    # shared weighted Dirac square (the outer step), 1 in its shared
+    # trace-second fields (the n frame derivatives in one call) and 2 in
+    # the Riemannian expansion of psi
     calls = spy(monkeypatch, spinor, "covd_coord")
     assert suites.identity_battery(p4_cfg.chart, points=4)["pass"]
     keys = []
@@ -223,7 +223,25 @@ def test_order_two_derivatives_computed_once(monkeypatch, p4_cfg):
         bound = dict(zip(("calc", "psi", "weight"), args), **kwargs)
         keys.append((id(bound["psi"]), bound["weight"]))
     assert len(set(keys)) == len(keys)  # the fields stay alive in ``calls``
-    assert len(calls) == 8
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("cfg,covd_coord,covd_frame",
+                         [("lee_cfg", 5, 6), ("iso_cfg", 3, 4)])
+def test_identity_battery_runs_one_stack_of_two_fields(monkeypatch, request, cfg,
+                                                       covd_coord, covd_frame):
+    # one chunk: the two random fields are lowered as one program, run as
+    # one stack and differentiated once; each operator of the identities
+    # runs once on the stack, and the Riemannian expansion of psi (Lee
+    # form only) and the pairing's frame derivative add their own calls
+    chart = request.getfixturevalue(cfg).chart
+    calls = {name: spy(monkeypatch, module, name) for module, name in (
+        (spinor, "covd_coord"), (spinor, "covd_frame"), (spinor, "conf_trace_second"),
+        (spinor, "spinor_jets"), (spinor, "h_jet"), (chart_module, "spinor_program"))}
+    assert suites.identity_battery(chart, points=4)["pass"]
+    assert {name: len(c) for name, c in calls.items()} == {
+        "covd_coord": covd_coord, "covd_frame": covd_frame, "conf_trace_second": 1,
+        "spinor_jets": 1, "h_jet": 1, "spinor_program": 1}
 
 
 @pytest.mark.parametrize("n", range(3, 7))
